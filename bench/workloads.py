@@ -176,14 +176,16 @@ def _device_jobs(scenes: Path, seed: int) -> list[Job]:
         jobs.append(
             _cli_job(f"defect/{name}", "defect", ["defect", "--scene", path], _verdict_check("RECTANGULAR"))
         )
-        jobs.append(
-            _cli_job(
-                f"check-symplectic/{name}",
-                "symplectic",
-                ["check-symplectic", "--scene", path, *seed_args],
-                _symplectic_check(path),
-            )
+    # check-symplectic on mixed_device is a known defect, not a job: see known_defects
+    path = str(scenes / "sphere_refract.scene")
+    jobs.append(
+        _cli_job(
+            "check-symplectic/sphere_refract",
+            "symplectic",
+            ["check-symplectic", "--scene", path, *seed_args],
+            _symplectic_check(path),
         )
+    )
     path = str(scenes / "two_skew.scene")
     jobs.append(
         _cli_job("defect/two_skew", "defect", ["defect", "--scene", path], _two_skew_check)
@@ -377,6 +379,29 @@ def _library_solve(rng, i) -> Job:
         )
 
     return Job(f"characteristic/library_{i:02d}", "characteristic", run, check)
+
+
+def known_defects(workload: str, seed: int, scenes: Path) -> list[Job]:
+    """Jobs that a known defect of the program makes fail on some seeds.
+
+    They run once per run, untimed and outside the job counts, so that the
+    defect stays in view without making the number of failed jobs depend
+    on the seed and on how many passes fit in a run.
+    """
+    if workload != "device":
+        return []
+    # exits 2 ("ray misses Sinusoid") on about half of the seeds: the command
+    # traces the wrong rays on multi-interface scenes
+    seed_args = ["--seed", str(seed)] if seed else []
+    path = str(scenes / "mixed_device.scene")
+    return [
+        _cli_job(
+            "check-symplectic/mixed_device",
+            "symplectic",
+            ["check-symplectic", "--scene", path, *seed_args],
+            _symplectic_check(path),
+        )
+    ]
 
 
 def build(workload: str, seed: int, scenes: Path, work: Path) -> list[Job]:
