@@ -59,6 +59,7 @@ from .surfaces import (
     Quadric,
     Sinusoid,
     Sphere,
+    SurfaceChart,
     intersect,
     normal_at,
 )
@@ -95,7 +96,6 @@ from .families import (
 from .variational import (
     MirrorDesign,
     PathConfiguration,
-    SurfaceChart,
     characteristic_function,
     design_focusing_mirror,
     initial_path,
@@ -103,7 +103,6 @@ from .variational import (
     optical_length,
     path_through,
     stationarity_residual,
-    surface_chart,
     verify_focus,
 )
 from .scene import Scene, load_scene, parse_scene

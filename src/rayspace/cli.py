@@ -16,17 +16,18 @@ import sys
 
 import numpy as np
 
-from .errors import RaySpaceError
+from .errors import FamilyTraceError, RaySpaceError, TraceError
 from .families import (
     _fmt,
     _grid_axes,
+    _grid_csv,
     is_rectangular,
     orthogonality_residual,
     reconstruct_wavefront,
     transform_family,
 )
 from .lines import chart_jacobian, symplectic_residual
-from .optics import REFLECT, reflect_line, refract_line
+from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import load_scene
 from .variational import (
     characteristic_function,
@@ -99,18 +100,16 @@ def cmd_trace(scene, args, out_dir):
     grid = _grid_arg(scene, args)
     tol = _opt(scene, args, "tol", 1e-9)
     k1, k2 = _grid_axes(family, grid, 0.0)
-    rows = ["k1,k2,ux,uy,uz,qx,qy,qz\n"]
+    nodes = np.empty((len(k1), len(k2), 6))
     worst = 0.0
-    for a in k1:
-        for b in k2:
+    for i, a in enumerate(k1):
+        for j, b in enumerate(k2):
             line = family.eval(a, b)
             u, q = line.u, line.q
             worst = max(worst, abs(float(np.linalg.norm(u)) - 1.0), abs(float(q @ u)))
-            rows.append(
-                f"{_fmt(a)},{_fmt(b)},{_fmt(u[0])},{_fmt(u[1])},{_fmt(u[2])},"
-                f"{_fmt(q[0])},{_fmt(q[1])},{_fmt(q[2])}\n"
-            )
-    _write(out_dir, "trace.csv", "".join(rows))
+            nodes[i, j, :3] = u
+            nodes[i, j, 3:] = q
+    _write(out_dir, "trace.csv", _grid_csv("k1,k2,ux,uy,uz,qx,qy,qz", k1, k2, nodes))
     h1 = (k1[-1] - k1[0]) / (len(k1) - 1)
     h2 = (k2[-1] - k2[0]) / (len(k2) - 1)
     _report(
@@ -179,28 +178,34 @@ def cmd_check_symplectic(scene, args, out_dir):
         ("step", _fmt(step)),
         ("tolerance", _fmt(tol)),
     ]
-    worst_overall = 0.0
-    for i, itf in enumerate(scene.system.interfaces):
-        if itf.action == REFLECT:
-            scale = 1.0
-            mapper = lambda l, s=itf.surface: reflect_line(l, s)[0]
-        else:
-            scale = itf.n_in / itf.n_out
-            mapper = lambda l, s=itf: refract_line(l, s.surface, s.n_in, s.n_out)[0]
-        worst = 0.0
-        for k in ks:
-            line = family.eval(k[0], k[1])
-            for prev in scene.system.interfaces[:i]:
-                if prev.action == REFLECT:
-                    line, _ = reflect_line(line, prev.surface)
-                else:
-                    line, _ = refract_line(line, prev.surface, prev.n_in, prev.n_out)
-            jac, _, _ = chart_jacobian(mapper, line, h=step)
-            worst = max(worst, symplectic_residual(jac, scale=scale))
-        worst_overall = max(worst_overall, worst)
+    interfaces = scene.system.interfaces
+    scales = [1.0 if itf.action == REFLECT else itf.n_in / itf.n_out for itf in interfaces]
+    worst = [0.0] * len(interfaces)
+    for k1, k2 in ks:
+        k = (float(k1), float(k2))
+        line = family.eval(*k)
+        start = family.start_point(*k)
+        # each interface's map is checked on the ray as it arrives there
+        for i, itf in enumerate(interfaces):
+            single = OpticalSystem((itf,), ambient_index=itf.n_in)
+
+            def mapper(l):
+                on_l = l.q + ((start - l.q) @ l.u) * l.u
+                return propagate_system(l, single, start=on_l).line_out
+
+            try:
+                result = propagate_system(line, single, start=start)
+                jac, _, _ = chart_jacobian(mapper, line, h=step)
+            except TraceError as exc:
+                raise FamilyTraceError(k, TraceError(i, exc.cause)) from exc
+            worst[i] = max(worst[i], symplectic_residual(jac, scale=scales[i]))
+            line = result.line_out
+            start = line.point_at(_cursor_past(line, result.hits[0].point))
+    for i, itf in enumerate(interfaces):
         pairs.append((f"interface_{i}", _interface_label(itf)))
-        pairs.append((f"interface_{i}_scale", _fmt(scale)))
-        pairs.append((f"interface_{i}_residual", _fmt(worst)))
+        pairs.append((f"interface_{i}_scale", _fmt(scales[i])))
+        pairs.append((f"interface_{i}_residual", _fmt(worst[i])))
+    worst_overall = max(worst)
     ok = worst_overall < tol
     pairs.append(("max_residual", _fmt(worst_overall)))
     pairs.append(("symplectic", "true" if ok else "false"))

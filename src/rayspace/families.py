@@ -21,7 +21,6 @@ the step so every stencil stays inside the domain.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +35,7 @@ from .errors import (
     NotRectangularError,
     RaySpaceError,
 )
-from .lines import OrientedLine, _as_vec3, chart_coords, chart_for, line_through
+from .lines import OrientedLine, _as_vec3, _frame, chart_coords, chart_for, line_through
 from .optics import OpticalSystem, propagate_system
 from .surfaces import Plane, Sinusoid, Sphere
 
@@ -45,19 +44,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _frame(axis):
-    """Unit axis plus an orthonormal pair spanning its orthogonal plane."""
-    a = _as_vec3(axis)
-    n = np.linalg.norm(a)
-    if n < 1e-12:
-        raise ValueError("axis must be nonzero")
-    a = a / n
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(a)))] = 1.0
-    e1 = np.cross(ref, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(a, e1)
-    return a, e1, e2
+def _grid_csv(header: str, k1, k2, nodes) -> str:
+    """CSV with one row per grid node: k1, k2, then the node's values.
+
+    nodes[i, j] holds the values at (k1[i], k2[j]), as an array of shape
+    (len(k1), len(k2), columns); k1 varies slowest.
+    """
+    rows = [header + "\n"]
+    for i, a in enumerate(k1):
+        for j, b in enumerate(k2):
+            rows.append(",".join(map(_fmt, (a, b, *nodes[i, j]))) + "\n")
+    return "".join(rows)
 
 
 @dataclass(frozen=True)
@@ -256,17 +253,22 @@ def _neighbors(family: RayFamily, k, h: float):
     )
 
 
-def defect(family: RayFamily, k, h: float | None = None) -> float:
-    """The symplectic two-form on the coordinate tangent fields at k."""
-    if h is None:
-        h = family.default_step()
-    _require_inside(family, k, h)
-    p1, m1, p2, m2 = _neighbors(family, k, h)
+def _stencil_defect(neighbors, h: float) -> float:
+    """Central-difference defect from the four neighbours of _neighbors."""
+    p1, m1, p2, m2 = neighbors
     du1 = (p1.u - m1.u) / (2.0 * h)
     dq1 = (p1.q - m1.q) / (2.0 * h)
     du2 = (p2.u - m2.u) / (2.0 * h)
     dq2 = (p2.q - m2.q) / (2.0 * h)
     return float(dq1 @ du2 - dq2 @ du1)
+
+
+def defect(family: RayFamily, k, h: float | None = None) -> float:
+    """The symplectic two-form on the coordinate tangent fields at k."""
+    if h is None:
+        h = family.default_step()
+    _require_inside(family, k, h)
+    return _stencil_defect(_neighbors(family, k, h), h)
 
 
 def defect_refined(family: RayFamily, k, h: float | None = None):
@@ -303,12 +305,7 @@ class DefectGrid:
         return float(np.max(np.abs(self.values)))
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("k1,k2,value\n")
-        for i, k1 in enumerate(self.k1):
-            for j, k2 in enumerate(self.k2):
-                out.write(f"{_fmt(k1)},{_fmt(k2)},{_fmt(self.values[i, j])}\n")
-        return out.getvalue()
+        return _grid_csv("k1,k2,value", self.k1, self.k2, self.values[..., None])
 
 
 def _immersion_ok(center_line: OrientedLine, neighbors, h: float) -> bool:
@@ -339,12 +336,7 @@ def defect_grid(
                 center = family.eval(k1, k2)
                 if not _immersion_ok(center, neigh, h):
                     raise ImmersionError(f"family is not an immersion at k=({k1:g}, {k2:g})")
-            p1, m1, p2, m2 = neigh
-            du1 = (p1.u - m1.u) / (2.0 * h)
-            dq1 = (p1.q - m1.q) / (2.0 * h)
-            du2 = (p2.u - m2.u) / (2.0 * h)
-            dq2 = (p2.q - m2.q) / (2.0 * h)
-            values[i, j] = dq1 @ du2 - dq2 @ du1
+            values[i, j] = _stencil_defect(neigh, h)
     return DefectGrid(k1=k1s, k2=k2s, values=values, step=h)
 
 
@@ -439,16 +431,8 @@ class Wavefront:
     path_discrepancy: float
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("k1,k2,qx,qy,qz,F\n")
-        for i, k1 in enumerate(self.k1):
-            for j, k2 in enumerate(self.k2):
-                p = self.points[i, j]
-                out.write(
-                    f"{_fmt(k1)},{_fmt(k2)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])},"
-                    f"{_fmt(self.values[i, j])}\n"
-                )
-        return out.getvalue()
+        nodes = np.concatenate([self.points, self.values[..., None]], axis=2)
+        return _grid_csv("k1,k2,qx,qy,qz,F", self.k1, self.k2, nodes)
 
 
 def reconstruct_wavefront(

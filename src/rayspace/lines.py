@@ -46,6 +46,21 @@ def _as_vec3(x) -> np.ndarray:
     return v
 
 
+def _frame(axis):
+    """Unit axis plus an orthonormal pair spanning its orthogonal plane."""
+    a = _as_vec3(axis)
+    n = np.linalg.norm(a)
+    if n < 1e-12:
+        raise ValueError("axis must be nonzero")
+    a = a / n
+    ref = np.zeros(3)
+    ref[int(np.argmin(np.abs(a)))] = 1.0
+    e1 = np.cross(ref, a)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(a, e1)
+    return a, e1, e2
+
+
 @dataclass(frozen=True, eq=False)
 class OrientedLine:
     """An oriented straight line, canonically represented by (u, q).

@@ -139,6 +139,13 @@ class TraceResult:
     optical_length: float
 
 
+def _cursor_past(line: OrientedLine, point) -> float:
+    """Ray parameter just beyond `point` on `line`, so that the search for the
+    next hit cannot return the surface just left."""
+    t_hit = float((point - line.q) @ line.u)
+    return t_hit + 1e-9 * max(1.0, abs(t_hit))
+
+
 def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> TraceResult:
     """Fold a line through every interface of the system, in order.
 
@@ -173,6 +180,5 @@ def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> T
         prev_point = hit.point
         hits.append(hit)
         current = current2
-        t_hit = float((hit.point - current.q) @ current.u)
-        t_cursor = t_hit + 1e-9 * max(1.0, abs(t_hit))
+        t_cursor = _cursor_past(current, hit.point)
     return TraceResult(line_out=current, hits=tuple(hits), optical_length=optical_length)

@@ -52,18 +52,6 @@ from .surfaces import Plane, Quadric, Sinusoid, Sphere
 
 _SECTION_RE = re.compile(r"^\[(surface\s+([A-Za-z_][A-Za-z0-9_-]*)|system|family|options)\]$")
 
-_SURFACE_KEYS = {
-    "plane": {"kind", "normal", "offset", "incoming_sign"},
-    "sphere": {"kind", "center", "radius", "incoming_sign"},
-    "quadric": {"kind", "matrix", "linear", "constant", "incoming_sign"},
-    "sinusoid": {"kind", "amplitude", "wavevector", "incoming_sign"},
-}
-_SURFACE_REQUIRED = {
-    "plane": {"normal"},
-    "sphere": {"center", "radius"},
-    "quadric": {"matrix", "linear", "constant"},
-    "sinusoid": {"amplitude", "wavevector"},
-}
 _FAMILY_KEYS = {
     "point_source": {"kind", "apex", "axis", "domain"},
     "collimated": {"kind", "direction", "origin", "domain"},
@@ -196,47 +184,50 @@ def _split_sections(text):
     return sections
 
 
+def _vector(count):
+    return lambda raw, line_no, col: _floats(raw, count, line_no, col)
+
+
+def _matrix(raw, line_no, col):
+    return _floats(raw, 9, line_no, col).reshape(3, 3)
+
+
+# kind -> (class, {key: value parser} in parse order, required keys); every
+# kind also takes `kind` and the optional `incoming_sign`
+_SURFACES = {
+    "plane": (Plane, {"offset": _float, "normal": _vector(3)}, ("normal",)),
+    "sphere": (Sphere, {"center": _vector(3), "radius": _float}, ("center", "radius")),
+    "quadric": (
+        Quadric,
+        {"matrix": _matrix, "linear": _vector(3), "constant": _float},
+        ("matrix", "linear", "constant"),
+    ),
+    "sinusoid": (
+        Sinusoid,
+        {"amplitude": _float, "wavevector": _vector(2)},
+        ("amplitude", "wavevector"),
+    ),
+}
+
+
 def _build_surface(section):
     kind_raw, line_no, col = section.take("kind")
     if kind_raw is None:
         raise SceneSyntaxError(section.line_no, 1, f"surface {section.name!r} has no kind")
-    if kind_raw not in _SURFACE_KEYS:
+    if kind_raw not in _SURFACES:
         raise SceneSyntaxError(line_no, col, f"unknown surface kind {kind_raw!r}")
-    for req in _SURFACE_REQUIRED[kind_raw]:
+    cls, parsers, required = _SURFACES[kind_raw]
+    for req in required:
         if req not in section.entries:
             raise SceneSyntaxError(
                 section.line_no, 1, f"surface {section.name!r} missing key {req!r}"
             )
     sign_raw, sl, sc = section.take("incoming_sign")
     sign = 1 if sign_raw is None else _sign(sign_raw, sl, sc)
-    if kind_raw == "plane":
-        normal_raw, nl, nc = section.take("normal")
-        offset_raw, ol, oc = section.take("offset")
-        section.finish(_SURFACE_KEYS["plane"])
-        offset = 0.0 if offset_raw is None else _float(offset_raw, ol, oc)
-        return Plane(_floats(normal_raw, 3, nl, nc), offset, incoming_sign=sign)
-    if kind_raw == "sphere":
-        center_raw, cl, cc = section.take("center")
-        radius_raw, rl, rc = section.take("radius")
-        section.finish(_SURFACE_KEYS["sphere"])
-        return Sphere(
-            _floats(center_raw, 3, cl, cc), _float(radius_raw, rl, rc), incoming_sign=sign
-        )
-    if kind_raw == "quadric":
-        matrix_raw, ml, mc = section.take("matrix")
-        linear_raw, ll, lc = section.take("linear")
-        const_raw, kl, kc = section.take("constant")
-        section.finish(_SURFACE_KEYS["quadric"])
-        return Quadric(
-            _floats(matrix_raw, 9, ml, mc).reshape(3, 3),
-            _floats(linear_raw, 3, ll, lc),
-            _float(const_raw, kl, kc),
-            incoming_sign=sign,
-        )
-    amp_raw, al, ac = section.take("amplitude")
-    wave_raw, wl, wc = section.take("wavevector")
-    section.finish(_SURFACE_KEYS["sinusoid"])
-    return Sinusoid(_float(amp_raw, al, ac), _floats(wave_raw, 2, wl, wc), incoming_sign=sign)
+    given = {key: section.entries.pop(key) for key in parsers if key in section.entries}
+    section.finish(parsers)
+    values = {key: parsers[key](*entry) for key, entry in given.items()}
+    return cls(**values, incoming_sign=sign)
 
 
 def _build_system(section, surfaces):

@@ -7,7 +7,13 @@ lives: the oriented normal points into the region where sign(f) equals
 incoming_sign.
 
 Supported kinds: Plane (n . x = d), Sphere, Quadric (x^T A x + b . x + c = 0)
-and Sinusoid (the graph z = amplitude * sin(wavevector . (x, y))).
+and Sinusoid (the graph z = amplitude * sin(wavevector . (x, y))).  Every
+kind implements the same protocol:
+
+    value(p)                  the level function f at p
+    gradient(p)               its analytic gradient
+    roots(line, t_min, t_max) candidate ray parameters where f vanishes
+    chart(reference_point)    a SurfaceChart valid around the point
 
 Ray intersection is closed-form for Plane/Sphere/Quadric and uses dense
 bracketing plus a bisection-safeguarded Newton refinement for Sinusoid
@@ -17,16 +23,19 @@ bracketing plus a bisection-safeguarded Newton refinement for Sinusoid
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     DegenerateGradientError,
+    IllConditionedFitError,
     NoIntersectionError,
+    NoRootError,
     OffSurfaceError,
     TangentialError,
 )
-from .lines import OrientedLine, _as_vec3
+from .lines import OrientedLine, _as_vec3, _frame
 
 TRANSVERSE_TOL = 1e-6
 DEFAULT_T_MAX = 1e6
@@ -40,6 +49,15 @@ def _freeze(obj, name, value):
     value = np.asarray(value, dtype=float).copy()
     value.flags.writeable = False
     object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True)
+class SurfaceChart:
+    """A local smooth parametrization xi -> point of one surface."""
+
+    embed: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]  # 3x2, analytic
+    invert: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -61,6 +79,22 @@ class Plane:
 
     def gradient(self, p) -> np.ndarray:
         return self.normal.copy()
+
+    def roots(self, line: OrientedLine, t_min: float, t_max: float):
+        denom = line.u @ self.normal
+        if abs(denom) < 1e-15:
+            return []
+        return [(self.offset - line.q @ self.normal) / denom]
+
+    def chart(self, reference_point=None) -> SurfaceChart:
+        origin = self.offset * self.normal
+        _, e1, e2 = _frame(self.normal)
+        jac = np.stack([e1, e2], axis=1)
+        return SurfaceChart(
+            embed=lambda xi: origin + xi[0] * e1 + xi[1] * e2,
+            jacobian=lambda xi: jac,
+            invert=lambda p: np.array([(p - origin) @ e1, (p - origin) @ e2]),
+        )
 
 
 @dataclass(frozen=True)
@@ -85,6 +119,54 @@ class Sphere:
             return np.zeros(3)
         return r / n
 
+    def roots(self, line: OrientedLine, t_min: float, t_max: float):
+        m = line.q - self.center
+        b = line.u @ m
+        disc = b * b - (m @ m - self.radius**2)
+        if disc < 0.0:
+            return []
+        s = np.sqrt(disc)
+        return [-b - s, -b + s]
+
+    def chart(self, reference_point=None) -> SurfaceChart:
+        center = self.center
+        radius = self.radius
+        # spherical angles in a frame whose poles are far from the working
+        # region: the reference point sits on the chart equator
+        if reference_point is not None:
+            rhat = _as_vec3(reference_point) - center
+            rhat = rhat / np.linalg.norm(rhat)
+            _, pole, _ = _frame(rhat)
+            e1 = rhat
+            e2 = np.cross(pole, rhat)
+        else:
+            pole = np.array([0.0, 0.0, 1.0])
+            e1 = np.array([1.0, 0.0, 0.0])
+            e2 = np.array([0.0, 1.0, 0.0])
+
+        def embed(xi):
+            th, ph = float(xi[0]), float(xi[1])
+            st = np.sin(th)
+            return center + radius * (
+                st * np.cos(ph) * e1 + st * np.sin(ph) * e2 + np.cos(th) * pole
+            )
+
+        def jac(xi):
+            th, ph = float(xi[0]), float(xi[1])
+            st, ct = np.sin(th), np.cos(th)
+            sp, cp = np.sin(ph), np.cos(ph)
+            d_th = ct * cp * e1 + ct * sp * e2 - st * pole
+            d_ph = -st * sp * e1 + st * cp * e2
+            return radius * np.stack([d_th, d_ph], axis=1)
+
+        def invert(p):
+            d = (p - center) / radius
+            return np.array(
+                [np.arccos(np.clip(d @ pole, -1.0, 1.0)), np.arctan2(d @ e2, d @ e1)]
+            )
+
+        return SurfaceChart(embed, jac, invert)
+
 
 @dataclass(frozen=True)
 class Quadric:
@@ -108,6 +190,91 @@ class Quadric:
     def gradient(self, p) -> np.ndarray:
         return 2.0 * (self.matrix @ _as_vec3(p)) + self.linear
 
+    def roots(self, line: OrientedLine, t_min: float, t_max: float):
+        au = self.matrix @ line.u
+        alpha = line.u @ au
+        beta = 2.0 * (line.q @ au) + self.linear @ line.u
+        gamma = self.value(line.q)
+        scale = 1.0 + abs(beta) + abs(gamma)
+        if abs(alpha) < 1e-14 * scale:
+            if abs(beta) < 1e-15 * scale:
+                return []
+            return [-gamma / beta]
+        disc = beta * beta - 4.0 * alpha * gamma
+        if disc < 0.0:
+            return []
+        s = np.sqrt(disc)
+        # numerically stable pair of quadratic roots
+        qq = -0.5 * (beta + np.copysign(s, beta))
+        roots = [qq / alpha]
+        if qq != 0.0:
+            roots.append(gamma / qq)
+        else:
+            roots.append(0.0)
+        return roots
+
+    def chart(self, reference_point=None) -> SurfaceChart:
+        if reference_point is None:
+            raise ValueError("quadric charts need a reference point")
+        ref = _as_vec3(reference_point)
+        grad = self.gradient(ref)
+        axis = int(np.argmax(np.abs(grad)))
+        others = [i for i in range(3) if i != axis]
+        mat = self.matrix
+        lin = self.linear
+
+        a2 = mat[axis, axis]
+
+        def _solve_height(xi, branch):
+            a1 = 2.0 * (mat[axis, others[0]] * xi[0] + mat[axis, others[1]] * xi[1]) + lin[axis]
+            a0 = (
+                mat[others[0], others[0]] * xi[0] * xi[0]
+                + 2.0 * mat[others[0], others[1]] * xi[0] * xi[1]
+                + mat[others[1], others[1]] * xi[1] * xi[1]
+                + lin[others[0]] * xi[0]
+                + lin[others[1]] * xi[1]
+                + self.constant
+            )
+            if abs(a2) < 1e-14:
+                if abs(a1) < 1e-14:
+                    raise IllConditionedFitError("quadric chart degenerate along its axis")
+                return -a0 / a1
+            disc = a1 * a1 - 4.0 * a2 * a0
+            if disc < 0.0:
+                raise NoRootError(message="quadric chart left the surface sheet")
+            return (-a1 + branch * np.sqrt(disc)) / (2.0 * a2)
+
+        # pick the branch that reproduces the reference point
+        xi_ref = np.array([ref[others[0]], ref[others[1]]])
+        if abs(a2) < 1e-14:
+            branch = 1.0
+        else:
+            z_plus = _solve_height(xi_ref, +1.0)
+            z_minus = _solve_height(xi_ref, -1.0)
+            branch = 1.0 if abs(z_plus - ref[axis]) <= abs(z_minus - ref[axis]) else -1.0
+
+        def embed(xi):
+            x = np.zeros(3)
+            x[others[0]], x[others[1]] = float(xi[0]), float(xi[1])
+            x[axis] = _solve_height(xi, branch)
+            return x
+
+        def jac(xi):
+            p = embed(xi)
+            g = self.gradient(p)
+            col1 = np.zeros(3)
+            col2 = np.zeros(3)
+            col1[others[0]] = 1.0
+            col2[others[1]] = 1.0
+            col1[axis] = -g[others[0]] / g[axis]
+            col2[axis] = -g[others[1]] / g[axis]
+            return np.stack([col1, col2], axis=1)
+
+        def invert(p):
+            return np.array([p[others[0]], p[others[1]]])
+
+        return SurfaceChart(embed, jac, invert)
+
 
 @dataclass(frozen=True)
 class Sinusoid:
@@ -130,6 +297,76 @@ class Sinusoid:
         p = _as_vec3(p)
         c = self.amplitude * np.cos(self.wavevector @ p[:2])
         return np.array([-c * self.wavevector[0], -c * self.wavevector[1], 1.0])
+
+    def roots(self, line: OrientedLine, t_min: float, t_max: float):
+        """The first root beyond t_min, or none; dense bracketing plus Newton."""
+        amp = self.amplitude
+        w = self.wavevector
+        uz = float(line.u[2])
+        qz = float(line.q[2])
+        om = float(w @ line.u[:2])
+        phi0 = float(w @ line.q[:2])
+
+        def g(t):
+            return qz + t * uz - amp * np.sin(phi0 + om * t)
+
+        def dg(t):
+            return uz - amp * om * np.cos(phi0 + om * t)
+
+        # roots can only live where the linear part stays inside the amplitude band
+        band = abs(amp) + 1e-12
+        if abs(uz) > 1e-12:
+            lo = (-band - qz) / uz
+            hi = (band - qz) / uz
+            if lo > hi:
+                lo, hi = hi, lo
+            window_lo = max(t_min, lo)
+            window_hi = min(t_max, hi)
+        else:
+            if abs(qz) > band:
+                return []
+            window_lo = t_min
+            window_hi = min(t_max, t_min + _FLAT_SCAN_SPAN)
+        if window_hi <= window_lo:
+            return []
+
+        step = (np.pi / 4.0) / max(abs(om), 1e-9)
+        step = min(step, max(1.0, abs(amp)))
+        count = int(np.ceil((window_hi - window_lo) / step)) + 1
+        if count > 10_000_000:
+            raise NoIntersectionError("sinusoid root search budget exceeded")
+        ts = np.linspace(window_lo, window_hi, count + 1)
+        gs = qz + ts * uz - amp * np.sin(phi0 + om * ts)
+        zero_hits = np.nonzero(gs == 0.0)[0]
+        changes = np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0)[0]
+        candidates = sorted(
+            [(ts[i], "zero") for i in zero_hits] + [(ts[i], i) for i in changes]
+        )
+        for t_at, tag in candidates:
+            if tag == "zero":
+                root = t_at
+            else:
+                i = tag
+                root = _newton_bisect(g, dg, ts[i], ts[i + 1], gs[i], gs[i + 1])
+            if root > t_min:
+                return [root]
+        return []
+
+    def chart(self, reference_point=None) -> SurfaceChart:
+        amp = self.amplitude
+        w = self.wavevector
+
+        def embed(xi):
+            return np.array([xi[0], xi[1], amp * np.sin(w[0] * xi[0] + w[1] * xi[1])])
+
+        def jac(xi):
+            c = amp * np.cos(w[0] * xi[0] + w[1] * xi[1])
+            return np.array([[1.0, 0.0], [0.0, 1.0], [c * w[0], c * w[1]]])
+
+        def invert(p):
+            return np.array([p[0], p[1]])
+
+        return SurfaceChart(embed, jac, invert)
 
 
 SURFACE_KINDS = (Plane, Sphere, Quadric, Sinusoid)
@@ -169,47 +406,6 @@ def normal_at(surface, point) -> np.ndarray:
     return float(surface.incoming_sign) * _unit_gradient(surface, p)
 
 
-def _plane_roots(surface: Plane, line: OrientedLine):
-    denom = line.u @ surface.normal
-    if abs(denom) < 1e-15:
-        return []
-    return [(surface.offset - line.q @ surface.normal) / denom]
-
-
-def _sphere_roots(surface: Sphere, line: OrientedLine):
-    m = line.q - surface.center
-    b = line.u @ m
-    disc = b * b - (m @ m - surface.radius**2)
-    if disc < 0.0:
-        return []
-    s = np.sqrt(disc)
-    return [-b - s, -b + s]
-
-
-def _quadric_roots(surface: Quadric, line: OrientedLine):
-    au = surface.matrix @ line.u
-    alpha = line.u @ au
-    beta = 2.0 * (line.q @ au) + surface.linear @ line.u
-    gamma = surface.value(line.q)
-    scale = 1.0 + abs(beta) + abs(gamma)
-    if abs(alpha) < 1e-14 * scale:
-        if abs(beta) < 1e-15 * scale:
-            return []
-        return [-gamma / beta]
-    disc = beta * beta - 4.0 * alpha * gamma
-    if disc < 0.0:
-        return []
-    s = np.sqrt(disc)
-    # numerically stable pair of quadratic roots
-    qq = -0.5 * (beta + np.copysign(s, beta))
-    roots = [qq / alpha]
-    if qq != 0.0:
-        roots.append(gamma / qq)
-    else:
-        roots.append(0.0)
-    return roots
-
-
 def _newton_bisect(g, dg, lo, hi, glo, ghi, tol=_ROOT_TOL):
     """Root of g inside a sign-changing bracket; Newton with bisection fallback."""
     if glo == 0.0:
@@ -235,60 +431,6 @@ def _newton_bisect(g, dg, lo, hi, glo, ghi, tol=_ROOT_TOL):
     return t
 
 
-def _sinusoid_first_root(surface: Sinusoid, line: OrientedLine, t_min, t_max):
-    amp = surface.amplitude
-    w = surface.wavevector
-    uz = float(line.u[2])
-    qz = float(line.q[2])
-    om = float(w @ line.u[:2])
-    phi0 = float(w @ line.q[:2])
-
-    def g(t):
-        return qz + t * uz - amp * np.sin(phi0 + om * t)
-
-    def dg(t):
-        return uz - amp * om * np.cos(phi0 + om * t)
-
-    # roots can only live where the linear part stays inside the amplitude band
-    band = abs(amp) + 1e-12
-    if abs(uz) > 1e-12:
-        lo = (-band - qz) / uz
-        hi = (band - qz) / uz
-        if lo > hi:
-            lo, hi = hi, lo
-        window_lo = max(t_min, lo)
-        window_hi = min(t_max, hi)
-    else:
-        if abs(qz) > band:
-            return None
-        window_lo = t_min
-        window_hi = min(t_max, t_min + _FLAT_SCAN_SPAN)
-    if window_hi <= window_lo:
-        return None
-
-    step = (np.pi / 4.0) / max(abs(om), 1e-9)
-    step = min(step, max(1.0, abs(amp)))
-    count = int(np.ceil((window_hi - window_lo) / step)) + 1
-    if count > 10_000_000:
-        raise NoIntersectionError("sinusoid root search budget exceeded")
-    ts = np.linspace(window_lo, window_hi, count + 1)
-    gs = qz + ts * uz - amp * np.sin(phi0 + om * ts)
-    zero_hits = np.nonzero(gs == 0.0)[0]
-    changes = np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0)[0]
-    candidates = sorted(
-        [(ts[i], "zero") for i in zero_hits] + [(ts[i], i) for i in changes]
-    )
-    for t_at, tag in candidates:
-        if tag == "zero":
-            root = t_at
-        else:
-            i = tag
-            root = _newton_bisect(g, dg, ts[i], ts[i + 1], gs[i], gs[i + 1])
-        if root > t_min:
-            return root
-    return None
-
-
 def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DEFAULT_T_MAX) -> Intersection:
     """First intersection of the ray with the surface at parameter t > t_min.
 
@@ -296,19 +438,7 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DE
     TangentialError when it meets the surface at near-tangent incidence
     (|u . n| < 1e-6).  The returned normal is oriented against the ray.
     """
-    if isinstance(surface, Plane):
-        roots = _plane_roots(surface, line)
-    elif isinstance(surface, Sphere):
-        roots = _sphere_roots(surface, line)
-    elif isinstance(surface, Quadric):
-        roots = _quadric_roots(surface, line)
-    elif isinstance(surface, Sinusoid):
-        root = _sinusoid_first_root(surface, line, t_min, t_max)
-        roots = [] if root is None else [root]
-    else:
-        raise TypeError(f"unsupported surface type {type(surface).__name__}")
-
-    hits = sorted(t for t in roots if t_min < t <= t_max)
+    hits = sorted(t for t in surface.roots(line, t_min, t_max) if t_min < t <= t_max)
     if not hits:
         raise NoIntersectionError(
             f"ray misses {type(surface).__name__} in ({t_min:g}, {t_max:g}]"

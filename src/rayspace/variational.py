@@ -2,8 +2,9 @@
 two-point characteristic function, and level-set design of focusing mirrors.
 
 A broken path runs from an endpoint M1 through one point on each interface
-surface to an endpoint M2; surface points are held in local two-coordinate
-charts (in-plane coordinates for planes, spherical angles for spheres, graph
+surface to an endpoint M2; surface points are held in the local
+two-coordinate chart each surface provides through its `chart` method
+(in-plane coordinates for planes, spherical angles for spheres, graph
 coordinates for quadrics and sinusoids) so stationarity is unconstrained.
 The characteristic function V(M1, M2) is the stationary value of the optical
 length; at a stationary configuration the discrete directions satisfy the
@@ -23,9 +24,7 @@ mirror (real focus), eps = -1 makes the reflected rays diverge from M2
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,161 +36,10 @@ from .errors import (
     NotRectangularError,
     TangentialError,
 )
-from .families import (
-    RayFamily,
-    _fmt,
-    _frame,
-    is_rectangular,
-    reconstruct_wavefront,
-)
+from .families import RayFamily, _grid_csv, is_rectangular, reconstruct_wavefront
 from .lines import OrientedLine, _as_vec3, line_through
 from .optics import REFLECT, OpticalSystem, reflect_direction, refract_direction
-from .surfaces import (
-    Plane,
-    Quadric,
-    Sinusoid,
-    Sphere,
-    _newton_bisect,
-    _unit_gradient,
-    intersect,
-)
-
-
-@dataclass(frozen=True)
-class SurfaceChart:
-    """A local smooth parametrization xi -> point of one surface."""
-
-    embed: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]  # 3x2, analytic
-    invert: Callable[[np.ndarray], np.ndarray]
-
-
-def surface_chart(surface, reference_point=None) -> SurfaceChart:
-    """Build a chart for the surface, valid around the reference point."""
-    if isinstance(surface, Plane):
-        origin = surface.offset * surface.normal
-        _, e1, e2 = _frame(surface.normal)
-        jac = np.stack([e1, e2], axis=1)
-        return SurfaceChart(
-            embed=lambda xi: origin + xi[0] * e1 + xi[1] * e2,
-            jacobian=lambda xi: jac,
-            invert=lambda p: np.array([(p - origin) @ e1, (p - origin) @ e2]),
-        )
-    if isinstance(surface, Sphere):
-        center = surface.center
-        radius = surface.radius
-        # spherical angles in a frame whose poles are far from the working
-        # region: the reference point sits on the chart equator
-        if reference_point is not None:
-            rhat = _as_vec3(reference_point) - center
-            rhat = rhat / np.linalg.norm(rhat)
-            _, pole, _ = _frame(rhat)
-            e1 = rhat
-            e2 = np.cross(pole, rhat)
-        else:
-            pole = np.array([0.0, 0.0, 1.0])
-            e1 = np.array([1.0, 0.0, 0.0])
-            e2 = np.array([0.0, 1.0, 0.0])
-
-        def embed(xi):
-            th, ph = float(xi[0]), float(xi[1])
-            st = np.sin(th)
-            return center + radius * (
-                st * np.cos(ph) * e1 + st * np.sin(ph) * e2 + np.cos(th) * pole
-            )
-
-        def jac(xi):
-            th, ph = float(xi[0]), float(xi[1])
-            st, ct = np.sin(th), np.cos(th)
-            sp, cp = np.sin(ph), np.cos(ph)
-            d_th = ct * cp * e1 + ct * sp * e2 - st * pole
-            d_ph = -st * sp * e1 + st * cp * e2
-            return radius * np.stack([d_th, d_ph], axis=1)
-
-        def invert(p):
-            d = (p - center) / radius
-            return np.array(
-                [np.arccos(np.clip(d @ pole, -1.0, 1.0)), np.arctan2(d @ e2, d @ e1)]
-            )
-
-        return SurfaceChart(embed, jac, invert)
-    if isinstance(surface, Sinusoid):
-        amp = surface.amplitude
-        w = surface.wavevector
-
-        def embed(xi):
-            return np.array([xi[0], xi[1], amp * np.sin(w[0] * xi[0] + w[1] * xi[1])])
-
-        def jac(xi):
-            c = amp * np.cos(w[0] * xi[0] + w[1] * xi[1])
-            return np.array([[1.0, 0.0], [0.0, 1.0], [c * w[0], c * w[1]]])
-
-        def invert(p):
-            return np.array([p[0], p[1]])
-
-        return SurfaceChart(embed, jac, invert)
-    if isinstance(surface, Quadric):
-        if reference_point is None:
-            raise ValueError("quadric charts need a reference point")
-        ref = _as_vec3(reference_point)
-        grad = surface.gradient(ref)
-        axis = int(np.argmax(np.abs(grad)))
-        others = [i for i in range(3) if i != axis]
-        mat = surface.matrix
-        lin = surface.linear
-
-        a2 = mat[axis, axis]
-
-        def _solve_height(xi, branch):
-            a1 = 2.0 * (mat[axis, others[0]] * xi[0] + mat[axis, others[1]] * xi[1]) + lin[axis]
-            a0 = (
-                mat[others[0], others[0]] * xi[0] * xi[0]
-                + 2.0 * mat[others[0], others[1]] * xi[0] * xi[1]
-                + mat[others[1], others[1]] * xi[1] * xi[1]
-                + lin[others[0]] * xi[0]
-                + lin[others[1]] * xi[1]
-                + surface.constant
-            )
-            if abs(a2) < 1e-14:
-                if abs(a1) < 1e-14:
-                    raise IllConditionedFitError("quadric chart degenerate along its axis")
-                return -a0 / a1
-            disc = a1 * a1 - 4.0 * a2 * a0
-            if disc < 0.0:
-                raise NoRootError(message="quadric chart left the surface sheet")
-            return (-a1 + branch * np.sqrt(disc)) / (2.0 * a2)
-
-        # pick the branch that reproduces the reference point
-        xi_ref = np.array([ref[others[0]], ref[others[1]]])
-        if abs(a2) < 1e-14:
-            branch = 1.0
-        else:
-            z_plus = _solve_height(xi_ref, +1.0)
-            z_minus = _solve_height(xi_ref, -1.0)
-            branch = 1.0 if abs(z_plus - ref[axis]) <= abs(z_minus - ref[axis]) else -1.0
-
-        def embed(xi):
-            x = np.zeros(3)
-            x[others[0]], x[others[1]] = float(xi[0]), float(xi[1])
-            x[axis] = _solve_height(xi, branch)
-            return x
-
-        def jac(xi):
-            p = embed(xi)
-            g = surface.gradient(p)
-            col1 = np.zeros(3)
-            col2 = np.zeros(3)
-            col1[others[0]] = 1.0
-            col2[others[1]] = 1.0
-            col1[axis] = -g[others[0]] / g[axis]
-            col2[axis] = -g[others[1]] / g[axis]
-            return np.stack([col1, col2], axis=1)
-
-        def invert(p):
-            return np.array([p[others[0]], p[others[1]]])
-
-        return SurfaceChart(embed, jac, invert)
-    raise TypeError(f"unsupported surface type {type(surface).__name__}")
+from .surfaces import _newton_bisect, _unit_gradient, intersect
 
 
 @dataclass(frozen=True)
@@ -234,8 +82,7 @@ class PathConfiguration:
 def path_through(m1, m2, system: OpticalSystem, points) -> PathConfiguration:
     """Configuration with surface points given as 3-space points."""
     charts = tuple(
-        surface_chart(itf.surface, reference_point=p)
-        for itf, p in zip(system.interfaces, points)
+        itf.surface.chart(reference_point=p) for itf, p in zip(system.interfaces, points)
     )
     coords = tuple(chart.invert(_as_vec3(p)) for chart, p in zip(charts, points))
     return PathConfiguration(m1, m2, system, coords, charts)
@@ -444,15 +291,7 @@ class MirrorDesign:
     wavefront_c: float
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("k1,k2,x,y,z\n")
-        for i, k1 in enumerate(self.k1):
-            for j, k2 in enumerate(self.k2):
-                p = self.points[i, j]
-                out.write(
-                    f"{_fmt(k1)},{_fmt(k2)},{_fmt(p[0])},{_fmt(p[1])},{_fmt(p[2])}\n"
-                )
-        return out.getvalue()
+        return _grid_csv("k1,k2,x,y,z", self.k1, self.k2, self.points)
 
 
 def design_focusing_mirror(

@@ -327,6 +327,7 @@ SCENE_COMMANDS = (
     ("two_skew.scene", "defect"),
     ("sphere_refract.scene", "check-symplectic"),
     ("mixed_device.scene", "trace"),
+    ("mixed_device.scene", "check-symplectic"),
     ("mirror_design.scene", "mirror"),
     ("characteristic.scene", "characteristic"),
 )

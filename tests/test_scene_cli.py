@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ kind = point_source
 apex = 0 0 5
 axis = 0 0 -1
 """
+
+SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 
 POINT_SOURCE_ONLY = """\
 [family]
@@ -188,6 +192,31 @@ class TestCliCommands:
         assert abs(float(report["interface_0_scale"]) - 1 / 1.5) < 1e-15
         assert float(report["interface_0_residual"]) < 1e-6
         assert report["symplectic"] == "true"
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_check_symplectic_mixed_device(self, tmp_path, seed):
+        out = tmp_path / "out"
+        scene = str(SCENES / "mixed_device.scene")
+        code = main(["check-symplectic", "--scene", scene, "--out", str(out), "--seed", str(seed)])
+        assert code == 0
+        report = read_report(out / "report.txt")
+        assert report["symplectic"] == "true"
+        scales = [float(report[f"interface_{i}_scale"]) for i in range(4)]
+        assert scales == [1 / 1.5, 1.0, 1.0, 1.5 / 1.33]
+
+    def test_check_symplectic_names_missed_interface(self, tmp_path, capsys):
+        # the mirror at z = 0 sends every ray up, away from the plane z = -1
+        text = (
+            "[surface m]\nkind = plane\nnormal = 0 0 1\n"
+            "[surface below]\nkind = plane\nnormal = 0 0 1\noffset = -1\n"
+            "[system]\ninterface = m reflect\ninterface = below reflect\n"
+            "[family]\nkind = point_source\napex = 0 0 5\naxis = 0 0 -1\n"
+            "domain = -0.1 0.1 -0.1 0.1\n"
+        )
+        code, _ = self.run(tmp_path, text, "check-symplectic")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "k=" in err and "interface 1" in err
 
     def test_trace_writes_lines(self, tmp_path):
         code, out = self.run(tmp_path, MINIMAL + "domain = -0.2 0.2 -0.2 0.2\n", "trace", ("--grid", "3"))

@@ -32,7 +32,7 @@ def chart_jacobian_fd(chart, x, h=1e-6):
 
 class TestSurfaceCharts:
     def roundtrip(self, surface, point):
-        chart = rs.surface_chart(surface, reference_point=point)
+        chart = surface.chart(reference_point=point)
         x = chart.invert(np.asarray(point, dtype=float))
         assert np.allclose(chart.embed(x), point, atol=1e-9)
         # chart stays on the surface and jacobians match finite differences
@@ -65,8 +65,8 @@ class TestSurfaceCharts:
     def test_quadric_branch_separation(self):
         # charts anchored at opposite poles must not leak across the equator
         ball = rs.Quadric(np.eye(3), [0, 0, 0], -1.0)
-        north = rs.surface_chart(ball, reference_point=[0, 0, 1])
-        south = rs.surface_chart(ball, reference_point=[0, 0, -1])
+        north = ball.chart(reference_point=[0, 0, 1])
+        south = ball.chart(reference_point=[0, 0, -1])
         x = np.array([0.1, -0.2])
         assert north.embed(x)[2] > 0
         assert south.embed(x)[2] < 0
