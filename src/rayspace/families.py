@@ -17,6 +17,15 @@ one-form u . dP, checking path independence as it goes.
 Finite differences are central throughout; the default step is
 1e-5 * (parameter domain diameter).  Grids are inset from the domain edges by
 the step so every stencil stays inside the domain.
+
+Shapes: the `eval` and `anchor` of every family the builders here return
+(and of `transform_family` applied to one) also take equal-length arrays k1,
+k2 of N parameters and return a batch of N lines, (N, 3) anchors; such a
+family has `vectorized=True`, and `one_form_integral` evaluates each
+refinement level of it in one call.  Its rows equal the single evaluations
+bit for bit, and a failing batch raises what its lowest-index failing
+parameter raises alone.  The defect, regularity and grid routines evaluate
+one parameter at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .errors import (
     NotRectangularError,
     RaySpaceError,
 )
-from .lines import OrientedLine, _as_vec3, _frame, chart_coords, chart_for, line_through
+from .lines import OrientedLine, _as_vec3, _frame, _norm, chart_coords, chart_for, line_through
 from .optics import OpticalSystem, propagate_system
 from .surfaces import Plane, Sinusoid, Sphere
 
@@ -64,12 +73,15 @@ class RayFamily:
     `anchor`, when set, gives the point on each ray where propagation
     physically begins (source apex, emitting surface point, ...); systems
     intersect each ray strictly downstream of it.  None means the foot point.
+    `vectorized` declares that `eval` and `anchor` also accept arrays of
+    parameters and return the batch of their lines, row by row.
     """
 
     eval: Callable[[float, float], OrientedLine]
     domain: tuple
     kind: str = "custom"
     anchor: Callable[[float, float], np.ndarray] | None = None
+    vectorized: bool = False
 
     def line(self, k1: float, k2: float) -> OrientedLine:
         return self.eval(k1, k2)
@@ -96,16 +108,32 @@ class RayFamily:
 # builders
 
 
+def _col(k) -> np.ndarray:
+    """Parameters as a column, so k * vector broadcasts one row per k."""
+    return np.asarray(k, dtype=float)[..., None]
+
+
+def _rows(v, k) -> np.ndarray:
+    """The 3-vector v once per parameter in k: (3,) for one, (N, 3) for N."""
+    out = np.empty(np.shape(k) + (3,))
+    out[...] = v
+    return out
+
+
 def point_source(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))) -> RayFamily:
     """All rays leaving one point, parametrized around a central axis."""
     apex = _as_vec3(apex)
     a, e1, e2 = _frame(axis)
 
     def _eval(k1, k2):
-        return line_through(apex, a + k1 * e1 + k2 * e2)
+        return line_through(apex, a + _col(k1) * e1 + _col(k2) * e2)
 
     return RayFamily(
-        _eval, tuple(map(tuple, domain)), kind="point_source", anchor=lambda k1, k2: apex
+        _eval,
+        tuple(map(tuple, domain)),
+        kind="point_source",
+        anchor=lambda k1, k2: _rows(apex, k1),
+        vectorized=True,
     )
 
 
@@ -114,14 +142,15 @@ def collimated(direction, origin=(0.0, 0.0, 0.0), domain=((-0.5, 0.5), (-0.5, 0.
     origin = _as_vec3(origin)
     a, e1, e2 = _frame(direction)
 
-    def _eval(k1, k2):
-        return line_through(origin + k1 * e1 + k2 * e2, a)
+    def _anchor(k1, k2):
+        return origin + _col(k1) * e1 + _col(k2) * e2
 
     return RayFamily(
-        _eval,
+        lambda k1, k2: line_through(_anchor(k1, k2), a),
         tuple(map(tuple, domain)),
         kind="collimated",
-        anchor=lambda k1, k2: origin + k1 * e1 + k2 * e2,
+        anchor=_anchor,
+        vectorized=True,
     )
 
 
@@ -139,15 +168,16 @@ def two_skew_lines(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0.25, 0.
     d2 = d2 / np.linalg.norm(d2)
 
     def _eval(k1, k2):
-        a = p1 + k1 * d1
-        b = p2 + k2 * d2
+        a = p1 + _col(k1) * d1
+        b = p2 + _col(k2) * d2
         return line_through(a, b - a)
 
     return RayFamily(
         _eval,
         tuple(map(tuple, domain)),
         kind="two_skew_lines",
-        anchor=lambda k1, k2: p1 + k1 * d1,
+        anchor=lambda k1, k2: p1 + _col(k1) * d1,
+        vectorized=True,
     )
 
 
@@ -165,35 +195,42 @@ def normal_congruence(surface, domain, axis=(0.0, 0.0, 1.0), outward: bool = Tru
         radius = surface.radius
         sgn = 1.0 if outward else -1.0
 
+        def _radial(k1, k2):
+            s = a + _col(k1) * e1 + _col(k2) * e2
+            return s / _norm(s)[..., None]
+
         def _eval(k1, k2):
-            s = a + k1 * e1 + k2 * e2
-            s = s / np.linalg.norm(s)
+            s = _radial(k1, k2)
             return line_through(center + radius * s, sgn * s)
 
-        def _anchor(k1, k2):
-            s = a + k1 * e1 + k2 * e2
-            return center + radius * (s / np.linalg.norm(s))
-
         return RayFamily(
-            _eval, tuple(map(tuple, domain)), kind="normal_congruence", anchor=_anchor
+            _eval,
+            tuple(map(tuple, domain)),
+            kind="normal_congruence",
+            anchor=lambda k1, k2: center + radius * _radial(k1, k2),
+            vectorized=True,
         )
     if isinstance(surface, Sinusoid):
         amp = surface.amplitude
         w = surface.wavevector
         sgn = 1.0 if outward else -1.0
 
-        def _eval(k1, k2):
-            phase = w[0] * k1 + w[1] * k2
-            p = np.array([k1, k2, amp * np.sin(phase)])
-            c = amp * np.cos(phase)
-            n = np.array([-c * w[0], -c * w[1], 1.0])
-            return line_through(p, sgn * n)
-
         def _anchor(k1, k2):
-            return np.array([k1, k2, amp * np.sin(w[0] * k1 + w[1] * k2)])
+            k1, k2 = np.broadcast_arrays(k1, k2)
+            return np.stack([k1, k2, amp * np.sin(w[0] * k1 + w[1] * k2)], axis=-1)
+
+        def _eval(k1, k2):
+            k1, k2 = np.broadcast_arrays(k1, k2)
+            c = amp * np.cos(w[0] * k1 + w[1] * k2)
+            n = np.stack([-c * w[0], -c * w[1], np.ones_like(c)], axis=-1)
+            return line_through(_anchor(k1, k2), sgn * n)
 
         return RayFamily(
-            _eval, tuple(map(tuple, domain)), kind="normal_congruence", anchor=_anchor
+            _eval,
+            tuple(map(tuple, domain)),
+            kind="normal_congruence",
+            anchor=_anchor,
+            vectorized=True,
         )
     if isinstance(surface, Plane):
         n = surface.normal if outward else -surface.normal
@@ -206,15 +243,27 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     """The family of output lines of `system` applied ray by ray.
 
     Evaluation is pure (nothing cached); per-interface failures re-raise as
-    FamilyTraceError carrying the parameter value.
+    FamilyTraceError carrying the parameter value.  A vectorized family
+    stays vectorized: a batch of parameters is traced as one batch.
     """
 
-    def _trace(k1, k2):
+    def _trace_as_given(k1, k2):
         base = family.eval(k1, k2)
         try:
             return propagate_system(base, system, start=family.start_point(k1, k2))
         except RaySpaceError as exc:
             raise FamilyTraceError((k1, k2), exc) from exc
+
+    def _trace(k1, k2):
+        try:
+            return _trace_as_given(k1, k2)
+        except RaySpaceError:
+            if np.ndim(k1) == 0:
+                raise
+            # a failing batch raises what its first failing parameter raises alone
+            for a, b in zip(*np.broadcast_arrays(k1, k2)):
+                _trace_as_given(a, b)
+            raise
 
     def _eval(k1, k2):
         return _trace(k1, k2).line_out
@@ -226,7 +275,11 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
         return family.start_point(k1, k2)
 
     return RayFamily(
-        _eval, family.domain, kind=f"transformed({family.kind})", anchor=_anchor
+        _eval,
+        family.domain,
+        kind=f"transformed({family.kind})",
+        anchor=_anchor,
+        vectorized=family.vectorized,
     )
 
 
@@ -392,26 +445,46 @@ def one_form_integral(
     """Integral of u . dP along the straight parameter segment ka -> kb.
 
     Trapezoid sums on the polyline of exactly evaluated lines, doubling the
-    subdivision until successive refinements agree within tol.
+    subdivision until successive refinements agree within tol.  Each
+    refinement evaluates only the new midpoints (the other nodes coincide
+    exactly with the previous level's), in one call for a vectorized family.
     """
     ka = np.asarray(ka, dtype=float)
     kb = np.asarray(kb, dtype=float)
     prev = None
+    us = qs = None
     m = 4
     while m <= max_points:
         ts = np.linspace(0.0, 1.0, m + 1)
-        us = np.empty((m + 1, 3))
-        qs = np.empty((m + 1, 3))
-        for idx, t in enumerate(ts):
-            line = family.eval(*(ka + t * (kb - ka)))
-            us[idx] = line.u
-            qs[idx] = line.q
+        fresh = ts if us is None else ts[1::2]
+        u_new, q_new = _eval_rows(family, ka + fresh[:, None] * (kb - ka))
+        if us is None:
+            us, qs = u_new, q_new
+        else:
+            us, qs = _interleave(us, u_new), _interleave(qs, q_new)
         val = 0.5 * float(np.sum((us[:-1] + us[1:]) * (qs[1:] - qs[:-1])))
         if prev is not None and abs(val - prev) <= tol:
             return val
         prev = val
         m *= 2
     raise NoConvergenceError("one-form integral did not converge under refinement")
+
+
+def _eval_rows(family: RayFamily, ks):
+    """Directions and foot points, (N, 3) each, of the lines at the rows of ks."""
+    if family.vectorized:
+        line = family.eval(ks[:, 0], ks[:, 1])
+        return line.u, line.q
+    lines = [family.eval(*k) for k in ks]
+    return np.array([line.u for line in lines]), np.array([line.q for line in lines])
+
+
+def _interleave(even, odd):
+    """Rows even[0], odd[0], even[1], ..., even[-1]."""
+    out = np.empty((len(even) + len(odd), *even.shape[1:]))
+    out[0::2] = even
+    out[1::2] = odd
+    return out
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,12 @@ Sign convention, used consistently everywhere in the package:
 which is the exterior derivative of theta = q . du, i.e. of b . da in chart
 coordinates.  The value is unchanged if the foot point is replaced by any
 other smoothly chosen point on the line.
+
+Shapes: `OrientedLine` and `line_through` take either single 3-vectors,
+shape (3,), or batches of N lines as (N, 3) arrays (a (3,) point or direction
+broadcasts against an (N, 3) one).  A batch gives, row by row, bit for bit
+the lines that the rows give one at a time.  Everything else here (charts,
+variations, Jacobians) works on one line at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +52,46 @@ def _as_vec3(x) -> np.ndarray:
     return v
 
 
+def _as_vecs(x) -> np.ndarray:
+    """A 3-vector, shape (3,), or a batch of them, shape (N, 3)."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise ValueError(f"expected a 3-vector or an (N, 3) array, got shape {v.shape}")
+    return v
+
+
+def _norm(v):
+    """Euclidean norm over the last axis, equal bit for bit to np.linalg.norm
+    of each 3-vector (and cheaper for a single one)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _out(x):
+    """A Python float for a single ray (a numpy scalar), the array for a batch."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _any(mask) -> bool:
+    """Whether any ray is flagged; cheap on the 0-d mask of a single ray."""
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
+def _first(mask):
+    """Index of the first ray flagged in a per-ray mask, None if none is.
+
+    The index is () for a single ray (a 0-d mask), so `values[_first(mask)]`
+    picks the flagged ray's value either way.
+    """
+    if not _any(mask):
+        return None
+    return () if mask.ndim == 0 else int(np.argmax(mask))
+
+
+def _ray(line: OrientedLine, i) -> OrientedLine:
+    """Line i of a batch, as a single line."""
+    return OrientedLine(line.u[i], line.q[i])
+
+
 def _frame(axis):
     """Unit axis plus an orthonormal pair spanning its orthogonal plane."""
     a = _as_vec3(axis)
@@ -66,26 +112,42 @@ class OrientedLine:
     """An oriented straight line, canonically represented by (u, q).
 
     u is a unit vector, q the foot point (q . u = 0).  Reversing the
-    orientation gives a distinct line: (u, q) != (-u, q).
+    orientation gives a distinct line: (u, q) != (-u, q).  With u and q of
+    shape (N, 3) the object is a batch of N lines, row by row.
     """
 
     u: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        u = _as_vec3(self.u).copy()
-        q = _as_vec3(self.q).copy()
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+        u = _as_vecs(self.u).copy()
+        q = _as_vecs(self.q).copy()
+        if u.shape != q.shape:
+            raise ValueError(f"direction shape {u.shape} != foot point shape {q.shape}")
+        if _any(abs(_norm(u) - 1.0) > 1e-12):
             raise ValueError("direction must be a unit vector")
-        if abs(q @ u) > 1e-12 * max(1.0, np.linalg.norm(q)):
+        qu = abs(np.vecdot(q, u))  # must not exceed 1e-12 * max(1, |q|)
+        if _any((qu > 1e-12) & (qu > 1e-12 * _norm(q))):
             raise ValueError("foot point must satisfy q . u = 0")
+        self._set(u, q)
+
+    def _set(self, u, q):
         u.flags.writeable = False
         q.flags.writeable = False
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "q", q)
 
-    def point_at(self, t: float) -> np.ndarray:
-        return self.q + t * self.u
+    @classmethod
+    def _exact(cls, u, q) -> OrientedLine:
+        """A line from fresh arrays that are canonical by construction (unit u,
+        q . u = 0 to round-off), skipping the checks and copies."""
+        line = object.__new__(cls)
+        line._set(u, q)
+        return line
+
+    def point_at(self, t) -> np.ndarray:
+        """The point at ray parameter t (one t per line of a batch)."""
+        return self.q + np.asarray(t)[..., None] * self.u
 
     def __eq__(self, other):
         if not isinstance(other, OrientedLine):
@@ -100,17 +162,19 @@ def line_through(point, direction) -> OrientedLine:
     """The oriented line through `point` in the sense of `direction`.
 
     The direction need not be normalized; a numerically zero direction raises
-    ZeroDirectionError.
+    ZeroDirectionError.  Either argument may be an (N, 3) batch.
     """
-    p = _as_vec3(point)
-    d = _as_vec3(direction)
-    n = np.linalg.norm(d)
-    if n < 1e-12:
+    p = _as_vecs(point)
+    d = _as_vecs(direction)
+    n = _norm(d)
+    if _any(n < 1e-12):
         raise ZeroDirectionError("direction vector is numerically zero")
-    u = d / n
-    q = p - (p @ u) * u
-    q -= (q @ u) * u  # second projection removes the O(eps) residual
-    return OrientedLine(u, q)
+    u = d / n[..., None]
+    q = p - np.vecdot(p, u)[..., None] * u
+    q -= np.vecdot(q, u)[..., None] * u  # second projection removes the O(eps) residual
+    if u.shape != q.shape:
+        u = np.broadcast_to(u, q.shape).copy()
+    return OrientedLine._exact(u, q)
 
 
 def reverse(line: OrientedLine) -> OrientedLine:

@@ -6,6 +6,14 @@ u . n < 0 for the incident direction u.  Reflection keeps the medium;
 refraction uses the vector form of Snell's law and fails with
 TotalInternalReflectionError when (n1/n2) sin(angle_in) >= 1, i.e. when the
 usual condition sin(angle_in) < n2/n1 is violated.
+
+Shapes: `reflect_direction` and `refract_direction` take (3,) or (N, 3)
+directions and normals; `reflect_line`, `refract_line` and `propagate_system`
+take a single OrientedLine or a batch, and `start` may be one point per line.
+For a batch, hit fields and `optical_length` gain a leading axis of length N.
+A batch gives bit for bit the per-ray results, and a failing batch raises
+what its lowest-index failing ray raises alone (for `propagate_system`, the
+same TraceError with the same interface index).
 """
 
 from __future__ import annotations
@@ -21,40 +29,44 @@ from .errors import (
     TotalInternalReflectionError,
     TraceError,
 )
-from .lines import OrientedLine, _as_vec3, line_through
+from .lines import OrientedLine, _any, _as_vecs, _first, _norm, _out, _ray, line_through
 from .surfaces import TRANSVERSE_TOL, Intersection, intersect
 
 REFLECT = "reflect"
 REFRACT = "refract"
 
 
+def _unit(v) -> np.ndarray:
+    return v / _norm(v)[..., None]
+
+
 def reflect_direction(u, n) -> np.ndarray:
-    u = _as_vec3(u)
-    n = _as_vec3(n)
-    c = float(u @ n)
-    if abs(c) < TRANSVERSE_TOL:
+    u = _as_vecs(u)
+    n = _as_vecs(n)
+    c = np.vecdot(u, n)
+    if _any(abs(c) < TRANSVERSE_TOL):
         raise GrazingError("incidence too close to grazing")
-    v = u - 2.0 * c * n
-    return v / np.linalg.norm(v)
+    return _unit(u - (2.0 * c)[..., None] * n)
 
 
 def refract_direction(u, n, n_in: float, n_out: float) -> np.ndarray:
     if n_in <= 0.0 or n_out <= 0.0:
         raise ValueError("refractive indices must be positive")
-    u = _as_vec3(u)
-    n = _as_vec3(n)
-    c = float(u @ n)
-    if abs(c) < TRANSVERSE_TOL:
-        raise GrazingError("incidence too close to grazing")
+    u = _as_vecs(u)
+    n = _as_vecs(n)
+    c = np.vecdot(u, n)
+    grazing = abs(c) < TRANSVERSE_TOL
     mu = n_in / n_out
-    tangential = u - c * n
-    s = mu * float(np.linalg.norm(tangential))  # (n_in/n_out) sin(angle_in)
-    if s >= 1.0:
+    tangential = u - c[..., None] * n
+    s = mu * _norm(tangential)  # (n_in/n_out) sin(angle_in)
+    i = _first(grazing | (s >= 1.0))
+    if i is not None:
+        if grazing[i]:
+            raise GrazingError("incidence too close to grazing")
         raise TotalInternalReflectionError(
-            f"total internal reflection: (n1/n2) sin(a1) = {s:.6g} >= 1"
+            f"total internal reflection: (n1/n2) sin(a1) = {float(s[i]):.6g} >= 1"
         )
-    v = mu * tangential + np.copysign(np.sqrt(1.0 - s * s), c) * n
-    return v / np.linalg.norm(v)
+    return _unit(mu * tangential + np.copysign(np.sqrt(1.0 - s * s), c)[..., None] * n)
 
 
 def reflect_line(line: OrientedLine, surface, t_min: float = 0.0):
@@ -139,11 +151,11 @@ class TraceResult:
     optical_length: float
 
 
-def _cursor_past(line: OrientedLine, point) -> float:
+def _cursor_past(line: OrientedLine, point):
     """Ray parameter just beyond `point` on `line`, so that the search for the
     next hit cannot return the surface just left."""
-    t_hit = float((point - line.q) @ line.u)
-    return t_hit + 1e-9 * max(1.0, abs(t_hit))
+    t_hit = np.vecdot(point - line.q, line.u)
+    return _out(t_hit + 1e-9 * np.maximum(1.0, abs(t_hit)))
 
 
 def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> TraceResult:
@@ -155,14 +167,28 @@ def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> T
     """
     if start is None:
         start = line.q
-    start = _as_vec3(start)
+    start = _as_vecs(start)
     rel = start - line.q
-    off = rel - (rel @ line.u) * line.u
-    if np.linalg.norm(off) > 1e-9 * max(1.0, float(np.linalg.norm(start))):
+    along = np.vecdot(rel, line.u)
+    off = rel - along[..., None] * line.u
+    dist = _norm(off)  # must not exceed 1e-9 * max(1, |start|)
+    if _any((dist > 1e-9) & (dist > 1e-9 * _norm(start))):
         raise ValueError("start point does not lie on the line")
+    try:
+        return _propagate(line, system, start, _out(along))
+    except TraceError:
+        if line.u.ndim == 1:
+            raise
+        # the batch stopped at the first interface where any ray failed; an
+        # earlier ray may still fail further on, so trace the rays in order
+        starts = np.broadcast_to(start, line.u.shape)
+        for i in range(len(starts)):
+            _propagate(_ray(line, i), system, starts[i], float(along[i]))
+        raise
 
+
+def _propagate(line: OrientedLine, system: OpticalSystem, start, t_cursor) -> TraceResult:
     current = line
-    t_cursor = float(rel @ line.u)
     prev_point = start
     hits = []
     optical_length = 0.0
@@ -176,7 +202,7 @@ def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> T
                 )
         except RaySpaceError as exc:
             raise TraceError(i, exc) from exc
-        optical_length += itf.n_in * float(np.linalg.norm(hit.point - prev_point))
+        optical_length += itf.n_in * _out(_norm(hit.point - prev_point))
         prev_point = hit.point
         hits.append(hit)
         current = current2

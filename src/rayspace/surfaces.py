@@ -12,12 +12,21 @@ kind implements the same protocol:
 
     value(p)                  the level function f at p
     gradient(p)               its analytic gradient
-    roots(line, t_min, t_max) candidate ray parameters where f vanishes
+    roots(line, t_min, t_max) candidate ray parameters where f vanishes,
+                              NaN where there is none
     chart(reference_point)    a SurfaceChart valid around the point
 
 Ray intersection is closed-form for Plane/Sphere/Quadric and uses dense
 bracketing plus a bisection-safeguarded Newton refinement for Sinusoid
 (tolerance 1e-12 in the ray parameter).
+
+Shapes: `value`, `gradient`, `roots` and `intersect` take one point or line,
+(3,), or a batch, (N, 3) points or an OrientedLine batch; `t_min` may then be
+one value per line.  `roots` returns (k,) or (N, k) candidates (k = 1 for
+Plane and Sinusoid, 2 for Sphere and Quadric).  The Sinusoid searches a batch
+ray by ray.  A batch gives bit for bit the per-ray results, and a failing
+batch raises what its lowest-index failing ray raises alone.  Charts and
+`normal_at` work on one point at a time.
 """
 
 from __future__ import annotations
@@ -33,9 +42,10 @@ from .errors import (
     NoIntersectionError,
     NoRootError,
     OffSurfaceError,
+    RaySpaceError,
     TangentialError,
 )
-from .lines import OrientedLine, _as_vec3, _frame
+from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _first, _frame, _norm, _out, _ray
 
 TRANSVERSE_TOL = 1e-6
 DEFAULT_T_MAX = 1e6
@@ -43,6 +53,13 @@ _GRAD_MIN = 1e-10
 _ROOT_TOL = 1e-12
 # span scanned for roots when a ray runs parallel to a sinusoid's mean plane
 _FLAT_SCAN_SPAN = 1e4
+
+
+def _nan_where_negative(x):
+    """x with negative entries replaced by NaN, so their square root is NaN."""
+    if _any(x < 0.0):
+        return np.where(x < 0.0, np.nan, x)
+    return x
 
 
 def _freeze(obj, name, value):
@@ -74,17 +91,20 @@ class Plane:
         _freeze(self, "normal", n / norm)
         object.__setattr__(self, "offset", float(self.offset))
 
-    def value(self, p) -> float:
-        return float(_as_vec3(p) @ self.normal - self.offset)
+    def value(self, p):
+        return _out(np.vecdot(_as_vecs(p), self.normal) - self.offset)
 
     def gradient(self, p) -> np.ndarray:
-        return self.normal.copy()
+        g = np.empty(_as_vecs(p).shape)
+        g[...] = self.normal
+        return g
 
-    def roots(self, line: OrientedLine, t_min: float, t_max: float):
-        denom = line.u @ self.normal
-        if abs(denom) < 1e-15:
-            return []
-        return [(self.offset - line.q @ self.normal) / denom]
+    def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
+        denom = np.vecdot(line.u, self.normal)
+        parallel = abs(denom) < 1e-15
+        if _any(parallel):
+            denom = np.where(parallel, np.nan, denom)
+        return ((self.offset - np.vecdot(line.q, self.normal)) / denom)[..., None]
 
     def chart(self, reference_point=None) -> SurfaceChart:
         origin = self.offset * self.normal
@@ -109,24 +129,24 @@ class Sphere:
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
 
-    def value(self, p) -> float:
-        return float(np.linalg.norm(_as_vec3(p) - self.center) - self.radius)
+    def value(self, p):
+        r = _as_vecs(p) - self.center
+        return _out(_norm(r) - self.radius)
 
     def gradient(self, p) -> np.ndarray:
-        r = _as_vec3(p) - self.center
-        n = np.linalg.norm(r)
-        if n == 0.0:
-            return np.zeros(3)
-        return r / n
+        r = _as_vecs(p) - self.center
+        n = _norm(r)
+        if _any(n == 0.0):  # no direction at the centre itself
+            n = n[..., None]
+            return np.divide(r, n, out=np.zeros_like(r), where=n != 0.0)
+        return r / n[..., None]
 
-    def roots(self, line: OrientedLine, t_min: float, t_max: float):
+    def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
         m = line.q - self.center
-        b = line.u @ m
-        disc = b * b - (m @ m - self.radius**2)
-        if disc < 0.0:
-            return []
-        s = np.sqrt(disc)
-        return [-b - s, -b + s]
+        b = np.vecdot(line.u, m)
+        disc = b * b - (np.vecdot(m, m) - self.radius**2)
+        s = np.sqrt(_nan_where_negative(disc))
+        return np.array([-b - s, -b + s]).T
 
     def chart(self, reference_point=None) -> SurfaceChart:
         center = self.center
@@ -183,35 +203,34 @@ class Quadric:
         _freeze(self, "linear", _as_vec3(self.linear))
         object.__setattr__(self, "constant", float(self.constant))
 
-    def value(self, p) -> float:
-        p = _as_vec3(p)
-        return float(p @ self.matrix @ p + self.linear @ p + self.constant)
+    def value(self, p):
+        # (p[..., None, :] @ A)[..., 0, :] and vecdot reproduce p @ A @ p bit for bit
+        p = _as_vecs(p)
+        pa = (p[..., None, :] @ self.matrix)[..., 0, :]
+        return _out(np.vecdot(pa, p) + np.vecdot(self.linear, p) + self.constant)
 
     def gradient(self, p) -> np.ndarray:
-        return 2.0 * (self.matrix @ _as_vec3(p)) + self.linear
+        return 2.0 * (self.matrix @ _as_vecs(p)[..., None])[..., 0] + self.linear
 
-    def roots(self, line: OrientedLine, t_min: float, t_max: float):
-        au = self.matrix @ line.u
-        alpha = line.u @ au
-        beta = 2.0 * (line.q @ au) + self.linear @ line.u
+    def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
+        au = (self.matrix @ line.u[..., None])[..., 0]
+        alpha = np.vecdot(line.u, au)
+        beta = 2.0 * np.vecdot(line.q, au) + np.vecdot(self.linear, line.u)
         gamma = self.value(line.q)
         scale = 1.0 + abs(beta) + abs(gamma)
-        if abs(alpha) < 1e-14 * scale:
-            if abs(beta) < 1e-15 * scale:
-                return []
-            return [-gamma / beta]
         disc = beta * beta - 4.0 * alpha * gamma
-        if disc < 0.0:
-            return []
-        s = np.sqrt(disc)
+        s = np.sqrt(_nan_where_negative(disc))
         # numerically stable pair of quadratic roots
         qq = -0.5 * (beta + np.copysign(s, beta))
-        roots = [qq / alpha]
-        if qq != 0.0:
-            roots.append(gamma / qq)
-        else:
-            roots.append(0.0)
-        return roots
+        # alpha ~ 0: the ray runs along an asymptotic direction, one root at most
+        asymptotic = abs(alpha) < 1e-14 * scale
+        if _any(asymptotic | (qq == 0.0)):
+            flat = abs(beta) < 1e-15 * scale
+            single = np.where(flat, np.nan, -gamma / np.where(flat, 1.0, beta))
+            first = np.where(asymptotic, single, qq / np.where(asymptotic, 1.0, alpha))
+            second = np.where(qq != 0.0, gamma / np.where(qq != 0.0, qq, 1.0), 0.0)
+            return np.array([first, np.where(asymptotic, np.nan, second)]).T
+        return np.array([qq / alpha, gamma / qq]).T
 
     def chart(self, reference_point=None) -> SurfaceChart:
         if reference_point is None:
@@ -289,23 +308,35 @@ class Sinusoid:
             raise ValueError("wavevector must be a 2-vector")
         _freeze(self, "wavevector", w)
 
-    def value(self, p) -> float:
-        p = _as_vec3(p)
-        return float(p[2] - self.amplitude * np.sin(self.wavevector @ p[:2]))
+    def value(self, p):
+        p = _as_vecs(p)
+        return _out(p[..., 2] - self.amplitude * np.sin(np.vecdot(self.wavevector, p[..., :2])))
 
     def gradient(self, p) -> np.ndarray:
-        p = _as_vec3(p)
-        c = self.amplitude * np.cos(self.wavevector @ p[:2])
-        return np.array([-c * self.wavevector[0], -c * self.wavevector[1], 1.0])
+        p = _as_vecs(p)
+        c = self.amplitude * np.cos(np.vecdot(self.wavevector, p[..., :2]))
+        g = np.empty(p.shape)
+        g[..., 0] = -c * self.wavevector[0]
+        g[..., 1] = -c * self.wavevector[1]
+        g[..., 2] = 1.0
+        return g
 
-    def roots(self, line: OrientedLine, t_min: float, t_max: float):
-        """The first root beyond t_min, or none; dense bracketing plus Newton."""
+    def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
+        """The first root beyond t_min, or NaN; searched ray by ray."""
+        if line.u.ndim == 1:
+            return np.array([self._first_root(line.u, line.q, t_min, t_max)])
+        t_min = np.broadcast_to(t_min, line.u.shape[:1])
+        roots = [self._first_root(u, q, lo, t_max) for u, q, lo in zip(line.u, line.q, t_min)]
+        return np.array(roots, dtype=float)[:, None]
+
+    def _first_root(self, u, q, t_min, t_max) -> float:
+        """Dense bracketing plus Newton along the ray q + t u."""
         amp = self.amplitude
         w = self.wavevector
-        uz = float(line.u[2])
-        qz = float(line.q[2])
-        om = float(w @ line.u[:2])
-        phi0 = float(w @ line.q[:2])
+        uz = float(u[2])
+        qz = float(q[2])
+        om = float(w @ u[:2])
+        phi0 = float(w @ q[:2])
 
         def g(t):
             return qz + t * uz - amp * np.sin(phi0 + om * t)
@@ -324,11 +355,11 @@ class Sinusoid:
             window_hi = min(t_max, hi)
         else:
             if abs(qz) > band:
-                return []
+                return np.nan
             window_lo = t_min
             window_hi = min(t_max, t_min + _FLAT_SCAN_SPAN)
         if window_hi <= window_lo:
-            return []
+            return np.nan
 
         step = (np.pi / 4.0) / max(abs(om), 1e-9)
         step = min(step, max(1.0, abs(amp)))
@@ -349,8 +380,8 @@ class Sinusoid:
                 i = tag
                 root = _newton_bisect(g, dg, ts[i], ts[i + 1], gs[i], gs[i + 1])
             if root > t_min:
-                return [root]
-        return []
+                return root
+        return np.nan
 
     def chart(self, reference_point=None) -> SurfaceChart:
         amp = self.amplitude
@@ -377,6 +408,8 @@ class Intersection:
     """Ray/surface hit: point, ray parameter, oriented unit normal, u . n.
 
     The normal points toward the incoming side at the hit, so u . n < 0.
+    For a batch of lines, t and cos_incidence are (N,) and point and normal
+    (N, 3) arrays.
     """
 
     point: np.ndarray
@@ -437,19 +470,46 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DE
     Raises NoIntersectionError when the ray misses within [t_min, t_max] and
     TangentialError when it meets the surface at near-tangent incidence
     (|u . n| < 1e-6).  The returned normal is oriented against the ray.
+    `line` may be a batch, with one t_min per line or one for all.
     """
-    hits = sorted(t for t in surface.roots(line, t_min, t_max) if t_min < t <= t_max)
-    if not hits:
-        raise NoIntersectionError(
-            f"ray misses {type(surface).__name__} in ({t_min:g}, {t_max:g}]"
-        )
-    t = float(hits[0])
-    p = line.point_at(t)
-    n = float(surface.incoming_sign) * _unit_gradient(surface, p)
-    cos = float(line.u @ n)
-    if cos > 0.0:
-        n = -n
-        cos = -cos
-    if abs(cos) < TRANSVERSE_TOL:
+    try:
+        ts = surface.roots(line, t_min, t_max)
+    except RaySpaceError:
+        if line.u.ndim == 1:
+            raise
+        # a ray whose root search fails may come after one that misses
+        for i, lo in enumerate(np.broadcast_to(t_min, line.u.shape[:1])):
+            intersect(_ray(line, i), surface, lo, t_max)
+        raise
+    t_min = np.asarray(t_min, dtype=float)
+    ts[ts <= t_min[..., None]] = np.nan  # candidates at or behind the start
+    t = np.fmin.reduce(ts, axis=-1)  # the nearest one ahead, NaN if none
+    miss = ~(t <= t_max)
+    if _any(miss):
+        t = np.where(miss, 0.0, t)  # a placeholder, so the other rays can be checked
+    p = line.q + t[..., None] * line.u
+    g = surface.gradient(p)
+    gn = _norm(g)
+    degenerate = gn < _GRAD_MIN
+    if _any(degenerate):
+        gn = np.where(degenerate, 1.0, gn)
+    n = g / gn[..., None]
+    if surface.incoming_sign != 1:
+        n = float(surface.incoming_sign) * n
+    cos = np.vecdot(line.u, n)
+    along = cos > 0.0
+    if _any(along):  # turn the normal against the ray: an exact sign change
+        sign = 1.0 - 2.0 * along
+        n = n * sign[..., None]
+        cos = cos * sign
+    i = _first(miss | degenerate | (abs(cos) < TRANSVERSE_TOL))
+    if i is not None:
+        if miss[i]:
+            lo = float(np.broadcast_to(t_min, miss.shape)[i])
+            raise NoIntersectionError(
+                f"ray misses {type(surface).__name__} in ({lo:g}, {t_max:g}]"
+            )
+        if degenerate[i]:
+            raise DegenerateGradientError("level-function gradient vanishes at the point")
         raise TangentialError("ray meets the surface nearly tangentially")
-    return Intersection(point=p, t=t, normal=n, cos_incidence=cos)
+    return Intersection(point=p, t=_out(t), normal=n, cos_incidence=_out(cos))
