@@ -21,11 +21,21 @@ the step so every stencil stays inside the domain.
 Shapes: the `eval` and `anchor` of every family the builders here return
 (and of `transform_family` applied to one) also take equal-length arrays k1,
 k2 of N parameters and return a batch of N lines, (N, 3) anchors; such a
-family has `vectorized=True`, and `one_form_integral` evaluates each
-refinement level of it in one call.  Its rows equal the single evaluations
-bit for bit, and a failing batch raises what its lowest-index failing
-parameter raises alone.  The defect, regularity and grid routines evaluate
-one parameter at a time.
+family has `vectorized=True`.  Its rows equal the single evaluations bit for
+bit, and a failing batch raises what its lowest-index failing parameter
+raises alone.
+
+`one_form_integral` takes one segment or a batch of them and refines the
+batch level by level, each level in one evaluation of the new midpoints of
+every segment not yet converged; `is_regular_point` takes one point or a
+batch.  `reconstruct_wavefront` evaluates its grid lines, integrates all its
+segments and checks the regularity of all its nodes in one batch each;
+`orthogonality_residual` does the same with its centre lines, its +-h probe
+integrals and their end lines.  Batches are evaluated at most _CHUNK rays
+per call, which bounds their memory.  A batched step that fails is re-run
+item by item in the order of the single calls, so it raises exactly what
+they raise: the first failing segment, node or probe.  `defect` and
+`defect_grid` evaluate one parameter at a time.
 """
 
 from __future__ import annotations
@@ -44,9 +54,23 @@ from .errors import (
     NotRectangularError,
     RaySpaceError,
 )
-from .lines import OrientedLine, _as_vec3, _frame, _norm, chart_coords, chart_for, line_through
+from .lines import (
+    OrientedLine,
+    _as_vec3,
+    _first,
+    _frame,
+    _norm,
+    chart_coords,
+    chart_for,
+    line_through,
+)
 from .optics import OpticalSystem, propagate_system
 from .surfaces import Plane, Sinusoid, Sphere
+
+# Rays per eval call in batched routines: one segment's deepest refinement
+# level (max_points / 2 = 2048 new midpoints) still fits in one call, and a
+# wavefront's batches keep their memory bounded.
+_CHUNK = 2048
 
 
 def _fmt(x: float) -> str:
@@ -99,9 +123,11 @@ class RayFamily:
     def default_step(self) -> float:
         return 1e-5 * self.diameter
 
-    def contains(self, k1: float, k2: float, pad: float = 0.0) -> bool:
+    def contains(self, k1, k2, pad: float = 0.0):
+        """Whether (k1, k2) lies in the domain shrunk by pad; elementwise for
+        arrays of parameters."""
         (a1, b1), (a2, b2) = self.domain
-        return (a1 + pad <= k1 <= b1 - pad) and (a2 + pad <= k2 <= b2 - pad)
+        return (a1 + pad <= k1) & (k1 <= b1 - pad) & (a2 + pad <= k2) & (k2 <= b2 - pad)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +314,14 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
 
 
 def _require_inside(family: RayFamily, k, h: float) -> None:
-    if not family.contains(k[0], k[1], pad=0.0) or not family.contains(
-        k[0], k[1], pad=h
-    ):
+    """Raise for the first k (one (2,) point or the rows of an (N, 2) batch)
+    whose stencil of half-width h leaves the domain."""
+    ks = np.asarray(k, dtype=float)
+    bad = _first(~family.contains(ks[..., 0], ks[..., 1], pad=h))
+    if bad is not None:
+        where = k if ks.ndim == 1 else k[bad]
         raise DomainBoundaryError(
-            f"stencil of half-width {h:g} at k={tuple(k)} leaves the domain"
+            f"stencil of half-width {h:g} at k={tuple(where)} leaves the domain"
         )
 
 
@@ -407,31 +436,66 @@ def is_rectangular(family: RayFamily, grid=9, tol: float | None = None, h: float
     return dg.max_abs < tol, dg
 
 
-def is_regular_point(family: RayFamily, k, t: float, h: float | None = None) -> bool:
+def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     """Whether nearby rays spread out transversally at parameter t on L(k).
 
     Rays L(k') near L(k) are sliced by the plane through the point at
     parameter t orthogonal to u(k); the point of L(k') nearest the anchor
     gives two in-plane coordinates, and the 2x2 Jacobian of that map must
     have |det| > 1e-8.  False e.g. at the apex of a point source.
+
+    k of shape (2,) and a scalar t give a bool.  k of shape (N, 2) and t of
+    shape (N,) give N bools, each the single point's, from one evaluation of
+    the centre lines and one of the stencil lines.
     """
     if h is None:
         h = family.default_step()
-    _require_inside(family, k, h)
-    line0 = family.eval(float(k[0]), float(k[1]))
-    anchor = line0.point_at(float(t))
-    _, w1, w2 = _frame(line0.u)
+    if np.ndim(k) == 1:
+        _require_inside(family, k, h)
+        line0 = family.eval(float(k[0]), float(k[1]))
+        stencil = _neighbors(family, k, h)
+        return _spreads(
+            line0.u,
+            line0.point_at(float(t)),
+            np.array([line.u for line in stencil]),
+            np.array([line.q for line in stencil]),
+            h,
+        )
+    ks = np.asarray(k, dtype=float)
+    t = np.asarray(t, dtype=float)
+    try:
+        _require_inside(family, k, h)
+        return _regular(family, ks, t, h, *_eval_rows(family, ks))
+    except RaySpaceError:
+        # a failing batch raises what its first failing point raises alone
+        for kk, tt in zip(k, t):
+            is_regular_point(family, kk, tt, h)
+        raise
 
-    def coords(line: OrientedLine):
-        rel = anchor - line.q
-        nearest = line.q + (rel @ line.u) * line.u
-        d = nearest - anchor
-        return np.array([d @ w1, d @ w2])
 
-    p1, m1, p2, m2 = _neighbors(family, k, h)
-    col1 = (coords(p1) - coords(m1)) / (2.0 * h)
-    col2 = (coords(p2) - coords(m2)) / (2.0 * h)
-    det = col1[0] * col2[1] - col1[1] * col2[0]
+def _regular(family: RayFamily, ks, t, h: float, u0, q0):
+    """is_regular_point at the rows of ks (N, 2) and t (N,), whose centre
+    lines (u0, q0) are given, without the domain check."""
+    stencil = np.repeat(ks[:, None], 4, axis=1)  # in the order of _neighbors
+    stencil[:, 0, 0] += h
+    stencil[:, 1, 0] -= h
+    stencil[:, 2, 1] += h
+    stencil[:, 3, 1] -= h
+    us, qs = _eval_rows(family, stencil.reshape(-1, 2))
+    shape = (len(ks), 4, 3)
+    return _spreads(u0, q0 + t[:, None] * u0, us.reshape(shape), qs.reshape(shape), h)
+
+
+def _spreads(u0, anchor, us, qs, h: float):
+    """The |det| > 1e-8 test of is_regular_point: centre directions u0 and
+    anchors (..., 3), the four stencil lines of _neighbors (..., 4, 3)."""
+    _, w1, w2 = _frame(u0)
+    rel = anchor[..., None, :] - qs
+    d = qs + np.vecdot(rel, us)[..., None] * us - anchor[..., None, :]
+    coords = np.stack([np.vecdot(d, w1[..., None, :]), np.vecdot(d, w2[..., None, :])], axis=-1)
+    col1 = (coords[..., 0, :] - coords[..., 1, :]) / (2.0 * h)
+    col2 = (coords[..., 2, :] - coords[..., 3, :]) / (2.0 * h)
+    det = col1[..., 0] * col2[..., 1] - col1[..., 1] * col2[..., 0]
     return abs(det) > 1e-8
 
 
@@ -439,52 +503,107 @@ def is_regular_point(family: RayFamily, k, t: float, h: float | None = None) -> 
 # wavefront reconstruction
 
 
-def one_form_integral(
-    family: RayFamily, ka, kb, tol: float = 1e-9, max_points: int = 4096
-) -> float:
+def one_form_integral(family: RayFamily, ka, kb, tol: float = 1e-9, max_points: int = 4096):
     """Integral of u . dP along the straight parameter segment ka -> kb.
 
     Trapezoid sums on the polyline of exactly evaluated lines, doubling the
     subdivision until successive refinements agree within tol.  Each
     refinement evaluates only the new midpoints (the other nodes coincide
-    exactly with the previous level's), in one call for a vectorized family.
+    exactly with the previous level's).
+
+    ka and kb of shape (2,) give one segment and a float; shape (S, 2) gives
+    S segments and an (S,) array.  The segments refine together: each level
+    evaluates the new midpoints of every segment not yet converged in one
+    call (of at most _CHUNK rays) for a vectorized family.  Each segment keeps
+    its own nodes, sums and stopping test, so each value equals the single
+    segment's bit for bit, and a failing batch raises what its first failing
+    segment raises alone.
     """
-    ka = np.asarray(ka, dtype=float)
-    kb = np.asarray(kb, dtype=float)
+    ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
+    if ka.ndim == 1:
+        return float(_one_form_levels(family, ka[None], kb[None], tol, max_points)[0])
+    try:
+        return _one_form_levels(family, ka, kb, tol, max_points)
+    except RaySpaceError:
+        # a failing batch raises what its first failing segment raises alone
+        for a, b in zip(ka, kb):
+            _one_form_levels(family, a[None], b[None], tol, max_points)
+        raise
+
+
+def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
+    """one_form_integral of the segments ka[s] -> kb[s], refined together.
+
+    A level evaluates its new midpoints in calls of whole segments (at most
+    _CHUNK rays unless one segment alone has more) and builds those
+    segments' nodes and sums call by call, dropping each segment's previous
+    nodes as it goes, so it holds little more than one copy of the nodes of
+    the live segments.
+    """
+    values = np.empty(len(ka))
+    span = kb - ka
+    live = np.arange(len(ka))  # the segments not yet converged
+    kept = None  # per live segment, the directions and foot points of its nodes
     prev = None
-    us = qs = None
     m = 4
     while m <= max_points:
         ts = np.linspace(0.0, 1.0, m + 1)
-        fresh = ts if us is None else ts[1::2]
-        u_new, q_new = _eval_rows(family, ka + fresh[:, None] * (kb - ka))
-        if us is None:
-            us, qs = u_new, q_new
-        else:
-            us, qs = _interleave(us, u_new), _interleave(qs, q_new)
-        val = 0.5 * float(np.sum((us[:-1] + us[1:]) * (qs[1:] - qs[:-1])))
-        if prev is not None and abs(val - prev) <= tol:
-            return val
+        fresh = ts if kept is None else ts[1::2]
+        at = slice(None) if kept is None else slice(1, None, 2)
+        val = np.empty(len(live))
+        grown = []
+        per_call = max(1, _CHUNK // len(fresh))
+        for a in range(0, len(live), per_call):
+            seg = live[a : a + per_call]
+            ks = ka[seg, None] + fresh[:, None] * span[seg, None]
+            u, q = _eval_rows(family, ks.reshape(-1, 2))
+            us = np.empty((len(seg), m + 1, 3))
+            qs = np.empty((len(seg), m + 1, 3))
+            us[:, at] = u.reshape(len(seg), len(fresh), 3)
+            qs[:, at] = q.reshape(len(seg), len(fresh), 3)
+            if kept is not None:
+                for b in range(len(seg)):
+                    us[b, 0::2], qs[b, 0::2] = kept[a + b]
+                    kept[a + b] = None
+            terms = (us[:, :-1] + us[:, 1:]) * (qs[:, 1:] - qs[:, :-1])
+            val[a : a + len(seg)] = 0.5 * terms.reshape(len(seg), -1).sum(axis=1)
+            grown.extend(zip(us, qs))
+        kept = grown
+        if prev is not None:
+            going = ~(abs(val - prev) <= tol)  # a NaN sum keeps refining
+            values[live[~going]] = val[~going]
+            live, val = live[going], val[going]
+            kept = [nodes for nodes, g in zip(kept, going) if g]
+            if not len(live):
+                return values
         prev = val
         m *= 2
     raise NoConvergenceError("one-form integral did not converge under refinement")
 
 
 def _eval_rows(family: RayFamily, ks):
-    """Directions and foot points, (N, 3) each, of the lines at the rows of ks."""
-    if family.vectorized:
-        line = family.eval(ks[:, 0], ks[:, 1])
-        return line.u, line.q
-    lines = [family.eval(*k) for k in ks]
-    return np.array([line.u for line in lines]), np.array([line.q for line in lines])
+    """Directions and foot points, (N, 3) each, of the lines at the rows of ks.
+
+    A vectorized family is evaluated in calls of at most _CHUNK rows, in
+    order, so a failing batch still raises its first failing row's error.
+    """
+    if not family.vectorized:
+        lines = [family.eval(*k) for k in ks]
+        return np.array([line.u for line in lines]), np.array([line.q for line in lines])
+    parts = np.split(ks, range(_CHUNK, len(ks), _CHUNK))
+    lines = [family.eval(part[:, 0], part[:, 1]) for part in parts]
+    if len(lines) == 1:
+        return lines[0].u, lines[0].q
+    return np.concatenate([line.u for line in lines]), np.concatenate([line.q for line in lines])
 
 
-def _interleave(even, odd):
-    """Rows even[0], odd[0], even[1], ..., even[-1]."""
-    out = np.empty((len(even) + len(odd), *even.shape[1:]))
-    out[0::2] = even
-    out[1::2] = odd
-    return out
+def _grid_lines(family: RayFamily, k1, k2):
+    """The nodes (n1, n2, 2) of the grid k1 x k2 and their lines' directions
+    and foot points (n1, n2, 3), from one batch in (i, j) order."""
+    nodes = np.stack(np.meshgrid(k1, k2, indexing="ij"), axis=-1)
+    shape = (len(k1), len(k2), 3)
+    u, q = _eval_rows(family, nodes.reshape(-1, 2))
+    return nodes, u.reshape(shape), q.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -534,21 +653,16 @@ def reconstruct_wavefront(
     j0 = int(np.argmin(np.abs(k2s - k0[1])))
 
     n1, n2 = len(k1s), len(k2s)
-    lines = [[family.eval(k1s[i], k2s[j]) for j in range(n2)] for i in range(n1)]
+    nodes, us, qs = _grid_lines(family, k1s, k2s)
 
-    # adjacent-node segment integrals, horizontal (along k1) and vertical
-    horiz = np.zeros((n1 - 1, n2))
-    vert = np.zeros((n1, n2 - 1))
-    for j in range(n2):
-        for i in range(n1 - 1):
-            horiz[i, j] = one_form_integral(
-                family, (k1s[i], k2s[j]), (k1s[i + 1], k2s[j]), tol=integral_tol
-            )
-    for i in range(n1):
-        for j in range(n2 - 1):
-            vert[i, j] = one_form_integral(
-                family, (k1s[i], k2s[j]), (k1s[i], k2s[j + 1]), tol=integral_tol
-            )
+    # adjacent-node segment integrals in one batch: horizontal (along k1)
+    # column by column, then vertical row by row
+    rows = nodes.transpose(1, 0, 2)
+    starts = np.concatenate([rows[:, :-1].reshape(-1, 2), nodes[:, :-1].reshape(-1, 2)])
+    ends = np.concatenate([rows[:, 1:].reshape(-1, 2), nodes[:, 1:].reshape(-1, 2)])
+    seg = one_form_integral(family, starts, ends, tol=integral_tol)
+    horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T.copy()
+    vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 
     def cum(segments, start, stop):
         # signed sum of consecutive segments from index start to stop
@@ -574,20 +688,24 @@ def reconstruct_wavefront(
         )
 
     values = f_rc
-    points = np.empty((n1, n2, 3))
-    for i in range(n1):
-        for j in range(n2):
-            line = lines[i][j]
-            points[i, j] = line.q - (values[i, j] + c) * line.u
+    points = qs - (values + c)[..., None] * us
 
     if check_regular:
-        for i in range(n1):
-            for j in range(n2):
-                t_q = -(values[i, j] + c)
-                if not is_regular_point(family, (k1s[i], k2s[j]), t_q, h=h):
-                    raise NonRegularError(
-                        f"wavefront point at k=({k1s[i]:g}, {k2s[j]:g}) is not regular"
-                    )
+        t_q = -(values + c)
+        try:
+            _require_inside(family, nodes.reshape(-1, 2), h)
+            regular = _regular(
+                family, nodes.reshape(-1, 2), t_q.ravel(), h, us.reshape(-1, 3), qs.reshape(-1, 3)
+            )
+        except RaySpaceError:
+            # a failing batch raises what the node by node check raises
+            for i, j in np.ndindex(n1, n2):
+                if not is_regular_point(family, (k1s[i], k2s[j]), t_q[i, j], h=h):
+                    raise _not_regular(k1s[i], k2s[j])
+            raise
+        bad = _first(~regular)
+        if bad is not None:
+            raise _not_regular(*nodes.reshape(-1, 2)[bad])
 
     return Wavefront(
         k1=k1s,
@@ -600,32 +718,44 @@ def reconstruct_wavefront(
     )
 
 
+def _not_regular(k1, k2) -> NonRegularError:
+    return NonRegularError(f"wavefront point at k=({k1:g}, {k2:g}) is not regular")
+
+
 def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | None = None) -> float:
     """max over nodes and directions of |u . dQ| / |dQ|, dQ by small steps.
 
     Uses the family's default step (not the grid spacing), continuing F to
     the probe parameters by short one-form integrals, so the residual
-    measures genuine non-orthogonality rather than grid truncation.
+    measures genuine non-orthogonality rather than grid truncation.  The
+    centre lines, the 4 probe integrals per node and the probe end lines
+    are each evaluated in one batch.
     """
     if h is None:
         h = family.default_step()
-    worst = 0.0
-    for i, k1 in enumerate(wavefront.k1):
-        for j, k2 in enumerate(wavefront.k2):
-            base = np.array([k1, k2])
-            line0 = family.eval(k1, k2)
-            f0 = wavefront.values[i, j]
-            for axis in range(2):
-                step = np.zeros(2)
-                step[axis] = h
-                q_side = []
-                for sgn in (+1.0, -1.0):
-                    kk = base + sgn * step
-                    f_side = f0 + one_form_integral(family, base, kk, tol=1e-12)
-                    side = family.eval(*kk)
-                    q_side.append(side.q - (f_side + wavefront.c) * side.u)
-                d = q_side[0] - q_side[1]
-                norm = float(np.linalg.norm(d))
-                if norm > 0.0:
-                    worst = max(worst, abs(float(line0.u @ d)) / norm)
-    return worst
+    # probes k + sgn * step, per node in the order +k1, -k1, +k2, -k2
+    offsets = np.array([sgn * step for step in np.diag([h, h]) for sgn in (+1.0, -1.0)])
+    nodes = np.stack(np.meshgrid(wavefront.k1, wavefront.k2, indexing="ij"), axis=-1).reshape(-1, 2)
+    ends = nodes[:, None] + offsets
+    try:
+        u0, _ = _eval_rows(family, nodes)
+        f_side = one_form_integral(
+            family, np.repeat(nodes, 4, axis=0), ends.reshape(-1, 2), tol=1e-12
+        ).reshape(-1, 4)
+        side_u, side_q = (a.reshape(-1, 4, 3) for a in _eval_rows(family, ends.reshape(-1, 2)))
+    except RaySpaceError:
+        # a failing batch raises what the first failing evaluation raises
+        # in node order: centre line, then each probe's integral and end
+        for k, probes in zip(nodes, ends):
+            family.eval(*k)
+            for kk in probes:
+                one_form_integral(family, k, kk, tol=1e-12)
+                family.eval(*kk)
+        raise
+    f_side += wavefront.values.reshape(-1, 1)
+    q_side = side_q - (f_side + wavefront.c)[..., None] * side_u
+    d = q_side[:, 0::2] - q_side[:, 1::2]  # (nodes, axes, 3)
+    norm = _norm(d)
+    moved = norm > 0.0
+    ratios = abs(np.vecdot(u0[:, None], d)[moved]) / norm[moved]
+    return float(np.fmax.reduce(ratios, initial=0.0))

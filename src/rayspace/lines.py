@@ -93,16 +93,18 @@ def _ray(line: OrientedLine, i) -> OrientedLine:
 
 
 def _frame(axis):
-    """Unit axis plus an orthonormal pair spanning its orthogonal plane."""
-    a = _as_vec3(axis)
-    n = np.linalg.norm(a)
-    if n < 1e-12:
+    """Unit axis plus an orthonormal pair spanning its orthogonal plane.
+
+    An (N, 3) batch of axes gives the N frames row by row."""
+    a = _as_vecs(axis)
+    n = _norm(a)
+    if _any(n < 1e-12):
         raise ValueError("axis must be nonzero")
-    a = a / n
-    ref = np.zeros(3)
-    ref[int(np.argmin(np.abs(a)))] = 1.0
+    a = a / n[..., None]
+    ref = np.zeros_like(a)
+    np.put_along_axis(ref, np.argmin(np.abs(a), axis=-1)[..., None], 1.0, axis=-1)
     e1 = np.cross(ref, a)
-    e1 /= np.linalg.norm(e1)
+    e1 /= _norm(e1)[..., None]
     e2 = np.cross(a, e1)
     return a, e1, e2
 

@@ -36,7 +36,7 @@ from .errors import (
     NotRectangularError,
     TangentialError,
 )
-from .families import RayFamily, _grid_csv, is_rectangular, reconstruct_wavefront
+from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
 from .lines import OrientedLine, _as_vec3, line_through
 from .optics import REFLECT, OpticalSystem, reflect_direction, refract_direction
 from .surfaces import _newton_bisect, _unit_gradient, intersect
@@ -327,11 +327,12 @@ def design_focusing_mirror(
     wf = reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
 
     n1, n2 = len(wf.k1), len(wf.k2)
+    _, us, qs = _grid_lines(family, wf.k1, wf.k2)
     points = np.empty((n1, n2, 3))
     for i in range(n1):
         for j in range(n2):
             k = (wf.k1[i], wf.k2[j])
-            line = family.eval(*k)
+            line = OrientedLine._exact(us[i, j], qs[i, j])
             t_front = -(wf.values[i, j] + wavefront_c)
 
             def g(t):

@@ -4,10 +4,13 @@ Every function of the ray core that takes (N, 3) arrays must give, row by
 row, bit for bit what the rows give alone, and a failing batch must raise
 exactly what its lowest-index failing ray raises alone.  One-form
 integration of a vectorized family evaluates each refinement level in one
-call, over the new midpoints only.
+call, over the new midpoints only; a batch of segments, of regularity
+points or of wavefront nodes gives what its items give one at a time, and
+raises what the first failing one raises.
 """
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,14 +19,18 @@ from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.errors import (
+    DomainBoundaryError,
     FamilyTraceError,
     GrazingError,
     NoIntersectionError,
+    NonRegularError,
     RaySpaceError,
     TangentialError,
     TotalInternalReflectionError,
     TraceError,
 )
+from rayspace.families import _CHUNK
+from rayspace.scene import load_scene
 
 from helpers import (
     device_source,
@@ -69,6 +76,7 @@ def outcome(fn):
 def assert_same_error(batch_exc, single_exc):
     assert type(batch_exc) is type(single_exc)
     assert str(batch_exc) == str(single_exc)
+    assert getattr(batch_exc, "k", None) == getattr(single_exc, "k", None)
     assert getattr(batch_exc, "interface_index", None) == getattr(single_exc, "interface_index", None)
     assert type(getattr(batch_exc, "cause", None)) is type(getattr(single_exc, "cause", None))
 
@@ -356,4 +364,221 @@ class TestErrorOrderInsideTheBatch:
         assert str(err.value) == (
             f"at k=(np.float64({k[0]}), np.float64({k[1]})): interface 0: "
             "total internal reflection: (n1/n2) sin(a1) = 1.00253 >= 1"
+        )
+
+
+SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+
+FAMILY_KINDS = ("point_source", "collimated", "two_skew_lines", "transformed")
+
+
+def random_family(rng, kind, kinds):
+    """A vectorized family of the given kind; "transformed" sends a point
+    source aimed at the origin through a random system of the given kinds."""
+    if kind == "point_source":
+        return rs.point_source(rng.uniform(-1, 1, 3), random_unit(rng))
+    if kind == "collimated":
+        return rs.collimated(random_unit(rng), origin=rng.uniform(-1, 1, 3))
+    if kind == "two_skew_lines":
+        return rs.two_skew_lines([0, 0, 0], random_unit(rng), [0, 0, 1], random_unit(rng))
+    apex = 6.0 * random_unit(rng)
+    source = rs.point_source(apex, -apex, domain=((-0.1, 0.1), (-0.1, 0.1)))
+    return rs.transform_family(source, random_system(rng, kinds))
+
+
+def random_params(rng, family, count, spill=0.0):
+    """count parameters in the domain, widened by the fraction spill."""
+    (a1, b1), (a2, b2) = family.domain
+    w1, w2 = spill * (b1 - a1), spill * (b2 - a2)
+    return np.column_stack(
+        [rng.uniform(a1 - w1, b1 + w1, count), rng.uniform(a2 - w2, b2 + w2, count)]
+    )
+
+
+def plain(family):
+    """The same family without the vectorized flag: evaluated row by row."""
+    return rs.RayFamily(lambda k1, k2: family.eval(k1, k2), family.domain)
+
+
+def check_against_items(batch, singles):
+    """A batch outcome against its items' outcomes taken one at a time."""
+    failures = [s for s in singles if isinstance(s, RaySpaceError)]
+    if failures:
+        assert isinstance(batch, RaySpaceError), batch
+        assert_same_error(batch, failures[0])
+    else:
+        assert not isinstance(batch, RaySpaceError), batch
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(singles),)
+        assert all(b == s for b, s in zip(batch, singles))
+
+
+class TestSegmentBatch:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(FAMILY_KINDS),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+        st.integers(1, 6),
+    )
+    def test_batch_equals_its_segments(self, seed, kind, kinds, count):
+        rng = np.random.default_rng(seed)
+        fam = random_family(rng, kind, kinds)
+        ka = random_params(rng, fam, count)
+        kb = random_params(rng, fam, count)
+
+        def integral(family, a, b):
+            return outcome(lambda: rs.one_form_integral(family, a, b, tol=1e-8, max_points=128))
+
+        singles = [integral(fam, a, b) for a, b in zip(ka, kb)]
+        assert all(isinstance(s, (float, RaySpaceError)) for s in singles)
+        check_against_items(integral(fam, ka, kb), singles)
+        check_against_items(integral(plain(fam), ka, kb), singles)
+
+    def test_batch_beyond_the_chunk_cap(self, rng):
+        lens = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, 0], 2.0), rs.REFRACT, 1.0, 1.5),))
+        source = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.15, 0.15), (-0.15, 0.15)))
+        fam = rs.transform_family(source, lens)
+        ka = random_params(rng, fam, 450)
+        kb = ka + rng.uniform(-0.01, 0.01, ka.shape)
+        calls = []
+
+        def counting(k1, k2):
+            calls.append(np.size(k1))
+            return fam.eval(k1, k2)
+
+        batch = rs.one_form_integral(dataclasses.replace(fam, eval=counting), ka, kb, tol=1e-7)
+        assert 5 * len(ka) > _CHUNK  # the first level takes two calls
+        assert sum(calls[:2]) == 5 * len(ka)
+        assert max(calls) <= _CHUNK
+        singles = [rs.one_form_integral(fam, a, b, tol=1e-7) for a, b in zip(ka, kb)]
+        check_against_items(batch, singles)
+
+    def test_single_segment_gives_a_float(self):
+        fam = rs.point_source([0, 0, 5], [0, 0, -1])
+        value = rs.one_form_integral(fam, (0.0, 0.0), (0.1, 0.2))
+        assert type(value) is float
+        batch = rs.one_form_integral(fam, [(0.0, 0.0)], [(0.1, 0.2)])
+        assert batch.shape == (1,) and batch[0] == value
+
+
+class TestRegularBatch:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(FAMILY_KINDS),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+        st.integers(1, 8),
+        st.sampled_from([0.0, 0.1]),
+    )
+    def test_batch_equals_its_points(self, seed, kind, kinds, count, spill):
+        rng = np.random.default_rng(seed)
+        fam = random_family(rng, kind, kinds)
+        k = random_params(rng, fam, count, spill)
+        t = rng.uniform(-8.0, 8.0, count)
+        singles = [outcome(lambda: rs.is_regular_point(fam, kk, tt)) for kk, tt in zip(k, t)]
+        batch = outcome(lambda: rs.is_regular_point(fam, k, t))
+        check_against_items(batch, singles)
+        if not isinstance(batch, RaySpaceError):
+            assert batch.dtype == bool
+
+    def test_names_the_first_point_outside(self):
+        fam = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        k = [(0.0, 0.0), (0.1, 0.25), (0.3, 0.0)]
+        with pytest.raises(DomainBoundaryError) as err:
+            rs.is_regular_point(fam, k, [1.0, 1.0, 1.0])
+        assert str(err.value) == "stencil of half-width 5.65685e-06 at k=(0.1, 0.25) leaves the domain"
+        assert list(fam.contains(np.array([0.0, 0.1, 0.3]), np.array([0.0, 0.25, 0.0]))) == [
+            True,
+            False,
+            False,
+        ]
+
+
+class TestWavefrontCalls:
+    def test_point_plane_eval_calls(self):
+        scene = load_scene(str(SCENES / "point_plane.scene"))
+        fam = rs.transform_family(scene.family, scene.system)
+        calls = []
+
+        def counting(k1, k2):
+            calls.append(np.size(k1))
+            return fam.eval(k1, k2)
+
+        counted = dataclasses.replace(fam, eval=counting)
+        wf = rs.reconstruct_wavefront(
+            counted, scene.options["k0"], c=scene.options["wavefront_c"], grid=9
+        )
+        residual = rs.orthogonality_residual(counted, wf)
+        # one call per grid, refinement level (per _CHUNK rays), stencil
+        # batch and probe batch; node by node evaluation made 2,547
+        assert len(calls) <= 40
+        assert max(calls) <= _CHUNK
+        assert residual < 1e-9
+
+    def test_custom_family_gives_the_same_wavefront(self):
+        fam = rs.point_source([0, 0, 5], [0.1, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        wf = rs.reconstruct_wavefront(fam, (0.05, -0.03), c=2.0, grid=5)
+        custom = rs.reconstruct_wavefront(plain(fam), (0.05, -0.03), c=2.0, grid=5)
+        assert np.array_equal(custom.values, wf.values)
+        assert np.array_equal(custom.points, wf.points)
+        assert rs.orthogonality_residual(plain(fam), custom) == rs.orthogonality_residual(fam, wf)
+
+
+def naive_orthogonality_residual(family, wavefront, h):
+    """Reference: node by node and probe by probe, one evaluation at a time."""
+    worst = 0.0
+    for i, k1 in enumerate(wavefront.k1):
+        for j, k2 in enumerate(wavefront.k2):
+            base = np.array([k1, k2])
+            line0 = family.eval(k1, k2)
+            for axis in range(2):
+                step = np.zeros(2)
+                step[axis] = h
+                q_side = []
+                for sgn in (+1.0, -1.0):
+                    kk = base + sgn * step
+                    f_side = wavefront.values[i, j] + rs.one_form_integral(family, base, kk, tol=1e-12)
+                    side = family.eval(*kk)
+                    q_side.append(side.q - (f_side + wavefront.c) * side.u)
+                d = q_side[0] - q_side[1]
+                norm = float(np.linalg.norm(d))
+                if norm > 0.0:
+                    worst = max(worst, abs(float(line0.u @ d)) / norm)
+    return worst
+
+
+class TestOrthogonalityReference:
+    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract"])
+    def test_equals_node_by_node(self, name):
+        scene = load_scene(str(SCENES / f"{name}.scene"))
+        fam = rs.transform_family(scene.family, scene.system)
+        wf = rs.reconstruct_wavefront(fam, (0.03, -0.02), c=1.5, grid=5)
+        h = fam.default_step()
+        assert rs.orthogonality_residual(fam, wf) == naive_orthogonality_residual(fam, wf, h)
+
+
+class TestErrorOrderOfWavefrontBatches:
+    """The errors that node by node evaluation raised before batching."""
+
+    def test_first_non_regular_node(self):
+        # the family of TestWavefront.test_wavefront_through_apex_rejected
+        fam = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        with pytest.raises(NonRegularError) as err:
+            rs.reconstruct_wavefront(fam, k0=(0, 0), c=5.0)
+        assert str(err.value) == "wavefront point at k=(-0.199994, -0.199994) is not regular"
+
+    def test_orthogonality_probe_leaves_the_sphere(self):
+        # the corner node's rays graze a small sphere mirror; its -k1 probe
+        # of half-width 1e-4 crosses the rim at a level-1 integration node
+        fam = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.1195, 0.1195), (-0.1195, 0.1195)))
+        small = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, -3.0], 0.5), rs.REFLECT, 1.0),))
+        fam = rs.transform_family(fam, small)
+        wf = rs.reconstruct_wavefront(
+            fam, (0.0, 0.0), grid=5, integral_tol=1e-6, path_tol=1e-3, check_regular=False
+        )
+        with pytest.raises(FamilyTraceError) as err:
+            rs.orthogonality_residual(fam, wf, h=1e-4)
+        k = (-0.11957162002958593, -0.11949662002958593)
+        assert err.value.k == k
+        assert str(err.value) == (
+            f"at k=(np.float64({k[0]}), np.float64({k[1]})): interface 0: "
+            "ray misses Sphere in (0, 1e+06]"
         )
