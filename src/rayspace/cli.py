@@ -21,12 +21,13 @@ from .families import (
     _fmt,
     _grid_axes,
     _grid_csv,
+    _grid_lines,
     is_rectangular,
     orthogonality_residual,
     reconstruct_wavefront,
     transform_family,
 )
-from .lines import chart_jacobian, symplectic_residual
+from .lines import _norm, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import load_scene
 from .variational import (
@@ -100,15 +101,10 @@ def cmd_trace(scene, args, out_dir):
     grid = _grid_arg(scene, args)
     tol = _opt(scene, args, "tol", 1e-9)
     k1, k2 = _grid_axes(family, grid, 0.0)
-    nodes = np.empty((len(k1), len(k2), 6))
-    worst = 0.0
-    for i, a in enumerate(k1):
-        for j, b in enumerate(k2):
-            line = family.eval(a, b)
-            u, q = line.u, line.q
-            worst = max(worst, abs(float(np.linalg.norm(u)) - 1.0), abs(float(q @ u)))
-            nodes[i, j, :3] = u
-            nodes[i, j, 3:] = q
+    _, u, q = _grid_lines(family, k1, k2)
+    residuals = np.maximum(abs(_norm(u) - 1.0), abs(np.vecdot(q, u)))
+    worst = np.fmax.reduce(residuals, axis=None, initial=0.0)
+    nodes = np.concatenate([u, q], axis=-1)
     _write(out_dir, "trace.csv", _grid_csv("k1,k2,ux,uy,uz,qx,qy,qz", k1, k2, nodes))
     h1 = (k1[-1] - k1[0]) / (len(k1) - 1)
     h2 = (k2[-1] - k2[0]) / (len(k2) - 1)

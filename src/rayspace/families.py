@@ -31,11 +31,12 @@ every segment not yet converged; `is_regular_point` takes one point or a
 batch.  `reconstruct_wavefront` evaluates its grid lines, integrates all its
 segments and checks the regularity of all its nodes in one batch each;
 `orthogonality_residual` does the same with its centre lines, its +-h probe
-integrals and their end lines.  Batches are evaluated at most _CHUNK rays
+integrals and their end lines, and `defect_grid` with the stencil and centre
+lines of all its nodes and their immersion tests.  A single segment, point
+or defect is the batch of one.  Batches are evaluated at most _CHUNK rays
 per call, which bounds their memory.  A batched step that fails is re-run
 item by item in the order of the single calls, so it raises exactly what
-they raise: the first failing segment, node or probe.  `defect` and
-`defect_grid` evaluate one parameter at a time.
+they raise: the first failing segment, node or probe.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ from .errors import (
 from .lines import (
     OrientedLine,
     _as_vec3,
+    _chart_ab,
     _first,
     _frame,
     _norm,
-    chart_coords,
     chart_for,
     line_through,
 )
@@ -325,24 +326,73 @@ def _require_inside(family: RayFamily, k, h: float) -> None:
         )
 
 
-def _neighbors(family: RayFamily, k, h: float):
-    k1, k2 = float(k[0]), float(k[1])
-    return (
-        family.eval(k1 + h, k2),
-        family.eval(k1 - h, k2),
-        family.eval(k1, k2 + h),
-        family.eval(k1, k2 - h),
-    )
+def _stencil(ks, h: float) -> np.ndarray:
+    """The four neighbours (N, 4, 2) of each row of ks (N, 2), in the order
+    +k1, -k1, +k2, -k2."""
+    out = np.repeat(ks[:, None], 4, axis=1)
+    out[:, 0, 0] += h
+    out[:, 1, 0] -= h
+    out[:, 2, 1] += h
+    out[:, 3, 1] -= h
+    return out
 
 
-def _stencil_defect(neighbors, h: float) -> float:
-    """Central-difference defect from the four neighbours of _neighbors."""
-    p1, m1, p2, m2 = neighbors
-    du1 = (p1.u - m1.u) / (2.0 * h)
-    dq1 = (p1.q - m1.q) / (2.0 * h)
-    du2 = (p2.u - m2.u) / (2.0 * h)
-    dq2 = (p2.q - m2.q) / (2.0 * h)
-    return float(dq1 @ du2 - dq2 @ du1)
+def _eval_each(family: RayFamily, ks) -> None:
+    """Evaluate the lines at the rows of ks one at a time, at Python float
+    parameters, as a failing stencil batch is re-run: it raises what the
+    first failing line raises alone, with k as the per-point code gave it."""
+    for k1, k2 in np.asarray(ks).tolist():
+        family.eval(k1, k2)
+
+
+def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
+    """The defect (N,) at the rows of ks (N, 2), without the domain check.
+
+    One evaluation of the stencil lines of all nodes, plus their centre lines
+    when check_immersion is set; ImmersionError names the first node whose
+    stencil does not have rank 2.  A failing batch raises what the node by
+    node loop raised: a node's four stencil lines, its centre line, then its
+    immersion test.
+    """
+    rows = _stencil(ks, h)
+    if check_immersion:
+        rows = np.concatenate([rows, ks[:, None]], axis=1)
+    try:
+        u, q = _eval_rows(family, rows.reshape(-1, 2))
+        us = u.reshape(rows.shape[:2] + (3,))
+        qs = q.reshape(rows.shape[:2] + (3,))
+        if check_immersion:
+            bad = _first(~_immersed(us[:, 4], us[:, :4], qs[:, :4], h))
+            if bad is not None:
+                k1, k2 = ks[bad]
+                raise ImmersionError(f"family is not an immersion at k=({k1:g}, {k2:g})")
+    except RaySpaceError:
+        if len(ks) > 1:
+            for k in ks:
+                _defects(family, k[None], h, check_immersion)
+        else:
+            _eval_each(family, rows[0, :4])
+            if check_immersion:
+                family.eval(*ks[0])
+        raise
+    du1 = (us[:, 0] - us[:, 1]) / (2.0 * h)
+    dq1 = (qs[:, 0] - qs[:, 1]) / (2.0 * h)
+    du2 = (us[:, 2] - us[:, 3]) / (2.0 * h)
+    dq2 = (qs[:, 2] - qs[:, 3]) / (2.0 * h)
+    return np.vecdot(dq1, du2) - np.vecdot(dq2, du1)
+
+
+def _immersed(u0, us, qs, h: float):
+    """Whether the stencil lines (N, 4, 3) of each node give a rank-2 chart
+    Jacobian, in the chart chosen for the node's centre direction u0 (N, 3)."""
+    a, b = _chart_ab(chart_for(u0)[:, None], us, qs)
+    x = np.concatenate([a, b], axis=-1)
+    col1 = (x[:, 0] - x[:, 1]) / (2.0 * h)
+    col2 = (x[:, 2] - x[:, 3]) / (2.0 * h)
+    svals = np.linalg.svd(np.stack([col1, col2], axis=-1), compute_uv=False)
+    top = svals[:, 0]
+    spread = top > 0.0
+    return spread & (svals[:, -1] / np.where(spread, top, 1.0) > 1e-8)
 
 
 def defect(family: RayFamily, k, h: float | None = None) -> float:
@@ -350,7 +400,7 @@ def defect(family: RayFamily, k, h: float | None = None) -> float:
     if h is None:
         h = family.default_step()
     _require_inside(family, k, h)
-    return _stencil_defect(_neighbors(family, k, h), h)
+    return float(_defects(family, np.asarray(k, dtype=float)[None], h)[0])
 
 
 def defect_refined(family: RayFamily, k, h: float | None = None):
@@ -390,36 +440,22 @@ class DefectGrid:
         return _grid_csv("k1,k2,value", self.k1, self.k2, self.values[..., None])
 
 
-def _immersion_ok(center_line: OrientedLine, neighbors, h: float) -> bool:
-    chart = chart_for(center_line.u)
-    p1, m1, p2, m2 = neighbors
-    col1 = (chart_coords(p1, chart)[0] - chart_coords(m1, chart)[0]) / (2.0 * h)
-    col2 = (chart_coords(p2, chart)[0] - chart_coords(m2, chart)[0]) / (2.0 * h)
-    jac = np.stack([col1, col2], axis=1)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    return svals[0] > 0.0 and (svals[-1] / svals[0]) > 1e-8
-
-
 def defect_grid(
     family: RayFamily,
     grid=9,
     h: float | None = None,
     check_immersion: bool = True,
 ) -> DefectGrid:
-    """Defect on a grid inset by h; optionally verifies rank-2 immersion."""
+    """Defect on a grid inset by h; optionally verifies rank-2 immersion.
+
+    All nodes are computed from one batch of stencil lines (at most _CHUNK
+    rays per eval call).
+    """
     if h is None:
         h = family.default_step()
     k1s, k2s = _grid_axes(family, grid, inset=h)
-    values = np.empty((len(k1s), len(k2s)))
-    for i, k1 in enumerate(k1s):
-        for j, k2 in enumerate(k2s):
-            neigh = _neighbors(family, (k1, k2), h)
-            if check_immersion:
-                center = family.eval(k1, k2)
-                if not _immersion_ok(center, neigh, h):
-                    raise ImmersionError(f"family is not an immersion at k=({k1:g}, {k2:g})")
-            values[i, j] = _stencil_defect(neigh, h)
-    return DefectGrid(k1=k1s, k2=k2s, values=values, step=h)
+    values = _defects(family, _nodes(k1s, k2s).reshape(-1, 2), h, check_immersion)
+    return DefectGrid(k1=k1s, k2=k2s, values=values.reshape(len(k1s), len(k2s)), step=h)
 
 
 def is_rectangular(family: RayFamily, grid=9, tol: float | None = None, h: float | None = None):
@@ -451,44 +487,31 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     if h is None:
         h = family.default_step()
     if np.ndim(k) == 1:
-        _require_inside(family, k, h)
-        line0 = family.eval(float(k[0]), float(k[1]))
-        stencil = _neighbors(family, k, h)
-        return _spreads(
-            line0.u,
-            line0.point_at(float(t)),
-            np.array([line.u for line in stencil]),
-            np.array([line.q for line in stencil]),
-            h,
-        )
+        return is_regular_point(family, [k], [t], h)[0]
     ks = np.asarray(k, dtype=float)
-    t = np.asarray(t, dtype=float)
     try:
         _require_inside(family, k, h)
-        return _regular(family, ks, t, h, *_eval_rows(family, ks))
+        return _regular(family, ks, np.asarray(t, dtype=float), h, *_eval_rows(family, ks))
     except RaySpaceError:
-        # a failing batch raises what its first failing point raises alone
-        for kk, tt in zip(k, t):
-            is_regular_point(family, kk, tt, h)
+        # a failing batch raises what its first failing point raised alone:
+        # its domain check, then its centre and stencil lines one at a time
+        for kk, row in zip(k, ks):
+            _require_inside(family, kk, h)
+            _eval_each(family, np.concatenate([row[None], _stencil(row[None], h)[0]]))
         raise
 
 
 def _regular(family: RayFamily, ks, t, h: float, u0, q0):
     """is_regular_point at the rows of ks (N, 2) and t (N,), whose centre
     lines (u0, q0) are given, without the domain check."""
-    stencil = np.repeat(ks[:, None], 4, axis=1)  # in the order of _neighbors
-    stencil[:, 0, 0] += h
-    stencil[:, 1, 0] -= h
-    stencil[:, 2, 1] += h
-    stencil[:, 3, 1] -= h
-    us, qs = _eval_rows(family, stencil.reshape(-1, 2))
+    us, qs = _eval_rows(family, _stencil(ks, h).reshape(-1, 2))
     shape = (len(ks), 4, 3)
     return _spreads(u0, q0 + t[:, None] * u0, us.reshape(shape), qs.reshape(shape), h)
 
 
 def _spreads(u0, anchor, us, qs, h: float):
     """The |det| > 1e-8 test of is_regular_point: centre directions u0 and
-    anchors (..., 3), the four stencil lines of _neighbors (..., 4, 3)."""
+    anchors (..., 3), the four stencil lines of _stencil (..., 4, 3)."""
     _, w1, w2 = _frame(u0)
     rel = anchor[..., None, :] - qs
     d = qs + np.vecdot(rel, us)[..., None] * us - anchor[..., None, :]
@@ -597,10 +620,15 @@ def _eval_rows(family: RayFamily, ks):
     return np.concatenate([line.u for line in lines]), np.concatenate([line.q for line in lines])
 
 
+def _nodes(k1, k2) -> np.ndarray:
+    """The nodes (n1, n2, 2) of the grid k1 x k2."""
+    return np.stack(np.meshgrid(k1, k2, indexing="ij"), axis=-1)
+
+
 def _grid_lines(family: RayFamily, k1, k2):
     """The nodes (n1, n2, 2) of the grid k1 x k2 and their lines' directions
     and foot points (n1, n2, 3), from one batch in (i, j) order."""
-    nodes = np.stack(np.meshgrid(k1, k2, indexing="ij"), axis=-1)
+    nodes = _nodes(k1, k2)
     shape = (len(k1), len(k2), 3)
     u, q = _eval_rows(family, nodes.reshape(-1, 2))
     return nodes, u.reshape(shape), q.reshape(shape)
@@ -735,7 +763,7 @@ def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | N
         h = family.default_step()
     # probes k + sgn * step, per node in the order +k1, -k1, +k2, -k2
     offsets = np.array([sgn * step for step in np.diag([h, h]) for sgn in (+1.0, -1.0)])
-    nodes = np.stack(np.meshgrid(wavefront.k1, wavefront.k2, indexing="ij"), axis=-1).reshape(-1, 2)
+    nodes = _nodes(wavefront.k1, wavefront.k2).reshape(-1, 2)
     ends = nodes[:, None] + offsets
     try:
         u0, _ = _eval_rows(family, nodes)

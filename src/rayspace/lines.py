@@ -25,8 +25,10 @@ other smoothly chosen point on the line.
 Shapes: `OrientedLine` and `line_through` take either single 3-vectors,
 shape (3,), or batches of N lines as (N, 3) arrays (a (3,) point or direction
 broadcasts against an (N, 3) one).  A batch gives, row by row, bit for bit
-the lines that the rows give one at a time.  Everything else here (charts,
-variations, Jacobians) works on one line at a time.
+the lines that the rows give one at a time.  `chart_for` and the private
+stereographic helpers also take (N, 3) directions, with one chart per row.
+Everything else here (chart points, variations, Jacobians) works on one line
+at a time.
 """
 
 from __future__ import annotations
@@ -248,58 +250,83 @@ class ChartPoint:
         return np.concatenate([self.a, self.b])
 
 
-def chart_for(u) -> str:
-    """The chart whose projection pole is farthest from u."""
-    return SOUTH if u[2] >= 0.0 else NORTH
+def chart_for(u):
+    """The chart whose projection pole is farthest from u; for an (N, 3)
+    batch, an array of one chart per direction."""
+    ids = np.where(np.asarray(u)[..., 2] >= 0.0, SOUTH, NORTH)
+    return str(ids) if ids.ndim == 0 else ids
 
 
-def _check_chart(chart_id: str, u3: float) -> None:
-    if chart_id == NORTH:
-        if u3 >= 1.0 - CHART_MARGIN:
-            raise ChartDomainError("direction too close to the north pole for chart NORTH")
-    elif chart_id == SOUTH:
-        if u3 <= -1.0 + CHART_MARGIN:
-            raise ChartDomainError("direction too close to the south pole for chart SOUTH")
-    else:
+_POLE_SIGNS = {NORTH: 1.0, SOUTH: -1.0}
+
+
+def _pole_sign(chart_id):
+    """The e3 component of the projection pole: +1 for NORTH, -1 for SOUTH;
+    elementwise for an array of chart ids."""
+    if isinstance(chart_id, str) and chart_id in _POLE_SIGNS:  # one line: no array work
+        return _POLE_SIGNS[chart_id]
+    ids = np.asarray(chart_id)
+    north = ids == NORTH
+    if not np.all(north | (ids == SOUTH)):
         raise ValueError(f"unknown chart {chart_id!r}")
+    return np.where(north, 1.0, -1.0)
 
 
-def _project(chart_id: str, u: np.ndarray) -> np.ndarray:
-    denom = (1.0 - u[2]) if chart_id == NORTH else (1.0 + u[2])
-    return np.array([u[0] / denom, u[1] / denom])
+def _check_chart(chart_id, u3) -> None:
+    """Raise for the first direction too close to its chart's pole; chart_id
+    may hold one chart per u3."""
+    sign = _pole_sign(chart_id)
+    near = sign * u3 >= 1.0 - CHART_MARGIN
+    if _any(near):
+        if np.broadcast_to(sign, near.shape).flat[np.argmax(near)] > 0.0:
+            raise ChartDomainError("direction too close to the north pole for chart NORTH")
+        raise ChartDomainError("direction too close to the south pole for chart SOUTH")
 
 
-def _unproject(chart_id: str, a: np.ndarray):
-    """Direction u(a) and the analytic 3x2 Jacobian du/da."""
-    a1, a2 = float(a[0]), float(a[1])
+def _project(chart_id, u) -> np.ndarray:
+    """Stereographic coordinates a (..., 2) of directions u (..., 3)."""
+    u = np.asarray(u)
+    return u[..., :2] / (1.0 - _pole_sign(chart_id) * u[..., 2])[..., None]
+
+
+def _unproject(chart_id, a):
+    """Direction u(a) (..., 3) and the analytic Jacobian du/da (..., 3, 2)
+    of coordinates a (..., 2); chart_id may hold one chart per row."""
+    a = np.asarray(a, dtype=float)
+    a1, a2 = a[..., 0][()], a[..., 1][()]  # numpy scalars for a single a
     r2 = a1 * a1 + a2 * a2
     s = 1.0 + r2
     s2 = s * s
-    if chart_id == NORTH:
-        u3 = (r2 - 1.0) / s
-        g3 = 4.0 / s2
-    else:
-        u3 = (1.0 - r2) / s
-        g3 = -4.0 / s2
-    u = np.array([2.0 * a1 / s, 2.0 * a2 / s, u3])
-    jac = np.array(
-        [
-            [2.0 / s - 4.0 * a1 * a1 / s2, -4.0 * a1 * a2 / s2],
-            [-4.0 * a1 * a2 / s2, 2.0 / s - 4.0 * a2 * a2 / s2],
-            [g3 * a1, g3 * a2],
-        ]
-    )
+    sign = _pole_sign(chart_id)
+    g3 = sign * 4.0 / s2
+    u = np.empty(a.shape[:-1] + (3,))
+    u[..., 0] = 2.0 * a1 / s
+    u[..., 1] = 2.0 * a2 / s
+    u[..., 2] = sign * (r2 - 1.0) / s
+    jac = np.empty(a.shape[:-1] + (3, 2))
+    jac[..., 0, 0] = 2.0 / s - 4.0 * a1 * a1 / s2
+    jac[..., 0, 1] = jac[..., 1, 0] = -4.0 * a1 * a2 / s2
+    jac[..., 1, 1] = 2.0 / s - 4.0 * a2 * a2 / s2
+    jac[..., 2, 0] = g3 * a1
+    jac[..., 2, 1] = g3 * a2
     return u, jac
+
+
+def _chart_ab(chart_id, u, q):
+    """Chart coordinates a and b, (..., 2) each, of the lines (u, q); one
+    chart for all or one per line.  Raises ChartDomainError for the first
+    line too close to its chart's pole."""
+    _check_chart(chart_id, u[..., 2])
+    a = _project(chart_id, u)
+    _, jac = _unproject(chart_id, a)
+    return a, (jac.swapaxes(-1, -2) @ q[..., None])[..., 0]
 
 
 def to_chart(line: OrientedLine, chart_id: str | None = None) -> ChartPoint:
     """Chart coordinates of a line; raises ChartDomainError near the pole."""
     if chart_id is None:
         chart_id = chart_for(line.u)
-    _check_chart(chart_id, line.u[2])
-    a = _project(chart_id, line.u)
-    _, jac = _unproject(chart_id, a)
-    b = jac.T @ line.q
+    a, b = _chart_ab(chart_id, line.u, line.q)
     return ChartPoint(chart_id, a, b)
 
 

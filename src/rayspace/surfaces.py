@@ -23,10 +23,11 @@ bracketing plus a bisection-safeguarded Newton refinement for Sinusoid
 Shapes: `value`, `gradient`, `roots` and `intersect` take one point or line,
 (3,), or a batch, (N, 3) points or an OrientedLine batch; `t_min` may then be
 one value per line.  `roots` returns (k,) or (N, k) candidates (k = 1 for
-Plane and Sinusoid, 2 for Sphere and Quadric).  The Sinusoid searches a batch
-ray by ray.  A batch gives bit for bit the per-ray results, and a failing
-batch raises what its lowest-index failing ray raises alone.  Charts and
-`normal_at` work on one point at a time.
+Plane and Sinusoid, 2 for Sphere and Quadric).  The Sinusoid searches all the
+rays of a batch at once, a single ray being the batch of one.  A batch gives
+bit for bit the per-ray results, and a failing batch raises what its
+lowest-index failing ray raises alone.  Charts and `normal_at` work on one
+point at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ _GRAD_MIN = 1e-10
 _ROOT_TOL = 1e-12
 # span scanned for roots when a ray runs parallel to a sinusoid's mean plane
 _FLAT_SCAN_SPAN = 1e4
+# samples per pass of the sinusoid root search over a batch, which bound its memory
+_SCAN_SAMPLES = 1 << 16
 
 
 def _nan_where_negative(x):
@@ -322,66 +325,127 @@ class Sinusoid:
         return g
 
     def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
-        """The first root beyond t_min, or NaN; searched ray by ray."""
-        if line.u.ndim == 1:
-            return np.array([self._first_root(line.u, line.q, t_min, t_max)])
-        t_min = np.broadcast_to(t_min, line.u.shape[:1])
-        roots = [self._first_root(u, q, lo, t_max) for u, q, lo in zip(line.u, line.q, t_min)]
-        return np.array(roots, dtype=float)[:, None]
+        """The first root beyond t_min, or NaN, of every ray at once.
 
-    def _first_root(self, u, q, t_min, t_max) -> float:
-        """Dense bracketing plus Newton along the ray q + t u."""
+        Along each ray q + t u, the window where the linear part stays inside
+        the amplitude band is sampled densely; its brackets are taken in
+        order, each refined by a bisection-safeguarded Newton iteration,
+        until one gives a root beyond t_min.
+        """
+        u = line.u.reshape(-1, 3)
+        q = line.q.reshape(-1, 3)
+        t_min = np.broadcast_to(np.asarray(t_min, dtype=float), u.shape[:1])
         amp = self.amplitude
-        w = self.wavevector
-        uz = float(u[2])
-        qz = float(q[2])
-        om = float(w @ u[:2])
-        phi0 = float(w @ q[:2])
-
-        def g(t):
-            return qz + t * uz - amp * np.sin(phi0 + om * t)
-
-        def dg(t):
-            return uz - amp * om * np.cos(phi0 + om * t)
-
+        uz, qz = u[:, 2], q[:, 2]
+        om = np.vecdot(u[:, :2], self.wavevector)
+        phi0 = np.vecdot(q[:, :2], self.wavevector)
         # roots can only live where the linear part stays inside the amplitude band
         band = abs(amp) + 1e-12
-        if abs(uz) > 1e-12:
-            lo = (-band - qz) / uz
-            hi = (band - qz) / uz
-            if lo > hi:
-                lo, hi = hi, lo
-            window_lo = max(t_min, lo)
-            window_hi = min(t_max, hi)
-        else:
-            if abs(qz) > band:
-                return np.nan
-            window_lo = t_min
-            window_hi = min(t_max, t_min + _FLAT_SCAN_SPAN)
-        if window_hi <= window_lo:
-            return np.nan
+        steep = abs(uz) > 1e-12
+        slope = np.where(steep, uz, 1.0)
+        lo = (-band - qz) / slope
+        hi = (band - qz) / slope
+        # the window [max(t_min, lo), min(hi, t_max)], ties and zero signs
+        # as Python's max and min give them; a flat ray scans a fixed span
+        lo, hi = np.where(lo > hi, hi, lo), np.where(lo > hi, lo, hi)
+        start = np.where(steep & (lo > t_min), lo, t_min)
+        stop = np.where(steep, hi, t_min + _FLAT_SCAN_SPAN)
+        stop = np.where(stop < t_max, stop, t_max)
+        live = np.flatnonzero((steep | ~(abs(qz) > band)) & ~(stop <= start))
+        roots = np.full(len(u), np.nan)
+        if len(live):
+            step = (np.pi / 4.0) / np.maximum(abs(om[live]), 1e-9)
+            step = np.minimum(step, max(1.0, abs(amp)))
+            counts = np.ceil((stop[live] - start[live]) / step) + 1.0
+            if _any(counts > 10_000_000):
+                raise NoIntersectionError("sinusoid root search budget exceeded")
+            roots[live] = self._scan(
+                t_min[live], uz[live], qz[live], om[live], phi0[live],
+                start[live], stop[live], counts.astype(np.int64),
+            )
+        return roots.reshape(line.u.shape[:-1] + (1,))
 
-        step = (np.pi / 4.0) / max(abs(om), 1e-9)
-        step = min(step, max(1.0, abs(amp)))
-        count = int(np.ceil((window_hi - window_lo) / step)) + 1
-        if count > 10_000_000:
-            raise NoIntersectionError("sinusoid root search budget exceeded")
-        ts = np.linspace(window_lo, window_hi, count + 1)
-        gs = qz + ts * uz - amp * np.sin(phi0 + om * ts)
-        zero_hits = np.nonzero(gs == 0.0)[0]
-        changes = np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0)[0]
-        candidates = sorted(
-            [(ts[i], "zero") for i in zero_hits] + [(ts[i], i) for i in changes]
-        )
-        for t_at, tag in candidates:
-            if tag == "zero":
-                root = t_at
-            else:
-                i = tag
-                root = _newton_bisect(g, dg, ts[i], ts[i + 1], gs[i], gs[i + 1])
-            if root > t_min:
-                return root
-        return np.nan
+    def _scan(self, t_min, uz, qz, om, phi0, start, stop, counts):
+        """The first root beyond t_min of each ray, NaN if none, among its
+        samples 0..count of [start, stop], where np.linspace puts count + 1.
+
+        Each pass samples the next block of every ray still searching and
+        takes its first bracket (a zero sample, or a sign change to the next
+        sample) in order.  Blocks double in length, to about _SCAN_SAMPLES
+        samples per pass in all, so a ray whose first bracket comes early
+        samples little of its window.
+        """
+        amp = self.amplitude
+        spacing = (stop - start) / counts
+        roots = np.full(len(counts), np.nan)
+        todo = np.arange(len(counts))  # rays still searching
+        at = np.zeros(len(counts), dtype=np.int64)  # their next sample
+        block = 8
+        while len(todo):
+            block = max(8, min(2 * block, _SCAN_SAMPLES // len(todo)))
+            count = counts[todo]
+            end = np.minimum(at + block, count)
+            sizes = end - at + 1
+            ray = np.repeat(np.arange(len(todo)), sizes)
+            first = np.cumsum(sizes) - sizes
+            last = first + sizes - 1
+            index = np.arange(len(ray)) - first[ray] + at[ray]
+            r = todo[ray]
+            ts = index * spacing[r] + start[r]
+            tail = end == count  # the block ends the ray's window
+            ts[last[tail]] = stop[todo[tail]]
+            gs = qz[r] + ts * uz[r] - amp * np.sin(phi0[r] + om[r] * ts)
+            zero = gs == 0.0
+            sign = np.sign(gs)
+            bracket = zero.copy()
+            bracket[:-1] |= sign[:-1] * sign[1:] < 0.0
+            # a block's last sample brackets with the next block's first
+            bracket[last] = zero[last] & tail
+            i = np.minimum.reduceat(np.where(bracket, np.arange(len(ray)), len(ray)), first)
+            found = i < len(ray)
+            pick = np.minimum(i, len(ray) - 1)  # any sample where none is found
+            root = np.where(found, ts[pick], np.nan)
+            newton = found & ~zero[pick]
+            if _any(newton):
+                j = i[newton]
+                k = todo[newton]
+                root[newton] = self._newton(ts[j], ts[j + 1], gs[j], uz[k], qz[k], om[k], phi0[k])
+            ahead = root > t_min[todo]
+            roots[todo[ahead]] = root[ahead]
+            # past a bracket at or below t_min, or on from the block's end
+            at = np.where(found, index[pick] + 1, end)
+            going = ~ahead & np.where(found, at <= count, ~tail)
+            todo, at = todo[going], at[going]
+        return roots
+
+    def _newton(self, lo, hi, glo, uz, qz, om, phi0, tol=_ROOT_TOL):
+        """_newton_bisect on g(t) = qz + t uz - amp sin(phi0 + om t) in each
+        sign-changing bracket [lo, hi] (glo = g(lo) != 0), all rays at once."""
+        amp = self.amplitude
+        out = np.empty(len(lo))
+        rows = np.arange(len(lo))
+        t = 0.5 * (lo + hi)
+        for _ in range(200):
+            gt = qz + t * uz - amp * np.sin(phi0 + om * t)
+            same = (gt > 0.0) == (glo > 0.0)
+            lo = np.where(same, t, lo)
+            glo = np.where(same, gt, glo)
+            hi = np.where(same, hi, t)
+            d = uz - amp * om * np.cos(phi0 + om * t)
+            mid = 0.5 * (lo + hi)
+            t_new = np.where(d != 0.0, t - gt / np.where(d != 0.0, d, 1.0), mid)
+            t_new = np.where((lo < t_new) & (t_new < hi), t_new, mid)
+            zero = gt == 0.0
+            done = zero | (abs(t_new - t) <= tol)
+            out[rows[done]] = np.where(zero, t, t_new)[done]
+            going = ~done
+            rows, t = rows[going], t_new[going]
+            lo, hi, glo = lo[going], hi[going], glo[going]
+            uz, qz, om, phi0 = uz[going], qz[going], om[going], phi0[going]
+            if not len(rows):
+                return out
+        out[rows] = t
+        return out
 
     def chart(self, reference_point=None) -> SurfaceChart:
         amp = self.amplitude

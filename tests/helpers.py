@@ -8,10 +8,13 @@ import numpy as np
 import rayspace as rs
 from rayspace.errors import (
     GrazingError,
+    ImmersionError,
     NoIntersectionError,
     TangentialError,
     TotalInternalReflectionError,
 )
+from rayspace.families import _grid_axes
+from rayspace.surfaces import _FLAT_SCAN_SPAN, _newton_bisect
 
 
 def unit(v):
@@ -144,6 +147,113 @@ def snell_sine(n1, n2, sin_in):
     return n1 * sin_in / n2
 
 
+# ---------------------------------------------------------------------------
+# one node and one ray at a time: the oracles of the batched routines
+
+
+def node_neighbors(family, k, h):
+    """The lines at k +- h along each parameter, one evaluation each, in the
+    order +k1, -k1, +k2, -k2."""
+    k1, k2 = float(k[0]), float(k[1])
+    return (
+        family.eval(k1 + h, k2),
+        family.eval(k1 - h, k2),
+        family.eval(k1, k2 + h),
+        family.eval(k1, k2 - h),
+    )
+
+
+def stencil_defect(neighbors, h):
+    """Central-difference defect from the four lines of node_neighbors."""
+    p1, m1, p2, m2 = neighbors
+    du1 = (p1.u - m1.u) / (2.0 * h)
+    dq1 = (p1.q - m1.q) / (2.0 * h)
+    du2 = (p2.u - m2.u) / (2.0 * h)
+    dq2 = (p2.q - m2.q) / (2.0 * h)
+    return float(dq1 @ du2 - dq2 @ du1)
+
+
+def immersion_ok(center_line, neighbors, h):
+    """Rank-2 test of the chart Jacobian of the four neighbours."""
+    chart = rs.chart_for(center_line.u)
+    p1, m1, p2, m2 = neighbors
+    col1 = (rs.chart_coords(p1, chart)[0] - rs.chart_coords(m1, chart)[0]) / (2.0 * h)
+    col2 = (rs.chart_coords(p2, chart)[0] - rs.chart_coords(m2, chart)[0]) / (2.0 * h)
+    svals = np.linalg.svd(np.stack([col1, col2], axis=1), compute_uv=False)
+    return svals[0] > 0.0 and (svals[-1] / svals[0]) > 1e-8
+
+
+def node_defect_grid(family, grid=9, h=None, check_immersion=True):
+    """defect_grid node by node in (i, j) order: the values, or the error
+    of the first failing node."""
+    if h is None:
+        h = family.default_step()
+    k1s, k2s = _grid_axes(family, grid, inset=h)
+    values = np.empty((len(k1s), len(k2s)))
+    for i, k1 in enumerate(k1s):
+        for j, k2 in enumerate(k2s):
+            neigh = node_neighbors(family, (k1, k2), h)
+            if check_immersion:
+                center = family.eval(k1, k2)
+                if not immersion_ok(center, neigh, h):
+                    raise ImmersionError(f"family is not an immersion at k=({k1:g}, {k2:g})")
+            values[i, j] = stencil_defect(neigh, h)
+    return values
+
+
+def sinusoid_first_root(surface, u, q, t_min, t_max):
+    """The first root beyond t_min of one ray against a Sinusoid, or NaN:
+    dense bracketing plus Newton along the ray q + t u, one ray at a time."""
+    amp = surface.amplitude
+    w = surface.wavevector
+    uz = float(u[2])
+    qz = float(q[2])
+    om = float(w @ u[:2])
+    phi0 = float(w @ q[:2])
+
+    def g(t):
+        return qz + t * uz - amp * np.sin(phi0 + om * t)
+
+    def dg(t):
+        return uz - amp * om * np.cos(phi0 + om * t)
+
+    band = abs(amp) + 1e-12
+    if abs(uz) > 1e-12:
+        lo = (-band - qz) / uz
+        hi = (band - qz) / uz
+        if lo > hi:
+            lo, hi = hi, lo
+        window_lo = max(t_min, lo)
+        window_hi = min(t_max, hi)
+    else:
+        if abs(qz) > band:
+            return np.nan
+        window_lo = t_min
+        window_hi = min(t_max, t_min + _FLAT_SCAN_SPAN)
+    if window_hi <= window_lo:
+        return np.nan
+
+    step = (np.pi / 4.0) / max(abs(om), 1e-9)
+    step = min(step, max(1.0, abs(amp)))
+    count = int(np.ceil((window_hi - window_lo) / step)) + 1
+    if count > 10_000_000:
+        raise NoIntersectionError("sinusoid root search budget exceeded")
+    ts = np.linspace(window_lo, window_hi, count + 1)
+    gs = qz + ts * uz - amp * np.sin(phi0 + om * ts)
+    zero_hits = np.nonzero(gs == 0.0)[0]
+    changes = np.nonzero(np.sign(gs[:-1]) * np.sign(gs[1:]) < 0.0)[0]
+    candidates = sorted([(ts[i], "zero") for i in zero_hits] + [(ts[i], i) for i in changes])
+    for t_at, tag in candidates:
+        if tag == "zero":
+            root = t_at
+        else:
+            i = tag
+            root = _newton_bisect(g, dg, ts[i], ts[i + 1], gs[i], gs[i + 1])
+        if root > t_min:
+            return root
+    return np.nan
+
+
 __all__ = [
     "unit",
     "random_unit",
@@ -156,6 +266,11 @@ __all__ = [
     "ellipsoid_oracle_point",
     "paraboloid_oracle_point",
     "snell_sine",
+    "node_neighbors",
+    "stencil_defect",
+    "immersion_ok",
+    "node_defect_grid",
+    "sinusoid_first_root",
     "GrazingError",
     "TotalInternalReflectionError",
 ]

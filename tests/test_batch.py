@@ -6,7 +6,8 @@ exactly what its lowest-index failing ray raises alone.  One-form
 integration of a vectorized family evaluates each refinement level in one
 call, over the new midpoints only; a batch of segments, of regularity
 points or of wavefront nodes gives what its items give one at a time, and
-raises what the first failing one raises.
+raises what the first failing one raises.  So do a defect grid against the
+node by node loop and the sinusoid root search against one ray at a time.
 """
 
 import dataclasses
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.errors import (
+    ChartDomainError,
     DomainBoundaryError,
     FamilyTraceError,
     GrazingError,
+    ImmersionError,
     NoIntersectionError,
     NonRegularError,
     RaySpaceError,
@@ -29,15 +32,21 @@ from rayspace.errors import (
     TotalInternalReflectionError,
     TraceError,
 )
-from rayspace.families import _CHUNK
+from rayspace.families import _CHUNK, _require_inside, _spreads
+from rayspace.lines import _chart_ab, _ray
 from rayspace.scene import load_scene
+from rayspace.surfaces import _SCAN_SAMPLES
 
 from helpers import (
     device_source,
     make_device,
     nested_sphere_system,
+    node_defect_grid,
+    node_neighbors,
     random_surface,
     random_unit,
+    sinusoid_first_root,
+    stencil_defect,
 )
 
 KINDS = ("plane", "sphere", "quadric", "sinusoid")
@@ -370,11 +379,19 @@ class TestErrorOrderInsideTheBatch:
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 
 FAMILY_KINDS = ("point_source", "collimated", "two_skew_lines", "transformed")
+BUILDER_KINDS = FAMILY_KINDS + ("normal_congruence",)
 
 
 def random_family(rng, kind, kinds):
     """A vectorized family of the given kind; "transformed" sends a point
-    source aimed at the origin through a random system of the given kinds."""
+    source aimed at the origin through a random system of the given kinds,
+    "normal_congruence" takes the normals of a surface of the first kind
+    (a sphere for a quadric)."""
+    if kind == "normal_congruence":
+        surface = random_surface(rng, "sphere" if kinds[0] == "quadric" else kinds[0])
+        return rs.normal_congruence(
+            surface, ((-0.2, 0.2), (-0.2, 0.2)), axis=random_unit(rng), outward=rng.random() < 0.5
+        )
     if kind == "point_source":
         return rs.point_source(rng.uniform(-1, 1, 3), random_unit(rng))
     if kind == "collimated":
@@ -460,6 +477,18 @@ class TestSegmentBatch:
         assert batch.shape == (1,) and batch[0] == value
 
 
+def node_is_regular(family, k, t):
+    """is_regular_point one evaluation at a time: the centre line, then the
+    four stencil lines."""
+    h = family.default_step()
+    _require_inside(family, k, h)
+    line0 = family.eval(float(k[0]), float(k[1]))
+    stencil = node_neighbors(family, k, h)
+    us = np.array([line.u for line in stencil])
+    qs = np.array([line.q for line in stencil])
+    return _spreads(line0.u, line0.point_at(float(t)), us, qs, h)
+
+
 class TestRegularBatch:
     @given(
         st.integers(0, 2**32 - 1),
@@ -474,6 +503,12 @@ class TestRegularBatch:
         k = random_params(rng, fam, count, spill)
         t = rng.uniform(-8.0, 8.0, count)
         singles = [outcome(lambda: rs.is_regular_point(fam, kk, tt)) for kk, tt in zip(k, t)]
+        for kk, tt, single in zip(k, t, singles):
+            node = outcome(lambda: node_is_regular(fam, kk, tt))
+            if isinstance(node, RaySpaceError):
+                assert_same_error(single, node)
+            else:
+                assert single == node
         batch = outcome(lambda: rs.is_regular_point(fam, k, t))
         check_against_items(batch, singles)
         if not isinstance(batch, RaySpaceError):
@@ -582,3 +617,229 @@ class TestErrorOrderOfWavefrontBatches:
             f"at k=(np.float64({k[0]}), np.float64({k[1]})): interface 0: "
             "ray misses Sphere in (0, 1e+06]"
         )
+
+
+def _sphere_edge_family():
+    """A point source whose rays with k1 > 0 miss a sphere mirror; the nodes
+    of a grid with k1 < 0 trace."""
+    source = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.3, 0.3), (-0.3, 0.3)))
+    mirror = rs.OpticalSystem((rs.Interface(rs.Sphere([0, -0.9, -3.0], 1.2), rs.REFLECT, 1.0),))
+    return rs.transform_family(source, mirror)
+
+
+def _flat_for_negative_k1(family):
+    """The family with k2 frozen at 0 where k1 < 0: not an immersion there."""
+
+    def _eval(k1, k2):
+        return family.eval(k1, np.where(np.asarray(k1) < 0.0, 0.0, k2)[()])
+
+    return dataclasses.replace(family, eval=_eval)
+
+
+def check_defect_grid(family, grid, check_immersion=True):
+    """defect_grid of the family and of its plain wrapper against the node
+    by node loop: equal values under ==, or the same first error.  Returns
+    the loop's values or error."""
+    reference = outcome(lambda: node_defect_grid(family, grid, check_immersion=check_immersion))
+    for fam in (family, plain(family)):
+        batch = outcome(lambda: rs.defect_grid(fam, grid, check_immersion=check_immersion))
+        if isinstance(reference, RaySpaceError):
+            assert isinstance(batch, RaySpaceError), batch
+            assert_same_error(batch, reference)
+        else:
+            assert not isinstance(batch, RaySpaceError), batch
+            assert np.array_equal(batch.values, reference)
+    return reference
+
+
+class TestDefectGridBatch:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(BUILDER_KINDS),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+        st.integers(3, 6),
+        st.booleans(),
+    )
+    def test_grid_equals_node_by_node(self, seed, kind, kinds, grid, check_immersion):
+        rng = np.random.default_rng(seed)
+        fam = random_family(rng, kind, kinds)
+        check_defect_grid(fam, grid, check_immersion)
+        k = 0.9 * random_params(rng, fam, 1)[0]  # inside the domain of these families
+        h = fam.default_step()
+        reference = outcome(lambda: stencil_defect(node_neighbors(fam, k, h), h))
+        single = outcome(lambda: rs.defect(fam, k))
+        if isinstance(reference, RaySpaceError):
+            assert_same_error(single, reference)
+        else:
+            assert type(single) is float and single == reference
+
+    def test_device_grid_in_one_eval_call(self):
+        fam = rs.transform_family(device_source(), make_device())
+        calls = []
+
+        def counting(k1, k2):
+            calls.append(np.size(k1))
+            return fam.eval(k1, k2)
+
+        grid = rs.defect_grid(dataclasses.replace(fam, eval=counting), grid=9)
+        # node by node evaluation made 405 calls of one ray
+        assert len(calls) <= -(-5 * 81 // _CHUNK) == 1
+        assert sum(calls) == 5 * 81
+        assert np.array_equal(grid.values, node_defect_grid(fam, 9))
+
+    def test_grid_beyond_the_chunk_cap(self):
+        fam = rs.point_source([0.3, -0.2, 1.0], [0.1, 0.2, -1.0])
+        calls = []
+
+        def counting(k1, k2):
+            calls.append(np.size(k1))
+            return fam.eval(k1, k2)
+
+        grid = rs.defect_grid(dataclasses.replace(fam, eval=counting), grid=21)
+        assert calls == [_CHUNK, 5 * 21 * 21 - _CHUNK]
+        assert np.array_equal(grid.values, node_defect_grid(fam, 21))
+
+    def test_trace_failure_names_the_first_node(self):
+        err = check_defect_grid(_sphere_edge_family(), 5)
+        # the +k1 neighbour of the first node with k1 > 0, at float parameters
+        assert isinstance(err, FamilyTraceError)
+        assert err.k == (8.485281374238571e-06, -0.29999151471862573)
+        with pytest.raises(FamilyTraceError) as single:
+            rs.defect(_sphere_edge_family(), (0.0, -0.29))
+        assert single.value.k == (8.485281374238571e-06, -0.29)
+
+    def test_immersion_failure_before_a_later_trace_failure(self):
+        fam = _flat_for_negative_k1(_sphere_edge_family())
+        err = check_defect_grid(fam, 5)
+        assert isinstance(err, ImmersionError)
+        assert str(err) == "family is not an immersion at k=(-0.299992, -0.299992)"
+        assert isinstance(outcome(lambda: rs.defect_grid(fam, 5, check_immersion=False)), FamilyTraceError)
+
+    def test_chart_coordinates_of_a_batch(self, rng):
+        u = np.array([random_unit(rng) for _ in range(40)])
+        lines = rs.line_through(rng.normal(size=(40, 3)), u)
+        charts = np.where(rng.random(40) < 0.5, rs.NORTH, rs.SOUTH)
+        near_pole = np.where(charts == rs.NORTH, lines.u[:, 2] > 0.9, lines.u[:, 2] < -0.9)
+        charts[near_pole] = rs.chart_for(lines.u[near_pole])
+        a, b = _chart_ab(charts, lines.u, lines.q)
+        for i in range(40):
+            point = rs.to_chart(_ray(lines, i), str(charts[i]))
+            assert np.array_equal(a[i], point.a) and np.array_equal(b[i], point.b)
+        pole = rs.line_through([0, 0, 0], [[1.0, 0, 0], [0, 0, -1.0], [0, 0, 1.0]])
+        with pytest.raises(ChartDomainError, match="south pole for chart SOUTH"):
+            _chart_ab(np.array([rs.NORTH, rs.SOUTH, rs.NORTH]), pole.u, pole.q)
+
+
+def check_roots(surface, lines, t_min, t_max):
+    """Sinusoid.roots of a batch against the per-ray search, bit for bit, and
+    each ray's roots alone against it too; returns the roots or the error."""
+    singles = [
+        outcome(lambda: sinusoid_first_root(surface, lines.u[i], lines.q[i], t_min[i], t_max))
+        for i in range(len(t_min))
+    ]
+    batch = outcome(lambda: surface.roots(lines, t_min, t_max))
+    failures = [s for s in singles if isinstance(s, RaySpaceError)]
+    if failures:
+        assert_same_error(batch, failures[0])
+        return batch
+    assert batch.shape == (len(t_min), 1)
+    assert batch[:, 0].tobytes() == np.array(singles, dtype=float).tobytes()
+    for i in range(len(t_min)):
+        alone = surface.roots(_ray(lines, i), t_min[i], t_max)
+        assert alone.shape == (1,) and alone.tobytes() == batch[i].tobytes()
+    return batch[:, 0]
+
+
+def sinusoid_rays(rng, amplitude, count):
+    """Rays of the cases the search treats apart, and one t_min per ray
+    (counted from the ray's start point, some beyond every root): steep,
+    shallow (long windows), flat (|u_z| <= 1e-12) inside and outside the
+    amplitude band, of any direction, and vertical through the origin, where
+    g(t) = -t vanishes exactly at the sample t = 0, with t_min at or below
+    that root."""
+    band = abs(amplitude)
+    starts, dirs, t_min = [], [], []
+    for _ in range(count):
+        case = rng.integers(5)
+        if case == 0:  # vertical through the origin
+            starts.append([0.0, 0.0, 0.0])
+            dirs.append([0.0, 0.0, -1.0])
+            t_min.append(rng.choice([-1.0, 0.0, -band]))
+            continue
+        if case == 1:  # any direction
+            starts.append(rng.uniform(-2.0, 2.0, 3))
+            dirs.append(rng.normal(size=3))
+        else:
+            uz = {
+                2: rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 1.0),
+                3: rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1e-2),
+                4: rng.choice([0.0, 1e-13, -8e-13]),
+            }[case]
+            inside = rng.uniform(-band, band)
+            outside = rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 2.0) * band
+            azimuth = rng.uniform(0.0, 2.0 * np.pi)
+            starts.append([rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.choice([inside, outside])])
+            dirs.append([np.cos(azimuth), np.sin(azimuth), uz])
+        t_min.append(rng.choice([rng.uniform(-5.0, 1.0), 1e3]))
+    starts = np.array(starts)
+    lines = rs.line_through(starts, np.array(dirs))
+    return lines, np.vecdot(starts - lines.q, lines.u) + np.array(t_min)
+
+
+class TestSinusoidRootsBatch:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.sampled_from([1.0, 30.0]),
+        st.sampled_from([1e6, 40.0, 0.5]),
+    )
+    def test_batch_equals_its_rays(self, seed, count, scale, t_max):
+        rng = np.random.default_rng(seed)
+        amplitude = rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.5)
+        surface = rs.Sinusoid(amplitude, scale * rng.uniform(-1.5, 1.5, 2))
+        if scale > 1.0:
+            t_max = min(t_max, 40.0)  # flat rays of many samples: a shorter window
+        lines, t_min = sinusoid_rays(rng, amplitude, count)
+        check_roots(surface, lines, t_min, t_max)
+
+    def test_zero_sample_and_candidate_at_t_min(self):
+        surface = rs.Sinusoid(0.2, [0.7, -0.4])
+        dirs = np.array([[0.0, 0.0, -1.0]] * 3 + [[1.0, 0.0, 0.0]])
+        lines = rs.line_through(np.zeros((4, 3)), dirs)
+        roots = check_roots(surface, lines, np.array([-1.0, 0.0, -0.1, 0.0]), 1e6)
+        # the vertical rays have g(t) = -t: the sample t = 0 is the root, and
+        # at t_min it is skipped; the flat one, g(t) = -0.2 sin(0.7 t), has
+        # its next root at pi / 0.7
+        assert roots[0] == 0.0 and np.isnan(roots[1]) and roots[2] == 0.0
+        assert abs(roots[3] - np.pi / 0.7) < 1e-12
+        # the root as the last sample of the window, which np.linspace sets to
+        # the window's end: 3 * ((0 - start) / 3) + start falls below 0 here
+        first = rs.OrientedLine(lines.u[:1], lines.q[:1])
+        assert check_roots(surface, first, np.array([-1.0]), 0.0).tolist() == [0.0]
+        wide = rs.Sinusoid(1.55, [0.7, -0.4])
+        start = -(1.55 + 1e-12)
+        assert 3 * ((0.0 - start) / 3) + start < 0.0
+        assert check_roots(wide, first, np.array([-5.0]), 0.0).tolist() == [0.0]
+
+    def test_batch_beyond_the_sample_cap(self, rng):
+        surface = rs.Sinusoid(0.3, [25.0, 10.0])
+        starts = np.column_stack([rng.uniform(-2, 2, 100), rng.uniform(-2, 2, 100), np.full(100, 0.5)])
+        dirs = np.column_stack([rng.normal(size=(100, 2)), np.full(100, -0.01)])
+        lines = rs.line_through(starts, dirs)
+        t_min = np.vecdot(starts - lines.q, lines.u)
+        roots = check_roots(surface, lines, t_min, 1e6)
+        assert not np.isnan(roots).any()
+        assert 100 * 2 * 0.3 / 0.01 / (np.pi / 4.0 / 27.0) > 2 * _SCAN_SAMPLES  # three groups or more
+
+    def test_budget_error_of_the_first_offending_ray(self):
+        surface = rs.Sinusoid(0.2, [1e6, 0.0])
+        starts = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 0.1], [0.0, 0.0, 9.0], [0.0, 0.0, 0.1]])
+        dirs = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        lines = rs.line_through(starts, dirs)
+        t_min = np.vecdot(starts - lines.q, lines.u)
+        err = check_roots(surface, lines, t_min, 1e6)
+        assert isinstance(err, NoIntersectionError)
+        assert str(err) == "sinusoid root search budget exceeded"
+        # intersect names the ray that misses first, before the budget
+        with pytest.raises(NoIntersectionError, match=r"ray misses Sinusoid in \(9, 1e\+06\]"):
+            rs.intersect(rs.OrientedLine(lines.u[[0, 2, 3]], lines.q[[0, 2, 3]]), surface, t_min[[0, 2, 3]])
