@@ -340,10 +340,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         scene = load_scene(args.scene)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RaySpaceError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, RaySpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = args.out

@@ -9,7 +9,18 @@ from __future__ import annotations
 
 
 class RaySpaceError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    `row` is the index of the failing item in the batch the error was raised
+    for, 0 for a single item; each batched layer maps it to its own items.
+    """
+
+    row = 0
+
+    def at(self, row):
+        """The error, naming item `row` of its batch."""
+        self.row = int(row)
+        return self
 
 
 class ZeroDirectionError(RaySpaceError):
@@ -60,6 +71,7 @@ class TraceError(RaySpaceError):
     def __init__(self, interface_index, cause):
         self.interface_index = interface_index
         self.cause = cause
+        self.row = cause.row
         super().__init__(f"interface {interface_index}: {cause}")
 
 
@@ -67,8 +79,9 @@ class FamilyTraceError(RaySpaceError):
     """A trace failure inside a transformed family, annotated with k."""
 
     def __init__(self, k, cause):
-        self.k = tuple(k)
+        self.k = tuple(map(float, k))
         self.cause = cause
+        self.row = cause.row
         super().__init__(f"at k={self.k}: {cause}")
 
 
@@ -96,7 +109,7 @@ class NoRootError(RaySpaceError):
     """A level-set root finder found no root along a ray."""
 
     def __init__(self, k=None, message="no root along the ray"):
-        self.k = None if k is None else tuple(k)
+        self.k = None if k is None else tuple(map(float, k))
         if self.k is not None:
             message = f"{message} at k={self.k}"
         super().__init__(message)

@@ -22,8 +22,7 @@ Shapes: the `eval` and `anchor` of every family the builders here return
 (and of `transform_family` applied to one) also take equal-length arrays k1,
 k2 of N parameters and return a batch of N lines, (N, 3) anchors; such a
 family has `vectorized=True`.  Its rows equal the single evaluations bit for
-bit, and a failing batch raises what its lowest-index failing parameter
-raises alone.
+bit.
 
 `one_form_integral` takes one segment or a batch of them and refines the
 batch level by level, each level in one evaluation of the new midpoints of
@@ -34,9 +33,12 @@ segments and checks the regularity of all its nodes in one batch each;
 integrals and their end lines, and `defect_grid` with the stencil and centre
 lines of all its nodes and their immersion tests.  A single segment, point
 or defect is the batch of one.  Batches are evaluated at most _CHUNK rays
-per call, which bounds their memory.  A batched step that fails is re-run
-item by item in the order of the single calls, so it raises exactly what
-they raise: the first failing segment, node or probe.
+per call, which bounds their memory.
+
+A failing batch raises what its first failing item (parameter, segment,
+node or probe) raises alone, and the error's `row` is that item's index.
+A batch stops at the first stage where an item fails; the items before it,
+which may still fail at a later stage, are then checked again as one batch.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .errors import (
     NonRegularError,
     NotRectangularError,
     RaySpaceError,
+    TraceError,
 )
 from .lines import (
     OrientedLine,
@@ -99,7 +102,9 @@ class RayFamily:
     physically begins (source apex, emitting surface point, ...); systems
     intersect each ray strictly downstream of it.  None means the foot point.
     `vectorized` declares that `eval` and `anchor` also accept arrays of
-    parameters and return the batch of their lines, row by row.
+    parameters and return the batch of their lines, row by row, and that a
+    failing batch raises what its first failing parameter raises alone,
+    with `row` set to its index.
     """
 
     eval: Callable[[float, float], OrientedLine]
@@ -191,6 +196,8 @@ def two_skew_lines(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0.25, 0.
     p2 = _as_vec3(point2)
     d1 = _as_vec3(dir1)
     d2 = _as_vec3(dir2)
+    if min(_norm(d1), _norm(d2)) < 1e-12:
+        raise ValueError("dir1 and dir2 must be nonzero")
     d1 = d1 / np.linalg.norm(d1)
     d2 = d2 / np.linalg.norm(d2)
 
@@ -274,23 +281,17 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     stays vectorized: a batch of parameters is traced as one batch.
     """
 
-    def _trace_as_given(k1, k2):
-        base = family.eval(k1, k2)
-        try:
-            return propagate_system(base, system, start=family.start_point(k1, k2))
-        except RaySpaceError as exc:
-            raise FamilyTraceError((k1, k2), exc) from exc
-
     def _trace(k1, k2):
         try:
-            return _trace_as_given(k1, k2)
-        except RaySpaceError:
-            if np.ndim(k1) == 0:
-                raise
-            # a failing batch raises what its first failing parameter raises alone
-            for a, b in zip(*np.broadcast_arrays(k1, k2)):
-                _trace_as_given(a, b)
-            raise
+            base = family.eval(k1, k2)
+            return propagate_system(base, system, start=family.start_point(k1, k2))
+        except RaySpaceError as exc:
+            k1, k2 = np.broadcast_arrays(k1, k2)
+            row = exc.row if k1.ndim else ()
+            if row and not isinstance(exc, TraceError):
+                # the parameters before it pass `family` but may fail in the system
+                _trace(k1[:row], k2[:row])
+            raise FamilyTraceError((k1[row], k2[row]), exc) from exc
 
     def _eval(k1, k2):
         return _trace(k1, k2).line_out
@@ -320,10 +321,10 @@ def _require_inside(family: RayFamily, k, h: float) -> None:
     ks = np.asarray(k, dtype=float)
     bad = _first(~family.contains(ks[..., 0], ks[..., 1], pad=h))
     if bad is not None:
-        where = k if ks.ndim == 1 else k[bad]
+        where = tuple(map(float, ks.reshape(-1, 2)[bad]))
         raise DomainBoundaryError(
-            f"stencil of half-width {h:g} at k={tuple(where)} leaves the domain"
-        )
+            f"stencil of half-width {h:g} at k={where} leaves the domain"
+        ).at(bad)
 
 
 def _stencil(ks, h: float) -> np.ndarray:
@@ -337,14 +338,6 @@ def _stencil(ks, h: float) -> np.ndarray:
     return out
 
 
-def _eval_each(family: RayFamily, ks) -> None:
-    """Evaluate the lines at the rows of ks one at a time, at Python float
-    parameters, as a failing stencil batch is re-run: it raises what the
-    first failing line raises alone, with k as the per-point code gave it."""
-    for k1, k2 in np.asarray(ks).tolist():
-        family.eval(k1, k2)
-
-
 def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
     """The defect (N,) at the rows of ks (N, 2), without the domain check.
 
@@ -352,29 +345,25 @@ def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
     when check_immersion is set; ImmersionError names the first node whose
     stencil does not have rank 2.  A failing batch raises what the node by
     node loop raised: a node's four stencil lines, its centre line, then its
-    immersion test.
+    immersion test.  The error's row is the node.
     """
     rows = _stencil(ks, h)
     if check_immersion:
         rows = np.concatenate([rows, ks[:, None]], axis=1)
     try:
         u, q = _eval_rows(family, rows.reshape(-1, 2))
-        us = u.reshape(rows.shape[:2] + (3,))
-        qs = q.reshape(rows.shape[:2] + (3,))
-        if check_immersion:
-            bad = _first(~_immersed(us[:, 4], us[:, :4], qs[:, :4], h))
-            if bad is not None:
-                k1, k2 = ks[bad]
-                raise ImmersionError(f"family is not an immersion at k=({k1:g}, {k2:g})")
-    except RaySpaceError:
-        if len(ks) > 1:
-            for k in ks:
-                _defects(family, k[None], h, check_immersion)
-        else:
-            _eval_each(family, rows[0, :4])
-            if check_immersion:
-                family.eval(*ks[0])
+    except RaySpaceError as exc:
+        exc.row //= rows.shape[1]
+        if check_immersion and exc.row:  # the nodes before it may fail their immersion test
+            _defects(family, ks[: exc.row], h, check_immersion)
         raise
+    us = u.reshape(rows.shape[:2] + (3,))
+    qs = q.reshape(rows.shape[:2] + (3,))
+    if check_immersion:
+        bad = _first(~_immersed(us[:, 4], us[:, :4], qs[:, :4], h))
+        if bad is not None:
+            k1, k2 = ks[bad]
+            raise ImmersionError(f"family is not an immersion at k=({k1:g}, {k2:g})").at(bad)
     du1 = (us[:, 0] - us[:, 1]) / (2.0 * h)
     dq1 = (qs[:, 0] - qs[:, 1]) / (2.0 * h)
     du2 = (us[:, 2] - us[:, 3]) / (2.0 * h)
@@ -489,24 +478,40 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     if np.ndim(k) == 1:
         return is_regular_point(family, [k], [t], h)[0]
     ks = np.asarray(k, dtype=float)
+    t = np.asarray(t, dtype=float)
     try:
-        _require_inside(family, k, h)
-        return _regular(family, ks, np.asarray(t, dtype=float), h, *_eval_rows(family, ks))
-    except RaySpaceError:
-        # a failing batch raises what its first failing point raised alone:
-        # its domain check, then its centre and stencil lines one at a time
-        for kk, row in zip(k, ks):
-            _require_inside(family, kk, h)
-            _eval_each(family, np.concatenate([row[None], _stencil(row[None], h)[0]]))
+        _require_inside(family, ks, h)
+        u0, q0 = _eval_rows(family, ks)
+    except RaySpaceError as exc:
+        if exc.row:  # the points before it may fail on their stencil lines
+            is_regular_point(family, ks[: exc.row], t[: exc.row], h)
         raise
+    return _regular(family, ks, t, h, u0, q0)
 
 
-def _regular(family: RayFamily, ks, t, h: float, u0, q0):
+def _regular(family: RayFamily, ks, t, h: float, u0, q0, strict: bool = False):
     """is_regular_point at the rows of ks (N, 2) and t (N,), whose centre
-    lines (u0, q0) are given, without the domain check."""
-    us, qs = _eval_rows(family, _stencil(ks, h).reshape(-1, 2))
+    lines (u0, q0) are given.  With strict, NonRegularError names the first
+    point that is not regular, after the errors of the points before it."""
+    try:
+        _require_inside(family, ks, h)
+        try:
+            us, qs = _eval_rows(family, _stencil(ks, h).reshape(-1, 2))
+        except RaySpaceError as exc:
+            exc.row //= 4  # the point
+            raise
+    except RaySpaceError as exc:
+        if strict and exc.row:  # the points before it may still fail or not be regular
+            before = slice(exc.row)
+            _regular(family, ks[before], t[before], h, u0[before], q0[before], strict)
+        raise
     shape = (len(ks), 4, 3)
-    return _spreads(u0, q0 + t[:, None] * u0, us.reshape(shape), qs.reshape(shape), h)
+    regular = _spreads(u0, q0 + t[:, None] * u0, us.reshape(shape), qs.reshape(shape), h)
+    bad = _first(~regular)
+    if strict and bad is not None:
+        k1, k2 = ks[bad]
+        raise NonRegularError(f"wavefront point at k=({k1:g}, {k2:g}) is not regular").at(bad)
+    return regular
 
 
 def _spreads(u0, anchor, us, qs, h: float):
@@ -545,13 +550,7 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = 1e-9, max_points: 
     ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
     if ka.ndim == 1:
         return float(_one_form_levels(family, ka[None], kb[None], tol, max_points)[0])
-    try:
-        return _one_form_levels(family, ka, kb, tol, max_points)
-    except RaySpaceError:
-        # a failing batch raises what its first failing segment raises alone
-        for a, b in zip(ka, kb):
-            _one_form_levels(family, a[None], b[None], tol, max_points)
-        raise
+    return _one_form_levels(family, ka, kb, tol, max_points)
 
 
 def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
@@ -579,7 +578,13 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
         for a in range(0, len(live), per_call):
             seg = live[a : a + per_call]
             ks = ka[seg, None] + fresh[:, None] * span[seg, None]
-            u, q = _eval_rows(family, ks.reshape(-1, 2))
+            try:
+                u, q = _eval_rows(family, ks.reshape(-1, 2))
+            except RaySpaceError as exc:
+                exc.at(seg[exc.row // len(fresh)])
+                if exc.row:  # the segments before it may fail at a later level
+                    _one_form_levels(family, ka[: exc.row], kb[: exc.row], tol, max_points)
+                raise
             us = np.empty((len(seg), m + 1, 3))
             qs = np.empty((len(seg), m + 1, 3))
             us[:, at] = u.reshape(len(seg), len(fresh), 3)
@@ -601,23 +606,25 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
                 return values
         prev = val
         m *= 2
-    raise NoConvergenceError("one-form integral did not converge under refinement")
+    raise NoConvergenceError("one-form integral did not converge under refinement").at(live[0])
 
 
 def _eval_rows(family: RayFamily, ks):
     """Directions and foot points, (N, 3) each, of the lines at the rows of ks.
 
-    A vectorized family is evaluated in calls of at most _CHUNK rows, in
-    order, so a failing batch still raises its first failing row's error.
+    A vectorized family is evaluated in calls of at most _CHUNK rows, any
+    other family row by row, in order; an error's row is its row in ks.
     """
-    if not family.vectorized:
-        lines = [family.eval(*k) for k in ks]
-        return np.array([line.u for line in lines]), np.array([line.q for line in lines])
-    parts = np.split(ks, range(_CHUNK, len(ks), _CHUNK))
-    lines = [family.eval(part[:, 0], part[:, 1]) for part in parts]
-    if len(lines) == 1:
-        return lines[0].u, lines[0].q
-    return np.concatenate([line.u for line in lines]), np.concatenate([line.q for line in lines])
+    size = _CHUNK if family.vectorized else 1
+    lines = []
+    for a in range(0, len(ks), size):
+        k1, k2 = ks[a : a + size].T if family.vectorized else ks[a]
+        try:
+            lines.append(family.eval(k1, k2))
+        except RaySpaceError as exc:
+            exc.row += a
+            raise
+    return np.vstack([line.u for line in lines]), np.vstack([line.q for line in lines])
 
 
 def _nodes(k1, k2) -> np.ndarray:
@@ -719,21 +726,8 @@ def reconstruct_wavefront(
     points = qs - (values + c)[..., None] * us
 
     if check_regular:
-        t_q = -(values + c)
-        try:
-            _require_inside(family, nodes.reshape(-1, 2), h)
-            regular = _regular(
-                family, nodes.reshape(-1, 2), t_q.ravel(), h, us.reshape(-1, 3), qs.reshape(-1, 3)
-            )
-        except RaySpaceError:
-            # a failing batch raises what the node by node check raises
-            for i, j in np.ndindex(n1, n2):
-                if not is_regular_point(family, (k1s[i], k2s[j]), t_q[i, j], h=h):
-                    raise _not_regular(k1s[i], k2s[j])
-            raise
-        bad = _first(~regular)
-        if bad is not None:
-            raise _not_regular(*nodes.reshape(-1, 2)[bad])
+        ks, t = nodes.reshape(-1, 2), -(values + c).ravel()
+        _regular(family, ks, t, h, us.reshape(-1, 3), qs.reshape(-1, 3), strict=True)
 
     return Wavefront(
         k1=k1s,
@@ -744,10 +738,6 @@ def reconstruct_wavefront(
         base_index=(i0, j0),
         path_discrepancy=discrepancy,
     )
-
-
-def _not_regular(k1, k2) -> NonRegularError:
-    return NonRegularError(f"wavefront point at k=({k1:g}, {k2:g}) is not regular")
 
 
 def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | None = None) -> float:
@@ -764,22 +754,8 @@ def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | N
     # probes k + sgn * step, per node in the order +k1, -k1, +k2, -k2
     offsets = np.array([sgn * step for step in np.diag([h, h]) for sgn in (+1.0, -1.0)])
     nodes = _nodes(wavefront.k1, wavefront.k2).reshape(-1, 2)
-    ends = nodes[:, None] + offsets
-    try:
-        u0, _ = _eval_rows(family, nodes)
-        f_side = one_form_integral(
-            family, np.repeat(nodes, 4, axis=0), ends.reshape(-1, 2), tol=1e-12
-        ).reshape(-1, 4)
-        side_u, side_q = (a.reshape(-1, 4, 3) for a in _eval_rows(family, ends.reshape(-1, 2)))
-    except RaySpaceError:
-        # a failing batch raises what the first failing evaluation raises
-        # in node order: centre line, then each probe's integral and end
-        for k, probes in zip(nodes, ends):
-            family.eval(*k)
-            for kk in probes:
-                one_form_integral(family, k, kk, tol=1e-12)
-                family.eval(*kk)
-        raise
+    ends = (nodes[:, None] + offsets).reshape(-1, 2)
+    u0, f_side, side_u, side_q = _probes(family, nodes, ends)
     f_side += wavefront.values.reshape(-1, 1)
     q_side = side_q - (f_side + wavefront.c)[..., None] * side_u
     d = q_side[:, 0::2] - q_side[:, 1::2]  # (nodes, axes, 3)
@@ -787,3 +763,27 @@ def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | N
     moved = norm > 0.0
     ratios = abs(np.vecdot(u0[:, None], d)[moved]) / norm[moved]
     return float(np.fmax.reduce(ratios, initial=0.0))
+
+
+def _probes(family: RayFamily, nodes, ends):
+    """The centre lines (N, 3) of nodes (N, 2), the one-form integrals (N, 4)
+    from each node to its 4 probe ends (4N, 2), and the end lines (N, 4, 3),
+    one batch each.  A failing batch raises what the node by node loop
+    raised: a node's centre line, then each probe's integral and end line.
+    The error's row is the probe; a failing centre line names its node's first.
+    """
+    try:
+        u0, _ = _eval_rows(family, nodes)
+    except RaySpaceError as exc:
+        exc.row *= 4
+        if exc.row:  # the nodes before it may fail on their probes
+            _probes(family, nodes[: exc.row // 4], ends[: exc.row])
+        raise
+    try:
+        f_side = one_form_integral(family, np.repeat(nodes, 4, axis=0), ends, tol=1e-12)
+    except RaySpaceError as exc:
+        if exc.row:  # the end lines of the probes before it come first
+            _eval_rows(family, ends[: exc.row])
+        raise
+    side_u, side_q = _eval_rows(family, ends)
+    return u0, f_side.reshape(-1, 4), side_u.reshape(-1, 4, 3), side_q.reshape(-1, 4, 3)

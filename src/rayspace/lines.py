@@ -79,18 +79,15 @@ def _any(mask) -> bool:
 
 
 def _first(mask):
-    """Index of the first ray flagged in a per-ray mask, None if none is.
-
-    The index is () for a single ray (a 0-d mask), so `values[_first(mask)]`
-    picks the flagged ray's value either way.
-    """
+    """Index of the first ray flagged in a per-ray mask, None if none is; 0
+    for a single ray (a 0-d mask), whose values `.flat[0]` picks."""
     if not _any(mask):
         return None
-    return () if mask.ndim == 0 else int(np.argmax(mask))
+    return int(np.argmax(mask))
 
 
 def _ray(line: OrientedLine, i) -> OrientedLine:
-    """Line i of a batch, as a single line."""
+    """Line i of a batch, as a single line; a slice gives those lines."""
     return OrientedLine(line.u[i], line.q[i])
 
 
@@ -171,8 +168,9 @@ def line_through(point, direction) -> OrientedLine:
     p = _as_vecs(point)
     d = _as_vecs(direction)
     n = _norm(d)
-    if _any(n < 1e-12):
-        raise ZeroDirectionError("direction vector is numerically zero")
+    i = _first(n < 1e-12)
+    if i is not None:
+        raise ZeroDirectionError("direction vector is numerically zero").at(i)
     u = d / n[..., None]
     q = p - np.vecdot(p, u)[..., None] * u
     q -= np.vecdot(q, u)[..., None] * u  # second projection removes the O(eps) residual

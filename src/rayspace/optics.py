@@ -13,7 +13,10 @@ take a single OrientedLine or a batch, and `start` may be one point per line.
 For a batch, hit fields and `optical_length` gain a leading axis of length N.
 A batch gives bit for bit the per-ray results, and a failing batch raises
 what its lowest-index failing ray raises alone (for `propagate_system`, the
-same TraceError with the same interface index).
+same TraceError with the same interface index), with that ray's index as
+the error's `row`.  A batch stops at the first check where a ray fails (the
+hit, then the new direction, interface by interface); the rays before it,
+which may fail at a later check, are then traced again as one batch.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ def reflect_direction(u, n) -> np.ndarray:
     u = _as_vecs(u)
     n = _as_vecs(n)
     c = np.vecdot(u, n)
-    if _any(abs(c) < TRANSVERSE_TOL):
-        raise GrazingError("incidence too close to grazing")
+    i = _first(abs(c) < TRANSVERSE_TOL)
+    if i is not None:
+        raise GrazingError("incidence too close to grazing").at(i)
     return _unit(u - (2.0 * c)[..., None] * n)
 
 
@@ -61,11 +65,11 @@ def refract_direction(u, n, n_in: float, n_out: float) -> np.ndarray:
     s = mu * _norm(tangential)  # (n_in/n_out) sin(angle_in)
     i = _first(grazing | (s >= 1.0))
     if i is not None:
-        if grazing[i]:
-            raise GrazingError("incidence too close to grazing")
+        if grazing.flat[i]:
+            raise GrazingError("incidence too close to grazing").at(i)
         raise TotalInternalReflectionError(
-            f"total internal reflection: (n1/n2) sin(a1) = {float(s[i]):.6g} >= 1"
-        )
+            f"total internal reflection: (n1/n2) sin(a1) = {float(s.flat[i]):.6g} >= 1"
+        ).at(i)
     return _unit(mu * tangential + np.copysign(np.sqrt(1.0 - s * s), c)[..., None] * n)
 
 
@@ -176,14 +180,11 @@ def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> T
         raise ValueError("start point does not lie on the line")
     try:
         return _propagate(line, system, start, _out(along))
-    except TraceError:
-        if line.u.ndim == 1:
-            raise
-        # the batch stopped at the first interface where any ray failed; an
-        # earlier ray may still fail further on, so trace the rays in order
-        starts = np.broadcast_to(start, line.u.shape)
-        for i in range(len(starts)):
-            _propagate(_ray(line, i), system, starts[i], float(along[i]))
+    except TraceError as exc:
+        if exc.row:  # the rays before it may still fail at a later interface
+            before = slice(exc.row)
+            starts = np.broadcast_to(start, line.u.shape)[before]
+            propagate_system(_ray(line, before), system, starts)
         raise
 
 

@@ -1,7 +1,7 @@
 """Scene files: a flat, line-oriented key-value format describing surfaces,
 an optical system, a ray family, and numerical options.
 
-Grammar (strict; unknown keys and malformed values are fatal):
+Grammar (strict; unknown keys and malformed or non-finite values are fatal):
 
     # comment                      blank lines and '#' comments are skipped
     [surface <name>]               one section per surface, names unique
@@ -52,18 +52,6 @@ from .surfaces import Plane, Quadric, Sinusoid, Sphere
 
 _SECTION_RE = re.compile(r"^\[(surface\s+([A-Za-z_][A-Za-z0-9_-]*)|system|family|options)\]$")
 
-_FAMILY_KEYS = {
-    "point_source": {"kind", "apex", "axis", "domain"},
-    "collimated": {"kind", "direction", "origin", "domain"},
-    "two_skew_lines": {"kind", "point1", "dir1", "point2", "dir2", "domain"},
-    "normal_congruence": {"kind", "surface", "axis", "outward", "domain"},
-}
-_FAMILY_REQUIRED = {
-    "point_source": {"apex", "axis"},
-    "collimated": {"direction"},
-    "two_skew_lines": {"point1", "dir1", "point2", "dir2"},
-    "normal_congruence": {"surface", "domain"},
-}
 _SYSTEM_KEYS = {"ambient_index", "interface"}
 _OPTION_KEYS = {
     "grid",
@@ -94,16 +82,22 @@ def _floats(raw, count, line_no, col):
     if len(parts) != count:
         raise SceneSyntaxError(line_no, col, f"expected {count} numbers, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError:
         raise SceneSyntaxError(line_no, col, f"bad number in {raw!r}") from None
+    if not np.isfinite(values).all():
+        raise SceneSyntaxError(line_no, col, f"non-finite number in {raw!r}")
+    return values
 
 
 def _float(raw, line_no, col):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise SceneSyntaxError(line_no, col, f"bad number {raw!r}") from None
+    if not np.isfinite(value):
+        raise SceneSyntaxError(line_no, col, f"non-finite number {raw!r}")
+    return value
 
 
 def _int(raw, line_no, col):
@@ -210,24 +204,61 @@ _SURFACES = {
 }
 
 
-def _build_surface(section):
+def _family_kinds(surfaces):
+    """kind -> (builder, {key: value parser} in parse order, required keys)
+    of a [family] section, whose `surface` names one of `surfaces`; every
+    kind also takes `kind` and `domain`."""
+
+    def declared(raw, line_no, col):
+        if raw not in surfaces:
+            raise UnknownSurfaceError(raw)
+        return surfaces[raw]
+
+    point = _vector(3)
+    return {
+        "point_source": (point_source, {"apex": point, "axis": point}, ("apex", "axis")),
+        "collimated": (collimated, {"origin": point, "direction": point}, ("direction",)),
+        "two_skew_lines": (
+            two_skew_lines,
+            {"point1": point, "dir1": point, "point2": point, "dir2": point},
+            ("point1", "dir1", "point2", "dir2"),
+        ),
+        "normal_congruence": (
+            normal_congruence,
+            {"surface": declared, "axis": point, "outward": _bool},
+            ("surface", "domain"),
+        ),
+    }
+
+
+def _build(section, kinds, common):
+    """(object, kind) of a [surface] or [family] section: `kinds` is its
+    table, and `common` maps the keys every kind takes to their parsers,
+    which run before the unknown-key check.  A ValueError or overflow of the
+    builder is reported at the section's line."""
+    what = f"{section.header} {section.name!r}" if section.name else section.header
     kind_raw, line_no, col = section.take("kind")
     if kind_raw is None:
-        raise SceneSyntaxError(section.line_no, 1, f"surface {section.name!r} has no kind")
-    if kind_raw not in _SURFACES:
-        raise SceneSyntaxError(line_no, col, f"unknown surface kind {kind_raw!r}")
-    cls, parsers, required = _SURFACES[kind_raw]
+        raise SceneSyntaxError(section.line_no, 1, f"{what} has no kind")
+    if kind_raw not in kinds:
+        raise SceneSyntaxError(line_no, col, f"unknown {section.header} kind {kind_raw!r}")
+    builder, parsers, required = kinds[kind_raw]
     for req in required:
         if req not in section.entries:
-            raise SceneSyntaxError(
-                section.line_no, 1, f"surface {section.name!r} missing key {req!r}"
-            )
-    sign_raw, sl, sc = section.take("incoming_sign")
-    sign = 1 if sign_raw is None else _sign(sign_raw, sl, sc)
+            raise SceneSyntaxError(section.line_no, 1, f"{what} missing key {req!r}")
+    values = {
+        key: parse(*section.entries.pop(key))
+        for key, parse in common.items()
+        if key in section.entries
+    }
     given = {key: section.entries.pop(key) for key in parsers if key in section.entries}
     section.finish(parsers)
-    values = {key: parsers[key](*entry) for key, entry in given.items()}
-    return cls(**values, incoming_sign=sign)
+    values.update((key, parsers[key](*entry)) for key, entry in given.items())
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return builder(**values), kind_raw
+    except (ValueError, FloatingPointError) as exc:
+        raise SceneSyntaxError(section.line_no, 1, str(exc)) from None
 
 
 def _build_system(section, surfaces):
@@ -264,62 +295,6 @@ def _parse_domain(raw, line_no, col):
     if not (vals[0] < vals[1] and vals[2] < vals[3]):
         raise SceneSyntaxError(line_no, col, "domain bounds must be increasing")
     return ((float(vals[0]), float(vals[1])), (float(vals[2]), float(vals[3])))
-
-
-def _build_family(section, surfaces):
-    kind_raw, line_no, col = section.take("kind")
-    if kind_raw is None:
-        raise SceneSyntaxError(section.line_no, 1, "family has no kind")
-    if kind_raw not in _FAMILY_KEYS:
-        raise SceneSyntaxError(line_no, col, f"unknown family kind {kind_raw!r}")
-    for req in _FAMILY_REQUIRED[kind_raw]:
-        if req not in section.entries:
-            raise SceneSyntaxError(section.line_no, 1, f"family missing key {req!r}")
-    domain_raw, dl, dc = section.take("domain")
-    domain = None if domain_raw is None else _parse_domain(domain_raw, dl, dc)
-    if kind_raw == "point_source":
-        apex_raw, al, ac = section.take("apex")
-        axis_raw, xl, xc = section.take("axis")
-        section.finish(_FAMILY_KEYS[kind_raw])
-        kwargs = {} if domain is None else {"domain": domain}
-        return point_source(_floats(apex_raw, 3, al, ac), _floats(axis_raw, 3, xl, xc), **kwargs), kind_raw
-    if kind_raw == "collimated":
-        dir_raw, dl2, dc2 = section.take("direction")
-        origin_raw, ol, oc = section.take("origin")
-        section.finish(_FAMILY_KEYS[kind_raw])
-        kwargs = {} if domain is None else {"domain": domain}
-        if origin_raw is not None:
-            kwargs["origin"] = _floats(origin_raw, 3, ol, oc)
-        return collimated(_floats(dir_raw, 3, dl2, dc2), **kwargs), kind_raw
-    if kind_raw == "two_skew_lines":
-        p1_raw, p1l, p1c = section.take("point1")
-        d1_raw, d1l, d1c = section.take("dir1")
-        p2_raw, p2l, p2c = section.take("point2")
-        d2_raw, d2l, d2c = section.take("dir2")
-        section.finish(_FAMILY_KEYS[kind_raw])
-        kwargs = {} if domain is None else {"domain": domain}
-        return (
-            two_skew_lines(
-                _floats(p1_raw, 3, p1l, p1c),
-                _floats(d1_raw, 3, d1l, d1c),
-                _floats(p2_raw, 3, p2l, p2c),
-                _floats(d2_raw, 3, d2l, d2c),
-                **kwargs,
-            ),
-            kind_raw,
-        )
-    surf_raw, sl, sc = section.take("surface")
-    axis_raw, xl, xc = section.take("axis")
-    outward_raw, ol, oc = section.take("outward")
-    section.finish(_FAMILY_KEYS[kind_raw])
-    if surf_raw not in surfaces:
-        raise UnknownSurfaceError(surf_raw)
-    kwargs = {}
-    if axis_raw is not None:
-        kwargs["axis"] = _floats(axis_raw, 3, xl, xc)
-    if outward_raw is not None:
-        kwargs["outward"] = _bool(outward_raw, ol, oc)
-    return normal_congruence(surfaces[surf_raw], domain, **kwargs), kind_raw
 
 
 def _build_options(section):
@@ -363,7 +338,7 @@ def parse_scene(text: str) -> Scene:
                 raise SceneSyntaxError(
                     section.line_no, 1, f"duplicate surface {section.name!r}"
                 )
-            surfaces[section.name] = _build_surface(section)
+            surfaces[section.name] = _build(section, _SURFACES, {"incoming_sign": _sign})[0]
         elif section.header == "system":
             if system_section is not None:
                 raise SceneSyntaxError(section.line_no, 1, "duplicate [system] section")
@@ -383,7 +358,9 @@ def parse_scene(text: str) -> Scene:
         system = OpticalSystem((), ambient_index=1.0)
     family = family_kind = None
     if family_section is not None:
-        family, family_kind = _build_family(family_section, surfaces)
+        family, family_kind = _build(
+            family_section, _family_kinds(surfaces), {"domain": _parse_domain}
+        )
     options = _build_options(options_section) if options_section is not None else {}
     return Scene(surfaces, system, family, family_kind, options)
 

@@ -26,8 +26,10 @@ one value per line.  `roots` returns (k,) or (N, k) candidates (k = 1 for
 Plane and Sinusoid, 2 for Sphere and Quadric).  The Sinusoid searches all the
 rays of a batch at once, a single ray being the batch of one.  A batch gives
 bit for bit the per-ray results, and a failing batch raises what its
-lowest-index failing ray raises alone.  Charts and `normal_at` work on one
-point at a time.
+lowest-index failing ray raises alone, with that ray's index as the error's
+`row`; when the root search fails, `intersect` checks the rays before it,
+which may miss, as one batch.  Charts and `normal_at` work on one point at
+a time.
 """
 
 from __future__ import annotations
@@ -357,8 +359,9 @@ class Sinusoid:
             step = (np.pi / 4.0) / np.maximum(abs(om[live]), 1e-9)
             step = np.minimum(step, max(1.0, abs(amp)))
             counts = np.ceil((stop[live] - start[live]) / step) + 1.0
-            if _any(counts > 10_000_000):
-                raise NoIntersectionError("sinusoid root search budget exceeded")
+            over = _first(counts > 10_000_000)
+            if over is not None:
+                raise NoIntersectionError("sinusoid root search budget exceeded").at(live[over])
             roots[live] = self._scan(
                 t_min[live], uz[live], qz[live], om[live], phi0[live],
                 start[live], stop[live], counts.astype(np.int64),
@@ -538,12 +541,11 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DE
     """
     try:
         ts = surface.roots(line, t_min, t_max)
-    except RaySpaceError:
-        if line.u.ndim == 1:
-            raise
-        # a ray whose root search fails may come after one that misses
-        for i, lo in enumerate(np.broadcast_to(t_min, line.u.shape[:1])):
-            intersect(_ray(line, i), surface, lo, t_max)
+    except RaySpaceError as exc:
+        if exc.row:  # the rays before it may still miss
+            before = slice(exc.row)
+            lows = np.broadcast_to(t_min, line.u.shape[:1])[before]
+            intersect(_ray(line, before), surface, lows, t_max)
         raise
     t_min = np.asarray(t_min, dtype=float)
     ts[ts <= t_min[..., None]] = np.nan  # candidates at or behind the start
@@ -568,12 +570,12 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DE
         cos = cos * sign
     i = _first(miss | degenerate | (abs(cos) < TRANSVERSE_TOL))
     if i is not None:
-        if miss[i]:
-            lo = float(np.broadcast_to(t_min, miss.shape)[i])
+        if miss.flat[i]:
+            lo = float(np.broadcast_to(t_min, miss.shape).flat[i])
             raise NoIntersectionError(
                 f"ray misses {type(surface).__name__} in ({lo:g}, {t_max:g}]"
-            )
-        if degenerate[i]:
-            raise DegenerateGradientError("level-function gradient vanishes at the point")
-        raise TangentialError("ray meets the surface nearly tangentially")
+            ).at(i)
+        if degenerate.flat[i]:
+            raise DegenerateGradientError("level-function gradient vanishes at the point").at(i)
+        raise TangentialError("ray meets the surface nearly tangentially").at(i)
     return Intersection(point=p, t=_out(t), normal=n, cos_incidence=_out(cos))

@@ -197,6 +197,7 @@ class TestLowestIndexFailure:
         with pytest.raises(TraceError) as err:
             rs.propagate_system(rs.line_through(starts, dirs), system, start=starts)
         assert (err.value.interface_index, type(err.value.cause)) == expected
+        assert err.value.row == next(i for i, name in enumerate(names) if name != "pass")
 
     def test_intersect_names_the_failing_rays_t_min(self):
         sphere = rs.Sphere([0, 0, -3.0], 1.0)
@@ -325,7 +326,7 @@ class TestErrorOrder:
             rs.one_form_integral(_small_sphere_family(), ka, kb)
         assert err.value.k == (k, k)
         assert str(err.value) == (
-            f"at k=(np.float64({k}), np.float64({k})): interface 0: "
+            f"at k=({k}, {k}): interface 0: "
             "ray misses Sphere in (0, 1e+06]"
         )
 
@@ -335,9 +336,44 @@ class TestErrorOrder:
         k = -0.29999151471862573
         assert err.value.k == (k, k)
         assert str(err.value) == (
-            f"at k=(np.float64({k}), np.float64({k})): interface 0: "
+            f"at k=({k}, {k}): interface 0: "
             "ray misses Sphere in (0, 1e+06]"
         )
+
+
+class TestLateFailingBatch:
+    """A batch whose failing items come late is not re-run item by item."""
+
+    @staticmethod
+    def counted():
+        # rays with k1 above about 0.17 miss the mirror
+        source = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.1, 0.3), (-0.1, 0.1)))
+        small = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, -3.0], 0.5), rs.REFLECT, 1.0),))
+        fam = rs.transform_family(source, small)
+        calls = []
+
+        def counting(k1, k2):
+            calls.append(np.ndim(k1))
+            return fam.eval(k1, k2)
+
+        return dataclasses.replace(fam, eval=counting), calls
+
+    def test_defect_grid(self):
+        fam, calls = self.counted()
+        with pytest.raises(FamilyTraceError) as err:
+            rs.defect_grid(fam)
+        assert err.value.k == (0.15000335410196627, -0.099995527864045)
+        # node by node re-runs made 48 calls, one of them with scalar k
+        assert len(calls) <= 3 and 0 not in calls
+
+    def test_is_regular_point(self):
+        fam, calls = self.counted()
+        k = np.column_stack([np.linspace(-0.05, 0.25, 9), np.zeros(9)])
+        with pytest.raises(FamilyTraceError) as err:
+            rs.is_regular_point(fam, k, np.ones(9))
+        assert err.value.k == (0.175, 0.0) and err.value.row == 6
+        # point by point re-runs made 32 calls, 31 of them with scalar k
+        assert len(calls) <= 3 and 0 not in calls
 
 
 def _tir_band_family():
@@ -361,7 +397,7 @@ class TestErrorOrderInsideTheBatch:
             rs.one_form_integral(_tir_band_family(), (-0.22, 0.1), (0.38, 0.1))
         assert err.value.k == (0.004999999999999977, 0.1)
         assert str(err.value) == (
-            "at k=(np.float64(0.004999999999999977), np.float64(0.1)): interface 0: "
+            "at k=(0.004999999999999977, 0.1): interface 0: "
             "total internal reflection: (n1/n2) sin(a1) = 1.00342 >= 1"
         )
 
@@ -371,7 +407,7 @@ class TestErrorOrderInsideTheBatch:
         k = (-0.028750883883476477, -0.49998585786437627)
         assert err.value.k == k
         assert str(err.value) == (
-            f"at k=(np.float64({k[0]}), np.float64({k[1]})): interface 0: "
+            f"at k={k}: interface 0: "
             "total internal reflection: (n1/n2) sin(a1) = 1.00253 >= 1"
         )
 
@@ -614,7 +650,7 @@ class TestErrorOrderOfWavefrontBatches:
         k = (-0.11957162002958593, -0.11949662002958593)
         assert err.value.k == k
         assert str(err.value) == (
-            f"at k=(np.float64({k[0]}), np.float64({k[1]})): interface 0: "
+            f"at k={k}: interface 0: "
             "ray misses Sphere in (0, 1e+06]"
         )
 

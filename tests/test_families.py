@@ -84,6 +84,19 @@ class TestDefect:
         with pytest.raises(DomainBoundaryError):
             rs.defect(fam, (0.3, 0.0))
 
+    def test_boundary_error_names_k_as_floats(self):
+        fam = rs.point_source([0, 0, 0], [0, 0, 1])
+        for k in ((0.3, 0.0), np.array([0.3, 0.0])):
+            with pytest.raises(DomainBoundaryError) as err:
+                rs.defect(fam, k)
+            assert str(err.value) == (
+                "stencil of half-width 8.48528e-06 at k=(0.3, 0.0) leaves the domain"
+            )
+
+    def test_two_skew_lines_need_nonzero_directions(self):
+        with pytest.raises(ValueError, match="dir1 and dir2 must be nonzero"):
+            rs.two_skew_lines([1, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 0])
+
     def test_refined_diagnostic(self):
         fam = skew_family()
         d1, d2 = rs.defect_refined(fam, (0, 0), h=1e-3)

@@ -1,11 +1,14 @@
 import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.cli import main
-from rayspace.errors import BadMediaChainError, SceneSyntaxError, UnknownSurfaceError
+from rayspace.errors import BadMediaChainError, RaySpaceError, SceneSyntaxError, UnknownSurfaceError
 from rayspace.scene import load_scene, parse_scene
 
 MINIMAL = """\
@@ -93,6 +96,35 @@ class TestParseScene:
         text = "[surface s]\nkind = sphere\ncenter = 0 0 0\nradius = huge\n"
         with pytest.raises(SceneSyntaxError):
             parse_scene(text)
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("[family]\nkind = point_source\napex = 0 0 inf\naxis = 0 0 -1\n", 3, 7),
+            ("[surface s]\nkind = sphere\ncenter = 0 0 0\nradius = nan\n", 4, 9),
+            ("[options]\ntol = -inf\n", 2, 6),
+        ],
+    )
+    def test_non_finite_number(self, text, line, col):
+        with pytest.raises(SceneSyntaxError, match="non-finite number") as err:
+            parse_scene(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[surface m]\nkind = plane\nnormal = 0 0 0\n", "plane normal must be nonzero"),
+            (
+                "[surface s]\nkind = sphere\ncenter = 0 0 0\nradius = 0\n",
+                "sphere radius must be positive",
+            ),
+            ("[surface m]\nkind = plane\nnormal = 1e300 0 0\n", "overflow encountered"),
+        ],
+    )
+    def test_constructor_error_at_the_section_line(self, text, message):
+        with pytest.raises(SceneSyntaxError, match=message) as err:
+            parse_scene("# a comment\n" + text)
+        assert (err.value.line, err.value.col) == (2, 1)
 
     def test_missing_required_key(self):
         with pytest.raises(SceneSyntaxError):
@@ -239,6 +271,39 @@ class TestCliCommands:
         code, _ = self.run(tmp_path, "[surface m]\nkind = plane\n", "defect")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("point_plane", "apex = 0 0 5", "apex = 0 0 inf"),
+            ("two_skew", "dir1 = 1 0 0", "dir1 = 0 0 0"),
+        ],
+    )
+    def test_malformed_scene_numbers_exit_1(self, tmp_path, capsys, name, old, new):
+        text = (SCENES / f"{name}.scene").read_text()
+        assert old in text
+        code, _ = self.run(tmp_path, text.replace(old, new), "defect")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line ")
+
+    @pytest.mark.parametrize("command", ["trace", "defect", "wavefront", "check-symplectic"])
+    def test_failing_k_printed_as_floats(self, tmp_path, capsys, command):
+        # a point source aimed past a radius-0.5 sphere mirror: wide rays miss
+        text = (
+            "[surface ball]\nkind = sphere\ncenter = 0 0 -3\nradius = 0.5\n"
+            "[system]\ninterface = ball reflect\n"
+            "[family]\nkind = point_source\napex = 0 0 0\naxis = 0 0 -1\n"
+            "domain = -0.3 0.3 -0.3 0.3\n"
+        )
+        code, _ = self.run(tmp_path, text, command)
+        assert code == 2
+        err = capsys.readouterr().err
+        number = r"-?[0-9.e-]+"
+        assert re.fullmatch(
+            rf"error: at k=\({number}, {number}\): interface 0: "
+            r"ray misses Sphere in \(0, 1e\+06\]\n",
+            err,
+        ), err
+
     def test_missing_scene_file_exits_1(self, tmp_path):
         code = main(["defect", "--scene", str(tmp_path / "nope.scene"), "--out", str(tmp_path)])
         assert code == 1
@@ -295,3 +360,49 @@ class TestCliCommands:
             )
             outputs.append(blob)
         assert outputs[0] == outputs[1]
+
+
+# tokens that random edits put into the bundled scenes: numbers of every
+# class (tiny, huge, non-finite), names, keywords and pieces of the syntax
+_TOKENS = (
+    "0", "-1", "2.5", "1e-320", "1e300", "-1e308", "nan", "inf", "-inf", "x", "true",
+    "kind", "sphere", "reflect", "refract", "lens", "mirror", "=", "#", "[family]",
+    "[system]", "[surface m]", "]", "0 0 0", "1 2", "",
+)
+_SCENE_TEXTS = tuple(path.read_text() for path in sorted(SCENES.glob("*.scene")))
+
+
+def edited_scene(data):
+    """A bundled scene after one to three random edits of its lines: a token
+    replaced or inserted, a line deleted, duplicated or cut short."""
+    lines = data.draw(st.sampled_from(_SCENE_TEXTS)).splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1))
+        words = lines[i].split(" ")
+        j = data.draw(st.integers(0, len(words) - 1))
+        edit = data.draw(st.sampled_from(("replace", "insert", "delete", "duplicate", "cut")))
+        if edit in ("replace", "insert"):
+            words[j : j + (edit == "replace")] = [data.draw(st.sampled_from(_TOKENS))]
+            lines[i] = " ".join(words)
+        elif edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(data.draw(st.integers(0, len(lines))), lines[i])
+        else:
+            lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines) + "\n"
+
+
+class TestSceneFuzz:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_edited_scenes_give_a_scene_or_a_scene_error(self, data):
+        # a ValueError or a RuntimeWarning (an error under pytest) fails the test
+        try:
+            parse_scene(edited_scene(data))
+        except SceneSyntaxError as exc:
+            assert exc.line >= 1 and exc.col >= 1
+        except RaySpaceError:
+            pass

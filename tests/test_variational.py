@@ -312,6 +312,16 @@ class TestMirrorDesign:
                 diff = np.linalg.norm(x) - np.linalg.norm(x - focus)
                 assert abs(diff - 1.5) < 1e-9
 
+
+    def test_no_root_error_names_k_as_floats(self):
+        fam = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
+        with pytest.raises(NoRootError) as err:
+            rs.design_focusing_mirror(
+                fam, k0=(0, 0), focus=[0, 0, 2.0], epsilon=1, level=0.5, grid=5, wavefront_c=-1.0
+            )
+        k = -0.09999717157287526
+        assert err.value.k == (k, k) and all(type(x) is float for x in err.value.k)
+        assert str(err.value) == f"no root along the ray at k=({k}, {k})"
     def test_virtual_focus_verifies(self):
         fam = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.002, 0.002), (-0.002, 0.002)))
         design = rs.design_focusing_mirror(
