@@ -1,7 +1,9 @@
 """Scene files: a flat, line-oriented key-value format describing surfaces,
 an optical system, a ray family, and numerical options.
 
-Grammar (strict; unknown keys and malformed or non-finite values are fatal):
+Grammar (strict; unknown keys and malformed, non-finite or huge values are
+fatal; a number is huge from magnitude 1e150 up, where its square nears the
+float range and the norm of a vector of them overflows):
 
     # comment                      blank lines and '#' comments are skipped
     [surface <name>]               one section per surface, names unique
@@ -77,6 +79,9 @@ class Scene:
     options: dict = field(default_factory=dict)
 
 
+_HUGE = 1e150
+
+
 def _floats(raw, count, line_no, col):
     parts = raw.split()
     if len(parts) != count:
@@ -87,6 +92,8 @@ def _floats(raw, count, line_no, col):
         raise SceneSyntaxError(line_no, col, f"bad number in {raw!r}") from None
     if not np.isfinite(values).all():
         raise SceneSyntaxError(line_no, col, f"non-finite number in {raw!r}")
+    if (np.abs(values) >= _HUGE).any():
+        raise SceneSyntaxError(line_no, col, f"number of magnitude 1e150 or more in {raw!r}")
     return values
 
 
@@ -97,6 +104,8 @@ def _float(raw, line_no, col):
         raise SceneSyntaxError(line_no, col, f"bad number {raw!r}") from None
     if not np.isfinite(value):
         raise SceneSyntaxError(line_no, col, f"non-finite number {raw!r}")
+    if abs(value) >= _HUGE:
+        raise SceneSyntaxError(line_no, col, f"number of magnitude 1e150 or more: {raw!r}")
     return value
 
 

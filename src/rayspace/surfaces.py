@@ -28,8 +28,12 @@ rays of a batch at once, a single ray being the batch of one.  A batch gives
 bit for bit the per-ray results, and a failing batch raises what its
 lowest-index failing ray raises alone, with that ray's index as the error's
 `row`; when the root search fails, `intersect` checks the rays before it,
-which may miss, as one batch.  Charts and `normal_at` work on one point at
-a time.
+which may miss, as one batch.  A chart's `embed` and `jacobian` take one
+coordinate pair, (2,), or a batch, (N, 2), and give (3,) or (N, 3) points
+and (3, 2) or (N, 3, 2) Jacobians, a batch bit for bit the per-point
+results; a quadric chart leaving its sheet raises for the lowest failing
+point, with its index as `row`.  `invert` and `normal_at` work on one point
+at a time.
 """
 
 from __future__ import annotations
@@ -75,10 +79,15 @@ def _freeze(obj, name, value):
 
 @dataclass(frozen=True)
 class SurfaceChart:
-    """A local smooth parametrization xi -> point of one surface."""
+    """A local smooth parametrization xi -> point of one surface.
+
+    `embed` maps coordinates xi, (2,) or (N, 2), to points, (3,) or (N, 3);
+    `jacobian` gives the analytic d point / d xi, (3, 2) or (N, 3, 2);
+    `invert` maps one point back to its (2,) coordinates.
+    """
 
     embed: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]  # 3x2, analytic
+    jacobian: Callable[[np.ndarray], np.ndarray]
     invert: Callable[[np.ndarray], np.ndarray]
 
 
@@ -90,10 +99,15 @@ class Plane:
 
     def __post_init__(self):
         n = _as_vec3(self.normal)
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
+        big = float(np.max(np.abs(n)))
+        if not np.isfinite(big):
+            raise ValueError("plane normal must be finite")
+        if big < 1e-12 and np.linalg.norm(n) < 1e-12:
             raise ValueError("plane normal must be nonzero")
-        _freeze(self, "normal", n / norm)
+        # scaled by the power of two next to max |n|: exact, so n / |n| is as
+        # it was, and |n| can no longer overflow
+        n = np.ldexp(n, -np.frexp(big)[1])
+        _freeze(self, "normal", n / np.linalg.norm(n))
         object.__setattr__(self, "offset", float(self.offset))
 
     def value(self, p):
@@ -116,8 +130,8 @@ class Plane:
         _, e1, e2 = _frame(self.normal)
         jac = np.stack([e1, e2], axis=1)
         return SurfaceChart(
-            embed=lambda xi: origin + xi[0] * e1 + xi[1] * e2,
-            jacobian=lambda xi: jac,
+            embed=lambda xi: origin + xi[..., 0, None] * e1 + xi[..., 1, None] * e2,
+            jacobian=lambda xi: np.broadcast_to(jac, xi.shape[:-1] + (3, 2)),
             invert=lambda p: np.array([(p - origin) @ e1, (p - origin) @ e2]),
         )
 
@@ -170,19 +184,19 @@ class Sphere:
             e2 = np.array([0.0, 1.0, 0.0])
 
         def embed(xi):
-            th, ph = float(xi[0]), float(xi[1])
+            th, ph = xi[..., 0, None], xi[..., 1, None]
             st = np.sin(th)
             return center + radius * (
                 st * np.cos(ph) * e1 + st * np.sin(ph) * e2 + np.cos(th) * pole
             )
 
         def jac(xi):
-            th, ph = float(xi[0]), float(xi[1])
+            th, ph = xi[..., 0, None], xi[..., 1, None]
             st, ct = np.sin(th), np.cos(th)
             sp, cp = np.sin(ph), np.cos(ph)
             d_th = ct * cp * e1 + ct * sp * e2 - st * pole
             d_ph = -st * sp * e1 + st * cp * e2
-            return radius * np.stack([d_th, d_ph], axis=1)
+            return radius * np.stack([d_th, d_ph], axis=-1)
 
         def invert(p):
             d = (p - center) / radius
@@ -250,22 +264,25 @@ class Quadric:
         a2 = mat[axis, axis]
 
         def _solve_height(xi, branch):
-            a1 = 2.0 * (mat[axis, others[0]] * xi[0] + mat[axis, others[1]] * xi[1]) + lin[axis]
+            x0, x1 = xi[..., 0], xi[..., 1]
+            a1 = 2.0 * (mat[axis, others[0]] * x0 + mat[axis, others[1]] * x1) + lin[axis]
             a0 = (
-                mat[others[0], others[0]] * xi[0] * xi[0]
-                + 2.0 * mat[others[0], others[1]] * xi[0] * xi[1]
-                + mat[others[1], others[1]] * xi[1] * xi[1]
-                + lin[others[0]] * xi[0]
-                + lin[others[1]] * xi[1]
+                mat[others[0], others[0]] * x0 * x0
+                + 2.0 * mat[others[0], others[1]] * x0 * x1
+                + mat[others[1], others[1]] * x1 * x1
+                + lin[others[0]] * x0
+                + lin[others[1]] * x1
                 + self.constant
             )
             if abs(a2) < 1e-14:
-                if abs(a1) < 1e-14:
-                    raise IllConditionedFitError("quadric chart degenerate along its axis")
+                row = _first(abs(a1) < 1e-14)
+                if row is not None:
+                    raise IllConditionedFitError("quadric chart degenerate along its axis").at(row)
                 return -a0 / a1
             disc = a1 * a1 - 4.0 * a2 * a0
-            if disc < 0.0:
-                raise NoRootError(message="quadric chart left the surface sheet")
+            row = _first(disc < 0.0)
+            if row is not None:
+                raise NoRootError(message="quadric chart left the surface sheet").at(row)
             return (-a1 + branch * np.sqrt(disc)) / (2.0 * a2)
 
         # pick the branch that reproduces the reference point
@@ -278,21 +295,19 @@ class Quadric:
             branch = 1.0 if abs(z_plus - ref[axis]) <= abs(z_minus - ref[axis]) else -1.0
 
         def embed(xi):
-            x = np.zeros(3)
-            x[others[0]], x[others[1]] = float(xi[0]), float(xi[1])
-            x[axis] = _solve_height(xi, branch)
+            x = np.empty(xi.shape[:-1] + (3,))
+            x[..., others[0]], x[..., others[1]] = xi[..., 0], xi[..., 1]
+            x[..., axis] = _solve_height(xi, branch)
             return x
 
         def jac(xi):
-            p = embed(xi)
-            g = self.gradient(p)
-            col1 = np.zeros(3)
-            col2 = np.zeros(3)
-            col1[others[0]] = 1.0
-            col2[others[1]] = 1.0
-            col1[axis] = -g[others[0]] / g[axis]
-            col2[axis] = -g[others[1]] / g[axis]
-            return np.stack([col1, col2], axis=1)
+            g = self.gradient(embed(xi))
+            out = np.zeros(g.shape + (2,))
+            out[..., others[0], 0] = 1.0
+            out[..., others[1], 1] = 1.0
+            out[..., axis, 0] = -g[..., others[0]] / g[..., axis]
+            out[..., axis, 1] = -g[..., others[1]] / g[..., axis]
+            return out
 
         def invert(p):
             return np.array([p[others[0]], p[others[1]]])
@@ -455,11 +470,17 @@ class Sinusoid:
         w = self.wavevector
 
         def embed(xi):
-            return np.array([xi[0], xi[1], amp * np.sin(w[0] * xi[0] + w[1] * xi[1])])
+            x, y = xi[..., 0], xi[..., 1]
+            return np.stack([x, y, amp * np.sin(w[0] * x + w[1] * y)], axis=-1)
 
         def jac(xi):
-            c = amp * np.cos(w[0] * xi[0] + w[1] * xi[1])
-            return np.array([[1.0, 0.0], [0.0, 1.0], [c * w[0], c * w[1]]])
+            c = amp * np.cos(w[0] * xi[..., 0] + w[1] * xi[..., 1])
+            out = np.zeros(c.shape + (3, 2))
+            out[..., 0, 0] = 1.0
+            out[..., 1, 1] = 1.0
+            out[..., 2, 0] = c * w[0]
+            out[..., 2, 1] = c * w[1]
+            return out
 
         def invert(p):
             return np.array([p[0], p[1]])

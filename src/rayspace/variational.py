@@ -34,10 +34,11 @@ from .errors import (
     NoIntersectionError,
     NoRootError,
     NotRectangularError,
+    RaySpaceError,
     TangentialError,
 )
 from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
-from .lines import OrientedLine, _as_vec3, line_through
+from .lines import OrientedLine, _as_vec3, _first, _norm, line_through
 from .optics import REFLECT, OpticalSystem, reflect_direction, refract_direction
 from .surfaces import _newton_bisect, _unit_gradient, intersect
 
@@ -60,10 +61,7 @@ class PathConfiguration:
         )
         if len(self.coords) != len(self.system.interfaces):
             raise ValueError("need exactly one chart point per interface")
-        pts = self.polyline()
-        for a, b in zip(pts[:-1], pts[1:]):
-            if np.linalg.norm(b - a) < 1e-9:
-                raise ValueError("consecutive path points coincide")
+        _polylines(self, self.flat()[None])
 
     def points(self):
         return [chart.embed(xi) for chart, xi in zip(self.charts, self.coords)]
@@ -131,45 +129,80 @@ def initial_path(m1, m2, system: OpticalSystem) -> PathConfiguration:
     return path_through(m1, m2, system, points)
 
 
-def optical_length(pc: PathConfiguration) -> float:
-    """Sum of n_i * |segment| along the broken path M1 -> surfaces -> M2."""
-    pts = pc.polyline()
-    media = pc.system.media()
+def _polylines(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
+    """The broken paths of pc's endpoints and charts at a stack of flat
+    coordinate rows xs, (N, 2m), as (N, m + 2, 3) points.
+
+    Every row is checked for consecutive points closer than 1e-9, the
+    check of every PathConfiguration.  A failing stack raises what its
+    lowest failing row raises alone, with that row as `row`.
+    """
+    paths = np.empty((len(xs), len(pc.charts) + 2, 3))
+    paths[:, 0] = pc.m1
+    paths[:, -1] = pc.m2
+    try:
+        for i, chart in enumerate(pc.charts):
+            paths[:, i + 1] = chart.embed(xs[:, 2 * i : 2 * i + 2])
+    except RaySpaceError as exc:
+        if exc.row:  # the rows before it may fail at a later chart
+            _polylines(pc, xs[: exc.row])
+        raise
+    row = _first(np.any(_norm(_segments(paths)) < 1e-9, axis=1))
+    if row is not None:
+        err = ValueError("consecutive path points coincide")
+        err.row = row
+        raise err
+    return paths
+
+
+def _segments(paths):
+    """The segment vectors, later minus earlier point, of (N, m + 2, 3) paths."""
+    return paths[:, 1:] - paths[:, :-1]
+
+
+def _lengths(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
+    """optical_length at each flat coordinate row of xs, (N,)."""
+    lengths = _norm(_segments(_polylines(pc, xs)))
     total = 0.0
-    for i in range(len(pts) - 1):
-        total += media[i] * float(np.linalg.norm(pts[i + 1] - pts[i]))
+    for i, n in enumerate(pc.system.media()):
+        total = total + n * lengths[:, i]
     return total
 
 
-def _gradient(pc: PathConfiguration) -> np.ndarray:
-    """Analytic gradient of optical_length in the stacked chart coordinates."""
-    pts = pc.polyline()
+def _gradients(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
+    """Analytic gradient of optical_length at each flat coordinate row of
+    xs, (N, 2m), checked and failing as _polylines."""
+    units = _segments(_polylines(pc, xs))
+    units /= _norm(units)[..., None]
     media = pc.system.media()
     parts = []
-    for i, (chart, xi) in enumerate(zip(pc.charts, pc.coords)):
-        before = pts[i]
-        here = pts[i + 1]
-        after = pts[i + 2]
-        u_in = here - before
-        u_in /= np.linalg.norm(u_in)
-        u_out = after - here
-        u_out /= np.linalg.norm(u_out)
-        grad_point = media[i] * u_in - media[i + 1] * u_out
-        parts.append(chart.jacobian(xi).T @ grad_point)
-    return np.concatenate(parts) if parts else np.zeros(0)
+    for i, chart in enumerate(pc.charts):
+        grad_point = media[i] * units[:, i] - media[i + 1] * units[:, i + 1]
+        # row @ J gives J.T @ row of each point bit for bit
+        parts.append((grad_point[:, None, :] @ chart.jacobian(xs[:, 2 * i : 2 * i + 2]))[:, 0])
+    return np.concatenate(parts, axis=1)
+
+
+def _stencil(dim: int, h: float) -> np.ndarray:
+    """Rows +h e_0, -h e_0, +h e_1, ...: x plus each gives x + step and
+    x - step of a central difference bit for bit."""
+    steps = np.empty((2 * dim, dim))
+    steps[0::2] = h * np.eye(dim)
+    steps[1::2] = -steps[0::2]
+    return steps
+
+
+def optical_length(pc: PathConfiguration) -> float:
+    """Sum of n_i * |segment| along the broken path M1 -> surfaces -> M2."""
+    return float(_lengths(pc, pc.flat()[None])[0])
 
 
 def stationarity_residual(pc: PathConfiguration, h: float = 1e-6) -> float:
-    """max |dV/dxi| by central differences of the optical length."""
+    """max |dV/dxi| by central differences of the optical length, all of
+    them from one batch of lengths."""
     x0 = pc.flat()
-    worst = 0.0
-    for j in range(x0.size):
-        step = np.zeros_like(x0)
-        step[j] = h
-        plus = optical_length(pc.with_coords(x0 + step))
-        minus = optical_length(pc.with_coords(x0 - step))
-        worst = max(worst, abs(plus - minus) / (2.0 * h))
-    return worst
+    lengths = _lengths(pc, x0 + _stencil(x0.size, h))
+    return float(np.max(abs(lengths[0::2] - lengths[1::2]) / (2.0 * h), initial=0.0))
 
 
 def law_residual(pc: PathConfiguration) -> float:
@@ -193,6 +226,29 @@ def law_residual(pc: PathConfiguration) -> float:
     return worst
 
 
+_FD_H = 1e-6  # central-difference step of the Newton Hessian
+
+
+def _gradient_and_hessian(pc: PathConfiguration, x: np.ndarray):
+    """The gradient at x and the symmetrized central-difference Hessian of
+    it, from one gradient batch of x and its stencil rows.
+
+    An error of x itself is raised.  If only a stencil row fails, the
+    gradient at x is taken alone, and the Hessian is the error of the first
+    failing stencil row, which a Newton step from x raises: the column by
+    column Hessian would have raised it there.
+    """
+    try:
+        gs = _gradients(pc, np.vstack([x, x + _stencil(x.size, _FD_H)]))
+    except (ValueError, RaySpaceError) as exc:
+        if not getattr(exc, "row", 0):
+            raise
+        exc.row = 0  # the error of this one solve
+        return _gradients(pc, x[None])[0], exc
+    hess = ((gs[1::2] - gs[2::2]) / (2.0 * _FD_H)).T
+    return gs[0], 0.5 * (hess + hess.T)
+
+
 def characteristic_function(
     m1,
     m2,
@@ -205,34 +261,26 @@ def characteristic_function(
     """Stationary optical length between M1 and M2 through the system.
 
     Damped Newton iteration on the analytic gradient over the stacked surface
-    coordinates until max |grad| < grad_tol; afterwards the configuration
-    must satisfy the local reflection/refraction law at every interface
-    within law_tol (stationarity and the laws are equivalent; the check closes
-    the loop).  Returns (V, stationary configuration).
+    coordinates until max |grad| < grad_tol.  Each point tried costs one
+    gradient batch that also holds the central-difference Hessian stencil
+    around it, so an accepted step carries the next Hessian.  Afterwards the
+    configuration must satisfy the local reflection/refraction law at every
+    interface within law_tol (stationarity and the laws are equivalent; the
+    check closes the loop).  Returns (V, stationary configuration).
     """
     pc = initial if initial is not None else initial_path(m1, m2, system)
     if not pc.charts:
         return optical_length(pc), pc
 
     x = pc.flat()
-    fd_h = 1e-6
-
-    def grad_at(xv):
-        return _gradient(pc.with_coords(xv))
-
-    g = grad_at(x)
+    dim = x.size
+    g, hess = _gradient_and_hessian(pc, x)
     for _ in range(max_iter):
         gnorm = float(np.max(np.abs(g)))
         if gnorm < grad_tol:
             break
-        # Hessian by central differences of the analytic gradient
-        dim = x.size
-        hess = np.empty((dim, dim))
-        for j in range(dim):
-            step = np.zeros(dim)
-            step[j] = fd_h
-            hess[:, j] = (grad_at(x + step) - grad_at(x - step)) / (2.0 * fd_h)
-        hess = 0.5 * (hess + hess.T)
+        if isinstance(hess, Exception):
+            raise hess
         lam = 0.0
         while True:
             try:
@@ -247,19 +295,19 @@ def characteristic_function(
         while alpha >= 2.0**-20:
             x_try = x + alpha * delta
             try:
-                g_try = grad_at(x_try)
+                g_try, hess_try = _gradient_and_hessian(pc, x_try)
             except (ValueError, NoRootError, IllConditionedFitError):
                 alpha *= 0.5
                 continue
             n_try = float(np.max(np.abs(g_try)))
             if best is None or n_try < best[0]:
-                best = (n_try, x_try, g_try)
+                best = (n_try, x_try, g_try, hess_try)
             if n_try < (1.0 - 1e-4 * alpha) * gnorm or n_try < grad_tol:
                 break
             alpha *= 0.5
         if best is None or best[0] >= gnorm:
             raise NoConvergenceError("line search failed to reduce the gradient")
-        _, x, g = best
+        _, x, g, hess = best
     else:
         raise NoConvergenceError(
             f"Newton did not reach |grad| < {grad_tol:g} in {max_iter} iterations"

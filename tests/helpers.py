@@ -8,8 +8,11 @@ import numpy as np
 import rayspace as rs
 from rayspace.errors import (
     GrazingError,
+    IllConditionedFitError,
     ImmersionError,
+    NoConvergenceError,
     NoIntersectionError,
+    NoRootError,
     TangentialError,
     TotalInternalReflectionError,
 )
@@ -254,6 +257,117 @@ def sinusoid_first_root(surface, u, q, t_min, t_max):
     return np.nan
 
 
+# ---------------------------------------------------------------------------
+# one path configuration at a time: the oracles of the batched Newton solve
+
+
+def path_length(pc):
+    """optical_length summed segment by segment along pc.polyline()."""
+    pts = pc.polyline()
+    media = pc.system.media()
+    total = 0.0
+    for i in range(len(pts) - 1):
+        total += media[i] * float(np.linalg.norm(pts[i + 1] - pts[i]))
+    return total
+
+
+def path_gradient(pc):
+    """Analytic gradient of the optical length in the stacked chart
+    coordinates of one configuration, interface by interface."""
+    pts = pc.polyline()
+    media = pc.system.media()
+    parts = []
+    for i, (chart, xi) in enumerate(zip(pc.charts, pc.coords)):
+        u_in = pts[i + 1] - pts[i]
+        u_in /= np.linalg.norm(u_in)
+        u_out = pts[i + 2] - pts[i + 1]
+        u_out /= np.linalg.norm(u_out)
+        grad_point = media[i] * u_in - media[i + 1] * u_out
+        parts.append(chart.jacobian(xi).T @ grad_point)
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def stationarity_residual_oracle(pc, h=1e-6):
+    """max |dV/dxi| by central differences, one configuration per side."""
+    x0 = pc.flat()
+    worst = 0.0
+    for j in range(x0.size):
+        step = np.zeros_like(x0)
+        step[j] = h
+        plus = path_length(pc.with_coords(x0 + step))
+        minus = path_length(pc.with_coords(x0 - step))
+        worst = max(worst, abs(plus - minus) / (2.0 * h))
+    return worst
+
+
+def characteristic_function_oracle(
+    m1, m2, system, initial=None, grad_tol=1e-10, law_tol=1e-8, max_iter=100
+):
+    """characteristic_function with one gradient per configuration: the
+    Hessian column by column, the line search trial by trial."""
+    pc = initial if initial is not None else rs.initial_path(m1, m2, system)
+    if not pc.charts:
+        return path_length(pc), pc
+
+    x = pc.flat()
+    fd_h = 1e-6
+
+    def grad_at(xv):
+        return path_gradient(pc.with_coords(xv))
+
+    g = grad_at(x)
+    for _ in range(max_iter):
+        gnorm = float(np.max(np.abs(g)))
+        if gnorm < grad_tol:
+            break
+        dim = x.size
+        hess = np.empty((dim, dim))
+        for j in range(dim):
+            step = np.zeros(dim)
+            step[j] = fd_h
+            hess[:, j] = (grad_at(x + step) - grad_at(x - step)) / (2.0 * fd_h)
+        hess = 0.5 * (hess + hess.T)
+        lam = 0.0
+        while True:
+            try:
+                delta = np.linalg.solve(hess + lam * np.eye(dim), -g)
+                break
+            except np.linalg.LinAlgError:
+                lam = 10.0 * lam if lam > 0.0 else 1e-8
+                if lam > 1e6:
+                    raise NoConvergenceError("singular Hessian in Newton iteration")
+        alpha = 1.0
+        best = None
+        while alpha >= 2.0**-20:
+            x_try = x + alpha * delta
+            try:
+                g_try = grad_at(x_try)
+            except (ValueError, NoRootError, IllConditionedFitError):
+                alpha *= 0.5
+                continue
+            n_try = float(np.max(np.abs(g_try)))
+            if best is None or n_try < best[0]:
+                best = (n_try, x_try, g_try)
+            if n_try < (1.0 - 1e-4 * alpha) * gnorm or n_try < grad_tol:
+                break
+            alpha *= 0.5
+        if best is None or best[0] >= gnorm:
+            raise NoConvergenceError("line search failed to reduce the gradient")
+        _, x, g = best
+    else:
+        raise NoConvergenceError(
+            f"Newton did not reach |grad| < {grad_tol:g} in {max_iter} iterations"
+        )
+
+    pc = pc.with_coords(x)
+    residual = rs.law_residual(pc)
+    if residual > law_tol:
+        raise NoConvergenceError(
+            f"stationary point violates the local laws: residual {residual:.3e}"
+        )
+    return path_length(pc), pc
+
+
 __all__ = [
     "unit",
     "random_unit",
@@ -271,6 +385,10 @@ __all__ = [
     "immersion_ok",
     "node_defect_grid",
     "sinusoid_first_root",
+    "path_length",
+    "path_gradient",
+    "stationarity_residual_oracle",
+    "characteristic_function_oracle",
     "GrazingError",
     "TotalInternalReflectionError",
 ]

@@ -1,0 +1,358 @@
+"""Batched chart points and the batched Newton solve of the characteristic
+function against one configuration at a time.
+
+A chart's `embed` and `jacobian` on (N, 2) coordinates give, row by row, bit
+for bit what the rows give alone.  `characteristic_function` takes one
+gradient batch per point it tries, the Hessian stencil around the point
+included, and must give bit for bit the V and path of the solve that takes
+one gradient per configuration (`characteristic_function_oracle`), or raise
+the same error.
+"""
+
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import rayspace as rs
+import rayspace.variational as variational
+from rayspace.cli import main
+from rayspace.errors import NoRootError, RaySpaceError
+
+from helpers import (
+    aimed_line,
+    characteristic_function_oracle,
+    nested_sphere_system,
+    path_length,
+    random_surface,
+    stationarity_residual_oracle,
+)
+
+KINDS = ("plane", "sphere", "quadric", "sinusoid")
+BOWL = rs.Quadric(np.diag([0.1, 0.15, 0.0]), [0, 0, 1], -0.5)
+SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (RaySpaceError, ValueError) as exc:
+        return exc
+
+
+def assert_same_solve(m1, m2, system, initial=None):
+    """The batched solve against the oracle: V and path bit for bit, or the
+    same error type and message.  Returns the outcome."""
+    got = outcome(lambda: rs.characteristic_function(m1, m2, system, initial=initial))
+    want = outcome(lambda: characteristic_function_oracle(m1, m2, system, initial=initial))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return got
+    v, pc = got
+    v_ref, pc_ref = want
+    assert v == v_ref
+    assert pc.flat().tobytes() == pc_ref.flat().tobytes()
+    assert rs.optical_length(pc) == path_length(pc)
+    assert rs.stationarity_residual(pc) == stationarity_residual_oracle(pc)
+    return got
+
+
+def design_library_inputs(seed=0, count=60):
+    """(m1, m2, system, initial, traced V) of the library solves of the
+    benchmark's `design` workload: a traced path through 1-3 sphere shells,
+    perturbed."""
+    rng = np.random.default_rng([seed, 3])
+    out = []
+    for i in range(count):
+        system = nested_sphere_system(rng, 1 + i % 3)
+        start = rng.uniform(-0.3, 0.3, 3)
+        trace = rs.propagate_system(rs.line_through(start, rng.normal(size=3)), system, start=start)
+        m2 = trace.hits[-1].point + trace.line_out.u
+        traced = rs.path_through(start, m2, system, [h.point for h in trace.hits])
+        initial = traced.with_coords(traced.flat() + rng.uniform(-0.01, 0.01, traced.flat().size))
+        out.append((start, m2, system, initial, trace.optical_length + system.exit_index))
+    return out
+
+
+def ball_mirror():
+    """The unit sphere as a Quadric mirror: its charts are graphs over a
+    coordinate plane, which a Newton step can leave."""
+    ball = rs.Quadric(np.eye(3), [0, 0, 0], -1.0)
+    return rs.OpticalSystem((rs.Interface(ball, rs.REFLECT, 1.0),))
+
+
+def counting_gradients(monkeypatch):
+    """Record the rows of every gradient batch, and the row a failing one
+    fails at."""
+    batches = []
+    real = variational._gradients
+
+    def counting(pc, xs):
+        try:
+            out = real(pc, xs)
+        except (RaySpaceError, ValueError) as exc:
+            batches.append((xs.copy(), getattr(exc, "row", 0)))
+            raise
+        batches.append((xs.copy(), None))
+        return out
+
+    monkeypatch.setattr(variational, "_gradients", counting)
+    return batches
+
+
+class TestBatchedCharts:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(KINDS),
+        st.integers(1, 12),
+        st.floats(0.01, 1.5),
+    )
+    def test_batch_equals_its_points(self, seed, kind, count, spread):
+        rng = np.random.default_rng(seed)
+        surface = random_surface(rng, kind)
+        _, hit, _ = aimed_line(rng, surface)
+        chart = surface.chart(reference_point=hit.point)
+        xs = chart.invert(hit.point) + rng.uniform(-spread, spread, (count, 2))
+        alone = [outcome(lambda xi=xi: chart.embed(xi)) for xi in xs]
+        failing = [i for i, p in enumerate(alone) if isinstance(p, Exception)]
+        if failing:  # a quadric chart leaving its sheet
+            with pytest.raises(RaySpaceError) as err:
+                chart.embed(xs)
+            first = alone[failing[0]]
+            assert type(err.value) is type(first) and str(err.value) == str(first)
+            assert err.value.row == failing[0]
+            return
+        points = chart.embed(xs)
+        jacobians = chart.jacobian(xs)
+        assert points.shape == (count, 3) and jacobians.shape == (count, 3, 2)
+        for i, xi in enumerate(xs):
+            assert points[i].tobytes() == alone[i].tobytes()
+            assert jacobians[i].tobytes() == chart.jacobian(xi).tobytes()
+
+    def test_quadric_batch_leaving_the_sheet_names_its_first_point(self):
+        ball = rs.Quadric(np.eye(3), [0, 0, 0], -1.0)
+        chart = ball.chart(reference_point=[0, 0, 1])
+        xs = np.array([[0.1, 0.2], [0.6, 0.6], [1.2, 0.0], [0.2, -0.3], [0.0, 2.0]])
+        for fn in (chart.embed, chart.jacobian):
+            with pytest.raises(NoRootError, match="quadric chart left the surface sheet") as err:
+                fn(xs)
+            assert err.value.row == 2
+        assert chart.embed(xs[:2]).shape == (2, 3)
+
+
+class TestBatchedNewton:
+    def test_design_library_inputs_match_the_oracle(self):
+        for m1, m2, system, initial, expected in design_library_inputs():
+            v, _ = assert_same_solve(m1, m2, system, initial)
+            assert abs(v - expected) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "m1, m2, surface, action",
+        [
+            ([0, 0, 1], [1, 0, 1], rs.Plane([0, 0, 1], 0.0), rs.REFLECT),
+            ([0, 0, 1], [1.2, 0, -1], rs.Plane([0, 0, 1], 0.0), rs.REFRACT),
+            ([0.3, -0.2, 3], [-0.4, 0.5, -2], BOWL, rs.REFRACT),
+            ([0.3, -0.2, 3], [-0.4, 0.5, 2], rs.Sinusoid(0.15, [0.9, 0.7]), rs.REFLECT),
+        ],
+        ids=["plane-mirror", "plane-refraction", "quadric", "sinusoid"],
+    )
+    def test_single_interfaces_match_the_oracle(self, m1, m2, surface, action):
+        n_out = 1.5 if action == rs.REFRACT else None
+        system = rs.OpticalSystem((rs.Interface(surface, action, 1.0, n_out),))
+        v, pc = assert_same_solve(np.array(m1, float), np.array(m2, float), system)
+        assert rs.law_residual(pc) < 1e-8
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_quadric_rim_solves_match_the_oracle(self, seed, inside):
+        # seeds on the cap of a ball chart: Newton steps and Hessian stencils
+        # may leave the sheet, or fail to converge
+        rng = np.random.default_rng(seed)
+        if inside:
+            m1, m2 = rng.uniform(-0.6, 0.6, (2, 3))
+        else:
+            m1, m2 = rng.uniform(-3, 3, (2, 3))
+            m1[2], m2[2] = abs(m1[2]) + 0.2, abs(m2[2]) + 0.2
+        r, a = rng.uniform(0.3, 0.7), rng.uniform(0, 2 * np.pi)
+        seed_point = [r * np.cos(a), r * np.sin(a), np.sqrt(1 - r * r)]
+        system = ball_mirror()
+        initial = outcome(lambda: rs.path_through(m1, m2, system, [seed_point]))
+        if not isinstance(initial, Exception):
+            assert_same_solve(m1, m2, system, initial)
+
+    def test_failing_trial_halves_alpha_for_that_trial_only(self, monkeypatch):
+        m1 = np.array([1.311805303129697, 1.8277685995083175, 1.7624938437210627])
+        m2 = np.array([-1.3964545382238158, 1.738443086961067, 1.7049761244775616])
+        seed_point = [-0.27420806177376894, 0.22571504074087798, 0.9348062148069068]
+        system = ball_mirror()
+        initial = rs.path_through(m1, m2, system, [seed_point])
+        batches = counting_gradients(monkeypatch)
+        assert_same_solve(m1, m2, system, initial)
+        failed = [i for i, (_, row) in enumerate(batches) if row is not None]
+        # the full step leaves the sheet at its first row; half of it is taken
+        assert len(failed) == 1 and batches[failed[0]][1] == 0
+        seed, full, half = (xs[0] for xs, _ in batches[failed[0] - 1 : failed[0] + 2])
+        assert np.allclose(half - seed, 0.5 * (full - seed), rtol=1e-9, atol=1e-15)
+        assert all(len(xs) == 5 for xs, _ in batches)
+
+    def test_failing_stencil_row_raises_like_the_oracle(self, monkeypatch):
+        # an accepted trial whose Hessian stencil leaves the sheet: the solve
+        # has not converged there, so the next Newton step raises
+        m1 = np.array([0.3773508398670935, -0.1925637890408316, 0.32153231580013875])
+        m2 = np.array([0.10155496582340251, 0.3212531272330834, -0.32409325404573985])
+        seed_point = [0.4888260342301876, 0.42906403333641707, 0.7595743305008887]
+        system = ball_mirror()
+        initial = rs.path_through(m1, m2, system, [seed_point])
+        batches = counting_gradients(monkeypatch)
+        err = assert_same_solve(m1, m2, system, initial)
+        assert isinstance(err, NoRootError) and err.row == 0
+        _, row = batches[-2]
+        assert row > 0  # a stencil row failed; the trial was then taken alone
+        assert len(batches[-1][0]) == 1 and batches[-1][1] is None
+
+    def test_coincident_stencil_row_raises_like_the_oracle(self):
+        # the seed lies 1e-6 + 5e-10 from m1; its -h stencil point 5e-10
+        mirror = rs.OpticalSystem((rs.Interface(rs.Plane([0, 0, 1], 0.0), rs.REFLECT, 1.0),))
+        pc = rs.path_through([0, 0, 0], [1, 0, 1], mirror, [[0.5, 0, 0]])
+        initial = pc.with_coords(np.array([1e-6 + 5e-10, 0.0]))
+        err = assert_same_solve(np.zeros(3), np.array([1.0, 0, 1]), mirror, initial)
+        assert type(err) is ValueError and str(err) == "consecutive path points coincide"
+
+    def test_batch_raises_for_its_lowest_failing_row(self):
+        # two ball mirrors, charted over their north caps; m1 on the inner one
+        inner, outer = (rs.Quadric(np.eye(3) / r**2, [0, 0, 0], -1.0) for r in (1.0, 2.0))
+        system = rs.OpticalSystem(
+            (rs.Interface(inner, rs.REFLECT, 1.0), rs.Interface(outer, rs.REFLECT, 1.0))
+        )
+        pc = rs.path_through([0, 0, 1], [0, 3, 3], system, [[0.6, 0, 0.8], [0, 0, 2]])
+        ok = [0.6, 0.0, 0.1, 0.2]
+        off_inner = [1.5, 0.0, 0.1, 0.2]  # fails at the first chart
+        off_outer = [0.6, 0.0, 2.5, 0.0]  # passes it, fails at the second
+        at_m1 = [0.0, 0.0, 0.1, 0.2]  # the inner point is m1 itself
+        for rows, error, row in (
+            ([ok, off_outer, ok, off_inner], NoRootError, 1),
+            ([ok, ok, at_m1, off_inner, off_outer], ValueError, 2),
+            ([ok, off_inner, off_outer], NoRootError, 1),
+        ):
+            xs = np.array(rows)
+            alone = [outcome(lambda x=x: variational._gradients(pc, x[None])) for x in xs]
+            assert type(alone[row]) is error and not isinstance(alone[row - 1], Exception)
+            with pytest.raises(error) as err:
+                variational._gradients(pc, xs)
+            assert str(err.value) == str(alone[row]) and err.value.row == row
+
+    def test_one_gradient_batch_per_trial_point(self, monkeypatch):
+        m1, m2, system, initial, _ = design_library_inputs(count=3)[2]
+        dim = 2 * len(system.interfaces)
+        assert dim == 6
+        oracle_calls = []
+        real = variational.PathConfiguration.with_coords
+        monkeypatch.setattr(
+            variational.PathConfiguration,
+            "with_coords",
+            lambda pc, xs: oracle_calls.append(xs.copy()) or real(pc, xs),
+        )
+        characteristic_function_oracle(m1, m2, system, initial=initial)
+        monkeypatch.undo()
+        batches = counting_gradients(monkeypatch)
+        solves = []
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or real_solve(a, b))
+        rs.characteristic_function(m1, m2, system, initial=initial)
+        # the oracle builds one configuration per gradient, 2 dim of them per
+        # Hessian (one per Newton step), and one for the final path
+        points = len(oracle_calls) - 1 - 2 * dim * len(solves)
+        assert len(batches) == points < len(oracle_calls) // 5
+        assert all(len(xs) == 1 + 2 * dim and row is None for xs, row in batches)
+
+
+class TestStationarityResidual:
+    def test_one_batch_of_lengths(self, monkeypatch):
+        m1, m2, system, initial, _ = design_library_inputs(count=3)[2]
+        calls = []
+        real = variational._lengths
+        monkeypatch.setattr(
+            variational, "_lengths", lambda pc, xs: calls.append(len(xs)) or real(pc, xs)
+        )
+        res = rs.stationarity_residual(initial)
+        assert calls == [12]
+        assert res == stationarity_residual_oracle(initial)
+
+    def test_coincident_stencil_point(self):
+        mirror = rs.OpticalSystem((rs.Interface(rs.Plane([0, 0, 1], 0.0), rs.REFLECT, 1.0),))
+        pc = rs.path_through([0, 0, 0], [1, 0, 1], mirror, [[0.5, 0, 0]])
+        pc = pc.with_coords(np.array([1e-6 + 5e-10, 0.0]))
+        for fn in (rs.stationarity_residual, stationarity_residual_oracle):
+            with pytest.raises(ValueError, match="consecutive path points coincide"):
+                fn(pc)
+
+
+CHARACTERISTIC_REPORT = """\
+command: characteristic
+scene: {scene}
+m1: 0 0 1
+m2: 1 0 1
+step: 9.9999999999999995e-07
+tolerance: 1e-10
+law_tolerance: 1e-08
+optical_length: 2.2360679774997898
+stationarity_residual: 0
+law_residual: 1.1102230246251565e-16
+hits: 1
+hit_0: 0.5 0 0
+"""
+
+LENS_AND_FLOOR = """\
+[surface lens]
+kind = sphere
+center = 0 0 0
+radius = 2
+
+[surface floor]
+kind = plane
+normal = 0 0 1
+offset = -1
+
+[system]
+ambient_index = 1
+interface = lens refract 1 1.5
+interface = floor reflect
+
+[options]
+m1 = 0.3 -0.2 5
+m2 = -0.4 0.5 0.5
+"""
+
+LENS_AND_FLOOR_REPORT = """\
+command: characteristic
+scene: {scene}
+m1: 0.29999999999999999 -0.20000000000000001 5
+m2: -0.40000000000000002 0.5 0.5
+step: 9.9999999999999995e-07
+tolerance: 1e-10
+law_tolerance: 1e-08
+optical_length: 9.8258090787795478
+stationarity_residual: 8.8817841970012523e-10
+law_residual: 1.1102230246251565e-16
+hits: 2
+hit_0: -0.08981630910344357 0.25468039084074545 1.9816838620577808
+hit_1: -0.29618287441381425 0.41789259906210274 -1
+"""
+
+
+class TestPinnedReports:
+    """`characteristic` reports as the one-gradient-per-configuration solve
+    wrote them."""
+
+    def test_bundled_scene(self, tmp_path):
+        scene = str(SCENES / "characteristic.scene")
+        assert main(["characteristic", "--scene", scene, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report.txt").read_text() == CHARACTERISTIC_REPORT.format(scene=scene)
+
+    def test_refraction_then_mirror(self, tmp_path):
+        scene = tmp_path / "lens.scene"
+        scene.write_text(LENS_AND_FLOOR)
+        out = tmp_path / "out"
+        assert main(["characteristic", "--scene", str(scene), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_text() == LENS_AND_FLOOR_REPORT.format(scene=scene)

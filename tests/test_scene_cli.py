@@ -118,13 +118,32 @@ class TestParseScene:
                 "[surface s]\nkind = sphere\ncenter = 0 0 0\nradius = 0\n",
                 "sphere radius must be positive",
             ),
-            ("[surface m]\nkind = plane\nnormal = 1e300 0 0\n", "overflow encountered"),
         ],
     )
     def test_constructor_error_at_the_section_line(self, text, message):
         with pytest.raises(SceneSyntaxError, match=message) as err:
             parse_scene("# a comment\n" + text)
         assert (err.value.line, err.value.col) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("[surface m]\nkind = plane\nnormal = 1e300 0 0\n", 3, 9),
+            ("[family]\nkind = point_source\napex = 0 0 1e300\naxis = 0 0 -1\n", 3, 7),
+            ("[surface s]\nkind = sphere\ncenter = 0 0 0\nradius = -1e150\n", 4, 9),
+            ("[options]\nlevel = 1e200\n", 2, 8),
+        ],
+    )
+    def test_huge_number(self, text, line, col):
+        # from 1e150 up a squared norm overflows: the parser stops it at the
+        # value, before a builder or a trace meets it
+        with pytest.raises(SceneSyntaxError, match="magnitude 1e150 or more") as err:
+            parse_scene(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_large_numbers_below_1e150_parse(self):
+        scene = parse_scene("[surface m]\nkind = plane\nnormal = 9.9e149 0 0\noffset = -9.9e149\n")
+        assert scene.surfaces["m"].normal.tolist() == [1.0, 0.0, 0.0]
 
     def test_missing_required_key(self):
         with pytest.raises(SceneSyntaxError):
@@ -275,6 +294,7 @@ class TestCliCommands:
         "name, old, new",
         [
             ("point_plane", "apex = 0 0 5", "apex = 0 0 inf"),
+            ("point_plane", "apex = 0 0 5", "apex = 0 0 1e300"),
             ("two_skew", "dir1 = 1 0 0", "dir1 = 0 0 0"),
         ],
     )

@@ -73,6 +73,18 @@ class TestNormals:
         plane = rs.Plane([0, 0, 1], 0.0)
         assert np.allclose(rs.normal_at(plane, [3, 1, 0]), [0, 0, 1])
 
+    def test_plane_normal_of_huge_vectors(self, rng):
+        # |n| of these overflows; n / |n| of the others stays bit for bit
+        # what it was
+        assert rs.Plane([1e300, 0, 0]).normal.tolist() == [1.0, 0.0, 0.0]
+        assert rs.Plane([-1.7e308, 0, 1.7e308]).normal.tolist() == [-(0.5**0.5), 0.0, 0.5**0.5]
+        for _ in range(200):
+            n = rng.normal(size=3) * 10.0 ** rng.uniform(-6, 100)
+            assert rs.Plane(n).normal.tobytes() == (n / np.linalg.norm(n)).tobytes()
+        for bad in ([1e-13, 0, 0], [np.inf, 0, 1], [np.nan, 0, 1]):
+            with pytest.raises(ValueError, match="plane normal must be"):
+                rs.Plane(bad)
+
     def test_sphere_normal_outward(self):
         sphere = rs.Sphere([0, 0, 0], 2.0)
         assert np.allclose(rs.normal_at(sphere, [0, 0, 2]), [0, 0, 1])
