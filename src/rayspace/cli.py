@@ -30,6 +30,7 @@ from .families import (
 from .lines import _norm, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import load_scene
+from .surfaces import _ROOT_TOL
 from .variational import (
     characteristic_function,
     design_focusing_mirror,
@@ -269,7 +270,7 @@ def cmd_mirror(scene, args, out_dir):
             ("grid", grid),
             ("step", _fmt(step_used)),
             ("tolerance", _fmt(tol)),
-            ("root_tolerance", _fmt(1e-12)),
+            ("root_tolerance", _fmt(_ROOT_TOL)),
             ("focus", _vec_str(focus)),
             ("epsilon", epsilon),
             ("level", _fmt(level)),

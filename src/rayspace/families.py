@@ -113,9 +113,6 @@ class RayFamily:
     anchor: Callable[[float, float], np.ndarray] | None = None
     vectorized: bool = False
 
-    def line(self, k1: float, k2: float) -> OrientedLine:
-        return self.eval(k1, k2)
-
     def start_point(self, k1: float, k2: float) -> np.ndarray:
         if self.anchor is None:
             return self.eval(k1, k2).q

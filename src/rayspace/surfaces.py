@@ -18,7 +18,10 @@ kind implements the same protocol:
 
 Ray intersection is closed-form for Plane/Sphere/Quadric and uses dense
 bracketing plus a bisection-safeguarded Newton refinement for Sinusoid
-(tolerance 1e-12 in the ray parameter).
+(tolerance 1e-12 in the ray parameter).  That refinement, `_newton_bisect`,
+is the package's one Newton–bisection: it refines the brackets of many rows
+at once, dropping each row as it converges, for the sinusoid's root search
+and for the level equation of `variational.design_focusing_mirror`.
 
 Shapes: `value`, `gradient`, `roots` and `intersect` take one point or line,
 (3,), or a batch, (N, 3) points or an OrientedLine batch; `t_min` may then be
@@ -394,6 +397,13 @@ class Sinusoid:
         samples little of its window.
         """
         amp = self.amplitude
+
+        def g(t, rays):  # the level function along the rays `rays`
+            return qz[rays] + t * uz[rays] - amp * np.sin(phi0[rays] + om[rays] * t)
+
+        def dg(t, rays):
+            return uz[rays] - amp * om[rays] * np.cos(phi0[rays] + om[rays] * t)
+
         spacing = (stop - start) / counts
         roots = np.full(len(counts), np.nan)
         todo = np.arange(len(counts))  # rays still searching
@@ -412,7 +422,7 @@ class Sinusoid:
             ts = index * spacing[r] + start[r]
             tail = end == count  # the block ends the ray's window
             ts[last[tail]] = stop[todo[tail]]
-            gs = qz[r] + ts * uz[r] - amp * np.sin(phi0[r] + om[r] * ts)
+            gs = g(ts, r)
             zero = gs == 0.0
             sign = np.sign(gs)
             bracket = zero.copy()
@@ -427,7 +437,10 @@ class Sinusoid:
             if _any(newton):
                 j = i[newton]
                 k = todo[newton]
-                root[newton] = self._newton(ts[j], ts[j + 1], gs[j], uz[k], qz[k], om[k], phi0[k])
+                root[newton] = _newton_bisect(
+                    lambda t, rows: g(t, k[rows]), lambda t, rows: dg(t, k[rows]),
+                    ts[j], ts[j + 1], gs[j],
+                )
             ahead = root > t_min[todo]
             roots[todo[ahead]] = root[ahead]
             # past a bracket at or below t_min, or on from the block's end
@@ -435,35 +448,6 @@ class Sinusoid:
             going = ~ahead & np.where(found, at <= count, ~tail)
             todo, at = todo[going], at[going]
         return roots
-
-    def _newton(self, lo, hi, glo, uz, qz, om, phi0, tol=_ROOT_TOL):
-        """_newton_bisect on g(t) = qz + t uz - amp sin(phi0 + om t) in each
-        sign-changing bracket [lo, hi] (glo = g(lo) != 0), all rays at once."""
-        amp = self.amplitude
-        out = np.empty(len(lo))
-        rows = np.arange(len(lo))
-        t = 0.5 * (lo + hi)
-        for _ in range(200):
-            gt = qz + t * uz - amp * np.sin(phi0 + om * t)
-            same = (gt > 0.0) == (glo > 0.0)
-            lo = np.where(same, t, lo)
-            glo = np.where(same, gt, glo)
-            hi = np.where(same, hi, t)
-            d = uz - amp * om * np.cos(phi0 + om * t)
-            mid = 0.5 * (lo + hi)
-            t_new = np.where(d != 0.0, t - gt / np.where(d != 0.0, d, 1.0), mid)
-            t_new = np.where((lo < t_new) & (t_new < hi), t_new, mid)
-            zero = gt == 0.0
-            done = zero | (abs(t_new - t) <= tol)
-            out[rows[done]] = np.where(zero, t, t_new)[done]
-            going = ~done
-            rows, t = rows[going], t_new[going]
-            lo, hi, glo = lo[going], hi[going], glo[going]
-            uz, qz, om, phi0 = uz[going], qz[going], om[going], phi0[going]
-            if not len(rows):
-                return out
-        out[rows] = t
-        return out
 
     def chart(self, reference_point=None) -> SurfaceChart:
         amp = self.amplitude
@@ -527,29 +511,37 @@ def normal_at(surface, point) -> np.ndarray:
     return float(surface.incoming_sign) * _unit_gradient(surface, p)
 
 
-def _newton_bisect(g, dg, lo, hi, glo, ghi, tol=_ROOT_TOL):
-    """Root of g inside a sign-changing bracket; Newton with bisection fallback."""
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
+def _newton_bisect(g, dg, lo, hi, glo):
+    """Roots of g in the sign-changing brackets [lo, hi] of many rows at
+    once, glo = g(lo) != 0: Newton steps, bisecting where a step would leave
+    the bracket, until a step moves by at most _ROOT_TOL.
+
+    g(t, rows) and dg(t, rows) give g and its derivative at t for the rows
+    `rows` of the problem; only the rows still iterating are evaluated.
+    """
+    out = np.empty(len(lo))
+    rows = np.arange(len(lo))
     t = 0.5 * (lo + hi)
     for _ in range(200):
-        gt = g(t)
-        if gt == 0.0:
-            return t
-        if (gt > 0.0) == (glo > 0.0):
-            lo, glo = t, gt
-        else:
-            hi, ghi = t, gt
-        d = dg(t)
-        t_new = t - gt / d if d != 0.0 else 0.5 * (lo + hi)
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= tol:
-            return t_new
-        t = t_new
-    return t
+        gt = g(t, rows)
+        same = (gt > 0.0) == (glo > 0.0)
+        lo = np.where(same, t, lo)
+        glo = np.where(same, gt, glo)
+        hi = np.where(same, hi, t)
+        d = dg(t, rows)
+        mid = 0.5 * (lo + hi)
+        t_new = np.where(d != 0.0, t - gt / np.where(d != 0.0, d, 1.0), mid)
+        t_new = np.where((lo < t_new) & (t_new < hi), t_new, mid)
+        zero = gt == 0.0
+        done = zero | (abs(t_new - t) <= _ROOT_TOL)
+        out[rows[done]] = np.where(zero, t, t_new)[done]
+        going = ~done
+        rows, t = rows[going], t_new[going]
+        lo, hi, glo = lo[going], hi[going], glo[going]
+        if not len(rows):
+            return out
+    out[rows] = t
+    return out
 
 
 def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DEFAULT_T_MAX) -> Intersection:

@@ -17,9 +17,11 @@ the level set
 
     (signed distance from the wavefront along the ray) + eps * |X M2| = C
 
-solved ray by ray; eps = +1 focuses the rays through M2 in front of the
-mirror (real focus), eps = -1 makes the reflected rays diverge from M2
-(virtual focus, required when M2 sits beyond the mirror point on the ray).
+solved on the rays of all grid nodes at once, by the masked Newton–bisection
+that also finds the sinusoid's roots; eps = +1 focuses the rays through M2
+in front of the mirror (real focus), eps = -1 makes the reflected rays
+diverge from M2 (virtual focus, required when M2 sits beyond the mirror
+point on the ray).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     TangentialError,
 )
 from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
-from .lines import OrientedLine, _as_vec3, _first, _norm, line_through
+from .lines import _as_vec3, _first, _norm, line_through
 from .optics import REFLECT, OpticalSystem, reflect_direction, refract_direction
 from .surfaces import _newton_bisect, _unit_gradient, intersect
 
@@ -352,17 +354,17 @@ def design_focusing_mirror(
     wavefront_c: float = 0.0,
     h: float | None = None,
     rect_tol: float | None = None,
-    root_tol: float = 1e-12,
 ) -> MirrorDesign:
     """Mirror surface F_eps(X) = level carved out of the rays of a family.
 
     F_eps(X) = (signed distance from the reference wavefront along the ray
     through X) + eps * |X - focus|.  The family must be rectangular; the
-    reference wavefront is reconstructed with constant `wavefront_c`.  For
-    each grid node the level equation is solved along the ray (monotone in
-    the ray parameter for either eps; tolerance root_tol).  NoRootError marks
-    rays whose level set is empty, which is exactly what happens with
-    eps = +1 when the focus lies beyond the sought mirror point on its ray.
+    reference wavefront is reconstructed with constant `wavefront_c`.  The
+    level equation is solved along the ray of every grid node at once (it is
+    monotone in the ray parameter for either eps), to 1e-12 in the ray
+    parameter.  NoRootError marks the first node in (i, j) order whose level
+    set is empty, which is exactly what happens with eps = +1 when the focus
+    lies beyond the sought mirror point on its ray.
     """
     focus = _as_vec3(focus)
     eps = float(epsilon)
@@ -376,58 +378,59 @@ def design_focusing_mirror(
 
     n1, n2 = len(wf.k1), len(wf.k2)
     _, us, qs = _grid_lines(family, wf.k1, wf.k2)
-    points = np.empty((n1, n2, 3))
-    for i in range(n1):
-        for j in range(n2):
-            k = (wf.k1[i], wf.k2[j])
-            line = OrientedLine._exact(us[i, j], qs[i, j])
-            t_front = -(wf.values[i, j] + wavefront_c)
+    u, q = us.reshape(-1, 3), qs.reshape(-1, 3)
+    t_front = -(wf.values + wavefront_c).reshape(-1)
 
-            def g(t):
-                x = line.point_at(t)
-                return (t - t_front) + eps * float(np.linalg.norm(x - focus)) - level
+    def g(t, rows):
+        dist = _norm(q[rows] + t[:, None] * u[rows] - focus)
+        return (t - t_front[rows]) + eps * dist - level
 
-            def dg(t):
-                x = line.point_at(t)
-                r = x - focus
-                dist = float(np.linalg.norm(r))
-                if dist == 0.0:
-                    return 1.0
-                return 1.0 + eps * float(line.u @ r) / dist
+    def dg(t, rows):
+        r = q[rows] + t[:, None] * u[rows] - focus
+        dist = _norm(r)
+        at_focus = dist == 0.0
+        return np.where(
+            at_focus, 1.0, 1.0 + eps * np.vecdot(u[rows], r) / np.where(at_focus, 1.0, dist)
+        )
 
-            # g is nondecreasing with g(-inf) finite for eps=+1 and g(+inf)
-            # finite for eps=-1; both finite limits equal this expression
-            finite_limit = -t_front + float(line.u @ (focus - line.q)) - level
-            if eps > 0.0:
-                if finite_limit >= 0.0:  # g >= g(-inf) >= 0 everywhere
-                    raise NoRootError(k)
-            else:
-                if finite_limit <= 0.0:  # g <= g(+inf) <= 0 everywhere
-                    raise NoRootError(k)
+    # g is nondecreasing with g(-inf) finite for eps=+1 and g(+inf) finite
+    # for eps=-1; both finite limits equal this expression, and a limit on
+    # the wrong side of 0 leaves g without a root
+    finite_limit = -t_front + np.vecdot(u, focus - q) - level
+    failed = finite_limit >= 0.0 if eps > 0.0 else finite_limit <= 0.0
 
-            lo = hi = t_front
-            glo = ghi = g(t_front)
-            span = 1.0
-            while glo > 0.0:
-                lo -= span
-                glo = g(lo)
-                span *= 2.0
-                if span > 1e9:
-                    raise NoRootError(k)
-            span = 1.0
-            while ghi < 0.0:
-                hi += span
-                ghi = g(hi)
-                span *= 2.0
-                if span > 1e9:
-                    raise NoRootError(k)
-            root = _newton_bisect(g, dg, lo, hi, glo, ghi, tol=root_tol)
-            points[i, j] = line.point_at(root)
+    def grow(t, gt, sign):
+        """Move the bracket ends t, where g is gt, by doubling spans toward
+        sign until sign * g >= 0; a row that needs a span past 1e9 fails."""
+        rows = np.flatnonzero(~failed & (sign * gt < 0.0))
+        span = 1.0
+        while len(rows):
+            t[rows] += sign * span
+            gt[rows] = g(t[rows], rows)
+            span *= 2.0
+            if span > 1e9:
+                failed[rows] = True
+                return
+            rows = rows[sign * gt[rows] < 0.0]
 
+    lo, hi = t_front.copy(), t_front.copy()
+    glo = g(t_front, np.arange(len(t_front)))
+    ghi = glo.copy()
+    grow(lo, glo, -1.0)
+    grow(hi, ghi, 1.0)
+    node = _first(failed)
+    if node is not None:
+        raise NoRootError((wf.k1[node // n2], wf.k2[node % n2]))
+
+    root = np.where(glo == 0.0, lo, hi)  # a bracket end where g is 0
+    rows = np.flatnonzero((glo != 0.0) & (ghi != 0.0))
+    root[rows] = _newton_bisect(
+        lambda t, r: g(t, rows[r]), lambda t, r: dg(t, rows[r]), lo[rows], hi[rows], glo[rows]
+    )
     return MirrorDesign(
         k1=wf.k1,
         k2=wf.k2,
-        points=points,
+        points=(q + root[:, None] * u).reshape(n1, n2, 3),
         focus=focus,
         epsilon=int(epsilon),
         level=float(level),

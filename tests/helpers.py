@@ -13,11 +13,13 @@ from rayspace.errors import (
     NoConvergenceError,
     NoIntersectionError,
     NoRootError,
+    NotRectangularError,
     TangentialError,
     TotalInternalReflectionError,
 )
-from rayspace.families import _grid_axes
-from rayspace.surfaces import _FLAT_SCAN_SPAN, _newton_bisect
+from rayspace.families import _grid_axes, _grid_lines
+from rayspace.lines import _as_vec3
+from rayspace.surfaces import _FLAT_SCAN_SPAN, _ROOT_TOL
 
 
 def unit(v):
@@ -204,6 +206,32 @@ def node_defect_grid(family, grid=9, h=None, check_immersion=True):
     return values
 
 
+def newton_bisect(g, dg, lo, hi, glo, ghi):
+    """Root of g inside one sign-changing bracket; Newton with bisection
+    fallback, to _ROOT_TOL: the scalar form of surfaces._newton_bisect."""
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    t = 0.5 * (lo + hi)
+    for _ in range(200):
+        gt = g(t)
+        if gt == 0.0:
+            return t
+        if (gt > 0.0) == (glo > 0.0):
+            lo, glo = t, gt
+        else:
+            hi, ghi = t, gt
+        d = dg(t)
+        t_new = t - gt / d if d != 0.0 else 0.5 * (lo + hi)
+        if not (lo < t_new < hi):
+            t_new = 0.5 * (lo + hi)
+        if abs(t_new - t) <= _ROOT_TOL:
+            return t_new
+        t = t_new
+    return t
+
+
 def sinusoid_first_root(surface, u, q, t_min, t_max):
     """The first root beyond t_min of one ray against a Sinusoid, or NaN:
     dense bracketing plus Newton along the ray q + t u, one ray at a time."""
@@ -251,7 +279,7 @@ def sinusoid_first_root(surface, u, q, t_min, t_max):
             root = t_at
         else:
             i = tag
-            root = _newton_bisect(g, dg, ts[i], ts[i + 1], gs[i], gs[i + 1])
+            root = newton_bisect(g, dg, ts[i], ts[i + 1], gs[i], gs[i + 1])
         if root > t_min:
             return root
     return np.nan
@@ -392,3 +420,81 @@ __all__ = [
     "GrazingError",
     "TotalInternalReflectionError",
 ]
+
+
+# ---------------------------------------------------------------------------
+# one grid node at a time: the oracle of the batched mirror design
+
+
+def design_focusing_mirror_oracle(
+    family, k0, focus, epsilon, level, grid=9, wavefront_c=0.0, h=None, rect_tol=None
+):
+    """design_focusing_mirror solving its level equation node by node: two
+    closures per node, a bracket grown by doubling, newton_bisect."""
+    focus = _as_vec3(focus)
+    eps = float(epsilon)
+    if eps not in (-1.0, 1.0):
+        raise ValueError("epsilon must be +1 or -1")
+
+    ok, _ = rs.is_rectangular(family, grid=grid, tol=rect_tol, h=h)
+    if not ok:
+        raise NotRectangularError("mirror design requires a rectangular family")
+    wf = rs.reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
+
+    n1, n2 = len(wf.k1), len(wf.k2)
+    _, us, qs = _grid_lines(family, wf.k1, wf.k2)
+    points = np.empty((n1, n2, 3))
+    for i in range(n1):
+        for j in range(n2):
+            k = (wf.k1[i], wf.k2[j])
+            line = rs.OrientedLine._exact(us[i, j], qs[i, j])
+            t_front = -(wf.values[i, j] + wavefront_c)
+
+            def g(t):
+                x = line.point_at(t)
+                return (t - t_front) + eps * float(np.linalg.norm(x - focus)) - level
+
+            def dg(t):
+                x = line.point_at(t)
+                r = x - focus
+                dist = float(np.linalg.norm(r))
+                if dist == 0.0:
+                    return 1.0
+                return 1.0 + eps * float(line.u @ r) / dist
+
+            finite_limit = -t_front + float(line.u @ (focus - line.q)) - level
+            if eps > 0.0:
+                if finite_limit >= 0.0:
+                    raise NoRootError(k)
+            else:
+                if finite_limit <= 0.0:
+                    raise NoRootError(k)
+
+            lo = hi = t_front
+            glo = ghi = g(t_front)
+            span = 1.0
+            while glo > 0.0:
+                lo -= span
+                glo = g(lo)
+                span *= 2.0
+                if span > 1e9:
+                    raise NoRootError(k)
+            span = 1.0
+            while ghi < 0.0:
+                hi += span
+                ghi = g(hi)
+                span *= 2.0
+                if span > 1e9:
+                    raise NoRootError(k)
+            root = newton_bisect(g, dg, lo, hi, glo, ghi)
+            points[i, j] = line.point_at(root)
+
+    return rs.MirrorDesign(
+        k1=wf.k1,
+        k2=wf.k2,
+        points=points,
+        focus=focus,
+        epsilon=int(epsilon),
+        level=float(level),
+        wavefront_c=float(wavefront_c),
+    )

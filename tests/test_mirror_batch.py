@@ -1,0 +1,189 @@
+"""The mirror design solves the level equation of all its grid nodes at once,
+with the masked Newton–bisection of the sinusoid's root search.
+
+`design_focusing_mirror` must give bit for bit the mirror points of the
+design that solves node by node (`design_focusing_mirror_oracle`), or raise
+the same error, with the same `k`, as the first failing node in (i, j) order.
+The `mirror` command writes the bytes the node-by-node design wrote.
+"""
+
+import pathlib
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import rayspace as rs
+from rayspace.cli import main
+from rayspace.errors import RaySpaceError
+from rayspace.families import _grid_lines
+from rayspace.lines import _frame
+from rayspace.scene import load_scene
+from rayspace.surfaces import _newton_bisect
+
+from helpers import design_focusing_mirror_oracle, newton_bisect
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXPECTED = pathlib.Path(__file__).resolve().parent / "data" / "mirror_design"
+
+NARROW = ((-0.002, 0.002), (-0.002, 0.002))
+WIDE = ((-0.2, 0.2), (-0.2, 0.2))
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (RaySpaceError, ValueError) as exc:
+        return exc
+
+
+def assert_same_design(family, **kw):
+    """The batched design against the oracle: points equal under ==, or the
+    same error type, message and k.  Returns the outcome."""
+    got = outcome(lambda: rs.design_focusing_mirror(family, **kw))
+    want = outcome(lambda: design_focusing_mirror_oracle(family, **kw))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert getattr(got, "k", None) == getattr(want, "k", None)
+        return got
+    assert np.array_equal(got.k1, want.k1) and np.array_equal(got.k2, want.k2)
+    assert (got.points == want.points).all()
+    return got
+
+
+class TestAgainstOracle:
+    def test_bundled_scene(self):
+        scene = load_scene(ROOT / "scenes" / "mirror_design.scene")
+        family = rs.transform_family(scene.family, scene.system)
+        opts = scene.options
+        design = assert_same_design(
+            family,
+            k0=opts["k0"],
+            focus=opts["focus"],
+            epsilon=opts["epsilon"],
+            level=opts["level"],
+            grid=opts["grid"],
+            wavefront_c=opts["wavefront_c"],
+        )
+        assert design.points.shape == (13, 13, 3)
+
+    @pytest.mark.parametrize(
+        "family, kw",
+        [
+            (rs.point_source([0, 0, 0], [0, 0, 1], domain=WIDE),
+             dict(focus=[0.3, 0.2, 1.2], epsilon=1, level=3.2, grid=9, wavefront_c=-1.0)),
+            (rs.point_source([0, 0, 0], [0, 0, 1], domain=NARROW),
+             dict(focus=[0.3, 0.2, 1.2], epsilon=1, level=3.2, grid=13, wavefront_c=-1.0)),
+            (rs.collimated([0, 0, 1], domain=WIDE),
+             dict(focus=[0.1, -0.2, 1.5], epsilon=1, level=2.5, grid=9)),
+            (rs.collimated([0, 0, 1], domain=NARROW),
+             dict(focus=[0.1, -0.2, 1.5], epsilon=1, level=2.5, grid=13)),
+            (rs.point_source([0, 0, 0], [0, 0, 1], domain=NARROW),
+             dict(focus=[0, 0, 2.0], epsilon=1, level=0.5, grid=5, wavefront_c=-1.0)),
+            (rs.point_source([0, 0, 0], [0, 0, 1], domain=NARROW),
+             dict(focus=[0, 0, 2.0], epsilon=-1, level=0.5, grid=13, wavefront_c=-1.0)),
+        ],
+    )
+    def test_criterion_6_designs(self, family, kw):
+        assert_same_design(family, k0=(0, 0), **kw)
+
+    @given(
+        collimated=st.booleans(),
+        half_width=st.floats(0.001, 0.2),
+        focus=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+        epsilon=st.sampled_from([-1, 1]),
+        level=st.floats(-3.0, 5.0),
+        wavefront_c=st.floats(-2.0, 2.0),
+        grid=st.integers(3, 11),
+    )
+    def test_random_designs(self, collimated, half_width, focus, epsilon, level, wavefront_c, grid):
+        domain = ((-half_width, half_width), (-half_width, half_width))
+        if collimated:
+            family = rs.collimated([0, 0, 1], domain=domain)
+        else:
+            family = rs.point_source([0, 0, 0], [0, 0, 1], domain=domain)
+        assert_same_design(
+            family, k0=(0, 0), focus=focus, epsilon=epsilon, level=level,
+            grid=grid, wavefront_c=wavefront_c,
+        )
+
+
+class TestMaskedBracket:
+    BEAM = rs.collimated([0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
+
+    @pytest.mark.parametrize(
+        "focus, level, root",
+        [
+            ([3, 0, 4], 5.0, 0.0),  # g(t_front) = 0: no bracket to grow
+            ([3, 0, 3], 4.0, -1.0),  # g = 0 where the lower end stops
+            ([3, 0, -3], 6.0, 1.0),  # g = 0 where the upper end stops
+        ],
+    )
+    def test_bracket_end_where_g_is_zero(self, focus, level, root):
+        # the central ray is the z axis and t_front = 0 there; |(3, 0, 4)| = 5
+        # makes g exactly 0 at the ray parameter `root`, which is taken as is
+        design = assert_same_design(self.BEAM, k0=(0, 0), focus=focus, epsilon=1, level=level, grid=3)
+        assert (design.points[1, 1] == [0.0, 0.0, root]).all()
+
+    def test_first_failing_node_is_named(self):
+        # two nodes without a root: node (2, 1) passes the finite-limit check
+        # by 1e-5 and fails only once its bracket grows past 1e9, node (2, 2)
+        # fails the finite-limit check; the earlier node is named
+        src = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
+        wf = rs.reconstruct_wavefront(src, (0, 0), c=-1.0, grid=3)
+        _, us, qs = _grid_lines(src, wf.k1, wf.k2)
+        a, e1, e2 = _frame([0, 0, 1])
+        focus = 300.0 * e1 + 100.0 * e2 + 0.5 * a
+        limit = (wf.values - 1.0) + np.vecdot(us, focus - qs)
+        level = float(limit[2, 1]) + 1e-5
+        failing = limit - level >= 0.0
+        assert not failing[:2].any() and not failing[2, :2].any() and failing[2, 2]
+        err = assert_same_design(
+            src, k0=(0, 0), focus=focus, epsilon=1, level=level, grid=3, wavefront_c=-1.0
+        )
+        assert isinstance(err, rs.NoRootError)
+        assert err.k == (float(wf.k1[2]), float(wf.k2[1]))
+
+
+class TestNewtonBisect:
+    def test_rows_converge_at_different_iterations(self):
+        # a*t + b*t^3 - c on [lo, hi]: the linear row converges after one
+        # Newton step, the cubic rows later; the last starts where dg = 0
+        a = np.array([1.0, 0.0, 1.0, 0.0])
+        b = np.array([0.0, 1.0, 1.0, 1.0])
+        c = np.array([0.3, 2.0, 0.7, 0.125])
+        lo = np.array([-1.0, 0.0, 0.0, -1.0])
+        hi = np.array([1.0, 2.0, 3.0, 1.0])
+        sizes = []
+
+        def g(t, rows):
+            sizes.append(len(rows))
+            return a[rows] * t + b[rows] * t**3 - c[rows]
+
+        def dg(t, rows):
+            return a[rows] + 3.0 * b[rows] * t**2
+
+        roots = _newton_bisect(g, dg, lo, hi, g(lo, np.arange(4)))
+        sizes = sizes[1:]
+        assert sizes[0] == 4 and sizes[-1] == 1
+        assert all(x >= y for x, y in zip(sizes, sizes[1:]))
+        for i in range(4):
+
+            def g1(t, i=i):
+                return a[i] * t + b[i] * t**3 - c[i]
+
+            def dg1(t, i=i):
+                return a[i] + 3.0 * b[i] * t**2
+
+            assert roots[i] == newton_bisect(g1, dg1, lo[i], hi[i], g1(lo[i]), g1(hi[i]))
+        assert roots[3] == 0.5
+
+
+class TestPinnedOutput:
+    def test_mirror_command(self, tmp_path, monkeypatch):
+        """`mirror` on the bundled scene writes the node-by-node design's bytes."""
+        monkeypatch.chdir(ROOT)
+        assert main(["mirror", "--scene", "scenes/mirror_design.scene", "--out", str(tmp_path)]) == 0
+        for name in ("report.txt", "mirror.csv"):
+            assert (tmp_path / name).read_bytes() == (EXPECTED / name).read_bytes()
