@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import families, surfaces, variational
 from .errors import FamilyTraceError, RaySpaceError, TraceError
 from .families import (
     _fmt,
@@ -30,7 +31,6 @@ from .families import (
 from .lines import _norm, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import load_scene
-from .surfaces import _ROOT_TOL
 from .variational import (
     characteristic_function,
     design_focusing_mirror,
@@ -235,7 +235,7 @@ def cmd_wavefront(scene, args, out_dir):
             ("grid", grid),
             ("step", _fmt(step_used)),
             ("tolerance", _fmt(path_tol)),
-            ("integral_tolerance", _fmt(1e-9)),
+            ("integral_tolerance", _fmt(families._INTEGRAL_TOL)),
             ("wavefront_c", _fmt(c)),
             ("k0_requested", _vec_str(k0)),
             ("k0_used", f"{_fmt(wf.k1[i0])} {_fmt(wf.k2[j0])}"),
@@ -270,7 +270,7 @@ def cmd_mirror(scene, args, out_dir):
             ("grid", grid),
             ("step", _fmt(step_used)),
             ("tolerance", _fmt(tol)),
-            ("root_tolerance", _fmt(_ROOT_TOL)),
+            ("root_tolerance", _fmt(surfaces._ROOT_TOL)),
             ("focus", _vec_str(focus)),
             ("epsilon", epsilon),
             ("level", _fmt(level)),
@@ -296,9 +296,9 @@ def cmd_characteristic(scene, args, out_dir):
         ("scene", args.scene),
         ("m1", _vec_str(m1)),
         ("m2", _vec_str(m2)),
-        ("step", _fmt(1e-6)),
-        ("tolerance", _fmt(1e-10)),
-        ("law_tolerance", _fmt(1e-8)),
+        ("step", _fmt(variational._FD_H)),
+        ("tolerance", _fmt(variational._GRAD_TOL)),
+        ("law_tolerance", _fmt(variational._LAW_TOL)),
         ("optical_length", _fmt(value)),
         ("stationarity_residual", _fmt(station)),
         ("law_residual", _fmt(law)),

@@ -75,6 +75,7 @@ from .surfaces import Plane, Sinusoid, Sphere
 # level (max_points / 2 = 2048 new midpoints) still fits in one call, and a
 # wavefront's batches keep their memory bounded.
 _CHUNK = 2048
+_INTEGRAL_TOL = 1e-9  # one-form refinements stop once successive sums agree within it
 
 
 def _fmt(x: float) -> str:
@@ -359,8 +360,8 @@ def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
     if check_immersion:
         bad = _first(~_immersed(us[:, 4], us[:, :4], qs[:, :4], h))
         if bad is not None:
-            k1, k2 = ks[bad]
-            raise ImmersionError(f"family is not an immersion at k=({k1:g}, {k2:g})").at(bad)
+            k = tuple(map(float, ks[bad]))
+            raise ImmersionError(f"family is not an immersion at k={k}").at(bad)
     du1 = (us[:, 0] - us[:, 1]) / (2.0 * h)
     dq1 = (qs[:, 0] - qs[:, 1]) / (2.0 * h)
     du2 = (us[:, 2] - us[:, 3]) / (2.0 * h)
@@ -506,8 +507,8 @@ def _regular(family: RayFamily, ks, t, h: float, u0, q0, strict: bool = False):
     regular = _spreads(u0, q0 + t[:, None] * u0, us.reshape(shape), qs.reshape(shape), h)
     bad = _first(~regular)
     if strict and bad is not None:
-        k1, k2 = ks[bad]
-        raise NonRegularError(f"wavefront point at k=({k1:g}, {k2:g}) is not regular").at(bad)
+        k = tuple(map(float, ks[bad]))
+        raise NonRegularError(f"wavefront point at k={k} is not regular").at(bad)
     return regular
 
 
@@ -528,7 +529,7 @@ def _spreads(u0, anchor, us, qs, h: float):
 # wavefront reconstruction
 
 
-def one_form_integral(family: RayFamily, ka, kb, tol: float = 1e-9, max_points: int = 4096):
+def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max_points: int = 4096):
     """Integral of u . dP along the straight parameter segment ka -> kb.
 
     Trapezoid sums on the polyline of exactly evaluated lines, doubling the
@@ -666,7 +667,7 @@ def reconstruct_wavefront(
     grid=9,
     h: float | None = None,
     path_tol: float = 1e-7,
-    integral_tol: float = 1e-9,
+    integral_tol: float = _INTEGRAL_TOL,
     check_regular: bool = True,
 ) -> Wavefront:
     """Integrate u . dP from k0 and drop the points P - (F + c) u.

@@ -21,7 +21,8 @@ solved on the rays of all grid nodes at once, by the masked Newton–bisection
 that also finds the sinusoid's roots; eps = +1 focuses the rays through M2
 in front of the mirror (real focus), eps = -1 makes the reflected rays
 diverge from M2 (virtual focus, required when M2 sits beyond the mirror
-point on the ray).
+point on the ray).  verify_focus checks a design with one batch of lines and
+one stacked SVD of the quadric fits around all interior nodes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconst
 from .lines import _as_vec3, _first, _norm, line_through
 from .optics import REFLECT, OpticalSystem, reflect_direction, refract_direction
 from .surfaces import _newton_bisect, _unit_gradient, intersect
+
+_FD_H = 1e-6  # central-difference step of the Newton Hessian and of stationarity_residual
+_GRAD_TOL = 1e-10  # max |grad| at which the Newton iteration of V stops
+_LAW_TOL = 1e-8  # largest local-law residual accepted at a stationary path
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,7 @@ def optical_length(pc: PathConfiguration) -> float:
     return float(_lengths(pc, pc.flat()[None])[0])
 
 
-def stationarity_residual(pc: PathConfiguration, h: float = 1e-6) -> float:
+def stationarity_residual(pc: PathConfiguration, h: float = _FD_H) -> float:
     """max |dV/dxi| by central differences of the optical length, all of
     them from one batch of lengths."""
     x0 = pc.flat()
@@ -228,9 +233,6 @@ def law_residual(pc: PathConfiguration) -> float:
     return worst
 
 
-_FD_H = 1e-6  # central-difference step of the Newton Hessian
-
-
 def _gradient_and_hessian(pc: PathConfiguration, x: np.ndarray):
     """The gradient at x and the symmetrized central-difference Hessian of
     it, from one gradient batch of x and its stencil rows.
@@ -256,8 +258,8 @@ def characteristic_function(
     m2,
     system: OpticalSystem,
     initial: PathConfiguration | None = None,
-    grad_tol: float = 1e-10,
-    law_tol: float = 1e-8,
+    grad_tol: float = _GRAD_TOL,
+    law_tol: float = _LAW_TOL,
     max_iter: int = 100,
 ):
     """Stationary optical length between M1 and M2 through the system.
@@ -353,7 +355,6 @@ def design_focusing_mirror(
     grid=9,
     wavefront_c: float = 0.0,
     h: float | None = None,
-    rect_tol: float | None = None,
 ) -> MirrorDesign:
     """Mirror surface F_eps(X) = level carved out of the rays of a family.
 
@@ -371,7 +372,7 @@ def design_focusing_mirror(
     if eps not in (-1.0, 1.0):
         raise ValueError("epsilon must be +1 or -1")
 
-    ok, _ = is_rectangular(family, grid=grid, tol=rect_tol, h=h)
+    ok, _ = is_rectangular(family, grid=grid, h=h)
     if not ok:
         raise NotRectangularError("mirror design requires a rectangular family")
     wf = reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
@@ -442,59 +443,56 @@ def verify_focus(design: MirrorDesign, family: RayFamily, tol: float = 1e-6):
     """Reflect every interior ray off the designed mirror and measure the
     worst distance from the focus to the reflected line.
 
-    Mirror normals come from local quadratic fits through the 3x3 point
-    stencil around each interior node.  Returns (worst < tol, worst).
+    Mirror normals come from quadratic fits through the 3x3 point stencils
+    of all interior nodes, one stacked SVD with lstsq's rank rule.  The
+    lines of the interior nodes are evaluated first, in one batch; after
+    that, the first interior node in (i, j) order whose fit or reflection
+    fails raises, with its index among the interior nodes as `row`.
+    Returns (worst < tol, worst).
     """
-    n1, n2 = design.points.shape[:2]
+    p = design.points
+    n1, n2 = p.shape[:2]
     if n1 < 3 or n2 < 3:
         raise ValueError("verify_focus needs at least a 3x3 design grid")
-    worst = 0.0
-    for i in range(1, n1 - 1):
-        for j in range(1, n2 - 1):
-            x0 = design.points[i, j]
-            t1 = design.points[i + 1, j] - design.points[i - 1, j]
-            t2 = design.points[i, j + 1] - design.points[i, j - 1]
-            w = np.cross(t1, t2)
-            wn = float(np.linalg.norm(w))
-            if wn < 1e-14:
-                raise IllConditionedFitError("degenerate stencil around a mirror node")
-            w /= wn
-            line = family.eval(design.k1[i], design.k2[j])
-            if float(w @ line.u) > 0.0:
-                w = -w
-            e1 = t1 - (t1 @ w) * w
-            e1 /= np.linalg.norm(e1)
-            e2 = np.cross(w, e1)
+    k1, k2 = design.k1[1:-1], design.k2[1:-1]
+    u = _grid_lines(family, k1, k2)[1].reshape(-1, 3)
+    # the stencils (N, 9, 3) of the interior nodes, in (di, dj) order
+    stencils = np.stack(
+        [p[1 + a : n1 - 1 + a, 1 + b : n2 - 1 + b] for a in (-1, 0, 1) for b in (-1, 0, 1)], axis=2
+    ).reshape(-1, 9, 3)
+    x0, t1 = stencils[:, 4], stencils[:, 7] - stencils[:, 1]
+    w = np.cross(t1, stencils[:, 5] - stencils[:, 3])
+    degenerate = _norm(w) < 1e-14
+    w /= np.where(degenerate, 1.0, _norm(w))[:, None]  # a failing node divides by 1, not 0
+    w[np.vecdot(w, u) > 0.0] *= -1.0
+    e1 = t1 - np.vecdot(t1, w)[:, None] * w
+    e1 /= np.where(degenerate, 1.0, _norm(e1))[:, None]
+    e2 = np.cross(w, e1)
 
-            stencil = [
-                design.points[i + di, j + dj] - x0
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-            ]
-            xi = np.array([[d @ e1, d @ e2] for d in stencil])
-            zeta = np.array([d @ w for d in stencil])
-            scale = float(np.max(np.abs(xi)))
-            if scale <= 0.0:
-                raise IllConditionedFitError("collapsed stencil around a mirror node")
-            xs = xi / scale
-            cols = np.stack(
-                [
-                    np.ones(len(xs)),
-                    xs[:, 0],
-                    xs[:, 1],
-                    xs[:, 0] ** 2,
-                    xs[:, 0] * xs[:, 1],
-                    xs[:, 1] ** 2,
-                ],
-                axis=1,
-            )
-            coeff, _, rank, _ = np.linalg.lstsq(cols, zeta, rcond=None)
-            if rank < 6:
-                raise IllConditionedFitError("rank-deficient quadratic fit")
-            normal = w - (coeff[1] / scale) * e1 - (coeff[2] / scale) * e2
-            normal /= np.linalg.norm(normal)
-            u_refl = reflect_direction(line.u, normal)
-            rel = design.focus - x0
-            miss = float(np.linalg.norm(rel - (rel @ u_refl) * u_refl))
-            worst = max(worst, miss)
+    d = stencils - x0[:, None]
+    xi = np.stack([np.vecdot(d, e1[:, None]), np.vecdot(d, e2[:, None])], axis=-1)
+    scale = np.max(np.abs(xi), axis=(1, 2))
+    collapsed = scale <= 0.0
+    scale[collapsed] = 1.0
+    x, y = np.moveaxis(xi / scale[:, None, None], -1, 0)
+    cols = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
+    left, s, vt = np.linalg.svd(cols, full_matrices=False)
+    # lstsq's rank rule (rcond=None): rank 6 needs s_min > eps * max(9, 6) * s_max
+    deficient = ~(s[:, -1] > np.finfo(float).eps * 9 * s[:, 0])
+    s[deficient] = 1.0
+    # coefficients 1 and 2 (the slopes) of the solution V diag(1/s) U^T zeta
+    proj = (np.vecdot(d, w[:, None])[:, None] @ left)[:, 0] / s
+    slope = (proj[:, None] @ vt[:, :, 1:3])[:, 0] / scale[:, None]
+
+    node = _first(degenerate | collapsed | deficient)
+    fit = slice(node)  # the nodes before the first failing one
+    normal = w[fit] - slope[fit, :1] * e1[fit] - slope[fit, 1:] * e2[fit]
+    u_refl = reflect_direction(u[fit], normal / _norm(normal)[:, None])
+    if node is not None:
+        bad = "degenerate" if degenerate[node] else "collapsed" if collapsed[node] else ""
+        message = f"{bad} stencil around a mirror node" if bad else "rank-deficient quadratic fit"
+        k = (float(k1[node // len(k2)]), float(k2[node % len(k2)]))
+        raise IllConditionedFitError(f"{message} at k={k}").at(node)
+    rel = design.focus - x0
+    worst = float(np.max(_norm(rel - np.vecdot(rel, u_refl)[:, None] * u_refl)))
     return worst < tol, worst

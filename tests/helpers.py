@@ -14,6 +14,7 @@ from rayspace.errors import (
     NoIntersectionError,
     NoRootError,
     NotRectangularError,
+    RaySpaceError,
     TangentialError,
     TotalInternalReflectionError,
 )
@@ -201,7 +202,8 @@ def node_defect_grid(family, grid=9, h=None, check_immersion=True):
             if check_immersion:
                 center = family.eval(k1, k2)
                 if not immersion_ok(center, neigh, h):
-                    raise ImmersionError(f"family is not an immersion at k=({k1:g}, {k2:g})")
+                    k = (float(k1), float(k2))
+                    raise ImmersionError(f"family is not an immersion at k={k}")
             values[i, j] = stencil_defect(neigh, h)
     return values
 
@@ -423,11 +425,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# one grid node at a time: the oracle of the batched mirror design
+# one grid node at a time: the oracles of the batched mirror design and check
 
 
 def design_focusing_mirror_oracle(
-    family, k0, focus, epsilon, level, grid=9, wavefront_c=0.0, h=None, rect_tol=None
+    family, k0, focus, epsilon, level, grid=9, wavefront_c=0.0, h=None
 ):
     """design_focusing_mirror solving its level equation node by node: two
     closures per node, a bracket grown by doubling, newton_bisect."""
@@ -436,7 +438,7 @@ def design_focusing_mirror_oracle(
     if eps not in (-1.0, 1.0):
         raise ValueError("epsilon must be +1 or -1")
 
-    ok, _ = rs.is_rectangular(family, grid=grid, tol=rect_tol, h=h)
+    ok, _ = rs.is_rectangular(family, grid=grid, h=h)
     if not ok:
         raise NotRectangularError("mirror design requires a rectangular family")
     wf = rs.reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
@@ -498,3 +500,60 @@ def design_focusing_mirror_oracle(
         level=float(level),
         wavefront_c=float(wavefront_c),
     )
+
+
+def verify_focus_oracle(design, family, tol=1e-6):
+    """verify_focus node by node in (i, j) order: one family line, one frame
+    and one lstsq fit per interior node.  An error names its node as `row`,
+    the node's index among the interior nodes."""
+    n1, n2 = design.points.shape[:2]
+    if n1 < 3 or n2 < 3:
+        raise ValueError("verify_focus needs at least a 3x3 design grid")
+    worst = 0.0
+    for i in range(1, n1 - 1):
+        for j in range(1, n2 - 1):
+            k = f" at k={(float(design.k1[i]), float(design.k2[j]))}"
+            try:
+                worst = max(worst, _node_miss(design, family, i, j, k))
+            except RaySpaceError as exc:
+                raise exc.at((i - 1) * (n2 - 2) + j - 1)
+    return worst < tol, worst
+
+
+def _node_miss(design, family, i, j, k):
+    """The distance from the focus to the ray of node (i, j) reflected off
+    the quadric fitted through its 3x3 stencil; k ends each fit error."""
+    x0 = design.points[i, j]
+    t1 = design.points[i + 1, j] - design.points[i - 1, j]
+    t2 = design.points[i, j + 1] - design.points[i, j - 1]
+    w = np.cross(t1, t2)
+    wn = float(np.linalg.norm(w))
+    if wn < 1e-14:
+        raise IllConditionedFitError("degenerate stencil around a mirror node" + k)
+    w /= wn
+    line = family.eval(design.k1[i], design.k2[j])
+    if float(w @ line.u) > 0.0:
+        w = -w
+    e1 = t1 - (t1 @ w) * w
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(w, e1)
+
+    stencil = [design.points[i + di, j + dj] - x0 for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    xi = np.array([[d @ e1, d @ e2] for d in stencil])
+    zeta = np.array([d @ w for d in stencil])
+    scale = float(np.max(np.abs(xi)))
+    if scale <= 0.0:
+        raise IllConditionedFitError("collapsed stencil around a mirror node" + k)
+    xs = xi / scale
+    cols = np.stack(
+        [np.ones(len(xs)), xs[:, 0], xs[:, 1], xs[:, 0] ** 2, xs[:, 0] * xs[:, 1], xs[:, 1] ** 2],
+        axis=1,
+    )
+    coeff, _, rank, _ = np.linalg.lstsq(cols, zeta, rcond=None)
+    if rank < 6:
+        raise IllConditionedFitError("rank-deficient quadratic fit" + k)
+    normal = w - (coeff[1] / scale) * e1 - (coeff[2] / scale) * e2
+    normal /= np.linalg.norm(normal)
+    u_refl = rs.reflect_direction(line.u, normal)
+    rel = design.focus - x0
+    return float(np.linalg.norm(rel - (rel @ u_refl) * u_refl))

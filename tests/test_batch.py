@@ -634,7 +634,8 @@ class TestErrorOrderOfWavefrontBatches:
         fam = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
         with pytest.raises(NonRegularError) as err:
             rs.reconstruct_wavefront(fam, k0=(0, 0), c=5.0)
-        assert str(err.value) == "wavefront point at k=(-0.199994, -0.199994) is not regular"
+        k = -0.1999943431457505
+        assert str(err.value) == f"wavefront point at k=({k}, {k}) is not regular"
 
     def test_orthogonality_probe_leaves_the_sphere(self):
         # the corner node's rays graze a small sphere mirror; its -k1 probe
@@ -748,7 +749,8 @@ class TestDefectGridBatch:
         fam = _flat_for_negative_k1(_sphere_edge_family())
         err = check_defect_grid(fam, 5)
         assert isinstance(err, ImmersionError)
-        assert str(err) == "family is not an immersion at k=(-0.299992, -0.299992)"
+        k = -0.29999151471862573
+        assert str(err) == f"family is not an immersion at k=({k}, {k})"
         assert isinstance(outcome(lambda: rs.defect_grid(fam, 5, check_immersion=False)), FamilyTraceError)
 
     def test_chart_coordinates_of_a_batch(self, rng):

@@ -4,9 +4,13 @@ with the masked Newton–bisection of the sinusoid's root search.
 `design_focusing_mirror` must give bit for bit the mirror points of the
 design that solves node by node (`design_focusing_mirror_oracle`), or raise
 the same error, with the same `k`, as the first failing node in (i, j) order.
-The `mirror` command writes the bytes the node-by-node design wrote.
+`verify_focus` fits the quadrics of all interior nodes in one stacked SVD and
+must agree with the node-by-node lstsq fits (`verify_focus_oracle`) on every
+design checked here.  The `mirror` command writes the bytes the node-by-node
+design wrote.
 """
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -16,13 +20,13 @@ from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.cli import main
-from rayspace.errors import RaySpaceError
+from rayspace.errors import IllConditionedFitError, NoIntersectionError, RaySpaceError
 from rayspace.families import _grid_lines
-from rayspace.lines import _frame
+from rayspace.lines import _first, _frame, _norm
 from rayspace.scene import load_scene
 from rayspace.surfaces import _newton_bisect
 
-from helpers import design_focusing_mirror_oracle, newton_bisect
+from helpers import design_focusing_mirror_oracle, newton_bisect, verify_focus_oracle
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXPECTED = pathlib.Path(__file__).resolve().parent / "data" / "mirror_design"
@@ -40,7 +44,8 @@ def outcome(fn):
 
 def assert_same_design(family, **kw):
     """The batched design against the oracle: points equal under ==, or the
-    same error type, message and k.  Returns the outcome."""
+    same error type, message and k; and verify_focus of the design against
+    its oracle.  Returns the outcome."""
     got = outcome(lambda: rs.design_focusing_mirror(family, **kw))
     want = outcome(lambda: design_focusing_mirror_oracle(family, **kw))
     if isinstance(want, Exception):
@@ -49,6 +54,34 @@ def assert_same_design(family, **kw):
         return got
     assert np.array_equal(got.k1, want.k1) and np.array_equal(got.k2, want.k2)
     assert (got.points == want.points).all()
+    assert_same_focus(got, family)
+    return got
+
+
+def assert_same_focus(design, family):
+    """The stacked fit against the node-by-node lstsq fits: the same verdict
+    and worst within 1e-9 relative, or the same error type, message and row.
+    Returns the outcome.
+
+    The two fits round differently, and a miss is only as precise as the
+    slopes of its fit: their round-off grows with the stencils' extent over
+    their shortest central difference, and the distance to the focus carries
+    it into the miss.  A difference within 16 eps times both (16 bounds the
+    condition of a 9x6 fit on a 3x3 stencil) also passes; a worst near
+    round-off, or on a stretched design, has no relative digits to compare.
+    """
+    got = outcome(lambda: rs.verify_focus(design, family))
+    want = outcome(lambda: verify_focus_oracle(design, family))
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert getattr(got, "row", None) == getattr(want, "row", None)
+        return got
+    assert got[0] == want[0]
+    p = design.points
+    spans = np.append(_norm(p[2:, 1:-1] - p[:-2, 1:-1]), _norm(p[1:-1, 2:] - p[1:-1, :-2]))
+    stretch = _norm(np.ptp(p.reshape(-1, 3), axis=0)) / spans.min()
+    roundoff = 16.0 * np.finfo(float).eps * np.max(_norm(p - design.focus)) * stretch
+    assert abs(got[1] - want[1]) <= max(1e-9 * want[1], roundoff)
     return got
 
 
@@ -144,6 +177,72 @@ class TestMaskedBracket:
         )
         assert isinstance(err, rs.NoRootError)
         assert err.k == (float(wf.k1[2]), float(wf.k2[1]))
+
+
+class TestStackedFit:
+    K = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
+    BEAM = rs.collimated([0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
+
+    def plane_design(self):
+        """A flat 5x5 mirror grid under the beam, focus above it."""
+        points = np.zeros((5, 5, 3))
+        points[..., 0], points[..., 1] = np.meshgrid(self.K, self.K, indexing="ij")
+        points[..., 2] = -1.0
+        return rs.MirrorDesign(
+            k1=self.K, k2=self.K, points=points, focus=np.array([0.0, 0.0, 1.0]),
+            epsilon=1, level=1.0, wavefront_c=0.0,
+        )
+
+    def rank_deficient_at_node_3(self, design):
+        """Move the four corners of the stencil of interior node 3, (2, 1),
+        onto the axes through it: the x*y column of its fit vanishes."""
+        corners = {(1, 0): (-1, 0), (1, 2): (0, 1), (3, 0): (0, -1), (3, 2): (1, 0)}
+        for (a, b), offset in corners.items():
+            design.points[a, b] = design.points[2, 1] + 0.025 * np.array([*offset, 0.0])
+
+    def test_rank_deficient_fit_before_a_degenerate_stencil(self):
+        design = self.plane_design()
+        # interior node 5, (2, 3): t1 = 0, a degenerate stencil
+        design.points[3, 3] = design.points[1, 3]
+        err = assert_same_focus(design, self.BEAM)
+        assert isinstance(err, IllConditionedFitError) and err.row == 5
+        assert str(err) == "degenerate stencil around a mirror node at k=(0.0, 0.05)"
+        self.rank_deficient_at_node_3(design)
+        err = assert_same_focus(design, self.BEAM)
+        assert isinstance(err, IllConditionedFitError) and err.row == 3
+        assert str(err) == "rank-deficient quadratic fit at k=(0.0, -0.05)"
+        # one corner 1e-13 off its axis: a poorly conditioned fit, but of rank 6
+        design.points[1, 0, 1] += 1e-13
+        err = assert_same_focus(design, self.BEAM)
+        assert isinstance(err, IllConditionedFitError) and err.row == 5
+
+    def test_lines_in_one_eval_call(self):
+        design = rs.design_focusing_mirror(
+            self.BEAM, k0=(0, 0), focus=[0.1, -0.2, 1.5], epsilon=1, level=2.5
+        )
+        sizes = []
+
+        def counted(k1, k2):
+            sizes.append(np.size(k1))
+            return self.BEAM.eval(k1, k2)
+
+        rs.verify_focus(design, dataclasses.replace(self.BEAM, eval=counted))
+        assert sizes == [49]  # the 7x7 interior nodes of the 9x9 grid
+
+    def test_family_error_comes_before_fit_errors(self):
+        # the lines are evaluated first: a line failing at interior node 6
+        # is raised before the rank-deficient fit of node 3
+        def eval_up_to(k1, k2):
+            row = _first(np.asarray(k1) > 0.01)
+            if row is not None:
+                raise NoIntersectionError("ray lost").at(row)
+            return self.BEAM.eval(k1, k2)
+
+        design = self.plane_design()
+        self.rank_deficient_at_node_3(design)
+        family = dataclasses.replace(self.BEAM, eval=eval_up_to)
+        err = outcome(lambda: rs.verify_focus(design, family))
+        assert isinstance(err, NoIntersectionError) and err.row == 6
 
 
 class TestNewtonBisect:

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rayspace.errors import (
     NoRootError,
     NotRectangularError,
 )
+from rayspace.scene import load_scene
 
 from helpers import (
     ellipsoid_oracle_point,
@@ -15,6 +18,8 @@ from helpers import (
     paraboloid_oracle_point,
     unit,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def plane_mirror_system():
@@ -229,6 +234,26 @@ class TestStationarityAndLaws:
         assert rs.law_residual(pc) < 1e-8
         v_trace = trace.optical_length + sys.exit_index * 1.0
         assert abs(v - v_trace) < 1e-9
+
+
+class TestPathLengths:
+    def test_wavefront_is_a_level_set_of_v(self):
+        """The one-form, the traced optical length and V agree: every node W
+        of a reconstructed output wavefront lies at one optical length from
+        the apex along its ray, and V(apex, W) is that length."""
+        scene = load_scene(ROOT / "scenes" / "sphere_refract.scene")
+        source, system = scene.family, scene.system
+        wf = rs.reconstruct_wavefront(rs.transform_family(source, system), (0, 0), c=0.5, grid=5)
+        k1, k2 = (k.reshape(-1) for k in np.meshgrid(wf.k1, wf.k2, indexing="ij"))
+        trace = rs.propagate_system(source.eval(k1, k2), system, start=source.start_point(k1, k2))
+        w = wf.points.reshape(-1, 3)
+        beyond = np.vecdot(w - trace.hits[-1].point, trace.line_out.u)  # along the exit ray
+        lengths = trace.optical_length + system.exit_index * beyond
+        assert np.ptp(lengths) < 1e-7
+        apex = source.start_point(0.0, 0.0)
+        for point, length in zip(w, lengths):
+            value, _ = rs.characteristic_function(apex, point, system)
+            assert abs(value - length) < 1e-7
 
 
 class TestMirrorDesign:
