@@ -35,7 +35,6 @@ from .errors import (
 from .lines import (
     NORTH,
     SOUTH,
-    ChartPoint,
     LineVariation,
     OrientedLine,
     chart_coords,
@@ -43,14 +42,12 @@ from .lines import (
     chart_jacobian,
     chart_symplectic_matrix,
     curve_variation,
-    from_chart,
     line_from_coords,
     line_through,
     reverse,
     symplectic_pairing,
     symplectic_residual,
     tangent_variation,
-    to_chart,
 )
 from .surfaces import (
     SURFACE_KINDS,

@@ -187,7 +187,7 @@ def cmd_check_symplectic(scene, args, out_dir):
             single = OpticalSystem((itf,), ambient_index=itf.n_in)
 
             def mapper(l):
-                on_l = l.q + ((start - l.q) @ l.u) * l.u
+                on_l = l.q + np.vecdot(start - l.q, l.u)[..., None] * l.u
                 return propagate_system(l, single, start=on_l).line_out
 
             try:

@@ -65,6 +65,7 @@ from .lines import (
     _first,
     _frame,
     _norm,
+    _stencil,
     chart_for,
     line_through,
 )
@@ -325,17 +326,6 @@ def _require_inside(family: RayFamily, k, h: float) -> None:
         ).at(bad)
 
 
-def _stencil(ks, h: float) -> np.ndarray:
-    """The four neighbours (N, 4, 2) of each row of ks (N, 2), in the order
-    +k1, -k1, +k2, -k2."""
-    out = np.repeat(ks[:, None], 4, axis=1)
-    out[:, 0, 0] += h
-    out[:, 1, 0] -= h
-    out[:, 2, 1] += h
-    out[:, 3, 1] -= h
-    return out
-
-
 def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
     """The defect (N,) at the rows of ks (N, 2), without the domain check.
 
@@ -345,7 +335,7 @@ def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
     node loop raised: a node's four stencil lines, its centre line, then its
     immersion test.  The error's row is the node.
     """
-    rows = _stencil(ks, h)
+    rows = ks[:, None] + _stencil(2, h)  # +k1, -k1, +k2, -k2
     if check_immersion:
         rows = np.concatenate([rows, ks[:, None]], axis=1)
     try:
@@ -494,7 +484,7 @@ def _regular(family: RayFamily, ks, t, h: float, u0, q0, strict: bool = False):
     try:
         _require_inside(family, ks, h)
         try:
-            us, qs = _eval_rows(family, _stencil(ks, h).reshape(-1, 2))
+            us, qs = _eval_rows(family, (ks[:, None] + _stencil(2, h)).reshape(-1, 2))
         except RaySpaceError as exc:
             exc.row //= 4  # the point
             raise
@@ -514,7 +504,7 @@ def _regular(family: RayFamily, ks, t, h: float, u0, q0, strict: bool = False):
 
 def _spreads(u0, anchor, us, qs, h: float):
     """The |det| > 1e-8 test of is_regular_point: centre directions u0 and
-    anchors (..., 3), the four stencil lines of _stencil (..., 4, 3)."""
+    anchors (..., 3), the stencil lines (..., 4, 3) at +k1, -k1, +k2, -k2."""
     _, w1, w2 = _frame(u0)
     rel = anchor[..., None, :] - qs
     d = qs + np.vecdot(rel, us)[..., None] * us - anchor[..., None, :]
@@ -749,10 +739,8 @@ def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | N
     """
     if h is None:
         h = family.default_step()
-    # probes k + sgn * step, per node in the order +k1, -k1, +k2, -k2
-    offsets = np.array([sgn * step for step in np.diag([h, h]) for sgn in (+1.0, -1.0)])
     nodes = _nodes(wavefront.k1, wavefront.k2).reshape(-1, 2)
-    ends = (nodes[:, None] + offsets).reshape(-1, 2)
+    ends = (nodes[:, None] + _stencil(2, h)).reshape(-1, 2)  # +k1, -k1, +k2, -k2
     u0, f_side, side_u, side_q = _probes(family, nodes, ends)
     f_side += wavefront.values.reshape(-1, 1)
     q_side = side_q - (f_side + wavefront.c)[..., None] * side_u

@@ -25,10 +25,11 @@ other smoothly chosen point on the line.
 Shapes: `OrientedLine` and `line_through` take either single 3-vectors,
 shape (3,), or batches of N lines as (N, 3) arrays (a (3,) point or direction
 broadcasts against an (N, 3) one).  A batch gives, row by row, bit for bit
-the lines that the rows give one at a time.  `chart_for` and the private
-stereographic helpers also take (N, 3) directions, with one chart per row.
-Everything else here (chart points, variations, Jacobians) works on one line
-at a time.
+the lines that the rows give one at a time.  `chart_for`, `chart_coords` and
+`line_from_coords` take batches too, with one chart for all lines or one per
+line, and `chart_jacobian` maps its stencil lines as one batch.  Only the
+variation objects (`LineVariation` and the functions taking one) are scalar:
+they describe one tangent vector at one line.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ChartDomainError, ZeroDirectionError
+from .errors import ChartDomainError, RaySpaceError, ZeroDirectionError
 
 NORTH = "north"
 SOUTH = "south"
@@ -236,18 +237,6 @@ def symplectic_pairing(line: OrientedLine, v1: LineVariation, v2: LineVariation)
 # stereographic charts
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """Coordinates (a, b) of a line in one stereographic chart."""
-
-    chart_id: str
-    a: np.ndarray
-    b: np.ndarray
-
-    def coords(self) -> np.ndarray:
-        return np.concatenate([self.a, self.b])
-
-
 def chart_for(u):
     """The chart whose projection pole is farthest from u; for an (N, 3)
     batch, an array of one chart per direction."""
@@ -320,34 +309,28 @@ def _chart_ab(chart_id, u, q):
     return a, (jac.swapaxes(-1, -2) @ q[..., None])[..., 0]
 
 
-def to_chart(line: OrientedLine, chart_id: str | None = None) -> ChartPoint:
-    """Chart coordinates of a line; raises ChartDomainError near the pole."""
+def chart_coords(line: OrientedLine, chart_id=None):
+    """Chart coordinates (a1, a2, b1, b2) of a line, shape (4,), or of a
+    batch, shape (N, 4), together with the chart used: by default the best
+    chart of each line (an array of charts for a batch).  Raises
+    ChartDomainError for the first line too close to its chart's pole."""
     if chart_id is None:
         chart_id = chart_for(line.u)
     a, b = _chart_ab(chart_id, line.u, line.q)
-    return ChartPoint(chart_id, a, b)
+    return np.concatenate([a, b], axis=-1), chart_id
 
 
-def from_chart(c: ChartPoint) -> OrientedLine:
-    """Inverse of to_chart.  Exact up to round-off on the chart domain."""
-    u, jac = _unproject(c.chart_id, np.asarray(c.a, dtype=float))
-    gram = jac.T @ jac
-    coeff = np.linalg.solve(gram, np.asarray(c.b, dtype=float))
-    q = jac @ coeff
-    q -= (q @ u) * u
-    u = u / np.linalg.norm(u)
-    return OrientedLine(u, q)
-
-
-def chart_coords(line: OrientedLine, chart_id: str | None = None):
-    """(a1, a2, b1, b2) as a flat array, together with the chart used."""
-    c = to_chart(line, chart_id)
-    return c.coords(), c.chart_id
-
-
-def line_from_coords(x, chart_id: str) -> OrientedLine:
+def line_from_coords(x, chart_id) -> OrientedLine:
+    """The line with chart coordinates x (4,), or the batch of an (N, 4) x,
+    row by row bit for bit; chart_id may hold one chart per row.  Inverse
+    of chart_coords, exact up to round-off on the chart domain."""
     x = np.asarray(x, dtype=float)
-    return from_chart(ChartPoint(chart_id, x[:2], x[2:]))
+    u, jac = _unproject(chart_id, x[..., :2])
+    gram = jac.swapaxes(-1, -2) @ jac
+    coeff = np.linalg.solve(gram, x[..., 2:, None])
+    q = (jac @ coeff)[..., 0]
+    q -= np.vecdot(q, u)[..., None] * u
+    return OrientedLine(u / _norm(u)[..., None], q)
 
 
 def chart_symplectic_matrix() -> np.ndarray:
@@ -362,6 +345,15 @@ def chart_symplectic_matrix() -> np.ndarray:
 # finite-difference verification helpers
 
 
+def _stencil(dim: int, h: float) -> np.ndarray:
+    """The central-difference stencil (2*dim, dim): rows +h e_0, -h e_0,
+    +h e_1, ...; x plus each gives x + step and x - step bit for bit."""
+    steps = np.empty((2 * dim, dim))
+    steps[0::2] = h * np.eye(dim)
+    steps[1::2] = -steps[0::2]
+    return steps
+
+
 def chart_jacobian(
     transform: Callable[[OrientedLine], OrientedLine],
     line: OrientedLine,
@@ -371,25 +363,30 @@ def chart_jacobian(
 ):
     """4x4 central-difference Jacobian of a line map in chart coordinates.
 
-    The input chart defaults to the best chart for `line`, the output chart
-    to the best chart for its image.  Returns (J, chart_in, chart_out).
+    `transform` maps a batch of lines row by row and is called once, on
+    `line` followed by its eight stencil lines x0 + h e_0, x0 - h e_0,
+    x0 + h e_1, ... in chart coordinates; an error it raises for the batch
+    is the error of this one line (row 0).  The input chart defaults to the
+    best chart for `line`, the output chart to the best chart for its image.
+    Returns (J, chart_in, chart_out).
     """
     if chart_in is None:
         chart_in = chart_for(line.u)
-    image = transform(line)
-    if chart_out is None:
-        chart_out = chart_for(image.u)
     x0, _ = chart_coords(line, chart_in)
     if h is None:
         h = 1e-5 * max(1.0, float(np.linalg.norm(line.q)))
-    jac = np.empty((4, 4))
-    for j in range(4):
-        step = np.zeros(4)
-        step[j] = h
-        plus, _ = chart_coords(transform(line_from_coords(x0 + step, chart_in)), chart_out)
-        minus, _ = chart_coords(transform(line_from_coords(x0 - step, chart_in)), chart_out)
-        jac[:, j] = (plus - minus) / (2.0 * h)
-    return jac, chart_in, chart_out
+    steps = line_from_coords(x0 + _stencil(4, h), chart_in)
+    try:
+        images = transform(
+            OrientedLine._exact(np.vstack([line.u, steps.u]), np.vstack([line.q, steps.q]))
+        )
+    except RaySpaceError as exc:
+        exc.row = 0
+        raise
+    if chart_out is None:
+        chart_out = chart_for(images.u[0])
+    xs, _ = chart_coords(_ray(images, slice(1, None)), chart_out)
+    return ((xs[0::2] - xs[1::2]) / (2.0 * h)).T, chart_in, chart_out
 
 
 def symplectic_residual(jacobian: np.ndarray, scale: float = 1.0) -> float:

@@ -41,7 +41,7 @@ from .errors import (
     TangentialError,
 )
 from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
-from .lines import _as_vec3, _first, _norm, line_through
+from .lines import _as_vec3, _first, _norm, _stencil, line_through
 from .optics import REFLECT, OpticalSystem, reflect_direction, refract_direction
 from .surfaces import _newton_bisect, _unit_gradient, intersect
 
@@ -188,15 +188,6 @@ def _gradients(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
         # row @ J gives J.T @ row of each point bit for bit
         parts.append((grad_point[:, None, :] @ chart.jacobian(xs[:, 2 * i : 2 * i + 2]))[:, 0])
     return np.concatenate(parts, axis=1)
-
-
-def _stencil(dim: int, h: float) -> np.ndarray:
-    """Rows +h e_0, -h e_0, +h e_1, ...: x plus each gives x + step and
-    x - step of a central difference bit for bit."""
-    steps = np.empty((2 * dim, dim))
-    steps[0::2] = h * np.eye(dim)
-    steps[1::2] = -steps[0::2]
-    return steps
 
 
 def optical_length(pc: PathConfiguration) -> float:
@@ -365,7 +356,9 @@ def design_focusing_mirror(
     monotone in the ray parameter for either eps), to 1e-12 in the ray
     parameter.  NoRootError marks the first node in (i, j) order whose level
     set is empty, which is exactly what happens with eps = +1 when the focus
-    lies beyond the sought mirror point on its ray.
+    lies beyond the sought mirror point on its ray, or whose root is out of
+    reach of round-off (its finite limit within 4 eps of 0, relative to the
+    terms that make it up).
     """
     focus = _as_vec3(focus)
     eps = float(epsilon)
@@ -396,9 +389,14 @@ def design_focusing_mirror(
 
     # g is nondecreasing with g(-inf) finite for eps=+1 and g(+inf) finite
     # for eps=-1; both finite limits equal this expression, and a limit on
-    # the wrong side of 0 leaves g without a root
-    finite_limit = -t_front + np.vecdot(u, focus - q) - level
+    # the wrong side of 0 leaves g without a root.  A limit within round-off
+    # of 0 fails too: g rounds to 0 far out on its asymptote, short of the
+    # true root, and the bracket would stop there.
+    along = np.vecdot(u, focus - q)
+    finite_limit = -t_front + along - level
     failed = finite_limit >= 0.0 if eps > 0.0 else finite_limit <= 0.0
+    roundoff = 4.0 * np.finfo(float).eps * (1.0 + abs(t_front) + abs(level) + abs(along))
+    failed |= abs(finite_limit) <= roundoff
 
     def grow(t, gt, sign):
         """Move the bracket ends t, where g is gt, by doubling spans toward
@@ -472,8 +470,7 @@ def verify_focus(design: MirrorDesign, family: RayFamily, tol: float = 1e-6):
     d = stencils - x0[:, None]
     xi = np.stack([np.vecdot(d, e1[:, None]), np.vecdot(d, e2[:, None])], axis=-1)
     scale = np.max(np.abs(xi), axis=(1, 2))
-    collapsed = scale <= 0.0
-    scale[collapsed] = 1.0
+    scale[scale <= 0.0] = 1.0  # a degenerate node divides by 1, not 0
     x, y = np.moveaxis(xi / scale[:, None, None], -1, 0)
     cols = np.stack([np.ones_like(x), x, y, x**2, x * y, y**2], axis=-1)
     left, s, vt = np.linalg.svd(cols, full_matrices=False)
@@ -484,13 +481,15 @@ def verify_focus(design: MirrorDesign, family: RayFamily, tol: float = 1e-6):
     proj = (np.vecdot(d, w[:, None])[:, None] @ left)[:, 0] / s
     slope = (proj[:, None] @ vt[:, :, 1:3])[:, 0] / scale[:, None]
 
-    node = _first(degenerate | collapsed | deficient)
+    node = _first(degenerate | deficient)
     fit = slice(node)  # the nodes before the first failing one
     normal = w[fit] - slope[fit, :1] * e1[fit] - slope[fit, 1:] * e2[fit]
     u_refl = reflect_direction(u[fit], normal / _norm(normal)[:, None])
     if node is not None:
-        bad = "degenerate" if degenerate[node] else "collapsed" if collapsed[node] else ""
-        message = f"{bad} stencil around a mirror node" if bad else "rank-deficient quadratic fit"
+        if degenerate[node]:
+            message = "degenerate stencil around a mirror node"
+        else:
+            message = "rank-deficient quadratic fit"
         k = (float(k1[node // len(k2)]), float(k2[node % len(k2)]))
         raise IllConditionedFitError(f"{message} at k={k}").at(node)
     rel = design.focus - x0

@@ -189,6 +189,27 @@ def immersion_ok(center_line, neighbors, h):
     return svals[0] > 0.0 and (svals[-1] / svals[0]) > 1e-8
 
 
+def chart_jacobian_oracle(transform, line, h=None, chart_in=None, chart_out=None):
+    """chart_jacobian column by column: transform maps one line at a time,
+    first `line`, then x0 + h e_j and x0 - h e_j for each j."""
+    if chart_in is None:
+        chart_in = rs.chart_for(line.u)
+    image = transform(line)
+    if chart_out is None:
+        chart_out = rs.chart_for(image.u)
+    x0, _ = rs.chart_coords(line, chart_in)
+    if h is None:
+        h = 1e-5 * max(1.0, float(np.linalg.norm(line.q)))
+    jac = np.empty((4, 4))
+    for j in range(4):
+        step = np.zeros(4)
+        step[j] = h
+        plus, _ = rs.chart_coords(transform(rs.line_from_coords(x0 + step, chart_in)), chart_out)
+        minus, _ = rs.chart_coords(transform(rs.line_from_coords(x0 - step, chart_in)), chart_out)
+        jac[:, j] = (plus - minus) / (2.0 * h)
+    return jac, chart_in, chart_out
+
+
 def node_defect_grid(family, grid=9, h=None, check_immersion=True):
     """defect_grid node by node in (i, j) order: the values, or the error
     of the first failing node."""
@@ -464,7 +485,11 @@ def design_focusing_mirror_oracle(
                     return 1.0
                 return 1.0 + eps * float(line.u @ r) / dist
 
-            finite_limit = -t_front + float(line.u @ (focus - line.q)) - level
+            along = float(line.u @ (focus - line.q))
+            finite_limit = -t_front + along - level
+            roundoff = 4.0 * np.finfo(float).eps * (1.0 + abs(t_front) + abs(level) + abs(along))
+            if abs(finite_limit) <= roundoff:
+                raise NoRootError(k)
             if eps > 0.0:
                 if finite_limit >= 0.0:
                     raise NoRootError(k)

@@ -33,11 +33,13 @@ from rayspace.errors import (
     TraceError,
 )
 from rayspace.families import _CHUNK, _require_inside, _spreads
-from rayspace.lines import _chart_ab, _ray
+from rayspace.lines import _ray
 from rayspace.scene import load_scene
 from rayspace.surfaces import _SCAN_SAMPLES
 
 from helpers import (
+    aimed_line,
+    chart_jacobian_oracle,
     device_source,
     make_device,
     nested_sphere_system,
@@ -759,13 +761,78 @@ class TestDefectGridBatch:
         charts = np.where(rng.random(40) < 0.5, rs.NORTH, rs.SOUTH)
         near_pole = np.where(charts == rs.NORTH, lines.u[:, 2] > 0.9, lines.u[:, 2] < -0.9)
         charts[near_pole] = rs.chart_for(lines.u[near_pole])
-        a, b = _chart_ab(charts, lines.u, lines.q)
+        xs, _ = rs.chart_coords(lines, charts)
         for i in range(40):
-            point = rs.to_chart(_ray(lines, i), str(charts[i]))
-            assert np.array_equal(a[i], point.a) and np.array_equal(b[i], point.b)
+            x, _ = rs.chart_coords(_ray(lines, i), str(charts[i]))
+            assert np.array_equal(xs[i], x)
         pole = rs.line_through([0, 0, 0], [[1.0, 0, 0], [0, 0, -1.0], [0, 0, 1.0]])
         with pytest.raises(ChartDomainError, match="south pole for chart SOUTH"):
-            _chart_ab(np.array([rs.NORTH, rs.SOUTH, rs.NORTH]), pole.u, pole.q)
+            rs.chart_coords(pole, np.array([rs.NORTH, rs.SOUTH, rs.NORTH]))
+
+
+class TestChartJacobianBatch:
+    """chart_jacobian maps the line and its eight stencil lines in one call
+    and gives, bit for bit, the column-by-column Jacobian of one line at a
+    time (chart_jacobian_oracle), or raises what the oracle raises."""
+
+    def test_lines_from_chart_coordinates_of_a_batch(self, rng):
+        lines = rs.line_through(rng.normal(size=(40, 3)), rng.normal(size=(40, 3)))
+        xs, charts = rs.chart_coords(lines)
+        for chart_id in (charts, rs.NORTH, rs.SOUTH):
+            back = rs.line_from_coords(xs, chart_id)
+            for i in range(40):
+                one = rs.line_from_coords(xs[i], str(np.broadcast_to(chart_id, 40)[i]))
+                assert np.array_equal(back.u[i], one.u) and np.array_equal(back.q[i], one.q)
+
+    def assert_same_jacobian(self, transform, line, **kw):
+        calls = []
+
+        def counted(lines):
+            calls.append(lines.u.shape)
+            return transform(lines)
+
+        jac, chart_in, chart_out = rs.chart_jacobian(counted, line, **kw)
+        assert calls == [(9, 3)]
+        want, want_in, want_out = chart_jacobian_oracle(transform, line, **kw)
+        assert jac.tobytes() == want.tobytes()
+        assert (chart_in, chart_out) == (want_in, want_out)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reflection_and_refraction(self, rng, kind):
+        for _ in range(3):
+            surface = random_surface(rng, kind)
+            line, _, t0 = aimed_line(rng, surface)
+            self.assert_same_jacobian(lambda l: rs.reflect_line(l, surface, t_min=t0)[0], line)
+            self.assert_same_jacobian(
+                lambda l: rs.refract_line(l, surface, 1.0, 1.5, t_min=t0)[0], line
+            )
+
+    def test_identity_with_forced_charts_and_a_translation(self, rng):
+        shift = np.array([0.7, -1.3, 2.1])
+        for _ in range(5):
+            u = [rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7), rng.uniform(-0.5, 0.5)]
+            line = rs.line_through(rng.normal(size=3), u)
+            for chart_in, chart_out in ((rs.NORTH, rs.SOUTH), (rs.SOUTH, rs.NORTH)):
+                self.assert_same_jacobian(
+                    lambda l: l, line, chart_in=chart_in, chart_out=chart_out
+                )
+            self.assert_same_jacobian(lambda l: rs.line_through(l.q + shift, l.u), line, h=1e-4)
+
+    def test_failing_stencil_line_raises_like_the_oracle(self):
+        # refraction out of glass just below the critical angle: some
+        # stencil lines are totally reflected, the line itself is not
+        sin_in = 1.0 / 1.5 - 1e-8
+        line = rs.line_through([0.0, 0.0, 1.0], [sin_in, 0.0, -np.sqrt(1.0 - sin_in**2)])
+
+        def transform(l):
+            return rs.refract_line(l, rs.Plane([0, 0, 1], 0.0), 1.5, 1.0)[0]
+
+        transform(line)
+        got = outcome(lambda: rs.chart_jacobian(transform, line))
+        want = outcome(lambda: chart_jacobian_oracle(transform, line))
+        assert isinstance(want, TotalInternalReflectionError)
+        assert type(got) is type(want) and str(got) == str(want)
+        assert got.row == 0
 
 
 def check_roots(surface, lines, t_min, t_max):

@@ -69,23 +69,23 @@ class TestCharts:
     def test_roundtrip_both_charts(self):
         line = rs.line_through([1.0, -2.0, 0.5], [0.3, 0.2, 0.4])
         for chart_id in (rs.NORTH, rs.SOUTH):
-            back = rs.from_chart(rs.to_chart(line, chart_id))
+            back = rs.line_from_coords(*rs.chart_coords(line, chart_id))
             assert np.allclose(back.u, line.u, atol=1e-12)
             assert np.allclose(back.q, line.q, atol=1e-12)
 
     @given(vec3, direction3)
     def test_roundtrip_default_chart(self, p, d):
         line = rs.line_through(p, d)
-        back = rs.from_chart(rs.to_chart(line))
+        back = rs.line_from_coords(*rs.chart_coords(line))
         assert np.allclose(back.u, line.u, atol=1e-9)
         assert np.allclose(back.q, line.q, atol=1e-8 * max(1.0, np.linalg.norm(p)))
 
     def test_pole_is_outside_chart_domain(self):
         line = rs.line_through([0, 0, 0], [0, 0, 1])
         with pytest.raises(ChartDomainError):
-            rs.to_chart(line, rs.NORTH)
+            rs.chart_coords(line, rs.NORTH)
         near = rs.line_through([0, 0, 0], unit([2e-3, 0.0, 1.0]))
-        rs.to_chart(near, rs.NORTH)  # close but allowed
+        rs.chart_coords(near, rs.NORTH)  # close but allowed
 
     def test_unproject_jacobian_matches_fd(self, rng):
         for chart_id in (rs.NORTH, rs.SOUTH):

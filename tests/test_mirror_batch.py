@@ -159,6 +159,17 @@ class TestMaskedBracket:
         design = assert_same_design(self.BEAM, k0=(0, 0), focus=focus, epsilon=1, level=level, grid=3)
         assert (design.points[1, 1] == [0.0, 0.0, root]).all()
 
+    def test_limit_within_round_off_of_zero(self):
+        # the finite limit is 1.4e-45 > 0, but g rounds to 0 far out on its
+        # asymptote: the bracket stopped there, at edge points z ~ 3.4e7,
+        # and verify_focus called that design focused
+        beam = rs.collimated([0, 0, 1], domain=((-0.125, 0.125), (-0.125, 0.125)))
+        err = assert_same_design(
+            beam, k0=(0, 0), focus=[0, 0, 1.4e-45], epsilon=-1, level=0.0, grid=3
+        )
+        assert isinstance(err, rs.NoRootError)
+        assert err.k == (-0.12499646446609407, -0.12499646446609407)  # the first node
+
     def test_first_failing_node_is_named(self):
         # two nodes without a root: node (2, 1) passes the finite-limit check
         # by 1e-5 and fails only once its bracket grows past 1e9, node (2, 2)
@@ -215,6 +226,20 @@ class TestStackedFit:
         design.points[1, 0, 1] += 1e-13
         err = assert_same_focus(design, self.BEAM)
         assert isinstance(err, IllConditionedFitError) and err.row == 5
+
+    def test_stencil_along_the_normal_is_degenerate(self):
+        # all nine points on the normal line through the centre: t1 x t2 = 0,
+        # so the degenerate check catches what a collapsed check would
+        k = np.array([-0.1, 0.0, 0.1])
+        points = np.zeros((3, 3, 3))
+        points[..., 2] = -1.0 + 0.01 * np.arange(9.0).reshape(3, 3)
+        design = rs.MirrorDesign(
+            k1=k, k2=k, points=points, focus=np.array([0.0, 0.0, 1.0]),
+            epsilon=1, level=1.0, wavefront_c=0.0,
+        )
+        err = assert_same_focus(design, self.BEAM)
+        assert isinstance(err, IllConditionedFitError) and err.row == 0
+        assert str(err) == "degenerate stencil around a mirror node at k=(0.0, 0.0)"
 
     def test_lines_in_one_eval_call(self):
         design = rs.design_focusing_mirror(

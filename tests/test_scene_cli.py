@@ -1,15 +1,20 @@
 import pathlib
 import re
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rayspace as rs
+from rayspace import cli
 from rayspace.cli import main
 from rayspace.errors import BadMediaChainError, RaySpaceError, SceneSyntaxError, UnknownSurfaceError
 from rayspace.scene import load_scene, parse_scene
+
+from helpers import chart_jacobian_oracle, nested_sphere_system, random_rotation
 
 MINIMAL = """\
 [surface m]
@@ -426,3 +431,100 @@ class TestSceneFuzz:
             assert exc.line >= 1 and exc.col >= 1
         except RaySpaceError:
             pass
+
+
+def _floats(values):
+    return " ".join(repr(float(x)) for x in np.ravel(values))
+
+
+def extra_stage(rng, kind):
+    """The [surface extra] section of a plane, quadric or sinusoid under the
+    source at (0, 0, 2): a tilted plane or a sinusoid near z = 0, or an
+    ellipsoid of semi-axes 0.5-1.2 around the origin."""
+    if kind == "plane":
+        normal = [*rng.uniform(-0.3, 0.3, 2), 1.0]
+        offset = rng.uniform(-0.5, 0.5)
+        return f"kind = plane\nnormal = {_floats(normal)}\noffset = {_floats(offset)}\n"
+    if kind == "sinusoid":
+        return (
+            f"kind = sinusoid\namplitude = {_floats(rng.uniform(0.05, 0.25))}\n"
+            f"wavevector = {_floats(rng.uniform(-1.2, 1.2, 2))}\n"
+        )
+    rot = random_rotation(rng)
+    matrix = rot @ np.diag(1.0 / rng.uniform(0.5, 1.2, 3) ** 2) @ rot.T
+    center = rng.uniform(-0.3, 0.3, 3)
+    return (
+        f"kind = quadric\nmatrix = {_floats(matrix)}\nlinear = {_floats(-2.0 * matrix @ center)}\n"
+        f"constant = {_floats(center @ matrix @ center - 1.0)}\n"
+    )
+
+
+def random_scene(rng, kind, refract, shells):
+    """A point source aimed down at the extra stage, then 0-3 sphere shells;
+    every refraction enters a denser medium."""
+    n_extra = 1.0 + rng.uniform(0.2, 0.8) if refract else 1.0
+    text = f"[surface extra]\n{extra_stage(rng, kind)}"
+    system = ["[system]", "ambient_index = 1"]
+    system.append(
+        f"interface = extra refract 1 {_floats(n_extra)}" if refract else "interface = extra reflect"
+    )
+    for i, itf in enumerate(nested_sphere_system(rng, shells).interfaces):
+        shell = itf.surface
+        text += (
+            f"[surface shell{i}]\nkind = sphere\n"
+            f"center = {_floats(shell.center)}\nradius = {_floats(shell.radius)}\n"
+        )
+        if itf.action == rs.REFLECT:
+            system.append(f"interface = shell{i} reflect")
+        else:  # the shells' media, raised by the extra stage's index step
+            n_in, n_out = n_extra - 1.0 + itf.n_in, n_extra - 1.0 + itf.n_out
+            system.append(f"interface = shell{i} refract {_floats(n_in)} {_floats(n_out)}")
+    family = "kind = point_source\napex = 0 0 2\naxis = 0 0 -1\ndomain = -0.15 0.15 -0.15 0.15\n"
+    return text + "\n".join(system) + "\n[family]\n" + family
+
+
+class TestSymplecticProperty:
+    """check-symplectic on random systems of 1-4 interfaces: a plane,
+    quadric or sinusoid stage followed by sphere shells."""
+
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["plane", "quadric", "sinusoid"]),
+        refract=st.booleans(),
+        shells=st.integers(0, 3),
+    )
+    def test_random_systems(self, seed, kind, refract, shells):
+        text = random_scene(np.random.default_rng(seed), kind, refract, shells)
+        scene = parse_scene(text)
+        family, system = scene.family, scene.system
+        # the rays check-symplectic samples at seed 0 must trace, well away
+        # from grazing incidence
+        k1, k2 = np.random.default_rng(0).uniform(-0.15, 0.15, (2, 5))
+        try:
+            lines, start = family.eval(k1, k2), family.start_point(k1, k2)
+            result = rs.propagate_system(lines, system, start=start)
+        except RaySpaceError:
+            assume(False)
+        assume(all(np.min(abs(hit.cos_incidence)) > 0.2 for hit in result.hits))
+
+        same = []
+
+        def compared(mapper, line, h):
+            got = rs.chart_jacobian(mapper, line, h=h)
+            want = chart_jacobian_oracle(mapper, line, h=h)
+            same.append(got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:])
+            return got
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "random.scene"
+            path.write_text(text)
+            with mock.patch.object(cli, "chart_jacobian", compared):
+                code = main(["check-symplectic", "--scene", str(path), "--out", tmp, "--seed", "0"])
+            report = read_report(pathlib.Path(tmp) / "report.txt")
+        assert code == 0
+        assert len(same) == 5 * len(system.interfaces) and all(same)
+        for i, itf in enumerate(system.interfaces):
+            scale = 1.0 if itf.action == rs.REFLECT else itf.n_in / itf.n_out
+            assert float(report[f"interface_{i}_scale"]) == scale
+            assert float(report[f"interface_{i}_residual"]) < 1e-6

@@ -1,6 +1,6 @@
-"""The demo scripts under scripts/ run to completion and print their
-verdicts.  Each runs in a fresh interpreter that fails on any
-RuntimeWarning, as the test suite does."""
+"""The demo scripts under scripts/ and the README's examples run to
+completion and print their verdicts.  Each runs in a fresh interpreter that
+fails on any RuntimeWarning, as the test suite does."""
 
 import os
 import pathlib
@@ -11,10 +11,10 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name):
+def run_python(*args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / name)],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -22,6 +22,10 @@ def run_script(name):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def run_script(name):
+    return run_python(str(ROOT / "scripts" / name))
 
 
 def test_defect_scan():
@@ -54,3 +58,14 @@ def test_mirror_from_wavefront():
     assert lines[0].startswith("focal sum spread: ")
     assert lines[1].endswith("-> focused=True")
     assert lines[2].startswith("virtual branch: ") and lines[2].endswith("focused=True")
+
+
+def test_readme_examples():
+    """The README's python blocks, in order, run as one program."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    lines = run_python("-c", "".join(blocks))
+    assert len(lines) == 2
+    flat, max_abs = lines[0].split()
+    assert flat == "True" and float(max_abs) < 1e-8
+    assert float(lines[1]) < 1e-7
