@@ -29,11 +29,11 @@ batch level by level, each level in one evaluation of the new midpoints of
 every segment not yet converged; `is_regular_point` takes one point or a
 batch.  `reconstruct_wavefront` evaluates its grid lines, integrates all its
 segments and checks the regularity of all its nodes in one batch each;
-`orthogonality_residual` does the same with its centre lines, its +-h probe
-integrals and their end lines, and `defect_grid` with the stencil and centre
-lines of all its nodes and their immersion tests.  A single segment, point
-or defect is the batch of one.  Batches are evaluated at most _CHUNK rays
-per call, which bounds their memory.
+`orthogonality_residual` does the same with its centre lines and its +-h
+probe integrals, which also give the probe end lines, and `defect_grid` with
+the stencil and centre lines of all its nodes and their immersion tests.
+A single segment, point or defect is the batch of one.  Batches are
+evaluated at most _CHUNK rays per call, which bounds their memory.
 
 A failing batch raises what its first failing item (parameter, segment,
 node or probe) raises alone, and the error's `row` is that item's index.
@@ -76,6 +76,7 @@ from .surfaces import Plane, Sinusoid, Sphere
 # level (max_points / 2 = 2048 new midpoints) still fits in one call, and a
 # wavefront's batches keep their memory bounded.
 _CHUNK = 2048
+_MAX_POINTS = 4096  # the finest one-form subdivision
 _INTEGRAL_TOL = 1e-9  # one-form refinements stop once successive sums agree within it
 
 
@@ -519,42 +520,54 @@ def _spreads(u0, anchor, us, qs, h: float):
 # wavefront reconstruction
 
 
-def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max_points: int = 4096):
+def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max_points: int = _MAX_POINTS):
     """Integral of u . dP along the straight parameter segment ka -> kb.
 
-    Trapezoid sums on the polyline of exactly evaluated lines, doubling the
-    subdivision until successive refinements agree within tol.  Each
-    refinement evaluates only the new midpoints (the other nodes coincide
-    exactly with the previous level's).
+    Romberg integration: trapezoid sums T on the polyline of exactly
+    evaluated lines, subdivided into m = 4, 8, 16, ... pieces, each
+    refinement evaluating only the new midpoints (the other nodes coincide
+    exactly with the previous level's).  Each level extends its Romberg row
+    by Richardson extrapolation of the previous level's row, up to three
+    columns: T (error O(h^2)), R1 = T + (T - T_prev) / 3 (O(h^4)) and
+    R2 = R1 + (R1 - R1_prev) / 15 (O(h^6)).  Refinement stops when the
+    highest column present at both levels (T at m = 8, R1 at m = 16, R2 from
+    m = 32 on) agrees with its previous value within tol, and that column's
+    new value is the integral.  A NaN or infinite sum never agrees, so the
+    segment keeps refining; past max_points it raises NoConvergenceError.
 
     ka and kb of shape (2,) give one segment and a float; shape (S, 2) gives
     S segments and an (S,) array.  The segments refine together: each level
     evaluates the new midpoints of every segment not yet converged in one
     call (of at most _CHUNK rays) for a vectorized family.  Each segment keeps
-    its own nodes, sums and stopping test, so each value equals the single
-    segment's bit for bit, and a failing batch raises what its first failing
-    segment raises alone.
+    its own nodes, Romberg row and stopping test, all computed row by row, so
+    each value equals the single segment's bit for bit (the same nodes, the
+    same sums, the same extrapolation), and a failing batch raises what its
+    first failing segment raises alone.
     """
     ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
     if ka.ndim == 1:
-        return float(_one_form_levels(family, ka[None], kb[None], tol, max_points)[0])
-    return _one_form_levels(family, ka, kb, tol, max_points)
+        return float(_one_form_levels(family, ka[None], kb[None], tol, max_points)[0][0])
+    return _one_form_levels(family, ka, kb, tol, max_points)[0]
 
 
 def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
-    """one_form_integral of the segments ka[s] -> kb[s], refined together.
+    """one_form_integral of the segments ka[s] -> kb[s], refined together,
+    and the directions and foot points (S, 3) of their lines at t = 1, the
+    parameters ka + (kb - ka), from the first level.
 
     A level evaluates its new midpoints in calls of whole segments (at most
     _CHUNK rays unless one segment alone has more) and builds those
     segments' nodes and sums call by call, dropping each segment's previous
     nodes as it goes, so it holds little more than one copy of the nodes of
-    the live segments.
+    the live segments.  Each live segment's previous Romberg row is kept
+    beside its nodes and dropped with them when the segment converges.
     """
     values = np.empty(len(ka))
+    ends = np.empty((2, len(ka), 3))  # the directions and foot points at t = 1
     span = kb - ka
     live = np.arange(len(ka))  # the segments not yet converged
     kept = None  # per live segment, the directions and foot points of its nodes
-    prev = None
+    prev = None  # per live segment, its previous Romberg row
     m = 4
     while m <= max_points:
         ts = np.linspace(0.0, 1.0, m + 1)
@@ -577,22 +590,32 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
             qs = np.empty((len(seg), m + 1, 3))
             us[:, at] = u.reshape(len(seg), len(fresh), 3)
             qs[:, at] = q.reshape(len(seg), len(fresh), 3)
-            if kept is not None:
+            if kept is None:
+                ends[:, seg] = us[:, -1], qs[:, -1]
+            else:
                 for b in range(len(seg)):
                     us[b, 0::2], qs[b, 0::2] = kept[a + b]
                     kept[a + b] = None
-            terms = (us[:, :-1] + us[:, 1:]) * (qs[:, 1:] - qs[:, :-1])
-            val[a : a + len(seg)] = 0.5 * terms.reshape(len(seg), -1).sum(axis=1)
+            with np.errstate(invalid="ignore", over="ignore"):  # an inf or NaN sum keeps refining
+                terms = (us[:, :-1] + us[:, 1:]) * (qs[:, 1:] - qs[:, :-1])
+                val[a : a + len(seg)] = 0.5 * terms.reshape(len(seg), -1).sum(axis=1)
             grown.extend(zip(us, qs))
         kept = grown
+        row = val[:, None]
         if prev is not None:
-            going = ~(abs(val - prev) <= tol)  # a NaN sum keeps refining
-            values[live[~going]] = val[~going]
-            live, val = live[going], val[going]
+            top = prev.shape[1] - 1  # the highest column of both rows
+            row = np.empty((len(live), min(top + 2, 3)))
+            row[:, 0] = val
+            with np.errstate(invalid="ignore", over="ignore"):
+                for c in range(1, row.shape[1]):
+                    row[:, c] = row[:, c - 1] + (row[:, c - 1] - prev[:, c - 1]) / (4**c - 1)
+                going = ~(abs(row[:, top] - prev[:, top]) <= tol)  # a NaN sum keeps refining
+            values[live[~going]] = row[~going, top]
+            live, row = live[going], row[going]
             kept = [nodes for nodes, g in zip(kept, going) if g]
             if not len(live):
-                return values
-        prev = val
+                return values, ends[0], ends[1]
+        prev = row
         m *= 2
     raise NoConvergenceError("one-form integral did not converge under refinement").at(live[0])
 
@@ -734,8 +757,8 @@ def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | N
     Uses the family's default step (not the grid spacing), continuing F to
     the probe parameters by short one-form integrals, so the residual
     measures genuine non-orthogonality rather than grid truncation.  The
-    centre lines, the 4 probe integrals per node and the probe end lines
-    are each evaluated in one batch.
+    centre lines and the 4 probe integrals per node are each evaluated in
+    one batch; each probe's end line is its integral's last node.
     """
     if h is None:
         h = family.default_step()
@@ -752,11 +775,13 @@ def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | N
 
 
 def _probes(family: RayFamily, nodes, ends):
-    """The centre lines (N, 3) of nodes (N, 2), the one-form integrals (N, 4)
-    from each node to its 4 probe ends (4N, 2), and the end lines (N, 4, 3),
-    one batch each.  A failing batch raises what the node by node loop
-    raised: a node's centre line, then each probe's integral and end line.
-    The error's row is the probe; a failing centre line names its node's first.
+    """The centre lines (N, 3) of nodes (N, 2) from one batch, and from
+    another the one-form integrals (N, 4) from each node to its 4 probe ends
+    (4N, 2) with the end lines (N, 4, 3): an end line is its integral's node
+    at t = 1, the parameter node + (end - node), which may differ from the
+    end in its last bit.  A failing batch raises what the node by node loop raised: a
+    node's centre line, then each probe's integral and end line.  The
+    error's row is the probe; a failing centre line names its node's first.
     """
     try:
         u0, _ = _eval_rows(family, nodes)
@@ -765,11 +790,5 @@ def _probes(family: RayFamily, nodes, ends):
         if exc.row:  # the nodes before it may fail on their probes
             _probes(family, nodes[: exc.row // 4], ends[: exc.row])
         raise
-    try:
-        f_side = one_form_integral(family, np.repeat(nodes, 4, axis=0), ends, tol=1e-12)
-    except RaySpaceError as exc:
-        if exc.row:  # the end lines of the probes before it come first
-            _eval_rows(family, ends[: exc.row])
-        raise
-    side_u, side_q = _eval_rows(family, ends)
+    f_side, side_u, side_q = _one_form_levels(family, np.repeat(nodes, 4, axis=0), ends, 1e-12, _MAX_POINTS)
     return u0, f_side.reshape(-1, 4), side_u.reshape(-1, 4, 3), side_q.reshape(-1, 4, 3)

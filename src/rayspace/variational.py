@@ -262,8 +262,15 @@ def characteristic_function(
     configuration must satisfy the local reflection/refraction law at every
     interface within law_tol (stationarity and the laws are equivalent; the
     check closes the loop).  Returns (V, stationary configuration).
+
+    `initial` seeds the surface points: only its coords and charts are
+    used, on the endpoints and system given here (ValueError when its
+    interface count differs from the system's).
     """
-    pc = initial if initial is not None else initial_path(m1, m2, system)
+    if initial is None:
+        pc = initial_path(m1, m2, system)
+    else:
+        pc = PathConfiguration(m1, m2, system, initial.coords, initial.charts)
     if not pc.charts:
         return optical_length(pc), pc
 

@@ -356,7 +356,10 @@ def characteristic_function_oracle(
 ):
     """characteristic_function with one gradient per configuration: the
     Hessian column by column, the line search trial by trial."""
-    pc = initial if initial is not None else rs.initial_path(m1, m2, system)
+    if initial is None:
+        pc = rs.initial_path(m1, m2, system)
+    else:
+        pc = rs.PathConfiguration(m1, m2, system, initial.coords, initial.charts)
     if not pc.charts:
         return path_length(pc), pc
 

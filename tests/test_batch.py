@@ -12,6 +12,7 @@ node by node loop and the sinusoid root search against one ray at a time.
 
 import dataclasses
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from rayspace.errors import (
     FamilyTraceError,
     GrazingError,
     ImmersionError,
+    NoConvergenceError,
     NoIntersectionError,
     NonRegularError,
     RaySpaceError,
@@ -265,8 +267,15 @@ class TestFamilyBatch:
 
 
 def naive_one_form(family, ka, kb, tol, max_points=4096):
-    """Reference integral that re-evaluates every node of every level one at
-    a time; returns the value and the subdivision it converged at."""
+    """Reference Romberg integral that re-evaluates every node of every level
+    one at a time; returns the value, the subdivision it stopped at and the
+    Romberg column that stopped it.
+
+    Level j sums the trapezoids of m = 4 * 2**j pieces into R[j][0] and
+    extrapolates R[j][c] = R[j][c-1] + (R[j][c-1] - R[j-1][c-1]) / (4**c - 1)
+    for c = 1 .. min(j, 2); it stops when R[j][c] - R[j-1][c] is within tol
+    for c = min(j - 1, 2), the highest column of both rows.
+    """
     ka = np.asarray(ka, dtype=float)
     kb = np.asarray(kb, dtype=float)
     prev = None
@@ -275,15 +284,53 @@ def naive_one_form(family, ka, kb, tol, max_points=4096):
         lines = [family.eval(*(ka + t * (kb - ka))) for t in np.linspace(0.0, 1.0, m + 1)]
         us = np.array([line.u for line in lines])
         qs = np.array([line.q for line in lines])
-        val = 0.5 * float(np.sum((us[:-1] + us[1:]) * (qs[1:] - qs[:-1])))
-        if prev is not None and abs(val - prev) <= tol:
-            return val, m
-        prev = val
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf or NaN sum keeps refining
+            row = [0.5 * float(np.sum((us[:-1] + us[1:]) * (qs[1:] - qs[:-1])))]
+        if prev is not None:
+            for c in range(1, min(len(prev) + 1, 3)):
+                row.append(row[c - 1] + (row[c - 1] - prev[c - 1]) / (4**c - 1))
+            c = len(prev) - 1
+            if abs(row[c] - prev[c]) <= tol:
+                return row[c], m, c
+        prev = row
         m *= 2
-    raise AssertionError("reference did not converge")
+    raise NoConvergenceError("reference did not converge")
+
+
+def _blemished(family, bad, bad_line):
+    """The family evaluated one parameter at a time, with the line at the
+    parameter bad replaced by bad_line(line)."""
+
+    def _eval(k1, k2):
+        line = family.eval(k1, k2)
+        if (k1, k2) == tuple(bad):
+            return rs.OrientedLine._exact(*bad_line(line))
+        return line
+
+    return rs.RayFamily(_eval, family.domain)
 
 
 class TestOneFormNodes:
+    @staticmethod
+    def check(ka, kb, tol):
+        """The integral against the reference, with its ray and call counts;
+        returns the Romberg column that stopped it."""
+        fam = rs.point_source([0.3, -0.2, 1.0], [0.1, 0.2, -1.0])
+        calls = []
+
+        def counting(k1, k2):
+            calls.append(np.size(k1))
+            return fam.eval(k1, k2)
+
+        value = rs.one_form_integral(dataclasses.replace(fam, eval=counting), ka, kb, tol=tol)
+        reference, m, column = naive_one_form(fam, ka, kb, tol)
+        assert value == reference
+        assert sum(calls) == m + 1  # every node of the final polyline, once
+        assert len(calls) == int(np.log2(m)) - 1  # one call per level
+        plain = rs.RayFamily(lambda k1, k2: fam.eval(k1, k2), fam.domain)
+        assert rs.one_form_integral(plain, ka, kb, tol=tol) == value
+        return column
+
     @pytest.mark.parametrize(
         "ka, kb, tol",
         [
@@ -293,20 +340,42 @@ class TestOneFormNodes:
         ],
     )
     def test_each_node_traced_once(self, ka, kb, tol):
-        fam = rs.point_source([0.3, -0.2, 1.0], [0.1, 0.2, -1.0])
+        assert self.check(ka, kb, tol) == 1  # stopped by the O(h^4) column at m = 16
+
+    def test_stopped_by_the_sixth_order_column(self):
+        assert self.check((-0.3, -0.3), (0.3, 0.3), 1e-13) == 2
+
+    @pytest.mark.parametrize(
+        "t, bad_line",
+        [
+            (0.125, lambda line: (line.u, line.q * np.nan)),  # NaN from the second level on
+            (1.0, lambda line: (line.u, line.q + [np.inf, 0.0, 0.0])),  # +inf at every level
+            (0.5, lambda line: (line.u, line.q + [np.inf, 0.0, 0.0])),  # inf - inf: NaN
+        ],
+        ids=["nan", "inf", "inf_inside"],
+    )
+    def test_a_non_finite_sum_keeps_refining(self, t, bad_line):
+        fam = rs.point_source([0.3, -0.2, 1.0], [1.0, 0.1, 0.2])  # u_x > 0 on every ray
+        ka, kb = np.array([[0.0, -0.1], [-0.1, 0.05]]), np.array([[0.05, 0.0], [0.1, 0.2]])
+        blemished = _blemished(fam, ka[1] + t * (kb[1] - ka[1]), bad_line)
         calls = []
 
         def counting(k1, k2):
             calls.append(np.size(k1))
-            return fam.eval(k1, k2)
+            return blemished.eval(k1, k2)
 
-        value = rs.one_form_integral(dataclasses.replace(fam, eval=counting), ka, kb, tol=tol)
-        reference, m = naive_one_form(fam, ka, kb, tol)
-        assert value == reference
-        assert sum(calls) == m + 1  # every node of the final polyline, once
-        assert len(calls) == int(np.log2(m)) - 1  # one call per level
-        plain = rs.RayFamily(lambda k1, k2: fam.eval(k1, k2), fam.domain)
-        assert rs.one_form_integral(plain, ka, kb, tol=tol) == value
+        counted = dataclasses.replace(blemished, eval=counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # inf - inf in the sums and the extrapolation stays quiet
+            with pytest.raises(NoConvergenceError):
+                naive_one_form(blemished, ka[1], kb[1], 1e-6, max_points=64)
+            with pytest.raises(NoConvergenceError) as err:
+                rs.one_form_integral(counted, ka, kb, tol=1e-6, max_points=64)
+        assert err.value.row == 1
+        _, m, _ = naive_one_form(fam, ka[0], kb[0], 1e-6, max_points=64)
+        assert m < 64
+        assert sum(calls) == (m + 1) + (64 + 1)  # the second refines to the last level
+        assert len(calls) == sum(calls)  # a plain family is evaluated row by row
 
 
 def _small_sphere_family():

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import re
 import tempfile
@@ -418,6 +419,33 @@ def edited_scene(data):
         else:
             lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i])))]
     return "\n".join(lines) + "\n"
+
+
+class TestWavefrontRayBudget:
+    """The rays CLI `wavefront` evaluates on the bundled 9x9 jobs: grid
+    lines, one-form refinement nodes, regularity stencils, probe nodes."""
+
+    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract"])
+    def test_rays_per_job(self, tmp_path, name):
+        rays = []
+
+        def counted(family, system):
+            traced = rs.transform_family(family, system)
+
+            def counting(k1, k2):
+                rays.append(np.size(k1))
+                return traced.eval(k1, k2)
+
+            return dataclasses.replace(traced, eval=counting)
+
+        argv = ["wavefront", "--scene", str(SCENES / f"{name}.scene"), "--out", str(tmp_path), "--grid", "9"]
+        with mock.patch.object(cli, "transform_family", counted):
+            assert main(argv) == 0
+        # Romberg stopping takes 5,850; stopping on the trapezoid column takes 45,342
+        assert sum(rays) <= 6500
+        report = read_report(tmp_path / "report.txt")
+        assert float(report["path_discrepancy"]) <= 1e-7
+        assert float(report["orthogonality_residual"]) <= 1e-6
 
 
 class TestSceneFuzz:

@@ -13,6 +13,7 @@ from rayspace.errors import (
 from rayspace.scene import load_scene
 
 from helpers import (
+    characteristic_function_oracle,
     ellipsoid_oracle_point,
     nested_sphere_system,
     paraboloid_oracle_point,
@@ -140,6 +141,18 @@ class TestCharacteristicFunction:
         assert np.allclose(pc.points()[0], [0.5, 0, 0], atol=1e-9)
         assert rs.stationarity_residual(pc) < 1e-8
         assert rs.law_residual(pc) < 1e-8
+
+    def test_initial_path_seeds_only_the_surface_points(self):
+        # the path found for B = (1, 0, 1) seeds the solve for B = (3, 0, 1)
+        _, seed = rs.characteristic_function([0, 0, 1], [1, 0, 1], plane_mirror_system())
+        for solve in (rs.characteristic_function, characteristic_function_oracle):
+            v, pc = solve([0, 0, 1], [3, 0, 1], plane_mirror_system(), initial=seed)
+            assert abs(v - np.sqrt(13.0)) < 1e-9  # not sqrt(5), the seed's own value
+            assert np.array_equal(pc.m2, [3.0, 0.0, 1.0])
+            assert np.allclose(pc.points()[0], [1.5, 0, 0], atol=1e-9)
+            two_mirrors = rs.OpticalSystem(plane_mirror_system().interfaces * 2)
+            with pytest.raises(ValueError, match="one chart point per interface"):
+                solve([0, 0, 1], [3, 0, 1], two_mirrors, initial=seed)
 
     def test_refraction_against_grid_search(self):
         n1, n2 = 1.0, 1.5
