@@ -79,7 +79,6 @@ from .families import (
     collimated,
     defect,
     defect_grid,
-    defect_refined,
     is_rectangular,
     is_regular_point,
     normal_congruence,

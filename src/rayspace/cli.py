@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Subcommands map one-to-one to library capabilities: trace, defect,
+Commands map one-to-one to library capabilities: trace, defect,
 check-symplectic, wavefront, mirror, characteristic.  All outputs are
 deterministic: CSV files plus a report.txt of `key: value` lines in the
 --out directory, floats rendered with repr-faithful %.17g.  Exit codes:
-0 success, 1 scene/usage error, 2 numerical failure (the failing k or
+0 success, 1 scene error or bad command line (unknown command, missing
+--scene, malformed option value), 2 numerical failure (the failing k or
 interface is named in the stderr message).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -320,20 +322,26 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse exits 2, which this CLI keeps for numerical failures
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rayspace",
         description="Geometrical optics on the manifold of oriented lines.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--scene", required=True, help="scene file path")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--grid", type=int, default=None, help="grid nodes per axis")
-        p.add_argument("--tol", type=float, default=None, help="main tolerance")
-        p.add_argument("--step", type=float, default=None, help="finite-difference step")
-        p.add_argument("--seed", type=int, default=None, help="sampling seed")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--scene", required=True, help="scene file path")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--grid", type=int, default=None, help="grid nodes per axis")
+    parser.add_argument("--tol", type=float, default=None, help="main tolerance")
+    parser.add_argument("--step", type=float, default=None, help="finite-difference step")
+    parser.add_argument("--seed", type=int, default=None, help="sampling seed")
     return parser
 
 

@@ -90,11 +90,11 @@ def _grid_csv(header: str, k1, k2, nodes) -> str:
     nodes[i, j] holds the values at (k1[i], k2[j]), as an array of shape
     (len(k1), len(k2), columns); k1 varies slowest.
     """
-    rows = [header + "\n"]
-    for i, a in enumerate(k1):
-        for j, b in enumerate(k2):
-            rows.append(",".join(map(_fmt, (a, b, *nodes[i, j]))) + "\n")
-    return "".join(rows)
+    table = np.concatenate([_nodes(k1, k2), nodes], axis=-1)
+    table = table.reshape(-1, table.shape[-1])
+    # "%.17g" % x is format(x, ".17g"): each field reads as _fmt writes it
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + "".join(row % tuple(r) for r in table.tolist())
 
 
 @dataclass(frozen=True)
@@ -379,13 +379,6 @@ def defect(family: RayFamily, k, h: float | None = None) -> float:
         h = family.default_step()
     _require_inside(family, k, h)
     return float(_defects(family, np.asarray(k, dtype=float)[None], h)[0])
-
-
-def defect_refined(family: RayFamily, k, h: float | None = None):
-    """Defect at steps h and h/2: a step-halving convergence diagnostic."""
-    if h is None:
-        h = family.default_step()
-    return defect(family, k, h), defect(family, k, 0.5 * h)
 
 
 def _grid_axes(family: RayFamily, grid, inset: float):

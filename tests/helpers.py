@@ -210,6 +210,16 @@ def chart_jacobian_oracle(transform, line, h=None, chart_in=None, chart_out=None
     return jac, chart_in, chart_out
 
 
+def grid_csv_oracle(header, k1, k2, nodes):
+    """families._grid_csv value by value: one format(float(x), ".17g") call
+    per field."""
+    rows = [header + "\n"]
+    for i, a in enumerate(k1):
+        for j, b in enumerate(k2):
+            rows.append(",".join(format(float(x), ".17g") for x in (a, b, *nodes[i, j])) + "\n")
+    return "".join(rows)
+
+
 def node_defect_grid(family, grid=9, h=None, check_immersion=True):
     """defect_grid node by node in (i, j) order: the values, or the error
     of the first failing node."""

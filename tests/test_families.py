@@ -99,7 +99,7 @@ class TestDefect:
 
     def test_refined_diagnostic(self):
         fam = skew_family()
-        d1, d2 = rs.defect_refined(fam, (0, 0), h=1e-3)
+        d1, d2 = rs.defect(fam, (0, 0), h=1e-3), rs.defect(fam, (0, 0), h=0.5e-3)
         exact = skew_defect_oracle(0.0, 0.0)
         assert abs(d2 - exact) < abs(d1 - exact)
 

@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rayspace as rs
-from rayspace import cli
+from rayspace import cli, families, variational
 from rayspace.cli import main
 from rayspace.errors import BadMediaChainError, RaySpaceError, SceneSyntaxError, UnknownSurfaceError
 from rayspace.scene import load_scene, parse_scene
 
-from helpers import chart_jacobian_oracle, nested_sphere_system, random_rotation
+from helpers import chart_jacobian_oracle, grid_csv_oracle, nested_sphere_system, random_rotation
 
 MINIMAL = """\
 [surface m]
@@ -556,3 +556,97 @@ class TestSymplecticProperty:
             scale = 1.0 if itf.action == rs.REFLECT else itf.n_in / itf.n_out
             assert float(report[f"interface_{i}_scale"]) == scale
             assert float(report[f"interface_{i}_residual"]) < 1e-6
+
+
+class TestCommandLine:
+    """The one parser every `main` call shares: bad command lines, reuse
+    across calls, and the help text."""
+
+    POINT_PLANE = str(SCENES / "point_plane.scene")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["frobnicate", "--scene", POINT_PLANE], "argument command: invalid choice: 'frobnicate'"),
+            (["trace"], "the following arguments are required: --scene"),
+            (["trace", "--scene", POINT_PLANE, "--grid", "x"], "argument --grid: invalid int value: 'x'"),
+        ],
+    )
+    def test_bad_command_line_exits_1(self, capsys, argv, message):
+        # exit 2 means a numerical failure
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rayspace ")
+        assert err.splitlines()[-1].startswith(f"rayspace: error: {message}")
+
+    def test_options_do_not_leak_between_calls(self, tmp_path):
+        sphere = str(SCENES / "sphere_refract.scene")
+        runs = [
+            (["trace", "--scene", self.POINT_PLANE, "--grid", "5"], "grid", "5"),
+            (["trace", "--scene", self.POINT_PLANE], "grid", "9"),
+            (["check-symplectic", "--scene", sphere, "--seed", "2"], "seed", "2"),
+            (["check-symplectic", "--scene", sphere], "seed", "7"),
+        ]
+        for n, (argv, key, value) in enumerate(runs):
+            out = tmp_path / str(n)
+            assert main([*argv, "--out", str(out)]) == 0
+            report = read_report(out / "report.txt")
+            assert report["command"] == argv[0]
+            assert report[key] == value
+
+    def test_help_lists_commands_and_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name in [*cli._COMMANDS, "--scene", "--out", "--grid", "--tol", "--step", "--seed"]:
+            assert name in text
+
+
+class TestGridCsv:
+    """families._grid_csv against grid_csv_oracle, which formats value by value."""
+
+    def test_special_values(self):
+        special = [
+            np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+            2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+            0.1, 1 / 3, -1e-7, 123456789.0,
+        ]
+        k1 = np.array([-0.0, 5e-324, np.nan])
+        k2 = np.array([np.inf, 0.1, -1.7976931348623157e308, 1e-310, 1.0])
+        nodes = np.resize(np.array(special), (3, 5, 4))
+        text = families._grid_csv("k1,k2,a,b,c,d", k1, k2, nodes)
+        assert text == grid_csv_oracle("k1,k2,a,b,c,d", k1, k2, nodes)
+        assert text.splitlines()[1:3] == [
+            "-0,inf,nan,inf,-inf,0",
+            "-0,0.10000000000000001,-0,4.9406564584124654e-324,-4.9406564584124654e-324,2.2250738585072009e-308",
+        ]
+
+    @given(st.lists(st.floats(), min_size=9 * 2, max_size=9 * 2))
+    def test_any_doubles(self, values):
+        nodes = np.array(values).reshape(3, 3, 2)
+        k = np.array(values[:3])
+        assert families._grid_csv("k1,k2,a,b", k, k, nodes) == grid_csv_oracle("k1,k2,a,b", k, k, nodes)
+
+    def test_bundled_scenes(self, tmp_path):
+        real = families._grid_csv
+        headers = set()
+
+        def checked(header, k1, k2, nodes):
+            text = real(header, k1, k2, nodes)
+            assert text == grid_csv_oracle(header, k1, k2, nodes)
+            headers.add(header)
+            return text
+
+        with (
+            mock.patch.object(families, "_grid_csv", checked),
+            mock.patch.object(variational, "_grid_csv", checked),
+            mock.patch.object(cli, "_grid_csv", checked),
+        ):
+            for scene in sorted(SCENES.glob("*.scene")):
+                for command in ("trace", "defect", "wavefront", "mirror"):
+                    main([command, "--scene", str(scene), "--out", str(tmp_path)])
+        # trace.csv, DefectGrid, Wavefront and MirrorDesign
+        assert headers == {"k1,k2,ux,uy,uz,qx,qy,qz", "k1,k2,value", "k1,k2,qx,qy,qz,F", "k1,k2,x,y,z"}
