@@ -30,7 +30,7 @@ from .families import (
     reconstruct_wavefront,
     transform_family,
 )
-from .lines import _norm, chart_jacobian, symplectic_residual
+from .lines import _norm, _ray, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import load_scene
 from .variational import (
@@ -187,19 +187,22 @@ def cmd_check_symplectic(scene, args, out_dir):
         # each interface's map is checked on the ray as it arrives there
         for i, itf in enumerate(interfaces):
             single = OpticalSystem((itf,), ambient_index=itf.n_in)
+            traced = []
 
             def mapper(l):
                 on_l = l.q + np.vecdot(start - l.q, l.u)[..., None] * l.u
-                return propagate_system(l, single, start=on_l).line_out
+                traced.append(propagate_system(l, single, start=on_l))
+                return traced[-1].line_out
 
             try:
-                result = propagate_system(line, single, start=start)
                 jac, _, _ = chart_jacobian(mapper, line, h=step)
             except TraceError as exc:
                 raise FamilyTraceError(k, TraceError(i, exc.cause)) from exc
             worst[i] = max(worst[i], symplectic_residual(jac, scale=scales[i]))
-            line = result.line_out
-            start = line.point_at(_cursor_past(line, result.hits[0].point))
+            # the sample itself is row 0 of the batch chart_jacobian traced
+            result = traced[0]
+            line = _ray(result.line_out, 0)
+            start = line.point_at(_cursor_past(line, result.hits[0].point[0]))
     for i, itf in enumerate(interfaces):
         pairs.append((f"interface_{i}", _interface_label(itf)))
         pairs.append((f"interface_{i}_scale", _fmt(scales[i])))

@@ -25,15 +25,16 @@ family has `vectorized=True`.  Its rows equal the single evaluations bit for
 bit.
 
 `one_form_integral` takes one segment or a batch of them and refines the
-batch level by level, each level in one evaluation of the new midpoints of
-every segment not yet converged; `is_regular_point` takes one point or a
-batch.  `reconstruct_wavefront` evaluates its grid lines, integrates all its
-segments and checks the regularity of all its nodes in one batch each;
-`orthogonality_residual` does the same with its centre lines and its +-h
-probe integrals, which also give the probe end lines, and `defect_grid` with
-the stencil and centre lines of all its nodes and their immersion tests.
+batch level by level: the nodes of the segments not yet converged are one
+array, and each level evaluates all their new midpoints as one batch.
+`is_regular_point` takes one point or a batch.  `reconstruct_wavefront`
+evaluates its grid lines, integrates all its segments and checks the
+regularity of all its nodes in one batch each; `orthogonality_residual`
+integrates its +-h probes as one batch, whose first and last nodes are the
+centre and probe end lines, and `defect_grid` evaluates the stencil and
+centre lines of all its nodes and their immersion tests in one batch.
 A single segment, point or defect is the batch of one.  Batches are
-evaluated at most _CHUNK rays per call, which bounds their memory.
+evaluated at most _CHUNK rays per call.
 
 A failing batch raises what its first failing item (parameter, segment,
 node or probe) raises alone, and the error's `row` is that item's index.
@@ -72,9 +73,7 @@ from .lines import (
 from .optics import OpticalSystem, propagate_system
 from .surfaces import Plane, Sinusoid, Sphere
 
-# Rays per eval call in batched routines: one segment's deepest refinement
-# level (max_points / 2 = 2048 new midpoints) still fits in one call, and a
-# wavefront's batches keep their memory bounded.
+# Rays per eval call in batched routines, which bounds the memory of one call.
 _CHUNK = 2048
 _MAX_POINTS = 4096  # the finest one-form subdivision
 _INTEGRAL_TOL = 1e-9  # one-form refinements stop once successive sums agree within it
@@ -530,9 +529,9 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
 
     ka and kb of shape (2,) give one segment and a float; shape (S, 2) gives
     S segments and an (S,) array.  The segments refine together: each level
-    evaluates the new midpoints of every segment not yet converged in one
-    call (of at most _CHUNK rays) for a vectorized family.  Each segment keeps
-    its own nodes, Romberg row and stopping test, all computed row by row, so
+    evaluates the new midpoints of every segment not yet converged as one
+    batch (in calls of at most _CHUNK rays).  Each segment keeps its own
+    nodes, Romberg row and stopping test, all computed row by row, so
     each value equals the single segment's bit for bit (the same nodes, the
     same sums, the same extrapolation), and a failing batch raises what its
     first failing segment raises alone.
@@ -545,55 +544,49 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
 
 def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
     """one_form_integral of the segments ka[s] -> kb[s], refined together,
-    and the directions and foot points (S, 3) of their lines at t = 1, the
-    parameters ka + (kb - ka), from the first level.
+    and the directions and foot points (S, 5, 3) of their first level's
+    nodes, at the parameters ka + t (kb - ka) for t = 0, 1/4, 1/2, 3/4, 1.
 
-    A level evaluates its new midpoints in calls of whole segments (at most
-    _CHUNK rays unless one segment alone has more) and builds those
-    segments' nodes and sums call by call, dropping each segment's previous
-    nodes as it goes, so it holds little more than one copy of the nodes of
-    the live segments.  Each live segment's previous Romberg row is kept
-    beside its nodes and dropped with them when the segment converges.
+    The nodes of the live segments are two arrays (live, m + 1, 3).  Each
+    level evaluates the new midpoints of all live segments in one batch,
+    interleaves them with the kept nodes and sums every segment's trapezoids
+    in one reduction.  The nodes and the previous Romberg row of a segment
+    are dropped when it converges.  While a level is built, the previous
+    level's nodes, the new midpoints and the new nodes are all held, and
+    then the new nodes and the sums' terms: segments that never converge
+    peak at about two copies of their nodes at max_points.
     """
     values = np.empty(len(ka))
-    ends = np.empty((2, len(ka), 3))  # the directions and foot points at t = 1
     span = kb - ka
     live = np.arange(len(ka))  # the segments not yet converged
-    kept = None  # per live segment, the directions and foot points of its nodes
+    first = us = qs = None  # the first level's nodes; the live segments' nodes
     prev = None  # per live segment, its previous Romberg row
     m = 4
     while m <= max_points:
         ts = np.linspace(0.0, 1.0, m + 1)
-        fresh = ts if kept is None else ts[1::2]
-        at = slice(None) if kept is None else slice(1, None, 2)
-        val = np.empty(len(live))
-        grown = []
-        per_call = max(1, _CHUNK // len(fresh))
-        for a in range(0, len(live), per_call):
-            seg = live[a : a + per_call]
-            ks = ka[seg, None] + fresh[:, None] * span[seg, None]
-            try:
-                u, q = _eval_rows(family, ks.reshape(-1, 2))
-            except RaySpaceError as exc:
-                exc.at(seg[exc.row // len(fresh)])
-                if exc.row:  # the segments before it may fail at a later level
-                    _one_form_levels(family, ka[: exc.row], kb[: exc.row], tol, max_points)
-                raise
-            us = np.empty((len(seg), m + 1, 3))
-            qs = np.empty((len(seg), m + 1, 3))
-            us[:, at] = u.reshape(len(seg), len(fresh), 3)
-            qs[:, at] = q.reshape(len(seg), len(fresh), 3)
-            if kept is None:
-                ends[:, seg] = us[:, -1], qs[:, -1]
-            else:
-                for b in range(len(seg)):
-                    us[b, 0::2], qs[b, 0::2] = kept[a + b]
-                    kept[a + b] = None
-            with np.errstate(invalid="ignore", over="ignore"):  # an inf or NaN sum keeps refining
-                terms = (us[:, :-1] + us[:, 1:]) * (qs[:, 1:] - qs[:, :-1])
-                val[a : a + len(seg)] = 0.5 * terms.reshape(len(seg), -1).sum(axis=1)
-            grown.extend(zip(us, qs))
-        kept = grown
+        fresh = ts if us is None else ts[1::2]
+        try:
+            u, q = _eval_rows(family, (ka[live, None] + fresh[:, None] * span[live, None]).reshape(-1, 2))
+        except RaySpaceError as exc:
+            exc.at(live[exc.row // len(fresh)])
+            if exc.row:  # the segments before it may fail at a later level
+                _one_form_levels(family, ka[: exc.row], kb[: exc.row], tol, max_points)
+            raise
+        shape = (len(live), len(fresh), 3)
+        if us is None:
+            first = us, qs = u.reshape(shape), q.reshape(shape)
+        else:
+            grown = np.empty((2, len(live), m + 1, 3))
+            grown[0, :, 0::2], grown[1, :, 0::2] = us, qs
+            grown[0, :, 1::2], grown[1, :, 1::2] = u.reshape(shape), q.reshape(shape)
+            us, qs = grown
+            del grown
+        del u, q  # the nodes hold them now; free the copies before the sums
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf or NaN sum keeps refining
+            terms = us[:, :-1] + us[:, 1:]
+            terms *= qs[:, 1:] - qs[:, :-1]
+            val = 0.5 * terms.reshape(len(live), -1).sum(axis=1)
+        del terms
         row = val[:, None]
         if prev is not None:
             top = prev.shape[1] - 1  # the highest column of both rows
@@ -604,10 +597,9 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
                     row[:, c] = row[:, c - 1] + (row[:, c - 1] - prev[:, c - 1]) / (4**c - 1)
                 going = ~(abs(row[:, top] - prev[:, top]) <= tol)  # a NaN sum keeps refining
             values[live[~going]] = row[~going, top]
-            live, row = live[going], row[going]
-            kept = [nodes for nodes, g in zip(kept, going) if g]
+            live, row, us, qs = live[going], row[going], us[going], qs[going]
             if not len(live):
-                return values, ends[0], ends[1]
+                return values, *first
         prev = row
         m *= 2
     raise NoConvergenceError("one-form integral did not converge under refinement").at(live[0])
@@ -749,39 +741,24 @@ def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | N
 
     Uses the family's default step (not the grid spacing), continuing F to
     the probe parameters by short one-form integrals, so the residual
-    measures genuine non-orthogonality rather than grid truncation.  The
-    centre lines and the 4 probe integrals per node are each evaluated in
-    one batch; each probe's end line is its integral's last node.
+    measures genuine non-orthogonality rather than grid truncation.  The 4
+    probe integrals of every node refine as one batch.  A node's centre line
+    is the first node of its first probe, and a probe's end line is its
+    integral's node at t = 1, the parameter node + (end - node), which may
+    differ from the end in its last bit.  A failing batch raises what the
+    node by node loop raised, and the error's row is the probe: a failing
+    centre line names its node's first probe.
     """
     if h is None:
         h = family.default_step()
     nodes = _nodes(wavefront.k1, wavefront.k2).reshape(-1, 2)
     ends = (nodes[:, None] + _stencil(2, h)).reshape(-1, 2)  # +k1, -k1, +k2, -k2
-    u0, f_side, side_u, side_q = _probes(family, nodes, ends)
-    f_side += wavefront.values.reshape(-1, 1)
+    f_side, us, qs = _one_form_levels(family, np.repeat(nodes, 4, axis=0), ends, 1e-12, _MAX_POINTS)
+    f_side = f_side.reshape(-1, 4) + wavefront.values.reshape(-1, 1)
+    side_u, side_q = us[:, -1].reshape(-1, 4, 3), qs[:, -1].reshape(-1, 4, 3)
     q_side = side_q - (f_side + wavefront.c)[..., None] * side_u
     d = q_side[:, 0::2] - q_side[:, 1::2]  # (nodes, axes, 3)
     norm = _norm(d)
     moved = norm > 0.0
-    ratios = abs(np.vecdot(u0[:, None], d)[moved]) / norm[moved]
+    ratios = abs(np.vecdot(us[0::4, 0, None], d)[moved]) / norm[moved]
     return float(np.fmax.reduce(ratios, initial=0.0))
-
-
-def _probes(family: RayFamily, nodes, ends):
-    """The centre lines (N, 3) of nodes (N, 2) from one batch, and from
-    another the one-form integrals (N, 4) from each node to its 4 probe ends
-    (4N, 2) with the end lines (N, 4, 3): an end line is its integral's node
-    at t = 1, the parameter node + (end - node), which may differ from the
-    end in its last bit.  A failing batch raises what the node by node loop raised: a
-    node's centre line, then each probe's integral and end line.  The
-    error's row is the probe; a failing centre line names its node's first.
-    """
-    try:
-        u0, _ = _eval_rows(family, nodes)
-    except RaySpaceError as exc:
-        exc.row *= 4
-        if exc.row:  # the nodes before it may fail on their probes
-            _probes(family, nodes[: exc.row // 4], ends[: exc.row])
-        raise
-    f_side, side_u, side_q = _one_form_levels(family, np.repeat(nodes, 4, axis=0), ends, 1e-12, _MAX_POINTS)
-    return u0, f_side.reshape(-1, 4), side_u.reshape(-1, 4, 3), side_q.reshape(-1, 4, 3)

@@ -570,8 +570,8 @@ class TestSegmentBatch:
             return fam.eval(k1, k2)
 
         batch = rs.one_form_integral(dataclasses.replace(fam, eval=counting), ka, kb, tol=1e-7)
-        assert 5 * len(ka) > _CHUNK  # the first level takes two calls
-        assert sum(calls[:2]) == 5 * len(ka)
+        # the first level is one batch of 5 nodes per segment, split at _CHUNK rays
+        assert calls[:2] == [_CHUNK, 5 * 450 - _CHUNK]
         assert max(calls) <= _CHUNK
         singles = [rs.one_form_integral(fam, a, b, tol=1e-7) for a, b in zip(ka, kb)]
         check_against_items(batch, singles)
@@ -648,11 +648,15 @@ class TestWavefrontCalls:
         wf = rs.reconstruct_wavefront(
             counted, scene.options["k0"], c=scene.options["wavefront_c"], grid=9
         )
+        before = len(calls)
         residual = rs.orthogonality_residual(counted, wf)
         # one call per grid, refinement level (per _CHUNK rays), stencil
-        # batch and probe batch; node by node evaluation made 2,547
+        # batch and probe level; node by node evaluation made 2,547
         assert len(calls) <= 40
         assert max(calls) <= _CHUNK
+        # the 4 * 81 probes converge at their second level, and no centre
+        # line is evaluated apart from its node's first probe
+        assert calls[before:] == [5 * 324, 4 * 324]
         assert residual < 1e-9
 
     def test_custom_family_gives_the_same_wavefront(self):
@@ -725,6 +729,27 @@ class TestErrorOrderOfWavefrontBatches:
             f"at k={k}: interface 0: "
             "ray misses Sphere in (0, 1e+06]"
         )
+
+    def test_failing_centre_line_names_its_nodes_first_probe(self):
+        # a node's centre line is the first node of its first probe integral
+        fam = rs.point_source([0, 0, 5], [0.1, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        wf = rs.reconstruct_wavefront(fam, (0.05, -0.03), c=2.0, grid=5)
+        i, j = 1, 3
+        bad = (wf.k1[i], wf.k2[j])
+
+        def _eval(k1, k2):
+            if (k1, k2) == bad:
+                raise FamilyTraceError(bad, TraceError(0, NoIntersectionError("ray misses Sphere")))
+            return fam.eval(k1, k2)
+
+        failing = rs.RayFamily(_eval, fam.domain)
+        h = fam.default_step()
+        reference = outcome(lambda: naive_orthogonality_residual(failing, wf, h))
+        assert isinstance(reference, FamilyTraceError)
+        with pytest.raises(FamilyTraceError) as err:
+            rs.orthogonality_residual(failing, wf)
+        assert_same_error(err.value, reference)
+        assert err.value.row == 4 * (i * len(wf.k2) + j)
 
 
 def _sphere_edge_family():
