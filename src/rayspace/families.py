@@ -610,17 +610,22 @@ def _eval_rows(family: RayFamily, ks):
 
     A vectorized family is evaluated in calls of at most _CHUNK rows, any
     other family row by row, in order; an error's row is its row in ks.
+    The calls' lines are written into one pair of arrays, and the lines of
+    a single call are returned as they are (read-only).
     """
     size = _CHUNK if family.vectorized else 1
-    lines = []
+    u, q = np.empty((len(ks), 3)), np.empty((len(ks), 3))
     for a in range(0, len(ks), size):
         k1, k2 = ks[a : a + size].T if family.vectorized else ks[a]
         try:
-            lines.append(family.eval(k1, k2))
+            line = family.eval(k1, k2)
         except RaySpaceError as exc:
             exc.row += a
             raise
-    return np.vstack([line.u for line in lines]), np.vstack([line.q for line in lines])
+        if len(ks) <= size:
+            return line.u.reshape(-1, 3), line.q.reshape(-1, 3)
+        u[a : a + size], q[a : a + size] = line.u, line.q
+    return u, q
 
 
 def _nodes(k1, k2) -> np.ndarray:
@@ -658,6 +663,39 @@ class Wavefront:
         return _grid_csv("k1,k2,qx,qy,qz,F", self.k1, self.k2, nodes)
 
 
+def _l_paths(horiz, vert, i0: int, j0: int):
+    """The primitives (n1, n2) at every node of a grid from the base node
+    (i0, j0), summed along its L-paths: along row j0 first, then along the
+    node's column, and along column i0 first, then along the node's row.
+    horiz[i, j] (n1 - 1, n2) is the integral from node (i, j) to (i + 1, j),
+    vert[i, j] (n1, n2 - 1) the one from (i, j) to (i, j + 1)."""
+    across = _leg_sums(horiz, i0)  # along k1 from row i0
+    along = _leg_sums(vert.T, j0).T  # along k2 from column j0
+    return across[:, j0, None] + along, along[i0] + across
+
+
+def _leg_sums(segments, start: int) -> np.ndarray:
+    """The signed sums out[i, k] of segments[:, k] from index start to i,
+    (n, K) for segments (n - 1, K): the sum of segments[start:i, k], or minus
+    that of segments[i:start, k].
+
+    Each sum is bit for bit np.sum of its 1-D slice: the legs of one length
+    are summed along the rows of one C-contiguous copy, which numpy sums
+    pairwise row by row as it sums a 1-D array (a strided 2-D view need
+    not be).
+    """
+    n = len(segments) + 1
+    out = np.zeros((n, segments.shape[1]))
+    for length in range(1, max(start, n - 1 - start) + 1):
+        if start + length < n:
+            leg = segments[start : start + length]
+            out[start + length] = np.ascontiguousarray(leg.T).sum(axis=-1)
+        if start >= length:
+            leg = segments[start - length : start]
+            out[start - length] = -np.ascontiguousarray(leg.T).sum(axis=-1)
+    return out
+
+
 def reconstruct_wavefront(
     family: RayFamily,
     k0,
@@ -692,26 +730,10 @@ def reconstruct_wavefront(
     starts = np.concatenate([rows[:, :-1].reshape(-1, 2), nodes[:, :-1].reshape(-1, 2)])
     ends = np.concatenate([rows[:, 1:].reshape(-1, 2), nodes[:, 1:].reshape(-1, 2)])
     seg = one_form_integral(family, starts, ends, tol=integral_tol)
-    horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T.copy()
+    horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 
-    def cum(segments, start, stop):
-        # signed sum of consecutive segments from index start to stop
-        if stop >= start:
-            return float(np.sum(segments[start:stop]))
-        return -float(np.sum(segments[stop:start]))
-
-    f_rc = np.zeros((n1, n2))  # along row j0 first, then up/down the column
-    f_cr = np.zeros((n1, n2))  # along column i0 first, then across the row
-    for i in range(n1):
-        row_leg = cum(horiz[:, j0], i0, i)
-        for j in range(n2):
-            f_rc[i, j] = row_leg + cum(vert[i, :], j0, j)
-    for j in range(n2):
-        col_leg = cum(vert[i0, :], j0, j)
-        for i in range(n1):
-            f_cr[i, j] = col_leg + cum(horiz[:, j], i0, i)
-
+    f_rc, f_cr = _l_paths(horiz, vert, i0, j0)
     discrepancy = float(np.max(np.abs(f_rc - f_cr)))
     if discrepancy > path_tol:
         raise NotRectangularError(

@@ -34,7 +34,8 @@ lowest-index failing ray raises alone, with that ray's index as the error's
 which may miss, as one batch.  A chart's `embed` and `jacobian` take one
 coordinate pair, (2,), or a batch, (N, 2), and give (3,) or (N, 3) points
 and (3, 2) or (N, 3, 2) Jacobians, a batch bit for bit the per-point
-results; a quadric chart leaving its sheet raises for the lowest failing
+results; its `evaluate` gives both from one evaluation, bit for bit the
+same.  A quadric chart leaving its sheet raises for the lowest failing
 point, with its index as `row`.  `invert` and `normal_at` work on one point
 at a time.
 """
@@ -86,12 +87,29 @@ class SurfaceChart:
 
     `embed` maps coordinates xi, (2,) or (N, 2), to points, (3,) or (N, 3);
     `jacobian` gives the analytic d point / d xi, (3, 2) or (N, 3, 2);
+    `evaluate` gives both, (points, Jacobians), from one evaluation;
     `invert` maps one point back to its (2,) coordinates.
+
+    A kind gives the work its points and Jacobians share, `shared(xi)` (the
+    sphere's sines and cosines, the quadric's height, the sinusoid's phase),
+    and `to_points` and `to_jacobians`, which finish each from that work, so
+    each formula exists once.
     """
 
-    embed: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    shared: Callable
+    to_points: Callable
+    to_jacobians: Callable
     invert: Callable[[np.ndarray], np.ndarray]
+
+    def embed(self, xi) -> np.ndarray:
+        return self.to_points(self.shared(xi))
+
+    def jacobian(self, xi) -> np.ndarray:
+        return self.to_jacobians(self.shared(xi))
+
+    def evaluate(self, xi):
+        work = self.shared(xi)
+        return self.to_points(work), self.to_jacobians(work)
 
 
 @dataclass(frozen=True)
@@ -133,8 +151,9 @@ class Plane:
         _, e1, e2 = _frame(self.normal)
         jac = np.stack([e1, e2], axis=1)
         return SurfaceChart(
-            embed=lambda xi: origin + xi[..., 0, None] * e1 + xi[..., 1, None] * e2,
-            jacobian=lambda xi: np.broadcast_to(jac, xi.shape[:-1] + (3, 2)),
+            shared=lambda xi: xi,
+            to_points=lambda xi: origin + xi[..., 0, None] * e1 + xi[..., 1, None] * e2,
+            to_jacobians=lambda xi: np.broadcast_to(jac, xi.shape[:-1] + (3, 2)),
             invert=lambda p: np.array([(p - origin) @ e1, (p - origin) @ e2]),
         )
 
@@ -186,17 +205,16 @@ class Sphere:
             e1 = np.array([1.0, 0.0, 0.0])
             e2 = np.array([0.0, 1.0, 0.0])
 
-        def embed(xi):
+        def trig(xi):
             th, ph = xi[..., 0, None], xi[..., 1, None]
-            st = np.sin(th)
-            return center + radius * (
-                st * np.cos(ph) * e1 + st * np.sin(ph) * e2 + np.cos(th) * pole
-            )
+            return np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
 
-        def jac(xi):
-            th, ph = xi[..., 0, None], xi[..., 1, None]
-            st, ct = np.sin(th), np.cos(th)
-            sp, cp = np.sin(ph), np.cos(ph)
+        def to_points(work):
+            st, ct, sp, cp = work
+            return center + radius * (st * cp * e1 + st * sp * e2 + ct * pole)
+
+        def to_jacobians(work):
+            st, ct, sp, cp = work
             d_th = ct * cp * e1 + ct * sp * e2 - st * pole
             d_ph = -st * sp * e1 + st * cp * e2
             return radius * np.stack([d_th, d_ph], axis=-1)
@@ -207,7 +225,7 @@ class Sphere:
                 [np.arccos(np.clip(d @ pole, -1.0, 1.0)), np.arctan2(d @ e2, d @ e1)]
             )
 
-        return SurfaceChart(embed, jac, invert)
+        return SurfaceChart(trig, to_points, to_jacobians, invert)
 
 
 @dataclass(frozen=True)
@@ -297,14 +315,14 @@ class Quadric:
             z_minus = _solve_height(xi_ref, -1.0)
             branch = 1.0 if abs(z_plus - ref[axis]) <= abs(z_minus - ref[axis]) else -1.0
 
-        def embed(xi):
+        def on_sheet(xi):
             x = np.empty(xi.shape[:-1] + (3,))
             x[..., others[0]], x[..., others[1]] = xi[..., 0], xi[..., 1]
             x[..., axis] = _solve_height(xi, branch)
             return x
 
-        def jac(xi):
-            g = self.gradient(embed(xi))
+        def to_jacobians(x):
+            g = self.gradient(x)
             out = np.zeros(g.shape + (2,))
             out[..., others[0], 0] = 1.0
             out[..., others[1], 1] = 1.0
@@ -315,7 +333,7 @@ class Quadric:
         def invert(p):
             return np.array([p[others[0]], p[others[1]]])
 
-        return SurfaceChart(embed, jac, invert)
+        return SurfaceChart(on_sheet, lambda x: x, to_jacobians, invert)
 
 
 @dataclass(frozen=True)
@@ -453,12 +471,15 @@ class Sinusoid:
         amp = self.amplitude
         w = self.wavevector
 
-        def embed(xi):
-            x, y = xi[..., 0], xi[..., 1]
-            return np.stack([x, y, amp * np.sin(w[0] * x + w[1] * y)], axis=-1)
+        def phase(xi):
+            return xi, w[0] * xi[..., 0] + w[1] * xi[..., 1]
 
-        def jac(xi):
-            c = amp * np.cos(w[0] * xi[..., 0] + w[1] * xi[..., 1])
+        def to_points(work):
+            xi, ph = work
+            return np.stack([xi[..., 0], xi[..., 1], amp * np.sin(ph)], axis=-1)
+
+        def to_jacobians(work):
+            c = amp * np.cos(work[1])
             out = np.zeros(c.shape + (3, 2))
             out[..., 0, 0] = 1.0
             out[..., 1, 1] = 1.0
@@ -469,7 +490,7 @@ class Sinusoid:
         def invert(p):
             return np.array([p[0], p[1]])
 
-        return SurfaceChart(embed, jac, invert)
+        return SurfaceChart(phase, to_points, to_jacobians, invert)
 
 
 SURFACE_KINDS = (Plane, Sphere, Quadric, Sinusoid)

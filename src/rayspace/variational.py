@@ -27,6 +27,7 @@ one stacked SVD of the quadric fits around all interior nodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,9 +137,11 @@ def initial_path(m1, m2, system: OpticalSystem) -> PathConfiguration:
     return path_through(m1, m2, system, points)
 
 
-def _polylines(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
+def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
     """The broken paths of pc's endpoints and charts at a stack of flat
-    coordinate rows xs, (N, 2m), as (N, m + 2, 3) points.
+    coordinate rows xs, (N, 2m), as (N, m + 2, 3) points; with `jacobians`,
+    (paths, [each chart's (N, 3, 2) Jacobians]), from one evaluation of
+    each chart.
 
     Every row is checked for consecutive points closer than 1e-9, the
     check of every PathConfiguration.  A failing stack raises what its
@@ -147,9 +150,15 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
     paths = np.empty((len(xs), len(pc.charts) + 2, 3))
     paths[:, 0] = pc.m1
     paths[:, -1] = pc.m2
+    jacs = []
     try:
         for i, chart in enumerate(pc.charts):
-            paths[:, i + 1] = chart.embed(xs[:, 2 * i : 2 * i + 2])
+            xi = xs[:, 2 * i : 2 * i + 2]
+            if jacobians:
+                paths[:, i + 1], jac = chart.evaluate(xi)
+                jacs.append(jac)
+            else:
+                paths[:, i + 1] = chart.embed(xi)
     except RaySpaceError as exc:
         if exc.row:  # the rows before it may fail at a later chart
             _polylines(pc, xs[: exc.row])
@@ -159,7 +168,7 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
         err = ValueError("consecutive path points coincide")
         err.row = row
         raise err
-    return paths
+    return (paths, jacs) if jacobians else paths
 
 
 def _segments(paths):
@@ -167,27 +176,34 @@ def _segments(paths):
     return paths[:, 1:] - paths[:, :-1]
 
 
-def _lengths(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
-    """optical_length at each flat coordinate row of xs, (N,)."""
-    lengths = _norm(_segments(_polylines(pc, xs)))
+def _path_lengths(system: OpticalSystem, paths: np.ndarray) -> np.ndarray:
+    """The optical lengths of (N, m + 2, 3) broken paths through system, (N,)."""
+    lengths = _norm(_segments(paths))
     total = 0.0
-    for i, n in enumerate(pc.system.media()):
+    for i, n in enumerate(system.media()):
         total = total + n * lengths[:, i]
     return total
 
 
-def _gradients(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
+def _lengths(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
+    """optical_length at each flat coordinate row of xs, (N,)."""
+    return _path_lengths(pc.system, _polylines(pc, xs))
+
+
+def _gradients(pc: PathConfiguration, xs: np.ndarray):
     """Analytic gradient of optical_length at each flat coordinate row of
-    xs, (N, 2m), checked and failing as _polylines."""
-    units = _segments(_polylines(pc, xs))
+    xs, (N, 2m), and the broken path of row 0, (m + 2, 3), checked and
+    failing as _polylines."""
+    paths, jacs = _polylines(pc, xs, jacobians=True)
+    units = _segments(paths)
     units /= _norm(units)[..., None]
     media = pc.system.media()
     parts = []
-    for i, chart in enumerate(pc.charts):
+    for i, jac in enumerate(jacs):
         grad_point = media[i] * units[:, i] - media[i + 1] * units[:, i + 1]
         # row @ J gives J.T @ row of each point bit for bit
-        parts.append((grad_point[:, None, :] @ chart.jacobian(xs[:, 2 * i : 2 * i + 2]))[:, 0])
-    return np.concatenate(parts, axis=1)
+        parts.append((grad_point[:, None, :] @ jac)[:, 0])
+    return np.concatenate(parts, axis=1), paths[0]
 
 
 def optical_length(pc: PathConfiguration) -> float:
@@ -205,9 +221,14 @@ def stationarity_residual(pc: PathConfiguration, h: float = _FD_H) -> float:
 
 def law_residual(pc: PathConfiguration) -> float:
     """max deviation of the discrete directions from the local optics laws."""
-    pts = pc.polyline()
+    return _law_residual(pc.system, pc.polyline())
+
+
+def _law_residual(system: OpticalSystem, pts) -> float:
+    """law_residual of the broken path pts: M1, one point per interface of
+    system, M2."""
     worst = 0.0
-    for i, itf in enumerate(pc.system.interfaces):
+    for i, itf in enumerate(system.interfaces):
         here = pts[i + 1]
         u_in = here - pts[i]
         u_in /= np.linalg.norm(u_in)
@@ -224,24 +245,35 @@ def law_residual(pc: PathConfiguration) -> float:
     return worst
 
 
+@functools.cache
+def _hessian_stencil(dim: int) -> np.ndarray:
+    """The read-only central-difference stencil (2 dim, dim) of the Newton
+    Hessian."""
+    steps = _stencil(dim, _FD_H)
+    steps.flags.writeable = False
+    return steps
+
+
 def _gradient_and_hessian(pc: PathConfiguration, x: np.ndarray):
-    """The gradient at x and the symmetrized central-difference Hessian of
-    it, from one gradient batch of x and its stencil rows.
+    """The gradient at x, the symmetrized central-difference Hessian of it
+    and the broken path of x, from one gradient batch of x and its stencil
+    rows.
 
     An error of x itself is raised.  If only a stencil row fails, the
-    gradient at x is taken alone, and the Hessian is the error of the first
-    failing stencil row, which a Newton step from x raises: the column by
-    column Hessian would have raised it there.
+    gradient and path at x are taken alone, and the Hessian is the error of
+    the first failing stencil row, which a Newton step from x raises: the
+    column by column Hessian would have raised it there.
     """
     try:
-        gs = _gradients(pc, np.vstack([x, x + _stencil(x.size, _FD_H)]))
+        gs, path = _gradients(pc, np.vstack([x, x + _hessian_stencil(x.size)]))
     except (ValueError, RaySpaceError) as exc:
         if not getattr(exc, "row", 0):
             raise
         exc.row = 0  # the error of this one solve
-        return _gradients(pc, x[None])[0], exc
+        g, path = _gradients(pc, x[None])
+        return g[0], exc, path
     hess = ((gs[1::2] - gs[2::2]) / (2.0 * _FD_H)).T
-    return gs[0], 0.5 * (hess + hess.T)
+    return gs[0], 0.5 * (hess + hess.T), path
 
 
 def characteristic_function(
@@ -261,7 +293,8 @@ def characteristic_function(
     around it, so an accepted step carries the next Hessian.  Afterwards the
     configuration must satisfy the local reflection/refraction law at every
     interface within law_tol (stationarity and the laws are equivalent; the
-    check closes the loop).  Returns (V, stationary configuration).
+    check closes the loop).  V and the law check take the accepted point's
+    path from its gradient batch.  Returns (V, stationary configuration).
 
     `initial` seeds the surface points: only its coords and charts are
     used, on the endpoints and system given here (ValueError when its
@@ -275,8 +308,7 @@ def characteristic_function(
         return optical_length(pc), pc
 
     x = pc.flat()
-    dim = x.size
-    g, hess = _gradient_and_hessian(pc, x)
+    g, hess, path = _gradient_and_hessian(pc, x)
     for _ in range(max_iter):
         gnorm = float(np.max(np.abs(g)))
         if gnorm < grad_tol:
@@ -286,7 +318,8 @@ def characteristic_function(
         lam = 0.0
         while True:
             try:
-                delta = np.linalg.solve(hess + lam * np.eye(dim), -g)
+                damped = hess + lam * np.eye(x.size) if lam > 0.0 else hess
+                delta = np.linalg.solve(damped, -g)
                 break
             except np.linalg.LinAlgError:
                 lam = 10.0 * lam if lam > 0.0 else 1e-8
@@ -297,31 +330,30 @@ def characteristic_function(
         while alpha >= 2.0**-20:
             x_try = x + alpha * delta
             try:
-                g_try, hess_try = _gradient_and_hessian(pc, x_try)
+                g_try, hess_try, path_try = _gradient_and_hessian(pc, x_try)
             except (ValueError, NoRootError, IllConditionedFitError):
                 alpha *= 0.5
                 continue
             n_try = float(np.max(np.abs(g_try)))
             if best is None or n_try < best[0]:
-                best = (n_try, x_try, g_try, hess_try)
+                best = (n_try, x_try, g_try, hess_try, path_try)
             if n_try < (1.0 - 1e-4 * alpha) * gnorm or n_try < grad_tol:
                 break
             alpha *= 0.5
         if best is None or best[0] >= gnorm:
             raise NoConvergenceError("line search failed to reduce the gradient")
-        _, x, g, hess = best
+        _, x, g, hess, path = best
     else:
         raise NoConvergenceError(
             f"Newton did not reach |grad| < {grad_tol:g} in {max_iter} iterations"
         )
 
-    pc = pc.with_coords(x)
-    residual = law_residual(pc)
+    residual = _law_residual(system, path)
     if residual > law_tol:
         raise NoConvergenceError(
             f"stationary point violates the local laws: residual {residual:.3e}"
         )
-    return optical_length(pc), pc
+    return float(_path_lengths(system, path[None])[0]), pc.with_coords(x)
 
 
 # ---------------------------------------------------------------------------

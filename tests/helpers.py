@@ -220,6 +220,30 @@ def grid_csv_oracle(header, k1, k2, nodes):
     return "".join(rows)
 
 
+def l_paths_oracle(horiz, vert, i0, j0):
+    """families._l_paths node by node: each leg one scalar np.sum of its
+    1-D slice, row leg plus column leg as Python floats."""
+
+    def cum(segments, start, stop):
+        # signed sum of consecutive segments from index start to stop
+        if stop >= start:
+            return float(np.sum(segments[start:stop]))
+        return -float(np.sum(segments[stop:start]))
+
+    n1, n2 = vert.shape[0], horiz.shape[1]
+    f_rc = np.zeros((n1, n2))  # along row j0 first, then up/down the column
+    f_cr = np.zeros((n1, n2))  # along column i0 first, then across the row
+    for i in range(n1):
+        row_leg = cum(horiz[:, j0], i0, i)
+        for j in range(n2):
+            f_rc[i, j] = row_leg + cum(vert[i, :], j0, j)
+    for j in range(n2):
+        col_leg = cum(vert[i0, :], j0, j)
+        for i in range(n1):
+            f_cr[i, j] = col_leg + cum(horiz[:, j], i0, i)
+    return f_rc, f_cr
+
+
 def node_defect_grid(family, grid=9, h=None, check_immersion=True):
     """defect_grid node by node in (i, j) order: the values, or the error
     of the first failing node."""
@@ -448,6 +472,7 @@ __all__ = [
     "stencil_defect",
     "immersion_ok",
     "node_defect_grid",
+    "l_paths_oracle",
     "sinusoid_first_root",
     "path_length",
     "path_gradient",

@@ -12,6 +12,7 @@ node by node loop and the sinusoid root search against one ray at a time.
 
 import dataclasses
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,7 +35,8 @@ from rayspace.errors import (
     TotalInternalReflectionError,
     TraceError,
 )
-from rayspace.families import _CHUNK, _require_inside, _spreads
+import rayspace.families as families
+from rayspace.families import _CHUNK, _eval_rows, _require_inside, _spreads
 from rayspace.lines import _ray
 from rayspace.scene import load_scene
 from rayspace.surfaces import _SCAN_SAMPLES
@@ -43,6 +45,7 @@ from helpers import (
     aimed_line,
     chart_jacobian_oracle,
     device_source,
+    l_paths_oracle,
     make_device,
     nested_sphere_system,
     node_defect_grid,
@@ -666,6 +669,74 @@ class TestWavefrontCalls:
         assert np.array_equal(custom.values, wf.values)
         assert np.array_equal(custom.points, wf.points)
         assert rs.orthogonality_residual(plain(fam), custom) == rs.orthogonality_residual(fam, wf)
+
+
+class TestEvalRows:
+    def test_chunks_fill_one_pair_of_arrays(self):
+        fam = rs.point_source([0, 0, 5], [0, 0, -1])
+        ks = np.random.default_rng(5).uniform(-0.3, 0.3, (64 * _CHUNK, 2))
+        tracemalloc.start()
+        try:
+            u, q = _eval_rows(fam, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one copy of the result, plus one call's working arrays
+        assert peak <= 1.25 * (u.nbytes + q.nbytes)
+        for a in (0, 17 * _CHUNK, len(ks) - _CHUNK):
+            line = fam.eval(*ks[a : a + _CHUNK].T)
+            assert u[a : a + _CHUNK].tobytes() == line.u.tobytes()
+            assert q[a : a + _CHUNK].tobytes() == line.q.tobytes()
+
+    def test_one_call_and_row_by_row(self):
+        fam = rs.point_source([0, 0, 5], [0, 0, -1])
+        ks = np.random.default_rng(6).uniform(-0.3, 0.3, (3, 2))
+        u, q = _eval_rows(fam, ks)
+        line = fam.eval(*ks.T)
+        assert u.shape == q.shape == (3, 3)
+        assert u.tobytes() == line.u.tobytes() and q.tobytes() == line.q.tobytes()
+        u1, q1 = _eval_rows(plain(fam), ks)
+        assert u1.tobytes() == u.tobytes() and q1.tobytes() == q.tobytes()
+        u0, q0 = _eval_rows(plain(fam), ks[:1])
+        assert u0.shape == (1, 3) and u0.tobytes() == u[:1].tobytes()
+
+
+class TestLPaths:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 29),
+        st.integers(2, 29),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_equal_to_the_scalar_sums(self, seed, n1, n2, a, b):
+        rng = np.random.default_rng(seed)
+        # magnitudes spread over decades, so that the order of the sums shows
+        horiz = rng.normal(size=(n1 - 1, n2)) * 10.0 ** rng.uniform(-8, 2, (n1 - 1, n2))
+        vert = rng.normal(size=(n1, n2 - 1)) * 10.0 ** rng.uniform(-8, 2, (n1, n2 - 1))
+        i0, j0 = int(a * (n1 - 1)), int(b * (n2 - 1))
+        got = families._l_paths(horiz, vert, i0, j0)
+        want = l_paths_oracle(horiz, vert, i0, j0)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_mirror_wavefront(self, monkeypatch):
+        # the 13 x 13 grid of the bundled mirror design, and its strided
+        # views of the segment integrals
+        scene = load_scene(str(SCENES / "mirror_design.scene"))
+        calls = []
+        real = families._l_paths
+
+        def checked(horiz, vert, i0, j0):
+            got = real(horiz, vert, i0, j0)
+            want = l_paths_oracle(horiz, vert, i0, j0)
+            calls.append(horiz.shape)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            return got
+
+        monkeypatch.setattr(families, "_l_paths", checked)
+        rs.reconstruct_wavefront(scene.family, (0.01, -0.02), c=0.5, grid=13)
+        assert calls == [(12, 13)]
 
 
 def naive_orthogonality_residual(family, wavefront, h):

@@ -2,7 +2,7 @@
 function against one configuration at a time.
 
 A chart's `embed` and `jacobian` on (N, 2) coordinates give, row by row, bit
-for bit what the rows give alone.  `characteristic_function` takes one
+for bit what the rows give alone, and `evaluate` gives both at once.  `characteristic_function` takes one
 gradient batch per point it tries, the Hessian stencil around the point
 included, and must give bit for bit the V and path of the solve that takes
 one gradient per configuration (`characteristic_function_oracle`), or raise
@@ -118,24 +118,32 @@ class TestBatchedCharts:
         alone = [outcome(lambda xi=xi: chart.embed(xi)) for xi in xs]
         failing = [i for i, p in enumerate(alone) if isinstance(p, Exception)]
         if failing:  # a quadric chart leaving its sheet
-            with pytest.raises(RaySpaceError) as err:
-                chart.embed(xs)
             first = alone[failing[0]]
-            assert type(err.value) is type(first) and str(err.value) == str(first)
-            assert err.value.row == failing[0]
+            for fn in (chart.embed, chart.jacobian, chart.evaluate):
+                with pytest.raises(RaySpaceError) as err:
+                    fn(xs)
+                assert type(err.value) is type(first) and str(err.value) == str(first)
+                assert err.value.row == failing[0]
             return
         points = chart.embed(xs)
         jacobians = chart.jacobian(xs)
         assert points.shape == (count, 3) and jacobians.shape == (count, 3, 2)
+        both = chart.evaluate(xs)
+        assert both[0].tobytes() == points.tobytes()
+        assert both[1].tobytes() == jacobians.tobytes()
         for i, xi in enumerate(xs):
             assert points[i].tobytes() == alone[i].tobytes()
             assert jacobians[i].tobytes() == chart.jacobian(xi).tobytes()
+            point, jacobian = chart.evaluate(xi)
+            assert point.shape == (3,) and jacobian.shape == (3, 2)
+            assert point.tobytes() == alone[i].tobytes()
+            assert jacobian.tobytes() == jacobians[i].tobytes()
 
     def test_quadric_batch_leaving_the_sheet_names_its_first_point(self):
         ball = rs.Quadric(np.eye(3), [0, 0, 0], -1.0)
         chart = ball.chart(reference_point=[0, 0, 1])
         xs = np.array([[0.1, 0.2], [0.6, 0.6], [1.2, 0.0], [0.2, -0.3], [0.0, 2.0]])
-        for fn in (chart.embed, chart.jacobian):
+        for fn in (chart.embed, chart.jacobian, chart.evaluate):
             with pytest.raises(NoRootError, match="quadric chart left the surface sheet") as err:
                 fn(xs)
             assert err.value.row == 2
@@ -265,6 +273,36 @@ class TestBatchedNewton:
         points = len(oracle_calls) - 1 - 2 * dim * len(solves)
         assert len(batches) == points < len(oracle_calls) // 5
         assert all(len(xs) == 1 + 2 * dim and row is None for xs, row in batches)
+
+
+class CountingChart:
+    """A chart that records each evaluation of its points or Jacobians."""
+
+    def __init__(self, chart, calls):
+        self.chart, self.calls = chart, calls
+
+    def __getattr__(self, name):
+        fn = getattr(self.chart, name)
+        if name == "invert":
+            return fn
+        return lambda xi: self.calls.append(name) or fn(xi)
+
+
+class TestChartEvaluations:
+    def test_three_per_chart_from_a_stationary_seed(self):
+        m1, m2, system, initial, _ = design_library_inputs(count=3)[2]
+        _, pc = rs.characteristic_function(m1, m2, system, initial=initial)
+        calls = [[] for _ in pc.charts]
+        charts = tuple(CountingChart(c, log) for c, log in zip(pc.charts, calls))
+        seed = rs.PathConfiguration(m1, m2, system, pc.coords, charts)
+        for log in calls:
+            log.clear()
+        v, again = rs.characteristic_function(m1, m2, system, initial=seed)
+        assert again.flat().tobytes() == pc.flat().tobytes()
+        # the seed's check, the gradient batch with its stencil, the result's check
+        assert calls == [["embed", "evaluate", "embed"]] * 3
+        assert v == rs.optical_length(pc)
+        assert rs.law_residual(again) == rs.law_residual(pc)
 
 
 class TestStationarityResidual:

@@ -2,6 +2,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.errors import (
@@ -247,6 +249,38 @@ class TestStationarityAndLaws:
         assert rs.law_residual(pc) < 1e-8
         v_trace = trace.optical_length + sys.exit_index * 1.0
         assert abs(v - v_trace) < 1e-9
+
+
+class TestHamiltonGradient:
+    """The defining identities of Hamilton's characteristic function along
+    the stationary path from M1 to M2: dV/dM2 = n_exit u_out and
+    dV/dM1 = -n_0 u_in."""
+
+    @settings(max_examples=20)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_endpoint_gradients(self, seed, shells):
+        rng = np.random.default_rng(seed)
+        system = nested_sphere_system(rng, shells)
+        m1 = rng.uniform(-0.3, 0.3, 3)
+        trace = rs.propagate_system(rs.line_through(m1, rng.normal(size=3)), system, start=m1)
+        m2 = trace.hits[-1].point + trace.line_out.u
+        traced = rs.path_through(m1, m2, system, [hit.point for hit in trace.hits])
+        _, pc = rs.characteristic_function(m1, m2, system, initial=traced)
+        pts = pc.polyline()
+        h = 1e-6
+
+        def central(a1, a2, b1, b2):
+            # each perturbed solve is seeded with the stationary surface points
+            plus = rs.characteristic_function(a1, a2, system, initial=pc)[0]
+            minus = rs.characteristic_function(b1, b2, system, initial=pc)[0]
+            return (plus - minus) / (2.0 * h)
+
+        steps = h * np.eye(3)
+        grad_m1 = np.array([central(m1 + s, m2, m1 - s, m2) for s in steps])
+        grad_m2 = np.array([central(m1, m2 + s, m1, m2 - s) for s in steps])
+        media = system.media()
+        assert np.max(abs(grad_m1 + media[0] * unit(pts[1] - pts[0]))) <= 1e-7
+        assert np.max(abs(grad_m2 - media[-1] * unit(pts[-1] - pts[-2]))) <= 1e-7
 
 
 class TestPathLengths:
