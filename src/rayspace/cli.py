@@ -3,10 +3,11 @@
 Commands map one-to-one to library capabilities: trace, defect,
 check-symplectic, wavefront, mirror, characteristic.  All outputs are
 deterministic: CSV files plus a report.txt of `key: value` lines in the
---out directory, floats rendered with repr-faithful %.17g.  Exit codes:
+--out directory, floats rendered with repr-faithful %.17g.  Each
+`cmd_*` only computes; `main` writes every file and picks the exit code:
 0 success, 1 scene error or bad command line (unknown command, missing
 --scene, malformed option value), 2 numerical failure (the failing k or
-interface is named in the stderr message).
+interface is named in the stderr message) or a failed check.
 """
 
 from __future__ import annotations
@@ -50,15 +51,6 @@ def _vec_str(v):
     return " ".join(_fmt(float(x)) for x in np.asarray(v).ravel())
 
 
-def _write(out_dir, name, text):
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _report(out_dir, pairs):
-    _write(out_dir, "report.txt", "".join(f"{k}: {v}\n" for k, v in pairs))
-
-
 def _opt(scene, args, key, default=None):
     value = getattr(args, key, None)
     if value is not None:
@@ -99,7 +91,7 @@ def _interface_label(itf):
     return f"{kind} refract {_fmt(itf.n_in)} -> {_fmt(itf.n_out)}"
 
 
-def cmd_trace(scene, args, out_dir):
+def cmd_trace(scene, args):
     family = transform_family(_require_family(scene), scene.system)
     grid = _grid_arg(scene, args)
     tol = _opt(scene, args, "tol", 1e-9)
@@ -108,25 +100,19 @@ def cmd_trace(scene, args, out_dir):
     residuals = np.maximum(abs(_norm(u) - 1.0), abs(np.vecdot(q, u)))
     worst = np.fmax.reduce(residuals, axis=None, initial=0.0)
     nodes = np.concatenate([u, q], axis=-1)
-    _write(out_dir, "trace.csv", _grid_csv("k1,k2,ux,uy,uz,qx,qy,qz", k1, k2, nodes))
     h1 = (k1[-1] - k1[0]) / (len(k1) - 1)
     h2 = (k2[-1] - k2[0]) / (len(k2) - 1)
-    _report(
-        out_dir,
-        [
-            ("command", "trace"),
-            ("scene", args.scene),
-            ("interfaces", len(scene.system.interfaces)),
-            ("grid", grid),
-            ("step", f"{_fmt(h1)} {_fmt(h2)}"),
-            ("tolerance", _fmt(tol)),
-            ("max_line_residual", _fmt(worst)),
-        ],
-    )
-    return 0
+    pairs = [
+        ("interfaces", len(scene.system.interfaces)),
+        ("grid", grid),
+        ("step", f"{_fmt(h1)} {_fmt(h2)}"),
+        ("tolerance", _fmt(tol)),
+        ("max_line_residual", _fmt(worst)),
+    ]
+    return {"trace.csv": _grid_csv("k1,k2,ux,uy,uz,qx,qy,qz", k1, k2, nodes)}, pairs, None
 
 
-def cmd_defect(scene, args, out_dir):
+def cmd_defect(scene, args):
     family = _require_family(scene)
     grid = _grid_arg(scene, args)
     tol = _opt(scene, args, "tol")
@@ -134,29 +120,23 @@ def cmd_defect(scene, args, out_dir):
     ok_before, grid_before = is_rectangular(family, grid=grid, tol=tol, h=step)
     after = transform_family(family, scene.system)
     ok_after, grid_after = is_rectangular(after, grid=grid, tol=tol, h=step)
-    _write(out_dir, "defect_before.csv", grid_before.to_csv())
-    _write(out_dir, "defect_after.csv", grid_after.to_csv())
     span = max(hi - lo for lo, hi in family.domain)
     tol_used = tol if tol is not None else 1e-6 * span
-    _report(
-        out_dir,
-        [
-            ("command", "defect"),
-            ("scene", args.scene),
-            ("grid", grid),
-            ("step", _fmt(grid_before.step)),
-            ("tolerance", _fmt(tol_used)),
-            ("max_defect_before", _fmt(grid_before.max_abs)),
-            ("rectangular_before", "true" if ok_before else "false"),
-            ("max_defect_after", _fmt(grid_after.max_abs)),
-            ("rectangular_after", "true" if ok_after else "false"),
-            ("verdict", "RECTANGULAR" if ok_after else "NOT RECTANGULAR"),
-        ],
-    )
-    return 0
+    files = {"defect_before.csv": grid_before.to_csv(), "defect_after.csv": grid_after.to_csv()}
+    pairs = [
+        ("grid", grid),
+        ("step", _fmt(grid_before.step)),
+        ("tolerance", _fmt(tol_used)),
+        ("max_defect_before", _fmt(grid_before.max_abs)),
+        ("rectangular_before", "true" if ok_before else "false"),
+        ("max_defect_after", _fmt(grid_after.max_abs)),
+        ("rectangular_after", "true" if ok_after else "false"),
+        ("verdict", "RECTANGULAR" if ok_after else "NOT RECTANGULAR"),
+    ]
+    return files, pairs, None
 
 
-def cmd_check_symplectic(scene, args, out_dir):
+def cmd_check_symplectic(scene, args):
     family = _require_family(scene)
     if not scene.system.interfaces:
         raise _UsageError("check-symplectic needs at least one interface")
@@ -170,15 +150,13 @@ def cmd_check_symplectic(scene, args, out_dir):
         [rng.uniform(lo1, hi1, samples), rng.uniform(lo2, hi2, samples)]
     )
     pairs = [
-        ("command", "check-symplectic"),
-        ("scene", args.scene),
         ("samples", samples),
         ("seed", seed),
         ("step", _fmt(step)),
         ("tolerance", _fmt(tol)),
     ]
     interfaces = scene.system.interfaces
-    scales = [1.0 if itf.action == REFLECT else itf.n_in / itf.n_out for itf in interfaces]
+    scales = [itf.n_in / itf.n_after for itf in interfaces]
     worst = [0.0] * len(interfaces)
     for k1, k2 in ks:
         k = (float(k1), float(k2))
@@ -211,14 +189,11 @@ def cmd_check_symplectic(scene, args, out_dir):
     ok = worst_overall < tol
     pairs.append(("max_residual", _fmt(worst_overall)))
     pairs.append(("symplectic", "true" if ok else "false"))
-    _report(out_dir, pairs)
-    if not ok:
-        print(f"error: symplectic residual {worst_overall:.3e} exceeds {tol:g}", file=sys.stderr)
-        return 2
-    return 0
+    failure = None if ok else f"symplectic residual {worst_overall:.3e} exceeds {tol:g}"
+    return {}, pairs, failure
 
 
-def cmd_wavefront(scene, args, out_dir):
+def cmd_wavefront(scene, args):
     family = transform_family(_require_family(scene), scene.system)
     grid = _grid_arg(scene, args)
     path_tol = _opt(scene, args, "tol", 1e-7)
@@ -229,29 +204,23 @@ def cmd_wavefront(scene, args, out_dir):
         family, k0, c=c, grid=grid, h=step, path_tol=path_tol
     )
     residual = orthogonality_residual(family, wf, h=step)
-    _write(out_dir, "wavefront.csv", wf.to_csv())
     i0, j0 = wf.base_index
     step_used = step if step is not None else family.default_step()
-    _report(
-        out_dir,
-        [
-            ("command", "wavefront"),
-            ("scene", args.scene),
-            ("grid", grid),
-            ("step", _fmt(step_used)),
-            ("tolerance", _fmt(path_tol)),
-            ("integral_tolerance", _fmt(families._INTEGRAL_TOL)),
-            ("wavefront_c", _fmt(c)),
-            ("k0_requested", _vec_str(k0)),
-            ("k0_used", f"{_fmt(wf.k1[i0])} {_fmt(wf.k2[j0])}"),
-            ("path_discrepancy", _fmt(wf.path_discrepancy)),
-            ("orthogonality_residual", _fmt(residual)),
-        ],
-    )
-    return 0
+    pairs = [
+        ("grid", grid),
+        ("step", _fmt(step_used)),
+        ("tolerance", _fmt(path_tol)),
+        ("integral_tolerance", _fmt(families._INTEGRAL_TOL)),
+        ("wavefront_c", _fmt(c)),
+        ("k0_requested", _vec_str(k0)),
+        ("k0_used", f"{_fmt(wf.k1[i0])} {_fmt(wf.k2[j0])}"),
+        ("path_discrepancy", _fmt(wf.path_discrepancy)),
+        ("orthogonality_residual", _fmt(residual)),
+    ]
+    return {"wavefront.csv": wf.to_csv()}, pairs, None
 
 
-def cmd_mirror(scene, args, out_dir):
+def cmd_mirror(scene, args):
     family = transform_family(_require_family(scene), scene.system)
     grid = _grid_arg(scene, args)
     tol = _opt(scene, args, "tol", 1e-6)
@@ -265,40 +234,30 @@ def cmd_mirror(scene, args, out_dir):
         family, k0, focus, epsilon, level, grid=grid, wavefront_c=c, h=step
     )
     focused, miss = verify_focus(design, family, tol=tol)
-    _write(out_dir, "mirror.csv", design.to_csv())
     step_used = step if step is not None else family.default_step()
-    _report(
-        out_dir,
-        [
-            ("command", "mirror"),
-            ("scene", args.scene),
-            ("grid", grid),
-            ("step", _fmt(step_used)),
-            ("tolerance", _fmt(tol)),
-            ("root_tolerance", _fmt(surfaces._ROOT_TOL)),
-            ("focus", _vec_str(focus)),
-            ("epsilon", epsilon),
-            ("level", _fmt(level)),
-            ("wavefront_c", _fmt(c)),
-            ("max_miss", _fmt(miss)),
-            ("focused", "true" if focused else "false"),
-        ],
-    )
-    if not focused:
-        print(f"error: focus missed by {miss:.3e} (tolerance {tol:g})", file=sys.stderr)
-        return 2
-    return 0
+    pairs = [
+        ("grid", grid),
+        ("step", _fmt(step_used)),
+        ("tolerance", _fmt(tol)),
+        ("root_tolerance", _fmt(surfaces._ROOT_TOL)),
+        ("focus", _vec_str(focus)),
+        ("epsilon", epsilon),
+        ("level", _fmt(level)),
+        ("wavefront_c", _fmt(c)),
+        ("max_miss", _fmt(miss)),
+        ("focused", "true" if focused else "false"),
+    ]
+    failure = None if focused else f"focus missed by {miss:.3e} (tolerance {tol:g})"
+    return {"mirror.csv": design.to_csv()}, pairs, failure
 
 
-def cmd_characteristic(scene, args, out_dir):
+def cmd_characteristic(scene, args):
     m1 = _require_option(scene, "m1")
     m2 = _require_option(scene, "m2")
     value, pc = characteristic_function(m1, m2, scene.system)
     station = stationarity_residual(pc)
     law = law_residual(pc)
     pairs = [
-        ("command", "characteristic"),
-        ("scene", args.scene),
         ("m1", _vec_str(m1)),
         ("m2", _vec_str(m2)),
         ("step", _fmt(variational._FD_H)),
@@ -311,10 +270,11 @@ def cmd_characteristic(scene, args, out_dir):
     ]
     for i, point in enumerate(pc.points()):
         pairs.append((f"hit_{i}", _vec_str(point)))
-    _report(out_dir, pairs)
-    return 0
+    return {}, pairs, None
 
 
+# command -> cmd(scene, args), which returns ({CSV name: text}, the report's
+# pairs after its command and scene lines, None or a failed check's message)
 _COMMANDS = {
     "trace": cmd_trace,
     "defect": cmd_defect,
@@ -348,23 +308,30 @@ def _parser():
     return parser
 
 
+def _error(message, code):
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         scene = load_scene(args.scene)
     except (OSError, UnicodeDecodeError, RaySpaceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+        return _error(exc, 1)
+    os.makedirs(args.out, exist_ok=True)
     try:
-        return _COMMANDS[args.command](scene, args, out_dir)
+        files, pairs, failure = _COMMANDS[args.command](scene, args)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
     except RaySpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
+    pairs = [("command", args.command), ("scene", args.scene), *pairs]
+    files["report.txt"] = "".join(f"{k}: {v}\n" for k, v in pairs)
+    for name, text in files.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return 0 if failure is None else _error(failure, 2)
 
 
 def entry():

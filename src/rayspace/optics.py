@@ -115,6 +115,13 @@ class Interface:
     def n_after(self) -> float:
         return self.n_out if self.action == REFRACT else self.n_in
 
+    def bend(self, u, n) -> np.ndarray:
+        """The direction in which u leaves this interface, where its unit
+        normal is n (pointing toward the incoming side)."""
+        if self.action == REFLECT:
+            return reflect_direction(u, n)
+        return refract_direction(u, n, self.n_in, self.n_out)
+
 
 @dataclass(frozen=True)
 class OpticalSystem:
@@ -195,17 +202,12 @@ def _propagate(line: OrientedLine, system: OpticalSystem, start, t_cursor) -> Tr
     optical_length = 0.0
     for i, itf in enumerate(system.interfaces):
         try:
-            if itf.action == REFLECT:
-                current2, hit = reflect_line(current, itf.surface, t_min=t_cursor)
-            else:
-                current2, hit = refract_line(
-                    current, itf.surface, itf.n_in, itf.n_out, t_min=t_cursor
-                )
+            hit = intersect(current, itf.surface, t_min=t_cursor)
+            current = line_through(hit.point, itf.bend(current.u, hit.normal))
         except RaySpaceError as exc:
             raise TraceError(i, exc) from exc
         optical_length += itf.n_in * _out(_norm(hit.point - prev_point))
         prev_point = hit.point
         hits.append(hit)
-        current = current2
         t_cursor = _cursor_past(current, hit.point)
     return TraceResult(line_out=current, hits=tuple(hits), optical_length=optical_length)

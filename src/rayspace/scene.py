@@ -55,19 +55,6 @@ from .surfaces import Plane, Quadric, Sinusoid, Sphere
 _SECTION_RE = re.compile(r"^\[(surface\s+([A-Za-z_][A-Za-z0-9_-]*)|system|family|options)\]$")
 
 _SYSTEM_KEYS = {"ambient_index", "interface"}
-_OPTION_KEYS = {
-    "grid",
-    "tol",
-    "step",
-    "seed",
-    "m1",
-    "m2",
-    "focus",
-    "epsilon",
-    "level",
-    "wavefront_c",
-    "k0",
-}
 
 
 @dataclass
@@ -306,31 +293,43 @@ def _parse_domain(raw, line_no, col):
     return ((float(vals[0]), float(vals[1])), (float(vals[2]), float(vals[3])))
 
 
+def _grid(raw, line_no, col):
+    value = _int(raw, line_no, col)
+    if value < 3:
+        raise SceneSyntaxError(line_no, col, "grid must be at least 3")
+    return value
+
+
+def _epsilon(raw, line_no, col):
+    value = _int(raw, line_no, col)
+    if value not in (1, -1):
+        raise SceneSyntaxError(line_no, col, "epsilon must be 1 or -1")
+    return value
+
+
+# key -> value parser of an [options] section
+_OPTIONS = {
+    "grid": _grid,
+    "tol": _float,
+    "step": lambda raw, line_no, col: None if raw == "auto" else _float(raw, line_no, col),
+    "seed": _int,
+    "m1": _vector(3),
+    "m2": _vector(3),
+    "focus": _vector(3),
+    "epsilon": _epsilon,
+    "level": _float,
+    "wavefront_c": _float,
+    "k0": lambda raw, line_no, col: tuple(_floats(raw, 2, line_no, col)),
+}
+
+
 def _build_options(section):
+    """The options of `section`, parsed in file order: its first bad line is reported."""
     opts = {}
-    for key in list(section.entries):
-        raw, line_no, col = section.entries.pop(key)
-        if key not in _OPTION_KEYS:
+    for key, (raw, line_no, col) in section.entries.items():
+        if key not in _OPTIONS:
             raise SceneSyntaxError(line_no, col, f"unknown key {key!r}")
-        if key == "grid":
-            value = _int(raw, line_no, col)
-            if value < 3:
-                raise SceneSyntaxError(line_no, col, "grid must be at least 3")
-        elif key == "seed":
-            value = _int(raw, line_no, col)
-        elif key == "epsilon":
-            value = _int(raw, line_no, col)
-            if value not in (1, -1):
-                raise SceneSyntaxError(line_no, col, "epsilon must be 1 or -1")
-        elif key in ("tol", "level", "wavefront_c"):
-            value = _float(raw, line_no, col)
-        elif key == "step":
-            value = None if raw == "auto" else _float(raw, line_no, col)
-        elif key in ("m1", "m2", "focus"):
-            value = _floats(raw, 3, line_no, col)
-        else:  # k0
-            value = tuple(_floats(raw, 2, line_no, col))
-        opts[key] = value
+        opts[key] = _OPTIONS[key](raw, line_no, col)
     return opts
 
 

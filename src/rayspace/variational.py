@@ -43,7 +43,7 @@ from .errors import (
 )
 from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
 from .lines import _as_vec3, _first, _norm, _stencil, line_through
-from .optics import REFLECT, OpticalSystem, reflect_direction, refract_direction
+from .optics import OpticalSystem, reflect_direction
 from .surfaces import _newton_bisect, _unit_gradient, intersect
 
 _FD_H = 1e-6  # central-difference step of the Newton Hessian and of stationarity_residual
@@ -237,11 +237,7 @@ def _law_residual(system: OpticalSystem, pts) -> float:
         n = _unit_gradient(itf.surface, here)
         if u_in @ n > 0.0:
             n = -n
-        if itf.action == REFLECT:
-            expected = reflect_direction(u_in, n)
-        else:
-            expected = refract_direction(u_in, n, itf.n_in, itf.n_out)
-        worst = max(worst, float(np.max(np.abs(u_out - expected))))
+        worst = max(worst, float(np.max(np.abs(u_out - itf.bend(u_in, n)))))
     return worst
 
 
