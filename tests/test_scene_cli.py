@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rayspace as rs
@@ -522,6 +522,9 @@ class TestSymplecticProperty:
         refract=st.booleans(),
         shells=st.integers(0, 3),
     )
+    # a strongly curved quadric mirror: its residual is 1.193e-6 at a step
+    # of 1e-5, and falls as the step squared
+    @example(seed=1168145601, kind="quadric", refract=False, shells=0)
     def test_random_systems(self, seed, kind, refract, shells):
         text = random_scene(np.random.default_rng(seed), kind, refract, shells)
         scene = parse_scene(text)
