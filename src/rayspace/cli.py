@@ -3,11 +3,12 @@
 Commands map one-to-one to library capabilities: trace, defect,
 check-symplectic, wavefront, mirror, characteristic.  All outputs are
 deterministic: CSV files plus a report.txt of `key: value` lines in the
---out directory, floats rendered with repr-faithful %.17g.  Each
-`cmd_*` only computes; `main` writes every file and picks the exit code:
-0 success, 1 scene error or bad command line (unknown command, missing
---scene, malformed option value), 2 numerical failure (the failing k or
-interface is named in the stderr message) or a failed check.
+--out directory, floats rendered with repr-faithful %.17g.  Each `cmd_*`
+returns ({CSV name: text}, report pairs, None or a failed check's message);
+`main` writes every file and picks the exit code: 0 success, 1 scene error
+or bad command line (unknown command, missing --scene, malformed option
+value), 2 numerical failure (the failing k or interface is named in the
+stderr message) or a failed check.
 """
 
 from __future__ import annotations
@@ -141,9 +142,7 @@ def cmd_check_symplectic(scene, args):
     if not scene.system.interfaces:
         raise _UsageError("check-symplectic needs at least one interface")
     tol = _opt(scene, args, "tol", 1e-6)
-    # the stencil's h^2 error must stay well under tol on strongly curved
-    # mirrors, and its round-off of order eps/h well under it too
-    step = _opt(scene, args, "step", 2.5e-6)
+    step = _opt(scene, args, "step", 2.5e-6)  # h^2 error and eps/h round-off << tol
     seed = _opt(scene, args, "seed", 0)
     samples = 5
     rng = np.random.default_rng(seed)
@@ -275,8 +274,6 @@ def cmd_characteristic(scene, args):
     return {}, pairs, None
 
 
-# command -> cmd(scene, args), which returns ({CSV name: text}, the report's
-# pairs after its command and scene lines, None or a failed check's message)
 _COMMANDS = {
     "trace": cmd_trace,
     "defect": cmd_defect,

@@ -7,9 +7,10 @@ refraction uses the vector form of Snell's law and fails with
 TotalInternalReflectionError when (n1/n2) sin(angle_in) >= 1, i.e. when the
 usual condition sin(angle_in) < n2/n1 is violated.
 
-Shapes: `reflect_direction` and `refract_direction` take (3,) or (N, 3)
-directions and normals; `reflect_line`, `refract_line` and `propagate_system`
-take a single OrientedLine or a batch, and `start` may be one point per line.
+Shapes: `reflect_direction`, `refract_direction` and `Interface.bend` take
+(3,) or (N, 3) directions and normals; `reflect_line`, `refract_line` and
+`propagate_system` take a single OrientedLine or a batch, and `start` may be
+one point per line.
 For a batch, hit fields and `optical_length` gain a leading axis of length N.
 A batch gives bit for bit the per-ray results, and a failing batch raises
 what its lowest-index failing ray raises alone (for `propagate_system`, the
@@ -116,8 +117,7 @@ class Interface:
         return self.n_out if self.action == REFRACT else self.n_in
 
     def bend(self, u, n) -> np.ndarray:
-        """The direction in which u leaves this interface, where its unit
-        normal is n (pointing toward the incoming side)."""
+        """The direction u leaves in, where the unit normal n faces the incoming side."""
         if self.action == REFLECT:
             return reflect_direction(u, n)
         return refract_direction(u, n, self.n_in, self.n_out)

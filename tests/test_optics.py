@@ -196,6 +196,19 @@ class TestSystemTypes:
         assert sys.media() == [1.0, 1.5, 1.5]
         assert sys.exit_index == 1.5
 
+    def test_bend_is_the_interface_law(self, rng):
+        plane = rs.Plane([0, 0, 1], 0.0)
+        n = np.tile([0.0, 0.0, 1.0], (20, 1))
+        u = rng.normal(size=(20, 3))
+        u[:, 2] = -abs(u[:, 2]) - 0.3
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        mirror = rs.Interface(plane, rs.REFLECT, 1.5)
+        glass = rs.Interface(plane, rs.REFRACT, 1.0, 1.5)
+        assert mirror.bend(u, n).tobytes() == rs.reflect_direction(u, n).tobytes()
+        assert glass.bend(u, n).tobytes() == rs.refract_direction(u, n, 1.0, 1.5).tobytes()
+        with pytest.raises(TotalInternalReflectionError):
+            rs.Interface(plane, rs.REFRACT, 1.5, 1.0).bend([0.8, 0.0, -0.6], [0, 0, 1])
+
 
 class TestPropagateSystem:
     def test_empty_system(self):

@@ -169,6 +169,19 @@ class TestParseScene:
         with pytest.raises(SceneSyntaxError):
             parse_scene("[options]\nepsilon = 2\n")
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ("grid = 2\nbogus = 1\n", "line 7, col 7: grid must be at least 3"),
+            ("bogus = 1\ngrid = 2\n", "line 7, col 8: unknown key 'bogus'"),
+        ],
+    )
+    def test_first_bad_option_in_file_order_wins(self, options, message):
+        text = "[surface m]\nkind = plane\nnormal = 0 0 1\n[system]\ninterface = m reflect\n"
+        with pytest.raises(SceneSyntaxError) as err:
+            parse_scene(text + "[options]\n" + options)
+        assert str(err.value) == message
+
     def test_comments_and_inline_comments(self):
         text = (
             "# leading comment\n"
