@@ -18,9 +18,10 @@ kind implements the same protocol:
 
 Ray intersection is closed-form for Plane/Sphere/Quadric and uses dense
 bracketing plus a bisection-safeguarded Newton refinement for Sinusoid
-(tolerance 1e-12 in the ray parameter).  That refinement, `_newton_bisect`,
-is the package's one Newton–bisection: it refines the brackets of many rows
-at once, dropping each row as it converges, for the sinusoid's root search
+(tolerance 1e-12 in the ray parameter), then two guarded Newton steps that
+take the root to round-off.  That refinement, `_newton_bisect`, is the
+package's one Newton–bisection: it refines the brackets of many rows at
+once, dropping each row as it converges, for the sinusoid's root search
 and for the level equation of `variational.design_focusing_mirror`.
 
 Shapes: `value`, `gradient`, `roots` and `intersect` take one point or line,
@@ -207,17 +208,20 @@ class Sphere:
 
         def trig(xi):
             th, ph = xi[..., 0, None], xi[..., 1, None]
-            return np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+            st, sp, cp = np.sin(th), np.sin(ph), np.cos(ph)
+            return st, np.cos(th), sp, cp, st * cp, st * sp
 
         def to_points(work):
-            st, ct, sp, cp = work
-            return center + radius * (st * cp * e1 + st * sp * e2 + ct * pole)
+            st, ct, sp, cp, stcp, stsp = work
+            return center + radius * (stcp * e1 + stsp * e2 + ct * pole)
 
         def to_jacobians(work):
-            st, ct, sp, cp = work
-            d_th = ct * cp * e1 + ct * sp * e2 - st * pole
-            d_ph = -st * sp * e1 + st * cp * e2
-            return radius * np.stack([d_th, d_ph], axis=-1)
+            st, ct, sp, cp, stcp, stsp = work
+            out = np.empty(st.shape[:-1] + (3, 2))
+            out[..., 0] = ct * cp * e1 + ct * sp * e2 - st * pole  # d / d theta
+            out[..., 1] = stcp * e2 - stsp * e1  # d / d phi
+            out *= radius
+            return out
 
         def invert(p):
             d = (p - center) / radius
@@ -367,8 +371,8 @@ class Sinusoid:
 
         Along each ray q + t u, the window where the linear part stays inside
         the amplitude band is sampled densely; its brackets are taken in
-        order, each refined by a bisection-safeguarded Newton iteration,
-        until one gives a root beyond t_min.
+        order, each refined by a bisection-safeguarded Newton iteration
+        and two guarded Newton steps, until one gives a root beyond t_min.
         """
         u = line.u.reshape(-1, 3)
         q = line.q.reshape(-1, 3)
@@ -455,10 +459,18 @@ class Sinusoid:
             if _any(newton):
                 j = i[newton]
                 k = todo[newton]
-                root[newton] = _newton_bisect(
+                t = _newton_bisect(
                     lambda t, rows: g(t, k[rows]), lambda t, rows: dg(t, k[rows]),
                     ts[j], ts[j + 1], gs[j],
                 )
+                # two more Newton steps take the root from _ROOT_TOL to
+                # round-off; a step that leaves the bracket or meets dg = 0
+                # keeps the root it started from
+                for _ in range(2):
+                    d = dg(t, k)
+                    step = t - g(t, k) / np.where(d != 0.0, d, 1.0)
+                    t = np.where((d != 0.0) & (ts[j] < step) & (step < ts[j + 1]), step, t)
+                root[newton] = t
             ahead = root > t_min[todo]
             roots[todo[ahead]] = root[ahead]
             # past a bracket at or below t_min, or on from the block's end

@@ -10,6 +10,10 @@ The characteristic function V(M1, M2) is the stationary value of the optical
 length; at a stationary configuration the discrete directions satisfy the
 local reflection/refraction law at every interface, and conversely a traced
 ray is a stationary configuration.  Both directions are enforced and tested.
+Each Newton trial point of characteristic_function is one checked gradient
+batch (the point, its Hessian stencil, the path check and the analytic
+gradient); V and the final law check reuse the unit segments and lengths
+of the last batch, so no path is embedded or checked a second time.
 
 Mirror design follows the classical focusing construction: given a
 rectangular family with a reconstructed reference wavefront, the mirror is
@@ -62,6 +66,10 @@ class PathConfiguration:
     charts: tuple
 
     def __post_init__(self):
+        self._convert()
+        _polylines(self, self.flat()[None])
+
+    def _convert(self):
         object.__setattr__(self, "m1", _as_vec3(self.m1))
         object.__setattr__(self, "m2", _as_vec3(self.m2))
         object.__setattr__(
@@ -69,7 +77,16 @@ class PathConfiguration:
         )
         if len(self.coords) != len(self.system.interfaces):
             raise ValueError("need exactly one chart point per interface")
-        _polylines(self, self.flat()[None])
+
+    @classmethod
+    def _unchecked(cls, m1, m2, system, coords, charts) -> "PathConfiguration":
+        """The configuration without the check of its broken path, for a
+        caller whose gradient batch checks that path anyway; the interface
+        count is still checked."""
+        pc = object.__new__(cls)
+        pc.__dict__.update(m1=m1, m2=m2, system=system, coords=coords, charts=charts)
+        pc._convert()
+        return pc
 
     def points(self):
         return [chart.embed(xi) for chart, xi in zip(self.charts, self.coords)]
@@ -139,9 +156,10 @@ def initial_path(m1, m2, system: OpticalSystem) -> PathConfiguration:
 
 def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
     """The broken paths of pc's endpoints and charts at a stack of flat
-    coordinate rows xs, (N, 2m), as (N, m + 2, 3) points; with `jacobians`,
-    (paths, [each chart's (N, 3, 2) Jacobians]), from one evaluation of
-    each chart.
+    coordinate rows xs, (N, 2m): their points, (N, m + 2, 3), segment
+    vectors, later minus earlier point, (N, m + 1, 3), and segment lengths,
+    (N, m + 1), and each chart's (N, 3, 2) Jacobians with `jacobians` (none
+    without), from one evaluation of each chart.
 
     Every row is checked for consecutive points closer than 1e-9, the
     check of every PathConfiguration.  A failing stack raises what its
@@ -163,47 +181,44 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
         if exc.row:  # the rows before it may fail at a later chart
             _polylines(pc, xs[: exc.row])
         raise
-    row = _first(np.any(_norm(_segments(paths)) < 1e-9, axis=1))
+    segments = paths[:, 1:] - paths[:, :-1]
+    lengths = _norm(segments)
+    row = _first(np.any(lengths < 1e-9, axis=1))
     if row is not None:
         err = ValueError("consecutive path points coincide")
         err.row = row
         raise err
-    return (paths, jacs) if jacobians else paths
+    return paths, segments, lengths, jacs
 
 
-def _segments(paths):
-    """The segment vectors, later minus earlier point, of (N, m + 2, 3) paths."""
-    return paths[:, 1:] - paths[:, :-1]
-
-
-def _path_lengths(system: OpticalSystem, paths: np.ndarray) -> np.ndarray:
-    """The optical lengths of (N, m + 2, 3) broken paths through system, (N,)."""
-    lengths = _norm(_segments(paths))
+def _optical_lengths(system: OpticalSystem, lengths: np.ndarray):
+    """The optical lengths of broken paths through system from their
+    segment lengths, (..., m + 1), as (...)."""
     total = 0.0
     for i, n in enumerate(system.media()):
-        total = total + n * lengths[:, i]
+        total = total + n * lengths[..., i]
     return total
 
 
 def _lengths(pc: PathConfiguration, xs: np.ndarray) -> np.ndarray:
     """optical_length at each flat coordinate row of xs, (N,)."""
-    return _path_lengths(pc.system, _polylines(pc, xs))
+    return _optical_lengths(pc.system, _polylines(pc, xs)[2])
 
 
 def _gradients(pc: PathConfiguration, xs: np.ndarray):
     """Analytic gradient of optical_length at each flat coordinate row of
-    xs, (N, 2m), and the broken path of row 0, (m + 2, 3), checked and
-    failing as _polylines."""
-    paths, jacs = _polylines(pc, xs, jacobians=True)
-    units = _segments(paths)
-    units /= _norm(units)[..., None]
+    xs, (N, 2m), and the broken path of row 0 as (points, unit segment
+    vectors, segment lengths), (m + 2, 3), (m + 1, 3) and (m + 1,); checked
+    and failing as _polylines."""
+    paths, units, lengths, jacs = _polylines(pc, xs, jacobians=True)
+    units /= lengths[..., None]
     media = pc.system.media()
     parts = []
     for i, jac in enumerate(jacs):
         grad_point = media[i] * units[:, i] - media[i + 1] * units[:, i + 1]
         # row @ J gives J.T @ row of each point bit for bit
         parts.append((grad_point[:, None, :] @ jac)[:, 0])
-    return np.concatenate(parts, axis=1), paths[0]
+    return np.concatenate(parts, axis=1), (paths[0], units[0], lengths[0])
 
 
 def optical_length(pc: PathConfiguration) -> float:
@@ -221,20 +236,17 @@ def stationarity_residual(pc: PathConfiguration, h: float = _FD_H) -> float:
 
 def law_residual(pc: PathConfiguration) -> float:
     """max deviation of the discrete directions from the local optics laws."""
-    return _law_residual(pc.system, pc.polyline())
+    paths, segments, lengths, _ = _polylines(pc, pc.flat()[None])
+    return _law_residual(pc.system, paths[0], segments[0] / lengths[0, :, None])
 
 
-def _law_residual(system: OpticalSystem, pts) -> float:
-    """law_residual of the broken path pts: M1, one point per interface of
-    system, M2."""
+def _law_residual(system: OpticalSystem, points, units) -> float:
+    """law_residual of a broken path through system from its points, M1,
+    one per interface and M2, and its unit segment vectors."""
     worst = 0.0
     for i, itf in enumerate(system.interfaces):
-        here = pts[i + 1]
-        u_in = here - pts[i]
-        u_in /= np.linalg.norm(u_in)
-        u_out = pts[i + 2] - here
-        u_out /= np.linalg.norm(u_out)
-        n = _unit_gradient(itf.surface, here)
+        u_in, u_out = units[i], units[i + 1]
+        n = _unit_gradient(itf.surface, points[i + 1])
         if u_in @ n > 0.0:
             n = -n
         worst = max(worst, float(np.max(np.abs(u_out - itf.bend(u_in, n)))))
@@ -252,16 +264,19 @@ def _hessian_stencil(dim: int) -> np.ndarray:
 
 def _gradient_and_hessian(pc: PathConfiguration, x: np.ndarray):
     """The gradient at x, the symmetrized central-difference Hessian of it
-    and the broken path of x, from one gradient batch of x and its stencil
-    rows.
+    and the broken path of x as _gradients gives it, from one gradient
+    batch of x and its stencil rows.
 
     An error of x itself is raised.  If only a stencil row fails, the
     gradient and path at x are taken alone, and the Hessian is the error of
     the first failing stencil row, which a Newton step from x raises: the
     column by column Hessian would have raised it there.
     """
+    rows = np.empty((1 + 2 * x.size, x.size))
+    rows[0] = x
+    np.add(x, _hessian_stencil(x.size), out=rows[1:])
     try:
-        gs, path = _gradients(pc, np.vstack([x, x + _hessian_stencil(x.size)]))
+        gs, path = _gradients(pc, rows)
     except (ValueError, RaySpaceError) as exc:
         if not getattr(exc, "row", 0):
             raise
@@ -284,22 +299,26 @@ def characteristic_function(
     """Stationary optical length between M1 and M2 through the system.
 
     Damped Newton iteration on the analytic gradient over the stacked surface
-    coordinates until max |grad| < grad_tol.  Each point tried costs one
-    gradient batch that also holds the central-difference Hessian stencil
-    around it, so an accepted step carries the next Hessian.  Afterwards the
-    configuration must satisfy the local reflection/refraction law at every
-    interface within law_tol (stationarity and the laws are equivalent; the
-    check closes the loop).  V and the law check take the accepted point's
-    path from its gradient batch.  Returns (V, stationary configuration).
+    coordinates until max |grad| < grad_tol.  Each point tried, the seed
+    included, is one checked gradient batch that also holds the
+    central-difference Hessian stencil around it, so an accepted step
+    carries the next Hessian, and nothing is evaluated again afterwards.
+    The configuration must then satisfy the local reflection/refraction law
+    at every interface within law_tol (stationarity and the laws are
+    equivalent; the check closes the loop).  V and the law check reuse the
+    unit segments and lengths of the last batch's row 0.  Returns (V,
+    stationary configuration).
 
     `initial` seeds the surface points: only its coords and charts are
     used, on the endpoints and system given here (ValueError when its
-    interface count differs from the system's).
+    interface count differs from the system's).  The seed's path is
+    checked by the first gradient batch, which raises what a
+    PathConfiguration of it would.
     """
     if initial is None:
         pc = initial_path(m1, m2, system)
-    else:
-        pc = PathConfiguration(m1, m2, system, initial.coords, initial.charts)
+    else:  # the first gradient batch checks the seed's path
+        pc = PathConfiguration._unchecked(m1, m2, system, initial.coords, initial.charts)
     if not pc.charts:
         return optical_length(pc), pc
 
@@ -344,12 +363,15 @@ def characteristic_function(
             f"Newton did not reach |grad| < {grad_tol:g} in {max_iter} iterations"
         )
 
-    residual = _law_residual(system, path)
+    points, units, lengths = path
+    residual = _law_residual(system, points, units)
     if residual > law_tol:
         raise NoConvergenceError(
             f"stationary point violates the local laws: residual {residual:.3e}"
         )
-    return float(_path_lengths(system, path[None])[0]), pc.with_coords(x)
+    coords = tuple(x[2 * i : 2 * i + 2] for i in range(len(pc.charts)))
+    result = PathConfiguration._unchecked(pc.m1, pc.m2, system, coords, pc.charts)
+    return float(_optical_lengths(system, lengths)), result
 
 
 # ---------------------------------------------------------------------------

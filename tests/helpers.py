@@ -291,7 +291,9 @@ def newton_bisect(g, dg, lo, hi, glo, ghi):
 
 def sinusoid_first_root(surface, u, q, t_min, t_max):
     """The first root beyond t_min of one ray against a Sinusoid, or NaN:
-    dense bracketing plus Newton along the ray q + t u, one ray at a time."""
+    dense bracketing plus Newton along the ray q + t u, one ray at a time,
+    each bracketed root polished by two Newton steps that stay inside its
+    bracket."""
     amp = surface.amplitude
     w = surface.wavevector
     uz = float(u[2])
@@ -337,6 +339,14 @@ def sinusoid_first_root(surface, u, q, t_min, t_max):
         else:
             i = tag
             root = newton_bisect(g, dg, ts[i], ts[i + 1], gs[i], gs[i + 1])
+            for _ in range(2):  # polish the root to round-off
+                d = dg(root)
+                if d == 0.0:
+                    break
+                step = root - g(root) / d
+                if not (ts[i] < step < ts[i + 1]):
+                    break
+                root = step
         if root > t_min:
             return root
     return np.nan

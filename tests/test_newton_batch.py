@@ -6,7 +6,8 @@ for bit what the rows give alone, and `evaluate` gives both at once.  `character
 gradient batch per point it tries, the Hessian stencil around the point
 included, and must give bit for bit the V and path of the solve that takes
 one gradient per configuration (`characteristic_function_oracle`), or raise
-the same error.
+the same error.  V, the law check and the result come from the last batch,
+with no further chart evaluation.
 """
 
 import pathlib
@@ -100,6 +101,30 @@ def counting_gradients(monkeypatch):
 
     monkeypatch.setattr(variational, "_gradients", counting)
     return batches
+
+
+class CountingChart:
+    """A chart that records each evaluation of its points or Jacobians."""
+
+    def __init__(self, chart, calls):
+        self.chart, self.calls = chart, calls
+
+    def __getattr__(self, name):
+        fn = getattr(self.chart, name)
+        if name == "invert":
+            return fn
+        return lambda xi: self.calls.append(name) or fn(xi)
+
+
+def counting_seed(m1, m2, system, initial):
+    """initial with charts that record their evaluations, and the per-chart
+    logs, cleared after the seed's own check."""
+    calls = [[] for _ in initial.charts]
+    charts = tuple(CountingChart(c, log) for c, log in zip(initial.charts, calls))
+    seed = rs.PathConfiguration(m1, m2, system, initial.coords, charts)
+    for log in calls:
+        log.clear()
+    return seed, calls
 
 
 class TestBatchedCharts:
@@ -251,58 +276,97 @@ class TestBatchedNewton:
             assert str(err.value) == str(alone[row]) and err.value.row == row
 
     def test_one_gradient_batch_per_trial_point(self, monkeypatch):
-        m1, m2, system, initial, _ = design_library_inputs(count=3)[2]
-        dim = 2 * len(system.interfaces)
-        assert dim == 6
-        oracle_calls = []
-        real = variational.PathConfiguration.with_coords
-        monkeypatch.setattr(
-            variational.PathConfiguration,
-            "with_coords",
-            lambda pc, xs: oracle_calls.append(xs.copy()) or real(pc, xs),
-        )
-        characteristic_function_oracle(m1, m2, system, initial=initial)
-        monkeypatch.undo()
-        batches = counting_gradients(monkeypatch)
-        solves = []
-        real_solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or real_solve(a, b))
-        rs.characteristic_function(m1, m2, system, initial=initial)
-        # the oracle builds one configuration per gradient, 2 dim of them per
-        # Hessian (one per Newton step), and one for the final path
-        points = len(oracle_calls) - 1 - 2 * dim * len(solves)
-        assert len(batches) == points < len(oracle_calls) // 5
-        assert all(len(xs) == 1 + 2 * dim and row is None for xs, row in batches)
-
-
-class CountingChart:
-    """A chart that records each evaluation of its points or Jacobians."""
-
-    def __init__(self, chart, calls):
-        self.chart, self.calls = chart, calls
-
-    def __getattr__(self, name):
-        fn = getattr(self.chart, name)
-        if name == "invert":
-            return fn
-        return lambda xi: self.calls.append(name) or fn(xi)
+        # every solve of the benchmark's design inputs, against the oracle's
+        # count of the points it tries; no chart is embedded apart from
+        # the batches
+        for m1, m2, system, initial, _ in design_library_inputs():
+            dim = 2 * len(system.interfaces)
+            oracle_calls = []
+            real = variational.PathConfiguration.with_coords
+            monkeypatch.setattr(
+                variational.PathConfiguration,
+                "with_coords",
+                lambda pc, xs: oracle_calls.append(xs.copy()) or real(pc, xs),
+            )
+            characteristic_function_oracle(m1, m2, system, initial=initial)
+            monkeypatch.undo()
+            seed, calls = counting_seed(m1, m2, system, initial)
+            batches = counting_gradients(monkeypatch)
+            solves = []
+            real_solve = np.linalg.solve
+            monkeypatch.setattr(
+                np.linalg, "solve", lambda a, b: solves.append(1) or real_solve(a, b)
+            )
+            rs.characteristic_function(m1, m2, system, initial=seed)
+            monkeypatch.undo()
+            # the oracle builds one configuration per gradient, 2 dim of them
+            # per Hessian (one per Newton step), and one for the final path
+            points = len(oracle_calls) - 1 - 2 * dim * len(solves)
+            assert len(batches) == points
+            assert all(len(xs) == 1 + 2 * dim and row is None for xs, row in batches)
+            assert calls == [["evaluate"] * points] * len(system.interfaces)
 
 
 class TestChartEvaluations:
-    def test_three_per_chart_from_a_stationary_seed(self):
+    def test_one_per_chart_from_a_stationary_seed(self):
         m1, m2, system, initial, _ = design_library_inputs(count=3)[2]
         _, pc = rs.characteristic_function(m1, m2, system, initial=initial)
-        calls = [[] for _ in pc.charts]
-        charts = tuple(CountingChart(c, log) for c, log in zip(pc.charts, calls))
-        seed = rs.PathConfiguration(m1, m2, system, pc.coords, charts)
-        for log in calls:
-            log.clear()
+        seed, calls = counting_seed(m1, m2, system, pc)
         v, again = rs.characteristic_function(m1, m2, system, initial=seed)
         assert again.flat().tobytes() == pc.flat().tobytes()
-        # the seed's check, the gradient batch with its stencil, the result's check
-        assert calls == [["embed", "evaluate", "embed"]] * 3
+        # the gradient batch with its stencil; V, the law check and the
+        # result take their path from it
+        assert calls == [["evaluate"]] * 3
         assert v == rs.optical_length(pc)
         assert rs.law_residual(again) == rs.law_residual(pc)
+
+
+class TestBadSeeds:
+    """The seed's path is checked by the first gradient batch alone: a bad
+    seed fails there, at row 0, as the oracle's seed check fails."""
+
+    @staticmethod
+    def assert_first_batch_fails(monkeypatch, m1, m2, system, seed, error):
+        batches = counting_gradients(monkeypatch)
+        err = assert_same_solve(m1, m2, system, seed)
+        assert type(err) is error and err.row == 0
+        assert len(batches) == 1 and batches[0][1] == 0
+
+    def test_coincident_surface_points(self, monkeypatch):
+        # a zero-thickness film: both interfaces on the plane z = 0
+        floor = rs.Plane([0, 0, 1], 0.0)
+        system = rs.OpticalSystem(
+            (rs.Interface(floor, rs.REFRACT, 1.0, 1.5), rs.Interface(floor, rs.REFRACT, 1.5, 1.0))
+        )
+        m1, m2 = np.array([0.0, 0, 1]), np.array([1.0, 0, -1])
+        chart = floor.chart()
+        seed = variational.PathConfiguration._unchecked(
+            m1, m2, system, ([0.5, 0.0], [0.5, 0.0]), (chart, chart)
+        )
+        self.assert_first_batch_fails(monkeypatch, m1, m2, system, seed, ValueError)
+
+    def test_seed_point_on_m1(self, monkeypatch):
+        mirror = rs.OpticalSystem((rs.Interface(rs.Plane([0, 0, 1], 0.0), rs.REFLECT, 1.0),))
+        seed = rs.path_through([0, 0, 1], [1, 0, 1], mirror, [[0.5, 0, 0]])
+        m1, m2 = np.array([0.5, 0, 0]), np.array([1.0, 0, 1])
+        self.assert_first_batch_fails(monkeypatch, m1, m2, mirror, seed, ValueError)
+
+    def test_quadric_seed_off_its_sheet(self, monkeypatch):
+        system = ball_mirror()
+        chart = system.interfaces[0].surface.chart(reference_point=[0, 0, 1])
+        m1, m2 = np.array([0.2, 0, 2]), np.array([-0.2, 0.1, 2])
+        seed = variational.PathConfiguration._unchecked(m1, m2, system, ([1.2, 0.0],), (chart,))
+        self.assert_first_batch_fails(monkeypatch, m1, m2, system, seed, NoRootError)
+
+    def test_wrong_interface_count(self, monkeypatch):
+        m1, m2, system, initial, _ = design_library_inputs(count=2)[1]
+        assert len(system.interfaces) == 2
+        one_shell = rs.OpticalSystem(system.interfaces[:1])
+        batches = counting_gradients(monkeypatch)
+        for fn in (rs.characteristic_function, characteristic_function_oracle):
+            with pytest.raises(ValueError, match="^need exactly one chart point per interface$"):
+                fn(m1, m2, one_shell, initial=initial)
+        assert batches == []
 
 
 class TestStationarityResidual:

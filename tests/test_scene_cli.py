@@ -274,6 +274,19 @@ class TestCliCommands:
         scales = [float(report[f"interface_{i}_scale"]) for i in range(4)]
         assert scales == [1 / 1.5, 1.0, 1.0, 1.5 / 1.33]
 
+    @pytest.mark.parametrize("step", [1e-5, 5e-6, 2.6e-6, 2.5e-6, 1.25e-6, 6.25e-7, 2e-7])
+    def test_check_symplectic_sinusoid_residual_falls_with_the_step(self, tmp_path, step):
+        # the sinusoid mirror's roots are polished to round-off, so what is
+        # left of its residual is round-off over h: at most 1.9 eps/h over
+        # --seed 0-39 at these steps; roots left at the 1e-12 tolerance of
+        # the Newton-bisection read 640-1,600 eps/h on seed 22
+        out = tmp_path / "out"
+        scene = str(SCENES / "mixed_device.scene")
+        args = ["--scene", scene, "--out", str(out), "--seed", "22", "--step", repr(step)]
+        assert main(["check-symplectic", *args]) == 0
+        residual = float(read_report(out / "report.txt")["interface_1_residual"])
+        assert residual <= 16.0 * np.finfo(float).eps / step
+
     def test_check_symplectic_names_missed_interface(self, tmp_path, capsys):
         # the mirror at z = 0 sends every ray up, away from the plane z = -1
         text = (

@@ -408,6 +408,19 @@ class TestMirrorDesign:
         with pytest.raises(NotRectangularError):
             rs.design_focusing_mirror(skew, k0=(0, 0), focus=[0, 0, 5], epsilon=1, level=9.0)
 
+    def test_traced_non_rectangular_family_rejected(self):
+        # the "only if" half after an optical system: a sphere refraction
+        # into glass keeps the skew family's defect, scaled by 1 / 1.5
+        skew = rs.two_skew_lines([1, 0, 0], [1, 0, 0], [0, 1, 1], [0, 1, 0])
+        axis = np.array([-1.0, 1.0, 1.0]) / np.sqrt(3.0)  # the line of k = (0, 0)
+        lens = rs.Sphere(np.array([1.0, 0.0, 0.0]) + 5.0 * axis, 2.0)
+        system = rs.OpticalSystem((rs.Interface(lens, rs.REFRACT, 1.0, 1.5),))
+        traced = rs.transform_family(skew, system)
+        ratio = rs.defect(traced, (0, 0)) / rs.defect(skew, (0, 0))
+        assert abs(ratio * 1.5 - 1.0) < 1e-6
+        with pytest.raises(NotRectangularError):
+            rs.design_focusing_mirror(traced, k0=(0, 0), focus=[0, 0, 5], epsilon=1, level=9.0)
+
     def test_perturbed_mirror_fails_verification(self, rng):
         fam, focus, design = self.setup_ellipsoid(domain=0.002, grid=9)
         fam = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.002, 0.002), (-0.002, 0.002)))
