@@ -20,9 +20,10 @@ import sys
 
 import numpy as np
 
-from . import families, surfaces, variational
+from . import families, variational
 from .errors import FamilyTraceError, RaySpaceError, TraceError
 from .families import (
+    _default_tol,
     _fmt,
     _grid_axes,
     _grid_csv,
@@ -121,8 +122,7 @@ def cmd_defect(scene, args):
     ok_before, grid_before = is_rectangular(family, grid=grid, tol=tol, h=step)
     after = transform_family(family, scene.system)
     ok_after, grid_after = is_rectangular(after, grid=grid, tol=tol, h=step)
-    span = max(hi - lo for lo, hi in family.domain)
-    tol_used = tol if tol is not None else 1e-6 * span
+    tol_used = tol if tol is not None else _default_tol(family)
     files = {"defect_before.csv": grid_before.to_csv(), "defect_after.csv": grid_after.to_csv()}
     pairs = [
         ("grid", grid),
@@ -240,7 +240,6 @@ def cmd_mirror(scene, args):
         ("grid", grid),
         ("step", _fmt(step_used)),
         ("tolerance", _fmt(tol)),
-        ("root_tolerance", _fmt(surfaces._ROOT_TOL)),
         ("focus", _vec_str(focus)),
         ("epsilon", epsilon),
         ("level", _fmt(level)),

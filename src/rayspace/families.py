@@ -66,6 +66,7 @@ from .lines import (
     _first,
     _frame,
     _norm,
+    _omega,
     _stencil,
     chart_for,
     line_through,
@@ -356,7 +357,7 @@ def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
     dq1 = (qs[:, 0] - qs[:, 1]) / (2.0 * h)
     du2 = (us[:, 2] - us[:, 3]) / (2.0 * h)
     dq2 = (qs[:, 2] - qs[:, 3]) / (2.0 * h)
-    return np.vecdot(dq1, du2) - np.vecdot(dq2, du1)
+    return _omega(du1, dq1, du2, dq2)
 
 
 def _immersed(u0, us, qs, h: float):
@@ -428,6 +429,12 @@ def defect_grid(
     return DefectGrid(k1=k1s, k2=k2s, values=values.reshape(len(k1s), len(k2s)), step=h)
 
 
+def _default_tol(family: RayFamily) -> float:
+    """The default tolerance of is_rectangular: 1e-6 times the larger domain span."""
+    (a1, b1), (a2, b2) = family.domain
+    return 1e-6 * max(b1 - a1, b2 - a2)
+
+
 def is_rectangular(family: RayFamily, grid=9, tol: float | None = None, h: float | None = None):
     """(verdict, DefectGrid): verdict is max |defect| < tol on the grid.
 
@@ -436,8 +443,7 @@ def is_rectangular(family: RayFamily, grid=9, tol: float | None = None, h: float
     Jacobian determinant of the reparametrization).
     """
     if tol is None:
-        (a1, b1), (a2, b2) = family.domain
-        tol = 1e-6 * max(b1 - a1, b2 - a2)
+        tol = _default_tol(family)
     dg = defect_grid(family, grid=grid, h=h)
     return dg.max_abs < tol, dg
 

@@ -228,9 +228,14 @@ def curve_variation(curve: Callable[[float], OrientedLine], h: float = 1e-6) -> 
     return LineVariation((plus.u - minus.u) / (2.0 * h), (plus.q - minus.q) / (2.0 * h))
 
 
+def _omega(du1, dq1, du2, dq2):
+    """omega(v1, v2) = dq1 . du2 - dq2 . du1, row by row over (..., 3) arrays."""
+    return np.vecdot(dq1, du2) - np.vecdot(dq2, du1)
+
+
 def symplectic_pairing(line: OrientedLine, v1: LineVariation, v2: LineVariation) -> float:
     """omega(v1, v2) = dq1 . du2 - dq2 . du1 at the given line."""
-    return float(v1.dq @ v2.du - v2.dq @ v1.du)
+    return float(_omega(v1.du, v1.dq, v2.du, v2.dq))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ bracketing plus a bisection-safeguarded Newton refinement for Sinusoid
 (tolerance 1e-12 in the ray parameter), then two guarded Newton steps that
 take the root to round-off.  That refinement, `_newton_bisect`, is the
 package's one Newton–bisection: it refines the brackets of many rows at
-once, dropping each row as it converges, for the sinusoid's root search
-and for the level equation of `variational.design_focusing_mirror`.
+once, dropping each row as it converges, and its one caller is the
+sinusoid's root search.
 
 Shapes: `value`, `gradient`, `roots` and `intersect` take one point or line,
 (3,), or a batch, (N, 3) points or an OrientedLine batch; `t_min` may then be

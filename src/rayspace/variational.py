@@ -21,8 +21,8 @@ the level set
 
     (signed distance from the wavefront along the ray) + eps * |X M2| = C
 
-solved on the rays of all grid nodes at once, by the masked Newton–bisection
-that also finds the sinusoid's roots; eps = +1 focuses the rays through M2
+solved on the rays of all grid nodes at once and in closed form (squared, the
+equation is linear in the ray parameter); eps = +1 focuses the rays through M2
 in front of the mirror (real focus), eps = -1 makes the reflected rays
 diverge from M2 (virtual focus, required when M2 sits beyond the mirror
 point on the ray).  verify_focus checks a design with one batch of lines and
@@ -48,11 +48,12 @@ from .errors import (
 from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
 from .lines import _as_vec3, _first, _norm, _stencil, line_through
 from .optics import OpticalSystem, reflect_direction
-from .surfaces import _newton_bisect, _unit_gradient, intersect
+from .surfaces import _unit_gradient, intersect
 
 _FD_H = 1e-6  # central-difference step of the Newton Hessian and of stationarity_residual
 _GRAD_TOL = 1e-10  # max |grad| at which the Newton iteration of V stops
 _LAW_TOL = 1e-8  # largest local-law residual accepted at a stationary path
+_MIRROR_REACH = 2.0**29 - 1.0  # farthest mirror root from the wavefront, 1 + 2 + ... + 2**28
 
 
 @dataclass(frozen=True)
@@ -409,13 +410,14 @@ def design_focusing_mirror(
     F_eps(X) = (signed distance from the reference wavefront along the ray
     through X) + eps * |X - focus|.  The family must be rectangular; the
     reference wavefront is reconstructed with constant `wavefront_c`.  The
-    level equation is solved along the ray of every grid node at once (it is
-    monotone in the ray parameter for either eps), to 1e-12 in the ray
-    parameter.  NoRootError marks the first node in (i, j) order whose level
+    level equation is solved along the ray of every grid node at once, in
+    closed form (squared, it is linear in the ray parameter), exact to
+    round-off.  NoRootError marks the first node in (i, j) order whose level
     set is empty, which is exactly what happens with eps = +1 when the focus
-    lies beyond the sought mirror point on its ray, or whose root is out of
+    lies beyond the sought mirror point on its ray; or whose root is out of
     reach of round-off (its finite limit within 4 eps of 0, relative to the
-    terms that make it up).
+    terms that make it up); or whose root lies farther than 2**29 - 1 from
+    the reference wavefront along its ray.
     """
     focus = _as_vec3(focus)
     eps = float(epsilon)
@@ -432,57 +434,28 @@ def design_focusing_mirror(
     u, q = us.reshape(-1, 3), qs.reshape(-1, 3)
     t_front = -(wf.values + wavefront_c).reshape(-1)
 
-    def g(t, rows):
-        dist = _norm(q[rows] + t[:, None] * u[rows] - focus)
-        return (t - t_front[rows]) + eps * dist - level
-
-    def dg(t, rows):
-        r = q[rows] + t[:, None] * u[rows] - focus
-        dist = _norm(r)
-        at_focus = dist == 0.0
-        return np.where(
-            at_focus, 1.0, 1.0 + eps * np.vecdot(u[rows], r) / np.where(at_focus, 1.0, dist)
-        )
-
-    # g is nondecreasing with g(-inf) finite for eps=+1 and g(+inf) finite
-    # for eps=-1; both finite limits equal this expression, and a limit on
-    # the wrong side of 0 leaves g without a root.  A limit within round-off
-    # of 0 fails too: g rounds to 0 far out on its asymptote, short of the
-    # true root, and the bracket would stop there.
-    along = np.vecdot(u, focus - q)
+    # Along the ray, g(t) = (t - t_front) + eps * |r + t u| - level with
+    # r = q - focus is monotone, and its finite limit (at -inf for eps=+1,
+    # at +inf for eps=-1) is finite_limit = -(C + u . r), C = level + t_front.
+    # A limit on the wrong side of 0 leaves g without a root, and one within
+    # round-off of 0 puts the root out of reach of round-off.  Otherwise
+    # g(t) = 0, squared, is linear in t, as |u| = 1 cancels the t^2 terms:
+    # 2 t (C + u . r) = C^2 - |r|^2.  Its root is g's, since
+    # C - t = |C u + r|^2 / (2 (C + u . r)) then has the sign of eps.
+    r = q - focus
+    along = -np.vecdot(u, r)
     finite_limit = -t_front + along - level
     failed = finite_limit >= 0.0 if eps > 0.0 else finite_limit <= 0.0
     roundoff = 4.0 * np.finfo(float).eps * (1.0 + abs(t_front) + abs(level) + abs(along))
     failed |= abs(finite_limit) <= roundoff
-
-    def grow(t, gt, sign):
-        """Move the bracket ends t, where g is gt, by doubling spans toward
-        sign until sign * g >= 0; a row that needs a span past 1e9 fails."""
-        rows = np.flatnonzero(~failed & (sign * gt < 0.0))
-        span = 1.0
-        while len(rows):
-            t[rows] += sign * span
-            gt[rows] = g(t[rows], rows)
-            span *= 2.0
-            if span > 1e9:
-                failed[rows] = True
-                return
-            rows = rows[sign * gt[rows] < 0.0]
-
-    lo, hi = t_front.copy(), t_front.copy()
-    glo = g(t_front, np.arange(len(t_front)))
-    ghi = glo.copy()
-    grow(lo, glo, -1.0)
-    grow(hi, ghi, 1.0)
+    c = level + t_front
+    with np.errstate(all="ignore"):  # only a failed row can divide by 0 or overflow
+        root = (c * c - np.vecdot(r, r)) / (-2.0 * finite_limit)
+    failed |= abs(root - t_front) > _MIRROR_REACH
     node = _first(failed)
     if node is not None:
         raise NoRootError((wf.k1[node // n2], wf.k2[node % n2]))
 
-    root = np.where(glo == 0.0, lo, hi)  # a bracket end where g is 0
-    rows = np.flatnonzero((glo != 0.0) & (ghi != 0.0))
-    root[rows] = _newton_bisect(
-        lambda t, r: g(t, rows[r]), lambda t, r: dg(t, rows[r]), lo[rows], hi[rows], glo[rows]
-    )
     return MirrorDesign(
         k1=wf.k1,
         k2=wf.k2,
