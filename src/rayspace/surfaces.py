@@ -39,6 +39,17 @@ results; its `evaluate` gives both from one evaluation, bit for bit the
 same.  A quadric chart leaving its sheet raises for the lowest failing
 point, with its index as `row`.  `invert` and `normal_at` work on one point
 at a time.
+
+A chart is its kind's formulas and its own parameters.  Each kind's
+formulas are written once, over a stack of m charts whose parameters carry a
+leading axis of length m (sphere: centre, radius, e1, e2, pole; plane:
+origin, e1, e2 and the constant Jacobian; sinusoid: amplitude and
+wavevector; quadric: matrix, linear part, constant and branch), and a single
+chart is the stack of one.  Charts of the same kind stack; a quadric's kind
+holds its chart axis and whether its height solves a linear equation, so
+only quadrics charted alike stack.  A stack of m charts maps (N, m, 2)
+coordinates to (N, m, 3) points and (N, m, 3, 2) Jacobians, bit for bit
+what each chart gives alone, in one evaluation of the kind's formulas.
 """
 
 from __future__ import annotations
@@ -82,35 +93,234 @@ def _freeze(obj, name, value):
     object.__setattr__(obj, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class _ChartKind:
+    """The formulas of one kind of chart, written over a stack of m charts.
+
+    Each parameter of a stack has a leading axis of length m, one entry per
+    chart, and coordinates xi have shape (..., m, 2).  `shared(params, xi)`
+    is the work a kind's points and Jacobians share (the sphere's sines and
+    cosines, the quadric's height, the sinusoid's phase, the plane's
+    coordinates as they are), and `to_points` and `to_jacobians` finish
+    (..., m, 3) points and (..., m, 3, 2) Jacobians from it, so each formula
+    exists once.  `invert(params, p)` maps one point of a stack of one back
+    to its (2,) coordinates.
+    """
+
+    shared: Callable
+    to_points: Callable
+    to_jacobians: Callable
+    invert: Callable
+
+    def evaluate(self, params, xi, points=True, jacobians=True):
+        """(points, Jacobians) of the stack at xi, (..., m, 2), each None
+        where it is not asked for, from one evaluation of `shared`.  A
+        quadric stack leaving its sheet raises for the lowest failing row,
+        and the first failing chart in it, with the flat index of that entry
+        of (..., m) as `row`."""
+        work = self.shared(params, xi)
+        return (
+            self.to_points(params, work) if points else None,
+            self.to_jacobians(params, work) if jacobians else None,
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class SurfaceChart:
-    """A local smooth parametrization xi -> point of one surface.
+    """A local smooth parametrization xi -> point of one surface: its kind's
+    formulas and its own parameters, a stack of one chart.
 
     `embed` maps coordinates xi, (2,) or (N, 2), to points, (3,) or (N, 3);
     `jacobian` gives the analytic d point / d xi, (3, 2) or (N, 3, 2);
     `evaluate` gives both, (points, Jacobians), from one evaluation;
     `invert` maps one point back to its (2,) coordinates.
 
-    A kind gives the work its points and Jacobians share, `shared(xi)` (the
-    sphere's sines and cosines, the quadric's height, the sinusoid's phase),
-    and `to_points` and `to_jacobians`, which finish each from that work, so
-    each formula exists once.
+    Charts stack when they have the same `kind`, the stacking key: there is
+    one kind for planes, one for spheres, one for sinusoids, and one for
+    each chart axis of a quadric, with and without a vanishing coefficient
+    of the height's square (|a2| < 1e-14).  `_stack_charts` stacks the
+    charts of a path by kind, and a stack's evaluation gives bit for bit
+    what each of its charts gives alone.
     """
 
-    shared: Callable
-    to_points: Callable
-    to_jacobians: Callable
-    invert: Callable[[np.ndarray], np.ndarray]
+    kind: _ChartKind
+    params: tuple
 
     def embed(self, xi) -> np.ndarray:
-        return self.to_points(self.shared(xi))
+        return self.kind.evaluate(self.params, xi[..., None, :], jacobians=False)[0][..., 0, :]
 
     def jacobian(self, xi) -> np.ndarray:
-        return self.to_jacobians(self.shared(xi))
+        return self.kind.evaluate(self.params, xi[..., None, :], points=False)[1][..., 0, :, :]
 
     def evaluate(self, xi):
-        work = self.shared(xi)
-        return self.to_points(work), self.to_jacobians(work)
+        points, jacobians = self.kind.evaluate(self.params, xi[..., None, :])
+        return points[..., 0, :], jacobians[..., 0, :, :]
+
+    def invert(self, p) -> np.ndarray:
+        return self.kind.invert(self.params, p)
+
+
+@dataclass(frozen=True)
+class _ChartStack:
+    """The charts of one kind at `positions` in a sequence of charts, their
+    parameters stacked along a leading axis; `index` picks their entries
+    from an axis over the whole sequence (a slice when they are adjacent)."""
+
+    kind: _ChartKind
+    params: tuple
+    positions: tuple
+    index: object
+
+
+def _stack_charts(charts) -> tuple:
+    """The _ChartStacks of a sequence of charts, one per kind, in the order
+    each kind first appears."""
+    positions = {}
+    for i, chart in enumerate(charts):
+        positions.setdefault(chart.kind, []).append(i)
+    stacks = []
+    for kind, at in positions.items():
+        if len(at) == 1:
+            params = charts[at[0]].params
+        else:
+            params = tuple(np.concatenate(p) for p in zip(*(charts[i].params for i in at)))
+        adjacent = at[-1] - at[0] + 1 == len(at)
+        index = slice(at[0], at[-1] + 1) if adjacent else np.array(at)
+        stacks.append(_ChartStack(kind, params, tuple(at), index))
+    return tuple(stacks)
+
+
+def _plane_points(params, xi):
+    origin, e1, e2, _ = params
+    return origin + xi[..., 0, None] * e1 + xi[..., 1, None] * e2
+
+
+def _plane_jacobians(params, xi):
+    return np.broadcast_to(params[3], xi.shape[:-1] + (3, 2))
+
+
+def _plane_invert(params, p):
+    origin, e1, e2 = (a[0] for a in params[:3])
+    return np.array([(p - origin) @ e1, (p - origin) @ e2])
+
+
+_PLANE_CHART = _ChartKind(lambda params, xi: xi, _plane_points, _plane_jacobians, _plane_invert)
+
+
+def _sphere_trig(params, xi):
+    th, ph = xi[..., 0, None], xi[..., 1, None]
+    st, sp, cp = np.sin(th), np.sin(ph), np.cos(ph)
+    return st, np.cos(th), sp, cp, st * cp, st * sp
+
+
+def _sphere_points(params, work):
+    center, radius, e1, e2, pole = params
+    st, ct, sp, cp, stcp, stsp = work
+    return center + radius * (stcp * e1 + stsp * e2 + ct * pole)
+
+
+def _sphere_jacobians(params, work):
+    _, radius, e1, e2, pole = params
+    st, ct, sp, cp, stcp, stsp = work
+    out = np.empty(st.shape[:-1] + (3, 2))
+    out[..., 0] = ct * cp * e1 + ct * sp * e2 - st * pole  # d / d theta
+    out[..., 1] = stcp * e2 - stsp * e1  # d / d phi
+    out *= radius[..., None]
+    return out
+
+
+def _sphere_invert(params, p):
+    center, radius, e1, e2, pole = (a[0] for a in params)
+    d = (p - center) / radius[0]
+    return np.array([np.arccos(np.clip(d @ pole, -1.0, 1.0)), np.arctan2(d @ e2, d @ e1)])
+
+
+_SPHERE_CHART = _ChartKind(_sphere_trig, _sphere_points, _sphere_jacobians, _sphere_invert)
+
+
+def _quadric_chart_kind(axis, flat):
+    """The chart kind of quadric graphs over the coordinate plane normal to
+    `axis`: flat when the height's square has no coefficient, so the height
+    solves a linear equation.  Parameters: matrix (m, 3, 3), linear part
+    (m, 3), constant (m,) and branch (m,), the sign of the root taken."""
+    i, j = [k for k in range(3) if k != axis]
+
+    def height(params, xi):
+        mat, lin, const, branch = params
+        x0, x1 = xi[..., 0], xi[..., 1]
+        a1 = 2.0 * (mat[:, axis, i] * x0 + mat[:, axis, j] * x1) + lin[:, axis]
+        a0 = (
+            mat[:, i, i] * x0 * x0
+            + 2.0 * mat[:, i, j] * x0 * x1
+            + mat[:, j, j] * x1 * x1
+            + lin[:, i] * x0
+            + lin[:, j] * x1
+            + const
+        )
+        if flat:
+            row = _first(abs(a1) < 1e-14)
+            if row is not None:
+                raise IllConditionedFitError("quadric chart degenerate along its axis").at(row)
+            return -a0 / a1
+        a2 = mat[:, axis, axis]
+        disc = a1 * a1 - 4.0 * a2 * a0
+        row = _first(disc < 0.0)
+        if row is not None:
+            raise NoRootError(message="quadric chart left the surface sheet").at(row)
+        return (-a1 + branch * np.sqrt(disc)) / (2.0 * a2)
+
+    def on_sheet(params, xi):
+        x = np.empty(xi.shape[:-1] + (3,))
+        x[..., i], x[..., j] = xi[..., 0], xi[..., 1]
+        x[..., axis] = height(params, xi)
+        return x
+
+    def to_jacobians(params, x):
+        mat, lin = params[:2]
+        g = 2.0 * (mat @ x[..., None])[..., 0] + lin
+        out = np.zeros(g.shape + (2,))
+        out[..., i, 0] = 1.0
+        out[..., j, 1] = 1.0
+        out[..., axis, 0] = -g[..., i] / g[..., axis]
+        out[..., axis, 1] = -g[..., j] / g[..., axis]
+        return out
+
+    def invert(params, p):
+        return np.array([p[i], p[j]])
+
+    return _ChartKind(on_sheet, lambda params, x: x, to_jacobians, invert)
+
+
+# the chart kinds of each chart axis, without and with a flat height
+_QUADRIC_CHARTS = tuple(
+    (_quadric_chart_kind(axis, False), _quadric_chart_kind(axis, True)) for axis in range(3)
+)
+
+
+def _sinusoid_phase(params, xi):
+    w = params[1]
+    return xi, w[:, 0] * xi[..., 0] + w[:, 1] * xi[..., 1]
+
+
+def _sinusoid_points(params, work):
+    xi, ph = work
+    return np.stack([xi[..., 0], xi[..., 1], params[0] * np.sin(ph)], axis=-1)
+
+
+def _sinusoid_jacobians(params, work):
+    amp, w = params
+    c = amp * np.cos(work[1])
+    out = np.zeros(c.shape + (3, 2))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = 1.0
+    out[..., 2, 0] = c * w[:, 0]
+    out[..., 2, 1] = c * w[:, 1]
+    return out
+
+
+_SINUSOID_CHART = _ChartKind(
+    _sinusoid_phase, _sinusoid_points, _sinusoid_jacobians, lambda params, p: np.array([p[0], p[1]])
+)
 
 
 @dataclass(frozen=True)
@@ -148,15 +358,9 @@ class Plane:
         return ((self.offset - np.vecdot(line.q, self.normal)) / denom)[..., None]
 
     def chart(self, reference_point=None) -> SurfaceChart:
-        origin = self.offset * self.normal
         _, e1, e2 = _frame(self.normal)
-        jac = np.stack([e1, e2], axis=1)
-        return SurfaceChart(
-            shared=lambda xi: xi,
-            to_points=lambda xi: origin + xi[..., 0, None] * e1 + xi[..., 1, None] * e2,
-            to_jacobians=lambda xi: np.broadcast_to(jac, xi.shape[:-1] + (3, 2)),
-            invert=lambda p: np.array([(p - origin) @ e1, (p - origin) @ e2]),
-        )
+        params = (self.offset * self.normal, e1, e2, np.stack([e1, e2], axis=1))
+        return SurfaceChart(_PLANE_CHART, tuple(a[None] for a in params))
 
 
 @dataclass(frozen=True)
@@ -191,12 +395,10 @@ class Sphere:
         return np.array([-b - s, -b + s]).T
 
     def chart(self, reference_point=None) -> SurfaceChart:
-        center = self.center
-        radius = self.radius
         # spherical angles in a frame whose poles are far from the working
         # region: the reference point sits on the chart equator
         if reference_point is not None:
-            rhat = _as_vec3(reference_point) - center
+            rhat = _as_vec3(reference_point) - self.center
             rhat = rhat / np.linalg.norm(rhat)
             _, pole, _ = _frame(rhat)
             e1 = rhat
@@ -205,31 +407,8 @@ class Sphere:
             pole = np.array([0.0, 0.0, 1.0])
             e1 = np.array([1.0, 0.0, 0.0])
             e2 = np.array([0.0, 1.0, 0.0])
-
-        def trig(xi):
-            th, ph = xi[..., 0, None], xi[..., 1, None]
-            st, sp, cp = np.sin(th), np.sin(ph), np.cos(ph)
-            return st, np.cos(th), sp, cp, st * cp, st * sp
-
-        def to_points(work):
-            st, ct, sp, cp, stcp, stsp = work
-            return center + radius * (stcp * e1 + stsp * e2 + ct * pole)
-
-        def to_jacobians(work):
-            st, ct, sp, cp, stcp, stsp = work
-            out = np.empty(st.shape[:-1] + (3, 2))
-            out[..., 0] = ct * cp * e1 + ct * sp * e2 - st * pole  # d / d theta
-            out[..., 1] = stcp * e2 - stsp * e1  # d / d phi
-            out *= radius
-            return out
-
-        def invert(p):
-            d = (p - center) / radius
-            return np.array(
-                [np.arccos(np.clip(d @ pole, -1.0, 1.0)), np.arctan2(d @ e2, d @ e1)]
-            )
-
-        return SurfaceChart(trig, to_points, to_jacobians, invert)
+        params = (self.center, np.array([self.radius]), e1, e2, pole)
+        return SurfaceChart(_SPHERE_CHART, tuple(a[None] for a in params))
 
 
 @dataclass(frozen=True)
@@ -280,64 +459,18 @@ class Quadric:
         if reference_point is None:
             raise ValueError("quadric charts need a reference point")
         ref = _as_vec3(reference_point)
-        grad = self.gradient(ref)
-        axis = int(np.argmax(np.abs(grad)))
-        others = [i for i in range(3) if i != axis]
-        mat = self.matrix
-        lin = self.linear
-
-        a2 = mat[axis, axis]
-
-        def _solve_height(xi, branch):
-            x0, x1 = xi[..., 0], xi[..., 1]
-            a1 = 2.0 * (mat[axis, others[0]] * x0 + mat[axis, others[1]] * x1) + lin[axis]
-            a0 = (
-                mat[others[0], others[0]] * x0 * x0
-                + 2.0 * mat[others[0], others[1]] * x0 * x1
-                + mat[others[1], others[1]] * x1 * x1
-                + lin[others[0]] * x0
-                + lin[others[1]] * x1
-                + self.constant
+        axis = int(np.argmax(np.abs(self.gradient(ref))))
+        flat = bool(abs(self.matrix[axis, axis]) < 1e-14)
+        kind = _QUADRIC_CHARTS[axis][flat]
+        params = (self.matrix[None], self.linear[None], np.array([self.constant]))
+        branch = 1.0
+        if not flat:  # pick the branch that reproduces the reference point
+            xi_ref = np.delete(ref, axis)[None]
+            z_plus, z_minus = (
+                kind.shared(params + (np.array([b]),), xi_ref)[0, axis] for b in (1.0, -1.0)
             )
-            if abs(a2) < 1e-14:
-                row = _first(abs(a1) < 1e-14)
-                if row is not None:
-                    raise IllConditionedFitError("quadric chart degenerate along its axis").at(row)
-                return -a0 / a1
-            disc = a1 * a1 - 4.0 * a2 * a0
-            row = _first(disc < 0.0)
-            if row is not None:
-                raise NoRootError(message="quadric chart left the surface sheet").at(row)
-            return (-a1 + branch * np.sqrt(disc)) / (2.0 * a2)
-
-        # pick the branch that reproduces the reference point
-        xi_ref = np.array([ref[others[0]], ref[others[1]]])
-        if abs(a2) < 1e-14:
-            branch = 1.0
-        else:
-            z_plus = _solve_height(xi_ref, +1.0)
-            z_minus = _solve_height(xi_ref, -1.0)
             branch = 1.0 if abs(z_plus - ref[axis]) <= abs(z_minus - ref[axis]) else -1.0
-
-        def on_sheet(xi):
-            x = np.empty(xi.shape[:-1] + (3,))
-            x[..., others[0]], x[..., others[1]] = xi[..., 0], xi[..., 1]
-            x[..., axis] = _solve_height(xi, branch)
-            return x
-
-        def to_jacobians(x):
-            g = self.gradient(x)
-            out = np.zeros(g.shape + (2,))
-            out[..., others[0], 0] = 1.0
-            out[..., others[1], 1] = 1.0
-            out[..., axis, 0] = -g[..., others[0]] / g[..., axis]
-            out[..., axis, 1] = -g[..., others[1]] / g[..., axis]
-            return out
-
-        def invert(p):
-            return np.array([p[others[0]], p[others[1]]])
-
-        return SurfaceChart(on_sheet, lambda x: x, to_jacobians, invert)
+        return SurfaceChart(kind, params + (np.array([branch]),))
 
 
 @dataclass(frozen=True)
@@ -480,29 +613,7 @@ class Sinusoid:
         return roots
 
     def chart(self, reference_point=None) -> SurfaceChart:
-        amp = self.amplitude
-        w = self.wavevector
-
-        def phase(xi):
-            return xi, w[0] * xi[..., 0] + w[1] * xi[..., 1]
-
-        def to_points(work):
-            xi, ph = work
-            return np.stack([xi[..., 0], xi[..., 1], amp * np.sin(ph)], axis=-1)
-
-        def to_jacobians(work):
-            c = amp * np.cos(work[1])
-            out = np.zeros(c.shape + (3, 2))
-            out[..., 0, 0] = 1.0
-            out[..., 1, 1] = 1.0
-            out[..., 2, 0] = c * w[0]
-            out[..., 2, 1] = c * w[1]
-            return out
-
-        def invert(p):
-            return np.array([p[0], p[1]])
-
-        return SurfaceChart(phase, to_points, to_jacobians, invert)
+        return SurfaceChart(_SINUSOID_CHART, (np.array([self.amplitude]), self.wavevector[None]))
 
 
 SURFACE_KINDS = (Plane, Sphere, Quadric, Sinusoid)

@@ -13,7 +13,11 @@ ray is a stationary configuration.  Both directions are enforced and tested.
 Each Newton trial point of characteristic_function is one checked gradient
 batch (the point, its Hessian stencil, the path check and the analytic
 gradient); V and the final law check reuse the unit segments and lengths
-of the last batch, so no path is embedded or checked a second time.
+of the last batch, so no path is embedded or checked a second time, and the
+default seed is checked by the first batch alone.  A PathConfiguration
+stacks its charts by kind once, when it is built; a batch then evaluates
+one stack per kind, for the points and Jacobians of all its rows, and
+takes the gradient of all interfaces in one stacked product.
 
 Mirror design follows the classical focusing construction: given a
 rectangular family with a reconstructed reference wavefront, the mirror is
@@ -48,7 +52,7 @@ from .errors import (
 from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
 from .lines import _as_vec3, _first, _norm, _stencil, line_through
 from .optics import OpticalSystem, reflect_direction
-from .surfaces import _unit_gradient, intersect
+from .surfaces import _stack_charts, _unit_gradient, intersect
 
 _FD_H = 1e-6  # central-difference step of the Newton Hessian and of stationarity_residual
 _GRAD_TOL = 1e-10  # max |grad| at which the Newton iteration of V stops
@@ -58,7 +62,10 @@ _MIRROR_REACH = 2.0**29 - 1.0  # farthest mirror root from the wavefront, 1 + 2 
 
 @dataclass(frozen=True)
 class PathConfiguration:
-    """Endpoints, an optical system, and one chart point per interface."""
+    """Endpoints, an optical system, and one chart point per interface.
+
+    The charts are stacked by kind once, when the configuration is built,
+    and every broken path of it is evaluated one stack at a time."""
 
     m1: np.ndarray
     m2: np.ndarray
@@ -78,6 +85,7 @@ class PathConfiguration:
         )
         if len(self.coords) != len(self.system.interfaces):
             raise ValueError("need exactly one chart point per interface")
+        object.__setattr__(self, "_stacks", _stack_charts(self.charts))
 
     @classmethod
     def _unchecked(cls, m1, m2, system, coords, charts) -> "PathConfiguration":
@@ -87,6 +95,13 @@ class PathConfiguration:
         pc = object.__new__(cls)
         pc.__dict__.update(m1=m1, m2=m2, system=system, coords=coords, charts=charts)
         pc._convert()
+        return pc
+
+    def _moved(self, coords) -> "PathConfiguration":
+        """This configuration at other chart coordinates, unchecked, its
+        chart stacks taken as they are."""
+        pc = object.__new__(type(self))
+        pc.__dict__.update(self.__dict__, coords=coords)
         return pc
 
     def points(self):
@@ -103,13 +118,18 @@ class PathConfiguration:
         return np.concatenate(self.coords) if self.coords else np.zeros(0)
 
 
-def path_through(m1, m2, system: OpticalSystem, points) -> PathConfiguration:
-    """Configuration with surface points given as 3-space points."""
+def _charted(system: OpticalSystem, points):
+    """The chart coordinates and charts of one 3-space point per interface."""
     charts = tuple(
         itf.surface.chart(reference_point=p) for itf, p in zip(system.interfaces, points)
     )
     coords = tuple(chart.invert(_as_vec3(p)) for chart, p in zip(charts, points))
-    return PathConfiguration(m1, m2, system, coords, charts)
+    return coords, charts
+
+
+def path_through(m1, m2, system: OpticalSystem, points) -> PathConfiguration:
+    """Configuration with surface points given as 3-space points."""
+    return PathConfiguration(m1, m2, system, *_charted(system, points))
 
 
 def _drop_to_surface(x0, surface):
@@ -139,6 +159,11 @@ def initial_path(m1, m2, system: OpticalSystem) -> PathConfiguration:
     """Default initial guess: chord intersections with each surface, falling
     back to the surface point nearest the chord midpoint when the straight
     chord misses a surface (a heuristic; callers may supply their own)."""
+    return PathConfiguration(m1, m2, system, *_seed(m1, m2, system))
+
+
+def _seed(m1, m2, system: OpticalSystem):
+    """The chart coordinates and charts of initial_path, its path unchecked."""
     m1 = _as_vec3(m1)
     m2 = _as_vec3(m2)
     chord = line_through(m1, m2 - m1)
@@ -152,36 +177,46 @@ def initial_path(m1, m2, system: OpticalSystem) -> PathConfiguration:
             t_cursor = hit.t
         except (NoIntersectionError, TangentialError):
             points.append(_drop_to_surface(midpoint, itf.surface))
-    return path_through(m1, m2, system, points)
+    return _charted(system, points)
 
 
 def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
     """The broken paths of pc's endpoints and charts at a stack of flat
     coordinate rows xs, (N, 2m): their points, (N, m + 2, 3), segment
     vectors, later minus earlier point, (N, m + 1, 3), and segment lengths,
-    (N, m + 1), and each chart's (N, 3, 2) Jacobians with `jacobians` (none
-    without), from one evaluation of each chart.
+    (N, m + 1), and the charts' (N, m, 3, 2) Jacobians with `jacobians`
+    (None without), from one evaluation of each of pc's chart stacks.
 
     Every row is checked for consecutive points closer than 1e-9, the
     check of every PathConfiguration.  A failing stack raises what its
-    lowest failing row raises alone, with that row as `row`.
+    lowest failing row raises alone, with that row as `row`: the error of
+    the first failing chart in it, in system order.
     """
-    paths = np.empty((len(xs), len(pc.charts) + 2, 3))
+    n, m = xs.shape[0], len(pc.charts)
+    paths = np.empty((n, m + 2, 3))
     paths[:, 0] = pc.m1
     paths[:, -1] = pc.m2
-    jacs = []
-    try:
-        for i, chart in enumerate(pc.charts):
-            xi = xs[:, 2 * i : 2 * i + 2]
-            if jacobians:
-                paths[:, i + 1], jac = chart.evaluate(xi)
-                jacs.append(jac)
-            else:
-                paths[:, i + 1] = chart.embed(xi)
-    except RaySpaceError as exc:
-        if exc.row:  # the rows before it may fail at a later chart
-            _polylines(pc, xs[: exc.row])
-        raise
+    inner = paths[:, 1:-1]
+    jacs = np.empty((n, m, 3, 2)) if jacobians else None
+    coords = xs.reshape(n, m, 2)
+    failures = []
+    for stack in pc._stacks:
+        try:
+            xi = coords[:, stack.index]
+            points, jac = stack.kind.evaluate(stack.params, xi, jacobians=jacobians)
+        except RaySpaceError as exc:
+            row, entry = divmod(exc.row, len(stack.positions))
+            failures.append((row, stack.positions[entry], exc))
+            continue
+        inner[:, stack.index] = points
+        if jacobians:
+            jacs[:, stack.index] = jac
+    if failures:
+        row, _, exc = min(failures, key=lambda failure: failure[:2])
+        if row:  # the rows before it may have coincident points
+            _polylines(pc, xs[:row])
+        exc.row = row
+        raise exc
     segments = paths[:, 1:] - paths[:, :-1]
     lengths = _norm(segments)
     row = _first(np.any(lengths < 1e-9, axis=1))
@@ -213,13 +248,11 @@ def _gradients(pc: PathConfiguration, xs: np.ndarray):
     and failing as _polylines."""
     paths, units, lengths, jacs = _polylines(pc, xs, jacobians=True)
     units /= lengths[..., None]
-    media = pc.system.media()
-    parts = []
-    for i, jac in enumerate(jacs):
-        grad_point = media[i] * units[:, i] - media[i + 1] * units[:, i + 1]
-        # row @ J gives J.T @ row of each point bit for bit
-        parts.append((grad_point[:, None, :] @ jac)[:, 0])
-    return np.concatenate(parts, axis=1), (paths[0], units[0], lengths[0])
+    media = np.array(pc.system.media())[:, None]
+    grad_points = media[:-1] * units[:, :-1] - media[1:] * units[:, 1:]
+    # row @ J gives J.T @ row of each point bit for bit
+    grads = (grad_points[..., None, :] @ jacs)[..., 0, :]
+    return grads.reshape(xs.shape), (paths[0], units[0], lengths[0])
 
 
 def optical_length(pc: PathConfiguration) -> float:
@@ -316,10 +349,9 @@ def characteristic_function(
     checked by the first gradient batch, which raises what a
     PathConfiguration of it would.
     """
-    if initial is None:
-        pc = initial_path(m1, m2, system)
-    else:  # the first gradient batch checks the seed's path
-        pc = PathConfiguration._unchecked(m1, m2, system, initial.coords, initial.charts)
+    # the first gradient batch checks the seed's path
+    coords, charts = _seed(m1, m2, system) if initial is None else (initial.coords, initial.charts)
+    pc = PathConfiguration._unchecked(m1, m2, system, coords, charts)
     if not pc.charts:
         return optical_length(pc), pc
 
@@ -371,8 +403,7 @@ def characteristic_function(
             f"stationary point violates the local laws: residual {residual:.3e}"
         )
     coords = tuple(x[2 * i : 2 * i + 2] for i in range(len(pc.charts)))
-    result = PathConfiguration._unchecked(pc.m1, pc.m2, system, coords, pc.charts)
-    return float(_optical_lengths(system, lengths)), result
+    return float(_optical_lengths(system, lengths)), pc._moved(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from rayspace.errors import (
     TotalInternalReflectionError,
 )
 from rayspace.families import _grid_axes, _grid_lines
-from rayspace.lines import _as_vec3
+from rayspace.lines import _as_vec3, _norm
 from rayspace.surfaces import _FLAT_SCAN_SPAN, _ROOT_TOL
 
 
@@ -382,6 +382,49 @@ def path_gradient(pc):
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
+def polylines_oracle(pc, xs, jacobians=False):
+    """variational._polylines evaluating one chart at a time, in system
+    order, with the Jacobians as a list of each chart's (N, 3, 2) ones: a
+    chart failing at row r raises after the rows before r, checked alone,
+    have passed every chart and the coincidence check."""
+    paths = np.empty((len(xs), len(pc.charts) + 2, 3))
+    paths[:, 0] = pc.m1
+    paths[:, -1] = pc.m2
+    jacs = []
+    try:
+        for i, chart in enumerate(pc.charts):
+            xi = xs[:, 2 * i : 2 * i + 2]
+            if jacobians:
+                paths[:, i + 1], jac = chart.evaluate(xi)
+                jacs.append(jac)
+            else:
+                paths[:, i + 1] = chart.embed(xi)
+    except RaySpaceError as exc:
+        if exc.row:  # the rows before it may fail at a later chart
+            polylines_oracle(pc, xs[: exc.row])
+        raise
+    segments = paths[:, 1:] - paths[:, :-1]
+    lengths = _norm(segments)
+    bad = np.flatnonzero(np.any(lengths < 1e-9, axis=1))
+    if len(bad):
+        err = ValueError("consecutive path points coincide")
+        err.row = int(bad[0])
+        raise err
+    return paths, segments, lengths, jacs if jacobians else None
+
+
+def gradients_oracle(pc, xs):
+    """variational._gradients on polylines_oracle, one interface at a time."""
+    paths, units, lengths, jacs = polylines_oracle(pc, xs, jacobians=True)
+    units /= lengths[..., None]
+    media = pc.system.media()
+    parts = [np.zeros((len(xs), 0))]
+    for i, jac in enumerate(jacs):
+        grad_point = media[i] * units[:, i] - media[i + 1] * units[:, i + 1]
+        parts.append((grad_point[:, None, :] @ jac)[:, 0])
+    return np.concatenate(parts, axis=1), (paths[0], units[0], lengths[0])
+
+
 def stationarity_residual_oracle(pc, h=1e-6):
     """max |dV/dxi| by central differences, one configuration per side."""
     x0 = pc.flat()
@@ -486,6 +529,8 @@ __all__ = [
     "sinusoid_first_root",
     "path_length",
     "path_gradient",
+    "polylines_oracle",
+    "gradients_oracle",
     "stationarity_residual_oracle",
     "characteristic_function_oracle",
     "GrazingError",

@@ -2,12 +2,15 @@
 function against one configuration at a time.
 
 A chart's `embed` and `jacobian` on (N, 2) coordinates give, row by row, bit
-for bit what the rows give alone, and `evaluate` gives both at once.  `characteristic_function` takes one
-gradient batch per point it tries, the Hessian stencil around the point
-included, and must give bit for bit the V and path of the solve that takes
-one gradient per configuration (`characteristic_function_oracle`), or raise
-the same error.  V, the law check and the result come from the last batch,
-with no further chart evaluation.
+for bit what the rows give alone, and `evaluate` gives both at once.  A
+path's charts are evaluated as one stack per chart kind, bit for bit what
+the charts give one at a time (`polylines_oracle`), or raising the same
+error for the same row.  `characteristic_function` takes one gradient batch
+per point it tries, the Hessian stencil around the point included, and must
+give bit for bit the V and path of the solve that takes one gradient per
+configuration (`characteristic_function_oracle`), or raise the same error.
+V, the law check and the result come from the last batch, with no further
+chart evaluation.
 """
 
 import pathlib
@@ -18,15 +21,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rayspace as rs
+import rayspace.surfaces as surfaces
 import rayspace.variational as variational
 from rayspace.cli import main
-from rayspace.errors import NoRootError, RaySpaceError
+from rayspace.errors import IllConditionedFitError, NoRootError, RaySpaceError
 
 from helpers import (
     aimed_line,
     characteristic_function_oracle,
+    gradients_oracle,
     nested_sphere_system,
     path_length,
+    polylines_oracle,
     random_surface,
     stationarity_residual_oracle,
 )
@@ -103,28 +109,59 @@ def counting_gradients(monkeypatch):
     return batches
 
 
-class CountingChart:
-    """A chart that records each evaluation of its points or Jacobians."""
+def counting_evaluations(monkeypatch):
+    """Record the kind and coordinate shape, (rows, charts, 2), of every
+    chart evaluation, stacked or of a single chart."""
+    evaluations = []
+    real = surfaces._ChartKind.evaluate
 
-    def __init__(self, chart, calls):
-        self.chart, self.calls = chart, calls
+    def counting(kind, params, xi, **asked):
+        evaluations.append((kind, xi.shape))
+        return real(kind, params, xi, **asked)
 
-    def __getattr__(self, name):
-        fn = getattr(self.chart, name)
-        if name == "invert":
-            return fn
-        return lambda xi: self.calls.append(name) or fn(xi)
+    monkeypatch.setattr(surfaces._ChartKind, "evaluate", counting)
+    return evaluations
 
 
-def counting_seed(m1, m2, system, initial):
-    """initial with charts that record their evaluations, and the per-chart
-    logs, cleared after the seed's own check."""
-    calls = [[] for _ in initial.charts]
-    charts = tuple(CountingChart(c, log) for c, log in zip(initial.charts, calls))
-    seed = rs.PathConfiguration(m1, m2, system, initial.coords, charts)
-    for log in calls:
-        log.clear()
-    return seed, calls
+def counting_polylines(monkeypatch):
+    """Record the row count and Jacobian flag of every _polylines call."""
+    calls = []
+    real = variational._polylines
+
+    def counting(pc, xs, jacobians=False):
+        calls.append((len(xs), jacobians))
+        return real(pc, xs, jacobians)
+
+    monkeypatch.setattr(variational, "_polylines", counting)
+    return calls
+
+
+def random_chart(rng, kind):
+    """A surface of the kind, one of KINDS or "flat quadric", charted at a
+    point of it, and that point's coordinates."""
+    if kind == "flat quadric":  # z = 0.5 - 0.1 x^2 - 0.15 y^2, linear in its height z
+        surface, point = BOWL, np.array([*rng.uniform(-1, 1, 2), 0.0])
+        point[2] = -BOWL.value(point)
+    else:
+        surface = random_surface(rng, kind)
+        point = aimed_line(rng, surface)[1].point
+    chart = surface.chart(reference_point=point)
+    return surface, chart, chart.invert(point)
+
+
+def assert_same_outcome(got, want):
+    """Bit for bit the same arrays, or the same error for the same row."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert got.row == want.row
+        return
+    for a, b in zip(got, want, strict=True):
+        if isinstance(b, tuple):
+            assert_same_outcome(a, b)
+        elif b is None:
+            assert a is None
+        else:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestBatchedCharts:
@@ -173,6 +210,71 @@ class TestBatchedCharts:
                 fn(xs)
             assert err.value.row == 2
         assert chart.embed(xs[:2]).shape == (2, 3)
+
+
+class TestStackedPaths:
+    """_polylines and _gradients evaluate one stack per chart kind, and
+    equal the chart-by-chart oracles bit for bit."""
+
+    @staticmethod
+    def assert_same_as_the_oracles(pc, xs):
+        for jacobians in (False, True):
+            want = outcome(lambda: polylines_oracle(pc, xs, jacobians))
+            if jacobians and not isinstance(want, Exception):
+                want = (*want[:3], np.stack(want[3], axis=1))
+            assert_same_outcome(outcome(lambda: variational._polylines(pc, xs, jacobians)), want)
+        got = outcome(lambda: variational._gradients(pc, xs))
+        assert_same_outcome(got, outcome(lambda: gradients_oracle(pc, xs)))
+        return got
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(KINDS + ("flat quadric",)), min_size=1, max_size=4),
+        st.integers(1, 9),
+        st.floats(0.01, 1.5),
+    )
+    def test_random_paths_match_the_oracles(self, seed, kinds, count, spread):
+        rng = np.random.default_rng(seed)
+        surfaces_, charts, coords = zip(*(random_chart(rng, kind) for kind in kinds))
+        system = rs.OpticalSystem(tuple(rs.Interface(s, rs.REFLECT, 1.0) for s in surfaces_))
+        m1, m2 = rng.uniform(-4, 4, (2, 3))
+        pc = variational.PathConfiguration._unchecked(m1, m2, system, coords, charts)
+        xs = np.concatenate(coords) + rng.uniform(-spread, spread, (count, 2 * len(kinds)))
+        self.assert_same_as_the_oracles(pc, xs)
+
+    def test_quadrics_charted_over_different_axes(self):
+        ball = rs.Quadric(np.eye(3), [0, 0, 0], -1.0)
+        system = rs.OpticalSystem((rs.Interface(ball, rs.REFLECT, 1.0),) * 3)
+        pc = rs.path_through([0, 0, 3], [3, 0, 0], system, [[0, 0, 1], [1, 0, 0], [0, 0, -1]])
+        # both caps are graphs over the xy-plane: one stack, not adjacent
+        north, east, south = (chart.kind for chart in pc.charts)
+        assert north is south and east is not north
+        xs = pc.flat() + np.random.default_rng(7).uniform(-0.5, 0.5, (6, 6))
+        assert not isinstance(self.assert_same_as_the_oracles(pc, xs), Exception)
+
+    @pytest.mark.parametrize("saddle_first", [False, True])
+    def test_two_quadric_stacks_failing_on_the_same_row(self, saddle_first):
+        # a ball charted over its north cap fails off its sheet; the saddle
+        # 2 x z = 1, a graph z = 1 / (2 x), is degenerate along its axis at x = 0
+        ball = rs.Quadric(np.eye(3), [0, 0, 0], -1.0)
+        saddle = rs.Quadric([[0, 0, 1], [0, 0, 0], [1, 0, 0]], [0, 0, 0], -1.0)
+        # (surface, reference point, coordinates on it, coordinates failing)
+        pairs = [
+            (ball, [0, 0, 1], [0.1, 0.2], [1.5, 0.0]),
+            (saddle, [1, 0, 0.5], [1.0, 0.3], [0.0, 0.3]),
+        ]
+        if saddle_first:
+            pairs.reverse()
+        (first, ref0, ok0, bad0), (second, ref1, ok1, bad1) = pairs
+        system = rs.OpticalSystem(
+            (rs.Interface(first, rs.REFLECT, 1.0), rs.Interface(second, rs.REFLECT, 1.0))
+        )
+        pc = rs.path_through([0, 3, 3], [0, -3, 3], system, [ref0, ref1])
+        assert pc.charts[0].kind is not pc.charts[1].kind
+        xs = np.array([ok0 + ok1, bad0 + bad1, ok0 + bad1])
+        err = self.assert_same_as_the_oracles(pc, xs)
+        assert type(err) is (IllConditionedFitError if saddle_first else NoRootError)
+        assert err.row == 1
 
 
 class TestBatchedNewton:
@@ -290,35 +392,58 @@ class TestBatchedNewton:
             )
             characteristic_function_oracle(m1, m2, system, initial=initial)
             monkeypatch.undo()
-            seed, calls = counting_seed(m1, m2, system, initial)
+            evaluations = counting_evaluations(monkeypatch)
             batches = counting_gradients(monkeypatch)
             solves = []
             real_solve = np.linalg.solve
             monkeypatch.setattr(
                 np.linalg, "solve", lambda a, b: solves.append(1) or real_solve(a, b)
             )
-            rs.characteristic_function(m1, m2, system, initial=seed)
+            rs.characteristic_function(m1, m2, system, initial=initial)
             monkeypatch.undo()
             # the oracle builds one configuration per gradient, 2 dim of them
             # per Hessian (one per Newton step), and one for the final path
             points = len(oracle_calls) - 1 - 2 * dim * len(solves)
             assert len(batches) == points
             assert all(len(xs) == 1 + 2 * dim and row is None for xs, row in batches)
-            assert calls == [["evaluate"] * points] * len(system.interfaces)
+            # the shells form one sphere stack, evaluated once per batch
+            sphere = system.interfaces[0].surface.chart().kind
+            shape = (1 + 2 * dim, len(system.interfaces), 2)
+            assert evaluations == [(sphere, shape)] * points
 
 
 class TestChartEvaluations:
-    def test_one_per_chart_from_a_stationary_seed(self):
-        m1, m2, system, initial, _ = design_library_inputs(count=3)[2]
-        _, pc = rs.characteristic_function(m1, m2, system, initial=initial)
-        seed, calls = counting_seed(m1, m2, system, pc)
-        v, again = rs.characteristic_function(m1, m2, system, initial=seed)
-        assert again.flat().tobytes() == pc.flat().tobytes()
-        # the gradient batch with its stencil; V, the law check and the
-        # result take their path from it
-        assert calls == [["evaluate"]] * 3
-        assert v == rs.optical_length(pc)
-        assert rs.law_residual(again) == rs.law_residual(pc)
+    def test_one_per_chart_stack_from_a_stationary_seed(self, monkeypatch):
+        # three sphere shells, one stack; a sphere and a plane, two stacks
+        lens_and_floor = rs.OpticalSystem(
+            (
+                rs.Interface(rs.Sphere([0, 0, 0], 2.0), rs.REFRACT, 1.0, 1.5),
+                rs.Interface(rs.Plane([0, 0, 1], -1.0), rs.REFLECT, 1.5),
+            )
+        )
+        ends = np.array([[0.3, -0.2, 5], [-0.4, 0.5, 0.5]])
+        cases = [design_library_inputs(count=3)[2][:4], (*ends, lens_and_floor, None)]
+        for m1, m2, system, initial in cases:
+            _, pc = rs.characteristic_function(m1, m2, system, initial=initial)
+            evaluations = counting_evaluations(monkeypatch)
+            v, again = rs.characteristic_function(m1, m2, system, initial=pc)
+            monkeypatch.undo()
+            assert again.flat().tobytes() == pc.flat().tobytes()
+            # the gradient batch with its stencil evaluates each stack once;
+            # V, the law check and the result take their path from it
+            kinds = [itf.surface.chart().kind for itf in system.interfaces]
+            stacks = {kind: kinds.count(kind) for kind in kinds}
+            rows = 1 + 4 * len(kinds)
+            assert evaluations == [(kind, (rows, m, 2)) for kind, m in stacks.items()]
+            assert v == rs.optical_length(pc)
+            assert rs.law_residual(again) == rs.law_residual(pc)
+
+    def test_default_seed_is_checked_by_the_first_batch_alone(self, monkeypatch, tmp_path):
+        calls = counting_polylines(monkeypatch)
+        scene = str(SCENES / "characteristic.scene")
+        assert main(["characteristic", "--scene", scene, "--out", str(tmp_path)]) == 0
+        # the gradient batch, stationarity_residual and law_residual
+        assert calls == [(5, True), (4, False), (1, False)]
 
 
 class TestBadSeeds:
@@ -357,6 +482,19 @@ class TestBadSeeds:
         m1, m2 = np.array([0.2, 0, 2]), np.array([-0.2, 0.1, 2])
         seed = variational.PathConfiguration._unchecked(m1, m2, system, ([1.2, 0.0],), (chart,))
         self.assert_first_batch_fails(monkeypatch, m1, m2, system, seed, NoRootError)
+
+    def test_default_seed_with_coincident_points(self, monkeypatch):
+        # the chord meets the film at one point; the second interface,
+        # missed beyond it, falls back to the chord midpoint, the same point
+        floor = rs.Plane([0, 0, 1], 0.0)
+        system = rs.OpticalSystem(
+            (rs.Interface(floor, rs.REFRACT, 1.0, 1.5), rs.Interface(floor, rs.REFRACT, 1.5, 1.0))
+        )
+        m1, m2 = np.array([0.0, 0, 1]), np.array([1.0, 0, -1])
+        self.assert_first_batch_fails(monkeypatch, m1, m2, system, None, ValueError)
+        assert str(outcome(lambda: rs.characteristic_function(m1, m2, system))) == (
+            "consecutive path points coincide"
+        )
 
     def test_wrong_interface_count(self, monkeypatch):
         m1, m2, system, initial, _ = design_library_inputs(count=2)[1]
