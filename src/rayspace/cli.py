@@ -36,13 +36,7 @@ from .families import (
 from .lines import _norm, _ray, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import load_scene
-from .variational import (
-    characteristic_function,
-    design_focusing_mirror,
-    law_residual,
-    stationarity_residual,
-    verify_focus,
-)
+from .variational import design_focusing_mirror, stationarity_residual, verify_focus
 
 
 class _UsageError(Exception):
@@ -158,30 +152,15 @@ def cmd_check_symplectic(scene, args):
     ]
     interfaces = scene.system.interfaces
     scales = [itf.n_in / itf.n_after for itf in interfaces]
-    worst = [0.0] * len(interfaces)
-    for k1, k2 in ks:
-        k = (float(k1), float(k2))
-        line = family.eval(*k)
-        start = family.start_point(*k)
-        # each interface's map is checked on the ray as it arrives there
-        for i, itf in enumerate(interfaces):
-            single = OpticalSystem((itf,), ambient_index=itf.n_in)
-            traced = []
-
-            def mapper(l):
-                on_l = l.q + np.vecdot(start - l.q, l.u)[..., None] * l.u
-                traced.append(propagate_system(l, single, start=on_l))
-                return traced[-1].line_out
-
-            try:
-                jac, _, _ = chart_jacobian(mapper, line, h=step)
-            except TraceError as exc:
-                raise FamilyTraceError(k, TraceError(i, exc.cause)) from exc
-            worst[i] = max(worst[i], symplectic_residual(jac, scale=scales[i]))
-            # the sample itself is row 0 of the batch chart_jacobian traced
-            result = traced[0]
-            line = _ray(result.line_out, 0)
-            start = line.point_at(_cursor_past(line, result.hits[0].point[0]))
+    lines = family.eval(ks[:, 0], ks[:, 1])
+    starts = family.start_point(ks[:, 0], ks[:, 1])
+    jacobians = _interface_jacobians(ks, lines, starts, interfaces, step)
+    # Python's max over the samples in order passes over a NaN residual,
+    # as the sample-by-sample check did
+    worst = [
+        max([0.0, *symplectic_residual(jac, scale=scale).tolist()])
+        for jac, scale in zip(jacobians, scales)
+    ]
     for i, itf in enumerate(interfaces):
         pairs.append((f"interface_{i}", _interface_label(itf)))
         pairs.append((f"interface_{i}_scale", _fmt(scales[i])))
@@ -192,6 +171,53 @@ def cmd_check_symplectic(scene, args):
     pairs.append(("symplectic", "true" if ok else "false"))
     failure = None if ok else f"symplectic residual {worst_overall:.3e} exceeds {tol:g}"
     return {}, pairs, failure
+
+
+def _interface_jacobians(ks, lines, starts, interfaces, step, first=0):
+    """The chart Jacobian of each interface's map from interface `first` on,
+    one (N, 4, 4) stack per interface, at the sampled lines (parameters ks)
+    as they arrive there from their starts: one chart_jacobian batch per
+    interface.
+
+    Raises what the samples, taken one at a time and each through every
+    interface in turn, would raise first: if sample j fails at interface i,
+    the samples before it are carried on through the later interfaces, and
+    an error of theirs wins.
+    """
+    jacobians = []
+    for i in range(first, len(interfaces)):
+        itf = interfaces[i]
+        single = OpticalSystem((itf,), ambient_index=itf.n_in)
+        # row r of a batch belongs to sample r // 9, and is traced from that
+        # sample's start, moved onto the row's line
+        block_starts = np.repeat(starts, 9, axis=0)
+        result = None
+
+        def crossing(l):
+            nonlocal result
+            on_l = l.q + np.vecdot(block_starts[: len(l.q)] - l.q, l.u)[..., None] * l.u
+            result = propagate_system(l, single, start=on_l)
+            return result.line_out
+
+        try:
+            jac, _, _ = chart_jacobian(crossing, lines, h=step)
+        except RaySpaceError as exc:
+            row = exc.row
+            if row:  # the samples before it may fail at a later interface
+                before = slice(row)
+                _interface_jacobians(
+                    ks[before], _ray(lines, before), starts[before], interfaces, step, i
+                )
+            if isinstance(exc, TraceError):
+                raise FamilyTraceError(ks[row], TraceError(i, exc.cause)).at(row) from exc
+            raise
+        jacobians.append(jac)
+        if i + 1 < len(interfaces):
+            # each sample itself is row 0 of its block
+            samples = slice(0, None, 9)
+            lines = _ray(result.line_out, samples)
+            starts = lines.point_at(_cursor_past(lines, result.hits[0].point[samples]))
+    return jacobians
 
 
 def cmd_wavefront(scene, args):
@@ -254,9 +280,9 @@ def cmd_mirror(scene, args):
 def cmd_characteristic(scene, args):
     m1 = _require_option(scene, "m1")
     m2 = _require_option(scene, "m2")
-    value, pc = characteristic_function(m1, m2, scene.system)
+    # the law residual and the hits come from the solve's last batch
+    value, pc, law, hits = variational._solve(m1, m2, scene.system)
     station = stationarity_residual(pc)
-    law = law_residual(pc)
     pairs = [
         ("m1", _vec_str(m1)),
         ("m2", _vec_str(m2)),
@@ -268,7 +294,7 @@ def cmd_characteristic(scene, args):
         ("law_residual", _fmt(law)),
         ("hits", len(pc.coords)),
     ]
-    for i, point in enumerate(pc.points()):
+    for i, point in enumerate(hits):
         pairs.append((f"hit_{i}", _vec_str(point)))
     return {}, pairs, None
 

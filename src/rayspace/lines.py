@@ -92,6 +92,18 @@ def _ray(line: OrientedLine, i) -> OrientedLine:
     return OrientedLine(line.u[i], line.q[i])
 
 
+def _cross(a, b):
+    """np.cross of 3-vectors, (3,) or (N, 3), bit for bit, without its axis
+    handling: a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out.T[0] = a1 * b2 - a2 * b1
+    out.T[1] = a2 * b0 - a0 * b2
+    out.T[2] = a0 * b1 - a1 * b0
+    return out
+
+
 def _frame(axis):
     """Unit axis plus an orthonormal pair spanning its orthogonal plane.
 
@@ -103,9 +115,9 @@ def _frame(axis):
     a = a / n[..., None]
     ref = np.zeros_like(a)
     np.put_along_axis(ref, np.argmin(np.abs(a), axis=-1)[..., None], 1.0, axis=-1)
-    e1 = np.cross(ref, a)
+    e1 = _cross(ref, a)
     e1 /= _norm(e1)[..., None]
-    e2 = np.cross(a, e1)
+    e2 = _cross(a, e1)
     return a, e1, e2
 
 
@@ -366,35 +378,74 @@ def chart_jacobian(
     chart_in: str | None = None,
     chart_out: str | None = None,
 ):
-    """4x4 central-difference Jacobian of a line map in chart coordinates.
+    """Central-difference Jacobian of a line map in chart coordinates: 4x4
+    at one line, (N, 4, 4) at each line of a batch of N.
 
-    `transform` maps a batch of lines row by row and is called once, on
-    `line` followed by its eight stencil lines x0 + h e_0, x0 - h e_0,
-    x0 + h e_1, ... in chart coordinates; an error it raises for the batch
-    is the error of this one line (row 0).  The input chart defaults to the
-    best chart for `line`, the output chart to the best chart for its image.
-    Returns (J, chart_in, chart_out).
+    `transform` maps a batch of lines row by row and is called once, on N
+    blocks of nine rows: each line followed by its eight stencil lines
+    x0 + h e_0, x0 - h e_0, x0 + h e_1, ... in chart coordinates.  The
+    input chart defaults to the best chart for each line, the output chart
+    to the best chart for its image; a chart given serves every line.  h
+    defaults to 1e-5 * max(1, |q|) of each line.  Returns (J, chart_in,
+    chart_out), with an array of one chart per line for a batch.
+
+    A batch gives bit for bit the Jacobians of its lines taken one at a
+    time.  A failing batch raises what its lowest failing line raises
+    alone, with that line's index as `row` (an error of the transform names
+    its row of the nine-row blocks); the lines before it are mapped again
+    first, so an earlier line's later failure wins.
     """
-    if chart_in is None:
-        chart_in = chart_for(line.u)
+    single = line.u.ndim == 1
+    batch = OrientedLine._exact(line.u[None], line.q[None]) if single else line
+    try:
+        jac, chart_in, chart_out = _chart_jacobians(transform, batch, h, chart_in, chart_out)
+    except RaySpaceError as exc:
+        if exc.row:  # the lines before it may fail at a later stage
+            chart_jacobian(transform, _ray(line, slice(exc.row)), h, chart_in, chart_out)
+        raise
+    if single:
+        return jac[0], str(chart_in[0]), str(chart_out[0])
+    return jac, chart_in, chart_out
+
+
+def _chart_jacobians(transform, line, h, chart_in, chart_out):
+    """chart_jacobian of a batch, its charts one per line; an error's row
+    is the index of its line."""
+    n = len(line.u)
+    chart_in = np.broadcast_to(chart_for(line.u) if chart_in is None else chart_in, (n,))
     x0, _ = chart_coords(line, chart_in)
     if h is None:
-        h = 1e-5 * max(1.0, float(np.linalg.norm(line.q)))
-    steps = line_from_coords(x0 + _stencil(4, h), chart_in)
+        h = 1e-5 * np.maximum(1.0, _norm(line.q))
+    h = np.reshape(h, (-1, 1, 1))
+    steps = line_from_coords(
+        (x0[:, None] + _stencil(4, 1.0) * h).reshape(-1, 4), np.repeat(chart_in, 8)
+    )
+    u = np.concatenate([line.u[:, None], steps.u.reshape(n, 8, 3)], axis=1)
+    q = np.concatenate([line.q[:, None], steps.q.reshape(n, 8, 3)], axis=1)
     try:
-        images = transform(
-            OrientedLine._exact(np.vstack([line.u, steps.u]), np.vstack([line.q, steps.q]))
+        images = transform(OrientedLine._exact(u.reshape(-1, 3), q.reshape(-1, 3)))
+    except RaySpaceError as exc:
+        exc.row //= 9
+        raise
+    u, q = images.u.reshape(n, 9, 3), images.q.reshape(n, 9, 3)
+    chart_out = np.broadcast_to(chart_for(u[:, 0]) if chart_out is None else chart_out, (n,))
+    try:
+        xs, _ = chart_coords(
+            OrientedLine._exact(u[:, 1:].reshape(-1, 3), q[:, 1:].reshape(-1, 3)),
+            np.repeat(chart_out, 8),
         )
     except RaySpaceError as exc:
-        exc.row = 0
+        exc.row //= 8
         raise
-    if chart_out is None:
-        chart_out = chart_for(images.u[0])
-    xs, _ = chart_coords(_ray(images, slice(1, None)), chart_out)
-    return ((xs[0::2] - xs[1::2]) / (2.0 * h)).T, chart_in, chart_out
+    xs = xs.reshape(n, 8, 4)
+    jac = ((xs[:, 0::2] - xs[:, 1::2]) / (2.0 * h)).swapaxes(-1, -2)
+    return jac, chart_in, chart_out
 
 
-def symplectic_residual(jacobian: np.ndarray, scale: float = 1.0) -> float:
-    """max |J^T Omega J - scale * Omega| entrywise."""
+def symplectic_residual(jacobian: np.ndarray, scale: float = 1.0):
+    """max |J^T Omega J - scale * Omega| entrywise: a float for one 4x4 J,
+    an array for a stack (..., 4, 4), each entry bit for bit the residual
+    of its J alone."""
     omega = chart_symplectic_matrix()
-    return float(np.max(np.abs(jacobian.T @ omega @ jacobian - scale * omega)))
+    product = jacobian.swapaxes(-1, -2) @ omega @ jacobian
+    return _out(np.max(np.abs(product - scale * omega), axis=(-2, -1)))

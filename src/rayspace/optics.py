@@ -201,6 +201,8 @@ def _propagate(line: OrientedLine, system: OpticalSystem, start, t_cursor) -> Tr
     hits = []
     optical_length = 0.0
     for i, itf in enumerate(system.interfaces):
+        if i:  # just past the previous hit; none is needed past the last
+            t_cursor = _cursor_past(current, prev_point)
         try:
             hit = intersect(current, itf.surface, t_min=t_cursor)
             current = line_through(hit.point, itf.bend(current.u, hit.normal))
@@ -209,5 +211,4 @@ def _propagate(line: OrientedLine, system: OpticalSystem, start, t_cursor) -> Tr
         optical_length += itf.n_in * _out(_norm(hit.point - prev_point))
         prev_point = hit.point
         hits.append(hit)
-        t_cursor = _cursor_past(current, hit.point)
     return TraceResult(line_out=current, hits=tuple(hits), optical_length=optical_length)

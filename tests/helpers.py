@@ -7,6 +7,7 @@ import numpy as np
 
 import rayspace as rs
 from rayspace.errors import (
+    FamilyTraceError,
     GrazingError,
     IllConditionedFitError,
     ImmersionError,
@@ -17,9 +18,11 @@ from rayspace.errors import (
     RaySpaceError,
     TangentialError,
     TotalInternalReflectionError,
+    TraceError,
 )
 from rayspace.families import _grid_axes, _grid_lines
-from rayspace.lines import _as_vec3, _norm
+from rayspace.lines import _as_vec3, _norm, _ray
+from rayspace.optics import _cursor_past
 from rayspace.surfaces import _FLAT_SCAN_SPAN, _ROOT_TOL
 
 
@@ -208,6 +211,42 @@ def chart_jacobian_oracle(transform, line, h=None, chart_in=None, chart_out=None
         minus, _ = rs.chart_coords(transform(rs.line_from_coords(x0 - step, chart_in)), chart_out)
         jac[:, j] = (plus - minus) / (2.0 * h)
     return jac, chart_in, chart_out
+
+
+def check_symplectic_oracle(family, system, ks, step):
+    """The chart Jacobians and worst residuals of `check-symplectic`, sample
+    by sample: each sampled line goes through the interfaces in turn, with
+    one nine-row chart_jacobian call per (sample, interface) whose row 0
+    places the next start.  Returns (one (N, 4, 4) stack per interface,
+    each interface's worst residual, Python's max in sample order), or
+    raises what the first failing (sample, interface) raises."""
+    interfaces = system.interfaces
+    scales = [itf.n_in / itf.n_after for itf in interfaces]
+    jacobians = [[] for _ in interfaces]
+    worst = [0.0] * len(interfaces)
+    for k1, k2 in ks:
+        k = (float(k1), float(k2))
+        line = family.eval(*k)
+        start = family.start_point(*k)
+        for i, itf in enumerate(interfaces):
+            single = rs.OpticalSystem((itf,), ambient_index=itf.n_in)
+            traced = []
+
+            def mapper(l):
+                on_l = l.q + np.vecdot(start - l.q, l.u)[..., None] * l.u
+                traced.append(rs.propagate_system(l, single, start=on_l))
+                return traced[-1].line_out
+
+            try:
+                jac, _, _ = rs.chart_jacobian(mapper, line, h=step)
+            except TraceError as exc:
+                raise FamilyTraceError(k, TraceError(i, exc.cause)) from exc
+            jacobians[i].append(jac)
+            worst[i] = max(worst[i], rs.symplectic_residual(jac, scale=scales[i]))
+            result = traced[0]
+            line = _ray(result.line_out, 0)
+            start = line.point_at(_cursor_past(line, result.hits[0].point[0]))
+    return [np.array(stack).reshape(-1, 4, 4) for stack in jacobians], worst
 
 
 def grid_csv_oracle(header, k1, k2, nodes):

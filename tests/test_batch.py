@@ -999,6 +999,91 @@ class TestChartJacobianBatch:
         assert type(got) is type(want) and str(got) == str(want)
         assert got.row == 0
 
+    def assert_same_batch(self, transform, lines, **kw):
+        calls = []
+
+        def counted(batch):
+            calls.append(batch.u.shape)
+            return transform(batch)
+
+        jac, chart_in, chart_out = rs.chart_jacobian(counted, lines, **kw)
+        n = len(lines.u)
+        assert calls == [(9 * n, 3)] and jac.shape == (n, 4, 4)
+        for j in range(n):
+            want, want_in, want_out = chart_jacobian_oracle(transform, _ray(lines, j), **kw)
+            assert jac[j].tobytes() == want.tobytes()
+            assert (chart_in[j], chart_out[j]) == (want_in, want_out)
+        return chart_in, chart_out
+
+    def test_batches_mixing_north_and_south_charts(self, rng):
+        # reflection and refraction inside a large sphere; the feet spread
+        # over |q| < 1 and |q| > 1, so the default step differs by line
+        sphere = rs.Sphere([0.1, -0.2, 0.3], 10.0)
+        lines = rs.line_through(rng.normal(size=(12, 3)), rng.normal(size=(12, 3)))
+        for transform in (
+            lambda l: rs.reflect_line(l, sphere)[0],
+            lambda l: rs.refract_line(l, sphere, 1.0, 1.3)[0],
+        ):
+            chart_in, chart_out = self.assert_same_batch(transform, lines)
+            assert set(chart_in) == set(chart_out) == {rs.NORTH, rs.SOUTH}
+            self.assert_same_batch(transform, lines, h=1e-4)
+        across = [1.0, 0.5, 0.0] + rng.uniform(-0.4, 0.4, (6, 3))  # both charts serve
+        flat = rs.line_through(rng.normal(size=(6, 3)), across)
+        for chart_in, chart_out in ((rs.NORTH, rs.SOUTH), (rs.SOUTH, rs.NORTH)):
+            self.assert_same_batch(lambda l: l, flat, chart_in=chart_in, chart_out=chart_out)
+
+    @staticmethod
+    def critical_batch(n, j):
+        """n lines down onto the plane z = -1, steep but for line j, which
+        leaves glass just below the critical angle: some of its stencil
+        lines are totally reflected, the line itself is not."""
+        sin_in = 1.0 / 1.5 - 1e-8
+        rng = np.random.default_rng(j)
+        u = np.column_stack([rng.uniform(-0.2, 0.2, (n, 2)), -np.ones(n)])
+        u[j] = [sin_in, 0.0, -np.sqrt(1.0 - sin_in**2)]
+        points = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), np.ones(n)])
+        return rs.line_through(points, u)
+
+    @staticmethod
+    def leave_glass(l):
+        return rs.refract_line(l, rs.Plane([0, 0, 1], -1.0), 1.5, 1.0)[0]
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_a_failing_line_raises_the_oracles_error_with_its_row(self, j):
+        lines = self.critical_batch(5, j)
+        got = outcome(lambda: rs.chart_jacobian(self.leave_glass, lines))
+        want = outcome(lambda: chart_jacobian_oracle(self.leave_glass, _ray(lines, j)))
+        assert isinstance(want, TotalInternalReflectionError)
+        assert type(got) is type(want) and str(got) == str(want)
+        assert got.row == j
+        if j:  # the lines before it map
+            self.assert_same_batch(self.leave_glass, _ray(lines, slice(j)))
+
+    def test_an_earlier_line_failing_later_wins(self):
+        # line 0 goes straight down, so its images lie at the pole of chart
+        # SOUTH: it fails after the map, at which line 2 fails
+        lines = self.critical_batch(5, 2)
+        lines = rs.line_through(lines.q, np.vstack([[0.0, 0.0, -1.0], lines.u[1:]]))
+        got = outcome(lambda: rs.chart_jacobian(self.leave_glass, lines, chart_out=rs.SOUTH))
+        want = outcome(
+            lambda: chart_jacobian_oracle(self.leave_glass, _ray(lines, 0), chart_out=rs.SOUTH)
+        )
+        assert isinstance(want, ChartDomainError)
+        assert type(got) is type(want) and str(got) == str(want)
+        assert got.row == 0
+
+
+class TestSymplecticResidualStack:
+    def test_a_stack_gives_each_matrix_residual(self, rng):
+        jacs = rng.normal(size=(2, 3, 4, 4)) * 10.0 ** rng.uniform(-3, 3, (2, 3, 1, 1))
+        for stack in (jacs, jacs.swapaxes(-1, -2)):  # chart_jacobian gives transposed views
+            for scale in (1.0, 1.0 / 1.5):
+                got = rs.symplectic_residual(stack, scale=scale)
+                want = [[rs.symplectic_residual(j, scale=scale) for j in row] for row in stack]
+                assert got.shape == (2, 3)
+                assert got.tobytes() == np.array(want).tobytes()
+                assert all(type(x) is float for row in want for x in row)
+
 
 def check_roots(surface, lines, t_min, t_max):
     """Sinusoid.roots of a batch against the per-ray search, bit for bit, and

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import pathlib
 import re
@@ -12,10 +13,21 @@ from hypothesis import strategies as st
 import rayspace as rs
 from rayspace import cli, families, variational
 from rayspace.cli import main
-from rayspace.errors import BadMediaChainError, RaySpaceError, SceneSyntaxError, UnknownSurfaceError
+from rayspace.errors import (
+    BadMediaChainError,
+    FamilyTraceError,
+    RaySpaceError,
+    SceneSyntaxError,
+    UnknownSurfaceError,
+)
 from rayspace.scene import load_scene, parse_scene
 
-from helpers import chart_jacobian_oracle, grid_csv_oracle, nested_sphere_system, random_rotation
+from helpers import (
+    check_symplectic_oracle,
+    grid_csv_oracle,
+    nested_sphere_system,
+    random_rotation,
+)
 
 MINIMAL = """\
 [surface m]
@@ -565,26 +577,139 @@ class TestSymplecticProperty:
             assume(False)
         assume(all(np.min(abs(hit.cos_incidence)) > 0.2 for hit in result.hits))
 
-        same = []
+        got = []
 
-        def compared(mapper, line, h):
-            got = rs.chart_jacobian(mapper, line, h=h)
-            want = chart_jacobian_oracle(mapper, line, h=h)
-            same.append(got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:])
-            return got
+        def counted(mapper, lines, h):
+            got.append(rs.chart_jacobian(mapper, lines, h=h)[0])
+            return got[-1], None, None
 
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "random.scene"
             path.write_text(text)
-            with mock.patch.object(cli, "chart_jacobian", compared):
+            with mock.patch.object(cli, "chart_jacobian", counted):
                 code = main(["check-symplectic", "--scene", str(path), "--out", tmp, "--seed", "0"])
             report = read_report(pathlib.Path(tmp) / "report.txt")
         assert code == 0
-        assert len(same) == 5 * len(system.interfaces) and all(same)
+        # one batch of the five samples per interface, equal to the
+        # sample-by-sample Jacobians
+        want, worst = check_symplectic_oracle(family, system, np.column_stack([k1, k2]), 2.5e-6)
+        assert len(got) == len(system.interfaces)
+        assert [jac.tobytes() for jac in got] == [jac.tobytes() for jac in want]
         for i, itf in enumerate(system.interfaces):
             scale = 1.0 if itf.action == rs.REFLECT else itf.n_in / itf.n_out
             assert float(report[f"interface_{i}_scale"]) == scale
+            assert report[f"interface_{i}_residual"] == cli._fmt(worst[i])
             assert float(report[f"interface_{i}_residual"]) < 1e-6
+
+
+def symplectic_samples(family, seed):
+    """The five (k1, k2) that check-symplectic samples at `seed`."""
+    rng = np.random.default_rng(seed)
+    (lo1, hi1), (lo2, hi2) = family.domain
+    return np.column_stack([rng.uniform(lo1, hi1, 5), rng.uniform(lo2, hi2, 5)])
+
+
+def assert_same_check(scene, seed, step):
+    """cmd_check_symplectic against check_symplectic_oracle: the same
+    residual lines, or the same error type, message, k and interface.
+    Returns the oracle's outcome."""
+    args = argparse.Namespace(tol=None, step=step, seed=seed)
+    ks = symplectic_samples(scene.family, seed)
+    try:
+        _, worst = check_symplectic_oracle(scene.family, scene.system, ks, step)
+    except RaySpaceError as exc:
+        want = exc
+    else:
+        want = worst
+    try:
+        _, pairs, _ = cli.cmd_check_symplectic(scene, args)
+    except RaySpaceError as exc:
+        assert isinstance(want, Exception), exc
+        assert type(exc) is type(want) and str(exc) == str(want)
+        if isinstance(want, FamilyTraceError):
+            assert exc.k == want.k
+            assert exc.cause.interface_index == want.cause.interface_index
+        return want
+    assert not isinstance(want, Exception), want
+    report = dict(pairs)
+    got = [report[f"interface_{i}_residual"] for i in range(len(worst))]
+    assert got == list(map(cli._fmt, worst))
+    return want
+
+
+class TestCheckSymplecticBatch:
+    """check-symplectic maps all five samples through an interface in one
+    chart_jacobian batch, and reports or raises what the sample-by-sample
+    loop (check_symplectic_oracle) does."""
+
+    @pytest.mark.parametrize("name", ["sphere_refract", "mixed_device", "point_plane"])
+    def test_bundled_scenes(self, name):
+        scene = load_scene(SCENES / f"{name}.scene")
+        for seed in range(40):
+            assert not isinstance(assert_same_check(scene, seed, 2.5e-6), Exception)
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["plane", "quadric", "sinusoid"]),
+        refract=st.booleans(),
+        shells=st.integers(0, 3),
+        width=st.sampled_from([0.15, 0.6, 2.0]),
+        step=st.sampled_from([2.5e-6, 0.05]),
+    )
+    def test_random_scenes(self, seed, kind, refract, shells, width, step):
+        # wide domains send rays past the stages, long steps send stencil
+        # lines past them
+        scene = parse_scene(random_scene(np.random.default_rng(seed), kind, refract, shells))
+        family = dataclasses.replace(scene.family, domain=((-width, width), (-width, width)))
+        assert_same_check(dataclasses.replace(scene, family=family), seed % 7, step)
+
+    def test_an_earlier_sample_failing_later_wins(self):
+        # sample 0 enters the outer sphere and passes 1.0 from the centre,
+        # missing the inner one (interface 1); sample 1 misses the outer
+        # sphere (interface 0)
+        scene = parse_scene(
+            "[surface outer]\nkind = sphere\ncenter = 0 0 0\nradius = 2\n"
+            "[surface inner]\nkind = sphere\ncenter = 0 0 0\nradius = 0.8\n"
+            "[system]\nambient_index = 1\n"
+            "interface = outer refract 1 1.5\ninterface = inner refract 1.5 1.7\n"
+            "[family]\nkind = collimated\ndirection = 0 0 -1\norigin = 0 0 5\n"
+            "domain = -3 3 -3 3\n"
+        )
+        ks = np.array([[1.5, 0.0], [2.5, 0.0], [0.5, 0.0]])
+        family, interfaces = scene.family, scene.system.interfaces
+
+        def jacobians(ks):
+            lines, starts = family.eval(*ks.T), family.start_point(*ks.T)
+            return cli._interface_jacobians(ks, lines, starts, interfaces, 2.5e-6)
+
+        with pytest.raises(FamilyTraceError) as want:
+            check_symplectic_oracle(family, scene.system, ks, 2.5e-6)
+        with pytest.raises(FamilyTraceError) as got:
+            jacobians(ks)
+        assert want.value.k == got.value.k == (1.5, 0.0)
+        assert want.value.cause.interface_index == got.value.cause.interface_index == 1
+        assert str(got.value) == str(want.value)
+        # without sample 0, sample 1 fails at interface 0; `row` names the sample
+        assert got.value.row == 0
+        with pytest.raises(FamilyTraceError) as later:
+            jacobians(ks[[2, 1]])
+        assert later.value.k == (2.5, 0.0) and later.value.cause.interface_index == 0
+        assert later.value.row == 1
+
+    def test_one_map_call_per_interface(self, tmp_path):
+        calls = []
+        real = cli.propagate_system
+
+        def counted(lines, system, start=None):
+            calls.append(lines.u.shape)
+            return real(lines, system, start=start)
+
+        scene = str(SCENES / "mixed_device.scene")
+        with mock.patch.object(cli, "propagate_system", counted):
+            assert main(["check-symplectic", "--scene", scene, "--out", str(tmp_path)]) == 0
+        # five samples of nine rows each, through each of four interfaces
+        assert calls == [(45, 3)] * 4
 
 
 class TestCommandLine:
