@@ -36,7 +36,13 @@ from .families import (
 from .lines import _norm, _ray, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import load_scene
-from .variational import design_focusing_mirror, stationarity_residual, verify_focus
+from .variational import (
+    characteristic_function,
+    design_focusing_mirror,
+    law_residual,
+    stationarity_residual,
+    verify_focus,
+)
 
 
 class _UsageError(Exception):
@@ -173,50 +179,53 @@ def cmd_check_symplectic(scene, args):
     return {}, pairs, failure
 
 
-def _interface_jacobians(ks, lines, starts, interfaces, step, first=0):
-    """The chart Jacobian of each interface's map from interface `first` on,
-    one (N, 4, 4) stack per interface, at the sampled lines (parameters ks)
-    as they arrive there from their starts: one chart_jacobian batch per
-    interface.
+def _interface_jacobians(ks, lines, starts, interfaces, step):
+    """The chart Jacobian of each interface's map, one (N, 4, 4) stack per
+    interface, at the sampled lines (parameters ks) as they arrive there
+    from their starts: one chart_jacobian batch per interface.
 
     Raises what the samples, taken one at a time and each through every
     interface in turn, would raise first: if sample j fails at interface i,
-    the samples before it are carried on through the later interfaces, and
-    an error of theirs wins.
+    samples 0 ... j-1 go on alone from interface i, and an error of theirs
+    wins.
     """
     jacobians = []
-    for i in range(first, len(interfaces)):
-        itf = interfaces[i]
+    failure = result = None
+    for i, itf in enumerate(interfaces):
         single = OpticalSystem((itf,), ambient_index=itf.n_in)
-        # row r of a batch belongs to sample r // 9, and is traced from that
-        # sample's start, moved onto the row's line
-        block_starts = np.repeat(starts, 9, axis=0)
-        result = None
+        while True:
+            # row r of a batch belongs to sample r // 9, and is traced from
+            # that sample's start, moved onto the row's line
+            block_starts = np.repeat(starts, 9, axis=0)
 
-        def crossing(l):
-            nonlocal result
-            on_l = l.q + np.vecdot(block_starts[: len(l.q)] - l.q, l.u)[..., None] * l.u
-            result = propagate_system(l, single, start=on_l)
-            return result.line_out
+            def crossing(l):
+                nonlocal result
+                on_l = l.q + np.vecdot(block_starts - l.q, l.u)[..., None] * l.u
+                result = propagate_system(l, single, start=on_l)
+                return result.line_out
 
-        try:
-            jac, _, _ = chart_jacobian(crossing, lines, h=step)
-        except RaySpaceError as exc:
-            row = exc.row
-            if row:  # the samples before it may fail at a later interface
-                before = slice(row)
-                _interface_jacobians(
-                    ks[before], _ray(lines, before), starts[before], interfaces, step, i
-                )
-            if isinstance(exc, TraceError):
-                raise FamilyTraceError(ks[row], TraceError(i, exc.cause)).at(row) from exc
-            raise
+            try:
+                jac, _, _ = chart_jacobian(crossing, lines, h=step)
+                break
+            except TraceError as exc:
+                failure = FamilyTraceError(ks[exc.row], TraceError(i, exc.cause)).at(exc.row)
+                failure.__cause__ = exc
+            except RaySpaceError as exc:
+                failure = exc
+            if not failure.row:
+                raise failure
+            # the samples before the failing one go on alone, through this
+            # interface again: they may fail at a later stage of it
+            before = slice(failure.row)
+            ks, lines, starts = ks[before], _ray(lines, before), starts[before]
         jacobians.append(jac)
         if i + 1 < len(interfaces):
             # each sample itself is row 0 of its block
             samples = slice(0, None, 9)
             lines = _ray(result.line_out, samples)
             starts = lines.point_at(_cursor_past(lines, result.hits[0].point[samples]))
+    if failure is not None:
+        raise failure
     return jacobians
 
 
@@ -280,9 +289,9 @@ def cmd_mirror(scene, args):
 def cmd_characteristic(scene, args):
     m1 = _require_option(scene, "m1")
     m2 = _require_option(scene, "m2")
-    # the law residual and the hits come from the solve's last batch
-    value, pc, law, hits = variational._solve(m1, m2, scene.system)
+    value, pc = characteristic_function(m1, m2, scene.system)
     station = stationarity_residual(pc)
+    law = law_residual(pc)
     pairs = [
         ("m1", _vec_str(m1)),
         ("m2", _vec_str(m2)),
@@ -294,7 +303,7 @@ def cmd_characteristic(scene, args):
         ("law_residual", _fmt(law)),
         ("hits", len(pc.coords)),
     ]
-    for i, point in enumerate(hits):
+    for i, point in enumerate(pc.points()):
         pairs.append((f"hit_{i}", _vec_str(point)))
     return {}, pairs, None
 

@@ -92,18 +92,6 @@ def _ray(line: OrientedLine, i) -> OrientedLine:
     return OrientedLine(line.u[i], line.q[i])
 
 
-def _cross(a, b):
-    """np.cross of 3-vectors, (3,) or (N, 3), bit for bit, without its axis
-    handling: a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0."""
-    a0, a1, a2 = a.T
-    b0, b1, b2 = b.T
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out.T[0] = a1 * b2 - a2 * b1
-    out.T[1] = a2 * b0 - a0 * b2
-    out.T[2] = a0 * b1 - a1 * b0
-    return out
-
-
 def _frame(axis):
     """Unit axis plus an orthonormal pair spanning its orthogonal plane.
 
@@ -115,9 +103,9 @@ def _frame(axis):
     a = a / n[..., None]
     ref = np.zeros_like(a)
     np.put_along_axis(ref, np.argmin(np.abs(a), axis=-1)[..., None], 1.0, axis=-1)
-    e1 = _cross(ref, a)
+    e1 = np.cross(ref, a)
     e1 /= _norm(e1)[..., None]
-    e2 = _cross(a, e1)
+    e2 = np.cross(a, e1)
     return a, e1, e2
 
 
@@ -277,14 +265,17 @@ def _pole_sign(chart_id):
 
 
 def _check_chart(chart_id, u3) -> None:
-    """Raise for the first direction too close to its chart's pole; chart_id
-    may hold one chart per u3."""
+    """Raise for the first direction too close to its chart's pole, naming
+    its index along the leading axis as `row`; chart_id may hold one chart
+    per u3."""
     sign = _pole_sign(chart_id)
     near = sign * u3 >= 1.0 - CHART_MARGIN
     if _any(near):
-        if np.broadcast_to(sign, near.shape).flat[np.argmax(near)] > 0.0:
-            raise ChartDomainError("direction too close to the north pole for chart NORTH")
-        raise ChartDomainError("direction too close to the south pole for chart SOUTH")
+        first = np.argmax(near)
+        row = np.unravel_index(first, near.shape)[0] if near.ndim else 0
+        if np.broadcast_to(sign, near.shape).flat[first] > 0.0:
+            raise ChartDomainError("direction too close to the north pole for chart NORTH").at(row)
+        raise ChartDomainError("direction too close to the south pole for chart SOUTH").at(row)
 
 
 def _project(chart_id, u) -> np.ndarray:
@@ -390,27 +381,16 @@ def chart_jacobian(
     chart_out), with an array of one chart per line for a batch.
 
     A batch gives bit for bit the Jacobians of its lines taken one at a
-    time.  A failing batch raises what its lowest failing line raises
-    alone, with that line's index as `row` (an error of the transform names
-    its row of the nine-row blocks); the lines before it are mapped again
-    first, so an earlier line's later failure wins.
+    time.  A failing batch raises at the first stage where any line fails:
+    the input charts, the map (an error of the transform names its row of
+    the nine-row blocks), then the output charts.  The error is that of the
+    lowest line failing there, with the line's index as `row`; the lines
+    before it pass that stage but may fail a later one, so a caller that
+    needs the line by line order maps them again.
     """
     single = line.u.ndim == 1
-    batch = OrientedLine._exact(line.u[None], line.q[None]) if single else line
-    try:
-        jac, chart_in, chart_out = _chart_jacobians(transform, batch, h, chart_in, chart_out)
-    except RaySpaceError as exc:
-        if exc.row:  # the lines before it may fail at a later stage
-            chart_jacobian(transform, _ray(line, slice(exc.row)), h, chart_in, chart_out)
-        raise
     if single:
-        return jac[0], str(chart_in[0]), str(chart_out[0])
-    return jac, chart_in, chart_out
-
-
-def _chart_jacobians(transform, line, h, chart_in, chart_out):
-    """chart_jacobian of a batch, its charts one per line; an error's row
-    is the index of its line."""
+        line = OrientedLine._exact(line.u[None], line.q[None])
     n = len(line.u)
     chart_in = np.broadcast_to(chart_for(line.u) if chart_in is None else chart_in, (n,))
     x0, _ = chart_coords(line, chart_in)
@@ -439,6 +419,8 @@ def _chart_jacobians(transform, line, h, chart_in, chart_out):
         raise
     xs = xs.reshape(n, 8, 4)
     jac = ((xs[:, 0::2] - xs[:, 1::2]) / (2.0 * h)).swapaxes(-1, -2)
+    if single:
+        return jac[0], str(chart_in[0]), str(chart_out[0])
     return jac, chart_in, chart_out
 
 

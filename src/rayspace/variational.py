@@ -50,7 +50,7 @@ from .errors import (
     TangentialError,
 )
 from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
-from .lines import _as_vec3, _cross, _first, _norm, _stencil, line_through
+from .lines import _as_vec3, _first, _norm, _stencil, line_through
 from .optics import OpticalSystem, reflect_direction
 from .surfaces import _stack_charts, _unit_gradient, intersect
 
@@ -349,18 +349,11 @@ def characteristic_function(
     checked by the first gradient batch, which raises what a
     PathConfiguration of it would.
     """
-    value, pc, _, _ = _solve(m1, m2, system, initial, grad_tol, law_tol, max_iter)
-    return value, pc
-
-
-def _solve(m1, m2, system, initial=None, grad_tol=_GRAD_TOL, law_tol=_LAW_TOL, max_iter=100):
-    """characteristic_function, also returning the law residual and the
-    surface points, (m, 3), of the stationary path from its last batch."""
     # the first gradient batch checks the seed's path
     coords, charts = _seed(m1, m2, system) if initial is None else (initial.coords, initial.charts)
     pc = PathConfiguration._unchecked(m1, m2, system, coords, charts)
     if not pc.charts:
-        return optical_length(pc), pc, 0.0, np.zeros((0, 3))
+        return optical_length(pc), pc
 
     x = pc.flat()
     g, hess, path = _gradient_and_hessian(pc, x)
@@ -410,7 +403,7 @@ def _solve(m1, m2, system, initial=None, grad_tol=_GRAD_TOL, law_tol=_LAW_TOL, m
             f"stationary point violates the local laws: residual {residual:.3e}"
         )
     coords = tuple(x[2 * i : 2 * i + 2] for i in range(len(pc.charts)))
-    return float(_optical_lengths(system, lengths)), pc._moved(coords), residual, points[1:-1]
+    return float(_optical_lengths(system, lengths)), pc._moved(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +520,13 @@ def verify_focus(design: MirrorDesign, family: RayFamily, tol: float = 1e-6):
         [p[1 + a : n1 - 1 + a, 1 + b : n2 - 1 + b] for a in (-1, 0, 1) for b in (-1, 0, 1)], axis=2
     ).reshape(-1, 9, 3)
     x0, t1 = stencils[:, 4], stencils[:, 7] - stencils[:, 1]
-    w = _cross(t1, stencils[:, 5] - stencils[:, 3])
+    w = np.cross(t1, stencils[:, 5] - stencils[:, 3])
     degenerate = _norm(w) < 1e-14
     w /= np.where(degenerate, 1.0, _norm(w))[:, None]  # a failing node divides by 1, not 0
     w[np.vecdot(w, u) > 0.0] *= -1.0
     e1 = t1 - np.vecdot(t1, w)[:, None] * w
     e1 /= np.where(degenerate, 1.0, _norm(e1))[:, None]
-    e2 = _cross(w, e1)
+    e2 = np.cross(w, e1)
 
     d = stencils - x0[:, None]
     xi = np.stack([np.vecdot(d, e1[:, None]), np.vecdot(d, e2[:, None])], axis=-1)

@@ -21,7 +21,7 @@ from rayspace.errors import (
     TraceError,
 )
 from rayspace.families import _grid_axes, _grid_lines
-from rayspace.lines import _as_vec3, _norm, _ray
+from rayspace.lines import _as_vec3, _norm
 from rayspace.optics import _cursor_past
 from rayspace.surfaces import _FLAT_SCAN_SPAN, _ROOT_TOL
 
@@ -215,14 +215,17 @@ def chart_jacobian_oracle(transform, line, h=None, chart_in=None, chart_out=None
 
 def check_symplectic_oracle(family, system, ks, step):
     """The chart Jacobians and worst residuals of `check-symplectic`, sample
-    by sample: each sampled line goes through the interfaces in turn, with
-    one nine-row chart_jacobian call per (sample, interface) whose row 0
+    by sample: each sampled line goes through the interfaces in turn.  A
+    nine-row chart_jacobian call per (sample, interface) decides what
+    fails; the Jacobian comes from chart_jacobian_oracle, whose first line
     places the next start.  Returns (one (N, 4, 4) stack per interface,
-    each interface's worst residual, Python's max in sample order), or
-    raises what the first failing (sample, interface) raises."""
+    the (chart_in, chart_out) of each sample per interface, each
+    interface's worst residual, Python's max in sample order), or raises
+    what the first failing (sample, interface) raises."""
     interfaces = system.interfaces
     scales = [itf.n_in / itf.n_after for itf in interfaces]
     jacobians = [[] for _ in interfaces]
+    charts = [[] for _ in interfaces]
     worst = [0.0] * len(interfaces)
     for k1, k2 in ks:
         k = (float(k1), float(k2))
@@ -238,15 +241,18 @@ def check_symplectic_oracle(family, system, ks, step):
                 return traced[-1].line_out
 
             try:
-                jac, _, _ = rs.chart_jacobian(mapper, line, h=step)
+                rs.chart_jacobian(mapper, line, h=step)
             except TraceError as exc:
                 raise FamilyTraceError(k, TraceError(i, exc.cause)) from exc
+            traced.clear()
+            jac, chart_in, chart_out = chart_jacobian_oracle(mapper, line, h=step)
             jacobians[i].append(jac)
+            charts[i].append((chart_in, chart_out))
             worst[i] = max(worst[i], rs.symplectic_residual(jac, scale=scales[i]))
-            result = traced[0]
-            line = _ray(result.line_out, 0)
-            start = line.point_at(_cursor_past(line, result.hits[0].point[0]))
-    return [np.array(stack).reshape(-1, 4, 4) for stack in jacobians], worst
+            result = traced[0]  # the sampled line alone
+            line = result.line_out
+            start = line.point_at(_cursor_past(line, result.hits[0].point))
+    return [np.array(stack).reshape(-1, 4, 4) for stack in jacobians], charts, worst
 
 
 def grid_csv_oracle(header, k1, k2, nodes):

@@ -1033,16 +1033,20 @@ class TestChartJacobianBatch:
             self.assert_same_batch(lambda l: l, flat, chart_in=chart_in, chart_out=chart_out)
 
     @staticmethod
-    def critical_batch(n, j):
+    def steep_batch(n, j, u_j):
         """n lines down onto the plane z = -1, steep but for line j, which
-        leaves glass just below the critical angle: some of its stencil
-        lines are totally reflected, the line itself is not."""
-        sin_in = 1.0 / 1.5 - 1e-8
+        goes along u_j."""
         rng = np.random.default_rng(j)
         u = np.column_stack([rng.uniform(-0.2, 0.2, (n, 2)), -np.ones(n)])
-        u[j] = [sin_in, 0.0, -np.sqrt(1.0 - sin_in**2)]
+        u[j] = u_j
         points = np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), np.ones(n)])
         return rs.line_through(points, u)
+
+    def critical_batch(self, n, j):
+        """Line j leaves glass just below the critical angle: some of its
+        stencil lines are totally reflected, the line itself is not."""
+        sin_in = 1.0 / 1.5 - 1e-8
+        return self.steep_batch(n, j, [sin_in, 0.0, -np.sqrt(1.0 - sin_in**2)])
 
     @staticmethod
     def leave_glass(l):
@@ -1059,18 +1063,33 @@ class TestChartJacobianBatch:
         if j:  # the lines before it map
             self.assert_same_batch(self.leave_glass, _ray(lines, slice(j)))
 
-    def test_an_earlier_line_failing_later_wins(self):
-        # line 0 goes straight down, so its images lie at the pole of chart
-        # SOUTH: it fails after the map, at which line 2 fails
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_a_line_failing_at_the_output_charts_names_its_row(self, j):
+        # line j goes straight down, so its images lie at the pole of chart
+        # SOUTH
+        lines = self.steep_batch(5, j, [0.0, 0.0, -1.0])
+        got = outcome(lambda: rs.chart_jacobian(self.leave_glass, lines, chart_out=rs.SOUTH))
+        want = outcome(
+            lambda: chart_jacobian_oracle(self.leave_glass, _ray(lines, j), chart_out=rs.SOUTH)
+        )
+        assert isinstance(want, ChartDomainError)
+        assert type(got) is type(want) and str(got) == str(want)
+        assert got.row == j
+        if j:  # the lines before it map
+            self.assert_same_batch(self.leave_glass, _ray(lines, slice(j)), chart_out=rs.SOUTH)
+
+    def test_the_first_failing_stage_decides(self):
+        # line 0 goes straight down and fails at the output charts, line 2
+        # at the map, which comes first: the batch raises line 2's error
         lines = self.critical_batch(5, 2)
         lines = rs.line_through(lines.q, np.vstack([[0.0, 0.0, -1.0], lines.u[1:]]))
         got = outcome(lambda: rs.chart_jacobian(self.leave_glass, lines, chart_out=rs.SOUTH))
         want = outcome(
-            lambda: chart_jacobian_oracle(self.leave_glass, _ray(lines, 0), chart_out=rs.SOUTH)
+            lambda: chart_jacobian_oracle(self.leave_glass, _ray(lines, 2), chart_out=rs.SOUTH)
         )
-        assert isinstance(want, ChartDomainError)
+        assert isinstance(want, TotalInternalReflectionError)
         assert type(got) is type(want) and str(got) == str(want)
-        assert got.row == 0
+        assert got.row == 2
 
 
 class TestSymplecticResidualStack:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.errors import ChartDomainError, ZeroDirectionError
-from rayspace.lines import CHART_MARGIN, _cross, _unproject
+from rayspace.lines import CHART_MARGIN, _unproject
 
 from helpers import random_unit, unit
 
@@ -215,32 +215,3 @@ class TestVariations:
         line = fam.eval(0.0, 0.0)
         assert v.is_tangent_at(line, tol=1e-6)
         assert np.linalg.norm(v.du) > 0.1
-
-
-class TestCross:
-    """lines._cross against np.cross, byte for byte, over any doubles."""
-
-    @staticmethod
-    def assert_same_bytes(a, b):
-        with np.errstate(all="ignore"):  # inf - inf, overflow and underflow
-            got, want = _cross(a, b), np.cross(a, b)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    @given(st.lists(st.floats(), min_size=6, max_size=6))
-    def test_single_vectors(self, values):
-        self.assert_same_bytes(np.array(values[:3]), np.array(values[3:]))
-
-    @given(
-        st.integers(1, 8).flatmap(lambda n: st.lists(st.floats(), min_size=6 * n, max_size=6 * n))
-    )
-    def test_batches(self, values):
-        a, b = np.array(values).reshape(2, -1, 3)
-        self.assert_same_bytes(a, b)
-        self.assert_same_bytes(a[0], b)
-
-    def test_special_values(self):
-        big = 1.7976931348623157e308
-        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, big, -big, 1.0, -2.5]
-        grid = np.array(np.meshgrid(special, special, special, indexing="ij")).reshape(3, -1).T
-        self.assert_same_bytes(grid, grid[::-1])
-        self.assert_same_bytes(grid, grid[:, ::-1])

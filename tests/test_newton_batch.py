@@ -440,24 +440,10 @@ class TestChartEvaluations:
 
     def test_default_seed_is_checked_by_the_first_batch_alone(self, monkeypatch, tmp_path):
         calls = counting_polylines(monkeypatch)
-        evaluations = counting_evaluations(monkeypatch)
         scene = str(SCENES / "characteristic.scene")
         assert main(["characteristic", "--scene", scene, "--out", str(tmp_path)]) == 0
-        # the gradient batch and stationarity_residual; the law residual
-        # and the hits come from the gradient batch's row 0
-        assert calls == [(5, True), (4, False)]
-        assert [shape for _, shape in evaluations] == [(5, 1, 2), (4, 1, 2)]
-
-
-class TestSolveByproducts:
-    def test_law_residual_and_points_of_the_last_batch(self):
-        # what cmd_characteristic reports, without evaluating the path again
-        for m1, m2, system, initial, _ in design_library_inputs(count=9):
-            value, pc, law, points = variational._solve(m1, m2, system, initial)
-            v, again = rs.characteristic_function(m1, m2, system, initial=initial)
-            assert value == v and pc.flat().tobytes() == again.flat().tobytes()
-            assert law == rs.law_residual(pc)
-            assert points.tobytes() == np.array(pc.points()).tobytes()
+        # the gradient batch, stationarity_residual and law_residual
+        assert calls == [(5, True), (4, False), (1, False)]
 
 
 class TestBadSeeds:

@@ -15,6 +15,7 @@ from rayspace import cli, families, variational
 from rayspace.cli import main
 from rayspace.errors import (
     BadMediaChainError,
+    ChartDomainError,
     FamilyTraceError,
     RaySpaceError,
     SceneSyntaxError,
@@ -580,8 +581,8 @@ class TestSymplecticProperty:
         got = []
 
         def counted(mapper, lines, h):
-            got.append(rs.chart_jacobian(mapper, lines, h=h)[0])
-            return got[-1], None, None
+            got.append(rs.chart_jacobian(mapper, lines, h=h))
+            return got[-1]
 
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "random.scene"
@@ -591,10 +592,13 @@ class TestSymplecticProperty:
             report = read_report(pathlib.Path(tmp) / "report.txt")
         assert code == 0
         # one batch of the five samples per interface, equal to the
-        # sample-by-sample Jacobians
-        want, worst = check_symplectic_oracle(family, system, np.column_stack([k1, k2]), 2.5e-6)
+        # column-by-column Jacobians of each sample and interface
+        want, charts, worst = check_symplectic_oracle(
+            family, system, np.column_stack([k1, k2]), 2.5e-6
+        )
         assert len(got) == len(system.interfaces)
-        assert [jac.tobytes() for jac in got] == [jac.tobytes() for jac in want]
+        assert [jac.tobytes() for jac, _, _ in got] == [jac.tobytes() for jac in want]
+        assert [list(zip(*pair)) for _, *pair in got] == charts
         for i, itf in enumerate(system.interfaces):
             scale = 1.0 if itf.action == rs.REFLECT else itf.n_in / itf.n_out
             assert float(report[f"interface_{i}_scale"]) == scale
@@ -616,7 +620,7 @@ def assert_same_check(scene, seed, step):
     args = argparse.Namespace(tol=None, step=step, seed=seed)
     ks = symplectic_samples(scene.family, seed)
     try:
-        _, worst = check_symplectic_oracle(scene.family, scene.system, ks, step)
+        _, _, worst = check_symplectic_oracle(scene.family, scene.system, ks, step)
     except RaySpaceError as exc:
         want = exc
     else:
@@ -696,6 +700,43 @@ class TestCheckSymplecticBatch:
             jacobians(ks[[2, 1]])
         assert later.value.k == (2.5, 0.0) and later.value.cause.interface_index == 0
         assert later.value.row == 1
+
+    def test_an_earlier_sample_failing_later_wins_over_an_output_chart(self):
+        # sample 1 fails at the output charts of interface 0, a sphere mirror
+        # about the source whose normal at the hit of sample 1's +h e_0
+        # stencil line reflects that line straight down, onto the pole of
+        # the chart of the image of sample 1; sample 0 passes interface 0
+        # and misses interface 1
+        family = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-1, 1), (-1, 1)))
+        ks, step = np.array([[0.0, 0.0], [-0.3, 0.0], [0.3, 0.0]]), 1.2
+        line = family.eval(*ks[1])
+        chart = rs.chart_for(line.u)
+        x0, _ = rs.chart_coords(line, chart)
+        stencil = rs.line_from_coords(x0 + [step, 0.0, 0.0, 0.0], chart)
+        hit = stencil.point_at(np.dot(-stencil.q, stencil.u) + 1.0)
+        normal = (stencil.u + [0.0, 0.0, 1.0]) / np.linalg.norm(stencil.u + [0.0, 0.0, 1.0])
+        system = rs.OpticalSystem(
+            (
+                rs.Interface(rs.Sphere(hit - 30.0 * normal, 30.0), rs.REFLECT, n_in=1.0),
+                rs.Interface(rs.Sphere([100.0, 100.0, 100.0], 0.1), rs.REFLECT, n_in=1.0),
+            ),
+            ambient_index=1.0,
+        )
+
+        def jacobians(ks, interfaces=system.interfaces):
+            lines, starts = family.eval(*ks.T), family.start_point(*ks.T)
+            return cli._interface_jacobians(ks, lines, starts, interfaces, step)
+
+        with pytest.raises(ChartDomainError) as alone:
+            jacobians(ks[1:2], system.interfaces[:1])
+        assert "south pole" in str(alone.value)
+        with pytest.raises(FamilyTraceError) as want:
+            check_symplectic_oracle(family, system, ks, step)
+        with pytest.raises(FamilyTraceError) as got:
+            jacobians(ks)
+        assert want.value.k == got.value.k == (0.0, 0.0)
+        assert want.value.cause.interface_index == got.value.cause.interface_index == 1
+        assert str(got.value) == str(want.value)
 
     def test_one_map_call_per_interface(self, tmp_path):
         calls = []
