@@ -35,19 +35,15 @@ from .errors import (
 from .lines import (
     NORTH,
     SOUTH,
-    LineVariation,
     OrientedLine,
     chart_coords,
     chart_for,
     chart_jacobian,
     chart_symplectic_matrix,
-    curve_variation,
     line_from_coords,
     line_through,
     reverse,
-    symplectic_pairing,
     symplectic_residual,
-    tangent_variation,
 )
 from .surfaces import (
     SURFACE_KINDS,

@@ -6,9 +6,9 @@ deterministic: CSV files plus a report.txt of `key: value` lines in the
 --out directory, floats rendered with repr-faithful %.17g.  Each `cmd_*`
 returns ({CSV name: text}, report pairs, None or a failed check's message);
 `main` writes every file and picks the exit code: 0 success, 1 scene error
-or bad command line (unknown command, missing --scene, malformed option
-value), 2 numerical failure (the failing k or interface is named in the
-stderr message) or a failed check.
+or bad command line (unknown command, missing --scene, an option value that
+the scene's [options] rules refuse), 2 numerical failure (the failing k or
+interface is named in the stderr message) or a failed check.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import families, variational
-from .errors import FamilyTraceError, RaySpaceError, TraceError
+from .errors import FamilyTraceError, RaySpaceError, SceneSyntaxError, TraceError
 from .families import (
     _default_tol,
     _fmt,
@@ -35,7 +35,7 @@ from .families import (
 )
 from .lines import _norm, _ray, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
-from .scene import load_scene
+from .scene import _OPTIONS, load_scene
 from .variational import (
     characteristic_function,
     design_focusing_mirror,
@@ -55,9 +55,9 @@ def _vec_str(v):
 
 def _opt(scene, args, key, default=None):
     value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return scene.options.get(key, default)
+    if value is None:
+        value = scene.options.get(key)  # None for `step = auto`
+    return default if value is None else value
 
 
 def _require_family(scene):
@@ -70,13 +70,6 @@ def _require_option(scene, key):
     if key not in scene.options:
         raise _UsageError(f"this command needs option {key!r} in [options]")
     return scene.options[key]
-
-
-def _grid_arg(scene, args, default=9):
-    grid = _opt(scene, args, "grid", default)
-    if grid < 3:
-        raise _UsageError("grid must be at least 3")
-    return grid
 
 
 def _k0_arg(scene):
@@ -95,7 +88,7 @@ def _interface_label(itf):
 
 def cmd_trace(scene, args):
     family = transform_family(_require_family(scene), scene.system)
-    grid = _grid_arg(scene, args)
+    grid = _opt(scene, args, "grid", 9)
     tol = _opt(scene, args, "tol", 1e-9)
     k1, k2 = _grid_axes(family, grid, 0.0)
     _, u, q = _grid_lines(family, k1, k2)
@@ -116,7 +109,7 @@ def cmd_trace(scene, args):
 
 def cmd_defect(scene, args):
     family = _require_family(scene)
-    grid = _grid_arg(scene, args)
+    grid = _opt(scene, args, "grid", 9)
     tol = _opt(scene, args, "tol")
     step = _opt(scene, args, "step")
     ok_before, grid_before = is_rectangular(family, grid=grid, tol=tol, h=step)
@@ -185,53 +178,44 @@ def _interface_jacobians(ks, lines, starts, interfaces, step):
     from their starts: one chart_jacobian batch per interface.
 
     Raises what the samples, taken one at a time and each through every
-    interface in turn, would raise first: if sample j fails at interface i,
-    samples 0 ... j-1 go on alone from interface i, and an error of theirs
-    wins.
+    interface in turn, would raise first: if sample j fails, samples
+    0 ... j-1 are checked again alone, and an error of theirs wins.
     """
     jacobians = []
-    failure = result = None
-    for i, itf in enumerate(interfaces):
-        single = OpticalSystem((itf,), ambient_index=itf.n_in)
-        while True:
+    line, start = lines, starts
+    try:
+        for i, itf in enumerate(interfaces):
+            single = OpticalSystem((itf,), ambient_index=itf.n_in)
             # row r of a batch belongs to sample r // 9, and is traced from
             # that sample's start, moved onto the row's line
-            block_starts = np.repeat(starts, 9, axis=0)
+            block_starts = np.repeat(start, 9, axis=0)
+            traced = []
 
             def crossing(l):
-                nonlocal result
                 on_l = l.q + np.vecdot(block_starts - l.q, l.u)[..., None] * l.u
-                result = propagate_system(l, single, start=on_l)
-                return result.line_out
+                traced.append(propagate_system(l, single, start=on_l))
+                return traced[-1].line_out
 
             try:
-                jac, _, _ = chart_jacobian(crossing, lines, h=step)
-                break
+                jacobians.append(chart_jacobian(crossing, line, h=step)[0])
             except TraceError as exc:
-                failure = FamilyTraceError(ks[exc.row], TraceError(i, exc.cause)).at(exc.row)
-                failure.__cause__ = exc
-            except RaySpaceError as exc:
-                failure = exc
-            if not failure.row:
-                raise failure
-            # the samples before the failing one go on alone, through this
-            # interface again: they may fail at a later stage of it
-            before = slice(failure.row)
-            ks, lines, starts = ks[before], _ray(lines, before), starts[before]
-        jacobians.append(jac)
-        if i + 1 < len(interfaces):
-            # each sample itself is row 0 of its block
-            samples = slice(0, None, 9)
-            lines = _ray(result.line_out, samples)
-            starts = lines.point_at(_cursor_past(lines, result.hits[0].point[samples]))
-    if failure is not None:
-        raise failure
+                raise FamilyTraceError(ks[exc.row], TraceError(i, exc.cause)).at(exc.row) from exc
+            if i + 1 < len(interfaces):
+                # each sample itself is row 0 of its block
+                result, samples = traced[-1], slice(0, None, 9)
+                line = _ray(result.line_out, samples)
+                start = line.point_at(_cursor_past(line, result.hits[0].point[samples]))
+    except RaySpaceError as exc:
+        if exc.row:  # the samples before it may fail at a later stage
+            before = slice(exc.row)
+            _interface_jacobians(ks[before], _ray(lines, before), starts[before], interfaces, step)
+        raise
     return jacobians
 
 
 def cmd_wavefront(scene, args):
     family = transform_family(_require_family(scene), scene.system)
-    grid = _grid_arg(scene, args)
+    grid = _opt(scene, args, "grid", 9)
     path_tol = _opt(scene, args, "tol", 1e-7)
     step = _opt(scene, args, "step")
     c = scene.options.get("wavefront_c", 0.0)
@@ -258,7 +242,7 @@ def cmd_wavefront(scene, args):
 
 def cmd_mirror(scene, args):
     family = transform_family(_require_family(scene), scene.system)
-    grid = _grid_arg(scene, args)
+    grid = _opt(scene, args, "grid", 9)
     tol = _opt(scene, args, "tol", 1e-6)
     step = _opt(scene, args, "step")
     focus = _require_option(scene, "focus")
@@ -334,11 +318,27 @@ def _parser():
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--scene", required=True, help="scene file path")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--grid", type=int, default=None, help="grid nodes per axis")
-    parser.add_argument("--tol", type=float, default=None, help="main tolerance")
-    parser.add_argument("--step", type=float, default=None, help="finite-difference step")
-    parser.add_argument("--seed", type=int, default=None, help="sampling seed")
+    parser.add_argument("--grid", type=_option_type("grid", int), help="grid nodes per axis")
+    parser.add_argument("--tol", type=_option_type("tol", float), help="main tolerance")
+    parser.add_argument("--step", type=_option_type("step", float), help="finite-difference step")
+    parser.add_argument("--seed", type=_option_type("seed", int), help="sampling seed")
     return parser
+
+
+def _option_type(key, convert):
+    """The argparse type of --<key>: the text must convert (argparse reports
+    an "invalid <convert> value"), and the [options] parser of `key` checks
+    the value, so both routes refuse the same values."""
+
+    def parse(raw):
+        convert(raw)
+        try:
+            return _OPTIONS[key](raw, 0, 0)
+        except SceneSyntaxError as exc:
+            raise argparse.ArgumentTypeError(exc.message) from None
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _error(message, code):

@@ -125,6 +125,7 @@ class SceneSyntaxError(RaySpaceError):
     def __init__(self, line, col, message):
         self.line = line
         self.col = col
+        self.message = message
         super().__init__(f"line {line}, col {col}: {message}")
 
 

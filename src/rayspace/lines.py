@@ -27,9 +27,7 @@ shape (3,), or batches of N lines as (N, 3) arrays (a (3,) point or direction
 broadcasts against an (N, 3) one).  A batch gives, row by row, bit for bit
 the lines that the rows give one at a time.  `chart_for`, `chart_coords` and
 `line_from_coords` take batches too, with one chart for all lines or one per
-line, and `chart_jacobian` maps its stencil lines as one batch.  Only the
-variation objects (`LineVariation` and the functions taking one) are scalar:
-they describe one tangent vector at one line.
+line, and `chart_jacobian` maps its stencil lines as one batch.
 """
 
 from __future__ import annotations
@@ -185,57 +183,9 @@ def reverse(line: OrientedLine) -> OrientedLine:
     return OrientedLine(-line.u, line.q)
 
 
-@dataclass(frozen=True)
-class LineVariation:
-    """A tangent vector (du, dq) to the line manifold at some line.
-
-    At a line (u, q) a valid variation of the canonical representation
-    satisfies u . du = 0 and q . du + u . dq = 0.  The pairing below also
-    accepts variations of non-foot representatives (same du, dq shifted along
-    the line); its value does not depend on that choice.
-    """
-
-    du: np.ndarray
-    dq: np.ndarray
-
-    def __post_init__(self):
-        du = _as_vec3(self.du).copy()
-        dq = _as_vec3(self.dq).copy()
-        du.flags.writeable = False
-        dq.flags.writeable = False
-        object.__setattr__(self, "du", du)
-        object.__setattr__(self, "dq", dq)
-
-    def is_tangent_at(self, line: OrientedLine, tol: float = 1e-10) -> bool:
-        a = abs(line.u @ self.du)
-        b = abs(line.q @ self.du + line.u @ self.dq)
-        return a <= tol and b <= tol
-
-
-def tangent_variation(line: OrientedLine, du_raw, dq_raw) -> LineVariation:
-    """Project an arbitrary (du, dq) pair onto the tangent space at `line`."""
-    du = _as_vec3(du_raw)
-    dq = _as_vec3(dq_raw)
-    du = du - (line.u @ du) * line.u
-    dq = dq - (line.u @ dq + line.q @ du) * line.u
-    return LineVariation(du, dq)
-
-
-def curve_variation(curve: Callable[[float], OrientedLine], h: float = 1e-6) -> LineVariation:
-    """Central-difference tangent of a smooth curve of lines at parameter 0."""
-    plus = curve(h)
-    minus = curve(-h)
-    return LineVariation((plus.u - minus.u) / (2.0 * h), (plus.q - minus.q) / (2.0 * h))
-
-
 def _omega(du1, dq1, du2, dq2):
     """omega(v1, v2) = dq1 . du2 - dq2 . du1, row by row over (..., 3) arrays."""
     return np.vecdot(dq1, du2) - np.vecdot(dq2, du1)
-
-
-def symplectic_pairing(line: OrientedLine, v1: LineVariation, v2: LineVariation) -> float:
-    """omega(v1, v2) = dq1 . du2 - dq2 . du1 at the given line."""
-    return float(_omega(v1.du, v1.dq, v2.du, v2.dq))
 
 
 # ---------------------------------------------------------------------------

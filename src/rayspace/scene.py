@@ -111,11 +111,20 @@ def _bool(raw, line_no, col):
     raise SceneSyntaxError(line_no, col, f"expected true or false, got {raw!r}")
 
 
-def _sign(raw, line_no, col):
-    v = _int(raw, line_no, col)
-    if v not in (1, -1):
-        raise SceneSyntaxError(line_no, col, "incoming_sign must be 1 or -1")
-    return v
+def _checked(parse, ok, message):
+    """The value parser `parse`, refusing a value for which ok(value) is false."""
+
+    def checked(raw, line_no, col):
+        value = parse(raw, line_no, col)
+        if not ok(value):
+            raise SceneSyntaxError(line_no, col, message)
+        return value
+
+    return checked
+
+
+def _sign(key):
+    return _checked(_int, lambda v: v in (1, -1), f"{key} must be 1 or -1")
 
 
 class _Section:
@@ -293,30 +302,21 @@ def _parse_domain(raw, line_no, col):
     return ((float(vals[0]), float(vals[1])), (float(vals[2]), float(vals[3])))
 
 
-def _grid(raw, line_no, col):
-    value = _int(raw, line_no, col)
-    if value < 3:
-        raise SceneSyntaxError(line_no, col, "grid must be at least 3")
-    return value
-
-
-def _epsilon(raw, line_no, col):
-    value = _int(raw, line_no, col)
-    if value not in (1, -1):
-        raise SceneSyntaxError(line_no, col, "epsilon must be 1 or -1")
-    return value
-
-
-# key -> value parser of an [options] section
+# key -> value parser of an [options] section; the command line checks
+# --grid, --tol, --step and --seed with the same parsers
 _OPTIONS = {
-    "grid": _grid,
+    "grid": _checked(_int, lambda v: v >= 3, "grid must be at least 3"),
     "tol": _float,
-    "step": lambda raw, line_no, col: None if raw == "auto" else _float(raw, line_no, col),
-    "seed": _int,
+    "step": _checked(
+        lambda raw, line_no, col: None if raw == "auto" else _float(raw, line_no, col),
+        lambda v: v is None or v > 0.0,
+        "step must be positive",
+    ),
+    "seed": _checked(_int, lambda v: v >= 0, "seed must be at least 0"),
     "m1": _vector(3),
     "m2": _vector(3),
     "focus": _vector(3),
-    "epsilon": _epsilon,
+    "epsilon": _sign("epsilon"),
     "level": _float,
     "wavefront_c": _float,
     "k0": lambda raw, line_no, col: tuple(_floats(raw, 2, line_no, col)),
@@ -346,7 +346,7 @@ def parse_scene(text: str) -> Scene:
                 raise SceneSyntaxError(
                     section.line_no, 1, f"duplicate surface {section.name!r}"
                 )
-            surfaces[section.name] = _build(section, _SURFACES, {"incoming_sign": _sign})[0]
+            surfaces[section.name] = _build(section, _SURFACES, {"incoming_sign": _sign("incoming_sign")})[0]
         elif section.header == "system":
             if system_section is not None:
                 raise SceneSyntaxError(section.line_no, 1, "duplicate [system] section")

@@ -39,6 +39,13 @@ def random_unit(rng):
             return v / n
 
 
+def line_tangent(curve, h=1e-6):
+    """The central-difference tangent (du, dq) at s = 0 of a smooth curve
+    s -> OrientedLine, for pairing with lines._omega."""
+    plus, minus = curve(h), curve(-h)
+    return (plus.u - minus.u) / (2.0 * h), (plus.q - minus.q) / (2.0 * h)
+
+
 def random_rotation(rng):
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
@@ -591,7 +598,13 @@ def design_focusing_mirror_oracle(
     family, k0, focus, epsilon, level, grid=9, wavefront_c=0.0, h=None
 ):
     """design_focusing_mirror solving its level equation node by node: two
-    closures per node, a bracket grown by doubling, newton_bisect."""
+    closures per node, a bracket grown by doubling, newton_bisect.
+
+    g and its slope are taken without the cancellation of their two terms,
+    so a bracket end where g changes sign is a root beyond round-off, also
+    far out on g's asymptote.  The bracket grows to 1 + 2 + ... + 2**28 =
+    2**29 - 1 on either side of the wavefront and no further, which is the
+    program's reach rule."""
     focus = _as_vec3(focus)
     eps = float(epsilon)
     if eps not in (-1.0, 1.0):
@@ -610,21 +623,32 @@ def design_focusing_mirror_oracle(
             k = (wf.k1[i], wf.k2[j])
             line = rs.OrientedLine._exact(us[i, j], qs[i, j])
             t_front = -(wf.values[i, j] + wavefront_c)
-
-            def g(t):
-                x = line.point_at(t)
-                return (t - t_front) + eps * float(np.linalg.norm(x - focus)) - level
-
-            def dg(t):
-                x = line.point_at(t)
-                r = x - focus
-                dist = float(np.linalg.norm(r))
-                if dist == 0.0:
-                    return 1.0
-                return 1.0 + eps * float(line.u @ r) / dist
-
             along = float(line.u @ (focus - line.q))
             finite_limit = -t_front + along - level
+            off = line.q + along * line.u - focus  # focus to its nearest point on the line
+            off2 = float(off @ off)
+
+            def g(t):
+                # a + eps * b with a = t - t_front - level, b = |X - focus|;
+                # where the terms have opposite signs, (a^2 - b^2) / (a - eps * b)
+                # with b^2 = off2 + (t - along)^2
+                a = t - t_front - level
+                b = float(np.linalg.norm(line.point_at(t) - focus))
+                if a * eps * b >= 0.0:
+                    return a + eps * b
+                return (finite_limit * (2.0 * t - t_front - level - along) - off2) / (a - eps * b)
+
+            def dg(t):
+                # 1 + eps * s / b with s = u . (X - focus); where the terms
+                # have opposite signs, (b^2 - s^2) / (b (b + |s|))
+                s = t - along
+                b = float(np.linalg.norm(line.point_at(t) - focus))
+                if b == 0.0:
+                    return 1.0
+                if eps * s >= 0.0:
+                    return 1.0 + eps * s / b
+                return off2 / (b * (b + abs(s)))
+
             roundoff = 4.0 * np.finfo(float).eps * (1.0 + abs(t_front) + abs(level) + abs(along))
             if abs(finite_limit) <= roundoff:
                 raise NoRootError(k)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.errors import ChartDomainError, ZeroDirectionError
-from rayspace.lines import CHART_MARGIN, _unproject
+from rayspace.lines import CHART_MARGIN, _omega, _unproject
 
-from helpers import random_unit, unit
+from helpers import line_tangent, random_unit, unit
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
@@ -108,15 +108,23 @@ class TestCharts:
 
 
 class TestSymplecticPairing:
+    """lines._omega, the package's one two-form, on tangent vectors (du, dq)."""
+
     def test_antisymmetry_and_bilinearity(self, rng):
         line = rs.line_through(rng.normal(size=3), random_unit(rng))
-        v1 = rs.tangent_variation(line, rng.normal(size=3), rng.normal(size=3))
-        v2 = rs.tangent_variation(line, rng.normal(size=3), rng.normal(size=3))
-        w12 = rs.symplectic_pairing(line, v1, v2)
-        w21 = rs.symplectic_pairing(line, v2, v1)
-        assert abs(w12 + w21) < 1e-12
-        v3 = rs.LineVariation(2.0 * v1.du, 2.0 * v1.dq)
-        assert abs(rs.symplectic_pairing(line, v3, v2) - 2.0 * w12) < 1e-12
+        # three tangent vectors at the line: u . du = 0, q . du + u . dq = 0
+        du = rng.normal(size=(3, 3))
+        du -= np.outer(du @ line.u, line.u)
+        dq = rng.normal(size=(3, 3))
+        dq -= np.outer(dq @ line.u + du @ line.q, line.u)
+        w12 = _omega(du[0], dq[0], du[1], dq[1])
+        assert abs(w12 + _omega(du[1], dq[1], du[0], dq[0])) < 1e-12
+        assert abs(_omega(2.0 * du[0], 2.0 * dq[0], du[1], dq[1]) - 2.0 * w12) < 1e-12
+        w32 = _omega(du[2], dq[2], du[1], dq[1])
+        assert abs(_omega(du[0] + du[2], dq[0] + dq[2], du[1], dq[1]) - (w12 + w32)) < 1e-12
+        # row by row over a stack, each row bit for bit alone
+        rows = _omega(du, dq, du[[1, 2, 0]], dq[[1, 2, 0]])
+        assert rows[0] == w12
 
     def test_pairing_ignores_representative_point(self, rng):
         """Sliding the varied points along the lines leaves omega unchanged."""
@@ -129,10 +137,9 @@ class TestSymplecticPairing:
         def curve2(s):
             return fam.eval(0.0, s)
 
-        line = fam.eval(0.0, 0.0)
-        v1 = rs.curve_variation(curve1)
-        v2 = rs.curve_variation(curve2)
-        base = rs.symplectic_pairing(line, v1, v2)
+        du1, dq1 = line_tangent(curve1)
+        du2, dq2 = line_tangent(curve2)
+        base = _omega(du1, dq1, du2, dq2)
 
         # same curves tracked through a non-foot representative point:
         # P(s) = point of the line at a fixed distance from the apex
@@ -143,14 +150,9 @@ class TestSymplecticPairing:
                 return ln.point_at(t + 2.5)
 
             h = 1e-6
-            dp = (_var(h) - _var(-h)) / (2 * h)
-            return dp
+            return (_var(h) - _var(-h)) / (2 * h)
 
-        du1 = v1.du
-        du2 = v2.du
-        dp1 = rep(curve1)
-        dp2 = rep(curve2)
-        shifted = float(dp1 @ du2 - dp2 @ du1)
+        shifted = _omega(du1, rep(curve1), du2, rep(curve2))
         assert abs(shifted - base) < 1e-6
 
     def test_chart_pairing_matches_direct_formula(self, rng):
@@ -161,7 +163,6 @@ class TestSymplecticPairing:
             omega = rs.chart_symplectic_matrix()
             d1 = rng.normal(size=4)
             d2 = rng.normal(size=4)
-            h = 1e-6
 
             def curve(d):
                 def _c(s):
@@ -169,9 +170,7 @@ class TestSymplecticPairing:
 
                 return _c
 
-            v1 = rs.curve_variation(curve(d1), h=h)
-            v2 = rs.curve_variation(curve(d2), h=h)
-            direct = rs.symplectic_pairing(line, v1, v2)
+            direct = _omega(*line_tangent(curve(d1)), *line_tangent(curve(d2)))
             via_chart = float(d1 @ omega @ d2)
             assert abs(direct - via_chart) < 1e-6 * max(1.0, abs(via_chart))
 
@@ -201,17 +200,3 @@ class TestSymplecticPairing:
         assert omega.shape == (4, 4)
         assert np.allclose(omega, -omega.T)
         assert np.allclose(omega @ omega, -np.eye(4))
-
-
-class TestVariations:
-    def test_tangent_variation_projects(self, rng):
-        line = rs.line_through(rng.normal(size=3), random_unit(rng))
-        v = rs.tangent_variation(line, rng.normal(size=3), rng.normal(size=3))
-        assert v.is_tangent_at(line)
-
-    def test_curve_variation_of_family(self):
-        fam = rs.point_source([0, 0, 2], [0, 0, -1])
-        v = rs.curve_variation(lambda s: fam.eval(s, 0.0))
-        line = fam.eval(0.0, 0.0)
-        assert v.is_tangent_at(line, tol=1e-6)
-        assert np.linalg.norm(v.du) > 0.1

@@ -17,7 +17,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import rayspace as rs
@@ -151,6 +151,13 @@ class TestAgainstOracle:
         level=st.floats(-3.0, 5.0),
         wavefront_c=st.floats(-2.0, 2.0),
         grid=st.integers(3, 11),
+    )
+    # g = (t - t_front) - |X - focus| rounds to 0 at t = 2**28 - 1, far
+    # short of its roots (4.5e8 to 5.5e8); node (2, 0) is the first whose
+    # root lies beyond the reach 2**29 - 1
+    @example(
+        collimated=True, half_width=0.125, focus=[1.0, 3.0, 1e-08], epsilon=-1, level=0.0,
+        wavefront_c=0.0, grid=3,
     )
     def test_random_designs(self, collimated, half_width, focus, epsilon, level, wavefront_c, grid):
         domain = ((-half_width, half_width), (-half_width, half_width))

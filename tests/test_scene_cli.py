@@ -21,6 +21,7 @@ from rayspace.errors import (
     SceneSyntaxError,
     UnknownSurfaceError,
 )
+from rayspace.lines import _ray
 from rayspace.scene import load_scene, parse_scene
 
 from helpers import (
@@ -183,6 +184,26 @@ class TestParseScene:
             parse_scene("[options]\nepsilon = 2\n")
 
     @pytest.mark.parametrize(
+        "option, message",
+        [
+            ("step = 0", "step must be positive"),
+            ("step = -1e-3", "step must be positive"),
+            ("seed = -1", "seed must be at least 0"),
+            ("tol = nan", "non-finite number 'nan'"),
+        ],
+    )
+    def test_options_that_break_the_checks(self, option, message):
+        # a step of 0 makes every difference quotient NaN; numpy refuses a
+        # negative seed
+        with pytest.raises(SceneSyntaxError) as err:
+            parse_scene("[options]\n" + option + "\n")
+        assert (err.value.line, err.value.col, err.value.message) == (2, option.index("=") + 2, message)
+
+    def test_step_auto_and_seed_0_parse(self):
+        scene = parse_scene("[options]\nstep = auto\nseed = 0\n")
+        assert scene.options == {"step": None, "seed": 0}
+
+    @pytest.mark.parametrize(
         "options, message",
         [
             ("grid = 2\nbogus = 1\n", "line 7, col 7: grid must be at least 3"),
@@ -334,6 +355,26 @@ class TestCliCommands:
     def test_scene_error_exits_1(self, tmp_path):
         code, _ = self.run(tmp_path, "[surface m]\nkind = plane\n", "defect")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[options]\n", "[options]\nstep = 0\n", "line 20, col 7: step must be positive"),
+            ("seed = 7", "seed = -1", "line 21, col 7: seed must be at least 0"),
+        ],
+    )
+    def test_option_that_breaks_the_check_exits_1(self, tmp_path, capsys, old, new, message):
+        text = (SCENES / "sphere_refract.scene").read_text()
+        assert old in text
+        code, _ = self.run(tmp_path, text.replace(old, new), "check-symplectic")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_step_auto_is_the_command_default(self, tmp_path):
+        text = (SCENES / "sphere_refract.scene").read_text().replace("[options]\n", "[options]\nstep = auto\n")
+        code, out = self.run(tmp_path, text, "check-symplectic")
+        assert code == 0
+        assert read_report(out / "report.txt")["step"] == "2.5000000000000002e-06"
 
     @pytest.mark.parametrize(
         "name, old, new",
@@ -701,23 +742,29 @@ class TestCheckSymplecticBatch:
         assert later.value.k == (2.5, 0.0) and later.value.cause.interface_index == 0
         assert later.value.row == 1
 
-    def test_an_earlier_sample_failing_later_wins_over_an_output_chart(self):
-        # sample 1 fails at the output charts of interface 0, a sphere mirror
-        # about the source whose normal at the hit of sample 1's +h e_0
-        # stencil line reflects that line straight down, onto the pole of
-        # the chart of the image of sample 1; sample 0 passes interface 0
-        # and misses interface 1
-        family = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-1, 1), (-1, 1)))
-        ks, step = np.array([[0.0, 0.0], [-0.3, 0.0], [0.3, 0.0]]), 1.2
-        line = family.eval(*ks[1])
+    @staticmethod
+    def pole_mirror(family, k, step):
+        """A sphere mirror about the source of `family` whose normal at the
+        hit of the +step e_0 stencil line of the line at k reflects that
+        stencil line straight down, onto the pole of the chart of the
+        image of the line at k."""
+        line = family.eval(*k)
         chart = rs.chart_for(line.u)
         x0, _ = rs.chart_coords(line, chart)
         stencil = rs.line_from_coords(x0 + [step, 0.0, 0.0, 0.0], chart)
         hit = stencil.point_at(np.dot(-stencil.q, stencil.u) + 1.0)
         normal = (stencil.u + [0.0, 0.0, 1.0]) / np.linalg.norm(stencil.u + [0.0, 0.0, 1.0])
+        return rs.Interface(rs.Sphere(hit - 30.0 * normal, 30.0), rs.REFLECT, n_in=1.0)
+
+    def test_an_earlier_sample_failing_later_wins_over_an_output_chart(self):
+        # sample 1 fails at the output charts of interface 0, the pole
+        # mirror of sample 1; sample 0 passes interface 0 and misses
+        # interface 1
+        family = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-1, 1), (-1, 1)))
+        ks, step = np.array([[0.0, 0.0], [-0.3, 0.0], [0.3, 0.0]]), 1.2
         system = rs.OpticalSystem(
             (
-                rs.Interface(rs.Sphere(hit - 30.0 * normal, 30.0), rs.REFLECT, n_in=1.0),
+                self.pole_mirror(family, ks[1], step),
                 rs.Interface(rs.Sphere([100.0, 100.0, 100.0], 0.1), rs.REFLECT, n_in=1.0),
             ),
             ambient_index=1.0,
@@ -737,6 +784,30 @@ class TestCheckSymplecticBatch:
         assert want.value.k == got.value.k == (0.0, 0.0)
         assert want.value.cause.interface_index == got.value.cause.interface_index == 1
         assert str(got.value) == str(want.value)
+
+    def test_an_earlier_sample_failing_at_a_later_stage_of_the_same_interface_wins(self):
+        # sample 0 passes the map of its pole mirror and fails at the output
+        # charts; sample 1 starts past the mirror, so its rays miss it and
+        # it fails at the map, the earlier stage: the batch raises for
+        # sample 1, and only the re-check of sample 0 finds the error that
+        # the sample-by-sample loop raises
+        source = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-1, 1), (-1, 1)))
+        family = dataclasses.replace(
+            source, anchor=lambda k1, k2: source.eval(k1, k2).point_at(100.0 * (np.asarray(k1) > 0.5))
+        )
+        ks, step = np.array([[-0.3, 0.0], [0.9, 0.0]]), 1.2
+        system = rs.OpticalSystem((self.pole_mirror(family, ks[0], step),), ambient_index=1.0)
+        lines, starts = family.eval(*ks.T), family.start_point(*ks.T)
+        with pytest.raises(FamilyTraceError) as alone:
+            cli._interface_jacobians(ks[1:], _ray(lines, slice(1, None)), starts[1:], system.interfaces, step)
+        assert "misses" in str(alone.value)
+        with pytest.raises(ChartDomainError) as want:
+            check_symplectic_oracle(family, system, ks, step)
+        with pytest.raises(ChartDomainError) as got:
+            cli._interface_jacobians(ks, lines, starts, system.interfaces, step)
+        assert str(got.value) == str(want.value)
+        assert "south pole" in str(got.value)
+        assert got.value.row == 0
 
     def test_one_map_call_per_interface(self, tmp_path):
         calls = []
@@ -758,6 +829,7 @@ class TestCommandLine:
     across calls, and the help text."""
 
     POINT_PLANE = str(SCENES / "point_plane.scene")
+    SPHERE = str(SCENES / "sphere_refract.scene")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -765,6 +837,14 @@ class TestCommandLine:
             (["frobnicate", "--scene", POINT_PLANE], "argument command: invalid choice: 'frobnicate'"),
             (["trace"], "the following arguments are required: --scene"),
             (["trace", "--scene", POINT_PLANE, "--grid", "x"], "argument --grid: invalid int value: 'x'"),
+            (["trace", "--scene", POINT_PLANE, "--grid", "2"], "argument --grid: grid must be at least 3"),
+            (["check-symplectic", "--scene", SPHERE, "--step", "0"], "argument --step: step must be positive"),
+            (["defect", "--scene", POINT_PLANE, "--step", "0"], "argument --step: step must be positive"),
+            (["defect", "--scene", POINT_PLANE, "--step", "inf"], "argument --step: non-finite number 'inf'"),
+            (["check-symplectic", "--scene", SPHERE, "--seed", "-1"], "argument --seed: seed must be at least 0"),
+            (["trace", "--scene", POINT_PLANE, "--tol", "nan"], "argument --tol: non-finite number 'nan'"),
+            (["trace", "--scene", POINT_PLANE, "--step", "nan"], "argument --step: non-finite number 'nan'"),
+            (["trace", "--scene", POINT_PLANE, "--step", "auto"], "argument --step: invalid float value: 'auto'"),
         ],
     )
     def test_bad_command_line_exits_1(self, capsys, argv, message):
