@@ -198,8 +198,11 @@ def _interface_jacobians(ks, lines, starts, interfaces, step):
 
             try:
                 jacobians.append(chart_jacobian(crossing, line, h=step)[0])
-            except TraceError as exc:
-                raise FamilyTraceError(ks[exc.row], TraceError(i, exc.cause)).at(exc.row) from exc
+            except RaySpaceError as exc:
+                if traced:  # the output charts fail as they are
+                    raise
+                cause = exc.cause if isinstance(exc, TraceError) else exc  # the map's or a stencil line's
+                raise FamilyTraceError(ks[exc.row], TraceError(i, cause)).at(exc.row) from exc
             if i + 1 < len(interfaces):
                 # each sample itself is row 0 of its block
                 result, samples = traced[-1], slice(0, None, 9)
@@ -223,7 +226,7 @@ def cmd_wavefront(scene, args):
     wf = reconstruct_wavefront(
         family, k0, c=c, grid=grid, h=step, path_tol=path_tol
     )
-    residual = orthogonality_residual(family, wf, h=step)
+    residual = orthogonality_residual(family, wf)
     i0, j0 = wf.base_index
     step_used = step if step is not None else family.default_step()
     pairs = [

@@ -19,10 +19,10 @@ Finite differences are central throughout; the default step is
 the step so every stencil stays inside the domain.
 
 Shapes: the `eval` and `anchor` of every family the builders here return
-(and of `transform_family` applied to one) also take equal-length arrays k1,
-k2 of N parameters and return a batch of N lines, (N, 3) anchors; such a
-family has `vectorized=True`.  Its rows equal the single evaluations bit for
-bit.
+(and of `transform_family` applied to one, and its `length`) also take
+equal-length arrays k1, k2 of N parameters and return a batch of N lines,
+(N, 3) anchors, (N,) lengths; such a family has `vectorized=True`.  Its rows
+equal the single evaluations bit for bit.
 
 `one_form_integral` takes one segment or a batch of them and refines the
 batch level by level: the nodes of the segments not yet converged are one
@@ -30,14 +30,13 @@ array, and each level evaluates all their new midpoints as one batch.
 `is_regular_point` takes one point or a batch.  `reconstruct_wavefront`
 evaluates its grid lines, integrates all its segments and checks the
 regularity of all its nodes in one batch each; `orthogonality_residual`
-integrates its +-h probes as one batch, whose first and last nodes are the
-centre and probe end lines, and `defect_grid` evaluates the stencil and
-centre lines of all its nodes and their immersion tests in one batch.
-A single segment, point or defect is the batch of one.  Batches are
-evaluated at most _CHUNK rays per call.
+evaluates the optical lengths of all its nodes in one batch, and
+`defect_grid` evaluates the stencil and centre lines of all its nodes and
+their immersion tests in one batch.  A single segment, point or defect is
+the batch of one.  Batches are evaluated at most _CHUNK rays per call.
 
-A failing batch raises what its first failing item (parameter, segment,
-node or probe) raises alone, and the error's `row` is that item's index.
+A failing batch raises what its first failing item (parameter, segment or
+node) raises alone, and the error's `row` is that item's index.
 A batch stops at the first stage where an item fails; the items before it,
 which may still fail at a later stage, are then checked again as one batch.
 """
@@ -45,6 +44,7 @@ which may still fail at a later stage, are then checked again as one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -104,10 +104,13 @@ class RayFamily:
     `anchor`, when set, gives the point on each ray where propagation
     physically begins (source apex, emitting surface point, ...); systems
     intersect each ray strictly downstream of it.  None means the foot point.
-    `vectorized` declares that `eval` and `anchor` also accept arrays of
-    parameters and return the batch of their lines, row by row, and that a
-    failing batch raises what its first failing parameter raises alone,
-    with `row` set to its index.
+    `length`, when set, gives l: the optical length from the source
+    wavefront to each foot point, over the index of the lines' medium.
+    None reads l off an anchor on the source wavefront: (q - anchor) . u.
+    `vectorized` declares that `eval`, `anchor` and `length` also accept
+    arrays of parameters and return the batch of their values, row by row,
+    and that a failing batch raises what its first failing parameter raises
+    alone, with `row` set to its index.
     """
 
     eval: Callable[[float, float], OrientedLine]
@@ -115,6 +118,7 @@ class RayFamily:
     kind: str = "custom"
     anchor: Callable[[float, float], np.ndarray] | None = None
     vectorized: bool = False
+    length: Callable[[float, float], float] | None = None
 
     def start_point(self, k1: float, k2: float) -> np.ndarray:
         if self.anchor is None:
@@ -276,6 +280,8 @@ def normal_congruence(surface, domain, axis=(0.0, 0.0, 1.0), outward: bool = Tru
 def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     """The family of output lines of `system` applied ray by ray.
 
+    Its anchor is each ray's last hit; its length carries the input family's
+    length to the start point and adds the optical length of the trace.
     Evaluation is pure (nothing cached); per-interface failures re-raise as
     FamilyTraceError carrying the parameter value.  A vectorized family
     stays vectorized: a batch of parameters is traced as one batch.
@@ -284,7 +290,8 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     def _trace(k1, k2):
         try:
             base = family.eval(k1, k2)
-            return propagate_system(base, system, start=family.start_point(k1, k2))
+            start = family.start_point(k1, k2)
+            result = propagate_system(base, system, start=start)
         except RaySpaceError as exc:
             k1, k2 = np.broadcast_arrays(k1, k2)
             row = exc.row if k1.ndim else ()
@@ -292,23 +299,33 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
                 # the parameters before it pass `family` but may fail in the system
                 _trace(k1[:row], k2[:row])
             raise FamilyTraceError((k1[row], k2[row]), exc) from exc
+        return base, start, result, result.hits[-1].point if result.hits else start
 
-    def _eval(k1, k2):
-        return _trace(k1, k2).line_out
-
-    def _anchor(k1, k2):
-        result = _trace(k1, k2)
-        if result.hits:
-            return result.hits[-1].point
-        return family.start_point(k1, k2)
+    def _length(k1, k2):
+        base, start, result, last = _trace(k1, k2)
+        carried = _length_of(family, k1, k2) + np.vecdot(start - base.q, base.u)
+        out = result.line_out
+        inside = system.ambient_index * carried + result.optical_length
+        return inside / system.exit_index + np.vecdot(out.q - last, out.u)
 
     return RayFamily(
-        _eval,
+        lambda k1, k2: _trace(k1, k2)[2].line_out,
         family.domain,
         kind=f"transformed({family.kind})",
-        anchor=_anchor,
+        anchor=lambda k1, k2: _trace(k1, k2)[3],
         vectorized=family.vectorized,
+        length=_length,
     )
+
+
+def _length_of(family: RayFamily, k1, k2):
+    """The family's l at (k1, k2): its `length`, or (q - anchor) . u."""
+    if family.length is not None:
+        return family.length(k1, k2)
+    if family.anchor is None:
+        raise ValueError(f"{family.kind} family has no source wavefront: give it an anchor or a length")
+    line = family.eval(k1, k2)
+    return np.vecdot(line.q - family.anchor(k1, k2), line.u)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +547,9 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
     R2 = R1 + (R1 - R1_prev) / 15 (O(h^6)).  Refinement stops when the
     highest column present at both levels (T at m = 8, R1 at m = 16, R2 from
     m = 32 on) agrees with its previous value within tol, and that column's
-    new value is the integral.  A NaN or infinite sum never agrees, so the
-    segment keeps refining; past max_points it raises NoConvergenceError.
+    new value is the integral.  A segment whose sum is NaN or infinite at a
+    level raises NoConvergenceError there, and so does one still refining
+    past max_points.
 
     ka and kb of shape (2,) give one segment and a float; shape (S, 2) gives
     S segments and an (S,) array.  The segments refine together: each level
@@ -544,14 +562,12 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
     """
     ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
     if ka.ndim == 1:
-        return float(_one_form_levels(family, ka[None], kb[None], tol, max_points)[0][0])
-    return _one_form_levels(family, ka, kb, tol, max_points)[0]
+        return float(_one_form_levels(family, ka[None], kb[None], tol, max_points)[0])
+    return _one_form_levels(family, ka, kb, tol, max_points)
 
 
 def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
-    """one_form_integral of the segments ka[s] -> kb[s], refined together,
-    and the directions and foot points (S, 5, 3) of their first level's
-    nodes, at the parameters ka + t (kb - ka) for t = 0, 1/4, 1/2, 3/4, 1.
+    """one_form_integral of the segments ka[s] -> kb[s], refined together.
 
     The nodes of the live segments are two arrays (live, m + 1, 3).  Each
     level evaluates the new midpoints of all live segments in one batch,
@@ -565,7 +581,7 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
     values = np.empty(len(ka))
     span = kb - ka
     live = np.arange(len(ka))  # the segments not yet converged
-    first = us = qs = None  # the first level's nodes; the live segments' nodes
+    us = qs = None  # the live segments' nodes
     prev = None  # per live segment, its previous Romberg row
     m = 4
     while m <= max_points:
@@ -580,7 +596,7 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
             raise
         shape = (len(live), len(fresh), 3)
         if us is None:
-            first = us, qs = u.reshape(shape), q.reshape(shape)
+            us, qs = u.reshape(shape), q.reshape(shape)
         else:
             grown = np.empty((2, len(live), m + 1, 3))
             grown[0, :, 0::2], grown[1, :, 0::2] = us, qs
@@ -588,49 +604,59 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
             us, qs = grown
             del grown
         del u, q  # the nodes hold them now; free the copies before the sums
-        with np.errstate(invalid="ignore", over="ignore"):  # an inf or NaN sum keeps refining
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sum raises below
             terms = us[:, :-1] + us[:, 1:]
             terms *= qs[:, 1:] - qs[:, :-1]
             val = 0.5 * terms.reshape(len(live), -1).sum(axis=1)
         del terms
+        bad = _first(~np.isfinite(val))
+        if bad is not None:
+            bad = live[bad]
+            if bad:  # the segments before it may fail at a later level
+                _one_form_levels(family, ka[:bad], kb[:bad], tol, max_points)
+            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite").at(bad)
         row = val[:, None]
         if prev is not None:
             top = prev.shape[1] - 1  # the highest column of both rows
             row = np.empty((len(live), min(top + 2, 3)))
             row[:, 0] = val
-            with np.errstate(invalid="ignore", over="ignore"):
-                for c in range(1, row.shape[1]):
-                    row[:, c] = row[:, c - 1] + (row[:, c - 1] - prev[:, c - 1]) / (4**c - 1)
-                going = ~(abs(row[:, top] - prev[:, top]) <= tol)  # a NaN sum keeps refining
+            for c in range(1, row.shape[1]):
+                row[:, c] = row[:, c - 1] + (row[:, c - 1] - prev[:, c - 1]) / (4**c - 1)
+            going = ~(abs(row[:, top] - prev[:, top]) <= tol)
             values[live[~going]] = row[~going, top]
             live, row, us, qs = live[going], row[going], us[going], qs[going]
             if not len(live):
-                return values, *first
+                return values
         prev = row
         m *= 2
     raise NoConvergenceError("one-form integral did not converge under refinement").at(live[0])
 
 
-def _eval_rows(family: RayFamily, ks):
-    """Directions and foot points, (N, 3) each, of the lines at the rows of ks.
-
-    A vectorized family is evaluated in calls of at most _CHUNK rows, any
-    other family row by row, in order; an error's row is its row in ks.
-    The calls' lines are written into one pair of arrays, and the lines of
-    a single call are returned as they are (read-only).
-    """
+def _calls(family: RayFamily, fn, ks):
+    """fn(k1, k2) at the rows of ks: for a vectorized family in calls of at
+    most _CHUNK rows, for any other row by row, in order.  Yields each call's
+    first row and result; an error's row is its row in ks."""
     size = _CHUNK if family.vectorized else 1
-    u, q = np.empty((len(ks), 3)), np.empty((len(ks), 3))
     for a in range(0, len(ks), size):
         k1, k2 = ks[a : a + size].T if family.vectorized else ks[a]
         try:
-            line = family.eval(k1, k2)
+            result = fn(k1, k2)
         except RaySpaceError as exc:
             exc.row += a
             raise
-        if len(ks) <= size:
+        yield a, result
+
+
+def _eval_rows(family: RayFamily, ks):
+    """Directions and foot points, (N, 3) each, of the lines at the rows of
+    ks, by _calls: written into one pair of arrays, or for a single call
+    its lines as they are (read-only)."""
+    u, q = np.empty((len(ks), 3)), np.empty((len(ks), 3))
+    for a, line in _calls(family, family.eval, ks):
+        if line.u.size == u.size:
             return line.u.reshape(-1, 3), line.q.reshape(-1, 3)
-        u[a : a + size], q[a : a + size] = line.u, line.q
+        rows = slice(a, a + line.u.size // 3)
+        u[rows], q[rows] = line.u, line.q
     return u, q
 
 
@@ -764,29 +790,18 @@ def reconstruct_wavefront(
     )
 
 
-def orthogonality_residual(family: RayFamily, wavefront: Wavefront, h: float | None = None) -> float:
-    """max over nodes and directions of |u . dQ| / |dQ|, dQ by small steps.
-
-    Uses the family's default step (not the grid spacing), continuing F to
-    the probe parameters by short one-form integrals, so the residual
-    measures genuine non-orthogonality rather than grid truncation.  The 4
-    probe integrals of every node refine as one batch.  A node's centre line
-    is the first node of its first probe, and a probe's end line is its
-    integral's node at t = 1, the parameter node + (end - node), which may
-    differ from the end in its last bit.  A failing batch raises what the
-    node by node loop raised, and the error's row is the probe: a failing
-    centre line names its node's first probe.
-    """
-    if h is None:
-        h = family.default_step()
-    nodes = _nodes(wavefront.k1, wavefront.k2).reshape(-1, 2)
-    ends = (nodes[:, None] + _stencil(2, h)).reshape(-1, 2)  # +k1, -k1, +k2, -k2
-    f_side, us, qs = _one_form_levels(family, np.repeat(nodes, 4, axis=0), ends, 1e-12, _MAX_POINTS)
-    f_side = f_side.reshape(-1, 4) + wavefront.values.reshape(-1, 1)
-    side_u, side_q = us[:, -1].reshape(-1, 4, 3), qs[:, -1].reshape(-1, 4, 3)
-    q_side = side_q - (f_side + wavefront.c)[..., None] * side_u
-    d = q_side[:, 0::2] - q_side[:, 1::2]  # (nodes, axes, 3)
-    norm = _norm(d)
-    moved = norm > 0.0
-    ratios = abs(np.vecdot(us[0::4, 0, None], d)[moved]) / norm[moved]
-    return float(np.fmax.reduce(ratios, initial=0.0))
+def orthogonality_residual(family: RayFamily, wavefront: Wavefront) -> float:
+    """max over the grid's edges of |delta (l - F)| / |delta Q|, skipping
+    edges whose points coincide: l, the family's optical length (evaluated
+    at all nodes in one batch), changes as F does along a wavefront, and
+    delta (l - F) is the integral of u . dQ along the surface.  A family
+    with neither `length` nor `anchor` raises ValueError."""
+    ks = _nodes(wavefront.k1, wavefront.k2).reshape(-1, 2)
+    lengths = np.concatenate([np.ravel(v) for _, v in _calls(family, partial(_length_of, family), ks)])
+    excess = lengths.reshape(wavefront.values.shape) - wavefront.values
+    worst = 0.0
+    for axis in (0, 1):
+        norm = _norm(np.diff(wavefront.points, axis=axis))
+        moved = norm > 0.0
+        worst = np.fmax.reduce(abs(np.diff(excess, axis=axis))[moved] / norm[moved], initial=worst)
+    return float(worst)

@@ -281,10 +281,16 @@ def chart_coords(line: OrientedLine, chart_id=None):
 def line_from_coords(x, chart_id) -> OrientedLine:
     """The line with chart coordinates x (4,), or the batch of an (N, 4) x,
     row by row bit for bit; chart_id may hold one chart per row.  Inverse
-    of chart_coords, exact up to round-off on the chart domain."""
+    of chart_coords, exact up to round-off on the chart domain.  Raises
+    ChartDomainError for the first x whose chart metric has a zero
+    determinant (its base coordinates are too far out), with `row` set."""
     x = np.asarray(x, dtype=float)
-    u, jac = _unproject(chart_id, x[..., :2])
+    with np.errstate(over="ignore"):  # far out, the metric is singular: raised below
+        u, jac = _unproject(chart_id, x[..., :2])
     gram = jac.swapaxes(-1, -2) @ jac
+    row = _first(np.linalg.det(gram) == 0.0)
+    if row is not None:
+        raise ChartDomainError("chart coordinates too far out: singular chart metric").at(row)
     coeff = np.linalg.solve(gram, x[..., 2:, None])
     q = (jac @ coeff)[..., 0]
     q -= np.vecdot(q, u)[..., None] * u
@@ -332,11 +338,11 @@ def chart_jacobian(
 
     A batch gives bit for bit the Jacobians of its lines taken one at a
     time.  A failing batch raises at the first stage where any line fails:
-    the input charts, the map (an error of the transform names its row of
-    the nine-row blocks), then the output charts.  The error is that of the
-    lowest line failing there, with the line's index as `row`; the lines
-    before it pass that stage but may fail a later one, so a caller that
-    needs the line by line order maps them again.
+    the input charts, the stencil lines, the map (an error of the transform
+    names its row of the nine-row blocks), then the output charts.  The
+    error is that of the lowest line failing there, with the line's index as
+    `row`; the lines before it pass that stage but may fail a later one, so
+    a caller that needs the line by line order maps them again.
     """
     single = line.u.ndim == 1
     if single:
@@ -347,9 +353,13 @@ def chart_jacobian(
     if h is None:
         h = 1e-5 * np.maximum(1.0, _norm(line.q))
     h = np.reshape(h, (-1, 1, 1))
-    steps = line_from_coords(
-        (x0[:, None] + _stencil(4, 1.0) * h).reshape(-1, 4), np.repeat(chart_in, 8)
-    )
+    try:
+        steps = line_from_coords(
+            (x0[:, None] + _stencil(4, 1.0) * h).reshape(-1, 4), np.repeat(chart_in, 8)
+        )
+    except RaySpaceError as exc:
+        exc.row //= 8
+        raise
     u = np.concatenate([line.u[:, None], steps.u.reshape(n, 8, 3)], axis=1)
     q = np.concatenate([line.q[:, None], steps.q.reshape(n, 8, 3)], axis=1)
     try:

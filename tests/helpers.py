@@ -249,8 +249,11 @@ def check_symplectic_oracle(family, system, ks, step):
 
             try:
                 rs.chart_jacobian(mapper, line, h=step)
-            except TraceError as exc:
-                raise FamilyTraceError(k, TraceError(i, exc.cause)) from exc
+            except RaySpaceError as exc:
+                if traced:  # the output charts fail as they are
+                    raise
+                cause = exc.cause if isinstance(exc, TraceError) else exc  # the map's or a stencil line's
+                raise FamilyTraceError(k, TraceError(i, cause)) from exc
             traced.clear()
             jac, chart_in, chart_out = chart_jacobian_oracle(mapper, line, h=step)
             jacobians[i].append(jac)
@@ -294,6 +297,31 @@ def l_paths_oracle(horiz, vert, i0, j0):
         for i in range(n1):
             f_cr[i, j] = col_leg + cum(horiz[:, j], i0, i)
     return f_rc, f_cr
+
+
+def naive_orthogonality_residual(family, wavefront):
+    """Reference for orthogonality_residual: the optical length l node by
+    node, one evaluation at a time, then |delta (l - F)| / |delta Q| edge by
+    edge over the grid, skipping edges whose points coincide."""
+    n1, n2 = wavefront.values.shape
+    excess = np.empty((n1, n2))
+    for i, k1 in enumerate(wavefront.k1):
+        for j, k2 in enumerate(wavefront.k2):
+            if family.length is not None:
+                length = family.length(k1, k2)
+            else:
+                line = family.eval(k1, k2)
+                length = np.vecdot(line.q - family.anchor(k1, k2), line.u)
+            excess[i, j] = length - wavefront.values[i, j]
+    worst = 0.0
+    for i in range(n1):
+        for j in range(n2):
+            for a, b in ((i + 1, j), (i, j + 1)):
+                if a < n1 and b < n2:
+                    norm = float(np.linalg.norm(wavefront.points[a, b] - wavefront.points[i, j]))
+                    if norm > 0.0:
+                        worst = max(worst, abs(excess[a, b] - excess[i, j]) / norm)
+    return worst
 
 
 def node_defect_grid(family, grid=9, h=None, check_immersion=True):

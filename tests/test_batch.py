@@ -47,6 +47,7 @@ from helpers import (
     device_source,
     l_paths_oracle,
     make_device,
+    naive_orthogonality_residual,
     nested_sphere_system,
     node_defect_grid,
     node_neighbors,
@@ -275,9 +276,10 @@ def naive_one_form(family, ka, kb, tol, max_points=4096):
     Romberg column that stopped it.
 
     Level j sums the trapezoids of m = 4 * 2**j pieces into R[j][0] and
-    extrapolates R[j][c] = R[j][c-1] + (R[j][c-1] - R[j-1][c-1]) / (4**c - 1)
-    for c = 1 .. min(j, 2); it stops when R[j][c] - R[j-1][c] is within tol
-    for c = min(j - 1, 2), the highest column of both rows.
+    raises NoConvergenceError if that sum is not finite; it extrapolates
+    R[j][c] = R[j][c-1] + (R[j][c-1] - R[j-1][c-1]) / (4**c - 1) for
+    c = 1 .. min(j, 2) and stops when R[j][c] - R[j-1][c] is within tol for
+    c = min(j - 1, 2), the highest column of both rows.
     """
     ka = np.asarray(ka, dtype=float)
     kb = np.asarray(kb, dtype=float)
@@ -287,8 +289,10 @@ def naive_one_form(family, ka, kb, tol, max_points=4096):
         lines = [family.eval(*(ka + t * (kb - ka))) for t in np.linspace(0.0, 1.0, m + 1)]
         us = np.array([line.u for line in lines])
         qs = np.array([line.q for line in lines])
-        with np.errstate(invalid="ignore", over="ignore"):  # an inf or NaN sum keeps refining
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives a NaN sum
             row = [0.5 * float(np.sum((us[:-1] + us[1:]) * (qs[1:] - qs[:-1])))]
+        if not np.isfinite(row[0]):
+            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite")
         if prev is not None:
             for c in range(1, min(len(prev) + 1, 3)):
                 row.append(row[c - 1] + (row[c - 1] - prev[c - 1]) / (4**c - 1))
@@ -349,15 +353,15 @@ class TestOneFormNodes:
         assert self.check((-0.3, -0.3), (0.3, 0.3), 1e-13) == 2
 
     @pytest.mark.parametrize(
-        "t, bad_line",
+        "t, bad_line, level",
         [
-            (0.125, lambda line: (line.u, line.q * np.nan)),  # NaN from the second level on
-            (1.0, lambda line: (line.u, line.q + [np.inf, 0.0, 0.0])),  # +inf at every level
-            (0.5, lambda line: (line.u, line.q + [np.inf, 0.0, 0.0])),  # inf - inf: NaN
+            (0.125, lambda line: (line.u, line.q * np.nan), 8),  # NaN from the second level on
+            (1.0, lambda line: (line.u, line.q + [np.inf, 0.0, 0.0]), 4),  # +inf at every level
+            (0.5, lambda line: (line.u, line.q + [np.inf, 0.0, 0.0]), 4),  # inf - inf: NaN
         ],
         ids=["nan", "inf", "inf_inside"],
     )
-    def test_a_non_finite_sum_keeps_refining(self, t, bad_line):
+    def test_a_non_finite_sum_stops_at_its_level(self, t, bad_line, level):
         fam = rs.point_source([0.3, -0.2, 1.0], [1.0, 0.1, 0.2])  # u_x > 0 on every ray
         ka, kb = np.array([[0.0, -0.1], [-0.1, 0.05]]), np.array([[0.05, 0.0], [0.1, 0.2]])
         blemished = _blemished(fam, ka[1] + t * (kb[1] - ka[1]), bad_line)
@@ -369,15 +373,18 @@ class TestOneFormNodes:
 
         counted = dataclasses.replace(blemished, eval=counting)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # inf - inf in the sums and the extrapolation stays quiet
-            with pytest.raises(NoConvergenceError):
-                naive_one_form(blemished, ka[1], kb[1], 1e-6, max_points=64)
+            warnings.simplefilter("error")  # inf - inf in the sums stays quiet
+            with pytest.raises(NoConvergenceError) as alone:
+                naive_one_form(blemished, ka[1], kb[1], 1e-6)
             with pytest.raises(NoConvergenceError) as err:
-                rs.one_form_integral(counted, ka, kb, tol=1e-6, max_points=64)
+                rs.one_form_integral(counted, ka, kb, tol=1e-6)
         assert err.value.row == 1
-        _, m, _ = naive_one_form(fam, ka[0], kb[0], 1e-6, max_points=64)
-        assert m < 64
-        assert sum(calls) == (m + 1) + (64 + 1)  # the second refines to the last level
+        assert str(err.value) == str(alone.value) == f"one-form sum over {level} pieces is not finite"
+        _, m, _ = naive_one_form(fam, ka[0], kb[0], 1e-6)
+        assert m > level
+        # both segments up to the failing level, then the first one again
+        # alone, since it might fail at a later level
+        assert sum(calls) == 2 * (level + 1) + (m + 1)
         assert len(calls) == sum(calls)  # a plain family is evaluated row by row
 
 
@@ -641,34 +648,40 @@ class TestWavefrontCalls:
     def test_point_plane_eval_calls(self):
         scene = load_scene(str(SCENES / "point_plane.scene"))
         fam = rs.transform_family(scene.family, scene.system)
-        calls = []
+        calls, lengths = [], []
 
         def counting(k1, k2):
             calls.append(np.size(k1))
             return fam.eval(k1, k2)
 
-        counted = dataclasses.replace(fam, eval=counting)
+        def counting_length(k1, k2):
+            lengths.append(np.size(k1))
+            return fam.length(k1, k2)
+
+        counted = dataclasses.replace(fam, eval=counting, length=counting_length)
         wf = rs.reconstruct_wavefront(
             counted, scene.options["k0"], c=scene.options["wavefront_c"], grid=9
         )
         before = len(calls)
         residual = rs.orthogonality_residual(counted, wf)
-        # one call per grid, refinement level (per _CHUNK rays), stencil
-        # batch and probe level; node by node evaluation made 2,547
+        # one call per grid, refinement level (per _CHUNK rays) and stencil
+        # batch; node by node evaluation made 2,547
         assert len(calls) <= 40
         assert max(calls) <= _CHUNK
-        # the 4 * 81 probes converge at their second level, and no centre
-        # line is evaluated apart from its node's first probe
-        assert calls[before:] == [5 * 324, 4 * 324]
+        # the residual evaluates no line, and the optical length at the 81
+        # nodes in one batch
+        assert len(calls) == before
+        assert lengths == [81]
         assert residual < 1e-9
 
     def test_custom_family_gives_the_same_wavefront(self):
         fam = rs.point_source([0, 0, 5], [0.1, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
         wf = rs.reconstruct_wavefront(fam, (0.05, -0.03), c=2.0, grid=5)
-        custom = rs.reconstruct_wavefront(plain(fam), (0.05, -0.03), c=2.0, grid=5)
-        assert np.array_equal(custom.values, wf.values)
-        assert np.array_equal(custom.points, wf.points)
-        assert rs.orthogonality_residual(plain(fam), custom) == rs.orthogonality_residual(fam, wf)
+        custom = dataclasses.replace(plain(fam), anchor=fam.anchor)
+        wf_custom = rs.reconstruct_wavefront(custom, (0.05, -0.03), c=2.0, grid=5)
+        assert np.array_equal(wf_custom.values, wf.values)
+        assert np.array_equal(wf_custom.points, wf.points)
+        assert rs.orthogonality_residual(custom, wf_custom) == rs.orthogonality_residual(fam, wf)
 
 
 class TestEvalRows:
@@ -739,41 +752,19 @@ class TestLPaths:
         assert calls == [(12, 13)]
 
 
-def naive_orthogonality_residual(family, wavefront, h):
-    """Reference: node by node and probe by probe, one evaluation at a time."""
-    worst = 0.0
-    for i, k1 in enumerate(wavefront.k1):
-        for j, k2 in enumerate(wavefront.k2):
-            base = np.array([k1, k2])
-            line0 = family.eval(k1, k2)
-            for axis in range(2):
-                step = np.zeros(2)
-                step[axis] = h
-                q_side = []
-                for sgn in (+1.0, -1.0):
-                    kk = base + sgn * step
-                    f_side = wavefront.values[i, j] + rs.one_form_integral(family, base, kk, tol=1e-12)
-                    side = family.eval(*kk)
-                    q_side.append(side.q - (f_side + wavefront.c) * side.u)
-                d = q_side[0] - q_side[1]
-                norm = float(np.linalg.norm(d))
-                if norm > 0.0:
-                    worst = max(worst, abs(float(line0.u @ d)) / norm)
-    return worst
-
-
 class TestOrthogonalityReference:
-    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract"])
+    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract", "mixed_device"])
     def test_equals_node_by_node(self, name):
         scene = load_scene(str(SCENES / f"{name}.scene"))
         fam = rs.transform_family(scene.family, scene.system)
         wf = rs.reconstruct_wavefront(fam, (0.03, -0.02), c=1.5, grid=5)
-        h = fam.default_step()
-        assert rs.orthogonality_residual(fam, wf) == naive_orthogonality_residual(fam, wf, h)
+        residual = rs.orthogonality_residual(fam, wf)
+        assert 0.0 < residual < 1e-8
+        assert residual == naive_orthogonality_residual(fam, wf)
 
 
 class TestErrorOrderOfWavefrontBatches:
-    """The errors that node by node evaluation raised before batching."""
+    """The errors that node by node evaluation raises."""
 
     def test_first_non_regular_node(self):
         # the family of TestWavefront.test_wavefront_through_apex_rejected
@@ -783,44 +774,41 @@ class TestErrorOrderOfWavefrontBatches:
         k = -0.1999943431457505
         assert str(err.value) == f"wavefront point at k=({k}, {k}) is not regular"
 
-    def test_orthogonality_probe_leaves_the_sphere(self):
-        # the corner node's rays graze a small sphere mirror; its -k1 probe
-        # of half-width 1e-4 crosses the rim at a level-1 integration node
-        fam = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.1195, 0.1195), (-0.1195, 0.1195)))
-        small = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, -3.0], 0.5), rs.REFLECT, 1.0),))
-        fam = rs.transform_family(fam, small)
-        wf = rs.reconstruct_wavefront(
-            fam, (0.0, 0.0), grid=5, integral_tol=1e-6, path_tol=1e-3, check_regular=False
-        )
+    def test_lowest_node_off_the_mirror_raises(self):
+        # a wavefront built on a large mirror, checked against the family of
+        # a smaller one that the rays of the nodes with k1 >= 0 may miss
+        source = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.3, 0.3), (-0.3, 0.3)))
+        large = rs.OpticalSystem((rs.Interface(rs.Sphere([0, -0.9, -3.0], 3.0), rs.REFLECT, 1.0),))
+        wf = rs.reconstruct_wavefront(rs.transform_family(source, large), (0.0, 0.0), grid=5)
+        fam = _sphere_edge_family()
+        reference = outcome(lambda: naive_orthogonality_residual(fam, wf))
+        assert isinstance(reference, FamilyTraceError)
         with pytest.raises(FamilyTraceError) as err:
-            rs.orthogonality_residual(fam, wf, h=1e-4)
-        k = (-0.11957162002958593, -0.11949662002958593)
-        assert err.value.k == k
-        assert str(err.value) == (
-            f"at k={k}: interface 0: "
-            "ray misses Sphere in (0, 1e+06]"
-        )
+            rs.orthogonality_residual(fam, wf)
+        assert_same_error(err.value, reference)
+        # the lowest failing node is the first of the centre column, k1 = 0
+        assert err.value.k == (0.0, wf.k2[0])
+        assert err.value.row == 2 * len(wf.k2)
 
-    def test_failing_centre_line_names_its_nodes_first_probe(self):
-        # a node's centre line is the first node of its first probe integral
+    def test_failing_line_names_its_node(self):
+        # a family without a length is evaluated at the nodes, row by row
         fam = rs.point_source([0, 0, 5], [0.1, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
         wf = rs.reconstruct_wavefront(fam, (0.05, -0.03), c=2.0, grid=5)
-        i, j = 1, 3
-        bad = (wf.k1[i], wf.k2[j])
+        bad = [(wf.k1[1], wf.k2[3]), (wf.k1[3], wf.k2[0])]
 
         def _eval(k1, k2):
-            if (k1, k2) == bad:
-                raise FamilyTraceError(bad, TraceError(0, NoIntersectionError("ray misses Sphere")))
+            if (k1, k2) in bad:
+                raise FamilyTraceError((k1, k2), TraceError(0, NoIntersectionError("ray misses Sphere")))
             return fam.eval(k1, k2)
 
-        failing = rs.RayFamily(_eval, fam.domain)
-        h = fam.default_step()
-        reference = outcome(lambda: naive_orthogonality_residual(failing, wf, h))
+        failing = rs.RayFamily(_eval, fam.domain, anchor=fam.anchor)
+        reference = outcome(lambda: naive_orthogonality_residual(failing, wf))
         assert isinstance(reference, FamilyTraceError)
         with pytest.raises(FamilyTraceError) as err:
             rs.orthogonality_residual(failing, wf)
         assert_same_error(err.value, reference)
-        assert err.value.row == 4 * (i * len(wf.k2) + j)
+        assert err.value.k == bad[0]
+        assert err.value.row == 1 * len(wf.k2) + 3
 
 
 def _sphere_edge_family():
@@ -948,6 +936,17 @@ class TestChartJacobianBatch:
             for i in range(40):
                 one = rs.line_from_coords(xs[i], str(np.broadcast_to(chart_id, 40)[i]))
                 assert np.array_equal(back.u[i], one.u) and np.array_equal(back.q[i], one.q)
+
+    def test_far_out_coordinates_name_their_row(self, rng):
+        lines = rs.line_through(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)))
+        xs, charts = rs.chart_coords(lines)
+        xs[[1, 3], 0] += 1e100  # a metric that underflows to zero
+        with pytest.raises(ChartDomainError) as alone:
+            rs.line_from_coords(xs[1], str(charts[1]))
+        with pytest.raises(ChartDomainError) as err:
+            rs.line_from_coords(xs, charts)
+        assert str(err.value) == str(alone.value) == "chart coordinates too far out: singular chart metric"
+        assert err.value.row == 1
 
     def assert_same_jacobian(self, transform, line, **kw):
         calls = []

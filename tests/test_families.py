@@ -1,3 +1,6 @@
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,11 @@ from rayspace.errors import (
     NotRectangularError,
 )
 from rayspace.lines import _omega
+from rayspace.scene import load_scene
 
 from helpers import line_tangent, make_device, unit
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def skew_family():
@@ -254,12 +260,60 @@ class TestWavefront:
         assert len(lines) == 1 + 9
 
 
+class TestOrthogonalityWitness:
+    """orthogonality_residual checks F against the family's optical length,
+    so a surface that the rays do not cross at right angles fails it."""
+
+    def test_two_skew_lines_fail(self):
+        wf = rs.reconstruct_wavefront(skew_family(), k0=(0, 0), path_tol=1e9, check_regular=False)
+        assert rs.orthogonality_residual(skew_family(), wf) > 1e-6
+
+    def test_f_shifted_at_one_node_fails(self):
+        scene = load_scene(str(ROOT / "scenes" / "point_plane.scene"))
+        fam = rs.transform_family(scene.family, scene.system)
+        wf = rs.reconstruct_wavefront(fam, scene.options["k0"], c=scene.options["wavefront_c"])
+        assert rs.orthogonality_residual(fam, wf) < 1e-9
+        i, j = 3, 5
+        values, points = wf.values.copy(), wf.points.copy()
+        values[i, j] += 1e-6
+        points[i, j] -= 1e-6 * fam.eval(wf.k1[i], wf.k2[j]).u
+        shifted = dataclasses.replace(wf, values=values, points=points)
+        assert rs.orthogonality_residual(fam, shifted) > 1e-6
+
+    def test_a_family_without_a_source_raises(self):
+        source = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        custom = rs.RayFamily(source.eval, source.domain)
+        wf = rs.reconstruct_wavefront(custom, k0=(0, 0), c=2.0)
+        with pytest.raises(ValueError, match="custom family has no source wavefront"):
+            rs.orthogonality_residual(custom, wf)
+        # nor does its image through a mirror have one
+        mirror = rs.OpticalSystem((rs.Interface(rs.Plane([0, 0, 1], -1.0), rs.REFLECT, 1.0),))
+        image = rs.transform_family(custom, mirror)
+        wf = rs.reconstruct_wavefront(image, k0=(0, 0), c=2.0)
+        with pytest.raises(ValueError, match="custom family has no source wavefront"):
+            rs.orthogonality_residual(image, wf)
+
+
 class TestTransformFamily:
     def test_empty_system_keeps_lines(self):
         fam = rs.point_source([0, 0, 5], [0, 0, -1])
         out = rs.transform_family(fam, rs.OpticalSystem(()))
         for k in [(0.0, 0.0), (0.12, -0.2)]:
             assert out.eval(*k) == fam.eval(*k)
+
+    def test_length_through_two_systems_in_turn(self, rng):
+        fam = rs.point_source([0.1, 0, 0], [0, 0.2, 1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        lens = rs.Interface(rs.Sphere([0, 0, 4.0], 2.0), rs.REFRACT, 1.0, 1.5)
+        mirror = rs.Interface(rs.Plane([0, 0, 1], 8.0), rs.REFLECT, 1.5)
+        k1, k2 = rng.uniform(-0.2, 0.2, (2, 7))
+        whole = rs.transform_family(fam, rs.OpticalSystem((lens, mirror)))
+        inner = rs.transform_family(fam, rs.OpticalSystem((lens,)))
+        in_turn = rs.transform_family(inner, rs.OpticalSystem((mirror,), ambient_index=1.5))
+        assert np.allclose(in_turn.length(k1, k2), whole.length(k1, k2), rtol=0, atol=1e-12)
+        # an empty system keeps the anchor's length, (q - apex) . u
+        line = fam.eval(k1, k2)
+        empty = rs.transform_family(fam, rs.OpticalSystem(()))
+        assert np.array_equal(empty.length(k1, k2), np.vecdot(line.q - fam.anchor(k1, k2), line.u))
 
     def test_plane_mirror_keeps_rectangular(self):
         fam = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))

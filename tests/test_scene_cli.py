@@ -321,6 +321,16 @@ class TestCliCommands:
         residual = float(read_report(out / "report.txt")["interface_1_residual"])
         assert residual <= 16.0 * np.finfo(float).eps / step
 
+    def test_check_symplectic_huge_step_names_k_and_interface(self, tmp_path, capsys):
+        # stencil lines that far out in the chart have a singular metric
+        scene = str(SCENES / "sphere_refract.scene")
+        args = ["check-symplectic", "--scene", scene, "--out", str(tmp_path / "out"), "--step", "1e100"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: at k=\(\S+, \S+\): interface 0: chart coordinates too far out: singular chart metric\n", err
+        )
+
     def test_check_symplectic_names_missed_interface(self, tmp_path, capsys):
         # the mirror at z = 0 sends every ray up, away from the plane z = -1
         text = (
@@ -503,7 +513,8 @@ def edited_scene(data):
 
 class TestWavefrontRayBudget:
     """The rays CLI `wavefront` evaluates on the bundled 9x9 jobs: grid
-    lines, one-form refinement nodes, regularity stencils, probe nodes."""
+    lines, one-form refinement nodes, regularity stencils, and the grid
+    nodes' optical lengths."""
 
     @pytest.mark.parametrize("name", ["point_plane", "sphere_refract"])
     def test_rays_per_job(self, tmp_path, name):
@@ -516,13 +527,18 @@ class TestWavefrontRayBudget:
                 rays.append(np.size(k1))
                 return traced.eval(k1, k2)
 
-            return dataclasses.replace(traced, eval=counting)
+            def counting_length(k1, k2):
+                rays.append(np.size(k1))
+                return traced.length(k1, k2)
+
+            return dataclasses.replace(traced, eval=counting, length=counting_length)
 
         argv = ["wavefront", "--scene", str(SCENES / f"{name}.scene"), "--out", str(tmp_path), "--grid", "9"]
         with mock.patch.object(cli, "transform_family", counted):
             assert main(argv) == 0
-        # Romberg stopping takes 5,850; stopping on the trapezoid column takes 45,342
-        assert sum(rays) <= 6500
+        # 2,853 for the reconstruction and 81 for the optical lengths; the
+        # 324 probe integrals of the former residual took 2,916 more
+        assert sum(rays) <= 2934
         report = read_report(tmp_path / "report.txt")
         assert float(report["path_discrepancy"]) <= 1e-7
         assert float(report["orthogonality_residual"]) <= 1e-6

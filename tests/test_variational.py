@@ -283,7 +283,34 @@ class TestHamiltonGradient:
         assert np.max(abs(grad_m2 - media[-1] * unit(pts[-1] - pts[-2]))) <= 1e-7
 
 
+def traced_lengths(source, system, wf):
+    """The optical length from the source's anchor along each traced ray to
+    its wavefront point, and the points (n1 * n2, 3)."""
+    k1, k2 = (k.reshape(-1) for k in np.meshgrid(wf.k1, wf.k2, indexing="ij"))
+    trace = rs.propagate_system(source.eval(k1, k2), system, start=source.start_point(k1, k2))
+    w = wf.points.reshape(-1, 3)
+    beyond = np.vecdot(w - trace.hits[-1].point, trace.line_out.u)  # along the exit ray
+    return trace.optical_length + system.exit_index * beyond, w
+
+
 class TestPathLengths:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.floats(-1.0, 1.0))
+    def test_wavefront_is_a_level_set_of_the_traced_length(self, seed, shells, c):
+        """Through 1-3 random sphere shells, reflecting or refracting, every
+        wavefront node lies at one optical length from the apex along its
+        ray, and orthogonality_residual, which reads the family's own
+        length, stays within the same bound."""
+        rng = np.random.default_rng(seed)
+        system = nested_sphere_system(rng, shells)
+        apex = rng.uniform(-0.2, 0.2, 3)
+        source = rs.point_source(apex, unit(rng.normal(size=3)), domain=((-0.2, 0.2), (-0.2, 0.2)))
+        family = rs.transform_family(source, system)
+        wf = rs.reconstruct_wavefront(family, (0, 0), c=c, grid=5, check_regular=False)
+        lengths, _ = traced_lengths(source, system, wf)
+        assert np.ptp(lengths) < 1e-7
+        assert rs.orthogonality_residual(family, wf) < 1e-7
+
     def test_wavefront_is_a_level_set_of_v(self):
         """The one-form, the traced optical length and V agree: every node W
         of a reconstructed output wavefront lies at one optical length from
@@ -291,11 +318,7 @@ class TestPathLengths:
         scene = load_scene(ROOT / "scenes" / "sphere_refract.scene")
         source, system = scene.family, scene.system
         wf = rs.reconstruct_wavefront(rs.transform_family(source, system), (0, 0), c=0.5, grid=5)
-        k1, k2 = (k.reshape(-1) for k in np.meshgrid(wf.k1, wf.k2, indexing="ij"))
-        trace = rs.propagate_system(source.eval(k1, k2), system, start=source.start_point(k1, k2))
-        w = wf.points.reshape(-1, 3)
-        beyond = np.vecdot(w - trace.hits[-1].point, trace.line_out.u)  # along the exit ray
-        lengths = trace.optical_length + system.exit_index * beyond
+        lengths, w = traced_lengths(source, system, wf)
         assert np.ptp(lengths) < 1e-7
         apex = source.start_point(0.0, 0.0)
         for point, length in zip(w, lengths):
