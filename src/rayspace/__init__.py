@@ -71,6 +71,7 @@ from .optics import (
 from .families import (
     DefectGrid,
     RayFamily,
+    TracedLine,
     Wavefront,
     collimated,
     defect,

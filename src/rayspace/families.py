@@ -19,10 +19,10 @@ Finite differences are central throughout; the default step is
 the step so every stencil stays inside the domain.
 
 Shapes: the `eval` and `anchor` of every family the builders here return
-(and of `transform_family` applied to one, and its `length`) also take
-equal-length arrays k1, k2 of N parameters and return a batch of N lines,
-(N, 3) anchors, (N,) lengths; such a family has `vectorized=True`.  Its rows
-equal the single evaluations bit for bit.
+(and of `transform_family` applied to one) also take equal-length arrays
+k1, k2 of N parameters and return a batch of N lines, (N, 3) anchors; such a
+family has `vectorized=True`.  Its rows equal the single evaluations bit for
+bit.
 
 `one_form_integral` takes one segment or a batch of them and refines the
 batch level by level: the nodes of the segments not yet converged are one
@@ -30,10 +30,11 @@ array, and each level evaluates all their new midpoints as one batch.
 `is_regular_point` takes one point or a batch.  `reconstruct_wavefront`
 evaluates its grid lines, integrates all its segments and checks the
 regularity of all its nodes in one batch each; `orthogonality_residual`
-evaluates the optical lengths of all its nodes in one batch, and
-`defect_grid` evaluates the stencil and centre lines of all its nodes and
-their immersion tests in one batch.  A single segment, point or defect is
-the batch of one.  Batches are evaluated at most _CHUNK rays per call.
+evaluates the lines of all its nodes, for their optical lengths, in one
+batch, and `defect_grid` evaluates the stencil and centre lines of all its
+nodes and their immersion tests in one batch.  A single segment, point or
+defect is the batch of one.  Batches are evaluated at most _CHUNK rays per
+call.
 
 A failing batch raises what its first failing item (parameter, segment or
 node) raises alone, and the error's `row` is that item's index.
@@ -104,13 +105,14 @@ class RayFamily:
     `anchor`, when set, gives the point on each ray where propagation
     physically begins (source apex, emitting surface point, ...); systems
     intersect each ray strictly downstream of it.  None means the foot point.
-    `length`, when set, gives l: the optical length from the source
-    wavefront to each foot point, over the index of the lines' medium.
-    None reads l off an anchor on the source wavefront: (q - anchor) . u.
-    `vectorized` declares that `eval`, `anchor` and `length` also accept
-    arrays of parameters and return the batch of their values, row by row,
-    and that a failing batch raises what its first failing parameter raises
-    alone, with `row` set to its index.
+    A family whose anchors lie on its source wavefront (every builder here)
+    has l = (q - anchor) . u: the optical length from the source wavefront
+    to each foot point, over the index of the lines' medium.  The lines of
+    `transform_family` carry their l instead, as TracedLine.
+    `vectorized` declares that `eval` and `anchor` also accept arrays of
+    parameters and return the batch of their values, row by row, and that a
+    failing batch raises what its first failing parameter raises alone,
+    with `row` set to its index.
     """
 
     eval: Callable[[float, float], OrientedLine]
@@ -118,7 +120,6 @@ class RayFamily:
     kind: str = "custom"
     anchor: Callable[[float, float], np.ndarray] | None = None
     vectorized: bool = False
-    length: Callable[[float, float], float] | None = None
 
     def start_point(self, k1: float, k2: float) -> np.ndarray:
         if self.anchor is None:
@@ -277,11 +278,28 @@ def normal_congruence(surface, domain, axis=(0.0, 0.0, 1.0), outward: bool = Tru
     raise ValueError(f"normal congruence not supported for {type(surface).__name__}")
 
 
+@dataclass(frozen=True, eq=False)
+class TracedLine(OrientedLine):
+    """A line of a `transform_family` family (or a batch) with `length`: l,
+    the optical length from the source wavefront to the foot point over the
+    index of the line's medium; None if the source family has no anchor."""
+
+    length: np.ndarray | float | None = None
+
+    @classmethod
+    def _of(cls, line: OrientedLine, length) -> TracedLine:
+        traced = cls._exact(line.u, line.q)
+        object.__setattr__(traced, "length", length)
+        return traced
+
+
 def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     """The family of output lines of `system` applied ray by ray.
 
-    Its anchor is each ray's last hit; its length carries the input family's
-    length to the start point and adds the optical length of the trace.
+    Its anchor is each ray's last hit.  Its lines are TracedLines: l at the
+    start point (the source line's l carried there, or 0 on an anchor)
+    times the ambient index, plus the optical length of the trace, over the
+    exit index, carried on to the foot point.
     Evaluation is pure (nothing cached); per-interface failures re-raise as
     FamilyTraceError carrying the parameter value.  A vectorized family
     stays vectorized: a batch of parameters is traced as one batch.
@@ -301,31 +319,39 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
             raise FamilyTraceError((k1[row], k2[row]), exc) from exc
         return base, start, result, result.hits[-1].point if result.hits else start
 
-    def _length(k1, k2):
+    def _eval(k1, k2):
         base, start, result, last = _trace(k1, k2)
-        carried = _length_of(family, k1, k2) + np.vecdot(start - base.q, base.u)
-        out = result.line_out
-        inside = system.ambient_index * carried + result.optical_length
-        return inside / system.exit_index + np.vecdot(out.q - last, out.u)
+        out, length = result.line_out, None
+        if isinstance(base, TracedLine):
+            if base.length is not None:
+                carried = base.length + np.vecdot(start - base.q, base.u)
+                length = system.ambient_index * carried + result.optical_length
+        elif family.anchor is not None:  # the start point is on the source wavefront
+            length = result.optical_length
+        if length is not None:
+            length = length / system.exit_index + np.vecdot(out.q - last, out.u)
+        return TracedLine._of(out, length)
 
     return RayFamily(
-        lambda k1, k2: _trace(k1, k2)[2].line_out,
+        _eval,
         family.domain,
         kind=f"transformed({family.kind})",
         anchor=lambda k1, k2: _trace(k1, k2)[3],
         vectorized=family.vectorized,
-        length=_length,
     )
 
 
-def _length_of(family: RayFamily, k1, k2):
-    """The family's l at (k1, k2): its `length`, or (q - anchor) . u."""
-    if family.length is not None:
-        return family.length(k1, k2)
-    if family.anchor is None:
-        raise ValueError(f"{family.kind} family has no source wavefront: give it an anchor or a length")
+def _foot_length(family: RayFamily, k1, k2):
+    """l at the foot points of the family's lines at (k1, k2): carried by a
+    TracedLine, or (q - anchor) . u."""
     line = family.eval(k1, k2)
-    return np.vecdot(line.q - family.anchor(k1, k2), line.u)
+    if isinstance(line, TracedLine):
+        length = line.length
+    else:
+        length = None if family.anchor is None else np.vecdot(line.q - family.anchor(k1, k2), line.u)
+    if length is None:
+        raise ValueError(f"{family.kind} family has no source wavefront: anchor its source rays on one")
+    return length
 
 
 # ---------------------------------------------------------------------------
@@ -792,12 +818,13 @@ def reconstruct_wavefront(
 
 def orthogonality_residual(family: RayFamily, wavefront: Wavefront) -> float:
     """max over the grid's edges of |delta (l - F)| / |delta Q|, skipping
-    edges whose points coincide: l, the family's optical length (evaluated
-    at all nodes in one batch), changes as F does along a wavefront, and
-    delta (l - F) is the integral of u . dQ along the surface.  A family
-    with neither `length` nor `anchor` raises ValueError."""
+    edges whose points coincide: l, the optical length of the family's lines
+    (evaluated at all nodes in one batch), changes as F does along a
+    wavefront, and delta (l - F) is the integral of u . dQ along the
+    surface.  A family whose lines carry no l and that has no anchor to read
+    it off raises ValueError."""
     ks = _nodes(wavefront.k1, wavefront.k2).reshape(-1, 2)
-    lengths = np.concatenate([np.ravel(v) for _, v in _calls(family, partial(_length_of, family), ks)])
+    lengths = np.concatenate([np.ravel(v) for _, v in _calls(family, partial(_foot_length, family), ks)])
     excess = lengths.reshape(wavefront.values.shape) - wavefront.values
     worst = 0.0
     for axis in (0, 1):

@@ -282,18 +282,19 @@ def line_from_coords(x, chart_id) -> OrientedLine:
     """The line with chart coordinates x (4,), or the batch of an (N, 4) x,
     row by row bit for bit; chart_id may hold one chart per row.  Inverse
     of chart_coords, exact up to round-off on the chart domain.  Raises
-    ChartDomainError for the first x whose chart metric has a zero
-    determinant (its base coordinates are too far out), with `row` set."""
+    ChartDomainError for the first x whose line is not finite (its base
+    coordinates are too far out for the chart metric), with `row` set."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # far out, the metric is singular: raised below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
         u, jac = _unproject(chart_id, x[..., :2])
-    gram = jac.swapaxes(-1, -2) @ jac
-    row = _first(np.linalg.det(gram) == 0.0)
+        gram = jac.swapaxes(-1, -2) @ jac
+        gram[np.linalg.det(gram) == 0.0] = np.nan  # solves to NaN, not LinAlgError
+        coeff = np.linalg.solve(gram, x[..., 2:, None])
+        q = (jac @ coeff)[..., 0]
+        q -= np.vecdot(q, u)[..., None] * u
+    row = _first(~np.isfinite(q).all(axis=-1))  # a non-finite u makes q so too
     if row is not None:
-        raise ChartDomainError("chart coordinates too far out: singular chart metric").at(row)
-    coeff = np.linalg.solve(gram, x[..., 2:, None])
-    q = (jac @ coeff)[..., 0]
-    q -= np.vecdot(q, u)[..., None] * u
+        raise ChartDomainError("chart coordinates too far out: no finite line").at(row)
     return OrientedLine(u / _norm(u)[..., None], q)
 
 

@@ -307,10 +307,10 @@ def naive_orthogonality_residual(family, wavefront):
     excess = np.empty((n1, n2))
     for i, k1 in enumerate(wavefront.k1):
         for j, k2 in enumerate(wavefront.k2):
-            if family.length is not None:
-                length = family.length(k1, k2)
+            line = family.eval(k1, k2)
+            if isinstance(line, rs.TracedLine):
+                length = line.length
             else:
-                line = family.eval(k1, k2)
                 length = np.vecdot(line.q - family.anchor(k1, k2), line.u)
             excess[i, j] = length - wavefront.values[i, j]
     worst = 0.0
