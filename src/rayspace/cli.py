@@ -91,7 +91,7 @@ def cmd_trace(scene, args):
     grid = _opt(scene, args, "grid", 9)
     tol = _opt(scene, args, "tol", 1e-9)
     k1, k2 = _grid_axes(family, grid, 0.0)
-    _, u, q = _grid_lines(family, k1, k2)
+    _, u, q, _ = _grid_lines(family, k1, k2)
     residuals = np.maximum(abs(_norm(u) - 1.0), abs(np.vecdot(q, u)))
     worst = np.fmax.reduce(residuals, axis=None, initial=0.0)
     nodes = np.concatenate([u, q], axis=-1)

@@ -25,16 +25,17 @@ family has `vectorized=True`.  Its rows equal the single evaluations bit for
 bit.
 
 `one_form_integral` takes one segment or a batch of them and refines the
-batch level by level: the nodes of the segments not yet converged are one
-array, and each level evaluates all their new midpoints as one batch.
+batch level by level, by nested Clenshaw-Curtis quadrature on
+Chebyshev-Lobatto nodes: the nodes of the segments not yet converged are
+one array, and each level evaluates all their new nodes as one batch.
 `is_regular_point` takes one point or a batch.  `reconstruct_wavefront`
-evaluates its grid lines, integrates all its segments and checks the
-regularity of all its nodes in one batch each; `orthogonality_residual`
-evaluates the lines of all its nodes, for their optical lengths, in one
-batch, and `defect_grid` evaluates the stencil and centre lines of all its
-nodes and their immersion tests in one batch.  A single segment, point or
-defect is the batch of one.  Batches are evaluated at most _CHUNK rays per
-call.
+evaluates its grid lines, integrates all its segments from them and checks
+the regularity of all its nodes in one batch each, and keeps the grid
+lines with their optical lengths on the Wavefront, where
+`orthogonality_residual` reads them; `defect_grid` evaluates the stencil
+and centre lines of all its nodes and their immersion tests in one batch.
+A single segment, point or defect is the batch of one.  Batches are
+evaluated at most _CHUNK rays per call.
 
 A failing batch raises what its first failing item (parameter, segment or
 node) raises alone, and the error's `row` is that item's index.
@@ -45,7 +46,7 @@ which may still fail at a later stage, are then checked again as one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -77,7 +78,8 @@ from .surfaces import Plane, Sinusoid, Sphere
 
 # Rays per eval call in batched routines, which bounds the memory of one call.
 _CHUNK = 2048
-_MAX_POINTS = 4096  # the finest one-form subdivision
+_MAX_POINTS = 4096  # the finest one-form level
+_BLOCK = 1 << 15  # entries of the one-form differentiation matrix built at once
 _INTEGRAL_TOL = 1e-9  # one-form refinements stop once successive sums agree within it
 
 
@@ -341,17 +343,15 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     )
 
 
-def _foot_length(family: RayFamily, k1, k2):
-    """l at the foot points of the family's lines at (k1, k2): carried by a
-    TracedLine, or (q - anchor) . u."""
+def _line_and_length(family: RayFamily, k1, k2):
+    """The family's lines at (k1, k2) and l at their foot points: carried by
+    a TracedLine, or (q - anchor) . u; None if the family has neither."""
     line = family.eval(k1, k2)
     if isinstance(line, TracedLine):
-        length = line.length
-    else:
-        length = None if family.anchor is None else np.vecdot(line.q - family.anchor(k1, k2), line.u)
-    if length is None:
-        raise ValueError(f"{family.kind} family has no source wavefront: anchor its source rays on one")
-    return length
+        return line, line.length
+    if family.anchor is None:
+        return line, None
+    return line, np.vecdot(line.q - family.anchor(k1, k2), line.u)
 
 
 # ---------------------------------------------------------------------------
@@ -564,27 +564,26 @@ def _spreads(u0, anchor, us, qs, h: float):
 def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max_points: int = _MAX_POINTS):
     """Integral of u . dP along the straight parameter segment ka -> kb.
 
-    Romberg integration: trapezoid sums T on the polyline of exactly
-    evaluated lines, subdivided into m = 4, 8, 16, ... pieces, each
-    refinement evaluating only the new midpoints (the other nodes coincide
-    exactly with the previous level's).  Each level extends its Romberg row
-    by Richardson extrapolation of the previous level's row, up to three
-    columns: T (error O(h^2)), R1 = T + (T - T_prev) / 3 (O(h^4)) and
-    R2 = R1 + (R1 - R1_prev) / 15 (O(h^6)).  Refinement stops when the
-    highest column present at both levels (T at m = 8, R1 at m = 16, R2 from
-    m = 32 on) agrees with its previous value within tol, and that column's
-    new value is the integral.  A segment whose sum is NaN or infinite at a
-    level raises NoConvergenceError there, and so does one still refining
-    past max_points.
+    Nested Clenshaw-Curtis quadrature on Chebyshev-Lobatto nodes: level
+    m = 4, 8, 16, ... evaluates the lines at t_j = (1 - cos(pi j / m)) / 2,
+    j = 0 .. m, of the segment ka + t (kb - ka) (t = 0 and 1 are ka and kb
+    themselves), and applies the Clenshaw-Curtis rule of those nodes to
+    u . q', where q' is the exact derivative of the degree-m polynomial
+    interpolating q - q_0 at them (Trefethen, Spectral Methods in MATLAB,
+    ch. 6 and 12).  The nodes of level 2m with even index are level m's, bit
+    for bit, so each refinement evaluates only the m new nodes.  Refinement
+    stops when two successive levels agree within tol, and the finer value
+    is the integral.  A segment whose sum is NaN or infinite at a level
+    raises NoConvergenceError there, and so does one still refining past
+    max_points.
 
     ka and kb of shape (2,) give one segment and a float; shape (S, 2) gives
     S segments and an (S,) array.  The segments refine together: each level
-    evaluates the new midpoints of every segment not yet converged as one
-    batch (in calls of at most _CHUNK rays).  Each segment keeps its own
-    nodes, Romberg row and stopping test, all computed row by row, so
-    each value equals the single segment's bit for bit (the same nodes, the
-    same sums, the same extrapolation), and a failing batch raises what its
-    first failing segment raises alone.
+    evaluates the new nodes of every segment not yet converged as one batch
+    (in calls of at most _CHUNK rays).  Each segment keeps its own nodes,
+    sums and stopping test, all computed segment by segment, so each value
+    equals the single segment's bit for bit, and a failing batch raises
+    what its first failing segment raises alone.
     """
     ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
     if ka.ndim == 1:
@@ -592,70 +591,128 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
     return _one_form_levels(family, ka, kb, tol, max_points)
 
 
-def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int):
+@lru_cache(maxsize=None)
+def _cc_level(m: int):
+    """Level m (even) of the nested rules on [0, 1], read-only: the nodes
+    t_j = (1 - cos(pi j / m)) / 2, their Clenshaw-Curtis weights (Trefethen's
+    clencurt, halved for [0, 1]) over their barycentric weights, and the
+    barycentric weights (-1)^j, halved at both ends.  pi * 2j / 2m rounds
+    as pi * j / m does, so level 2m's nodes of even index are level m's, bit
+    for bit."""
+    j = np.arange(m + 1)
+    nodes = (1.0 - np.cos(np.pi * j / m)) / 2.0
+    inner = np.ones(m - 1)
+    for k in range(1, m // 2):
+        inner -= 2.0 * np.cos(np.pi * (2 * k * j[1:-1] % (2 * m)) / m) / (4 * k * k - 1)
+    inner -= np.cos(np.pi * j[1:-1]) / (m * m - 1)
+    weights = np.full(m + 1, 0.5 / (m * m - 1))
+    weights[1:-1] = inner / m
+    bary = np.where(j % 2, -1.0, 1.0)
+    bary[[0, -1]] = 0.5
+    level = nodes, weights / bary, bary
+    for a in level:
+        a.flags.writeable = False
+    return level
+
+
+def _cc_sums(us, qs):
+    """The Clenshaw-Curtis sums (S,) of u . q' over the nodes (S, m + 1, 3)
+    of level m of S segments.
+
+    q' = D (q - q_0) with D the differentiation matrix of the nodes,
+    D_ij = (b_j / b_i) / (t_i - t_j) off the diagonal (b the barycentric
+    weights) and minus the sum of its row on it.  The rows of D, scaled by
+    the weights, are built and applied _BLOCK entries at a time, the same
+    blocks for every S, and each segment's product is its own matrix
+    product of the same shape, so each sum is the single segment's bit for
+    bit.
+    """
+    nodes, scale, bary = _cc_level(us.shape[1] - 1)
+    n = len(nodes)
+    dq = qs - qs[:, :1]
+    total = 0.0
+    size = max(1, _BLOCK // n)
+    for a in range(0, n, size):
+        gap = nodes[a : a + size, None] - nodes
+        gap.reshape(-1)[a :: n + 1] = np.inf  # the diagonal
+        rows = scale[a : a + size, None] * bary / gap
+        rows.reshape(-1)[a :: n + 1] = -rows.sum(axis=1)
+        total = total + np.vecdot(us[:, a : a + size].reshape(len(us), -1), (rows @ dq).reshape(len(us), -1))
+    return total
+
+
+def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, ends=None):
     """one_form_integral of the segments ka[s] -> kb[s], refined together.
 
+    ends, when given, holds the lines already evaluated at ka and kb as
+    (S, 2, 2, 3): ends[s, e] is (u, q) at segment s's start (e = 0) or end;
+    the first level then evaluates only its interior nodes.
+
     The nodes of the live segments are two arrays (live, m + 1, 3).  Each
-    level evaluates the new midpoints of all live segments in one batch,
-    interleaves them with the kept nodes and sums every segment's trapezoids
-    in one reduction.  The nodes and the previous Romberg row of a segment
-    are dropped when it converges.  While a level is built, the previous
-    level's nodes, the new midpoints and the new nodes are all held, and
-    then the new nodes and the sums' terms: segments that never converge
-    peak at about two copies of their nodes at max_points.
+    level evaluates the new nodes of all live segments in one batch,
+    interleaves them with the kept nodes and takes every segment's sum.  The
+    nodes and previous sum of a segment are dropped when it converges.
+    While a level is built, the previous level's nodes, the new nodes and
+    the grown nodes are all held, and then the nodes and their differences
+    from q_0: segments that never converge peak at about two copies of
+    their nodes at max_points, plus one block of D.
     """
     values = np.empty(len(ka))
     span = kb - ka
     live = np.arange(len(ka))  # the segments not yet converged
     us = qs = None  # the live segments' nodes
-    prev = None  # per live segment, its previous Romberg row
+    prev = None  # per live segment, its previous sum
     m = 4
     while m <= max_points:
-        ts = np.linspace(0.0, 1.0, m + 1)
-        fresh = ts if us is None else ts[1::2]
+        nodes = _cc_level(m)[0]
+        ks = ka[live, None] + (nodes[1:-1] if us is None else nodes[1::2])[:, None] * span[live, None]
+        if us is None and ends is None:
+            ks = np.concatenate([ka[live, None], ks, kb[live, None]], axis=1)
         try:
-            u, q = _eval_rows(family, (ka[live, None] + fresh[:, None] * span[live, None]).reshape(-1, 2))
+            u, q = _eval_rows(family, ks.reshape(-1, 2))
         except RaySpaceError as exc:
-            exc.at(live[exc.row // len(fresh)])
+            exc.at(live[exc.row // ks.shape[1]])
             if exc.row:  # the segments before it may fail at a later level
-                _one_form_levels(family, ka[: exc.row], kb[: exc.row], tol, max_points)
+                _one_form_levels(family, ka[: exc.row], kb[: exc.row], tol, max_points, _head(ends, exc.row))
             raise
-        shape = (len(live), len(fresh), 3)
+        shape = ks.shape[:2] + (3,)
+        u, q = u.reshape(shape), q.reshape(shape)
         if us is None:
-            us, qs = u.reshape(shape), q.reshape(shape)
+            us, qs = u, q
+            if ends is not None:
+                us, qs = np.empty((2, len(live), m + 1, 3))
+                us[:, 1:-1], qs[:, 1:-1] = u, q
+                us[:, ::m], qs[:, ::m] = ends[:, :, 0], ends[:, :, 1]
         else:
             grown = np.empty((2, len(live), m + 1, 3))
             grown[0, :, 0::2], grown[1, :, 0::2] = us, qs
-            grown[0, :, 1::2], grown[1, :, 1::2] = u.reshape(shape), q.reshape(shape)
+            grown[0, :, 1::2], grown[1, :, 1::2] = u, q
             us, qs = grown
             del grown
         del u, q  # the nodes hold them now; free the copies before the sums
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sum raises below
-            terms = us[:, :-1] + us[:, 1:]
-            terms *= qs[:, 1:] - qs[:, :-1]
-            val = 0.5 * terms.reshape(len(live), -1).sum(axis=1)
-        del terms
+            val = _cc_sums(us, qs)
         bad = _first(~np.isfinite(val))
         if bad is not None:
             bad = live[bad]
             if bad:  # the segments before it may fail at a later level
-                _one_form_levels(family, ka[:bad], kb[:bad], tol, max_points)
+                _one_form_levels(family, ka[:bad], kb[:bad], tol, max_points, _head(ends, bad))
             raise NoConvergenceError(f"one-form sum over {m} pieces is not finite").at(bad)
-        row = val[:, None]
         if prev is not None:
-            top = prev.shape[1] - 1  # the highest column of both rows
-            row = np.empty((len(live), min(top + 2, 3)))
-            row[:, 0] = val
-            for c in range(1, row.shape[1]):
-                row[:, c] = row[:, c - 1] + (row[:, c - 1] - prev[:, c - 1]) / (4**c - 1)
-            going = ~(abs(row[:, top] - prev[:, top]) <= tol)
-            values[live[~going]] = row[~going, top]
-            live, row, us, qs = live[going], row[going], us[going], qs[going]
-            if not len(live):
+            done = abs(val - prev) <= tol
+            values[live[done]] = val[done]
+            if done.all():
                 return values
-        prev = row
+            going = ~done
+            live, val, us, qs = live[going], val[going], us[going], qs[going]
+        prev = val
         m *= 2
     raise NoConvergenceError("one-form integral did not converge under refinement").at(live[0])
+
+
+def _head(ends, count: int):
+    """The end lines of the first count segments, or None."""
+    return None if ends is None else ends[:count]
 
 
 def _calls(family: RayFamily, fn, ks):
@@ -692,12 +749,23 @@ def _nodes(k1, k2) -> np.ndarray:
 
 
 def _grid_lines(family: RayFamily, k1, k2):
-    """The nodes (n1, n2, 2) of the grid k1 x k2 and their lines' directions
-    and foot points (n1, n2, 3), from one batch in (i, j) order."""
+    """The nodes (n1, n2, 2) of the grid k1 x k2, their lines' directions
+    and foot points (n1, n2, 3) and l (n1, n2), or None for lines with no
+    source wavefront, from one batch in (i, j) order."""
     nodes = _nodes(k1, k2)
-    shape = (len(k1), len(k2), 3)
-    u, q = _eval_rows(family, nodes.reshape(-1, 2))
-    return nodes, u.reshape(shape), q.reshape(shape)
+    ks = nodes.reshape(-1, 2)
+    u, q, length = np.empty((len(ks), 3)), np.empty((len(ks), 3)), np.empty(len(ks))
+    for a, (line, l) in _calls(family, partial(_line_and_length, family), ks):
+        rows = slice(a, a + line.u.size // 3)
+        u[rows], q[rows] = line.u, line.q
+        if l is None:
+            length = None
+        elif length is not None:
+            length[rows] = l
+    shape = (len(k1), len(k2))
+    if length is not None:
+        length = length.reshape(shape)
+    return nodes, u.reshape(shape + (3,)), q.reshape(shape + (3,)), length
 
 
 @dataclass(frozen=True)
@@ -705,7 +773,9 @@ class Wavefront:
     """An orthogonal surface of a rectangular family, sampled on a grid.
 
     values[i, j] is the primitive F of u . dP with F = 0 at the base node;
-    points[i, j] = P(k) - (F(k) + c) u(k).
+    points[i, j] = P(k) - (F(k) + c) u(k).  u, q and length keep the grid
+    lines: direction, foot point P and l, the optical length from the
+    family's source wavefront (None for a family with no source wavefront).
     """
 
     k1: np.ndarray
@@ -715,6 +785,9 @@ class Wavefront:
     c: float
     base_index: tuple
     path_discrepancy: float
+    u: np.ndarray
+    q: np.ndarray
+    length: np.ndarray | None
 
     def to_csv(self) -> str:
         nodes = np.concatenate([self.points, self.values[..., None]], axis=2)
@@ -780,14 +853,18 @@ def reconstruct_wavefront(
     j0 = int(np.argmin(np.abs(k2s - k0[1])))
 
     n1, n2 = len(k1s), len(k2s)
-    nodes, us, qs = _grid_lines(family, k1s, k2s)
+    nodes, us, qs, lengths = _grid_lines(family, k1s, k2s)
 
-    # adjacent-node segment integrals in one batch: horizontal (along k1)
-    # column by column, then vertical row by row
-    rows = nodes.transpose(1, 0, 2)
-    starts = np.concatenate([rows[:, :-1].reshape(-1, 2), nodes[:, :-1].reshape(-1, 2)])
-    ends = np.concatenate([rows[:, 1:].reshape(-1, 2), nodes[:, 1:].reshape(-1, 2)])
-    seg = one_form_integral(family, starts, ends, tol=integral_tol)
+    # the integrals along the segments between adjacent nodes in one batch,
+    # from their end lines on: along k1 column by column, then along k2 row
+    # by row
+    index = np.arange(n1 * n2).reshape(n1, n2)
+    starts = np.concatenate([index[:-1].T.ravel(), index[:, :-1].ravel()])
+    stops = starts + np.repeat([n2, 1], [(n1 - 1) * n2, n1 * (n2 - 1)])
+    ks = nodes.reshape(-1, 2)
+    lines = np.stack([us.reshape(-1, 3), qs.reshape(-1, 3)], axis=1)
+    ends = lines[np.stack([starts, stops], axis=1)]
+    seg = _one_form_levels(family, ks[starts], ks[stops], integral_tol, _MAX_POINTS, ends)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 
@@ -802,8 +879,7 @@ def reconstruct_wavefront(
     points = qs - (values + c)[..., None] * us
 
     if check_regular:
-        ks, t = nodes.reshape(-1, 2), -(values + c).ravel()
-        _regular(family, ks, t, h, us.reshape(-1, 3), qs.reshape(-1, 3), strict=True)
+        _regular(family, ks, -(values + c).ravel(), h, lines[:, 0], lines[:, 1], strict=True)
 
     return Wavefront(
         k1=k1s,
@@ -813,19 +889,22 @@ def reconstruct_wavefront(
         c=c,
         base_index=(i0, j0),
         path_discrepancy=discrepancy,
+        u=us,
+        q=qs,
+        length=lengths,
     )
 
 
 def orthogonality_residual(family: RayFamily, wavefront: Wavefront) -> float:
     """max over the grid's edges of |delta (l - F)| / |delta Q|, skipping
-    edges whose points coincide: l, the optical length of the family's lines
-    (evaluated at all nodes in one batch), changes as F does along a
-    wavefront, and delta (l - F) is the integral of u . dQ along the
-    surface.  A family whose lines carry no l and that has no anchor to read
-    it off raises ValueError."""
-    ks = _nodes(wavefront.k1, wavefront.k2).reshape(-1, 2)
-    lengths = np.concatenate([np.ravel(v) for _, v in _calls(family, partial(_foot_length, family), ks)])
-    excess = lengths.reshape(wavefront.values.shape) - wavefront.values
+    edges whose points coincide: l, the optical length of the family's grid
+    lines (kept on the wavefront; no ray is evaluated), changes as F does
+    along a wavefront, and delta (l - F) is the integral of u . dQ along the
+    surface.  A wavefront whose lines carry no l, and had no anchor to read
+    it off, raises ValueError."""
+    if wavefront.length is None:
+        raise ValueError(f"{family.kind} family has no source wavefront: anchor its source rays on one")
+    excess = wavefront.length - wavefront.values
     worst = 0.0
     for axis in (0, 1):
         norm = _norm(np.diff(wavefront.points, axis=axis))

@@ -461,8 +461,7 @@ def design_focusing_mirror(
     wf = reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
 
     n1, n2 = len(wf.k1), len(wf.k2)
-    _, us, qs = _grid_lines(family, wf.k1, wf.k2)
-    u, q = us.reshape(-1, 3), qs.reshape(-1, 3)
+    u, q = wf.u.reshape(-1, 3), wf.q.reshape(-1, 3)
     t_front = -(wf.values + wavefront_c).reshape(-1)
 
     # Along the ray, g(t) = (t - t_front) + eps * |r + t u| - level with

@@ -324,6 +324,114 @@ def naive_orthogonality_residual(family, wavefront):
     return worst
 
 
+def naive_one_form(family, ka, kb, tol, max_points=4096):
+    """Romberg reference for the values of one_form_integral, a rule
+    independent of its Clenshaw-Curtis quadrature: returns the value, the
+    subdivision it stopped at and the Romberg column that stopped it.  Each
+    level re-evaluates all its nodes, in one call for a vectorized family.
+
+    Level j sums the trapezoids of m = 4 * 2**j pieces into R[j][0] and
+    raises NoConvergenceError if that sum is not finite; it extrapolates
+    R[j][c] = R[j][c-1] + (R[j][c-1] - R[j-1][c-1]) / (4**c - 1) for
+    c = 1 .. min(j, 2) and stops when R[j][c] - R[j-1][c] is within tol for
+    c = min(j - 1, 2), the highest column of both rows.
+    """
+    ka = np.asarray(ka, dtype=float)
+    kb = np.asarray(kb, dtype=float)
+    prev = None
+    m = 4
+    while m <= max_points:
+        ks = ka + np.linspace(0.0, 1.0, m + 1)[:, None] * (kb - ka)
+        if family.vectorized:
+            lines = family.eval(*ks.T)
+            us, qs = lines.u, lines.q
+        else:
+            lines = [family.eval(*k) for k in ks]
+            us = np.array([line.u for line in lines])
+            qs = np.array([line.q for line in lines])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives a NaN sum
+            row = [0.5 * float(np.sum((us[:-1] + us[1:]) * (qs[1:] - qs[:-1])))]
+        if not np.isfinite(row[0]):
+            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite")
+        if prev is not None:
+            for c in range(1, min(len(prev) + 1, 3)):
+                row.append(row[c - 1] + (row[c - 1] - prev[c - 1]) / (4**c - 1))
+            c = len(prev) - 1
+            if abs(row[c] - prev[c]) <= tol:
+                return row[c], m, c
+        prev = row
+        m *= 2
+    raise NoConvergenceError("reference did not converge")
+
+
+def clenshaw_curtis_oracle(m):
+    """Level m of the nested Chebyshev-Lobatto rule on [0, 1], entry by
+    entry: the nodes t_j = (1 - cos(pi j / m)) / 2, the Clenshaw-Curtis
+    weights w_j (Trefethen's clencurt for even m, halved for [0, 1]), and
+    G = diag(w) D with D the differentiation matrix of the nodes:
+    D_ij = (b_j / b_i) / (t_i - t_j) for i != j, b_j = (-1)^j halved at
+    both ends, and D_ii minus the sum of the rest of row i."""
+    j = np.arange(m + 1)
+    t = (1.0 - np.cos(np.pi * j / m)) / 2.0
+    w = np.empty(m + 1)
+    w[0] = w[m] = 0.5 / (m * m - 1)
+    sums = np.ones(m - 1)
+    for k in range(1, m // 2):
+        angle = np.pi * ((2 * k * j[1:-1]) % (2 * m)) / m
+        sums = sums - 2.0 * np.cos(angle) / (4 * k * k - 1)
+    sums = sums - np.cos(np.pi * j[1:-1]) / (m * m - 1)
+    w[1:-1] = sums / m
+    b = np.array([0.5] + [(-1.0) ** i for i in range(1, m)] + [0.5])
+    g = np.zeros((m + 1, m + 1))
+    for row in range(m + 1):
+        for col in range(m + 1):
+            if col != row:
+                g[row, col] = (w[row] / b[row]) * b[col] / (t[row] - t[col])
+        g[row, row] = -np.sum(g[row])
+    return t, w, g
+
+
+def naive_cc_one_form(family, ka, kb, tol, max_points=4096):
+    """Reference nested Clenshaw-Curtis integral that re-evaluates every
+    node of every level one at a time; returns the value and the level m it
+    stopped at.
+
+    Level m evaluates the lines at ka + t_j (kb - ka), with ka and kb
+    themselves at j = 0 and m, and sums w_j u_j . q'_j with q' = D (q - q_0)
+    (see clenshaw_curtis_oracle); a sum that is not finite raises
+    NoConvergenceError.  It stops at the first level within tol of the
+    previous one.
+    """
+    ka = np.asarray(ka, dtype=float)
+    kb = np.asarray(kb, dtype=float)
+    prev = None
+    m = 4
+    while m <= max_points:
+        t, _, g = clenshaw_curtis_oracle(m)
+        ks = [ka] + [ka + tj * (kb - ka) for tj in t[1:-1]] + [kb]
+        lines = [family.eval(*k) for k in ks]
+        us = np.array([np.ravel(line.u) for line in lines])
+        qs = np.array([np.ravel(line.q) for line in lines])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives a NaN sum
+            value = float(np.dot(us.ravel(), (g @ (qs - qs[0])).ravel()))
+        if not np.isfinite(value):
+            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite")
+        if prev is not None and abs(value - prev) <= tol:
+            return value, m
+        prev = value
+        m *= 2
+    raise NoConvergenceError("one-form integral did not converge under refinement")
+
+
+def wavefront_segments(k1, k2):
+    """The segments (start, end) of reconstruct_wavefront on the grid
+    k1 x k2, in its order: along k1 column by column, then along k2 row by
+    row."""
+    across = [((k1[i], k2[j]), (k1[i + 1], k2[j])) for j in range(len(k2)) for i in range(len(k1) - 1)]
+    along = [((k1[i], k2[j]), (k1[i], k2[j + 1])) for i in range(len(k1)) for j in range(len(k2) - 1)]
+    return across + along
+
+
 def node_defect_grid(family, grid=9, h=None, check_immersion=True):
     """defect_grid node by node in (i, j) order: the values, or the error
     of the first failing node."""
@@ -644,7 +752,7 @@ def design_focusing_mirror_oracle(
     wf = rs.reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
 
     n1, n2 = len(wf.k1), len(wf.k2)
-    _, us, qs = _grid_lines(family, wf.k1, wf.k2)
+    _, us, qs, _ = _grid_lines(family, wf.k1, wf.k2)
     points = np.empty((n1, n2, 3))
     for i in range(n1):
         for j in range(n2):

@@ -4,7 +4,7 @@ Every function of the ray core that takes (N, 3) arrays must give, row by
 row, bit for bit what the rows give alone, and a failing batch must raise
 exactly what its lowest-index failing ray raises alone.  One-form
 integration of a vectorized family evaluates each refinement level in one
-call, over the new midpoints only; a batch of segments, of regularity
+call, over the new nodes only; a batch of segments, of regularity
 points or of wavefront nodes gives what its items give one at a time, and
 raises what the first failing one raises.  So do a defect grid against the
 node by node loop and the sinusoid root search against one ray at a time.
@@ -36,7 +36,7 @@ from rayspace.errors import (
     TraceError,
 )
 import rayspace.families as families
-from rayspace.families import _CHUNK, _eval_rows, _require_inside, _spreads
+from rayspace.families import _CHUNK, _col, _eval_rows, _require_inside, _spreads
 from rayspace.lines import _ray
 from rayspace.scene import load_scene
 from rayspace.surfaces import _SCAN_SAMPLES
@@ -44,9 +44,12 @@ from rayspace.surfaces import _SCAN_SAMPLES
 from helpers import (
     aimed_line,
     chart_jacobian_oracle,
+    clenshaw_curtis_oracle,
     device_source,
     l_paths_oracle,
     make_device,
+    naive_cc_one_form,
+    naive_one_form,
     naive_orthogonality_residual,
     nested_sphere_system,
     node_defect_grid,
@@ -55,6 +58,7 @@ from helpers import (
     random_unit,
     sinusoid_first_root,
     stencil_defect,
+    wavefront_segments,
 )
 
 KINDS = ("plane", "sphere", "quadric", "sinusoid")
@@ -270,40 +274,6 @@ class TestFamilyBatch:
         assert not rs.RayFamily(fam.eval, fam.domain).vectorized
 
 
-def naive_one_form(family, ka, kb, tol, max_points=4096):
-    """Reference Romberg integral that re-evaluates every node of every level
-    one at a time; returns the value, the subdivision it stopped at and the
-    Romberg column that stopped it.
-
-    Level j sums the trapezoids of m = 4 * 2**j pieces into R[j][0] and
-    raises NoConvergenceError if that sum is not finite; it extrapolates
-    R[j][c] = R[j][c-1] + (R[j][c-1] - R[j-1][c-1]) / (4**c - 1) for
-    c = 1 .. min(j, 2) and stops when R[j][c] - R[j-1][c] is within tol for
-    c = min(j - 1, 2), the highest column of both rows.
-    """
-    ka = np.asarray(ka, dtype=float)
-    kb = np.asarray(kb, dtype=float)
-    prev = None
-    m = 4
-    while m <= max_points:
-        lines = [family.eval(*(ka + t * (kb - ka))) for t in np.linspace(0.0, 1.0, m + 1)]
-        us = np.array([line.u for line in lines])
-        qs = np.array([line.q for line in lines])
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives a NaN sum
-            row = [0.5 * float(np.sum((us[:-1] + us[1:]) * (qs[1:] - qs[:-1])))]
-        if not np.isfinite(row[0]):
-            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite")
-        if prev is not None:
-            for c in range(1, min(len(prev) + 1, 3)):
-                row.append(row[c - 1] + (row[c - 1] - prev[c - 1]) / (4**c - 1))
-            c = len(prev) - 1
-            if abs(row[c] - prev[c]) <= tol:
-                return row[c], m, c
-        prev = row
-        m *= 2
-    raise NoConvergenceError("reference did not converge")
-
-
 def _blemished(family, bad, bad_line):
     """The family evaluated one parameter at a time, with the line at the
     parameter bad replaced by bad_line(line)."""
@@ -320,8 +290,8 @@ def _blemished(family, bad, bad_line):
 class TestOneFormNodes:
     @staticmethod
     def check(ka, kb, tol):
-        """The integral against the reference, with its ray and call counts;
-        returns the Romberg column that stopped it."""
+        """The integral against the Clenshaw-Curtis oracle, with its ray and
+        call counts; returns the level it stopped at."""
         fam = rs.point_source([0.3, -0.2, 1.0], [0.1, 0.2, -1.0])
         calls = []
 
@@ -330,13 +300,12 @@ class TestOneFormNodes:
             return fam.eval(k1, k2)
 
         value = rs.one_form_integral(dataclasses.replace(fam, eval=counting), ka, kb, tol=tol)
-        reference, m, column = naive_one_form(fam, ka, kb, tol)
+        reference, m = naive_cc_one_form(fam, ka, kb, tol)
         assert value == reference
-        assert sum(calls) == m + 1  # every node of the final polyline, once
+        assert sum(calls) == m + 1  # every node of the final level, once
         assert len(calls) == int(np.log2(m)) - 1  # one call per level
-        plain = rs.RayFamily(lambda k1, k2: fam.eval(k1, k2), fam.domain)
-        assert rs.one_form_integral(plain, ka, kb, tol=tol) == value
-        return column
+        assert rs.one_form_integral(plain(fam), ka, kb, tol=tol) == value
+        return m
 
     @pytest.mark.parametrize(
         "ka, kb, tol",
@@ -347,24 +316,59 @@ class TestOneFormNodes:
         ],
     )
     def test_each_node_traced_once(self, ka, kb, tol):
-        assert self.check(ka, kb, tol) == 1  # stopped by the O(h^4) column at m = 16
+        assert self.check(ka, kb, tol) == 8  # the first two levels agree
 
-    def test_stopped_by_the_sixth_order_column(self):
-        assert self.check((-0.3, -0.3), (0.3, 0.3), 1e-13) == 2
+    def test_refines_to_a_tight_tolerance(self):
+        assert self.check((-0.3, -0.3), (0.3, 0.3), 1e-13) == 32
+
+    def test_levels_nest(self):
+        # level 2m's nodes of even index are level m's, bit for bit, and
+        # every level is the rule written out entry by entry
+        for m in 4 * 2 ** np.arange(10):
+            nodes, scale, bary = families._cc_level(int(m))
+            assert nodes.tobytes() == families._cc_level(int(2 * m))[0][::2].tobytes()
+            assert nodes[0] == 0.0 and nodes[-1] == 1.0
+            if m <= 64:
+                t, w, _ = clenshaw_curtis_oracle(int(m))
+                # the weights are kept over the barycentric weights, 1, -1
+                # or 0.5, which divide them exactly
+                assert nodes.tobytes() == t.tobytes() and (scale * bary).tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("m", [4, 8, 64, 256])
+    def test_rule_is_exact_on_polynomials(self, m, rng):
+        # u of degree m // 2 and q of degree m // 2 + 1: u . q' has degree m,
+        # which Clenshaw-Curtis integrates exactly; at m = 256 the
+        # differentiation matrix is applied in several blocks
+        t = families._cc_level(m)[0]
+        us = [np.polynomial.Polynomial(rng.normal(size=m // 2 + 1)) for _ in range(3)]
+        qs = [np.polynomial.Polynomial(rng.normal(size=m // 2 + 2)) for _ in range(3)]
+        u = np.stack([p(t) for p in us], axis=-1)
+        q = np.stack([p(t) for p in qs], axis=-1)
+        exact = sum((a * b.deriv()).integ()(1.0) for a, b in zip(us, qs))
+        got = families._cc_sums(u[None], q[None])
+        assert got.shape == (1,)
+        assert abs(got[0] - exact) <= 1e-12 * max(1.0, abs(exact))
+        # a stack of segments gives each segment's sum, bit for bit
+        stack = families._cc_sums(np.stack([u, 2.0 * u, u]), np.stack([q, q, -q]))
+        alone = [families._cc_sums(x[None], y[None])[0] for x, y in ((u, q), (2.0 * u, q), (u, -q))]
+        assert alone == list(stack)
 
     @pytest.mark.parametrize(
-        "t, bad_line, level",
-        [
-            (0.125, lambda line: (line.u, line.q * np.nan), 8),  # NaN from the second level on
-            (1.0, lambda line: (line.u, line.q + [np.inf, 0.0, 0.0]), 4),  # +inf at every level
-            (0.5, lambda line: (line.u, line.q + [np.inf, 0.0, 0.0]), 4),  # inf - inf: NaN
+        "node, bad_line, level",
+        [  # node (m, j): node j of level m
+            ((8, 1), lambda line: (line.u, line.q * np.nan), 8),  # NaN from the second level on
+            ((4, 4), lambda line: (line.u, line.q + [np.inf, 0.0, 0.0]), 4),  # +inf at every level
+            ((4, 2), lambda line: (line.u, line.q + [np.inf, 0.0, 0.0]), 4),  # inf - inf: NaN
         ],
         ids=["nan", "inf", "inf_inside"],
     )
-    def test_a_non_finite_sum_stops_at_its_level(self, t, bad_line, level):
+    def test_a_non_finite_sum_stops_at_its_level(self, node, bad_line, level):
         fam = rs.point_source([0.3, -0.2, 1.0], [1.0, 0.1, 0.2])  # u_x > 0 on every ray
-        ka, kb = np.array([[0.0, -0.1], [-0.1, 0.05]]), np.array([[0.05, 0.0], [0.1, 0.2]])
-        blemished = _blemished(fam, ka[1] + t * (kb[1] - ka[1]), bad_line)
+        # ka + (kb - ka) is not kb for the second segment: its end node is kb
+        ka, kb = np.array([[0.0, -0.1], [-0.1, 0.05]]), np.array([[0.05, 0.0], [0.1, 0.21]])
+        assert (ka[1] + (kb[1] - ka[1]) != kb[1]).any()
+        t = families._cc_level(node[0])[0][node[1]]
+        blemished = _blemished(fam, kb[1] if t == 1.0 else ka[1] + t * (kb[1] - ka[1]), bad_line)
         calls = []
 
         def counting(k1, k2):
@@ -375,17 +379,54 @@ class TestOneFormNodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # inf - inf in the sums stays quiet
             with pytest.raises(NoConvergenceError) as alone:
-                naive_one_form(blemished, ka[1], kb[1], 1e-6)
+                naive_cc_one_form(blemished, ka[1], kb[1], 1e-12)
             with pytest.raises(NoConvergenceError) as err:
-                rs.one_form_integral(counted, ka, kb, tol=1e-6)
+                rs.one_form_integral(counted, ka, kb, tol=1e-12)
         assert err.value.row == 1
         assert str(err.value) == str(alone.value) == f"one-form sum over {level} pieces is not finite"
-        _, m, _ = naive_one_form(fam, ka[0], kb[0], 1e-6)
+        _, m = naive_cc_one_form(fam, ka[0], kb[0], 1e-12)
         assert m > level
         # both segments up to the failing level, then the first one again
         # alone, since it might fail at a later level
         assert sum(calls) == 2 * (level + 1) + (m + 1)
         assert len(calls) == sum(calls)  # a plain family is evaluated row by row
+
+
+def _jump_family():
+    """Two point sources, one for k1 <= 0.02 and one beyond: u and q jump,
+    and no level of a segment across the jump comes within 1e-9 of the
+    last (its sums still move by about 1e-5 from m = 512 to 1024)."""
+    left = rs.point_source([0.3, -0.2, 1.0], [0.1, 0.2, -1.0])
+    right = rs.point_source([0.3, -0.2, 1.5], [0.3, 0.2, -1.0])
+
+    def _eval(k1, k2):
+        a, b = left.eval(k1, k2), right.eval(k1, k2)
+        beyond = _col(np.asarray(k1) > 0.02)
+        return rs.OrientedLine._exact(np.where(beyond, b.u, a.u), np.where(beyond, b.q, a.q))
+
+    return dataclasses.replace(left, eval=_eval)
+
+
+class TestOneFormFailure:
+    def test_a_segment_that_never_converges_stays_bounded(self):
+        fam = _jump_family()
+        ka = np.array([[-0.1, 0.0], [-0.1, 0.05], [-0.05, -0.1]])
+        kb = np.array([[-0.05, 0.0], [0.1, 0.05], [0.2, 0.1]])
+        with pytest.raises(NoConvergenceError) as alone:
+            naive_cc_one_form(fam, ka[1], kb[1], 1e-9, max_points=64)
+        assert str(alone.value) == "one-form integral did not converge under refinement"
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoConvergenceError) as err:
+                rs.one_form_integral(fam, ka, kb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == str(alone.value)
+        assert err.value.row == 1
+        # two segments of 4,097 nodes, held about twice, and one block of
+        # the differentiation matrix: a whole one would take 134 MB
+        assert peak < 16 * 2**20
 
 
 def _small_sphere_family():
@@ -396,15 +437,18 @@ def _small_sphere_family():
 
 
 class TestErrorOrder:
-    """The k and message that per-node evaluation gave before batching."""
+    """The k and message of the first failing node, as the Clenshaw-Curtis
+    oracle (or, for the grid, node by node evaluation) finds them."""
 
     @pytest.mark.parametrize(
         "ka, kb, k",
-        [((0.0, 0.0), (0.3, 0.3), 0.15), ((0.3, 0.3), (0.0, 0.0), 0.3)],
+        [((0.0, 0.0), (0.3, 0.3), 0.14999999999999997), ((0.3, 0.3), (0.0, 0.0), 0.3)],
     )
     def test_one_form_integral(self, ka, kb, k):
+        reference = outcome(lambda: naive_cc_one_form(_small_sphere_family(), ka, kb, 1e-9))
         with pytest.raises(FamilyTraceError) as err:
             rs.one_form_integral(_small_sphere_family(), ka, kb)
+        assert_same_error(err.value, reference)
         assert err.value.k == (k, k)
         assert str(err.value) == (
             f"at k=({k}, {k}): interface 0: "
@@ -460,7 +504,7 @@ class TestLateFailingBatch:
 def _tir_band_family():
     """A collimated beam leaving glass through a corrugated face whose slope
     exceeds the critical angle in narrow bands about y = 0, +-pi/2, ...: the
-    grid nodes pass, but refinement midpoints fall into the band."""
+    grid nodes pass, but refinement nodes fall into the band."""
     wavy = rs.Sinusoid(0.45, [0.0, 2.0])
     system = rs.OpticalSystem(
         (rs.Interface(wavy, rs.REFRACT, n_in=1.5, n_out=1.0),), ambient_index=1.5
@@ -473,23 +517,35 @@ class TestErrorOrderInsideTheBatch:
     """Several rays of one refinement level fail; the first one is named."""
 
     def test_one_form_level_two(self):
-        # the first level's nodes pass; the second level's midpoint 0.005 fails
+        # the first level's nodes pass; the second level's node 3 fails
+        fam = _tir_band_family()
+        reference = outcome(lambda: naive_cc_one_form(fam, (-0.22, 0.1), (0.38, 0.1), 1e-9))
         with pytest.raises(FamilyTraceError) as err:
-            rs.one_form_integral(_tir_band_family(), (-0.22, 0.1), (0.38, 0.1))
-        assert err.value.k == (0.004999999999999977, 0.1)
+            rs.one_form_integral(fam, (-0.22, 0.1), (0.38, 0.1))
+        assert_same_error(err.value, reference)
+        assert err.value.k == (-0.22 + families._cc_level(8)[0][3] * 0.6, 0.1) == (-0.03480502970952695, 0.1)
         assert str(err.value) == (
-            "at k=(0.004999999999999977, 0.1): interface 0: "
-            "total internal reflection: (n1/n2) sin(a1) = 1.00342 >= 1"
+            "at k=(-0.03480502970952695, 0.1): interface 0: "
+            "total internal reflection: (n1/n2) sin(a1) = 1.0021 >= 1"
         )
 
     def test_reconstruct_wavefront(self):
+        # the grid nodes pass; the first segment whose refinement fails alone
+        # is named
+        fam = _tir_band_family()
+        k1, k2 = families._grid_axes(fam, 9, fam.default_step())
+        for ka, kb in wavefront_segments(k1, k2):
+            reference = outcome(lambda: naive_cc_one_form(fam, ka, kb, 1e-9))
+            if isinstance(reference, RaySpaceError):
+                break
         with pytest.raises(FamilyTraceError) as err:
-            rs.reconstruct_wavefront(_tir_band_family(), (-0.06, 0.0), check_regular=False)
-        k = (-0.028750883883476477, -0.49998585786437627)
+            rs.reconstruct_wavefront(fam, (-0.06, 0.0), check_regular=False)
+        assert_same_error(err.value, reference)
+        k = (-0.041694691591112186, -0.49998585786437627)
         assert err.value.k == k
         assert str(err.value) == (
             f"at k={k}: interface 0: "
-            "total internal reflection: (n1/n2) sin(a1) = 1.00253 >= 1"
+            "total internal reflection: (n1/n2) sin(a1) = 1.00152 >= 1"
         )
 
 
@@ -594,6 +650,41 @@ class TestSegmentBatch:
         assert batch.shape == (1,) and batch[0] == value
 
 
+class TestAgainstRomberg:
+    """The Clenshaw-Curtis integrals at the default tol against the former
+    Romberg rule run to tol 1e-14: within 1e-9 per segment."""
+
+    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract", "mixed_device"])
+    def test_bundled_scenes(self, name):
+        scene = load_scene(str(SCENES / f"{name}.scene"))
+        fam = rs.transform_family(scene.family, scene.system)
+        segments = wavefront_segments(*families._grid_axes(fam, 9, fam.default_step()))
+        assert len(segments) == 144
+        starts, ends = np.array(segments).transpose(1, 0, 2)
+        values = rs.one_form_integral(fam, starts, ends)
+        for value, (ka, kb) in zip(values, segments):
+            assert abs(value - naive_one_form(fam, ka, kb, 1e-14)[0]) <= 1e-9
+
+    @pytest.mark.parametrize("surface", KINDS)
+    def test_random_families(self, surface):
+        # point sources traced through a surface of the given kind, and
+        # through a second random one at odd seeds; segments that fail alone
+        # (a ray misses, total internal reflection) are not compared, nor are
+        # those where Romberg's round-off stays above 1e-14
+        compared = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            kinds = [surface] + ([str(rng.choice(KINDS))] if seed % 2 else [])
+            fam = random_family(rng, "transformed", kinds)
+            for ka, kb in zip(random_params(rng, fam, 4), random_params(rng, fam, 4)):
+                value = outcome(lambda: rs.one_form_integral(fam, ka, kb))
+                reference = outcome(lambda: naive_one_form(fam, ka, kb, 1e-14))
+                if not isinstance(value, RaySpaceError) and not isinstance(reference, RaySpaceError):
+                    assert abs(value - reference[0]) <= 1e-9
+                    compared += 1
+        assert compared >= 20
+
+
 def node_is_regular(family, k, t):
     """is_regular_point one evaluation at a time: the centre line, then the
     four stencil lines."""
@@ -658,16 +749,41 @@ class TestWavefrontCalls:
         wf = rs.reconstruct_wavefront(
             counted, scene.options["k0"], c=scene.options["wavefront_c"], grid=9
         )
-        before = len(calls)
+        # one call each for the grid lines, the 3 interior nodes of the
+        # 144 segments' first level, their 4 new nodes at the second, where
+        # all converge, and the regularity stencils; node by node
+        # evaluation made 2,547
+        assert calls == [81, 3 * 144, 4 * 144, 4 * 81]
+        # the residual reads the grid lines' optical lengths off the
+        # wavefront and evaluates no ray
         residual = rs.orthogonality_residual(counted, wf)
-        # one call per grid, refinement level (per _CHUNK rays) and stencil
-        # batch; node by node evaluation made 2,547
-        assert len(calls) <= 40
-        assert max(calls) <= _CHUNK
-        # the residual evaluates the lines of the 81 nodes, with their
-        # optical lengths, in one batch
-        assert calls[before:] == [81]
-        assert residual < 1e-9
+        assert len(calls) == 4
+        assert residual < 1e-12
+
+    @pytest.mark.parametrize("name", ["point_plane", "mixed_device"])
+    def test_segments_reuse_the_grid_lines(self, name, monkeypatch):
+        # each segment integral equals one_form_integral of the segment,
+        # which evaluates its ends again, bit for bit
+        scene = load_scene(str(SCENES / f"{name}.scene"))
+        fam = rs.transform_family(scene.family, scene.system)
+        legs = []
+        real = families._l_paths
+
+        def kept(horiz, vert, i0, j0):
+            legs.append((horiz, vert))
+            return real(horiz, vert, i0, j0)
+
+        monkeypatch.setattr(families, "_l_paths", kept)
+        wf = rs.reconstruct_wavefront(fam, (0.03, -0.02), c=1.5, grid=5, check_regular=False)
+        (horiz, vert), = legs
+        segments = wavefront_segments(wf.k1, wf.k2)
+        starts, ends = np.array(segments).transpose(1, 0, 2)
+        alone = rs.one_form_integral(fam, starts, ends)
+        assert alone.tobytes() == np.concatenate([horiz.T.ravel(), vert.ravel()]).tobytes()
+        # the wavefront keeps the grid lines it integrated from
+        lines = fam.eval(*families._nodes(wf.k1, wf.k2).reshape(-1, 2).T)
+        assert wf.u.tobytes() == lines.u.tobytes() and wf.q.tobytes() == lines.q.tobytes()
+        assert wf.length.tobytes() == lines.length.tobytes()
 
     def test_custom_family_gives_the_same_wavefront(self):
         fam = rs.point_source([0, 0, 5], [0.1, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
@@ -770,20 +886,18 @@ class TestErrorOrderOfWavefrontBatches:
         assert str(err.value) == f"wavefront point at k=({k}, {k}) is not regular"
 
     def test_lowest_node_off_the_mirror_raises(self):
-        # a wavefront built on a large mirror, checked against the family of
-        # a smaller one that the rays of the nodes with k1 >= 0 may miss
-        source = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.3, 0.3), (-0.3, 0.3)))
-        large = rs.OpticalSystem((rs.Interface(rs.Sphere([0, -0.9, -3.0], 3.0), rs.REFLECT, 1.0),))
-        wf = rs.reconstruct_wavefront(rs.transform_family(source, large), (0.0, 0.0), grid=5)
+        # the rays of the grid nodes with k1 >= 0 may miss the mirror; the
+        # grid lines are evaluated in one batch, before any segment
         fam = _sphere_edge_family()
-        reference = outcome(lambda: naive_orthogonality_residual(fam, wf))
+        k1, k2 = families._grid_axes(fam, 5, fam.default_step())
+        reference = outcome(lambda: [fam.eval(a, b) for a in k1 for b in k2])
         assert isinstance(reference, FamilyTraceError)
         with pytest.raises(FamilyTraceError) as err:
-            rs.orthogonality_residual(fam, wf)
+            rs.reconstruct_wavefront(fam, (0.0, 0.0), grid=5)
         assert_same_error(err.value, reference)
         # the lowest failing node is the first of the centre column, k1 = 0
-        assert err.value.k == (0.0, wf.k2[0])
-        assert err.value.row == 2 * len(wf.k2)
+        assert err.value.k == (0.0, k2[0])
+        assert err.value.row == 2 * len(k2)
 
     def test_failing_line_names_its_node(self):
         # a family that is not vectorized is evaluated at the nodes, row by row
@@ -797,10 +911,10 @@ class TestErrorOrderOfWavefrontBatches:
             return fam.eval(k1, k2)
 
         failing = rs.RayFamily(_eval, fam.domain, anchor=fam.anchor)
-        reference = outcome(lambda: naive_orthogonality_residual(failing, wf))
+        reference = outcome(lambda: [failing.eval(a, b) for a in wf.k1 for b in wf.k2])
         assert isinstance(reference, FamilyTraceError)
         with pytest.raises(FamilyTraceError) as err:
-            rs.orthogonality_residual(failing, wf)
+            rs.reconstruct_wavefront(failing, (0.05, -0.03), c=2.0, grid=5)
         assert_same_error(err.value, reference)
         assert err.value.k == bad[0]
         assert err.value.row == 1 * len(wf.k2) + 3

@@ -71,7 +71,7 @@ def level_residuals(design, family, k0, grid=9, h=None, **_):
         scale = 1 + |t| + |t_front| + |level| + |X - focus|
     """
     wf = rs.reconstruct_wavefront(family, k0, c=design.wavefront_c, grid=grid, h=h)
-    _, u, q = _grid_lines(family, design.k1, design.k2)
+    _, u, q, _ = _grid_lines(family, design.k1, design.k2)
     t_front = -(wf.values + design.wavefront_c)
     t = np.vecdot(u, design.points - q)
     dist = _norm(design.points - design.focus)
@@ -227,7 +227,7 @@ class TestRootRules:
         # earlier node is named
         src = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
         wf = rs.reconstruct_wavefront(src, (0, 0), c=-1.0, grid=3)
-        _, us, qs = _grid_lines(src, wf.k1, wf.k2)
+        us, qs = wf.u, wf.q
         a, e1, e2 = _frame([0, 0, 1])
         focus = 300.0 * e1 + 100.0 * e2 + 0.5 * a
         limit = (wf.values - 1.0) + np.vecdot(us, focus - qs)

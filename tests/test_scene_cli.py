@@ -514,8 +514,8 @@ def edited_scene(data):
 
 class TestWavefrontRayBudget:
     """The rays CLI `wavefront` evaluates on the bundled 9x9 jobs: grid
-    lines, one-form refinement nodes, regularity stencils, and the grid
-    nodes' optical lengths."""
+    lines, one-form refinement nodes and regularity stencils; the optical
+    lengths ride on the grid lines."""
 
     @pytest.mark.parametrize("name", ["point_plane", "sphere_refract"])
     def test_rays_per_job(self, tmp_path, name):
@@ -540,9 +540,11 @@ class TestWavefrontRayBudget:
         with mock.patch.object(cli, "transform_family", counted):
             with mock.patch.object(families, "propagate_system", propagate):
                 assert main(argv) == 0
-        # 2,853 for the reconstruction and 81 for the optical lengths; the
-        # 324 probe integrals of the former residual took 2,916 more
-        assert sum(rays) <= 2934
+        # 81 grid lines, then the 3 interior nodes of the 144 segments'
+        # first Clenshaw-Curtis level and their 4 new nodes at the second,
+        # where all converge, then 4 stencil lines per node: 1,413 rays in 4
+        # calls
+        assert rays == [81, 432, 576, 324]
         # every ray is traced by an evaluation of the family, once
         assert traces == rays
         report = read_report(tmp_path / "report.txt")
