@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import families, variational
-from .errors import FamilyTraceError, RaySpaceError, SceneSyntaxError, TraceError
+from .errors import FamilyTraceError, RaySpaceError, SceneSyntaxError, TraceError, _lowest_failure
 from .families import (
     _default_tol,
     _fmt,
@@ -177,9 +177,8 @@ def _interface_jacobians(ks, lines, starts, interfaces, step):
     interface, at the sampled lines (parameters ks) as they arrive there
     from their starts: one chart_jacobian batch per interface.
 
-    Raises what the samples, taken one at a time and each through every
-    interface in turn, would raise first: if sample j fails, samples
-    0 ... j-1 are checked again alone, and an error of theirs wins.
+    Fails as the samples taken one at a time, each through every interface
+    in turn, would (see `errors`); the stages are the interfaces.
     """
     jacobians = []
     line, start = lines, starts
@@ -208,11 +207,10 @@ def _interface_jacobians(ks, lines, starts, interfaces, step):
                 result, samples = traced[-1], slice(0, None, 9)
                 line = _ray(result.line_out, samples)
                 start = line.point_at(_cursor_past(line, result.hits[0].point[samples]))
-    except RaySpaceError as exc:
-        if exc.row:  # the samples before it may fail at a later stage
-            before = slice(exc.row)
-            _interface_jacobians(ks[before], _ray(lines, before), starts[before], interfaces, step)
-        raise
+    except RaySpaceError as exc:  # the samples before it may fail at a later interface
+        raise _lowest_failure(
+            exc, lambda m: _interface_jacobians(ks[:m], _ray(lines, slice(m)), starts[:m], interfaces, step)
+        )
     return jacobians
 
 

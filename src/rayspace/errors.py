@@ -3,6 +3,17 @@
 Everything raised deliberately by this package derives from RaySpaceError, so
 callers (and the command line driver) can distinguish numerical/geometric
 failures from programming errors.
+
+Batches.  A routine that takes a batch of items (rays, parameters, segments,
+nodes, samples) gives what its items give one at a time: a failing batch
+raises exactly what its lowest failing item raises alone, with that item's
+index in the batch as the error's `row`.  A batch runs in stages, each over
+all its items, and stops at the first stage where an item fails, with the
+error of the lowest item failing there.  The items before it passed that
+stage but may fail a later one, so they are run again as one batch
+(`_lowest_failure`), and an error of theirs wins.  Each such run can only
+fail at a later stage, so a failing batch takes at most one more run per
+stage, and no item is run on its own.
 """
 
 from __future__ import annotations
@@ -21,6 +32,16 @@ class RaySpaceError(Exception):
         """The error, naming item `row` of its batch."""
         self.row = int(row)
         return self
+
+
+def _lowest_failure(exc, rerun):
+    """The error a failing batch raises: that of its items before exc.row,
+    which rerun(exc.row) runs again as a batch of its own, or exc if they
+    pass.  exc is the error of the lowest item failing at the batch's first
+    failing stage, its `row` already the item's index."""
+    if exc.row:
+        rerun(exc.row)
+    return exc
 
 
 class ZeroDirectionError(RaySpaceError):

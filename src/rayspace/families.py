@@ -35,12 +35,8 @@ lines with their optical lengths on the Wavefront, where
 `orthogonality_residual` reads them; `defect_grid` evaluates the stencil
 and centre lines of all its nodes and their immersion tests in one batch.
 A single segment, point or defect is the batch of one.  Batches are
-evaluated at most _CHUNK rays per call.
-
-A failing batch raises what its first failing item (parameter, segment or
-node) raises alone, and the error's `row` is that item's index.
-A batch stops at the first stage where an item fails; the items before it,
-which may still fail at a later stage, are then checked again as one batch.
+evaluated at most _CHUNK rays per call, and fail as `errors` sets out, the
+error's `row` naming the parameter, segment or node.
 """
 
 from __future__ import annotations
@@ -59,7 +55,7 @@ from .errors import (
     NonRegularError,
     NotRectangularError,
     RaySpaceError,
-    TraceError,
+    _lowest_failure,
 )
 from .lines import (
     OrientedLine,
@@ -113,8 +109,7 @@ class RayFamily:
     `transform_family` carry their l instead, as TracedLine.
     `vectorized` declares that `eval` and `anchor` also accept arrays of
     parameters and return the batch of their values, row by row, and that a
-    failing batch raises what its first failing parameter raises alone,
-    with `row` set to its index.
+    failing batch fails as `errors` sets out.
     """
 
     eval: Callable[[float, float], OrientedLine]
@@ -312,13 +307,11 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
             base = family.eval(k1, k2)
             start = family.start_point(k1, k2)
             result = propagate_system(base, system, start=start)
-        except RaySpaceError as exc:
+        except RaySpaceError as exc:  # the parameters before it may fail in the system
             k1, k2 = np.broadcast_arrays(k1, k2)
             row = exc.row if k1.ndim else ()
-            if row and not isinstance(exc, TraceError):
-                # the parameters before it pass `family` but may fail in the system
-                _trace(k1[:row], k2[:row])
-            raise FamilyTraceError((k1[row], k2[row]), exc) from exc
+            err = FamilyTraceError((k1[row], k2[row]), exc)
+            raise _lowest_failure(err, lambda m: _trace(k1[:m], k2[:m])) from exc
         return base, start, result, result.hits[-1].point if result.hits else start
 
     def _eval(k1, k2):
@@ -375,20 +368,17 @@ def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
 
     One evaluation of the stencil lines of all nodes, plus their centre lines
     when check_immersion is set; ImmersionError names the first node whose
-    stencil does not have rank 2.  A failing batch raises what the node by
-    node loop raised: a node's four stencil lines, its centre line, then its
-    immersion test.  The error's row is the node.
+    stencil does not have rank 2.  The stages: all the lines, then the
+    immersion tests; the error's row is the node.
     """
     rows = ks[:, None] + _stencil(2, h)  # +k1, -k1, +k2, -k2
     if check_immersion:
         rows = np.concatenate([rows, ks[:, None]], axis=1)
     try:
         u, q = _eval_rows(family, rows.reshape(-1, 2))
-    except RaySpaceError as exc:
+    except RaySpaceError as exc:  # the nodes before it may fail their immersion test
         exc.row //= rows.shape[1]
-        if check_immersion and exc.row:  # the nodes before it may fail their immersion test
-            _defects(family, ks[: exc.row], h, check_immersion)
-        raise
+        raise _lowest_failure(exc, lambda m: _defects(family, ks[:m], h, check_immersion))
     us = u.reshape(rows.shape[:2] + (3,))
     qs = q.reshape(rows.shape[:2] + (3,))
     if check_immersion:
@@ -425,6 +415,8 @@ def defect(family: RayFamily, k, h: float | None = None) -> float:
 
 
 def _grid_axes(family: RayFamily, grid, inset: float):
+    """The axes k1, k2 of a grid inset from the domain edges by `inset`, the
+    half-width of the stencils at its nodes, which must stay inside."""
     if isinstance(grid, int):
         n1 = n2 = grid
     else:
@@ -434,6 +426,9 @@ def _grid_axes(family: RayFamily, grid, inset: float):
     (a1, b1), (a2, b2) = family.domain
     k1 = np.linspace(a1 + inset, b1 - inset, n1)
     k2 = np.linspace(a2 + inset, b2 - inset, n2)
+    # the nodes run from a + inset to b - inset on each axis, so every
+    # node's stencil fits if the first node's does
+    _require_inside(family, (k1[0], k2[0]), inset)
     return k1, k2
 
 
@@ -512,29 +507,22 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     try:
         _require_inside(family, ks, h)
         u0, q0 = _eval_rows(family, ks)
-    except RaySpaceError as exc:
-        if exc.row:  # the points before it may fail on their stencil lines
-            is_regular_point(family, ks[: exc.row], t[: exc.row], h)
-        raise
+    except RaySpaceError as exc:  # the points before it may fail on their stencil lines
+        raise _lowest_failure(exc, lambda m: is_regular_point(family, ks[:m], t[:m], h))
     return _regular(family, ks, t, h, u0, q0)
 
 
 def _regular(family: RayFamily, ks, t, h: float, u0, q0, strict: bool = False):
     """is_regular_point at the rows of ks (N, 2) and t (N,), whose centre
-    lines (u0, q0) are given.  With strict, NonRegularError names the first
-    point that is not regular, after the errors of the points before it."""
+    lines (u0, q0) are given and whose stencils lie inside the domain.  With
+    strict, NonRegularError names the first point that is not regular, a
+    stage after the stencil lines."""
     try:
-        _require_inside(family, ks, h)
-        try:
-            us, qs = _eval_rows(family, (ks[:, None] + _stencil(2, h)).reshape(-1, 2))
-        except RaySpaceError as exc:
-            exc.row //= 4  # the point
-            raise
-    except RaySpaceError as exc:
-        if strict and exc.row:  # the points before it may still fail or not be regular
-            before = slice(exc.row)
-            _regular(family, ks[before], t[before], h, u0[before], q0[before], strict)
-        raise
+        us, qs = _eval_rows(family, (ks[:, None] + _stencil(2, h)).reshape(-1, 2))
+    except RaySpaceError as exc:  # the points before it may not be regular
+        raise _lowest_failure(
+            exc.at(exc.row // 4), lambda m: _regular(family, ks[:m], t[:m], h, u0[:m], q0[:m], strict)
+        )
     shape = (len(ks), 4, 3)
     regular = _spreads(u0, q0 + t[:, None] * u0, us.reshape(shape), qs.reshape(shape), h)
     bad = _first(~regular)
@@ -582,8 +570,7 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
     evaluates the new nodes of every segment not yet converged as one batch
     (in calls of at most _CHUNK rays).  Each segment keeps its own nodes,
     sums and stopping test, all computed segment by segment, so each value
-    equals the single segment's bit for bit, and a failing batch raises
-    what its first failing segment raises alone.
+    equals the single segment's bit for bit; the stages are the levels.
     """
     ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
     if ka.ndim == 1:
@@ -657,6 +644,9 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
     from q_0: segments that never converge peak at about two copies of
     their nodes at max_points, plus one block of D.
     """
+    def before(count):  # the first count segments, from their first level
+        _one_form_levels(family, ka[:count], kb[:count], tol, max_points, None if ends is None else ends[:count])
+
     values = np.empty(len(ka))
     span = kb - ka
     live = np.arange(len(ka))  # the segments not yet converged
@@ -670,11 +660,8 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
             ks = np.concatenate([ka[live, None], ks, kb[live, None]], axis=1)
         try:
             u, q = _eval_rows(family, ks.reshape(-1, 2))
-        except RaySpaceError as exc:
-            exc.at(live[exc.row // ks.shape[1]])
-            if exc.row:  # the segments before it may fail at a later level
-                _one_form_levels(family, ka[: exc.row], kb[: exc.row], tol, max_points, _head(ends, exc.row))
-            raise
+        except RaySpaceError as exc:  # the segments before it may fail at a later level
+            raise _lowest_failure(exc.at(live[exc.row // ks.shape[1]]), before)
         shape = ks.shape[:2] + (3,)
         u, q = u.reshape(shape), q.reshape(shape)
         if us is None:
@@ -694,10 +681,8 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
             val = _cc_sums(us, qs)
         bad = _first(~np.isfinite(val))
         if bad is not None:
-            bad = live[bad]
-            if bad:  # the segments before it may fail at a later level
-                _one_form_levels(family, ka[:bad], kb[:bad], tol, max_points, _head(ends, bad))
-            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite").at(bad)
+            err = NoConvergenceError(f"one-form sum over {m} pieces is not finite")
+            raise _lowest_failure(err.at(live[bad]), before)
         if prev is not None:
             done = abs(val - prev) <= tol
             values[live[done]] = val[done]
@@ -708,11 +693,6 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
         prev = val
         m *= 2
     raise NoConvergenceError("one-form integral did not converge under refinement").at(live[0])
-
-
-def _head(ends, count: int):
-    """The end lines of the first count segments, or None."""
-    return None if ends is None else ends[:count]
 
 
 def _calls(family: RayFamily, fn, ks):

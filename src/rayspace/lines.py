@@ -338,12 +338,11 @@ def chart_jacobian(
     chart_out), with an array of one chart per line for a batch.
 
     A batch gives bit for bit the Jacobians of its lines taken one at a
-    time.  A failing batch raises at the first stage where any line fails:
-    the input charts, the stencil lines, the map (an error of the transform
-    names its row of the nine-row blocks), then the output charts.  The
-    error is that of the lowest line failing there, with the line's index as
-    `row`; the lines before it pass that stage but may fail a later one, so
-    a caller that needs the line by line order maps them again.
+    time.  Its stages: the input charts, the stencil lines, the map (an
+    error of the transform names its row of the nine-row blocks), then the
+    output charts.  A failing batch raises the error of the lowest line
+    failing at the first of them, with the line's index as `row`, and does
+    not run the lines before it again: its caller does (see `errors`).
     """
     single = line.u.ndim == 1
     if single:

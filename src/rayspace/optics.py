@@ -12,12 +12,9 @@ Shapes: `reflect_direction`, `refract_direction` and `Interface.bend` take
 `propagate_system` take a single OrientedLine or a batch, and `start` may be
 one point per line.
 For a batch, hit fields and `optical_length` gain a leading axis of length N.
-A batch gives bit for bit the per-ray results, and a failing batch raises
-what its lowest-index failing ray raises alone (for `propagate_system`, the
-same TraceError with the same interface index), with that ray's index as
-the error's `row`.  A batch stops at the first check where a ray fails (the
-hit, then the new direction, interface by interface); the rays before it,
-which may fail at a later check, are then traced again as one batch.
+A batch gives bit for bit the per-ray results and fails as `errors` sets
+out (for `propagate_system`, with the same TraceError and interface index);
+its stages are the hit, then the new direction, interface by interface.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from .errors import (
     RaySpaceError,
     TotalInternalReflectionError,
     TraceError,
+    _lowest_failure,
 )
 from .lines import OrientedLine, _any, _as_vecs, _first, _norm, _out, _ray, line_through
 from .surfaces import TRANSVERSE_TOL, Intersection, intersect
@@ -187,12 +185,9 @@ def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> T
         raise ValueError("start point does not lie on the line")
     try:
         return _propagate(line, system, start, _out(along))
-    except TraceError as exc:
-        if exc.row:  # the rays before it may still fail at a later interface
-            before = slice(exc.row)
-            starts = np.broadcast_to(start, line.u.shape)[before]
-            propagate_system(_ray(line, before), system, starts)
-        raise
+    except TraceError as exc:  # the rays before it may still fail at a later interface
+        starts = np.broadcast_to(start, line.u.shape)
+        raise _lowest_failure(exc, lambda m: propagate_system(_ray(line, slice(m)), system, starts[:m]))
 
 
 def _propagate(line: OrientedLine, system: OpticalSystem, start, t_cursor) -> TraceResult:

@@ -29,16 +29,14 @@ Shapes: `value`, `gradient`, `roots` and `intersect` take one point or line,
 one value per line.  `roots` returns (k,) or (N, k) candidates (k = 1 for
 Plane and Sinusoid, 2 for Sphere and Quadric).  The Sinusoid searches all the
 rays of a batch at once, a single ray being the batch of one.  A batch gives
-bit for bit the per-ray results, and a failing batch raises what its
-lowest-index failing ray raises alone, with that ray's index as the error's
-`row`; when the root search fails, `intersect` checks the rays before it,
-which may miss, as one batch.  A chart's `embed` and `jacobian` take one
-coordinate pair, (2,), or a batch, (N, 2), and give (3,) or (N, 3) points
-and (3, 2) or (N, 3, 2) Jacobians, a batch bit for bit the per-point
-results; its `evaluate` gives both from one evaluation, bit for bit the
-same.  A quadric chart leaving its sheet raises for the lowest failing
-point, with its index as `row`.  `invert` and `normal_at` work on one point
-at a time.
+bit for bit the per-ray results and fails as `errors` sets out; `intersect`
+runs in two stages, the root search, then the hit checks.  A chart's
+`embed` and `jacobian` take one coordinate pair, (2,), or a batch, (N, 2),
+and give (3,) or (N, 3) points and (3, 2) or (N, 3, 2) Jacobians, a batch
+bit for bit the per-point results; its `evaluate` gives both from one
+evaluation, bit for bit the same.  A quadric chart leaving its sheet raises
+for the lowest failing point, with its index as `row`.  `invert` and
+`normal_at` work on one point at a time.
 
 A chart is its kind's formulas and its own parameters.  Each kind's
 formulas are written once, over a stack of m charts whose parameters carry a
@@ -67,6 +65,7 @@ from .errors import (
     OffSurfaceError,
     RaySpaceError,
     TangentialError,
+    _lowest_failure,
 )
 from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _first, _frame, _norm, _out, _ray
 
@@ -698,12 +697,9 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DE
     """
     try:
         ts = surface.roots(line, t_min, t_max)
-    except RaySpaceError as exc:
-        if exc.row:  # the rays before it may still miss
-            before = slice(exc.row)
-            lows = np.broadcast_to(t_min, line.u.shape[:1])[before]
-            intersect(_ray(line, before), surface, lows, t_max)
-        raise
+    except RaySpaceError as exc:  # the rays before it may still miss
+        lows = np.broadcast_to(t_min, line.u.shape[:1])
+        raise _lowest_failure(exc, lambda m: intersect(_ray(line, slice(m)), surface, lows[:m], t_max))
     t_min = np.asarray(t_min, dtype=float)
     ts[ts <= t_min[..., None]] = np.nan  # candidates at or behind the start
     t = np.fmin.reduce(ts, axis=-1)  # the nearest one ahead, NaN if none

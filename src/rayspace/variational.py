@@ -48,6 +48,7 @@ from .errors import (
     NotRectangularError,
     RaySpaceError,
     TangentialError,
+    _lowest_failure,
 )
 from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
 from .lines import _as_vec3, _first, _norm, _stencil, line_through
@@ -188,9 +189,9 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
     (None without), from one evaluation of each of pc's chart stacks.
 
     Every row is checked for consecutive points closer than 1e-9, the
-    check of every PathConfiguration.  A failing stack raises what its
-    lowest failing row raises alone, with that row as `row`: the error of
-    the first failing chart in it, in system order.
+    check of every PathConfiguration.  The stages: the chart stacks, then
+    that check; a row failing in several stacks raises the error of its
+    first failing chart, in system order.
     """
     n, m = xs.shape[0], len(pc.charts)
     paths = np.empty((n, m + 2, 3))
@@ -211,12 +212,9 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
         inner[:, stack.index] = points
         if jacobians:
             jacs[:, stack.index] = jac
-    if failures:
+    if failures:  # the rows before it may have coincident points
         row, _, exc = min(failures, key=lambda failure: failure[:2])
-        if row:  # the rows before it may have coincident points
-            _polylines(pc, xs[:row])
-        exc.row = row
-        raise exc
+        raise _lowest_failure(exc.at(row), lambda m: _polylines(pc, xs[:m]))
     segments = paths[:, 1:] - paths[:, :-1]
     lengths = _norm(segments)
     row = _first(np.any(lengths < 1e-9, axis=1))
@@ -485,6 +483,11 @@ def design_focusing_mirror(
     node = _first(failed)
     if node is not None:
         raise NoRootError((wf.k1[node // n2], wf.k2[node % n2]))
+    # one Newton step on g takes the root from the rounding of the squared
+    # equation to that of g itself
+    x = r + root[:, None] * u
+    dist = _norm(x)
+    root -= (root - t_front + eps * dist - level) / (1.0 + eps * np.vecdot(u, x) / dist)
 
     return MirrorDesign(
         k1=wf.k1,

@@ -102,6 +102,11 @@ def assert_same_error(batch_exc, single_exc):
     assert type(getattr(batch_exc, "cause", None)) is type(getattr(single_exc, "cause", None))
 
 
+def first_failure(singles):
+    """The index of the first error among items' outcomes, None if none."""
+    return next((i for i, s in enumerate(singles) if isinstance(s, RaySpaceError)), None)
+
+
 def assert_row_equal(batch, i, single):
     """Trace results: row i of the batch equals the single trace, bit for bit."""
     assert np.array_equal(batch.line_out.u[i], single.line_out.u)
@@ -124,10 +129,11 @@ def check_batch_against_singles(system, starts, dirs):
         assert np.array_equal(line.u, lines.u[i]) and np.array_equal(line.q, lines.q[i])
         singles.append(outcome(lambda: rs.propagate_system(line, system, start=starts[i])))
     batch = outcome(lambda: rs.propagate_system(lines, system, start=starts))
-    failures = [s for s in singles if isinstance(s, RaySpaceError)]
-    if failures:
+    first = first_failure(singles)
+    if first is not None:
         assert isinstance(batch, RaySpaceError)
-        assert_same_error(batch, failures[0])
+        assert_same_error(batch, singles[first])
+        assert batch.row == first
         good = [i for i, s in enumerate(singles) if not isinstance(s, RaySpaceError)]
         if good:  # the rays that pass alone also pass together
             sub = rs.propagate_system(
@@ -199,6 +205,8 @@ class TestLowestIndexFailure:
             (("pass", "graze", "tir", "miss"), (1, TangentialError)),
             (("miss", "pass", "graze"), (1, NoIntersectionError)),
             (("pass", "pass", "tir"), (0, TotalInternalReflectionError)),
+            # row 1 fails at interface 0, row 0 only at interface 1
+            (("miss", "tir"), (1, NoIntersectionError)),
         ],
     )
     def test_trace_error_of_first_failing_ray(self, names, expected):
@@ -429,6 +437,68 @@ class TestOneFormFailure:
         assert peak < 16 * 2**20
 
 
+def _staircase_family():
+    """_jump_family, failing in three windows: where k2 = 0.05 and
+    -0.075 < k1 < -0.065, where k2 = -0.1 and -0.055 < k1 < -0.045, and
+    where k2 = 0.1 and -0.06 < k1 < -0.05; and the list of the number of
+    rays of each eval call."""
+    jump = _jump_family()
+    rays = []
+
+    def _eval(k1, k2):
+        rays.append(np.size(k1))
+        k1, k2 = np.asarray(k1), np.asarray(k2)
+        late = (k2 == 0.05) & (-0.075 < k1) & (k1 < -0.065)
+        early = (k2 == -0.1) & (-0.055 < k1) & (k1 < -0.045)
+        latest = (k2 == 0.1) & (-0.06 < k1) & (k1 < -0.05)
+        bad = np.flatnonzero(late | early | latest)
+        if len(bad):
+            raise NoIntersectionError(f"window at k1={float(np.ravel(k1)[bad[0]])!r}").at(bad[0])
+        return jump.eval(k1, k2)
+
+    return dataclasses.replace(jump, eval=_eval), rays
+
+
+class TestFailureStaircase:
+    def test_each_earlier_segment_failing_later(self):
+        # segment 0 crosses the jump and never converges; segment 1 has a
+        # node of level 8, and not of level 4, in its window; segment 2's
+        # midpoint, a node of level 4, lies in its window
+        fam, rays = _staircase_family()
+        ka = np.array([[-0.1, 0.0], [-0.1, 0.05], [-0.1, -0.1]])
+        kb = np.array([[0.1, 0.0], [0.0, 0.05], [0.0, -0.1]])
+        singles, counts = [], []
+        for a, b in zip(ka, kb):
+            rays.clear()
+            singles.append(outcome(lambda: rs.one_form_integral(fam, a, b, max_points=256)))
+            counts.append(sum(rays))
+        assert [type(s) for s in singles] == [NoConvergenceError, NoIntersectionError, NoIntersectionError]
+        # 5 + 4 + 8 + ... + 128 rays up to m = 256; 5 + 4; 5
+        assert counts == [257, 9, 5]
+        rays.clear()
+        batch = outcome(lambda: rs.one_form_integral(fam, ka, kb, max_points=256))
+        check_against_items(batch, singles)
+        # level 4 of all three (15 rays), level 4 and 8 of segments 0 and 1
+        # (18), then segment 0 to m = 256 (257); the segment by segment loop
+        # stops after segment 0's 257
+        assert sum(rays) <= 290
+
+    def test_a_segment_failing_after_an_earlier_one_converged(self):
+        # segment 0 converges at m = 8; segment 1 crosses the jump, and its
+        # window holds a node of level 16 and none of levels 4 and 8
+        fam, rays = _staircase_family()
+        ka = np.array([[-0.1, -0.2], [-0.1, 0.1]])
+        kb = np.array([[0.0, -0.2], [0.1, 0.1]])
+        singles = [outcome(lambda: rs.one_form_integral(fam, a, b)) for a, b in zip(ka, kb)]
+        assert isinstance(singles[0], float) and isinstance(singles[1], NoIntersectionError)
+        rays.clear()
+        batch = outcome(lambda: rs.one_form_integral(fam, ka, kb))
+        check_against_items(batch, singles)
+        # levels 4 and 8 of both segments, level 16 of segment 1 alone, then
+        # segment 0 run again from level 4 to its convergence
+        assert rays == [10, 8, 8, 5, 4]
+
+
 def _small_sphere_family():
     # the family of TestTransformFamily.test_trace_error_carries_parameter
     fam = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.3, 0.3), (-0.3, 0.3)))
@@ -592,10 +662,11 @@ def plain(family):
 
 def check_against_items(batch, singles):
     """A batch outcome against its items' outcomes taken one at a time."""
-    failures = [s for s in singles if isinstance(s, RaySpaceError)]
-    if failures:
+    first = first_failure(singles)
+    if first is not None:
         assert isinstance(batch, RaySpaceError), batch
-        assert_same_error(batch, failures[0])
+        assert_same_error(batch, singles[first])
+        assert batch.row == first
     else:
         assert not isinstance(batch, RaySpaceError), batch
         assert isinstance(batch, np.ndarray) and batch.shape == (len(singles),)
@@ -1223,9 +1294,10 @@ def check_roots(surface, lines, t_min, t_max):
         for i in range(len(t_min))
     ]
     batch = outcome(lambda: surface.roots(lines, t_min, t_max))
-    failures = [s for s in singles if isinstance(s, RaySpaceError)]
-    if failures:
-        assert_same_error(batch, failures[0])
+    first = first_failure(singles)
+    if first is not None:
+        assert_same_error(batch, singles[first])
+        assert batch.row == first
         return batch
     assert batch.shape == (len(t_min), 1)
     assert batch[:, 0].tobytes() == np.array(singles, dtype=float).tobytes()

@@ -98,6 +98,22 @@ class TestDefect:
                 "stencil of half-width 8.48528e-06 at k=(0.3, 0.0) leaves the domain"
             )
 
+    def test_grid_stencils_wider_than_half_the_domain_rejected(self):
+        # a grid inset by h > half the span runs backwards, outside the domain
+        fam = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.15, 0.15), (-0.15, 0.15)))
+        with pytest.raises(DomainBoundaryError) as alone:
+            rs.defect(fam, (0.85, 0.85), h=1.0)
+        assert str(alone.value) == "stencil of half-width 1 at k=(0.85, 0.85) leaves the domain"
+        calls = (
+            lambda: rs.defect_grid(fam, grid=3, h=1.0),
+            lambda: rs.is_rectangular(fam, grid=3, h=1.0),
+            lambda: rs.reconstruct_wavefront(fam, (0, 0), grid=3, h=1.0, check_regular=False),
+        )
+        for call in calls:
+            with pytest.raises(DomainBoundaryError) as err:
+                call()
+            assert str(err.value) == str(alone.value) and err.value.row == 0
+
     def test_two_skew_lines_need_nonzero_directions(self):
         with pytest.raises(ValueError, match="dir1 and dir2 must be nonzero"):
             rs.two_skew_lines([1, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 0])

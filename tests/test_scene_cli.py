@@ -332,6 +332,14 @@ class TestCliCommands:
             r"error: at k=\(\S+, \S+\): interface 0: chart coordinates too far out: no finite line\n", err
         )
 
+    def test_defect_step_wider_than_half_the_domain(self, tmp_path, capsys):
+        # the grid nodes inset by the step would lie outside the domain
+        scene = str(SCENES / "sphere_refract.scene")
+        args = ["defect", "--scene", scene, "--out", str(tmp_path / "out"), "--step", "1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: stencil of half-width 1 at k=(0.85, 0.85) leaves the domain\n"
+
     def test_check_symplectic_names_missed_interface(self, tmp_path, capsys):
         # the mirror at z = 0 sends every ray up, away from the plane z = -1
         text = (
