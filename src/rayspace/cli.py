@@ -5,10 +5,11 @@ check-symplectic, wavefront, mirror, characteristic.  All outputs are
 deterministic: CSV files plus a report.txt of `key: value` lines in the
 --out directory, floats rendered with repr-faithful %.17g.  Each `cmd_*`
 returns ({CSV name: text}, report pairs, None or a failed check's message);
-`main` writes every file and picks the exit code: 0 success, 1 scene error
-or bad command line (unknown command, missing --scene, an option value that
-the scene's [options] rules refuse), 2 numerical failure (the failing k or
-interface is named in the stderr message) or a failed check.
+`main` writes every file (see `_write`) and picks the exit code: 0 success,
+1 scene error, bad command line (unknown command, missing --scene, an option
+value that the scene's [options] rules refuse) or an output that cannot be
+written, 2 numerical failure (the failing k or interface is named in the
+stderr message) or a failed check.
 """
 
 from __future__ import annotations
@@ -347,13 +348,37 @@ def _error(message, code):
     return code
 
 
+def _write(path, text):
+    """Write `text` to `path` as UTF-8, overwriting a file already there in
+    place and then cutting it to the new length.
+
+    Reruns into the same --out are the common case.  Truncating an existing
+    file to zero and rewriting it, as open(path, "w") does, makes ext4 (with
+    its default auto_da_alloc) allocate and write back the file's blocks at
+    close, which costs many times an overwrite (see CHANGES.md).  A new file
+    gets the mode open(path, "w") gives it.  If a write fails, the file is
+    cut to zero, so it never holds new bytes followed by old ones.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    except BaseException:
+        os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         scene = load_scene(args.scene)
     except (OSError, UnicodeDecodeError, RaySpaceError) as exc:
         return _error(exc, 1)
-    os.makedirs(args.out, exist_ok=True)
     try:
         files, pairs, failure = _COMMANDS[args.command](scene, args)
     except _UsageError as exc:
@@ -362,9 +387,12 @@ def main(argv=None) -> int:
         return _error(exc, 2)
     pairs = [("command", args.command), ("scene", args.scene), *pairs]
     files["report.txt"] = "".join(f"{k}: {v}\n" for k, v in pairs)
-    for name, text in files.items():
-        with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, text in files.items():
+            _write(os.path.join(args.out, name), text)
+    except OSError as exc:
+        return _error(exc, 1)
     return 0 if failure is None else _error(failure, 2)
 
 

@@ -9,15 +9,21 @@ an output, regenerate the data with
     PYTHONPATH=src python tests/test_cli_output.py
 
 and review the diff of the JSON file.
+
+The tests after the pins check how `main` writes those bytes: over stale
+files of another length, with the mode a new file gets, and what is left
+when a write or the --out directory fails.
 """
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import pathlib
 import re
+import stat
 import tempfile
 
 import pytest
@@ -81,6 +87,102 @@ def test_failed_check_writes_its_files_and_exits_2(scene, command, files, verdic
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + ["report.txt"])
     report = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
     assert report[0] == f"command: {command}" and report[-1] == verdict
+
+
+# one scene per command, each run exiting 0
+RERUNS = [
+    ("mixed_device.scene", "trace"),
+    ("mixed_device.scene", "defect"),
+    ("sphere_refract.scene", "check-symplectic"),
+    ("point_plane.scene", "wavefront"),
+    ("mirror_design.scene", "mirror"),
+    ("characteristic.scene", "characteristic"),
+]
+
+
+def call(scene, command, out, *extra):
+    """(exit code, stderr) of one `main` call."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main([command, "--scene", str(ROOT / "scenes" / scene), "--out", str(out), *extra])
+    return code, stderr.getvalue()
+
+
+def contents(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("scene, command", RERUNS, ids=[f"{s[:-6]}-{c}" for s, c in RERUNS])
+def test_rerun_over_stale_files_gives_the_fresh_bytes(scene, command, tmp_path):
+    assert call(scene, command, tmp_path / "fresh") == (0, "")
+    fresh = contents(tmp_path / "fresh")
+    for name, size in (("longer", lambda n: n + 100), ("shorter", lambda n: n // 2)):
+        out = tmp_path / name
+        out.mkdir()
+        for file, data in fresh.items():
+            (out / file).write_bytes(b"#" * size(len(data)))
+        assert call(scene, command, out) == (0, "")
+        assert contents(out) == fresh, name
+
+
+def test_new_output_gets_the_mode_of_open_w(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference", "w"):
+            pass
+        code, _ = call("characteristic.scene", "characteristic", tmp_path / "out")
+    finally:
+        os.umask(umask)
+    assert code == 0
+    mode = stat.S_IMODE((tmp_path / "out" / "report.txt").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+
+
+def test_write_failing_part_way_leaves_an_empty_file(tmp_path, monkeypatch):
+    (tmp_path / "report.txt").write_bytes(b"#" * 10_000)
+    write, calls = os.write, []
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def failing_write(fd, data):
+        # the first call writes a few bytes, the next one finds the disk full
+        calls.append(fd)
+        if len(calls) > 1:
+            raise full
+        return write(fd, data[:10])
+
+    monkeypatch.setattr(os, "write", failing_write)
+    code, err = call("characteristic.scene", "characteristic", tmp_path)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert (code, err) == (1, f"error: {full}\n")
+    assert (tmp_path / "report.txt").read_bytes() == b""
+
+
+def test_out_naming_a_file_exits_1(tmp_path):
+    (tmp_path / "taken").write_bytes(b"kept")
+    code, err = call("characteristic.scene", "characteristic", tmp_path / "taken")
+    assert code == 1
+    assert re.fullmatch(r"error: \[Errno \d+\] .*taken'\n", err), err
+    assert (tmp_path / "taken").read_bytes() == b"kept"
+
+
+def test_output_name_that_is_a_directory_exits_1(tmp_path):
+    (tmp_path / "report.txt").mkdir()
+    code, err = call("characteristic.scene", "characteristic", tmp_path)
+    assert code == 1
+    assert re.fullmatch(r"error: \[Errno \d+\] .*report\.txt'\n", err), err
+    assert (tmp_path / "report.txt").is_dir()
+
+
+def test_numerical_failure_writes_nothing(tmp_path):
+    # the grid inset by a step wider than half the domain leaves it: exit 2
+    failing = ("--step", "1")
+    assert call("sphere_refract.scene", "defect", tmp_path / "new", *failing)[0] == 2
+    assert not (tmp_path / "new").exists()
+    assert call("sphere_refract.scene", "defect", tmp_path / "earlier") == (0, "")
+    earlier = contents(tmp_path / "earlier")
+    assert call("sphere_refract.scene", "defect", tmp_path / "earlier", *failing)[0] == 2
+    assert contents(tmp_path / "earlier") == earlier
 
 
 if __name__ == "__main__":
