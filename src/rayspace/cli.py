@@ -357,7 +357,8 @@ def _write(path, text):
     its default auto_da_alloc) allocate and write back the file's blocks at
     close, which costs many times an overwrite (see CHANGES.md).  A new file
     gets the mode open(path, "w") gives it.  If a write fails, the file is
-    cut to zero, so it never holds new bytes followed by old ones.
+    cut to zero, so it never holds new bytes followed by old ones, and an
+    OSError is raised again with the file's name.
     """
     data = text.encode("utf-8")
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
@@ -366,8 +367,10 @@ def _write(path, text):
         while rest:
             rest = rest[os.write(fd, rest):]
         os.ftruncate(fd, len(data))
-    except BaseException:
+    except BaseException as exc:
         os.ftruncate(fd, 0)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
     finally:
         os.close(fd)

@@ -18,31 +18,31 @@ Finite differences are central throughout; the default step is
 1e-5 * (parameter domain diameter).  Grids are inset from the domain edges by
 the step so every stencil stays inside the domain.
 
-Shapes: the `eval` and `anchor` of every family the builders here return
-(and of `transform_family` applied to one) also take equal-length arrays
-k1, k2 of N parameters and return a batch of N lines, (N, 3) anchors; such a
-family has `vectorized=True`.  Its rows equal the single evaluations bit for
-bit.
+Shapes: internal routines take batches only, (N, 2) parameters and (N, 3)
+lines.  A family's `eval` and `anchor` take arrays k1, k2 of N parameters
+and return N lines, (N, 3) anchors; routines here call them only so, at most
+_CHUNK rows a call, and a custom `eval` names its lowest failing row with
+`.at(row)`.  The builders' families also take one parameter pair.  A single
+pair, segment or point exists only at the public entry points `defect`,
+`one_form_integral` and `is_regular_point`, as the batch of one.
 
 `one_form_integral` takes one segment or a batch of them and refines the
 batch level by level, by nested Clenshaw-Curtis quadrature on
 Chebyshev-Lobatto nodes: the nodes of the segments not yet converged are
 one array, and each level evaluates all their new nodes as one batch.
-`is_regular_point` takes one point or a batch.  `reconstruct_wavefront`
-evaluates its grid lines, integrates all its segments from them and checks
-the regularity of all its nodes in one batch each, and keeps the grid
-lines with their optical lengths on the Wavefront, where
-`orthogonality_residual` reads them; `defect_grid` evaluates the stencil
-and centre lines of all its nodes and their immersion tests in one batch.
-A single segment, point or defect is the batch of one.  Batches are
-evaluated at most _CHUNK rays per call, and fail as `errors` sets out, the
-error's `row` naming the parameter, segment or node.
+`reconstruct_wavefront` evaluates its grid lines, integrates all its
+segments from them and checks the regularity of all its nodes in one batch
+each, and keeps the grid lines with their optical lengths on the Wavefront,
+where `orthogonality_residual` reads them; `defect_grid` evaluates the
+stencil and centre lines of all its nodes and their immersion tests in one
+batch.  Batches fail as `errors` sets out, the error's `row` naming the
+parameter, segment or node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -107,16 +107,15 @@ class RayFamily:
     has l = (q - anchor) . u: the optical length from the source wavefront
     to each foot point, over the index of the lines' medium.  The lines of
     `transform_family` carry their l instead, as TracedLine.
-    `vectorized` declares that `eval` and `anchor` also accept arrays of
-    parameters and return the batch of their values, row by row, and that a
-    failing batch fails as `errors` sets out.
+    `eval` and `anchor` take arrays k1, k2 of N parameters and return the
+    batch of their values, row by row; a failing batch fails as `errors`
+    sets out.
     """
 
-    eval: Callable[[float, float], OrientedLine]
+    eval: Callable[[np.ndarray, np.ndarray], OrientedLine]
     domain: tuple
     kind: str = "custom"
-    anchor: Callable[[float, float], np.ndarray] | None = None
-    vectorized: bool = False
+    anchor: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def start_point(self, k1: float, k2: float) -> np.ndarray:
         if self.anchor is None:
@@ -147,13 +146,6 @@ def _col(k) -> np.ndarray:
     return np.asarray(k, dtype=float)[..., None]
 
 
-def _rows(v, k) -> np.ndarray:
-    """The 3-vector v once per parameter in k: (3,) for one, (N, 3) for N."""
-    out = np.empty(np.shape(k) + (3,))
-    out[...] = v
-    return out
-
-
 def point_source(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))) -> RayFamily:
     """All rays leaving one point, parametrized around a central axis."""
     apex = _as_vec3(apex)
@@ -166,8 +158,7 @@ def point_source(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))) -> RayFamily:
         _eval,
         tuple(map(tuple, domain)),
         kind="point_source",
-        anchor=lambda k1, k2: _rows(apex, k1),
-        vectorized=True,
+        anchor=lambda k1, k2: np.broadcast_to(apex, np.shape(k1) + (3,)).copy(),
     )
 
 
@@ -184,7 +175,6 @@ def collimated(direction, origin=(0.0, 0.0, 0.0), domain=((-0.5, 0.5), (-0.5, 0.
         tuple(map(tuple, domain)),
         kind="collimated",
         anchor=_anchor,
-        vectorized=True,
     )
 
 
@@ -213,7 +203,6 @@ def two_skew_lines(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0.25, 0.
         tuple(map(tuple, domain)),
         kind="two_skew_lines",
         anchor=lambda k1, k2: p1 + _col(k1) * d1,
-        vectorized=True,
     )
 
 
@@ -244,7 +233,6 @@ def normal_congruence(surface, domain, axis=(0.0, 0.0, 1.0), outward: bool = Tru
             tuple(map(tuple, domain)),
             kind="normal_congruence",
             anchor=lambda k1, k2: center + radius * _radial(k1, k2),
-            vectorized=True,
         )
     if isinstance(surface, Sinusoid):
         amp = surface.amplitude
@@ -266,7 +254,6 @@ def normal_congruence(surface, domain, axis=(0.0, 0.0, 1.0), outward: bool = Tru
             tuple(map(tuple, domain)),
             kind="normal_congruence",
             anchor=_anchor,
-            vectorized=True,
         )
     if isinstance(surface, Plane):
         n = surface.normal if outward else -surface.normal
@@ -298,8 +285,8 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     times the ambient index, plus the optical length of the trace, over the
     exit index, carried on to the foot point.
     Evaluation is pure (nothing cached); per-interface failures re-raise as
-    FamilyTraceError carrying the parameter value.  A vectorized family
-    stays vectorized: a batch of parameters is traced as one batch.
+    FamilyTraceError carrying the parameter value.  A batch of parameters
+    is traced as one batch.
     """
 
     def _trace(k1, k2):
@@ -308,10 +295,9 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
             start = family.start_point(k1, k2)
             result = propagate_system(base, system, start=start)
         except RaySpaceError as exc:  # the parameters before it may fail in the system
-            k1, k2 = np.broadcast_arrays(k1, k2)
-            row = exc.row if k1.ndim else ()
-            err = FamilyTraceError((k1[row], k2[row]), exc)
-            raise _lowest_failure(err, lambda m: _trace(k1[:m], k2[:m])) from exc
+            ks = np.column_stack(np.broadcast_arrays(k1, k2))  # one pair is the batch of one
+            err = FamilyTraceError(ks[exc.row], exc)
+            raise _lowest_failure(err, lambda m: _trace(ks[:m, 0], ks[:m, 1])) from exc
         return base, start, result, result.hits[-1].point if result.hits else start
 
     def _eval(k1, k2):
@@ -332,7 +318,6 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
         family.domain,
         kind=f"transformed({family.kind})",
         anchor=lambda k1, k2: _trace(k1, k2)[3],
-        vectorized=family.vectorized,
     )
 
 
@@ -351,13 +336,12 @@ def _line_and_length(family: RayFamily, k1, k2):
 # defect and rectangularity
 
 
-def _require_inside(family: RayFamily, k, h: float) -> None:
-    """Raise for the first k (one (2,) point or the rows of an (N, 2) batch)
-    whose stencil of half-width h leaves the domain."""
-    ks = np.asarray(k, dtype=float)
-    bad = _first(~family.contains(ks[..., 0], ks[..., 1], pad=h))
+def _require_inside(family: RayFamily, ks, h: float) -> None:
+    """Raise for the first row of ks (N, 2) whose stencil of half-width h
+    leaves the domain."""
+    bad = _first(~family.contains(ks[:, 0], ks[:, 1], pad=h))
     if bad is not None:
-        where = tuple(map(float, ks.reshape(-1, 2)[bad]))
+        where = tuple(map(float, ks[bad]))
         raise DomainBoundaryError(
             f"stencil of half-width {h:g} at k={where} leaves the domain"
         ).at(bad)
@@ -410,8 +394,9 @@ def defect(family: RayFamily, k, h: float | None = None) -> float:
     """The symplectic two-form on the coordinate tangent fields at k."""
     if h is None:
         h = family.default_step()
-    _require_inside(family, k, h)
-    return float(_defects(family, np.asarray(k, dtype=float)[None], h)[0])
+    ks = np.asarray(k, dtype=float)[None]
+    _require_inside(family, ks, h)
+    return float(_defects(family, ks, h)[0])
 
 
 def _grid_axes(family: RayFamily, grid, inset: float):
@@ -428,7 +413,7 @@ def _grid_axes(family: RayFamily, grid, inset: float):
     k2 = np.linspace(a2 + inset, b2 - inset, n2)
     # the nodes run from a + inset to b - inset on each axis, so every
     # node's stencil fits if the first node's does
-    _require_inside(family, (k1[0], k2[0]), inset)
+    _require_inside(family, np.array([[k1[0], k2[0]]]), inset)
     return k1, k2
 
 
@@ -501,7 +486,7 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     if h is None:
         h = family.default_step()
     if np.ndim(k) == 1:
-        return is_regular_point(family, [k], [t], h)[0]
+        return bool(is_regular_point(family, [k], [t], h)[0])
     ks = np.asarray(k, dtype=float)
     t = np.asarray(t, dtype=float)
     try:
@@ -695,32 +680,24 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
     raise NoConvergenceError("one-form integral did not converge under refinement").at(live[0])
 
 
-def _calls(family: RayFamily, fn, ks):
-    """fn(k1, k2) at the rows of ks: for a vectorized family in calls of at
-    most _CHUNK rows, for any other row by row, in order.  Yields each call's
-    first row and result; an error's row is its row in ks."""
-    size = _CHUNK if family.vectorized else 1
-    for a in range(0, len(ks), size):
-        k1, k2 = ks[a : a + size].T if family.vectorized else ks[a]
+def _eval_rows(family: RayFamily, ks, lengths: bool = False):
+    """Directions and foot points (N, 3) of the lines at the rows of ks, and
+    with `lengths` their l (N,) or None, from calls of at most _CHUNK rows;
+    an error's row is its row in ks."""
+    u, q, length = np.empty((len(ks), 3)), np.empty((len(ks), 3)), np.empty(len(ks))
+    for a in range(0, len(ks), _CHUNK):
+        rows = slice(a, a + _CHUNK)
         try:
-            result = fn(k1, k2)
+            line, l = _line_and_length(family, *ks[rows].T) if lengths else (family.eval(*ks[rows].T), None)
         except RaySpaceError as exc:
             exc.row += a
             raise
-        yield a, result
-
-
-def _eval_rows(family: RayFamily, ks):
-    """Directions and foot points, (N, 3) each, of the lines at the rows of
-    ks, by _calls: written into one pair of arrays, or for a single call
-    its lines as they are (read-only)."""
-    u, q = np.empty((len(ks), 3)), np.empty((len(ks), 3))
-    for a, line in _calls(family, family.eval, ks):
-        if line.u.size == u.size:
-            return line.u.reshape(-1, 3), line.q.reshape(-1, 3)
-        rows = slice(a, a + line.u.size // 3)
         u[rows], q[rows] = line.u, line.q
-    return u, q
+        if l is None:
+            length = None
+        elif length is not None:
+            length[rows] = l
+    return (u, q, length) if lengths else (u, q)
 
 
 def _nodes(k1, k2) -> np.ndarray:
@@ -728,23 +705,20 @@ def _nodes(k1, k2) -> np.ndarray:
     return np.stack(np.meshgrid(k1, k2, indexing="ij"), axis=-1)
 
 
+def _largest_at(k1, k2, values) -> tuple:
+    """k, as floats, of the first node of the grid k1 x k2 where |values| peaks."""
+    i, j = np.unravel_index(np.argmax(np.abs(values)), values.shape)
+    return float(k1[i]), float(k2[j])
+
+
 def _grid_lines(family: RayFamily, k1, k2):
     """The nodes (n1, n2, 2) of the grid k1 x k2, their lines' directions
     and foot points (n1, n2, 3) and l (n1, n2), or None for lines with no
     source wavefront, from one batch in (i, j) order."""
     nodes = _nodes(k1, k2)
-    ks = nodes.reshape(-1, 2)
-    u, q, length = np.empty((len(ks), 3)), np.empty((len(ks), 3)), np.empty(len(ks))
-    for a, (line, l) in _calls(family, partial(_line_and_length, family), ks):
-        rows = slice(a, a + line.u.size // 3)
-        u[rows], q[rows] = line.u, line.q
-        if l is None:
-            length = None
-        elif length is not None:
-            length[rows] = l
+    u, q, length = _eval_rows(family, nodes.reshape(-1, 2), lengths=True)
     shape = (len(k1), len(k2))
-    if length is not None:
-        length = length.reshape(shape)
+    length = None if length is None else length.reshape(shape)
     return nodes, u.reshape(shape + (3,)), q.reshape(shape + (3,)), length
 
 
@@ -851,8 +825,9 @@ def reconstruct_wavefront(
     f_rc, f_cr = _l_paths(horiz, vert, i0, j0)
     discrepancy = float(np.max(np.abs(f_rc - f_cr)))
     if discrepancy > path_tol:
+        k = _largest_at(k1s, k2s, f_rc - f_cr)
         raise NotRectangularError(
-            f"path-dependent primitive: L-path discrepancy {discrepancy:.3e} > {path_tol:g}"
+            f"path-dependent primitive at k={k}: L-path discrepancy {discrepancy:.3e} > {path_tol:g}"
         )
 
     values = f_rc

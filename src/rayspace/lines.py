@@ -22,12 +22,13 @@ which is the exterior derivative of theta = q . du, i.e. of b . da in chart
 coordinates.  The value is unchanged if the foot point is replaced by any
 other smoothly chosen point on the line.
 
-Shapes: `OrientedLine` and `line_through` take either single 3-vectors,
-shape (3,), or batches of N lines as (N, 3) arrays (a (3,) point or direction
-broadcasts against an (N, 3) one).  A batch gives, row by row, bit for bit
-the lines that the rows give one at a time.  `chart_for`, `chart_coords` and
-`line_from_coords` take batches too, with one chart for all lines or one per
-line, and `chart_jacobian` maps its stencil lines as one batch.
+Shapes: internal routines take batches only, (N, 3) lines and (N,) masks.
+A single line, (3,), exists only at the public entry points (`OrientedLine`,
+`line_through`, `chart_for`, `chart_coords`, `line_from_coords`,
+`chart_jacobian`, `symplectic_residual`): each takes it as the batch of one
+and gives back row 0, a (3,) or (4,) array, a str or a float.  A batch gives
+row by row, bit for bit, what its rows give alone; the chart routines take
+one chart for all lines or one per line.
 """
 
 from __future__ import annotations
@@ -67,27 +68,22 @@ def _norm(v):
     return np.sqrt(np.vecdot(v, v))
 
 
-def _out(x):
-    """A Python float for a single ray (a numpy scalar), the array for a batch."""
-    return float(x) if x.ndim == 0 else x
-
-
 def _any(mask) -> bool:
-    """Whether any ray is flagged; cheap on the 0-d mask of a single ray."""
-    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+    """Whether any ray of a batch is flagged: guards work only flagged rays need."""
+    return bool(mask.any())
 
 
 def _first(mask):
-    """Index of the first ray flagged in a per-ray mask, None if none is; 0
-    for a single ray (a 0-d mask), whose values `.flat[0]` picks."""
-    if not _any(mask):
+    """Index of the first ray flagged in a per-ray mask (N,), None if none is."""
+    if not mask.any():
         return None
     return int(np.argmax(mask))
 
 
 def _ray(line: OrientedLine, i) -> OrientedLine:
-    """Line i of a batch, as a single line; a slice gives those lines."""
-    return OrientedLine(line.u[i], line.q[i])
+    """Line i of a batch, as a single line; a slice gives those lines, and
+    i = None makes a single line the batch of one."""
+    return OrientedLine._exact(line.u[i], line.q[i])
 
 
 def _frame(axis):
@@ -193,10 +189,12 @@ def _omega(du1, dq1, du2, dq2):
 
 
 def chart_for(u):
-    """The chart whose projection pole is farthest from u; for an (N, 3)
-    batch, an array of one chart per direction."""
-    ids = np.where(np.asarray(u)[..., 2] >= 0.0, SOUTH, NORTH)
-    return str(ids) if ids.ndim == 0 else ids
+    """The chart whose projection pole is farthest from u (3,); for an
+    (N, 3) batch, an array of one chart per direction."""
+    u = np.asarray(u)
+    if u.ndim == 1:
+        return str(chart_for(u[None])[0])
+    return np.where(u[:, 2] >= 0.0, SOUTH, NORTH)
 
 
 _POLE_SIGNS = {NORTH: 1.0, SOUTH: -1.0}
@@ -216,16 +214,15 @@ def _pole_sign(chart_id):
 
 def _check_chart(chart_id, u3) -> None:
     """Raise for the first direction too close to its chart's pole, naming
-    its index along the leading axis as `row`; chart_id may hold one chart
-    per u3."""
+    its index along the leading axis as `row`: u3 is (N,) or (N, k), and
+    chart_id may hold one chart per u3."""
     sign = _pole_sign(chart_id)
     near = sign * u3 >= 1.0 - CHART_MARGIN
     if _any(near):
-        first = np.argmax(near)
-        row = np.unravel_index(first, near.shape)[0] if near.ndim else 0
-        if np.broadcast_to(sign, near.shape).flat[first] > 0.0:
-            raise ChartDomainError("direction too close to the north pole for chart NORTH").at(row)
-        raise ChartDomainError("direction too close to the south pole for chart SOUTH").at(row)
+        first = np.unravel_index(np.argmax(near), near.shape)
+        if np.broadcast_to(sign, near.shape)[first] > 0.0:
+            raise ChartDomainError("direction too close to the north pole for chart NORTH").at(first[0])
+        raise ChartDomainError("direction too close to the south pole for chart SOUTH").at(first[0])
 
 
 def _project(chart_id, u) -> np.ndarray:
@@ -235,10 +232,9 @@ def _project(chart_id, u) -> np.ndarray:
 
 
 def _unproject(chart_id, a):
-    """Direction u(a) (..., 3) and the analytic Jacobian du/da (..., 3, 2)
-    of coordinates a (..., 2); chart_id may hold one chart per row."""
-    a = np.asarray(a, dtype=float)
-    a1, a2 = a[..., 0][()], a[..., 1][()]  # numpy scalars for a single a
+    """Direction u(a) (N, ..., 3) and the analytic Jacobian du/da (N, ...,
+    3, 2) of coordinates a (N, ..., 2); chart_id may hold one chart per row."""
+    a1, a2 = a[..., 0], a[..., 1]
     r2 = a1 * a1 + a2 * a2
     s = 1.0 + r2
     s2 = s * s
@@ -258,7 +254,7 @@ def _unproject(chart_id, a):
 
 
 def _chart_ab(chart_id, u, q):
-    """Chart coordinates a and b, (..., 2) each, of the lines (u, q); one
+    """Chart coordinates a and b, (N, ..., 2) each, of the lines (u, q); one
     chart for all or one per line.  Raises ChartDomainError for the first
     line too close to its chart's pole."""
     _check_chart(chart_id, u[..., 2])
@@ -274,6 +270,8 @@ def chart_coords(line: OrientedLine, chart_id=None):
     ChartDomainError for the first line too close to its chart's pole."""
     if chart_id is None:
         chart_id = chart_for(line.u)
+    if line.u.ndim == 1:
+        return chart_coords(_ray(line, None), chart_id)[0][0], chart_id
     a, b = _chart_ab(chart_id, line.u, line.q)
     return np.concatenate([a, b], axis=-1), chart_id
 
@@ -285,17 +283,19 @@ def line_from_coords(x, chart_id) -> OrientedLine:
     ChartDomainError for the first x whose line is not finite (its base
     coordinates are too far out for the chart metric), with `row` set."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return _ray(line_from_coords(x[None], chart_id), 0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
-        u, jac = _unproject(chart_id, x[..., :2])
+        u, jac = _unproject(chart_id, x[:, :2])
         gram = jac.swapaxes(-1, -2) @ jac
         gram[np.linalg.det(gram) == 0.0] = np.nan  # solves to NaN, not LinAlgError
-        coeff = np.linalg.solve(gram, x[..., 2:, None])
+        coeff = np.linalg.solve(gram, x[:, 2:, None])
         q = (jac @ coeff)[..., 0]
-        q -= np.vecdot(q, u)[..., None] * u
+        q -= np.vecdot(q, u)[:, None] * u
     row = _first(~np.isfinite(q).all(axis=-1))  # a non-finite u makes q so too
     if row is not None:
         raise ChartDomainError("chart coordinates too far out: no finite line").at(row)
-    return OrientedLine(u / _norm(u)[..., None], q)
+    return OrientedLine(u / _norm(u)[:, None], q)
 
 
 def chart_symplectic_matrix() -> np.ndarray:
@@ -346,7 +346,7 @@ def chart_jacobian(
     """
     single = line.u.ndim == 1
     if single:
-        line = OrientedLine._exact(line.u[None], line.q[None])
+        line = _ray(line, None)
     n = len(line.u)
     chart_in = np.broadcast_to(chart_for(line.u) if chart_in is None else chart_in, (n,))
     x0, _ = chart_coords(line, chart_in)
@@ -386,8 +386,10 @@ def chart_jacobian(
 
 def symplectic_residual(jacobian: np.ndarray, scale: float = 1.0):
     """max |J^T Omega J - scale * Omega| entrywise: a float for one 4x4 J,
-    an array for a stack (..., 4, 4), each entry bit for bit the residual
-    of its J alone."""
+    an array for a stack (N, 4, 4), each entry bit for bit the residual of
+    its J alone."""
+    if jacobian.ndim == 2:
+        return float(symplectic_residual(jacobian[None], scale)[0])
     omega = chart_symplectic_matrix()
     product = jacobian.swapaxes(-1, -2) @ omega @ jacobian
-    return _out(np.max(np.abs(product - scale * omega), axis=(-2, -1)))
+    return np.max(np.abs(product - scale * omega), axis=(-2, -1))

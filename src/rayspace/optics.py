@@ -7,14 +7,16 @@ refraction uses the vector form of Snell's law and fails with
 TotalInternalReflectionError when (n1/n2) sin(angle_in) >= 1, i.e. when the
 usual condition sin(angle_in) < n2/n1 is violated.
 
-Shapes: `reflect_direction`, `refract_direction` and `Interface.bend` take
-(3,) or (N, 3) directions and normals; `reflect_line`, `refract_line` and
-`propagate_system` take a single OrientedLine or a batch, and `start` may be
-one point per line.
-For a batch, hit fields and `optical_length` gain a leading axis of length N.
-A batch gives bit for bit the per-ray results and fails as `errors` sets
-out (for `propagate_system`, with the same TraceError and interface index);
-its stages are the hit, then the new direction, interface by interface.
+Shapes: the tracing inside takes batches only, (N, 3) rays.  A single ray
+exists only at the public entry points (`reflect_direction`,
+`refract_direction`, `Interface.bend`, `reflect_line`, `refract_line`,
+`propagate_system`): each takes it as the batch of one and gives back row 0,
+(3,) directions, single lines and hits and a float optical length.  For a
+batch, `start` may be one point per line, and hit fields and
+`optical_length` gain a leading axis of length N.  A batch gives bit for bit
+the per-ray results and fails as `errors` sets out (for `propagate_system`,
+with the same TraceError and interface index); its stages are the hit, then
+the new direction, interface by interface.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     TraceError,
     _lowest_failure,
 )
-from .lines import OrientedLine, _any, _as_vecs, _first, _norm, _out, _ray, line_through
+from .lines import OrientedLine, _any, _as_vecs, _first, _norm, _ray, line_through
 from .surfaces import TRANSVERSE_TOL, Intersection, intersect
 
 REFLECT = "reflect"
@@ -43,33 +45,35 @@ def _unit(v) -> np.ndarray:
 
 
 def reflect_direction(u, n) -> np.ndarray:
-    u = _as_vecs(u)
-    n = _as_vecs(n)
+    single = np.ndim(u) == np.ndim(n) == 1  # then each is the batch of one
+    u, n = np.atleast_2d(_as_vecs(u), _as_vecs(n))
     c = np.vecdot(u, n)
     i = _first(abs(c) < TRANSVERSE_TOL)
     if i is not None:
         raise GrazingError("incidence too close to grazing").at(i)
-    return _unit(u - (2.0 * c)[..., None] * n)
+    out = _unit(u - (2.0 * c)[:, None] * n)
+    return out[0] if single else out
 
 
 def refract_direction(u, n, n_in: float, n_out: float) -> np.ndarray:
     if n_in <= 0.0 or n_out <= 0.0:
         raise ValueError("refractive indices must be positive")
-    u = _as_vecs(u)
-    n = _as_vecs(n)
+    single = np.ndim(u) == np.ndim(n) == 1  # then each is the batch of one
+    u, n = np.atleast_2d(_as_vecs(u), _as_vecs(n))
     c = np.vecdot(u, n)
     grazing = abs(c) < TRANSVERSE_TOL
     mu = n_in / n_out
-    tangential = u - c[..., None] * n
+    tangential = u - c[:, None] * n
     s = mu * _norm(tangential)  # (n_in/n_out) sin(angle_in)
     i = _first(grazing | (s >= 1.0))
     if i is not None:
-        if grazing.flat[i]:
+        if grazing[i]:
             raise GrazingError("incidence too close to grazing").at(i)
         raise TotalInternalReflectionError(
-            f"total internal reflection: (n1/n2) sin(a1) = {float(s.flat[i]):.6g} >= 1"
+            f"total internal reflection: (n1/n2) sin(a1) = {float(s[i]):.6g} >= 1"
         ).at(i)
-    return _unit(mu * tangential + np.copysign(np.sqrt(1.0 - s * s), c)[..., None] * n)
+    out = _unit(mu * tangential + np.copysign(np.sqrt(1.0 - s * s), c)[:, None] * n)
+    return out[0] if single else out
 
 
 def reflect_line(line: OrientedLine, surface, t_min: float = 0.0):
@@ -161,10 +165,10 @@ class TraceResult:
 
 
 def _cursor_past(line: OrientedLine, point):
-    """Ray parameter just beyond `point` on `line`, so that the search for the
-    next hit cannot return the surface just left."""
+    """Ray parameters (N,) just beyond the points (N, 3) on the lines, so
+    that the search for the next hit cannot return the surface just left."""
     t_hit = np.vecdot(point - line.q, line.u)
-    return _out(t_hit + 1e-9 * np.maximum(1.0, abs(t_hit)))
+    return t_hit + 1e-9 * np.maximum(1.0, abs(t_hit))
 
 
 def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> TraceResult:
@@ -174,36 +178,32 @@ def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> T
     optical length accumulates n_i * segment length from `start` to the last
     hit.  Per-interface failures re-raise as TraceError with the index.
     """
-    if start is None:
-        start = line.q
-    start = _as_vecs(start)
+    single = line.u.ndim == 1  # then the batch of one
+    start = line.q if start is None else _as_vecs(start)
+    if single:
+        line, start = _ray(line, None), start[None]
     rel = start - line.q
     along = np.vecdot(rel, line.u)
-    off = rel - along[..., None] * line.u
+    off = rel - along[:, None] * line.u
     dist = _norm(off)  # must not exceed 1e-9 * max(1, |start|)
     if _any((dist > 1e-9) & (dist > 1e-9 * _norm(start))):
         raise ValueError("start point does not lie on the line")
-    try:
-        return _propagate(line, system, start, _out(along))
-    except TraceError as exc:  # the rays before it may still fail at a later interface
-        starts = np.broadcast_to(start, line.u.shape)
-        raise _lowest_failure(exc, lambda m: propagate_system(_ray(line, slice(m)), system, starts[:m]))
-
-
-def _propagate(line: OrientedLine, system: OpticalSystem, start, t_cursor) -> TraceResult:
-    current = line
-    prev_point = start
-    hits = []
-    optical_length = 0.0
+    current, prev_point, hits = line, start, []
+    optical_length, t_cursor = np.zeros(len(line.u)), along
     for i, itf in enumerate(system.interfaces):
         if i:  # just past the previous hit; none is needed past the last
             t_cursor = _cursor_past(current, prev_point)
         try:
             hit = intersect(current, itf.surface, t_min=t_cursor)
             current = line_through(hit.point, itf.bend(current.u, hit.normal))
-        except RaySpaceError as exc:
-            raise TraceError(i, exc) from exc
-        optical_length += itf.n_in * _out(_norm(hit.point - prev_point))
+        except RaySpaceError as exc:  # the rays before it may still fail at a later interface
+            starts = np.broadcast_to(start, line.u.shape)
+            raise _lowest_failure(
+                TraceError(i, exc), lambda m: propagate_system(_ray(line, slice(m)), system, starts[:m])
+            ) from exc
+        optical_length += itf.n_in * _norm(hit.point - prev_point)
         prev_point = hit.point
         hits.append(hit)
+    if single:
+        return TraceResult(_ray(current, 0), tuple(hit._row(0) for hit in hits), float(optical_length[0]))
     return TraceResult(line_out=current, hits=tuple(hits), optical_length=optical_length)

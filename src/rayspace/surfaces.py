@@ -24,13 +24,14 @@ package's one Newton–bisection: it refines the brackets of many rows at
 once, dropping each row as it converges, and its one caller is the
 sinusoid's root search.
 
-Shapes: `value`, `gradient`, `roots` and `intersect` take one point or line,
-(3,), or a batch, (N, 3) points or an OrientedLine batch; `t_min` may then be
-one value per line.  `roots` returns (k,) or (N, k) candidates (k = 1 for
-Plane and Sinusoid, 2 for Sphere and Quadric).  The Sinusoid searches all the
-rays of a batch at once, a single ray being the batch of one.  A batch gives
-bit for bit the per-ray results and fails as `errors` sets out; `intersect`
-runs in two stages, the root search, then the hit checks.  A chart's
+Shapes: internal routines, `roots` among them, take batches only: (N, 3)
+points, an OrientedLine batch, (N,) masks; `roots` gives (N, k) candidates
+(k = 1 for Plane and Sinusoid, 2 for Sphere and Quadric).  A single point
+or line, (3,), exists only at the public entry points `value`, `gradient`,
+`intersect` and `normal_at`: each takes it as the batch of one and gives
+back row 0, a float value or t and (3,) arrays.  A batch gives bit for bit
+the per-ray results and fails as `errors` sets out; `intersect` runs in two
+stages, the root search, then the hit checks.  A chart's
 `embed` and `jacobian` take one coordinate pair, (2,), or a batch, (N, 2),
 and give (3,) or (N, 3) points and (3, 2) or (N, 3, 2) Jacobians, a batch
 bit for bit the per-point results; its `evaluate` gives both from one
@@ -67,7 +68,7 @@ from .errors import (
     TangentialError,
     _lowest_failure,
 )
-from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _first, _frame, _norm, _out, _ray
+from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _first, _frame, _norm, _ray
 
 TRANSVERSE_TOL = 1e-6
 DEFAULT_T_MAX = 1e6
@@ -322,8 +323,21 @@ _SINUSOID_CHART = _ChartKind(
 )
 
 
+class _LevelFunction:
+    """Every surface kind's `value` and `gradient`, from its `_value` and
+    `_gradient` of (N, 3) points; one (3,) point is the batch of one."""
+
+    def value(self, p):
+        p = _as_vecs(p)
+        return self._value(p) if p.ndim == 2 else float(self._value(p[None])[0])
+
+    def gradient(self, p) -> np.ndarray:
+        p = _as_vecs(p)
+        return self._gradient(p) if p.ndim == 2 else self._gradient(p[None])[0]
+
+
 @dataclass(frozen=True)
-class Plane:
+class Plane(_LevelFunction):
     normal: np.ndarray
     offset: float = 0.0
     incoming_sign: int = 1
@@ -341,13 +355,11 @@ class Plane:
         _freeze(self, "normal", n / np.linalg.norm(n))
         object.__setattr__(self, "offset", float(self.offset))
 
-    def value(self, p):
-        return _out(np.vecdot(_as_vecs(p), self.normal) - self.offset)
+    def _value(self, p):
+        return np.vecdot(p, self.normal) - self.offset
 
-    def gradient(self, p) -> np.ndarray:
-        g = np.empty(_as_vecs(p).shape)
-        g[...] = self.normal
-        return g
+    def _gradient(self, p):
+        return np.broadcast_to(self.normal, p.shape).copy()
 
     def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
         denom = np.vecdot(line.u, self.normal)
@@ -363,7 +375,7 @@ class Plane:
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_LevelFunction):
     center: np.ndarray
     radius: float
     incoming_sign: int = 1
@@ -374,17 +386,16 @@ class Sphere:
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
 
-    def value(self, p):
-        r = _as_vecs(p) - self.center
-        return _out(_norm(r) - self.radius)
+    def _value(self, p):
+        return _norm(p - self.center) - self.radius
 
-    def gradient(self, p) -> np.ndarray:
-        r = _as_vecs(p) - self.center
+    def _gradient(self, p):
+        r = p - self.center
         n = _norm(r)
         if _any(n == 0.0):  # no direction at the centre itself
-            n = n[..., None]
+            n = n[:, None]
             return np.divide(r, n, out=np.zeros_like(r), where=n != 0.0)
-        return r / n[..., None]
+        return r / n[:, None]
 
     def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
         m = line.q - self.center
@@ -411,7 +422,7 @@ class Sphere:
 
 
 @dataclass(frozen=True)
-class Quadric:
+class Quadric(_LevelFunction):
     matrix: np.ndarray
     linear: np.ndarray
     constant: float
@@ -425,20 +436,19 @@ class Quadric:
         _freeze(self, "linear", _as_vec3(self.linear))
         object.__setattr__(self, "constant", float(self.constant))
 
-    def value(self, p):
-        # (p[..., None, :] @ A)[..., 0, :] and vecdot reproduce p @ A @ p bit for bit
-        p = _as_vecs(p)
-        pa = (p[..., None, :] @ self.matrix)[..., 0, :]
-        return _out(np.vecdot(pa, p) + np.vecdot(self.linear, p) + self.constant)
+    def _value(self, p):
+        # (p[:, None, :] @ A)[:, 0, :] and vecdot reproduce p @ A @ p bit for bit
+        pa = (p[:, None, :] @ self.matrix)[:, 0, :]
+        return np.vecdot(pa, p) + np.vecdot(self.linear, p) + self.constant
 
-    def gradient(self, p) -> np.ndarray:
-        return 2.0 * (self.matrix @ _as_vecs(p)[..., None])[..., 0] + self.linear
+    def _gradient(self, p):
+        return 2.0 * (self.matrix @ p[..., None])[..., 0] + self.linear
 
     def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
         au = (self.matrix @ line.u[..., None])[..., 0]
         alpha = np.vecdot(line.u, au)
         beta = 2.0 * np.vecdot(line.q, au) + np.vecdot(self.linear, line.u)
-        gamma = self.value(line.q)
+        gamma = self._value(line.q)
         scale = 1.0 + abs(beta) + abs(gamma)
         disc = beta * beta - 4.0 * alpha * gamma
         s = np.sqrt(_nan_where_negative(disc))
@@ -473,7 +483,7 @@ class Quadric:
 
 
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_LevelFunction):
     amplitude: float
     wavevector: np.ndarray
     incoming_sign: int = 1
@@ -485,18 +495,12 @@ class Sinusoid:
             raise ValueError("wavevector must be a 2-vector")
         _freeze(self, "wavevector", w)
 
-    def value(self, p):
-        p = _as_vecs(p)
-        return _out(p[..., 2] - self.amplitude * np.sin(np.vecdot(self.wavevector, p[..., :2])))
+    def _value(self, p):
+        return p[:, 2] - self.amplitude * np.sin(np.vecdot(self.wavevector, p[:, :2]))
 
-    def gradient(self, p) -> np.ndarray:
-        p = _as_vecs(p)
-        c = self.amplitude * np.cos(np.vecdot(self.wavevector, p[..., :2]))
-        g = np.empty(p.shape)
-        g[..., 0] = -c * self.wavevector[0]
-        g[..., 1] = -c * self.wavevector[1]
-        g[..., 2] = 1.0
-        return g
+    def _gradient(self, p):
+        c = self.amplitude * np.cos(np.vecdot(self.wavevector, p[:, :2]))
+        return np.stack([-c * self.wavevector[0], -c * self.wavevector[1], np.ones_like(c)], axis=-1)
 
     def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
         """The first root beyond t_min, or NaN, of every ray at once.
@@ -506,13 +510,11 @@ class Sinusoid:
         order, each refined by a bisection-safeguarded Newton iteration
         and two guarded Newton steps, until one gives a root beyond t_min.
         """
-        u = line.u.reshape(-1, 3)
-        q = line.q.reshape(-1, 3)
-        t_min = np.broadcast_to(np.asarray(t_min, dtype=float), u.shape[:1])
+        t_min = np.broadcast_to(np.asarray(t_min, dtype=float), line.u.shape[:1])
         amp = self.amplitude
-        uz, qz = u[:, 2], q[:, 2]
-        om = np.vecdot(u[:, :2], self.wavevector)
-        phi0 = np.vecdot(q[:, :2], self.wavevector)
+        uz, qz = line.u[:, 2], line.q[:, 2]
+        om = np.vecdot(line.u[:, :2], self.wavevector)
+        phi0 = np.vecdot(line.q[:, :2], self.wavevector)
         # roots can only live where the linear part stays inside the amplitude band
         band = abs(amp) + 1e-12
         steep = abs(uz) > 1e-12
@@ -526,7 +528,7 @@ class Sinusoid:
         stop = np.where(steep, hi, t_min + _FLAT_SCAN_SPAN)
         stop = np.where(stop < t_max, stop, t_max)
         live = np.flatnonzero((steep | ~(abs(qz) > band)) & ~(stop <= start))
-        roots = np.full(len(u), np.nan)
+        roots = np.full(len(uz), np.nan)
         if len(live):
             step = (np.pi / 4.0) / np.maximum(abs(om[live]), 1e-9)
             step = np.minimum(step, max(1.0, abs(amp)))
@@ -538,7 +540,7 @@ class Sinusoid:
                 t_min[live], uz[live], qz[live], om[live], phi0[live],
                 start[live], stop[live], counts.astype(np.int64),
             )
-        return roots.reshape(line.u.shape[:-1] + (1,))
+        return roots[:, None]
 
     def _scan(self, t_min, uz, qz, om, phi0, start, stop, counts):
         """The first root beyond t_min of each ray, NaN if none, among its
@@ -624,7 +626,7 @@ class Intersection:
 
     The normal points toward the incoming side at the hit, so u . n < 0.
     For a batch of lines, t and cos_incidence are (N,) and point and normal
-    (N, 3) arrays.
+    (N, 3) arrays; for a single line, floats and (3,) arrays.
     """
 
     point: np.ndarray
@@ -632,13 +634,19 @@ class Intersection:
     normal: np.ndarray
     cos_incidence: float
 
+    def _row(self, i) -> Intersection:
+        """Hit i of a batch, as a single hit."""
+        return Intersection(self.point[i], float(self.t[i]), self.normal[i], float(self.cos_incidence[i]))
+
 
 def _unit_gradient(surface, p) -> np.ndarray:
+    """Unit gradients (N, 3) of the level function at the points p (N, 3)."""
     g = surface.gradient(p)
-    n = np.linalg.norm(g)
-    if n < _GRAD_MIN:
-        raise DegenerateGradientError("level-function gradient vanishes at the point")
-    return g / n
+    n = _norm(g)
+    row = _first(n < _GRAD_MIN)
+    if row is not None:
+        raise DegenerateGradientError("level-function gradient vanishes at the point").at(row)
+    return g / n[:, None]
 
 
 def normal_at(surface, point) -> np.ndarray:
@@ -651,7 +659,7 @@ def normal_at(surface, point) -> np.ndarray:
     scale = max(1.0, float(np.linalg.norm(p)))
     if abs(surface.value(p)) > 1e-8 * scale:
         raise OffSurfaceError("point does not lie on the surface")
-    return float(surface.incoming_sign) * _unit_gradient(surface, p)
+    return float(surface.incoming_sign) * _unit_gradient(surface, p[None])[0]
 
 
 def _newton_bisect(g, dg, lo, hi, glo):
@@ -695,6 +703,9 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DE
     (|u . n| < 1e-6).  The returned normal is oriented against the ray.
     `line` may be a batch, with one t_min per line or one for all.
     """
+    single = line.u.ndim == 1
+    if single:
+        line = _ray(line, None)
     try:
         ts = surface.roots(line, t_min, t_max)
     except RaySpaceError as exc:  # the rays before it may still miss
@@ -706,29 +717,30 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DE
     miss = ~(t <= t_max)
     if _any(miss):
         t = np.where(miss, 0.0, t)  # a placeholder, so the other rays can be checked
-    p = line.q + t[..., None] * line.u
+    p = line.q + t[:, None] * line.u
     g = surface.gradient(p)
     gn = _norm(g)
     degenerate = gn < _GRAD_MIN
     if _any(degenerate):
         gn = np.where(degenerate, 1.0, gn)
-    n = g / gn[..., None]
+    n = g / gn[:, None]
     if surface.incoming_sign != 1:
         n = float(surface.incoming_sign) * n
     cos = np.vecdot(line.u, n)
     along = cos > 0.0
     if _any(along):  # turn the normal against the ray: an exact sign change
         sign = 1.0 - 2.0 * along
-        n = n * sign[..., None]
+        n = n * sign[:, None]
         cos = cos * sign
     i = _first(miss | degenerate | (abs(cos) < TRANSVERSE_TOL))
     if i is not None:
-        if miss.flat[i]:
-            lo = float(np.broadcast_to(t_min, miss.shape).flat[i])
+        if miss[i]:
+            lo = float(np.broadcast_to(t_min, miss.shape)[i])
             raise NoIntersectionError(
                 f"ray misses {type(surface).__name__} in ({lo:g}, {t_max:g}]"
             ).at(i)
-        if degenerate.flat[i]:
+        if degenerate[i]:
             raise DegenerateGradientError("level-function gradient vanishes at the point").at(i)
         raise TangentialError("ray meets the surface nearly tangentially").at(i)
-    return Intersection(point=p, t=_out(t), normal=n, cos_incidence=_out(cos))
+    hit = Intersection(point=p, t=t, normal=n, cos_incidence=cos)
+    return hit._row(0) if single else hit

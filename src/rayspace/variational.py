@@ -50,7 +50,7 @@ from .errors import (
     TangentialError,
     _lowest_failure,
 )
-from .families import RayFamily, _grid_csv, _grid_lines, is_rectangular, reconstruct_wavefront
+from .families import RayFamily, _grid_csv, _grid_lines, _largest_at, is_rectangular, reconstruct_wavefront
 from .lines import _as_vec3, _first, _norm, _stencil, line_through
 from .optics import OpticalSystem, reflect_direction
 from .surfaces import _stack_charts, _unit_gradient, intersect
@@ -277,11 +277,11 @@ def _law_residual(system: OpticalSystem, points, units) -> float:
     one per interface and M2, and its unit segment vectors."""
     worst = 0.0
     for i, itf in enumerate(system.interfaces):
-        u_in, u_out = units[i], units[i + 1]
-        n = _unit_gradient(itf.surface, points[i + 1])
-        if u_in @ n > 0.0:
+        u_in = units[i : i + 1]  # each interface's hit as the batch of one
+        n = _unit_gradient(itf.surface, points[i + 1 : i + 2])
+        if u_in[0] @ n[0] > 0.0:
             n = -n
-        worst = max(worst, float(np.max(np.abs(u_out - itf.bend(u_in, n)))))
+        worst = max(worst, float(np.max(np.abs(units[i + 1] - itf.bend(u_in, n)))))
     return worst
 
 
@@ -453,9 +453,12 @@ def design_focusing_mirror(
     if eps not in (-1.0, 1.0):
         raise ValueError("epsilon must be +1 or -1")
 
-    ok, _ = is_rectangular(family, grid=grid, h=h)
+    ok, defects = is_rectangular(family, grid=grid, h=h)
     if not ok:
-        raise NotRectangularError("mirror design requires a rectangular family")
+        k = _largest_at(defects.k1, defects.k2, defects.values)
+        raise NotRectangularError(
+            f"mirror design requires a rectangular family: |defect| {defects.max_abs:.3e} at k={k}"
+        )
     wf = reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
 
     n1, n2 = len(wf.k1), len(wf.k2)
@@ -484,10 +487,12 @@ def design_focusing_mirror(
     if node is not None:
         raise NoRootError((wf.k1[node // n2], wf.k2[node % n2]))
     # one Newton step on g takes the root from the rounding of the squared
-    # equation to that of g itself
+    # equation to that of g itself; |X - focus| has slope 0 where it is 0,
+    # and where g's slope is 0 there is no step
     x = r + root[:, None] * u
     dist = _norm(x)
-    root -= (root - t_front + eps * dist - level) / (1.0 + eps * np.vecdot(u, x) / dist)
+    slope = 1.0 + eps * np.vecdot(u, x) / np.where(dist > 0.0, dist, np.inf)
+    root -= (root - t_front + eps * dist - level) / np.where(slope != 0.0, slope, np.inf)
 
     return MirrorDesign(
         k1=wf.k1,

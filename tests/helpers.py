@@ -167,6 +167,43 @@ def snell_sine(n1, n2, sin_in):
 # one node and one ray at a time: the oracles of the batched routines
 
 
+def row_by_row(line_at, domain, kind="custom", anchor=None):
+    """A family whose eval calls line_at(k1, k2) once per parameter pair, in
+    order, with Python floats: the row-by-row reference of a batched family.
+
+    eval(k1, k2) of one pair gives line_at's line; of arrays k1, k2 it gives
+    the batch of the rows' lines (a TracedLine batch, with their lengths, if
+    the rows are TracedLines).  An error of row r is raised with `.at(r)`,
+    and no row after it is evaluated.
+    """
+
+    def _eval(k1, k2):
+        if np.ndim(k1) == np.ndim(k2) == 0:
+            return line_at(k1, k2)
+        lines = []
+        for row, (a, b) in enumerate(zip(*(k.tolist() for k in np.broadcast_arrays(k1, k2)))):
+            try:
+                lines.append(line_at(a, b))
+            except RaySpaceError as exc:
+                raise exc.at(row)
+        batch = rs.OrientedLine._exact(
+            np.array([line.u for line in lines]).reshape(-1, 3),
+            np.array([line.q for line in lines]).reshape(-1, 3),
+        )
+        if lines and isinstance(lines[0], rs.TracedLine):
+            lengths = None if lines[0].length is None else np.array([line.length for line in lines])
+            batch = rs.TracedLine._of(batch, lengths)
+        return batch
+
+    return rs.RayFamily(_eval, domain, kind=kind, anchor=anchor)
+
+
+def plain(family):
+    """The family evaluated row by row (row_by_row on its own eval), without
+    an anchor."""
+    return row_by_row(family.eval, family.domain)
+
+
 def node_neighbors(family, k, h):
     """The lines at k +- h along each parameter, one evaluation each, in the
     order +k1, -k1, +k2, -k2."""
@@ -328,7 +365,7 @@ def naive_one_form(family, ka, kb, tol, max_points=4096):
     """Romberg reference for the values of one_form_integral, a rule
     independent of its Clenshaw-Curtis quadrature: returns the value, the
     subdivision it stopped at and the Romberg column that stopped it.  Each
-    level re-evaluates all its nodes, in one call for a vectorized family.
+    level re-evaluates all its nodes, in one call.
 
     Level j sums the trapezoids of m = 4 * 2**j pieces into R[j][0] and
     raises NoConvergenceError if that sum is not finite; it extrapolates
@@ -342,13 +379,8 @@ def naive_one_form(family, ka, kb, tol, max_points=4096):
     m = 4
     while m <= max_points:
         ks = ka + np.linspace(0.0, 1.0, m + 1)[:, None] * (kb - ka)
-        if family.vectorized:
-            lines = family.eval(*ks.T)
-            us, qs = lines.u, lines.q
-        else:
-            lines = [family.eval(*k) for k in ks]
-            us = np.array([line.u for line in lines])
-            qs = np.array([line.q for line in lines])
+        lines = family.eval(*ks.T)
+        us, qs = lines.u, lines.q
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives a NaN sum
             row = [0.5 * float(np.sum((us[:-1] + us[1:]) * (qs[1:] - qs[:-1])))]
         if not np.isfinite(row[0]):
@@ -746,9 +778,14 @@ def design_focusing_mirror_oracle(
     if eps not in (-1.0, 1.0):
         raise ValueError("epsilon must be +1 or -1")
 
-    ok, _ = rs.is_rectangular(family, grid=grid, h=h)
+    ok, defects = rs.is_rectangular(family, grid=grid, h=h)
     if not ok:
-        raise NotRectangularError("mirror design requires a rectangular family")
+        worst, k = -1.0, None  # the first node of the largest |defect|, in (i, j) order
+        for i, k1 in enumerate(defects.k1):
+            for j, k2 in enumerate(defects.k2):
+                if abs(defects.values[i, j]) > worst:
+                    worst, k = abs(defects.values[i, j]), (float(k1), float(k2))
+        raise NotRectangularError(f"mirror design requires a rectangular family: |defect| {worst:.3e} at k={k}")
     wf = rs.reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
 
     n1, n2 = len(wf.k1), len(wf.k2)

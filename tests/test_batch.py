@@ -3,8 +3,8 @@
 Every function of the ray core that takes (N, 3) arrays must give, row by
 row, bit for bit what the rows give alone, and a failing batch must raise
 exactly what its lowest-index failing ray raises alone.  One-form
-integration of a vectorized family evaluates each refinement level in one
-call, over the new nodes only; a batch of segments, of regularity
+integration evaluates each refinement level in one call, over the new nodes
+only; a batch of segments, of regularity
 points or of wavefront nodes gives what its items give one at a time, and
 raises what the first failing one raises.  So do a defect grid against the
 node by node loop and the sinusoid root search against one ray at a time.
@@ -39,7 +39,7 @@ import rayspace.families as families
 from rayspace.families import _CHUNK, _col, _eval_rows, _require_inside, _spreads
 from rayspace.lines import _ray
 from rayspace.scene import load_scene
-from rayspace.surfaces import _SCAN_SAMPLES
+from rayspace.surfaces import _SCAN_SAMPLES, _unit_gradient
 
 from helpers import (
     aimed_line,
@@ -54,8 +54,10 @@ from helpers import (
     nested_sphere_system,
     node_defect_grid,
     node_neighbors,
+    plain,
     random_surface,
     random_unit,
+    row_by_row,
     sinusoid_first_root,
     stencil_defect,
     wavefront_segments,
@@ -261,10 +263,106 @@ def _families():
     yield rs.transform_family(device_source(), make_device())
 
 
+def _boundary_scene(kind):
+    """A surface of the kind, a line aimed at it from t0 and its hit, a
+    refraction into glass there, the chart Jacobian of that refraction at
+    the line, and a narrow point source about the line sent through it."""
+    rng = np.random.default_rng(20261019)
+    surface = random_surface(rng, kind)
+    line, hit, t0 = aimed_line(rng, surface)
+    system = rs.OpticalSystem((rs.Interface(surface, rs.REFRACT, 1.0, 1.5),))
+
+    def refracted(lines):
+        return rs.refract_line(lines, surface, 1.0, 1.5, t_min=t0)[0]
+
+    source = rs.point_source(line.point_at(t0), line.u, domain=((-0.01, 0.01), (-0.01, 0.01)))
+    return dict(
+        surface=surface, line=line, hit=hit, t0=t0, system=system, refracted=refracted,
+        jacobian=rs.chart_jacobian(refracted, line)[0], family=rs.transform_family(source, system),
+    )
+
+
+# each public entry point called on one ray, or on the batch of one that
+# `v` (an array) and `l` (a line) make of it; normal_at and defect take one
+# ray only, and their batch is the internal routine they call
+_ENTRY_POINTS = {
+    "line_through": lambda s, v, l: rs.line_through(v(s["hit"].point), v(s["line"].u)),
+    "OrientedLine": lambda s, v, l: rs.OrientedLine(v(s["line"].u), v(s["line"].q)),
+    "chart_for": lambda s, v, l: rs.chart_for(v(s["line"].u)),
+    "chart_coords": lambda s, v, l: rs.chart_coords(l(s["line"])),
+    "line_from_coords": lambda s, v, l: rs.line_from_coords(
+        v(rs.chart_coords(s["line"])[0]), v(rs.chart_for(s["line"].u))
+    ),
+    "chart_jacobian": lambda s, v, l: rs.chart_jacobian(s["refracted"], l(s["line"])),
+    "symplectic_residual": lambda s, v, l: rs.symplectic_residual(v(s["jacobian"]), scale=1.0 / 1.5),
+    "value": lambda s, v, l: s["surface"].value(v(s["hit"].point)),
+    "gradient": lambda s, v, l: s["surface"].gradient(v(s["hit"].point)),
+    "intersect": lambda s, v, l: rs.intersect(l(s["line"]), s["surface"], t_min=v(s["t0"])),
+    "normal_at": lambda s, v, l: (
+        rs.normal_at(s["surface"], s["hit"].point)
+        if v is _single
+        else s["surface"].incoming_sign * _unit_gradient(s["surface"], s["hit"].point[None])
+    ),
+    "reflect_direction": lambda s, v, l: rs.reflect_direction(v(s["line"].u), v(s["hit"].normal)),
+    "refract_direction": lambda s, v, l: rs.refract_direction(v(s["line"].u), v(s["hit"].normal), 1.0, 1.5),
+    "Interface.bend": lambda s, v, l: s["system"].interfaces[0].bend(v(s["line"].u), v(s["hit"].normal)),
+    "reflect_line": lambda s, v, l: rs.reflect_line(l(s["line"]), s["surface"], t_min=v(s["t0"])),
+    "refract_line": lambda s, v, l: rs.refract_line(l(s["line"]), s["surface"], 1.0, 1.5, t_min=v(s["t0"])),
+    "propagate_system": lambda s, v, l: rs.propagate_system(
+        l(s["line"]), s["system"], start=v(s["line"].point_at(s["t0"]))
+    ),
+    "one_form_integral": lambda s, v, l: rs.one_form_integral(s["family"], v((0.0, 0.0)), v((0.004, -0.003))),
+    "is_regular_point": lambda s, v, l: rs.is_regular_point(s["family"], v((0.002, 0.001)), v(1.0)),
+    "defect": lambda s, v, l: (
+        rs.defect(s["family"], (0.002, 0.001))
+        if v is _single
+        else families._defects(s["family"], np.array([[0.002, 0.001]]), s["family"].default_step())
+    ),
+}
+
+
+def _single(x):
+    return x
+
+
+def assert_row_0(single, batch):
+    """single is row 0 of the batch of one, bit for bit: a float, str or
+    bool where the batch has a (1,) array, an array of the row's shape where
+    it has more axes; lines, hits and traces field by field."""
+    if isinstance(batch, tuple):
+        assert type(single) is tuple and len(single) == len(batch)
+        for a, b in zip(single, batch):
+            assert_row_0(a, b)
+    elif isinstance(batch, (rs.OrientedLine, rs.Intersection, rs.TraceResult)):
+        assert type(single) is type(batch)
+        for field in dataclasses.fields(batch):
+            assert_row_0(getattr(single, field.name), getattr(batch, field.name))
+    elif batch.shape == (1,):
+        assert type(single) is {"f": float, "U": str, "b": bool}[batch.dtype.kind]
+        assert np.array([single], dtype=batch.dtype).tobytes() == batch.tobytes()
+    else:
+        assert type(single) is np.ndarray and single.shape == batch.shape[1:]
+        assert single.tobytes() == batch[0].tobytes()
+
+
+class TestPublicBoundary:
+    """A single ray exists only at the public entry points: each takes it as
+    the batch of one and gives back row 0, as Python floats, strs and bools
+    and (3,) points, normals, u and q."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+    def test_single_ray_is_row_0_of_the_batch_of_one(self, entry, kind):
+        scene = _boundary_scene(kind)
+        call = _ENTRY_POINTS[entry]
+        single = call(scene, _single, _single)
+        batch = call(scene, lambda x: np.asarray(x)[None], lambda line: _ray(line, None))
+        assert_row_0(single, batch)
+
+
 class TestFamilyBatch:
     @pytest.mark.parametrize("family", list(_families()), ids=lambda f: f.kind)
     def test_eval_and_anchor_rows(self, family, rng):
-        assert family.vectorized
         (a1, b1), (a2, b2) = family.domain
         k1 = rng.uniform(a1, b1, 7) * 0.8
         k2 = rng.uniform(a2, b2, 7) * 0.8
@@ -277,22 +375,18 @@ class TestFamilyBatch:
             assert np.array_equal(batch.q[i], single.q)
             assert np.array_equal(anchors[i], family.start_point(k1[i], k2[i]))
 
-    def test_custom_family_is_not_vectorized(self):
-        fam = rs.point_source([0, 0, 0], [0, 0, 1])
-        assert not rs.RayFamily(fam.eval, fam.domain).vectorized
-
 
 def _blemished(family, bad, bad_line):
     """The family evaluated one parameter at a time, with the line at the
     parameter bad replaced by bad_line(line)."""
 
-    def _eval(k1, k2):
+    def line_at(k1, k2):
         line = family.eval(k1, k2)
         if (k1, k2) == tuple(bad):
             return rs.OrientedLine._exact(*bad_line(line))
         return line
 
-    return rs.RayFamily(_eval, family.domain)
+    return row_by_row(line_at, family.domain)
 
 
 class TestOneFormNodes:
@@ -397,7 +491,9 @@ class TestOneFormNodes:
         # both segments up to the failing level, then the first one again
         # alone, since it might fail at a later level
         assert sum(calls) == 2 * (level + 1) + (m + 1)
-        assert len(calls) == sum(calls)  # a plain family is evaluated row by row
+        # one eval call per level, m = 4, 8, ...: each level of both
+        # segments up to the failing one, then each of the first one's
+        assert len(calls) == (level // 4).bit_length() + (m // 4).bit_length()
 
 
 def _jump_family():
@@ -655,11 +751,6 @@ def random_params(rng, family, count, spill=0.0):
     )
 
 
-def plain(family):
-    """The same family without the vectorized flag: evaluated row by row."""
-    return rs.RayFamily(lambda k1, k2: family.eval(k1, k2), family.domain)
-
-
 def check_against_items(batch, singles):
     """A batch outcome against its items' outcomes taken one at a time."""
     first = first_failure(singles)
@@ -718,7 +809,7 @@ class TestSegmentBatch:
         value = rs.one_form_integral(fam, (0.0, 0.0), (0.1, 0.2))
         assert type(value) is float
         batch = rs.one_form_integral(fam, [(0.0, 0.0)], [(0.1, 0.2)])
-        assert batch.shape == (1,) and batch[0] == value
+        assert batch.shape == (1,) and batch.tobytes() == np.array([value]).tobytes()
 
 
 class TestAgainstRomberg:
@@ -760,7 +851,7 @@ def node_is_regular(family, k, t):
     """is_regular_point one evaluation at a time: the centre line, then the
     four stencil lines."""
     h = family.default_step()
-    _require_inside(family, k, h)
+    _require_inside(family, np.asarray(k, dtype=float)[None], h)
     line0 = family.eval(float(k[0]), float(k[1]))
     stencil = node_neighbors(family, k, h)
     us = np.array([line.u for line in stencil])
@@ -971,17 +1062,17 @@ class TestErrorOrderOfWavefrontBatches:
         assert err.value.row == 2 * len(k2)
 
     def test_failing_line_names_its_node(self):
-        # a family that is not vectorized is evaluated at the nodes, row by row
+        # a family evaluated at the nodes row by row
         fam = rs.point_source([0, 0, 5], [0.1, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
         wf = rs.reconstruct_wavefront(fam, (0.05, -0.03), c=2.0, grid=5)
         bad = [(wf.k1[1], wf.k2[3]), (wf.k1[3], wf.k2[0])]
 
-        def _eval(k1, k2):
+        def line_at(k1, k2):
             if (k1, k2) in bad:
                 raise FamilyTraceError((k1, k2), TraceError(0, NoIntersectionError("ray misses Sphere")))
             return fam.eval(k1, k2)
 
-        failing = rs.RayFamily(_eval, fam.domain, anchor=fam.anchor)
+        failing = row_by_row(line_at, fam.domain, anchor=fam.anchor)
         reference = outcome(lambda: [failing.eval(a, b) for a in wf.k1 for b in wf.k2])
         assert isinstance(reference, FamilyTraceError)
         with pytest.raises(FamilyTraceError) as err:
@@ -1288,7 +1379,8 @@ class TestSymplecticResidualStack:
 
 def check_roots(surface, lines, t_min, t_max):
     """Sinusoid.roots of a batch against the per-ray search, bit for bit, and
-    each ray's roots alone against it too; returns the roots or the error."""
+    each ray's roots alone (the batch of one) against it too; returns the
+    roots or the error."""
     singles = [
         outcome(lambda: sinusoid_first_root(surface, lines.u[i], lines.q[i], t_min[i], t_max))
         for i in range(len(t_min))
@@ -1302,8 +1394,8 @@ def check_roots(surface, lines, t_min, t_max):
     assert batch.shape == (len(t_min), 1)
     assert batch[:, 0].tobytes() == np.array(singles, dtype=float).tobytes()
     for i in range(len(t_min)):
-        alone = surface.roots(_ray(lines, i), t_min[i], t_max)
-        assert alone.shape == (1,) and alone.tobytes() == batch[i].tobytes()
+        alone = surface.roots(_ray(lines, slice(i, i + 1)), t_min[i : i + 1], t_max)
+        assert alone.shape == (1, 1) and alone.tobytes() == batch[i].tobytes()
     return batch[:, 0]
 
 

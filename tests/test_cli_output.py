@@ -154,7 +154,9 @@ def test_write_failing_part_way_leaves_an_empty_file(tmp_path, monkeypatch):
     code, err = call("characteristic.scene", "characteristic", tmp_path)
     monkeypatch.undo()
     assert len(calls) == 2
-    assert (code, err) == (1, f"error: {full}\n")
+    # the error names the file that could not be written
+    named = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.path.join(tmp_path, "report.txt"))
+    assert (code, err) == (1, f"error: {named}\n")
     assert (tmp_path / "report.txt").read_bytes() == b""
 
 

@@ -15,7 +15,7 @@ from rayspace.errors import (
 from rayspace.lines import _omega
 from rayspace.scene import load_scene
 
-from helpers import line_tangent, make_device, unit
+from helpers import line_tangent, make_device, row_by_row, unit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -80,7 +80,7 @@ class TestDefect:
             line = fam.eval(k1, k2)
             return rs.line_through(line.q + shift, line.u)
 
-        shifted = rs.RayFamily(shifted_eval, fam.domain, kind="shifted")
+        shifted = row_by_row(shifted_eval, fam.domain, kind="shifted")
         for k in [(0.0, 0.0), (0.1, -0.05), (-0.15, 0.2)]:
             assert abs(rs.defect(fam, k) - rs.defect(shifted, k)) < 1e-10
 
@@ -158,7 +158,7 @@ class TestIsRectangular:
 
     def test_degenerate_family_fails_immersion(self):
         frozen = rs.line_through([0, 0, 0], [0, 0, 1])
-        fam = rs.RayFamily(lambda k1, k2: frozen, ((-0.1, 0.1), (-0.1, 0.1)), kind="stuck")
+        fam = row_by_row(lambda k1, k2: frozen, ((-0.1, 0.1), (-0.1, 0.1)), kind="stuck")
         with pytest.raises(ImmersionError):
             rs.is_rectangular(fam)
 
@@ -170,7 +170,7 @@ class TestIsRectangular:
                 m1, m2 = mat @ np.array([k1, k2]) + 0.05 * np.array([k1 * k1, k2 * k1])
                 return base.eval(m1, m2)
 
-            return rs.RayFamily(_eval, ((-0.1, 0.1), (-0.1, 0.1)), kind="warped")
+            return row_by_row(_eval, ((-0.1, 0.1), (-0.1, 0.1)), kind="warped")
 
         ok, _ = rs.is_rectangular(warp(rs.point_source([0, 0, 0], [0, 0, 1])))
         assert ok
@@ -248,7 +248,7 @@ class TestWavefront:
         assert np.max(np.abs(wf.points[:, :, 2] + 0.75)) < 1e-9
 
     def test_two_skew_lines_rejected(self):
-        with pytest.raises(NotRectangularError):
+        with pytest.raises(NotRectangularError, match=r"^path-dependent primitive at k=\(.+, .+\): L-path"):
             rs.reconstruct_wavefront(skew_family(), k0=(0, 0))
 
     def test_wavefront_through_apex_rejected(self):

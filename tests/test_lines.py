@@ -89,14 +89,14 @@ class TestCharts:
 
     def test_unproject_jacobian_matches_fd(self, rng):
         for chart_id in (rs.NORTH, rs.SOUTH):
-            a = rng.uniform(-1.5, 1.5, 2)
+            a = rng.uniform(-1.5, 1.5, (1, 2))  # a batch of one
             u, jac = _unproject(chart_id, a)
             h = 1e-7
             for i in range(2):
                 da = np.zeros(2)
                 da[i] = h
                 fd = (_unproject(chart_id, a + da)[0] - _unproject(chart_id, a - da)[0]) / (2 * h)
-                assert np.allclose(jac[:, i], fd, atol=1e-7)
+                assert np.allclose(jac[0, :, i], fd[0], atol=1e-7)
 
     def test_coords_roundtrip(self):
         line = rs.line_through([0.4, 1.0, -2.0], [1.0, -0.5, 0.25])

@@ -165,6 +165,12 @@ class TestAgainstOracle:
         collimated=False, half_width=0.0014017007569947807, focus=[0.0, 0.0, -0.7960822774141949],
         epsilon=-1, level=0.0, wavefront_c=0.8125, grid=3,
     )
+    # the centre node's mirror point is the focus itself: the Newton step
+    # meets |X - focus| = 0
+    @example(
+        collimated=True, half_width=0.015625, focus=[0.0, 0.0, 0.0], epsilon=-1, level=0.0,
+        wavefront_c=1e-12, grid=3,
+    )
     def test_random_designs(self, collimated, half_width, focus, epsilon, level, wavefront_c, grid):
         domain = ((-half_width, half_width), (-half_width, half_width))
         if collimated:

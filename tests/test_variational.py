@@ -19,6 +19,7 @@ from helpers import (
     ellipsoid_oracle_point,
     nested_sphere_system,
     paraboloid_oracle_point,
+    row_by_row,
     unit,
 )
 
@@ -417,6 +418,18 @@ class TestMirrorDesign:
         k = -0.09999717157287526
         assert err.value.k == (k, k) and all(type(x) is float for x in err.value.k)
         assert str(err.value) == f"no root along the ray at k=({k}, {k})"
+
+    def test_not_rectangular_error_names_k_of_the_largest_defect(self):
+        # two skew lines: the defect s t / (s^2 + t^2 + 1)^(3/2), s = 1 + k1,
+        # t = 1 + k2, is largest at the centre node, 1 / (3 sqrt 3)
+        fam = rs.two_skew_lines([1, 0, 0], [1, 0, 0], [0, 1, 1], [0, 1, 0])
+        _, grid = rs.is_rectangular(fam, grid=5)
+        assert abs(grid.values[2, 2]) == grid.max_abs
+        k = (float(grid.k1[2]), float(grid.k2[2]))
+        assert all(type(x) is float for x in k)
+        with pytest.raises(NotRectangularError) as err:
+            rs.design_focusing_mirror(fam, k0=(0, 0), focus=[0, 0, 2.0], epsilon=1, level=0.5, grid=5)
+        assert str(err.value) == f"mirror design requires a rectangular family: |defect| 1.925e-01 at k={k}"
     def test_virtual_focus_verifies(self):
         fam = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.002, 0.002), (-0.002, 0.002)))
         design = rs.design_focusing_mirror(
@@ -485,9 +498,7 @@ class TestMirrorDesign:
             x = ellipsoid_oracle_point(line, 4.2, focus)
             return rs.line_through(x, focus - x)
 
-        reflected = rs.RayFamily(
-            reversed_eval, ((-0.15, 0.15), (-0.15, 0.15)), kind="reflected"
-        )
+        reflected = row_by_row(reversed_eval, ((-0.15, 0.15), (-0.15, 0.15)), kind="reflected")
         ok, grid = rs.is_rectangular(reflected)
         assert ok
         assert grid.max_abs < 1e-6
