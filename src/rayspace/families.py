@@ -74,8 +74,7 @@ from .surfaces import Plane, Sinusoid, Sphere
 
 # Rays per eval call in batched routines, which bounds the memory of one call.
 _CHUNK = 2048
-_MAX_POINTS = 4096  # the finest one-form level
-_BLOCK = 1 << 15  # entries of the one-form differentiation matrix built at once
+_MAX_POINTS = 512  # the finest one-form level
 _INTEGRAL_TOL = 1e-9  # one-form refinements stop once successive sums agree within it
 
 
@@ -548,7 +547,8 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
     stops when two successive levels agree within tol, and the finer value
     is the integral.  A segment whose sum is NaN or infinite at a level
     raises NoConvergenceError there, and so does one still refining past
-    max_points.
+    max_points; both errors name the segment.  max_points may lower the
+    budget of 512 nodes but not raise it: above it, ValueError.
 
     ka and kb of shape (2,) give one segment and a float; shape (S, 2) gives
     S segments and an (S,) array.  The segments refine together: each level
@@ -557,6 +557,8 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
     sums and stopping test, all computed segment by segment, so each value
     equals the single segment's bit for bit; the stages are the levels.
     """
+    if max_points > _MAX_POINTS:
+        raise ValueError(f"max_points must be at most {_MAX_POINTS}, got {max_points}")
     ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
     if ka.ndim == 1:
         return float(_one_form_levels(family, ka[None], kb[None], tol, max_points)[0])
@@ -566,10 +568,12 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
 @lru_cache(maxsize=None)
 def _cc_level(m: int):
     """Level m (even) of the nested rules on [0, 1], read-only: the nodes
-    t_j = (1 - cos(pi j / m)) / 2, their Clenshaw-Curtis weights (Trefethen's
-    clencurt, halved for [0, 1]) over their barycentric weights, and the
-    barycentric weights (-1)^j, halved at both ends.  pi * 2j / 2m rounds
-    as pi * j / m does, so level 2m's nodes of even index are level m's, bit
+    t_j = (1 - cos(pi j / m)) / 2, their Clenshaw-Curtis weights w
+    (Trefethen's clencurt, halved for [0, 1]), and G = diag(w) D with D the
+    differentiation matrix of the nodes: D_ij = (b_j / b_i) / (t_i - t_j)
+    off the diagonal, with the barycentric weights b_j = (-1)^j halved at
+    both ends, and minus the sum of its row on it.  pi * 2j / 2m rounds as
+    pi * j / m does, so level 2m's nodes of even index are level m's, bit
     for bit."""
     j = np.arange(m + 1)
     nodes = (1.0 - np.cos(np.pi * j / m)) / 2.0
@@ -581,7 +585,11 @@ def _cc_level(m: int):
     weights[1:-1] = inner / m
     bary = np.where(j % 2, -1.0, 1.0)
     bary[[0, -1]] = 0.5
-    level = nodes, weights / bary, bary
+    gap = nodes[:, None] - nodes
+    np.fill_diagonal(gap, np.inf)
+    g = (weights / bary)[:, None] * bary / gap
+    np.fill_diagonal(g, -g.sum(axis=1))
+    level = nodes, weights, g
     for a in level:
         a.flags.writeable = False
     return level
@@ -589,28 +597,14 @@ def _cc_level(m: int):
 
 def _cc_sums(us, qs):
     """The Clenshaw-Curtis sums (S,) of u . q' over the nodes (S, m + 1, 3)
-    of level m of S segments.
-
-    q' = D (q - q_0) with D the differentiation matrix of the nodes,
-    D_ij = (b_j / b_i) / (t_i - t_j) off the diagonal (b the barycentric
-    weights) and minus the sum of its row on it.  The rows of D, scaled by
-    the weights, are built and applied _BLOCK entries at a time, the same
-    blocks for every S, and each segment's product is its own matrix
-    product of the same shape, so each sum is the single segment's bit for
-    bit.
+    of level m of S segments: u . G (q - q_0) with G of _cc_level.  Each
+    segment's product is its own matrix product of the same shape, so each
+    sum is the single segment's bit for bit.
     """
-    nodes, scale, bary = _cc_level(us.shape[1] - 1)
-    n = len(nodes)
+    g = _cc_level(us.shape[1] - 1)[2]
     dq = qs - qs[:, :1]
-    total = 0.0
-    size = max(1, _BLOCK // n)
-    for a in range(0, n, size):
-        gap = nodes[a : a + size, None] - nodes
-        gap.reshape(-1)[a :: n + 1] = np.inf  # the diagonal
-        rows = scale[a : a + size, None] * bary / gap
-        rows.reshape(-1)[a :: n + 1] = -rows.sum(axis=1)
-        total = total + np.vecdot(us[:, a : a + size].reshape(len(us), -1), (rows @ dq).reshape(len(us), -1))
-    return total
+    # 0.0 + reads a sum of -0.0 as +0.0
+    return 0.0 + np.vecdot(us.reshape(len(us), -1), (g @ dq).reshape(len(us), -1))
 
 
 def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, ends=None):
@@ -624,13 +618,14 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
     level evaluates the new nodes of all live segments in one batch,
     interleaves them with the kept nodes and takes every segment's sum.  The
     nodes and previous sum of a segment are dropped when it converges.
-    While a level is built, the previous level's nodes, the new nodes and
-    the grown nodes are all held, and then the nodes and their differences
-    from q_0: segments that never converge peak at about two copies of
-    their nodes at max_points, plus one block of D.
     """
     def before(count):  # the first count segments, from their first level
         _one_form_levels(family, ka[:count], kb[:count], tol, max_points, None if ends is None else ends[:count])
+
+    def failure(message, s):  # the error of live segment s, naming it
+        seg = live[s]
+        where = f"k={tuple(map(float, ka[seg]))} -> {tuple(map(float, kb[seg]))}"
+        return NoConvergenceError(f"{message} on {where}").at(seg)
 
     values = np.empty(len(ka))
     span = kb - ka
@@ -660,14 +655,11 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
             grown[0, :, 0::2], grown[1, :, 0::2] = us, qs
             grown[0, :, 1::2], grown[1, :, 1::2] = u, q
             us, qs = grown
-            del grown
-        del u, q  # the nodes hold them now; free the copies before the sums
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sum raises below
             val = _cc_sums(us, qs)
         bad = _first(~np.isfinite(val))
         if bad is not None:
-            err = NoConvergenceError(f"one-form sum over {m} pieces is not finite")
-            raise _lowest_failure(err.at(live[bad]), before)
+            raise _lowest_failure(failure(f"one-form sum over {m} pieces is not finite", bad), before)
         if prev is not None:
             done = abs(val - prev) <= tol
             values[live[done]] = val[done]
@@ -677,7 +669,7 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
             live, val, us, qs = live[going], val[going], us[going], qs[going]
         prev = val
         m *= 2
-    raise NoConvergenceError("one-form integral did not converge under refinement").at(live[0])
+    raise failure("one-form integral did not converge under refinement", 0)
 
 
 def _eval_rows(family: RayFamily, ks, lengths: bool = False):
@@ -788,7 +780,6 @@ def reconstruct_wavefront(
     grid=9,
     h: float | None = None,
     path_tol: float = 1e-7,
-    integral_tol: float = _INTEGRAL_TOL,
     check_regular: bool = True,
 ) -> Wavefront:
     """Integrate u . dP from k0 and drop the points P - (F + c) u.
@@ -818,7 +809,7 @@ def reconstruct_wavefront(
     ks = nodes.reshape(-1, 2)
     lines = np.stack([us.reshape(-1, 3), qs.reshape(-1, 3)], axis=1)
     ends = lines[np.stack([starts, stops], axis=1)]
-    seg = _one_form_levels(family, ks[starts], ks[stops], integral_tol, _MAX_POINTS, ends)
+    seg = _one_form_levels(family, ks[starts], ks[stops], _INTEGRAL_TOL, _MAX_POINTS, ends)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 

@@ -7,6 +7,7 @@ settings.register_profile(
     max_examples=50,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+    print_blob=True,  # a failing draw prints its @reproduce_failure line
 )
 settings.load_profile("default")
 

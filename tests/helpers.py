@@ -423,7 +423,7 @@ def clenshaw_curtis_oracle(m):
     return t, w, g
 
 
-def naive_cc_one_form(family, ka, kb, tol, max_points=4096):
+def naive_cc_one_form(family, ka, kb, tol, max_points=512):
     """Reference nested Clenshaw-Curtis integral that re-evaluates every
     node of every level one at a time; returns the value and the level m it
     stopped at.
@@ -431,11 +431,13 @@ def naive_cc_one_form(family, ka, kb, tol, max_points=4096):
     Level m evaluates the lines at ka + t_j (kb - ka), with ka and kb
     themselves at j = 0 and m, and sums w_j u_j . q'_j with q' = D (q - q_0)
     (see clenshaw_curtis_oracle); a sum that is not finite raises
-    NoConvergenceError.  It stops at the first level within tol of the
-    previous one.
+    NoConvergenceError, and so does a segment still refining past
+    max_points, both naming the segment.  It stops at the first level within
+    tol of the previous one.
     """
     ka = np.asarray(ka, dtype=float)
     kb = np.asarray(kb, dtype=float)
+    where = f"on k={tuple(map(float, ka))} -> {tuple(map(float, kb))}"
     prev = None
     m = 4
     while m <= max_points:
@@ -447,12 +449,12 @@ def naive_cc_one_form(family, ka, kb, tol, max_points=4096):
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf gives a NaN sum
             value = float(np.dot(us.ravel(), (g @ (qs - qs[0])).ravel()))
         if not np.isfinite(value):
-            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite")
+            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite {where}")
         if prev is not None and abs(value - prev) <= tol:
             return value, m
         prev = value
         m *= 2
-    raise NoConvergenceError("one-form integral did not converge under refinement")
+    raise NoConvergenceError(f"one-form integral did not converge under refinement {where}")
 
 
 def wavefront_segments(k1, k2):

@@ -424,23 +424,32 @@ class TestOneFormNodes:
         assert self.check((-0.3, -0.3), (0.3, 0.3), 1e-13) == 32
 
     def test_levels_nest(self):
-        # level 2m's nodes of even index are level m's, bit for bit, and
-        # every level is the rule written out entry by entry
-        for m in 4 * 2 ** np.arange(10):
-            nodes, scale, bary = families._cc_level(int(m))
+        # level 2m's nodes of even index are level m's, bit for bit, up to
+        # the budget of 512, and every level is the rule written out entry
+        # by entry: its nodes, weights and G = diag(w) D
+        assert families._MAX_POINTS == 512
+        for m in 4 * 2 ** np.arange(7):
+            level = families._cc_level(int(m))
+            nodes = level[0]
             assert nodes.tobytes() == families._cc_level(int(2 * m))[0][::2].tobytes()
             assert nodes[0] == 0.0 and nodes[-1] == 1.0
+            assert not any(a.flags.writeable for a in level)
             if m <= 64:
-                t, w, _ = clenshaw_curtis_oracle(int(m))
-                # the weights are kept over the barycentric weights, 1, -1
-                # or 0.5, which divide them exactly
-                assert nodes.tobytes() == t.tobytes() and (scale * bary).tobytes() == w.tobytes()
+                oracle = clenshaw_curtis_oracle(int(m))
+                assert [a.tobytes() for a in level] == [a.tobytes() for a in oracle]
 
-    @pytest.mark.parametrize("m", [4, 8, 64, 256])
+    def test_budget_may_not_grow(self):
+        # max_points may lower the budget of 512 nodes, not raise it
+        fam = rs.point_source([0.3, -0.2, 1.0], [1.0, 0.1, 0.2])
+        ka, kb = (0.0, 0.0), (0.05, -0.05)
+        with pytest.raises(ValueError, match="max_points must be at most 512, got 1024"):
+            rs.one_form_integral(fam, ka, kb, max_points=1024)
+        assert rs.one_form_integral(fam, ka, kb, max_points=8) == naive_cc_one_form(fam, ka, kb, 1e-9)[0]
+
+    @pytest.mark.parametrize("m", [4, 8, 64, 256, 512])
     def test_rule_is_exact_on_polynomials(self, m, rng):
         # u of degree m // 2 and q of degree m // 2 + 1: u . q' has degree m,
-        # which Clenshaw-Curtis integrates exactly; at m = 256 the
-        # differentiation matrix is applied in several blocks
+        # which Clenshaw-Curtis integrates exactly
         t = families._cc_level(m)[0]
         us = [np.polynomial.Polynomial(rng.normal(size=m // 2 + 1)) for _ in range(3)]
         qs = [np.polynomial.Polynomial(rng.normal(size=m // 2 + 2)) for _ in range(3)]
@@ -485,7 +494,9 @@ class TestOneFormNodes:
             with pytest.raises(NoConvergenceError) as err:
                 rs.one_form_integral(counted, ka, kb, tol=1e-12)
         assert err.value.row == 1
-        assert str(err.value) == str(alone.value) == f"one-form sum over {level} pieces is not finite"
+        assert str(err.value) == str(alone.value) == (
+            f"one-form sum over {level} pieces is not finite on k=(-0.1, 0.05) -> (0.1, 0.21)"
+        )
         _, m = naive_cc_one_form(fam, ka[0], kb[0], 1e-12)
         assert m > level
         # both segments up to the failing level, then the first one again
@@ -499,7 +510,7 @@ class TestOneFormNodes:
 def _jump_family():
     """Two point sources, one for k1 <= 0.02 and one beyond: u and q jump,
     and no level of a segment across the jump comes within 1e-9 of the
-    last (its sums still move by about 1e-5 from m = 512 to 1024)."""
+    last (its sums still move by about 1.5e-5 from m = 256 to 512)."""
     left = rs.point_source([0.3, -0.2, 1.0], [0.1, 0.2, -1.0])
     right = rs.point_source([0.3, -0.2, 1.5], [0.3, 0.2, -1.0])
 
@@ -518,7 +529,9 @@ class TestOneFormFailure:
         kb = np.array([[-0.05, 0.0], [0.1, 0.05], [0.2, 0.1]])
         with pytest.raises(NoConvergenceError) as alone:
             naive_cc_one_form(fam, ka[1], kb[1], 1e-9, max_points=64)
-        assert str(alone.value) == "one-form integral did not converge under refinement"
+        assert str(alone.value) == (
+            "one-form integral did not converge under refinement on k=(-0.1, 0.05) -> (0.1, 0.05)"
+        )
         tracemalloc.start()
         try:
             with pytest.raises(NoConvergenceError) as err:
@@ -528,8 +541,10 @@ class TestOneFormFailure:
             tracemalloc.stop()
         assert str(err.value) == str(alone.value)
         assert err.value.row == 1
-        # two segments of 4,097 nodes, held about twice, and one block of
-        # the differentiation matrix: a whole one would take 134 MB
+        # two segments of 513 nodes, held about twice, and the matrices G
+        # of the levels up to m = 512, about 2.8 MB, built once; the matrix
+        # of m = 4096 alone would take 134 MB, which is why max_points may
+        # not exceed 512
         assert peak < 16 * 2**20
 
 

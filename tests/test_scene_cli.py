@@ -189,12 +189,14 @@ class TestParseScene:
             ("step = 0", "step must be positive"),
             ("step = -1e-3", "step must be positive"),
             ("seed = -1", "seed must be at least 0"),
+            ("tol = 0", "tol must be positive"),
+            ("tol = -1", "tol must be positive"),
             ("tol = nan", "non-finite number 'nan'"),
         ],
     )
     def test_options_that_break_the_checks(self, option, message):
         # a step of 0 makes every difference quotient NaN; numpy refuses a
-        # negative seed
+        # negative seed; no residual is below a tolerance of 0 or less
         with pytest.raises(SceneSyntaxError) as err:
             parse_scene("[options]\n" + option + "\n")
         assert (err.value.line, err.value.col, err.value.message) == (2, option.index("=") + 2, message)
@@ -379,6 +381,7 @@ class TestCliCommands:
         "old, new, message",
         [
             ("[options]\n", "[options]\nstep = 0\n", "line 20, col 7: step must be positive"),
+            ("[options]\n", "[options]\ntol = -1\n", "line 20, col 6: tol must be positive"),
             ("seed = 7", "seed = -1", "line 21, col 7: seed must be at least 0"),
         ],
     )
@@ -874,6 +877,7 @@ class TestCommandLine:
             (["defect", "--scene", POINT_PLANE, "--step", "0"], "argument --step: step must be positive"),
             (["defect", "--scene", POINT_PLANE, "--step", "inf"], "argument --step: non-finite number 'inf'"),
             (["check-symplectic", "--scene", SPHERE, "--seed", "-1"], "argument --seed: seed must be at least 0"),
+            (["wavefront", "--scene", POINT_PLANE, "--tol", "0"], "argument --tol: tol must be positive"),
             (["trace", "--scene", POINT_PLANE, "--tol", "nan"], "argument --tol: non-finite number 'nan'"),
             (["trace", "--scene", POINT_PLANE, "--step", "nan"], "argument --step: non-finite number 'nan'"),
             (["trace", "--scene", POINT_PLANE, "--step", "auto"], "argument --step: invalid float value: 'auto'"),
