@@ -16,7 +16,11 @@ one-form u . dP, checking path independence as it goes.
 
 Finite differences are central throughout; the default step is
 1e-5 * (parameter domain diameter).  Grids are inset from the domain edges by
-the step so every stencil stays inside the domain.
+the step so every stencil stays inside the domain.  One routine,
+`_tangents`, evaluates the stencil lines +k1, -k1, +k2, -k2 of a batch of
+nodes and gives their tangents (du, dq); the defect is omega of the pair,
+the immersion test its rank and the regularity test its determinant across
+the ray.
 
 Shapes: internal routines take batches only, (N, 2) parameters and (N, 3)
 lines.  A family's `eval` and `anchor` take arrays k1, k2 of N parameters
@@ -34,9 +38,9 @@ one array, and each level evaluates all their new nodes as one batch.
 segments from them and checks the regularity of all its nodes in one batch
 each, and keeps the grid lines with their optical lengths on the Wavefront,
 where `orthogonality_residual` reads them; `defect_grid` evaluates the
-stencil and centre lines of all its nodes and their immersion tests in one
-batch.  Batches fail as `errors` sets out, the error's `row` naming the
-parameter, segment or node.
+stencil lines of all its nodes and their immersion tests in one batch.
+Batches fail as `errors` sets out, the error's `row` naming the parameter,
+segment or node.
 """
 
 from __future__ import annotations
@@ -60,13 +64,11 @@ from .errors import (
 from .lines import (
     OrientedLine,
     _as_vec3,
-    _chart_ab,
     _first,
     _frame,
     _norm,
     _omega,
     _stencil,
-    chart_for,
     line_through,
 )
 from .optics import OpticalSystem, propagate_system
@@ -346,44 +348,25 @@ def _require_inside(family: RayFamily, ks, h: float) -> None:
         ).at(bad)
 
 
-def _defects(family: RayFamily, ks, h: float, check_immersion: bool = False):
-    """The defect (N,) at the rows of ks (N, 2), without the domain check.
-
-    One evaluation of the stencil lines of all nodes, plus their centre lines
-    when check_immersion is set; ImmersionError names the first node whose
-    stencil does not have rank 2.  The stages: all the lines, then the
-    immersion tests; the error's row is the node.
-    """
-    rows = ks[:, None] + _stencil(2, h)  # +k1, -k1, +k2, -k2
-    if check_immersion:
-        rows = np.concatenate([rows, ks[:, None]], axis=1)
+def _tangents(family: RayFamily, ks, h: float):
+    """The central-difference tangents du, dq (N, 2, 3) of the lines at the
+    rows of ks (N, 2), [:, i] along k_(i+1), from one evaluation of the four
+    stencil lines +k1, -k1, +k2, -k2 of every node; an error's row is the
+    node.  The stencils must lie inside the domain."""
+    rows = ks[:, None] + _stencil(2, h)
     try:
         u, q = _eval_rows(family, rows.reshape(-1, 2))
-    except RaySpaceError as exc:  # the nodes before it may fail their immersion test
-        exc.row //= rows.shape[1]
-        raise _lowest_failure(exc, lambda m: _defects(family, ks[:m], h, check_immersion))
-    us = u.reshape(rows.shape[:2] + (3,))
-    qs = q.reshape(rows.shape[:2] + (3,))
-    if check_immersion:
-        bad = _first(~_immersed(us[:, 4], us[:, :4], qs[:, :4], h))
-        if bad is not None:
-            k = tuple(map(float, ks[bad]))
-            raise ImmersionError(f"family is not an immersion at k={k}").at(bad)
-    du1 = (us[:, 0] - us[:, 1]) / (2.0 * h)
-    dq1 = (qs[:, 0] - qs[:, 1]) / (2.0 * h)
-    du2 = (us[:, 2] - us[:, 3]) / (2.0 * h)
-    dq2 = (qs[:, 2] - qs[:, 3]) / (2.0 * h)
-    return _omega(du1, dq1, du2, dq2)
+    except RaySpaceError as exc:
+        raise exc.at(exc.row // 4)
+    u, q = u.reshape(-1, 2, 2, 3), q.reshape(-1, 2, 2, 3)
+    return (u[:, :, 0] - u[:, :, 1]) / (2.0 * h), (q[:, :, 0] - q[:, :, 1]) / (2.0 * h)
 
 
-def _immersed(u0, us, qs, h: float):
-    """Whether the stencil lines (N, 4, 3) of each node give a rank-2 chart
-    Jacobian, in the chart chosen for the node's centre direction u0 (N, 3)."""
-    a, b = _chart_ab(chart_for(u0)[:, None], us, qs)
-    x = np.concatenate([a, b], axis=-1)
-    col1 = (x[:, 0] - x[:, 1]) / (2.0 * h)
-    col2 = (x[:, 2] - x[:, 3]) / (2.0 * h)
-    svals = np.linalg.svd(np.stack([col1, col2], axis=-1), compute_uv=False)
+def _immersed(du, dq):
+    """Whether the tangents (N, 2, 3) of each node have rank 2: the singular
+    values of its 2x6 matrix [du | dq], from one stacked SVD, in a ratio
+    above 1e-8."""
+    svals = np.linalg.svd(np.concatenate([du, dq], axis=-1), compute_uv=False)
     top = svals[:, 0]
     spread = top > 0.0
     return spread & (svals[:, -1] / np.where(spread, top, 1.0) > 1e-8)
@@ -395,7 +378,8 @@ def defect(family: RayFamily, k, h: float | None = None) -> float:
         h = family.default_step()
     ks = np.asarray(k, dtype=float)[None]
     _require_inside(family, ks, h)
-    return float(_defects(family, ks, h)[0])
+    du, dq = _tangents(family, ks, h)
+    return float(_omega(du[:, 0], dq[:, 0], du[:, 1], dq[:, 1])[0])
 
 
 def _grid_axes(family: RayFamily, grid, inset: float):
@@ -433,13 +417,9 @@ class DefectGrid:
         return _grid_csv("k1,k2,value", self.k1, self.k2, self.values[..., None])
 
 
-def defect_grid(
-    family: RayFamily,
-    grid=9,
-    h: float | None = None,
-    check_immersion: bool = True,
-) -> DefectGrid:
-    """Defect on a grid inset by h; optionally verifies rank-2 immersion.
+def defect_grid(family: RayFamily, grid=9, h: float | None = None) -> DefectGrid:
+    """Defect on a grid inset by h, after a rank-2 immersion test of every
+    node: ImmersionError names the first node that fails it.
 
     All nodes are computed from one batch of stencil lines (at most _CHUNK
     rays per eval call).
@@ -447,8 +427,23 @@ def defect_grid(
     if h is None:
         h = family.default_step()
     k1s, k2s = _grid_axes(family, grid, inset=h)
-    values = _defects(family, _nodes(k1s, k2s).reshape(-1, 2), h, check_immersion)
+    values = _grid_defects(family, _nodes(k1s, k2s).reshape(-1, 2), h)
     return DefectGrid(k1=k1s, k2=k2s, values=values.reshape(len(k1s), len(k2s)), step=h)
+
+
+def _grid_defects(family: RayFamily, ks, h: float):
+    """The defects (N,) at the rows of ks (N, 2), whose stencils lie inside
+    the domain.  The stages: the tangents, then the immersion tests; the
+    error's row is the node."""
+    try:
+        du, dq = _tangents(family, ks, h)
+    except RaySpaceError as exc:  # the nodes before it may fail their immersion test
+        raise _lowest_failure(exc, lambda m: _grid_defects(family, ks[:m], h))
+    bad = _first(~_immersed(du, dq))
+    if bad is not None:
+        k = tuple(map(float, ks[bad]))
+        raise ImmersionError(f"family is not an immersion at k={k}").at(bad)
+    return _omega(du[:, 0], dq[:, 0], du[:, 1], dq[:, 1])
 
 
 def _default_tol(family: RayFamily) -> float:
@@ -474,9 +469,11 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     """Whether nearby rays spread out transversally at parameter t on L(k).
 
     Rays L(k') near L(k) are sliced by the plane through the point at
-    parameter t orthogonal to u(k); the point of L(k') nearest the anchor
+    parameter t orthogonal to u(k); the point of L(k') nearest that point
     gives two in-plane coordinates, and the 2x2 Jacobian of that map must
-    have |det| > 1e-8.  False e.g. at the apex of a point source.
+    have |det| > 1e-8.  To first order in the tangents du, dq of the lines
+    at k, det = u(k) . (v1 x v2) with v_i = dq/dk_i + t du/dk_i, which is
+    how it is computed.  False e.g. at the apex of a point source.
 
     k of shape (2,) and a scalar t give a bool.  k of shape (N, 2) and t of
     shape (N,) give N bools, each the single point's, from one evaluation of
@@ -490,25 +487,22 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     t = np.asarray(t, dtype=float)
     try:
         _require_inside(family, ks, h)
-        u0, q0 = _eval_rows(family, ks)
+        u0, _ = _eval_rows(family, ks)
     except RaySpaceError as exc:  # the points before it may fail on their stencil lines
         raise _lowest_failure(exc, lambda m: is_regular_point(family, ks[:m], t[:m], h))
-    return _regular(family, ks, t, h, u0, q0)
+    return _regular(family, ks, t, h, u0)
 
 
-def _regular(family: RayFamily, ks, t, h: float, u0, q0, strict: bool = False):
+def _regular(family: RayFamily, ks, t, h: float, u0, strict: bool = False):
     """is_regular_point at the rows of ks (N, 2) and t (N,), whose centre
-    lines (u0, q0) are given and whose stencils lie inside the domain.  With
-    strict, NonRegularError names the first point that is not regular, a
-    stage after the stencil lines."""
+    directions u0 (N, 3) are given and whose stencils lie inside the
+    domain.  With strict, NonRegularError names the first point that is not
+    regular, a stage after the stencil lines."""
     try:
-        us, qs = _eval_rows(family, (ks[:, None] + _stencil(2, h)).reshape(-1, 2))
+        du, dq = _tangents(family, ks, h)
     except RaySpaceError as exc:  # the points before it may not be regular
-        raise _lowest_failure(
-            exc.at(exc.row // 4), lambda m: _regular(family, ks[:m], t[:m], h, u0[:m], q0[:m], strict)
-        )
-    shape = (len(ks), 4, 3)
-    regular = _spreads(u0, q0 + t[:, None] * u0, us.reshape(shape), qs.reshape(shape), h)
+        raise _lowest_failure(exc, lambda m: _regular(family, ks[:m], t[:m], h, u0[:m], strict))
+    regular = abs(_spread(u0, t, du, dq)) > 1e-8
     bad = _first(~regular)
     if strict and bad is not None:
         k = tuple(map(float, ks[bad]))
@@ -516,17 +510,12 @@ def _regular(family: RayFamily, ks, t, h: float, u0, q0, strict: bool = False):
     return regular
 
 
-def _spreads(u0, anchor, us, qs, h: float):
-    """The |det| > 1e-8 test of is_regular_point: centre directions u0 and
-    anchors (..., 3), the stencil lines (..., 4, 3) at +k1, -k1, +k2, -k2."""
-    _, w1, w2 = _frame(u0)
-    rel = anchor[..., None, :] - qs
-    d = qs + np.vecdot(rel, us)[..., None] * us - anchor[..., None, :]
-    coords = np.stack([np.vecdot(d, w1[..., None, :]), np.vecdot(d, w2[..., None, :])], axis=-1)
-    col1 = (coords[..., 0, :] - coords[..., 1, :]) / (2.0 * h)
-    col2 = (coords[..., 2, :] - coords[..., 3, :]) / (2.0 * h)
-    det = col1[..., 0] * col2[..., 1] - col1[..., 1] * col2[..., 0]
-    return abs(det) > 1e-8
+def _spread(u0, t, du, dq):
+    """The determinant (N,) of is_regular_point: u0 . (v1 x v2), v_i the
+    motion dq_i + t du_i of the point at t along the tangents du, dq
+    (N, 2, 3), for centre directions u0 (N, 3)."""
+    v = dq + t[:, None, None] * du
+    return np.vecdot(u0, np.cross(v[:, 0], v[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +622,9 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
     us = qs = None  # the live segments' nodes
     prev = None  # per live segment, its previous sum
     m = 4
-    while m <= max_points:
+    while len(live):
+        if m > max_points:
+            raise failure("one-form integral did not converge under refinement", 0)
         nodes = _cc_level(m)[0]
         ks = ka[live, None] + (nodes[1:-1] if us is None else nodes[1::2])[:, None] * span[live, None]
         if us is None and ends is None:
@@ -663,13 +654,11 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
         if prev is not None:
             done = abs(val - prev) <= tol
             values[live[done]] = val[done]
-            if done.all():
-                return values
             going = ~done
             live, val, us, qs = live[going], val[going], us[going], qs[going]
         prev = val
         m *= 2
-    raise failure("one-form integral did not converge under refinement", 0)
+    return values
 
 
 def _eval_rows(family: RayFamily, ks, lengths: bool = False):
@@ -825,7 +814,7 @@ def reconstruct_wavefront(
     points = qs - (values + c)[..., None] * us
 
     if check_regular:
-        _regular(family, ks, -(values + c).ravel(), h, lines[:, 0], lines[:, 1], strict=True)
+        _regular(family, ks, -(values + c).ravel(), h, lines[:, 0], strict=True)
 
     return Wavefront(
         k1=k1s,

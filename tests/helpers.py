@@ -21,7 +21,7 @@ from rayspace.errors import (
     TraceError,
 )
 from rayspace.families import _grid_axes, _grid_lines
-from rayspace.lines import _as_vec3, _norm
+from rayspace.lines import _as_vec3, _frame, _norm
 from rayspace.optics import _cursor_past
 from rayspace.surfaces import _FLAT_SCAN_SPAN, _ROOT_TOL
 
@@ -226,14 +226,30 @@ def stencil_defect(neighbors, h):
     return float(dq1 @ du2 - dq2 @ du1)
 
 
-def immersion_ok(center_line, neighbors, h):
-    """Rank-2 test of the chart Jacobian of the four neighbours."""
-    chart = rs.chart_for(center_line.u)
+def immersion_ok(neighbors, h):
+    """Rank-2 test of the chart Jacobian of the four neighbours, in the chart
+    of the first (any chart that holds all four gives the same rank)."""
     p1, m1, p2, m2 = neighbors
+    chart = rs.chart_for(p1.u)
     col1 = (rs.chart_coords(p1, chart)[0] - rs.chart_coords(m1, chart)[0]) / (2.0 * h)
     col2 = (rs.chart_coords(p2, chart)[0] - rs.chart_coords(m2, chart)[0]) / (2.0 * h)
     svals = np.linalg.svd(np.stack([col1, col2], axis=1), compute_uv=False)
     return svals[0] > 0.0 and (svals[-1] / svals[0]) > 1e-8
+
+
+def nearest_point_spread(u0, anchor, us, qs, h):
+    """The determinant of is_regular_point's map by central differences of
+    nearest points: the lines (..., 4, 3) at +k1, -k1, +k2, -k2 are sliced
+    by the plane through the anchors (..., 3) orthogonal to the centre
+    directions u0 (..., 3), each at its point nearest the anchor, whose
+    in-plane coordinates are differenced."""
+    _, w1, w2 = _frame(u0)
+    rel = anchor[..., None, :] - qs
+    d = qs + np.vecdot(rel, us)[..., None] * us - anchor[..., None, :]
+    coords = np.stack([np.vecdot(d, w1[..., None, :]), np.vecdot(d, w2[..., None, :])], axis=-1)
+    col1 = (coords[..., 0, :] - coords[..., 1, :]) / (2.0 * h)
+    col2 = (coords[..., 2, :] - coords[..., 3, :]) / (2.0 * h)
+    return col1[..., 0] * col2[..., 1] - col1[..., 1] * col2[..., 0]
 
 
 def chart_jacobian_oracle(transform, line, h=None, chart_in=None, chart_out=None):
@@ -466,7 +482,7 @@ def wavefront_segments(k1, k2):
     return across + along
 
 
-def node_defect_grid(family, grid=9, h=None, check_immersion=True):
+def node_defect_grid(family, grid=9, h=None):
     """defect_grid node by node in (i, j) order: the values, or the error
     of the first failing node."""
     if h is None:
@@ -476,11 +492,9 @@ def node_defect_grid(family, grid=9, h=None, check_immersion=True):
     for i, k1 in enumerate(k1s):
         for j, k2 in enumerate(k2s):
             neigh = node_neighbors(family, (k1, k2), h)
-            if check_immersion:
-                center = family.eval(k1, k2)
-                if not immersion_ok(center, neigh, h):
-                    k = (float(k1), float(k2))
-                    raise ImmersionError(f"family is not an immersion at k={k}")
+            if not immersion_ok(neigh, h):
+                k = (float(k1), float(k2))
+                raise ImmersionError(f"family is not an immersion at k={k}")
             values[i, j] = stencil_defect(neigh, h)
     return values
 
@@ -746,6 +760,7 @@ __all__ = [
     "node_neighbors",
     "stencil_defect",
     "immersion_ok",
+    "nearest_point_spread",
     "node_defect_grid",
     "l_paths_oracle",
     "sinusoid_first_root",
