@@ -64,6 +64,7 @@ from .errors import (
 from .lines import (
     OrientedLine,
     _as_vec3,
+    _cross,
     _first,
     _frame,
     _norm,
@@ -78,6 +79,7 @@ from .surfaces import Plane, Sinusoid, Sphere
 _CHUNK = 2048
 _MAX_POINTS = 512  # the finest one-form level
 _INTEGRAL_TOL = 1e-9  # one-form refinements stop once successive sums agree within it
+_PAIRS = np.triu_indices(6, 1)  # the index pairs i < j of a row of [du | dq]
 
 
 def _fmt(x: float) -> str:
@@ -90,11 +92,15 @@ def _grid_csv(header: str, k1, k2, nodes) -> str:
     nodes[i, j] holds the values at (k1[i], k2[j]), as an array of shape
     (len(k1), len(k2), columns); k1 varies slowest.
     """
-    table = np.concatenate([_nodes(k1, k2), nodes], axis=-1)
-    table = table.reshape(-1, table.shape[-1])
-    # "%.17g" % x is format(x, ".17g"): each field reads as _fmt writes it
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return header + "\n" + "".join(row % tuple(r) for r in table.tolist())
+    # "%.17g" % x is format(x, ".17g"): each field reads as _fmt writes it;
+    # each k is formatted once, into the "k1,k2" prefix of its rows
+    first = ["%.17g," % x for x in np.asarray(k1, dtype=float).tolist()]
+    second = ["%.17g" % x for x in np.asarray(k2, dtype=float).tolist()]
+    prefixes = [a + b for a in first for b in second]
+    nodes = np.asarray(nodes, dtype=float)
+    row = ",%.17g" * nodes.shape[-1] + "\n"
+    values = nodes.reshape(len(prefixes), nodes.shape[-1]).tolist()
+    return header + "\n" + "".join(p + row % tuple(v) for p, v in zip(prefixes, values))
 
 
 @dataclass(frozen=True)
@@ -362,14 +368,28 @@ def _tangents(family: RayFamily, ks, h: float):
     return (u[:, :, 0] - u[:, :, 1]) / (2.0 * h), (q[:, :, 0] - q[:, :, 1]) / (2.0 * h)
 
 
-def _immersed(du, dq):
-    """Whether the tangents (N, 2, 3) of each node have rank 2: the singular
-    values of its 2x6 matrix [du | dq], from one stacked SVD, in a ratio
-    above 1e-8."""
-    svals = np.linalg.svd(np.concatenate([du, dq], axis=-1), compute_uv=False)
-    top = svals[:, 0]
-    spread = top > 0.0
-    return spread & (svals[:, -1] / np.where(spread, top, 1.0) > 1e-8)
+def _immersion_ratio(du, dq):
+    """The ratio s_min / s_max (N,) of the singular values of each node's
+    2x6 matrix [du | dq], from its tangents (N, 2, 3); the node is immersed
+    (rank 2) where it exceeds 1e-8.  0 where the matrix is 0 or not finite.
+
+    In closed form from the rows r0, r1 and their Gram entries a, b, c:
+    s_max^2 = (a + c)/2 + hypot((a - c)/2, b), and s_min s_max = |r0 ^ r1|,
+    the root of the sum of (r0_i r1_j - r0_j r1_i)^2 over i < j (Lagrange's
+    identity, free of the cancellation in a c - b^2).  Each matrix is first
+    scaled by a power of two, exactly, so no finite one overflows.
+    """
+    m = np.concatenate([du, dq], axis=-1)
+    big = np.max(np.abs(m), axis=(1, 2))
+    m[~np.isfinite(big)] = 0.0
+    m = np.ldexp(m, -np.frexp(big)[1][:, None, None])
+    r0, r1 = m[:, 0], m[:, 1]
+    a, b, c = np.vecdot(r0, r0), np.vecdot(r0, r1), np.vecdot(r1, r1)
+    top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)  # s_max^2
+    i, j = _PAIRS
+    # contiguous rows: vecdot then sums each node's terms as it does for the node alone
+    wedge = np.ascontiguousarray(r0[:, i] * r1[:, j] - r0[:, j] * r1[:, i])
+    return np.sqrt(np.vecdot(wedge, wedge)) / np.where(top > 0.0, top, 1.0)
 
 
 def defect(family: RayFamily, k, h: float | None = None) -> float:
@@ -439,7 +459,7 @@ def _grid_defects(family: RayFamily, ks, h: float):
         du, dq = _tangents(family, ks, h)
     except RaySpaceError as exc:  # the nodes before it may fail their immersion test
         raise _lowest_failure(exc, lambda m: _grid_defects(family, ks[:m], h))
-    bad = _first(~_immersed(du, dq))
+    bad = _first(_immersion_ratio(du, dq) <= 1e-8)
     if bad is not None:
         k = tuple(map(float, ks[bad]))
         raise ImmersionError(f"family is not an immersion at k={k}").at(bad)
@@ -515,7 +535,7 @@ def _spread(u0, t, du, dq):
     motion dq_i + t du_i of the point at t along the tangents du, dq
     (N, 2, 3), for centre directions u0 (N, 3)."""
     v = dq + t[:, None, None] * du
-    return np.vecdot(u0, np.cross(v[:, 0], v[:, 1]))
+    return np.vecdot(u0, _cross(v[:, 0], v[:, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,15 @@ def _ray(line: OrientedLine, i) -> OrientedLine:
     return OrientedLine._exact(line.u[i], line.q[i])
 
 
+def _cross(a, b):
+    """Cross product over the last axis of (..., 3) arrays that broadcast,
+    bit for bit np.cross: the same three differences of products, without
+    its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _frame(axis):
     """Unit axis plus an orthonormal pair spanning its orthogonal plane.
 
@@ -97,9 +106,9 @@ def _frame(axis):
     a = a / n[..., None]
     ref = np.zeros_like(a)
     np.put_along_axis(ref, np.argmin(np.abs(a), axis=-1)[..., None], 1.0, axis=-1)
-    e1 = np.cross(ref, a)
+    e1 = _cross(ref, a)
     e1 /= _norm(e1)[..., None]
-    e2 = np.cross(a, e1)
+    e2 = _cross(a, e1)
     return a, e1, e2
 
 

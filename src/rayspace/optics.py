@@ -61,10 +61,18 @@ def refract_direction(u, n, n_in: float, n_out: float) -> np.ndarray:
     single = np.ndim(u) == np.ndim(n) == 1  # then each is the batch of one
     u, n = np.atleast_2d(_as_vecs(u), _as_vecs(n))
     c = np.vecdot(u, n)
-    grazing = abs(c) < TRANSVERSE_TOL
     mu = n_in / n_out
     tangential = u - c[:, None] * n
     s = mu * _norm(tangential)  # (n_in/n_out) sin(angle_in)
+    _check_incidence(c, s)
+    out = _unit(mu * tangential + np.copysign(np.sqrt(1.0 - s * s), c)[:, None] * n)
+    return out[0] if single else out
+
+
+def _check_incidence(c, s) -> None:
+    """Raise for the first row whose incidence cosine c (N,) grazes or whose
+    (n_in/n_out) sin(angle_in) s (N,) reaches 1."""
+    grazing = abs(c) < TRANSVERSE_TOL
     i = _first(grazing | (s >= 1.0))
     if i is not None:
         if grazing[i]:
@@ -72,8 +80,22 @@ def refract_direction(u, n, n_in: float, n_out: float) -> np.ndarray:
         raise TotalInternalReflectionError(
             f"total internal reflection: (n1/n2) sin(a1) = {float(s[i]):.6g} >= 1"
         ).at(i)
-    out = _unit(mu * tangential + np.copysign(np.sqrt(1.0 - s * s), c)[:, None] * n)
-    return out[0] if single else out
+
+
+def _bend(u, n, reflect, mu) -> np.ndarray:
+    """Interface.bend row by row, bit for bit, for unit directions u and unit
+    normals n (N, 3) that face the incoming side: rows where reflect (N,) is
+    set reflect, the others refract with the index ratio mu (N,) = n_in /
+    n_out.  mu is 0 on a reflecting row, whose s is then 0: it can only
+    graze.  Fails at the first failing row, with the error its interface
+    raises."""
+    c = np.vecdot(u, n)
+    tangential = u - c[:, None] * n
+    s = mu * _norm(tangential)
+    _check_incidence(c, s)
+    reflected = u - (2.0 * c)[:, None] * n
+    refracted = mu[:, None] * tangential + np.copysign(np.sqrt(1.0 - s * s), c)[:, None] * n
+    return _unit(np.where(reflect[:, None], reflected, refracted))
 
 
 def reflect_line(line: OrientedLine, surface, t_min: float = 0.0):

@@ -68,7 +68,7 @@ from .errors import (
     TangentialError,
     _lowest_failure,
 )
-from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _first, _frame, _norm, _ray
+from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _cross, _first, _frame, _norm, _ray
 
 TRANSVERSE_TOL = 1e-6
 DEFAULT_T_MAX = 1e6
@@ -412,7 +412,7 @@ class Sphere(_LevelFunction):
             rhat = rhat / np.linalg.norm(rhat)
             _, pole, _ = _frame(rhat)
             e1 = rhat
-            e2 = np.cross(pole, rhat)
+            e2 = _cross(pole, rhat)
         else:
             pole = np.array([0.0, 0.0, 1.0])
             e1 = np.array([1.0, 0.0, 0.0])

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateGradientError,
     IllConditionedFitError,
     NoConvergenceError,
     NoIntersectionError,
@@ -51,9 +52,9 @@ from .errors import (
     _lowest_failure,
 )
 from .families import RayFamily, _grid_csv, _grid_lines, _largest_at, is_rectangular, reconstruct_wavefront
-from .lines import _as_vec3, _first, _norm, _stencil, line_through
-from .optics import OpticalSystem, reflect_direction
-from .surfaces import _stack_charts, _unit_gradient, intersect
+from .lines import _as_vec3, _cross, _first, _norm, _stencil, line_through
+from .optics import REFLECT, OpticalSystem, _bend, reflect_direction
+from .surfaces import _GRAD_MIN, _stack_charts, intersect
 
 _FD_H = 1e-6  # central-difference step of the Newton Hessian and of stationarity_residual
 _GRAD_TOL = 1e-10  # max |grad| at which the Newton iteration of V stops
@@ -274,15 +275,27 @@ def law_residual(pc: PathConfiguration) -> float:
 
 def _law_residual(system: OpticalSystem, points, units) -> float:
     """law_residual of a broken path through system from its points, M1,
-    one per interface and M2, and its unit segment vectors."""
-    worst = 0.0
-    for i, itf in enumerate(system.interfaces):
-        u_in = units[i : i + 1]  # each interface's hit as the batch of one
-        n = _unit_gradient(itf.surface, points[i + 1 : i + 2])
-        if u_in[0] @ n[0] > 0.0:
-            n = -n
-        worst = max(worst, float(np.max(np.abs(units[i + 1] - itf.bend(u_in, n)))))
-    return worst
+    one per interface and M2, and its unit segment vectors.  The interfaces
+    are bent as one batch; the check fails as they would one by one, at the
+    first interface whose gradient vanishes or whose bend fails, with the
+    row of this one path, 0."""
+    itfs = system.interfaces
+    g = np.empty((len(itfs), 3))
+    for i, itf in enumerate(itfs):
+        g[i] = itf.surface._gradient(points[i + 1 : i + 2])[0]
+    reflect = np.array([itf.action == REFLECT for itf in itfs], dtype=bool)
+    mu = np.array([0.0 if r else itf.n_in / itf.n_out for r, itf in zip(reflect, itfs)])
+    gn = _norm(g)
+    stop = _first(gn < _GRAD_MIN)  # the interfaces before it are bent first
+    u_in, n = units[:-1][:stop], g[:stop] / gn[:stop, None]
+    n *= np.where(np.vecdot(u_in, n) > 0.0, -1.0, 1.0)[:, None]  # against the incoming ray
+    try:
+        bent = _bend(u_in, n, reflect[:stop], mu[:stop])
+    except RaySpaceError as exc:
+        raise exc.at(0)
+    if stop is not None:
+        raise DegenerateGradientError("level-function gradient vanishes at the point")
+    return float(np.max(np.abs(units[1:] - bent), initial=0.0))
 
 
 @functools.cache
@@ -527,13 +540,13 @@ def verify_focus(design: MirrorDesign, family: RayFamily, tol: float = 1e-6):
         [p[1 + a : n1 - 1 + a, 1 + b : n2 - 1 + b] for a in (-1, 0, 1) for b in (-1, 0, 1)], axis=2
     ).reshape(-1, 9, 3)
     x0, t1 = stencils[:, 4], stencils[:, 7] - stencils[:, 1]
-    w = np.cross(t1, stencils[:, 5] - stencils[:, 3])
+    w = _cross(t1, stencils[:, 5] - stencils[:, 3])
     degenerate = _norm(w) < 1e-14
     w /= np.where(degenerate, 1.0, _norm(w))[:, None]  # a failing node divides by 1, not 0
     w[np.vecdot(w, u) > 0.0] *= -1.0
     e1 = t1 - np.vecdot(t1, w)[:, None] * w
     e1 /= np.where(degenerate, 1.0, _norm(e1))[:, None]
-    e2 = np.cross(w, e1)
+    e2 = _cross(w, e1)
 
     d = stencils - x0[:, None]
     xi = np.stack([np.vecdot(d, e1[:, None]), np.vecdot(d, e2[:, None])], axis=-1)

@@ -7,6 +7,7 @@ import numpy as np
 
 import rayspace as rs
 from rayspace.errors import (
+    DegenerateGradientError,
     FamilyTraceError,
     GrazingError,
     IllConditionedFitError,
@@ -235,6 +236,20 @@ def immersion_ok(neighbors, h):
     col2 = (rs.chart_coords(p2, chart)[0] - rs.chart_coords(m2, chart)[0]) / (2.0 * h)
     svals = np.linalg.svd(np.stack([col1, col2], axis=1), compute_uv=False)
     return svals[0] > 0.0 and (svals[-1] / svals[0]) > 1e-8
+
+
+def svd_immersion_ratio(du, dq):
+    """families._immersion_ratio by one stacked SVD of the 2x6 matrices
+    [du | dq] of the tangents (N, 2, 3): s_min / s_max, 0 where s_max is 0."""
+    svals = np.linalg.svd(np.concatenate([du, dq], axis=-1), compute_uv=False)
+    top = svals[:, 0]
+    return np.where(top > 0.0, svals[:, -1] / np.where(top > 0.0, top, 1.0), 0.0)
+
+
+def svd_immersed(du, dq):
+    """The immersion test of a defect grid by the stacked SVD: rank 2 where
+    the singular values are in a ratio above 1e-8."""
+    return svd_immersion_ratio(du, dq) > 1e-8
 
 
 def nearest_point_spread(u0, anchor, us, qs, h):
@@ -674,6 +689,23 @@ def stationarity_residual_oracle(pc, h=1e-6):
     return worst
 
 
+def law_residual_oracle(system, points, units):
+    """variational._law_residual interface by interface: one public unit
+    gradient and one Interface.bend of a single 3-vector each, raising what
+    the first failing interface raises."""
+    worst = 0.0
+    for i, itf in enumerate(system.interfaces):
+        g = itf.surface.gradient(points[i + 1])
+        gn = float(np.linalg.norm(g))
+        if gn < 1e-10:
+            raise DegenerateGradientError("level-function gradient vanishes at the point")
+        n = g / gn
+        if units[i] @ n > 0.0:
+            n = -n
+        worst = max(worst, float(np.max(np.abs(units[i + 1] - itf.bend(units[i], n)))))
+    return worst
+
+
 def characteristic_function_oracle(
     m1, m2, system, initial=None, grad_tol=1e-10, law_tol=1e-8, max_iter=100
 ):
@@ -737,7 +769,9 @@ def characteristic_function_oracle(
         )
 
     pc = pc.with_coords(x)
-    residual = rs.law_residual(pc)
+    pts = pc.polyline()
+    units = [(b - a) / np.linalg.norm(b - a) for a, b in zip(pts[:-1], pts[1:])]
+    residual = law_residual_oracle(system, pts, units)
     if residual > law_tol:
         raise NoConvergenceError(
             f"stationary point violates the local laws: residual {residual:.3e}"
@@ -760,6 +794,8 @@ __all__ = [
     "node_neighbors",
     "stencil_defect",
     "immersion_ok",
+    "svd_immersion_ratio",
+    "svd_immersed",
     "nearest_point_spread",
     "node_defect_grid",
     "l_paths_oracle",
@@ -769,6 +805,7 @@ __all__ = [
     "polylines_oracle",
     "gradients_oracle",
     "stationarity_residual_oracle",
+    "law_residual_oracle",
     "characteristic_function_oracle",
     "GrazingError",
     "TotalInternalReflectionError",

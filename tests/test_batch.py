@@ -36,7 +36,7 @@ from rayspace.errors import (
     TraceError,
 )
 import rayspace.families as families
-from rayspace.families import _CHUNK, _col, _eval_rows, _require_inside, _spread, _tangents
+from rayspace.families import _CHUNK, _col, _eval_rows, _immersion_ratio, _require_inside, _spread, _tangents
 from rayspace.lines import _omega, _ray, _stencil
 from rayspace.scene import load_scene
 from rayspace.surfaces import _SCAN_SAMPLES, _unit_gradient
@@ -61,6 +61,8 @@ from helpers import (
     row_by_row,
     sinusoid_first_root,
     stencil_defect,
+    svd_immersion_ratio,
+    svd_immersed,
     wavefront_segments,
 )
 
@@ -990,6 +992,81 @@ class TestRegularBatch:
             False,
             False,
         ]
+
+
+def tangent_rows(rng, count):
+    """Tangents du, dq (count, 2, 3) whose 2x6 matrices [du | dq] mix generic
+    rows, rows near rank 1 (singular-value ratios 1e-10 to 1e-6, a fifth of
+    them within 1e-5 relative of 1e-8), exactly rank-1 rows and zero rows,
+    at scales from 1e-100 to 1e100."""
+    m = np.empty((count, 2, 6))
+    for row in m:
+        kind = rng.integers(4)
+        x, y = np.linalg.qr(rng.normal(size=(6, 2)))[0].T
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        if kind == 0:
+            row[:] = rng.normal(size=(2, 6)) * scale
+        elif kind == 1:
+            ratio = 1e-8 * (1.0 + rng.uniform(-1e-5, 1e-5)) if rng.random() < 0.2 else 10.0 ** rng.uniform(-10, -6)
+            turn = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+            row[:] = turn @ np.stack([x, ratio * y]) * scale
+        elif kind == 2:  # one row a power-of-two multiple of the other, or zero
+            row[0] = x * scale
+            row[1] = row[0] * rng.choice([0.0, 0.5, -2.0, 1.0])
+            row[:] = row[rng.permutation(2)]
+        else:
+            row[:] = 0.0
+    return m[..., :3], m[..., 3:]
+
+
+class TestImmersionRatio:
+    """The closed-form singular-value ratio of the immersion test against the
+    stacked SVD (`svd_immersed`)."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_verdicts_against_the_svd(self, seed, count):
+        rng = np.random.default_rng(seed)
+        du, dq = tangent_rows(rng, count)
+        oracle = svd_immersion_ratio(du, dq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = _immersion_ratio(du.copy(), dq.copy())
+        rows = [_immersion_ratio(du[k : k + 1], dq[k : k + 1])[0] for k in range(count)]
+        assert ratio.tobytes() == np.array(rows).tobytes()  # bit for bit its rows alone
+        clear = abs(oracle / 1e-8 - 1.0) > 1e-6  # outside the band where rounding decides
+        assert np.array_equal((ratio > 1e-8)[clear], svd_immersed(du, dq)[clear])
+        assert np.all(abs(ratio - oracle) <= 1e-6 * oracle + 1e-14)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_non_finite_tangents_fail_without_a_warning(self, seed, count):
+        rng = np.random.default_rng(seed)
+        du, dq = tangent_rows(rng, count)
+        bad = rng.random(count) < 0.5
+        for i in np.flatnonzero(bad):
+            (du, dq)[rng.integers(2)][i, rng.integers(2), rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = _immersion_ratio(du, dq)
+        assert np.all(ratio[bad] == 0.0)
+        good = ~bad
+        assert np.array_equal(ratio[good], _immersion_ratio(du[good], dq[good]))
+
+    def test_empty_batch(self):
+        assert _immersion_ratio(np.zeros((0, 2, 3)), np.zeros((0, 2, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract", "two_skew", "mixed_device", "mirror_design"])
+    def test_bundled_families(self, name):
+        # the source and traced families of each bundled scene on the 9x9
+        # grid of their defect grids: the same verdicts and ratios as the SVD
+        scene = load_scene(str(SCENES / f"{name}.scene"))
+        for fam in (scene.family, rs.transform_family(scene.family, scene.system)):
+            h = fam.default_step()
+            ks = families._nodes(*families._grid_axes(fam, 9, inset=h)).reshape(-1, 2)
+            du, dq = _tangents(fam, ks, h)
+            oracle = svd_immersion_ratio(du, dq)
+            ratio = _immersion_ratio(du, dq)
+            assert np.all(abs(ratio - oracle) <= 1e-12 * oracle)
+            assert np.array_equal(ratio > 1e-8, svd_immersed(du, dq))
 
 
 class TestWavefrontCalls:

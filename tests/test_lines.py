@@ -1,3 +1,7 @@
+import ast
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,13 +9,16 @@ from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.errors import ChartDomainError, ZeroDirectionError
-from rayspace.lines import CHART_MARGIN, _omega, _unproject
+from rayspace.lines import CHART_MARGIN, _cross, _omega, _unproject
 
 from helpers import line_tangent, random_unit, unit
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
 direction3 = vec3.filter(lambda v: np.linalg.norm(v) > 1e-3)
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "rayspace"
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, 1e300, -1.5]
+any_float = st.one_of(st.floats(), st.sampled_from(SPECIAL))
 
 
 class TestOrientedLine:
@@ -200,3 +207,65 @@ class TestSymplecticPairing:
         assert omega.shape == (4, 4)
         assert np.allclose(omega, -omega.T)
         assert np.allclose(omega @ omega, -np.eye(4))
+
+
+def numpy_calls(name):
+    """(module, innermost function) of every use of np.<name> in
+    src/rayspace, from the syntax trees, so docstrings and comments do not
+    count; the function is None at module level."""
+    found = []
+
+    class Uses(ast.NodeVisitor):
+        scope = None
+
+        def visit_FunctionDef(self, node):
+            outer, self.scope = self.scope, node.name
+            self.generic_visit(node)
+            self.scope = outer
+
+        def visit_Attribute(self, node):
+            if ast.unparse(node) in (f"np.{name}", f"numpy.{name}"):
+                found.append((path.stem, self.scope))
+            self.generic_visit(node)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        Uses().visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+class TestCross:
+    """lines._cross is np.cross over the last axis, byte for byte."""
+
+    @staticmethod
+    def assert_same_bytes(a, b):
+        with warnings.catch_warnings():  # inf - inf and 0 * inf warn in both alike
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = _cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(any_float, min_size=6, max_size=6))
+    def test_single_vectors(self, values):
+        self.assert_same_bytes(np.array(values[:3]), np.array(values[3:]))
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(any_float, min_size=6 * n, max_size=6 * n)))
+    def test_batches(self, values):
+        a, b = np.array(values, dtype=float).reshape(2, -1, 3)
+        self.assert_same_bytes(a, b)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(any_float, min_size=3 * n + 3, max_size=3 * n + 3)))
+    def test_one_vector_against_a_batch(self, values):
+        one, many = np.array(values[:3])[None], np.array(values[3:]).reshape(-1, 3)
+        self.assert_same_bytes(one, many)
+        self.assert_same_bytes(many, one)
+
+    def test_every_triple_of_special_values(self):
+        grid = np.array(np.meshgrid(SPECIAL, SPECIAL, SPECIAL, indexing="ij")).reshape(3, -1).T
+        rng = np.random.default_rng(7)
+        self.assert_same_bytes(grid, grid[rng.permutation(len(grid))])
+
+    def test_package_calls_no_np_cross(self):
+        assert numpy_calls("cross") == []
+
+    def test_only_svd_is_the_mirror_fit(self):
+        assert numpy_calls("linalg.svd") == [("variational", "verify_focus")]

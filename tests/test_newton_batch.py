@@ -21,15 +21,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rayspace as rs
+import rayspace.optics as optics
 import rayspace.surfaces as surfaces
 import rayspace.variational as variational
 from rayspace.cli import main
-from rayspace.errors import IllConditionedFitError, NoRootError, RaySpaceError
+from rayspace.errors import (
+    DegenerateGradientError,
+    GrazingError,
+    IllConditionedFitError,
+    NoRootError,
+    RaySpaceError,
+    TotalInternalReflectionError,
+)
 
 from helpers import (
     aimed_line,
     characteristic_function_oracle,
     gradients_oracle,
+    law_residual_oracle,
     nested_sphere_system,
     path_length,
     polylines_oracle,
@@ -505,6 +514,97 @@ class TestBadSeeds:
             with pytest.raises(ValueError, match="^need exactly one chart point per interface$"):
                 fn(m1, m2, one_shell, initial=initial)
         assert batches == []
+
+
+class TestLawResidual:
+    """The law check bends all interfaces of a path as one batch, bit for bit
+    what one gradient and one Interface.bend per interface give
+    (`law_residual_oracle`), and fails at the same interface with row 0."""
+
+    @staticmethod
+    def assert_same_as_the_oracle(system, points, units):
+        got = outcome(lambda: variational._law_residual(system, points, units))
+        want = outcome(lambda: law_residual_oracle(system, points, units))
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            assert got.row == 0
+        else:
+            assert type(got) is float and got == want
+        return got
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+        st.floats(0.0, 0.5),
+    )
+    def test_random_paths_match_the_oracle(self, seed, kinds, spread):
+        # reflections and refractions into denser or rarer media, so that
+        # total internal reflection and grazing bends occur among the draws
+        rng = np.random.default_rng(seed)
+        surfaces_, charts, coords = zip(*(random_chart(rng, kind) for kind in kinds))
+        interfaces, n = [], 1.0
+        for surface in surfaces_:
+            if rng.random() < 0.4:
+                interfaces.append(rs.Interface(surface, rs.REFLECT, n))
+            else:
+                n_out = float(rng.choice([x for x in (1.0, 1.33, 1.5, 1.9) if x != n]))
+                interfaces.append(rs.Interface(surface, rs.REFRACT, n, n_out))
+                n = n_out
+        system = rs.OpticalSystem(tuple(interfaces))
+        m1, m2 = rng.uniform(-4, 4, (2, 3))
+        pc = variational.PathConfiguration._unchecked(m1, m2, system, coords, charts)
+        xs = np.concatenate(coords) + rng.uniform(-spread, spread, 2 * len(kinds))
+        path = outcome(lambda: variational._polylines(pc, xs[None]))
+        if isinstance(path, Exception):  # a chart leaves its sheet or points coincide
+            return
+        paths, segments, lengths, _ = path
+        self.assert_same_as_the_oracle(system, paths[0], segments[0] / lengths[0, :, None])
+
+    def test_design_library_paths_match_the_oracle(self):
+        for m1, m2, system, initial, _ in design_library_inputs(count=12):
+            for pc in (initial, rs.characteristic_function(m1, m2, system, initial=initial)[1]):
+                paths, segments, lengths, _ = variational._polylines(pc, pc.flat()[None])
+                law = self.assert_same_as_the_oracle(system, paths[0], segments[0] / lengths[0, :, None])
+                assert rs.law_residual(pc) == law
+
+    def test_first_failing_interface_wins(self):
+        # interface 0 refracts out of glass past its critical angle, and
+        # interface 1 is a sphere whose path point is its centre, where
+        # the gradient vanishes: whichever comes first is raised
+        glass_out = rs.Interface(rs.Plane([0, 0, 1], 0.0), rs.REFRACT, 1.5, 1.0)
+        centred = rs.Interface(rs.Sphere([0, 0, -2], 1.0), rs.REFLECT, 1.0)
+        centred_in_glass = rs.Interface(rs.Sphere([0, 0, -2], 1.0), rs.REFLECT, 1.5)
+        steep = np.array([np.sqrt(0.75), 0.0, 0.5])  # sin 60 deg, 1.5 sin > 1
+        down = np.array([0.0, 0.0, -1.0])
+        cases = [
+            ((glass_out, centred), [[0, 0, 3], [0, 0, 0], [0, 0, -2], [0, 0, -5]], [-steep, down, down],
+             TotalInternalReflectionError),
+            ((centred_in_glass, glass_out), [[0, 0, 3], [0, 0, -2], [0, 0, 0], [0, 0, -5]], [down, -steep, down],
+             DegenerateGradientError),
+            ((rs.Interface(rs.Plane([0, 0, 1], 0.0), rs.REFLECT, 1.0),), [[0, 0, 3], [0, 0, 0], [0, 0, 3]],
+             [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], GrazingError),
+        ]
+        for interfaces, points, units, error in cases:
+            system = object.__new__(rs.OpticalSystem)  # the media need not chain here
+            object.__setattr__(system, "interfaces", interfaces)
+            got = self.assert_same_as_the_oracle(system, np.array(points, float), np.array(units, float))
+            assert type(got) is error
+
+    def test_no_single_vector_calls(self, monkeypatch):
+        m1, m2, system, initial, _ = design_library_inputs(count=3)[2]
+        want = rs.law_residual(initial)
+
+        def single(*args, **kwargs):
+            raise AssertionError("a public single-vector call")
+
+        for owner, name in [
+            (rs.Interface, "bend"),
+            (surfaces._LevelFunction, "gradient"),
+            (optics, "reflect_direction"),
+            (optics, "refract_direction"),
+        ]:
+            monkeypatch.setattr(owner, name, single)
+        assert rs.law_residual(initial) == want
 
 
 class TestStationarityResidual:

@@ -935,11 +935,28 @@ class TestGridCsv:
             "-0,0.10000000000000001,-0,4.9406564584124654e-324,-4.9406564584124654e-324,2.2250738585072009e-308",
         ]
 
-    @given(st.lists(st.floats(), min_size=9 * 2, max_size=9 * 2))
-    def test_any_doubles(self, values):
-        nodes = np.array(values).reshape(3, 3, 2)
-        k = np.array(values[:3])
-        assert families._grid_csv("k1,k2,a,b", k, k, nodes) == grid_csv_oracle("k1,k2,a,b", k, k, nodes)
+    @staticmethod
+    @st.composite
+    def grids(draw):
+        """k1 (n1,), k2 (n2,) and nodes (n1, n2, columns) of any doubles: 0-5
+        nodes along each axis, drawn apart, and 1-6 value columns."""
+        n1, n2, columns = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(1, 6))
+        k1, k2, values = (
+            np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)), dtype=float)
+            for size in (n1, n2, n1 * n2 * columns)
+        )
+        return k1, k2, values.reshape(n1, n2, columns)
+
+    @given(grids())
+    @example((np.zeros(0), np.zeros(0), np.zeros((0, 0, 3))))
+    @example((np.zeros(0), np.array([0.5, -0.0]), np.zeros((0, 2, 1))))
+    @example((np.array([0.1, 0.2, 0.3]), np.array([-1.0, 1e-310]), np.arange(36.0).reshape(3, 2, 6)))
+    def test_any_doubles(self, grid):
+        k1, k2, nodes = grid
+        header = ",".join(["k1", "k2", *(f"v{i}" for i in range(nodes.shape[-1]))])
+        text = families._grid_csv(header, k1, k2, nodes)
+        assert text == grid_csv_oracle(header, k1, k2, nodes)
+        assert text.count("\n") == 1 + len(k1) * len(k2)
 
     def test_bundled_scenes(self, tmp_path):
         real = families._grid_csv
