@@ -37,13 +37,7 @@ from .families import (
 from .lines import _norm, _ray, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import _OPTIONS, load_scene
-from .variational import (
-    characteristic_function,
-    design_focusing_mirror,
-    law_residual,
-    stationarity_residual,
-    verify_focus,
-)
+from .variational import design_focusing_mirror, stationarity_residual, verify_focus
 
 
 class _UsageError(Exception):
@@ -275,9 +269,9 @@ def cmd_mirror(scene, args):
 def cmd_characteristic(scene, args):
     m1 = _require_option(scene, "m1")
     m2 = _require_option(scene, "m2")
-    value, pc = characteristic_function(m1, m2, scene.system)
+    # the law residual and hits come from the solve's last path
+    value, pc, law, hits = variational._solve(m1, m2, scene.system)
     station = stationarity_residual(pc)
-    law = law_residual(pc)
     pairs = [
         ("m1", _vec_str(m1)),
         ("m2", _vec_str(m2)),
@@ -287,9 +281,9 @@ def cmd_characteristic(scene, args):
         ("optical_length", _fmt(value)),
         ("stationarity_residual", _fmt(station)),
         ("law_residual", _fmt(law)),
-        ("hits", len(pc.coords)),
+        ("hits", len(hits)),
     ]
-    for i, point in enumerate(pc.points()):
+    for i, point in enumerate(hits):
         pairs.append((f"hit_{i}", _vec_str(point)))
     return {}, pairs, None
 

@@ -13,7 +13,10 @@ error of the lowest item failing there.  The items before it passed that
 stage but may fail a later one, so they are run again as one batch
 (`_lowest_failure`), and an error of theirs wins.  Each such run can only
 fail at a later stage, so a failing batch takes at most one more run per
-stage, and no item is run on its own.
+stage, and no item is run on its own.  A routine that evaluates the rows
+of several stages ahead of them, in one batch (`reconstruct_wavefront`),
+falls back to its stages if that batch fails: each then evaluates its own
+rows, so the routine fails as its stages do.
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ one-form u . dP, checking path independence as it goes.
 Finite differences are central throughout; the default step is
 1e-5 * (parameter domain diameter).  Grids are inset from the domain edges by
 the step so every stencil stays inside the domain.  One routine,
-`_tangents`, evaluates the stencil lines +k1, -k1, +k2, -k2 of a batch of
-nodes and gives their tangents (du, dq); the defect is omega of the pair,
-the immersion test its rank and the regularity test its determinant across
-the ray.
+`_differences`, gives the tangents (du, dq) of a batch of nodes from their
+stencil lines +k1, -k1, +k2, -k2, which `_tangents` evaluates (a wavefront
+takes them from its batch); the defect is omega of the pair, the immersion
+test its rank and the regularity test its determinant across the ray.
 
 Shapes: internal routines take batches only, (N, 2) parameters and (N, 3)
 lines.  A family's `eval` and `anchor` take arrays k1, k2 of N parameters
@@ -34,13 +34,13 @@ pair, segment or point exists only at the public entry points `defect`,
 batch level by level, by nested Clenshaw-Curtis quadrature on
 Chebyshev-Lobatto nodes: the nodes of the segments not yet converged are
 one array, and each level evaluates all their new nodes as one batch.
-`reconstruct_wavefront` evaluates its grid lines, integrates all its
-segments from them and checks the regularity of all its nodes in one batch
-each, and keeps the grid lines with their optical lengths on the Wavefront,
-where `orthogonality_residual` reads them; `defect_grid` evaluates the
-stencil lines of all its nodes and their immersion tests in one batch.
-Batches fail as `errors` sets out, the error's `row` naming the parameter,
-segment or node.
+`reconstruct_wavefront` evaluates one batch per job, the grid lines, the
+first two levels of all segments and the stencils of all nodes, for its
+stages to read, and keeps the grid lines with their optical lengths on the
+Wavefront, where `orthogonality_residual` reads them; `defect_grid`
+evaluates the stencil lines of all its nodes and their immersion tests in
+one batch.  Batches fail as `errors` sets out, the error's `row` naming the
+parameter, segment or node.
 """
 
 from __future__ import annotations
@@ -359,11 +359,21 @@ def _tangents(family: RayFamily, ks, h: float):
     rows of ks (N, 2), [:, i] along k_(i+1), from one evaluation of the four
     stencil lines +k1, -k1, +k2, -k2 of every node; an error's row is the
     node.  The stencils must lie inside the domain."""
-    rows = ks[:, None] + _stencil(2, h)
     try:
-        u, q = _eval_rows(family, rows.reshape(-1, 2))
+        u, q = _eval_rows(family, _stencil_rows(ks, h))
     except RaySpaceError as exc:
         raise exc.at(exc.row // 4)
+    return _differences(u, q, h)
+
+
+def _stencil_rows(ks, h: float):
+    """The stencil rows (4N, 2) of the nodes ks (N, 2): +k1, -k1, +k2, -k2."""
+    return (ks[:, None] + _stencil(2, h)).reshape(-1, 2)
+
+
+def _differences(u, q, h: float):
+    """The central-difference tangents du, dq (N, 2, 3) from the directions
+    and foot points (4N, 3) of the lines at _stencil_rows."""
     u, q = u.reshape(-1, 2, 2, 3), q.reshape(-1, 2, 2, 3)
     return (u[:, :, 0] - u[:, :, 1]) / (2.0 * h), (q[:, :, 0] - q[:, :, 1]) / (2.0 * h)
 
@@ -513,13 +523,14 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     return _regular(family, ks, t, h, u0)
 
 
-def _regular(family: RayFamily, ks, t, h: float, u0, strict: bool = False):
+def _regular(family: RayFamily, ks, t, h: float, u0, strict: bool = False, stencil=None):
     """is_regular_point at the rows of ks (N, 2) and t (N,), whose centre
     directions u0 (N, 3) are given and whose stencils lie inside the
-    domain.  With strict, NonRegularError names the first point that is not
-    regular, a stage after the stencil lines."""
+    domain, and stencil, if given, their stencil lines' (u, q), each (4N, 3).
+    With strict, NonRegularError names the first point that is not regular,
+    a stage after the stencil lines."""
     try:
-        du, dq = _tangents(family, ks, h)
+        du, dq = _tangents(family, ks, h) if stencil is None else _differences(*stencil, h)
     except RaySpaceError as exc:  # the points before it may not be regular
         raise _lowest_failure(exc, lambda m: _regular(family, ks[:m], t[:m], h, u0[:m], strict))
     regular = abs(_spread(u0, t, du, dq)) > 1e-8
@@ -616,12 +627,15 @@ def _cc_sums(us, qs):
     return 0.0 + np.vecdot(us.reshape(len(us), -1), (g @ dq).reshape(len(us), -1))
 
 
-def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, ends=None):
+def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, ends=None, inner=None):
     """one_form_integral of the segments ka[s] -> kb[s], refined together.
 
     ends, when given, holds the lines already evaluated at ka and kb as
     (S, 2, 2, 3): ends[s, e] is (u, q) at segment s's start (e = 0) or end;
-    the first level then evaluates only its interior nodes.
+    the first level then evaluates only its interior nodes.  inner, given
+    with ends, holds the lines at level 8's interior nodes as (u, q), each
+    (S, 7, 3), [:, 1::2] level 4's: no segment stops before level 8, and
+    neither level then evaluates a line.
 
     The nodes of the live segments are two arrays (live, m + 1, 3).  Each
     level evaluates the new nodes of all live segments in one batch,
@@ -645,16 +659,18 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
     while len(live):
         if m > max_points:
             raise failure("one-form integral did not converge under refinement", 0)
-        nodes = _cc_level(m)[0]
-        ks = ka[live, None] + (nodes[1:-1] if us is None else nodes[1::2])[:, None] * span[live, None]
-        if us is None and ends is None:
-            ks = np.concatenate([ka[live, None], ks, kb[live, None]], axis=1)
-        try:
-            u, q = _eval_rows(family, ks.reshape(-1, 2))
-        except RaySpaceError as exc:  # the segments before it may fail at a later level
-            raise _lowest_failure(exc.at(live[exc.row // ks.shape[1]]), before)
-        shape = ks.shape[:2] + (3,)
-        u, q = u.reshape(shape), q.reshape(shape)
+        if inner is not None and m <= 8:  # every segment's level 4 nodes, or level 8's new ones
+            u, q = (a[:, 2 - m // 4 :: 2] for a in inner)
+        else:
+            nodes = _cc_level(m)[0]
+            ks = ka[live, None] + (nodes[1:-1] if us is None else nodes[1::2])[:, None] * span[live, None]
+            if us is None and ends is None:
+                ks = np.concatenate([ka[live, None], ks, kb[live, None]], axis=1)
+            try:
+                u, q = _eval_rows(family, ks.reshape(-1, 2))
+            except RaySpaceError as exc:  # the segments before it may fail at a later level
+                raise _lowest_failure(exc.at(live[exc.row // ks.shape[1]]), before)
+            u, q = u.reshape(ks.shape[:2] + (3,)), q.reshape(ks.shape[:2] + (3,))
         if us is None:
             us, qs = u, q
             if ends is not None:
@@ -797,7 +813,10 @@ def reconstruct_wavefront(
     and column-first L-paths must agree within path_tol, otherwise the family
     is not rectangular and NotRectangularError is raised.  k0 snaps to the
     nearest grid node (F is only defined up to a constant anyway; c selects
-    the member of the orthogonal-surface pencil).
+    the member of the orthogonal-surface pencil).  One batch per job
+    evaluates the lines of the grid, of every segment's first two levels and,
+    with check_regular, of every node's stencil; if it fails, the stages
+    evaluate their own, and the job fails as they do.
     """
     if h is None:
         h = family.default_step()
@@ -807,18 +826,27 @@ def reconstruct_wavefront(
     j0 = int(np.argmin(np.abs(k2s - k0[1])))
 
     n1, n2 = len(k1s), len(k2s)
-    nodes, us, qs, lengths = _grid_lines(family, k1s, k2s)
-
-    # the integrals along the segments between adjacent nodes in one batch,
-    # from their end lines on: along k1 column by column, then along k2 row
-    # by row
+    ks = _nodes(k1s, k2s).reshape(-1, 2)
+    # the segments between adjacent nodes: along k1 column by column, then
+    # along k2 row by row
     index = np.arange(n1 * n2).reshape(n1, n2)
     starts = np.concatenate([index[:-1].T.ravel(), index[:, :-1].ravel()])
     stops = starts + np.repeat([n2, 1], [(n1 - 1) * n2, n1 * (n2 - 1)])
-    ks = nodes.reshape(-1, 2)
+    ka, kb = ks[starts], ks[stops]
+    level8 = ka[:, None] + _cc_level(8)[0][1:-1, None] * (kb - ka)[:, None]  # interior nodes
+    rows = [ks, level8.reshape(-1, 2)] + [_stencil_rows(ks, h)] * check_regular
+    n, m = len(ks), len(ks) + level8.size // 2  # the first rows of the nodes and of the stencils
+    try:
+        u, q, length = _eval_rows(family, np.concatenate(rows), lengths=True)
+        inner, stencil = [a[n:m].reshape(level8.shape[:2] + (3,)) for a in (u, q)], (u[m:], q[m:])
+    except RaySpaceError:  # the stages evaluate their own lines, and fail as they do
+        u, q, length = _eval_rows(family, ks, lengths=True)
+        inner = stencil = None
+    us, qs = u[:n].reshape(n1, n2, 3), q[:n].reshape(n1, n2, 3)
+    lengths = None if length is None else length[:n].reshape(n1, n2)
     lines = np.stack([us.reshape(-1, 3), qs.reshape(-1, 3)], axis=1)
     ends = lines[np.stack([starts, stops], axis=1)]
-    seg = _one_form_levels(family, ks[starts], ks[stops], _INTEGRAL_TOL, _MAX_POINTS, ends)
+    seg = _one_form_levels(family, ka, kb, _INTEGRAL_TOL, _MAX_POINTS, ends, inner)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 
@@ -834,7 +862,7 @@ def reconstruct_wavefront(
     points = qs - (values + c)[..., None] * us
 
     if check_regular:
-        _regular(family, ks, -(values + c).ravel(), h, lines[:, 0], strict=True)
+        _regular(family, ks, -(values + c).ravel(), h, lines[:, 0], strict=True, stencil=stencil)
 
     return Wavefront(
         k1=k1s,

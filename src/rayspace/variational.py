@@ -13,8 +13,9 @@ ray is a stationary configuration.  Both directions are enforced and tested.
 Each Newton trial point of characteristic_function is one checked gradient
 batch (the point, its Hessian stencil, the path check and the analytic
 gradient); V and the final law check reuse the unit segments and lengths
-of the last batch, so no path is embedded or checked a second time, and the
-default seed is checked by the first batch alone.  A PathConfiguration
+of the last batch, so no path is embedded or checked a second time (`_solve`
+also hands the law residual and the hit points on, for the `characteristic`
+report), and the default seed is checked by the first batch alone.  A PathConfiguration
 stacks its charts by kind once, when it is built; a batch then evaluates
 one stack per kind, for the points and Jacobians of all its rows, and
 takes the gradient of all interfaces in one stacked product.
@@ -360,11 +361,18 @@ def characteristic_function(
     checked by the first gradient batch, which raises what a
     PathConfiguration of it would.
     """
+    return _solve(m1, m2, system, initial, grad_tol, law_tol, max_iter)[:2]
+
+
+def _solve(m1, m2, system, initial=None, grad_tol=_GRAD_TOL, law_tol=_LAW_TOL, max_iter=100):
+    """characteristic_function's (V, configuration), then the law residual
+    and the points (m, 3) of the solution on its m interfaces, both read
+    off the broken path of the last gradient batch's row 0."""
     # the first gradient batch checks the seed's path
     coords, charts = _seed(m1, m2, system) if initial is None else (initial.coords, initial.charts)
     pc = PathConfiguration._unchecked(m1, m2, system, coords, charts)
     if not pc.charts:
-        return optical_length(pc), pc
+        return optical_length(pc), pc, 0.0, np.empty((0, 3))
 
     x = pc.flat()
     g, hess, path = _gradient_and_hessian(pc, x)
@@ -414,7 +422,7 @@ def characteristic_function(
             f"stationary point violates the local laws: residual {residual:.3e}"
         )
     coords = tuple(x[2 * i : 2 * i + 2] for i in range(len(pc.charts)))
-    return float(_optical_lengths(system, lengths)), pc._moved(coords)
+    return float(_optical_lengths(system, lengths)), pc._moved(coords), residual, points[1:-1]
 
 
 # ---------------------------------------------------------------------------

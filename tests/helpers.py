@@ -14,6 +14,7 @@ from rayspace.errors import (
     ImmersionError,
     NoConvergenceError,
     NoIntersectionError,
+    NonRegularError,
     NoRootError,
     NotRectangularError,
     RaySpaceError,
@@ -21,7 +22,7 @@ from rayspace.errors import (
     TotalInternalReflectionError,
     TraceError,
 )
-from rayspace.families import _grid_axes, _grid_lines
+from rayspace.families import _grid_axes, _grid_lines, _l_paths, _largest_at
 from rayspace.lines import _as_vec3, _frame, _norm
 from rayspace.optics import _cursor_past
 from rayspace.surfaces import _FLAT_SCAN_SPAN, _ROOT_TOL
@@ -495,6 +496,59 @@ def wavefront_segments(k1, k2):
     across = [((k1[i], k2[j]), (k1[i + 1], k2[j])) for j in range(len(k2)) for i in range(len(k1) - 1)]
     along = [((k1[i], k2[j]), (k1[i], k2[j + 1])) for i in range(len(k1)) for j in range(len(k2) - 1)]
     return across + along
+
+
+def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7, check_regular=True):
+    """reconstruct_wavefront stage by stage, one call each: the grid lines
+    (_grid_lines), the integrals of all segments (one_form_integral, which
+    evaluates their ends again), the L-paths (_l_paths) and the regularity
+    of all nodes (is_regular_point).  The job fails at its first failing
+    stage.  A node whose stencil lines fail there loses to a node before it
+    that is not regular, which a second call of is_regular_point on the
+    nodes before it finds."""
+    if h is None:
+        h = family.default_step()
+    k1s, k2s = _grid_axes(family, grid, inset=h)
+    i0 = int(np.argmin(np.abs(k1s - k0[0])))
+    j0 = int(np.argmin(np.abs(k2s - k0[1])))
+    n1, n2 = len(k1s), len(k2s)
+    nodes, us, qs, lengths = _grid_lines(family, k1s, k2s)
+    starts, stops = np.array(wavefront_segments(k1s, k2s)).transpose(1, 0, 2)
+    seg = rs.one_form_integral(family, starts, stops)
+    horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
+    vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
+    f_rc, f_cr = _l_paths(horiz, vert, i0, j0)
+    discrepancy = float(np.max(np.abs(f_rc - f_cr)))
+    if discrepancy > path_tol:
+        k = _largest_at(k1s, k2s, f_rc - f_cr)
+        raise NotRectangularError(
+            f"path-dependent primitive at k={k}: L-path discrepancy {discrepancy:.3e} > {path_tol:g}"
+        )
+    points = qs - (f_rc + c)[..., None] * us
+    if check_regular:
+        ks, t = nodes.reshape(-1, 2), -(f_rc + c).ravel()
+        try:
+            regular, failure = rs.is_regular_point(family, ks, t, h), None
+        except RaySpaceError as exc:
+            failure = exc
+            regular = rs.is_regular_point(family, ks[: exc.row], t[: exc.row], h)
+        if not np.all(regular):
+            bad = int(np.argmin(regular))
+            raise NonRegularError(f"wavefront point at k={tuple(map(float, ks[bad]))} is not regular").at(bad)
+        if failure is not None:
+            raise failure
+    return rs.Wavefront(
+        k1=k1s,
+        k2=k2s,
+        values=f_rc,
+        points=points,
+        c=c,
+        base_index=(i0, j0),
+        path_discrepancy=discrepancy,
+        u=us,
+        q=qs,
+        length=lengths,
+    )
 
 
 def node_defect_grid(family, grid=9, h=None):

@@ -30,6 +30,7 @@ from rayspace.errors import (
     NoConvergenceError,
     NoIntersectionError,
     NonRegularError,
+    NotRectangularError,
     RaySpaceError,
     TangentialError,
     TotalInternalReflectionError,
@@ -60,6 +61,7 @@ from helpers import (
     random_unit,
     row_by_row,
     sinusoid_first_root,
+    staged_wavefront,
     stencil_defect,
     svd_immersion_ratio,
     svd_immersed,
@@ -1069,30 +1071,40 @@ class TestImmersionRatio:
             assert np.array_equal(ratio > 1e-8, svd_immersed(du, dq))
 
 
+def _counted(family, calls):
+    """The family, its evaluations appending their row counts to calls."""
+
+    def counting(k1, k2):
+        calls.append(np.size(k1))
+        return family.eval(k1, k2)
+
+    return dataclasses.replace(family, eval=counting)
+
+
 class TestWavefrontCalls:
     def test_point_plane_eval_calls(self):
         scene = load_scene(str(SCENES / "point_plane.scene"))
-        fam = rs.transform_family(scene.family, scene.system)
         calls = []
-
-        def counting(k1, k2):
-            calls.append(np.size(k1))
-            return fam.eval(k1, k2)
-
-        counted = dataclasses.replace(fam, eval=counting)
+        counted = _counted(rs.transform_family(scene.family, scene.system), calls)
         wf = rs.reconstruct_wavefront(
             counted, scene.options["k0"], c=scene.options["wavefront_c"], grid=9
         )
-        # one call each for the grid lines, the 3 interior nodes of the
-        # 144 segments' first level, their 4 new nodes at the second, where
-        # all converge, and the regularity stencils; node by node
-        # evaluation made 2,547
-        assert calls == [81, 3 * 144, 4 * 144, 4 * 81]
+        # one call for the grid lines, the 7 interior nodes of the 144
+        # segments' second level (the 3 of their first among them), where
+        # all converge, and the regularity stencils; one call each made
+        # 81, 432, 576 and 324, and node by node evaluation made 2,547
+        assert calls == [81 + 7 * 144 + 4 * 81]
         # the residual reads the grid lines' optical lengths off the
         # wavefront and evaluates no ray
         residual = rs.orthogonality_residual(counted, wf)
-        assert len(calls) == 4
+        assert len(calls) == 1
         assert residual < 1e-12
+        # without the regularity test, no stencil line is evaluated
+        calls.clear()
+        rs.reconstruct_wavefront(
+            counted, scene.options["k0"], c=scene.options["wavefront_c"], grid=9, check_regular=False
+        )
+        assert calls == [81 + 7 * 144]
 
     @pytest.mark.parametrize("name", ["point_plane", "mixed_device"])
     def test_segments_reuse_the_grid_lines(self, name, monkeypatch):
@@ -1127,6 +1139,100 @@ class TestWavefrontCalls:
         assert np.array_equal(wf_custom.values, wf.values)
         assert np.array_equal(wf_custom.points, wf.points)
         assert rs.orthogonality_residual(custom, wf_custom) == rs.orthogonality_residual(fam, wf)
+
+
+def _past_edge(family, k1_max):
+    """The family with its lines past k1 = k1_max failing, each batch at its
+    lowest such row; on a wavefront grid whose last k1 is k1_max, only the
+    +k1 stencil lines of the last row's nodes lie there."""
+
+    def _eval(k1, k2):
+        past = np.flatnonzero(np.ravel(k1) > k1_max)
+        if past.size:
+            raise NoIntersectionError(f"k1={float(np.ravel(k1)[past[0]])!r} is past the edge").at(past[0])
+        return family.eval(k1, k2)
+
+    return dataclasses.replace(family, eval=_eval)
+
+
+class TestWavefrontBatch:
+    """reconstruct_wavefront, from one batch of lines, gives what its stages
+    give one call each (helpers.staged_wavefront): every field byte for
+    byte, or an error of the same type, message, row and k."""
+
+    @staticmethod
+    def assert_staged(family, k0, **options):
+        got = outcome(lambda: rs.reconstruct_wavefront(family, k0, **options))
+        want = outcome(lambda: staged_wavefront(family, k0, **options))
+        if isinstance(want, RaySpaceError):
+            assert type(got) is type(want)
+            assert (str(got), got.row) == (str(want), want.row)
+            assert getattr(got, "k", None) == getattr(want, "k", None)
+            return got
+        assert isinstance(got, rs.Wavefront)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+            else:
+                assert a == b, field.name
+        return got
+
+    @pytest.mark.parametrize("check_regular", [True, False])
+    @pytest.mark.parametrize("grid", [3, 5, 9, 13])
+    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract", "mixed_device", "mirror_design", "two_skew"])
+    def test_bundled_scenes(self, name, grid, check_regular):
+        # at grid 3 most segments refine past level 8; at grid 13 the batch
+        # holds 169 + 7 * 312 + 4 * 169 = 3,029 rows, more than one call of
+        # _CHUNK
+        scene = load_scene(str(SCENES / f"{name}.scene"))
+        fam = rs.transform_family(scene.family, scene.system)
+        options = dict(c=scene.options.get("wavefront_c", 0.0), grid=grid, check_regular=check_regular)
+        got = self.assert_staged(fam, scene.options.get("k0", (0.0, 0.0)), **options)
+        assert isinstance(got, NotRectangularError if name == "two_skew" else rs.Wavefront)
+
+    def test_segments_refining_past_level_8(self):
+        # the 12 segments of a 3x3 grid are long enough that 11 refine on
+        scene = load_scene(str(SCENES / "mixed_device.scene"))
+        calls = []
+        fam = _counted(rs.transform_family(scene.family, scene.system), calls)
+        self.assert_staged(fam, (0.0, 0.0), grid=3)
+        # the job's batch, then level 16's 8 new nodes of each segment
+        # still refining; then the oracle's stages
+        assert calls[:2] == [9 + 7 * 12 + 4 * 9, 8 * 11]
+
+    @pytest.mark.parametrize("grid", [5, 9])
+    def test_grid_lines_miss(self, grid):
+        err = self.assert_staged(_small_sphere_family(), (0.0, 0.0), grid=grid)
+        assert isinstance(err, FamilyTraceError)
+
+    def test_only_stencil_lines_fail(self):
+        fam = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        k1 = families._grid_axes(fam, 9, fam.default_step())[0]
+        calls = []
+        edge = _counted(_past_edge(fam, k1[-1]), calls)
+        err = self.assert_staged(edge, (0.0, 0.0), c=2.0, grid=9)
+        assert isinstance(err, NoIntersectionError)
+        assert err.row == 8 * 9  # the first node of the last row
+        # the batch, then the stages on their own: grid lines, levels 4
+        # and 8, stencil lines; then the oracle's
+        assert calls[:5] == [1413, 81, 432, 576, 324]
+        # without the regularity test, nothing fails
+        self.assert_staged(edge, (0.0, 0.0), c=2.0, grid=9, check_regular=False)
+        # a node before the failing stencils that is not regular wins
+        err = self.assert_staged(edge, (0.0, 0.0), c=5.0, grid=9)
+        assert isinstance(err, NonRegularError) and err.row == 0
+
+    def test_not_regular(self):
+        fam = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        err = self.assert_staged(fam, (0.0, 0.0), c=5.0)
+        assert isinstance(err, NonRegularError)
+
+    def test_not_rectangular_wins_over_failing_stencil_lines(self):
+        scene = load_scene(str(SCENES / "two_skew.scene"))
+        k1 = families._grid_axes(scene.family, 9, scene.family.default_step())[0]
+        err = self.assert_staged(_past_edge(scene.family, k1[-1]), (0.0, 0.0))
+        assert isinstance(err, NotRectangularError)
 
 
 class TestEvalRows:

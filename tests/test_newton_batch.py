@@ -60,19 +60,24 @@ def outcome(fn):
 
 def assert_same_solve(m1, m2, system, initial=None):
     """The batched solve against the oracle: V and path bit for bit, or the
-    same error type and message.  Returns the outcome."""
-    got = outcome(lambda: rs.characteristic_function(m1, m2, system, initial=initial))
+    same error type and message.  The law residual and hit points that the
+    solve reads off its last path (variational._solve) are those of the
+    configuration it returns, bit for bit.  Returns the outcome of
+    characteristic_function."""
+    got = outcome(lambda: variational._solve(m1, m2, system, initial=initial))
     want = outcome(lambda: characteristic_function_oracle(m1, m2, system, initial=initial))
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return got
-    v, pc = got
+    v, pc, law, hits = got
     v_ref, pc_ref = want
     assert v == v_ref
     assert pc.flat().tobytes() == pc_ref.flat().tobytes()
     assert rs.optical_length(pc) == path_length(pc)
     assert rs.stationarity_residual(pc) == stationarity_residual_oracle(pc)
-    return got
+    assert law == rs.law_residual(pc)
+    assert hits.tobytes() == np.array(pc.points()).reshape(-1, 3).tobytes()
+    return v, pc
 
 
 def design_library_inputs(seed=0, count=60):
@@ -287,6 +292,10 @@ class TestStackedPaths:
 
 
 class TestBatchedNewton:
+    def test_no_interfaces(self):
+        v, pc = assert_same_solve(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]), rs.OpticalSystem(()))
+        assert v == 1.0 and pc.coords == ()
+
     def test_design_library_inputs_match_the_oracle(self):
         for m1, m2, system, initial, expected in design_library_inputs():
             v, _ = assert_same_solve(m1, m2, system, initial)
@@ -451,8 +460,9 @@ class TestChartEvaluations:
         calls = counting_polylines(monkeypatch)
         scene = str(SCENES / "characteristic.scene")
         assert main(["characteristic", "--scene", scene, "--out", str(tmp_path)]) == 0
-        # the gradient batch, stationarity_residual and law_residual
-        assert calls == [(5, True), (4, False), (1, False)]
+        # the gradient batch and stationarity_residual; the law residual
+        # and hit points come from the gradient batch's path
+        assert calls == [(5, True), (4, False)]
 
 
 class TestBadSeeds:

@@ -524,12 +524,14 @@ def edited_scene(data):
 
 
 class TestWavefrontRayBudget:
-    """The rays CLI `wavefront` evaluates on the bundled 9x9 jobs: grid
+    """The rays CLI `wavefront` and `mirror` evaluate on bundled jobs: grid
     lines, one-form refinement nodes and regularity stencils; the optical
     lengths ride on the grid lines."""
 
-    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract"])
-    def test_rays_per_job(self, tmp_path, name):
+    @staticmethod
+    def counted_rays(tmp_path, argv):
+        """The rays of each family evaluation that `argv` makes, and of each
+        trace through the system."""
         rays = []
 
         def counted(family, system):
@@ -547,20 +549,33 @@ class TestWavefrontRayBudget:
             traces.append(np.size(line.u) // 3)
             return real(line, system, start=start)
 
-        argv = ["wavefront", "--scene", str(SCENES / f"{name}.scene"), "--out", str(tmp_path), "--grid", "9"]
         with mock.patch.object(cli, "transform_family", counted):
             with mock.patch.object(families, "propagate_system", propagate):
-                assert main(argv) == 0
-        # 81 grid lines, then the 3 interior nodes of the 144 segments'
-        # first Clenshaw-Curtis level and their 4 new nodes at the second,
-        # where all converge, then 4 stencil lines per node: 1,413 rays in 4
-        # calls
-        assert rays == [81, 432, 576, 324]
+                assert main([*argv, "--out", str(tmp_path)]) == 0
         # every ray is traced by an evaluation of the family, once
         assert traces == rays
+        return rays
+
+    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract"])
+    def test_rays_per_job(self, tmp_path, name):
+        argv = ["wavefront", "--scene", str(SCENES / f"{name}.scene"), "--grid", "9"]
+        rays = self.counted_rays(tmp_path, argv)
+        # 81 grid lines, the 7 interior nodes of the 144 segments' second
+        # Clenshaw-Curtis level (the first level's 3 among them), where all
+        # converge, and 4 stencil lines per node: 1,413 rays in one call
+        assert rays == [81 + 7 * 144 + 4 * 81]
         report = read_report(tmp_path / "report.txt")
         assert float(report["path_discrepancy"]) <= 1e-7
         assert float(report["orthogonality_residual"]) <= 1e-6
+
+    def test_mirror_job(self, tmp_path):
+        rays = self.counted_rays(tmp_path, ["mirror", "--scene", str(SCENES / "mirror_design.scene")])
+        # on the 13x13 grid: the defect grid's 4 stencil lines per node, the
+        # wavefront's one batch of 169 + 7 * 312 + 4 * 169 = 3,029 rays in
+        # calls of at most _CHUNK, and verify_focus's 121 interior grid lines
+        assert rays == [676, families._CHUNK, 3029 - families._CHUNK, 121]
+        assert sum(rays) == 3826
+        assert read_report(tmp_path / "report.txt")["focused"] == "true"
 
 
 class TestSceneFuzz:
