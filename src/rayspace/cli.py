@@ -29,6 +29,7 @@ from .families import (
     _grid_axes,
     _grid_csv,
     _grid_lines,
+    _largest_at,
     is_rectangular,
     orthogonality_residual,
     reconstruct_wavefront,
@@ -37,7 +38,7 @@ from .families import (
 from .lines import _norm, _ray, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import _OPTIONS, load_scene
-from .variational import design_focusing_mirror, stationarity_residual, verify_focus
+from .variational import design_focusing_mirror, stationarity_residual
 
 
 class _UsageError(Exception):
@@ -49,10 +50,8 @@ def _vec_str(v):
 
 
 def _opt(scene, args, key, default=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = scene.options.get(key)  # None for `step = auto`
-    return default if value is None else value
+    value = getattr(args, key)
+    return scene.options.get(key, default) if value is None else value
 
 
 def _require_family(scene):
@@ -99,7 +98,9 @@ def cmd_trace(scene, args):
         ("tolerance", _fmt(tol)),
         ("max_line_residual", _fmt(worst)),
     ]
-    return {"trace.csv": _grid_csv("k1,k2,ux,uy,uz,qx,qy,qz", k1, k2, nodes)}, pairs, None
+    k = _largest_at(k1, k2, residuals)
+    failure = None if worst <= tol else f"line residual {worst:.3e} at k={k} exceeds {tol:g}"
+    return {"trace.csv": _grid_csv("k1,k2,ux,uy,uz,qx,qy,qz", k1, k2, nodes)}, pairs, failure
 
 
 def cmd_defect(scene, args):
@@ -213,7 +214,7 @@ def cmd_wavefront(scene, args):
     family = transform_family(_require_family(scene), scene.system)
     grid = _opt(scene, args, "grid", 9)
     path_tol = _opt(scene, args, "tol", 1e-7)
-    step = _opt(scene, args, "step")
+    step = _opt(scene, args, "step", family.default_step())
     c = scene.options.get("wavefront_c", 0.0)
     k0 = _k0_arg(scene)
     wf = reconstruct_wavefront(
@@ -221,10 +222,9 @@ def cmd_wavefront(scene, args):
     )
     residual = orthogonality_residual(family, wf)
     i0, j0 = wf.base_index
-    step_used = step if step is not None else family.default_step()
     pairs = [
         ("grid", grid),
-        ("step", _fmt(step_used)),
+        ("step", _fmt(step)),
         ("tolerance", _fmt(path_tol)),
         ("integral_tolerance", _fmt(families._INTEGRAL_TOL)),
         ("wavefront_c", _fmt(c)),
@@ -240,7 +240,7 @@ def cmd_mirror(scene, args):
     family = transform_family(_require_family(scene), scene.system)
     grid = _opt(scene, args, "grid", 9)
     tol = _opt(scene, args, "tol", 1e-6)
-    step = _opt(scene, args, "step")
+    step = _opt(scene, args, "step", family.default_step())
     focus = _require_option(scene, "focus")
     epsilon = _require_option(scene, "epsilon")
     level = _require_option(scene, "level")
@@ -249,11 +249,10 @@ def cmd_mirror(scene, args):
     design = design_focusing_mirror(
         family, k0, focus, epsilon, level, grid=grid, wavefront_c=c, h=step
     )
-    focused, miss = verify_focus(design, family, tol=tol)
-    step_used = step if step is not None else family.default_step()
+    focused, miss, k = variational._verify_focus(design, family, tol)
     pairs = [
         ("grid", grid),
-        ("step", _fmt(step_used)),
+        ("step", _fmt(step)),
         ("tolerance", _fmt(tol)),
         ("focus", _vec_str(focus)),
         ("epsilon", epsilon),
@@ -262,7 +261,7 @@ def cmd_mirror(scene, args):
         ("max_miss", _fmt(miss)),
         ("focused", "true" if focused else "false"),
     ]
-    failure = None if focused else f"focus missed by {miss:.3e} (tolerance {tol:g})"
+    failure = None if focused else f"focus missed by {miss:.3e} at k={k} (tolerance {tol:g})"
     return {"mirror.csv": design.to_csv()}, pairs, failure
 
 

@@ -11,12 +11,14 @@ index in the batch as the error's `row`.  A batch runs in stages, each over
 all its items, and stops at the first stage where an item fails, with the
 error of the lowest item failing there.  The items before it passed that
 stage but may fail a later one, so they are run again as one batch
-(`_lowest_failure`), and an error of theirs wins.  Each such run can only
+(`_lowest_failure`), and an error of theirs wins; at the last stage there
+is no later one, and the error is raised as it is.  Each such run can only
 fail at a later stage, so a failing batch takes at most one more run per
 stage, and no item is run on its own.  A routine that evaluates the rows
 of several stages ahead of them, in one batch (`reconstruct_wavefront`),
-falls back to its stages if that batch fails: each then evaluates its own
-rows, so the routine fails as its stages do.
+raises the batch's error if it falls in the first stage's rows, which is
+that stage's own error; a later failure falls back to the stages, each
+then evaluating its own rows, so the routine fails as its stages do.
 """
 
 from __future__ import annotations

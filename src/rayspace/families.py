@@ -300,11 +300,14 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
         try:
             base = family.eval(k1, k2)
             start = family.start_point(k1, k2)
-            result = propagate_system(base, system, start=start)
         except RaySpaceError as exc:  # the parameters before it may fail in the system
             ks = np.column_stack(np.broadcast_arrays(k1, k2))  # one pair is the batch of one
             err = FamilyTraceError(ks[exc.row], exc)
             raise _lowest_failure(err, lambda m: _trace(ks[:m, 0], ks[:m, 1])) from exc
+        try:
+            result = propagate_system(base, system, start=start)
+        except RaySpaceError as exc:  # the last stage, which the parameters before it passed
+            raise FamilyTraceError(np.column_stack(np.broadcast_arrays(k1, k2))[exc.row], exc) from exc
         return base, start, result, result.hits[-1].point if result.hits else start
 
     def _eval(k1, k2):
@@ -553,7 +556,7 @@ def _spread(u0, t, du, dq):
 # wavefront reconstruction
 
 
-def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max_points: int = _MAX_POINTS):
+def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL):
     """Integral of u . dP along the straight parameter segment ka -> kb.
 
     Nested Clenshaw-Curtis quadrature on Chebyshev-Lobatto nodes: level
@@ -567,8 +570,7 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
     stops when two successive levels agree within tol, and the finer value
     is the integral.  A segment whose sum is NaN or infinite at a level
     raises NoConvergenceError there, and so does one still refining past
-    max_points; both errors name the segment.  max_points may lower the
-    budget of 512 nodes but not raise it: above it, ValueError.
+    the budget of 512 nodes (_MAX_POINTS); both errors name the segment.
 
     ka and kb of shape (2,) give one segment and a float; shape (S, 2) gives
     S segments and an (S,) array.  The segments refine together: each level
@@ -577,12 +579,10 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL, max
     sums and stopping test, all computed segment by segment, so each value
     equals the single segment's bit for bit; the stages are the levels.
     """
-    if max_points > _MAX_POINTS:
-        raise ValueError(f"max_points must be at most {_MAX_POINTS}, got {max_points}")
     ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
     if ka.ndim == 1:
-        return float(_one_form_levels(family, ka[None], kb[None], tol, max_points)[0])
-    return _one_form_levels(family, ka, kb, tol, max_points)
+        return float(_one_form_levels(family, ka[None], kb[None], tol)[0])
+    return _one_form_levels(family, ka, kb, tol)
 
 
 @lru_cache(maxsize=None)
@@ -627,7 +627,7 @@ def _cc_sums(us, qs):
     return 0.0 + np.vecdot(us.reshape(len(us), -1), (g @ dq).reshape(len(us), -1))
 
 
-def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, ends=None, inner=None):
+def _one_form_levels(family: RayFamily, ka, kb, tol: float, ends=None, inner=None):
     """one_form_integral of the segments ka[s] -> kb[s], refined together.
 
     ends, when given, holds the lines already evaluated at ka and kb as
@@ -643,7 +643,7 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
     nodes and previous sum of a segment are dropped when it converges.
     """
     def before(count):  # the first count segments, from their first level
-        _one_form_levels(family, ka[:count], kb[:count], tol, max_points, None if ends is None else ends[:count])
+        _one_form_levels(family, ka[:count], kb[:count], tol, None if ends is None else ends[:count])
 
     def failure(message, s):  # the error of live segment s, naming it
         seg = live[s]
@@ -657,7 +657,7 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, max_points: int, end
     prev = None  # per live segment, its previous sum
     m = 4
     while len(live):
-        if m > max_points:
+        if m > _MAX_POINTS:
             raise failure("one-form integral did not converge under refinement", 0)
         if inner is not None and m <= 8:  # every segment's level 4 nodes, or level 8's new ones
             u, q = (a[:, 2 - m // 4 :: 2] for a in inner)
@@ -805,7 +805,6 @@ def reconstruct_wavefront(
     grid=9,
     h: float | None = None,
     path_tol: float = 1e-7,
-    check_regular: bool = True,
 ) -> Wavefront:
     """Integrate u . dP from k0 and drop the points P - (F + c) u.
 
@@ -813,10 +812,12 @@ def reconstruct_wavefront(
     and column-first L-paths must agree within path_tol, otherwise the family
     is not rectangular and NotRectangularError is raised.  k0 snaps to the
     nearest grid node (F is only defined up to a constant anyway; c selects
-    the member of the orthogonal-surface pencil).  One batch per job
-    evaluates the lines of the grid, of every segment's first two levels and,
-    with check_regular, of every node's stencil; if it fails, the stages
-    evaluate their own, and the job fails as they do.
+    the member of the orthogonal-surface pencil).  Every node must be a
+    regular point of the family at its wavefront point (NonRegularError).
+    One batch per job evaluates the lines of the grid, of every segment's
+    first two levels and of every node's stencil.  If it fails at a grid
+    line, that error is the grid stage's and is raised; if it fails later,
+    the stages evaluate their own lines, and the job fails as they do.
     """
     if h is None:
         h = family.default_step()
@@ -834,19 +835,22 @@ def reconstruct_wavefront(
     stops = starts + np.repeat([n2, 1], [(n1 - 1) * n2, n1 * (n2 - 1)])
     ka, kb = ks[starts], ks[stops]
     level8 = ka[:, None] + _cc_level(8)[0][1:-1, None] * (kb - ka)[:, None]  # interior nodes
-    rows = [ks, level8.reshape(-1, 2)] + [_stencil_rows(ks, h)] * check_regular
+    rows = np.concatenate([ks, level8.reshape(-1, 2), _stencil_rows(ks, h)])
     n, m = len(ks), len(ks) + level8.size // 2  # the first rows of the nodes and of the stencils
     try:
-        u, q, length = _eval_rows(family, np.concatenate(rows), lengths=True)
+        u, q, length = _eval_rows(family, rows, lengths=True)
         inner, stencil = [a[n:m].reshape(level8.shape[:2] + (3,)) for a in (u, q)], (u[m:], q[m:])
-    except RaySpaceError:  # the stages evaluate their own lines, and fail as they do
+    except RaySpaceError as exc:
+        if exc.row < n:  # a grid line's error, which is the grid stage's
+            raise
+        # the stages evaluate their own lines, and fail as they do
         u, q, length = _eval_rows(family, ks, lengths=True)
         inner = stencil = None
     us, qs = u[:n].reshape(n1, n2, 3), q[:n].reshape(n1, n2, 3)
     lengths = None if length is None else length[:n].reshape(n1, n2)
     lines = np.stack([us.reshape(-1, 3), qs.reshape(-1, 3)], axis=1)
     ends = lines[np.stack([starts, stops], axis=1)]
-    seg = _one_form_levels(family, ka, kb, _INTEGRAL_TOL, _MAX_POINTS, ends, inner)
+    seg = _one_form_levels(family, ka, kb, _INTEGRAL_TOL, ends, inner)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 
@@ -861,8 +865,7 @@ def reconstruct_wavefront(
     values = f_rc
     points = qs - (values + c)[..., None] * us
 
-    if check_regular:
-        _regular(family, ks, -(values + c).ravel(), h, lines[:, 0], strict=True, stencil=stencil)
+    _regular(family, ks, -(values + c).ravel(), h, lines[:, 0], strict=True, stencil=stencil)
 
     return Wavefront(
         k1=k1s,

@@ -307,11 +307,7 @@ def _parse_domain(raw, line_no, col):
 _OPTIONS = {
     "grid": _checked(_int, lambda v: v >= 3, "grid must be at least 3"),
     "tol": _checked(_float, lambda v: v > 0.0, "tol must be positive"),
-    "step": _checked(
-        lambda raw, line_no, col: None if raw == "auto" else _float(raw, line_no, col),
-        lambda v: v is None or v > 0.0,
-        "step must be positive",
-    ),
+    "step": _checked(_float, lambda v: v > 0.0, "step must be positive"),
     "seed": _checked(_int, lambda v: v >= 0, "seed must be at least 0"),
     "m1": _vector(3),
     "m2": _vector(3),

@@ -695,26 +695,27 @@ def _newton_bisect(g, dg, lo, hi, glo):
     return out
 
 
-def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DEFAULT_T_MAX) -> Intersection:
+def intersect(line: OrientedLine, surface, t_min: float = 0.0) -> Intersection:
     """First intersection of the ray with the surface at parameter t > t_min.
 
-    Raises NoIntersectionError when the ray misses within [t_min, t_max] and
-    TangentialError when it meets the surface at near-tangent incidence
-    (|u . n| < 1e-6).  The returned normal is oriented against the ray.
-    `line` may be a batch, with one t_min per line or one for all.
+    Raises NoIntersectionError when the ray misses within [t_min,
+    DEFAULT_T_MAX] and TangentialError when it meets the surface at
+    near-tangent incidence (|u . n| < 1e-6).  The returned normal is
+    oriented against the ray.  `line` may be a batch, with one t_min per
+    line or one for all.
     """
     single = line.u.ndim == 1
     if single:
         line = _ray(line, None)
     try:
-        ts = surface.roots(line, t_min, t_max)
+        ts = surface.roots(line, t_min, DEFAULT_T_MAX)
     except RaySpaceError as exc:  # the rays before it may still miss
         lows = np.broadcast_to(t_min, line.u.shape[:1])
-        raise _lowest_failure(exc, lambda m: intersect(_ray(line, slice(m)), surface, lows[:m], t_max))
+        raise _lowest_failure(exc, lambda m: intersect(_ray(line, slice(m)), surface, lows[:m]))
     t_min = np.asarray(t_min, dtype=float)
     ts[ts <= t_min[..., None]] = np.nan  # candidates at or behind the start
     t = np.fmin.reduce(ts, axis=-1)  # the nearest one ahead, NaN if none
-    miss = ~(t <= t_max)
+    miss = ~(t <= DEFAULT_T_MAX)
     if _any(miss):
         t = np.where(miss, 0.0, t)  # a placeholder, so the other rays can be checked
     p = line.q + t[:, None] * line.u
@@ -737,7 +738,7 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0, t_max: float = DE
         if miss[i]:
             lo = float(np.broadcast_to(t_min, miss.shape)[i])
             raise NoIntersectionError(
-                f"ray misses {type(surface).__name__} in ({lo:g}, {t_max:g}]"
+                f"ray misses {type(surface).__name__} in ({lo:g}, {DEFAULT_T_MAX:g}]"
             ).at(i)
         if degenerate[i]:
             raise DegenerateGradientError("level-function gradient vanishes at the point").at(i)

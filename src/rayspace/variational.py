@@ -60,6 +60,7 @@ from .surfaces import _GRAD_MIN, _stack_charts, intersect
 _FD_H = 1e-6  # central-difference step of the Newton Hessian and of stationarity_residual
 _GRAD_TOL = 1e-10  # max |grad| at which the Newton iteration of V stops
 _LAW_TOL = 1e-8  # largest local-law residual accepted at a stationary path
+_MAX_ITER = 100  # Newton steps of characteristic_function
 _MIRROR_REACH = 2.0**29 - 1.0  # farthest mirror root from the wavefront, 1 + 2 + ... + 2**28
 
 
@@ -135,14 +136,15 @@ def path_through(m1, m2, system: OpticalSystem, points) -> PathConfiguration:
     return PathConfiguration(m1, m2, system, *_charted(system, points))
 
 
-def _drop_to_surface(x0, surface):
-    """Nearest surface point along the gradient line through x0."""
+def _drop_to_surface(x0, surface, index: int):
+    """Nearest surface point along the gradient line through x0; a failure
+    names the surface as interface `index`."""
     if abs(surface.value(x0)) < 1e-12 * max(1.0, float(np.linalg.norm(x0))):
         return x0
     grad = surface.gradient(x0)
     gn = float(np.linalg.norm(grad))
     if gn < 1e-12:
-        raise NoIntersectionError("degenerate gradient while seeding a path")
+        raise NoIntersectionError(f"interface {index}: degenerate gradient while seeding a path")
     best = None
     for direction in (grad / gn, -grad / gn):
         probe = line_through(x0, direction)
@@ -154,7 +156,7 @@ def _drop_to_surface(x0, surface):
         if best is None or hit.t - t0 < best[0]:
             best = (hit.t - t0, hit.point)
     if best is None:
-        raise NoIntersectionError("no surface point near the chord midpoint")
+        raise NoIntersectionError(f"interface {index}: no surface point near the chord midpoint")
     return best[1]
 
 
@@ -173,13 +175,13 @@ def _seed(m1, m2, system: OpticalSystem):
     t_cursor = float((m1 - chord.q) @ chord.u)
     midpoint = 0.5 * (m1 + m2)
     points = []
-    for itf in system.interfaces:
+    for i, itf in enumerate(system.interfaces):
         try:
             hit = intersect(chord, itf.surface, t_min=t_cursor)
             points.append(hit.point)
             t_cursor = hit.t
         except (NoIntersectionError, TangentialError):
-            points.append(_drop_to_surface(midpoint, itf.surface))
+            points.append(_drop_to_surface(midpoint, itf.surface, i))
     return _charted(system, points)
 
 
@@ -260,23 +262,24 @@ def optical_length(pc: PathConfiguration) -> float:
     return float(_lengths(pc, pc.flat()[None])[0])
 
 
-def stationarity_residual(pc: PathConfiguration, h: float = _FD_H) -> float:
-    """max |dV/dxi| by central differences of the optical length, all of
-    them from one batch of lengths."""
+def stationarity_residual(pc: PathConfiguration) -> float:
+    """max |dV/dxi| by central differences of step _FD_H of the optical
+    length, all of them from one batch of lengths."""
     x0 = pc.flat()
-    lengths = _lengths(pc, x0 + _stencil(x0.size, h))
-    return float(np.max(abs(lengths[0::2] - lengths[1::2]) / (2.0 * h), initial=0.0))
+    lengths = _lengths(pc, x0 + _stencil(x0.size, _FD_H))
+    return float(np.max(abs(lengths[0::2] - lengths[1::2]) / (2.0 * _FD_H), initial=0.0))
 
 
 def law_residual(pc: PathConfiguration) -> float:
     """max deviation of the discrete directions from the local optics laws."""
     paths, segments, lengths, _ = _polylines(pc, pc.flat()[None])
-    return _law_residual(pc.system, paths[0], segments[0] / lengths[0, :, None])
+    return float(np.max(_law_residual(pc.system, paths[0], segments[0] / lengths[0, :, None]), initial=0.0))
 
 
-def _law_residual(system: OpticalSystem, points, units) -> float:
-    """law_residual of a broken path through system from its points, M1,
-    one per interface and M2, and its unit segment vectors.  The interfaces
+def _law_residual(system: OpticalSystem, points, units) -> np.ndarray:
+    """The law residual (m,) at each of the m interfaces of a broken path
+    through system, from its points, M1, one per interface and M2, and its
+    unit segment vectors; law_residual is their maximum.  The interfaces
     are bent as one batch; the check fails as they would one by one, at the
     first interface whose gradient vanishes or whose bend fails, with the
     row of this one path, 0."""
@@ -296,7 +299,7 @@ def _law_residual(system: OpticalSystem, points, units) -> float:
         raise exc.at(0)
     if stop is not None:
         raise DegenerateGradientError("level-function gradient vanishes at the point")
-    return float(np.max(np.abs(units[1:] - bent), initial=0.0))
+    return np.max(np.abs(units[1:] - bent), axis=1)
 
 
 @functools.cache
@@ -338,20 +341,19 @@ def characteristic_function(
     m2,
     system: OpticalSystem,
     initial: PathConfiguration | None = None,
-    grad_tol: float = _GRAD_TOL,
-    law_tol: float = _LAW_TOL,
-    max_iter: int = 100,
 ):
     """Stationary optical length between M1 and M2 through the system.
 
     Damped Newton iteration on the analytic gradient over the stacked surface
-    coordinates until max |grad| < grad_tol.  Each point tried, the seed
+    coordinates until max |grad| < 1e-10 (_GRAD_TOL), in at most 100 steps
+    (_MAX_ITER).  Each point tried, the seed
     included, is one checked gradient batch that also holds the
     central-difference Hessian stencil around it, so an accepted step
     carries the next Hessian, and nothing is evaluated again afterwards.
     The configuration must then satisfy the local reflection/refraction law
-    at every interface within law_tol (stationarity and the laws are
-    equivalent; the check closes the loop).  V and the law check reuse the
+    at every interface within 1e-8 (_LAW_TOL; stationarity and the laws are
+    equivalent, and the check closes the loop), or NoConvergenceError names
+    the interface with the largest residual.  V and the law check reuse the
     unit segments and lengths of the last batch's row 0.  Returns (V,
     stationary configuration).
 
@@ -361,10 +363,10 @@ def characteristic_function(
     checked by the first gradient batch, which raises what a
     PathConfiguration of it would.
     """
-    return _solve(m1, m2, system, initial, grad_tol, law_tol, max_iter)[:2]
+    return _solve(m1, m2, system, initial)[:2]
 
 
-def _solve(m1, m2, system, initial=None, grad_tol=_GRAD_TOL, law_tol=_LAW_TOL, max_iter=100):
+def _solve(m1, m2, system, initial=None):
     """characteristic_function's (V, configuration), then the law residual
     and the points (m, 3) of the solution on its m interfaces, both read
     off the broken path of the last gradient batch's row 0."""
@@ -376,9 +378,9 @@ def _solve(m1, m2, system, initial=None, grad_tol=_GRAD_TOL, law_tol=_LAW_TOL, m
 
     x = pc.flat()
     g, hess, path = _gradient_and_hessian(pc, x)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         gnorm = float(np.max(np.abs(g)))
-        if gnorm < grad_tol:
+        if gnorm < _GRAD_TOL:
             break
         if isinstance(hess, Exception):
             raise hess
@@ -404,7 +406,7 @@ def _solve(m1, m2, system, initial=None, grad_tol=_GRAD_TOL, law_tol=_LAW_TOL, m
             n_try = float(np.max(np.abs(g_try)))
             if best is None or n_try < best[0]:
                 best = (n_try, x_try, g_try, hess_try, path_try)
-            if n_try < (1.0 - 1e-4 * alpha) * gnorm or n_try < grad_tol:
+            if n_try < (1.0 - 1e-4 * alpha) * gnorm or n_try < _GRAD_TOL:
                 break
             alpha *= 0.5
         if best is None or best[0] >= gnorm:
@@ -412,17 +414,17 @@ def _solve(m1, m2, system, initial=None, grad_tol=_GRAD_TOL, law_tol=_LAW_TOL, m
         _, x, g, hess, path = best
     else:
         raise NoConvergenceError(
-            f"Newton did not reach |grad| < {grad_tol:g} in {max_iter} iterations"
+            f"Newton did not reach |grad| < {_GRAD_TOL:g} in {_MAX_ITER} iterations"
         )
 
     points, units, lengths = path
-    residual = _law_residual(system, points, units)
-    if residual > law_tol:
-        raise NoConvergenceError(
-            f"stationary point violates the local laws: residual {residual:.3e}"
-        )
+    laws = _law_residual(system, points, units)
+    worst = int(np.argmax(laws))
+    if laws[worst] > _LAW_TOL:
+        message = f"stationary point violates the local laws: residual {laws[worst]:.3e}"
+        raise NoConvergenceError(f"interface {worst}: {message}")
     coords = tuple(x[2 * i : 2 * i + 2] for i in range(len(pc.charts)))
-    return float(_optical_lengths(system, lengths)), pc._moved(coords), residual, points[1:-1]
+    return float(_optical_lengths(system, lengths)), pc._moved(coords), float(laws[worst]), points[1:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +539,12 @@ def verify_focus(design: MirrorDesign, family: RayFamily, tol: float = 1e-6):
     fails raises, with its index among the interior nodes as `row`.
     Returns (worst < tol, worst).
     """
+    return _verify_focus(design, family, tol)[:2]
+
+
+def _verify_focus(design: MirrorDesign, family: RayFamily, tol: float):
+    """verify_focus's (worst < tol, worst), then k, as floats, of the first
+    interior node whose miss is the worst."""
     p = design.points
     n1, n2 = p.shape[:2]
     if n1 < 3 or n2 < 3:
@@ -582,5 +590,6 @@ def verify_focus(design: MirrorDesign, family: RayFamily, tol: float = 1e-6):
         k = (float(k1[node // len(k2)]), float(k2[node % len(k2)]))
         raise IllConditionedFitError(f"{message} at k={k}").at(node)
     rel = design.focus - x0
-    worst = float(np.max(_norm(rel - np.vecdot(rel, u_refl)[:, None] * u_refl)))
-    return worst < tol, worst
+    misses = _norm(rel - np.vecdot(rel, u_refl)[:, None] * u_refl)
+    worst = float(np.max(misses))
+    return worst < tol, worst, _largest_at(k1, k2, misses.reshape(len(k1), len(k2)))

@@ -498,7 +498,7 @@ def wavefront_segments(k1, k2):
     return across + along
 
 
-def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7, check_regular=True):
+def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7):
     """reconstruct_wavefront stage by stage, one call each: the grid lines
     (_grid_lines), the integrals of all segments (one_form_integral, which
     evaluates their ends again), the L-paths (_l_paths) and the regularity
@@ -525,18 +525,17 @@ def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7, check_reg
             f"path-dependent primitive at k={k}: L-path discrepancy {discrepancy:.3e} > {path_tol:g}"
         )
     points = qs - (f_rc + c)[..., None] * us
-    if check_regular:
-        ks, t = nodes.reshape(-1, 2), -(f_rc + c).ravel()
-        try:
-            regular, failure = rs.is_regular_point(family, ks, t, h), None
-        except RaySpaceError as exc:
-            failure = exc
-            regular = rs.is_regular_point(family, ks[: exc.row], t[: exc.row], h)
-        if not np.all(regular):
-            bad = int(np.argmin(regular))
-            raise NonRegularError(f"wavefront point at k={tuple(map(float, ks[bad]))} is not regular").at(bad)
-        if failure is not None:
-            raise failure
+    ks, t = nodes.reshape(-1, 2), -(f_rc + c).ravel()
+    try:
+        regular, failure = rs.is_regular_point(family, ks, t, h), None
+    except RaySpaceError as exc:
+        failure = exc
+        regular = rs.is_regular_point(family, ks[: exc.row], t[: exc.row], h)
+    if not np.all(regular):
+        bad = int(np.argmin(regular))
+        raise NonRegularError(f"wavefront point at k={tuple(map(float, ks[bad]))} is not regular").at(bad)
+    if failure is not None:
+        raise failure
     return rs.Wavefront(
         k1=k1s,
         k2=k2s,
@@ -746,8 +745,8 @@ def stationarity_residual_oracle(pc, h=1e-6):
 def law_residual_oracle(system, points, units):
     """variational._law_residual interface by interface: one public unit
     gradient and one Interface.bend of a single 3-vector each, raising what
-    the first failing interface raises."""
-    worst = 0.0
+    the first failing interface raises; the list of the residuals."""
+    residuals = []
     for i, itf in enumerate(system.interfaces):
         g = itf.surface.gradient(points[i + 1])
         gn = float(np.linalg.norm(g))
@@ -756,8 +755,8 @@ def law_residual_oracle(system, points, units):
         n = g / gn
         if units[i] @ n > 0.0:
             n = -n
-        worst = max(worst, float(np.max(np.abs(units[i + 1] - itf.bend(units[i], n)))))
-    return worst
+        residuals.append(float(np.max(np.abs(units[i + 1] - itf.bend(units[i], n)))))
+    return residuals
 
 
 def characteristic_function_oracle(
@@ -825,10 +824,11 @@ def characteristic_function_oracle(
     pc = pc.with_coords(x)
     pts = pc.polyline()
     units = [(b - a) / np.linalg.norm(b - a) for a, b in zip(pts[:-1], pts[1:])]
-    residual = law_residual_oracle(system, pts, units)
-    if residual > law_tol:
+    residuals = law_residual_oracle(system, pts, units)
+    worst = int(np.argmax(residuals))
+    if residuals[worst] > law_tol:
         raise NoConvergenceError(
-            f"stationary point violates the local laws: residual {residual:.3e}"
+            f"interface {worst}: stationary point violates the local laws: residual {residuals[worst]:.3e}"
         )
     return path_length(pc), pc
 

@@ -450,17 +450,10 @@ class TestOneFormNodes:
                 oracle = clenshaw_curtis_oracle(int(m))
                 assert [a.tobytes() for a in level] == [a.tobytes() for a in oracle]
 
-    def test_budget_may_not_grow(self):
-        # max_points may lower the budget of 512 nodes, not raise it
-        fam = rs.point_source([0.3, -0.2, 1.0], [1.0, 0.1, 0.2])
-        ka, kb = (0.0, 0.0), (0.05, -0.05)
-        with pytest.raises(ValueError, match="max_points must be at most 512, got 1024"):
-            rs.one_form_integral(fam, ka, kb, max_points=1024)
-        assert rs.one_form_integral(fam, ka, kb, max_points=8) == naive_cc_one_form(fam, ka, kb, 1e-9)[0]
-
     @pytest.mark.parametrize("max_points", [512, 8, 2])
-    def test_empty_batch(self, max_points):
+    def test_empty_batch(self, max_points, monkeypatch):
         # no segment, no ray and no error, at any budget (below 4, no level)
+        monkeypatch.setattr(families, "_MAX_POINTS", max_points)
         fam = rs.point_source([0.3, -0.2, 1.0], [1.0, 0.1, 0.2])
         calls = []
 
@@ -469,7 +462,7 @@ class TestOneFormNodes:
             return fam.eval(k1, k2)
 
         counted = dataclasses.replace(fam, eval=counting)
-        values = rs.one_form_integral(counted, np.empty((0, 2)), np.empty((0, 2)), max_points=max_points)
+        values = rs.one_form_integral(counted, np.empty((0, 2)), np.empty((0, 2)))
         assert values.shape == (0,) and values.dtype == float
         assert sum(calls) == 0
 
@@ -598,23 +591,25 @@ def _staircase_family():
 
 
 class TestFailureStaircase:
-    def test_each_earlier_segment_failing_later(self):
-        # segment 0 crosses the jump and never converges; segment 1 has a
-        # node of level 8, and not of level 4, in its window; segment 2's
-        # midpoint, a node of level 4, lies in its window
+    def test_each_earlier_segment_failing_later(self, monkeypatch):
+        # segment 0 crosses the jump and never converges (within a budget
+        # of 256 nodes); segment 1 has a node of level 8, and not of level
+        # 4, in its window; segment 2's midpoint, a node of level 4, lies in
+        # its window
+        monkeypatch.setattr(families, "_MAX_POINTS", 256)
         fam, rays = _staircase_family()
         ka = np.array([[-0.1, 0.0], [-0.1, 0.05], [-0.1, -0.1]])
         kb = np.array([[0.1, 0.0], [0.0, 0.05], [0.0, -0.1]])
         singles, counts = [], []
         for a, b in zip(ka, kb):
             rays.clear()
-            singles.append(outcome(lambda: rs.one_form_integral(fam, a, b, max_points=256)))
+            singles.append(outcome(lambda: rs.one_form_integral(fam, a, b)))
             counts.append(sum(rays))
         assert [type(s) for s in singles] == [NoConvergenceError, NoIntersectionError, NoIntersectionError]
         # 5 + 4 + 8 + ... + 128 rays up to m = 256; 5 + 4; 5
         assert counts == [257, 9, 5]
         rays.clear()
-        batch = outcome(lambda: rs.one_form_integral(fam, ka, kb, max_points=256))
+        batch = outcome(lambda: rs.one_form_integral(fam, ka, kb))
         check_against_items(batch, singles)
         # level 4 of all three (15 rays), level 4 and 8 of segments 0 and 1
         # (18), then segment 0 to m = 256 (257); the segment by segment loop
@@ -675,7 +670,8 @@ class TestErrorOrder:
 
 
 class TestLateFailingBatch:
-    """A batch whose failing items come late is not re-run item by item."""
+    """A batch whose failing items come late is not re-run item by item,
+    and a failure at a batch's last stage is not re-run at all."""
 
     @staticmethod
     def counted():
@@ -691,13 +687,43 @@ class TestLateFailingBatch:
 
         return dataclasses.replace(fam, eval=counting), calls
 
-    def test_defect_grid(self):
+    @staticmethod
+    def traced_rows(monkeypatch):
+        """The list of the rows of each batch that transform_family traces."""
+        rows, real = [], families.propagate_system
+
+        def counting(line, system, start=None):
+            rows.append(len(line.u))
+            return real(line, system, start=start)
+
+        monkeypatch.setattr(families, "propagate_system", counting)
+        return rows
+
+    def test_defect_grid(self, monkeypatch):
         fam, calls = self.counted()
+        rows = self.traced_rows(monkeypatch)
         with pytest.raises(FamilyTraceError) as err:
             rs.defect_grid(fam)
         assert err.value.k == (0.15000335410196627, -0.099995527864045)
         # node by node re-runs made 48 calls, one of them with scalar k
         assert len(calls) <= 3 and 0 not in calls
+        # the 324 stencil lines, then the 180 of the 45 nodes before the
+        # failing one, which may fail their immersion test; re-running the
+        # 180 lines before the failing line as well made 684
+        assert rows == [324, 180]
+
+    def test_reconstruct_wavefront(self, monkeypatch):
+        fam, _ = self.counted()
+        want = outcome(lambda: staged_wavefront(fam, (0.0, 0.0)))
+        rows = self.traced_rows(monkeypatch)
+        with pytest.raises(FamilyTraceError) as err:
+            rs.reconstruct_wavefront(fam, (0.0, 0.0))
+        assert (str(err.value), err.value.row, err.value.k) == (str(want), want.row, want.k)
+        assert err.value.k == (0.14999888196601127, -0.099995527864045) and err.value.row == 45
+        # the job's batch fails at a grid line, whose error is the grid
+        # stage's: a fallback to the stages with the re-runs of the lines
+        # before each failing one made 1,413 + 45 + 81 + 45 = 1,584
+        assert rows == [1413]
 
     def test_is_regular_point(self):
         fam, calls = self.counted()
@@ -747,7 +773,7 @@ class TestErrorOrderInsideTheBatch:
             if isinstance(reference, RaySpaceError):
                 break
         with pytest.raises(FamilyTraceError) as err:
-            rs.reconstruct_wavefront(fam, (-0.06, 0.0), check_regular=False)
+            rs.reconstruct_wavefront(fam, (-0.06, 0.0))
         assert_same_error(err.value, reference)
         k = (-0.041694691591112186, -0.49998585786437627)
         assert err.value.k == k
@@ -820,12 +846,14 @@ class TestSegmentBatch:
         kb = random_params(rng, fam, count)
 
         def integral(family, a, b):
-            return outcome(lambda: rs.one_form_integral(family, a, b, tol=1e-8, max_points=128))
+            return outcome(lambda: rs.one_form_integral(family, a, b, tol=1e-8))
 
-        singles = [integral(fam, a, b) for a, b in zip(ka, kb)]
-        assert all(isinstance(s, (float, RaySpaceError)) for s in singles)
-        check_against_items(integral(fam, ka, kb), singles)
-        check_against_items(integral(plain(fam), ka, kb), singles)
+        with pytest.MonkeyPatch.context() as patch:  # a budget of 128 nodes
+            patch.setattr(families, "_MAX_POINTS", 128)
+            singles = [integral(fam, a, b) for a, b in zip(ka, kb)]
+            assert all(isinstance(s, (float, RaySpaceError)) for s in singles)
+            check_against_items(integral(fam, ka, kb), singles)
+            check_against_items(integral(plain(fam), ka, kb), singles)
 
     def test_batch_beyond_the_chunk_cap(self, rng):
         lens = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, 0], 2.0), rs.REFRACT, 1.0, 1.5),))
@@ -1099,12 +1127,6 @@ class TestWavefrontCalls:
         residual = rs.orthogonality_residual(counted, wf)
         assert len(calls) == 1
         assert residual < 1e-12
-        # without the regularity test, no stencil line is evaluated
-        calls.clear()
-        rs.reconstruct_wavefront(
-            counted, scene.options["k0"], c=scene.options["wavefront_c"], grid=9, check_regular=False
-        )
-        assert calls == [81 + 7 * 144]
 
     @pytest.mark.parametrize("name", ["point_plane", "mixed_device"])
     def test_segments_reuse_the_grid_lines(self, name, monkeypatch):
@@ -1120,7 +1142,7 @@ class TestWavefrontCalls:
             return real(horiz, vert, i0, j0)
 
         monkeypatch.setattr(families, "_l_paths", kept)
-        wf = rs.reconstruct_wavefront(fam, (0.03, -0.02), c=1.5, grid=5, check_regular=False)
+        wf = rs.reconstruct_wavefront(fam, (0.03, -0.02), c=1.5, grid=5)
         (horiz, vert), = legs
         segments = wavefront_segments(wf.k1, wf.k2)
         starts, ends = np.array(segments).transpose(1, 0, 2)
@@ -1178,16 +1200,15 @@ class TestWavefrontBatch:
                 assert a == b, field.name
         return got
 
-    @pytest.mark.parametrize("check_regular", [True, False])
     @pytest.mark.parametrize("grid", [3, 5, 9, 13])
     @pytest.mark.parametrize("name", ["point_plane", "sphere_refract", "mixed_device", "mirror_design", "two_skew"])
-    def test_bundled_scenes(self, name, grid, check_regular):
+    def test_bundled_scenes(self, name, grid):
         # at grid 3 most segments refine past level 8; at grid 13 the batch
         # holds 169 + 7 * 312 + 4 * 169 = 3,029 rows, more than one call of
         # _CHUNK
         scene = load_scene(str(SCENES / f"{name}.scene"))
         fam = rs.transform_family(scene.family, scene.system)
-        options = dict(c=scene.options.get("wavefront_c", 0.0), grid=grid, check_regular=check_regular)
+        options = dict(c=scene.options.get("wavefront_c", 0.0), grid=grid)
         got = self.assert_staged(fam, scene.options.get("k0", (0.0, 0.0)), **options)
         assert isinstance(got, NotRectangularError if name == "two_skew" else rs.Wavefront)
 
@@ -1217,8 +1238,6 @@ class TestWavefrontBatch:
         # the batch, then the stages on their own: grid lines, levels 4
         # and 8, stencil lines; then the oracle's
         assert calls[:5] == [1413, 81, 432, 576, 324]
-        # without the regularity test, nothing fails
-        self.assert_staged(edge, (0.0, 0.0), c=2.0, grid=9, check_regular=False)
         # a node before the failing stencils that is not regular wins
         err = self.assert_staged(edge, (0.0, 0.0), c=5.0, grid=9)
         assert isinstance(err, NonRegularError) and err.row == 0

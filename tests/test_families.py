@@ -107,7 +107,7 @@ class TestDefect:
         calls = (
             lambda: rs.defect_grid(fam, grid=3, h=1.0),
             lambda: rs.is_rectangular(fam, grid=3, h=1.0),
-            lambda: rs.reconstruct_wavefront(fam, (0, 0), grid=3, h=1.0, check_regular=False),
+            lambda: rs.reconstruct_wavefront(fam, (0, 0), grid=3, h=1.0),
         )
         for call in calls:
             with pytest.raises(DomainBoundaryError) as err:
@@ -281,7 +281,7 @@ class TestOrthogonalityWitness:
     so a surface that the rays do not cross at right angles fails it."""
 
     def test_two_skew_lines_fail(self):
-        wf = rs.reconstruct_wavefront(skew_family(), k0=(0, 0), path_tol=1e9, check_regular=False)
+        wf = rs.reconstruct_wavefront(skew_family(), k0=(0, 0), path_tol=1e9)
         assert rs.orthogonality_residual(skew_family(), wf) > 1e-6
 
     def test_f_shifted_at_one_node_fails(self):

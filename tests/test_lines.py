@@ -268,4 +268,4 @@ class TestCross:
         assert numpy_calls("cross") == []
 
     def test_only_svd_is_the_mirror_fit(self):
-        assert numpy_calls("linalg.svd") == [("variational", "verify_focus")]
+        assert numpy_calls("linalg.svd") == [("variational", "_verify_focus")]

@@ -539,7 +539,7 @@ class TestLawResidual:
             assert type(got) is type(want) and str(got) == str(want)
             assert got.row == 0
         else:
-            assert type(got) is float and got == want
+            assert got.dtype == float and got.tobytes() == np.array(want, dtype=float).tobytes()
         return got
 
     @given(
@@ -574,8 +574,8 @@ class TestLawResidual:
         for m1, m2, system, initial, _ in design_library_inputs(count=12):
             for pc in (initial, rs.characteristic_function(m1, m2, system, initial=initial)[1]):
                 paths, segments, lengths, _ = variational._polylines(pc, pc.flat()[None])
-                law = self.assert_same_as_the_oracle(system, paths[0], segments[0] / lengths[0, :, None])
-                assert rs.law_residual(pc) == law
+                laws = self.assert_same_as_the_oracle(system, paths[0], segments[0] / lengths[0, :, None])
+                assert rs.law_residual(pc) == np.max(laws, initial=0.0)
 
     def test_first_failing_interface_wins(self):
         # interface 0 refracts out of glass past its critical angle, and

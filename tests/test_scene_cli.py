@@ -25,6 +25,7 @@ from rayspace.lines import _ray
 from rayspace.scene import load_scene, parse_scene
 
 from helpers import (
+    characteristic_function_oracle,
     check_symplectic_oracle,
     grid_csv_oracle,
     nested_sphere_system,
@@ -201,9 +202,8 @@ class TestParseScene:
             parse_scene("[options]\n" + option + "\n")
         assert (err.value.line, err.value.col, err.value.message) == (2, option.index("=") + 2, message)
 
-    def test_step_auto_and_seed_0_parse(self):
-        scene = parse_scene("[options]\nstep = auto\nseed = 0\n")
-        assert scene.options == {"step": None, "seed": 0}
+    def test_seed_0_parses(self):
+        assert parse_scene("[options]\nseed = 0\n").options == {"seed": 0}
 
     @pytest.mark.parametrize(
         "options, message",
@@ -392,11 +392,13 @@ class TestCliCommands:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_step_auto_is_the_command_default(self, tmp_path):
+    def test_step_auto_is_refused(self, tmp_path, capsys):
+        # a scene gives a step, or leaves it out for the command's default
         text = (SCENES / "sphere_refract.scene").read_text().replace("[options]\n", "[options]\nstep = auto\n")
+        line = text.splitlines().index("step = auto") + 1
         code, out = self.run(tmp_path, text, "check-symplectic")
-        assert code == 0
-        assert read_report(out / "report.txt")["step"] == "2.5000000000000002e-06"
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == f"error: line {line}, col 7: bad number 'auto'\n"
 
     @pytest.mark.parametrize(
         "name, old, new",
@@ -453,6 +455,39 @@ class TestCliCommands:
         assert report["hit_0"].split() == ["0.5", "0", "0"] or float(
             report["hit_0"].split()[0]
         ) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (  # the stationary path refracts at the top plane as the law
+                # says, and runs straight through the mirror below it
+                "[surface top]\nkind = plane\nnormal = 0 0 1\noffset = 1\n"
+                "[surface floor]\nkind = plane\nnormal = 0 0 1\n"
+                "[system]\ninterface = top refract 1 1.5\ninterface = floor reflect\n"
+                "[options]\nm1 = 0 0 2\nm2 = 1 0 -2\n",
+                "interface 1: stationary point violates the local laws: residual 1.953e+00",
+            ),
+            (  # the chord crosses the wall, then runs between the sheets
+                # z = +-sqrt(1 + x^2 + y^2), and so does the gradient line
+                # through its midpoint
+                "[surface wall]\nkind = plane\nnormal = 1 0 0\n"
+                "[surface sheets]\nkind = quadric\nmatrix = 1 0 0 0 1 0 0 0 -1\nlinear = 0 0 0\nconstant = 1\n"
+                "[system]\ninterface = wall refract 1 1.5\ninterface = sheets refract 1.5 1\n"
+                "[options]\nm1 = -1 0 0\nm2 = 2 0 0\n",
+                "interface 1: no surface point near the chord midpoint",
+            ),
+        ],
+        ids=["laws", "seed"],
+    )
+    def test_characteristic_failure_names_the_interface(self, tmp_path, capsys, text, message):
+        code, out = self.run(tmp_path, text, "characteristic")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        scene = parse_scene(text)
+        m1, m2 = scene.options["m1"], scene.options["m2"]
+        with pytest.raises(RaySpaceError) as err:
+            characteristic_function_oracle(m1, m2, scene.system)
+        assert str(err.value) == message
 
     def test_mirror_command(self, tmp_path):
         text = (

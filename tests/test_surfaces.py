@@ -154,9 +154,11 @@ class TestIntersect:
         assert np.allclose(second.point, [0, 0, -1])
 
     def test_t_max_cuts_off(self):
+        # the search horizon is DEFAULT_T_MAX = 1e6 along the ray
         line = rs.line_through([0, 0, 5], [0, 0, -1])
-        with pytest.raises(NoIntersectionError):
-            rs.intersect(line, rs.Sphere([0, 0, 0], 1.0), t_min=-5.0, t_max=-3.0)
+        assert rs.intersect(line, rs.Sphere([0, 0, -0.9e6], 1.0)).t == 0.9e6 - 1.0  # from the foot point
+        with pytest.raises(NoIntersectionError, match=r"^ray misses Sphere in \(0, 1e\+06\]$"):
+            rs.intersect(line, rs.Sphere([0, 0, -2e6], 1.0))
 
     def test_normal_faces_incoming_ray(self, rng):
         for kind in KINDS:

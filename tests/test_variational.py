@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rayspace as rs
+from rayspace import variational
 from rayspace.errors import (
     IllConditionedFitError,
     NoConvergenceError,
@@ -15,6 +16,7 @@ from rayspace.errors import (
 from rayspace.scene import load_scene
 
 from helpers import (
+    _node_miss,
     characteristic_function_oracle,
     ellipsoid_oracle_point,
     nested_sphere_system,
@@ -201,9 +203,10 @@ class TestCharacteristicFunction:
         assert rs.law_residual(pc) < 1e-8
         assert v > 0.0
 
-    def test_iteration_budget_enforced(self):
-        with pytest.raises(NoConvergenceError):
-            rs.characteristic_function([0, 0, 1], [1, 0, 1], plane_mirror_system(), max_iter=0)
+    def test_iteration_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(variational, "_MAX_ITER", 0)
+        with pytest.raises(NoConvergenceError, match=r"^Newton did not reach \|grad\| < 1e-10 in 0 iterations$"):
+            rs.characteristic_function([0, 0, 1], [1, 0, 1], plane_mirror_system())
 
 
 class TestStationarityAndLaws:
@@ -307,7 +310,7 @@ class TestPathLengths:
         apex = rng.uniform(-0.2, 0.2, 3)
         source = rs.point_source(apex, unit(rng.normal(size=3)), domain=((-0.2, 0.2), (-0.2, 0.2)))
         family = rs.transform_family(source, system)
-        wf = rs.reconstruct_wavefront(family, (0, 0), c=c, grid=5, check_regular=False)
+        wf = rs.reconstruct_wavefront(family, (0, 0), c=c, grid=5)
         lengths, _ = traced_lengths(source, system, wf)
         assert np.ptp(lengths) < 1e-7
         assert rs.orthogonality_residual(family, wf) < 1e-7
@@ -472,6 +475,19 @@ class TestMirrorDesign:
         ok, worst = rs.verify_focus(noisy, fam)
         assert not ok
         assert worst > 1e-4
+        # the check the command line reads also names the interior node
+        # whose reflected ray misses the focus most, as the node by node
+        # fits find it
+        *check, k = variational._verify_focus(noisy, fam, 1e-6)
+        assert tuple(check) == (ok, worst)
+        misses = {
+            (float(noisy.k1[i]), float(noisy.k2[j])): _node_miss(noisy, fam, i, j, "")
+            for i in range(1, 8)
+            for j in range(1, 8)
+        }
+        first, second = sorted(misses.values())[-2:][::-1]
+        assert first - second > 1e-6 * first  # a clear worst node
+        assert k == max(misses, key=misses.get)
 
     def test_degenerate_stencil_rejected(self):
         _, _, design = self.setup_ellipsoid(domain=0.002, grid=9)
