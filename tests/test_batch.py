@@ -734,6 +734,37 @@ class TestLateFailingBatch:
         # point by point re-runs made 32 calls, 31 of them with scalar k
         assert len(calls) <= 3 and 0 not in calls
 
+    @pytest.mark.parametrize("stage", ["eval", "start_point", "propagate_system"])
+    def test_rows_before_a_failing_stage(self, stage, monkeypatch):
+        # rays with k1 above about 0.17 miss the mirror; the source's eval
+        # or anchor fails past k1 = 0.22, at row 7, and the rows before it
+        # are traced again, for row 6 misses the mirror; a failure in the
+        # system, the last stage, is already that of the lowest failing row
+        source = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.1, 0.3), (-0.1, 0.1)))
+        if stage == "eval":
+            source = _past_edge(source, 0.22)
+        elif stage == "start_point":
+            anchor = source.anchor
+
+            def _anchor(k1, k2):
+                past = np.flatnonzero(np.ravel(k1) > 0.22)
+                if past.size:
+                    raise NoIntersectionError("past the edge").at(past[0])
+                return anchor(k1, k2)
+
+            source = dataclasses.replace(source, anchor=_anchor)
+        small = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, -3.0], 0.5), rs.REFLECT, 1.0),))
+        fam = rs.transform_family(source, small)
+        k1, k2 = np.linspace(-0.1, 0.3, 9), np.zeros(9)
+        singles = [outcome(lambda: fam.eval(a, b)) for a, b in zip(k1, k2)]
+        assert first_failure(singles) == 6
+        rows = self.traced_rows(monkeypatch)
+        with pytest.raises(FamilyTraceError) as err:
+            fam.eval(k1, k2)
+        assert_same_error(err.value, singles[6])
+        assert err.value.row == 6 and str(err.value).endswith("interface 0: ray misses Sphere in (0, 1e+06]")
+        assert rows == ([9] if stage == "propagate_system" else [7])
+
 
 def _tir_band_family():
     """A collimated beam leaving glass through a corrugated face whose slope

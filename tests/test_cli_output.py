@@ -26,9 +26,11 @@ import re
 import stat
 import tempfile
 
+import numpy as np
 import pytest
 
 from rayspace.cli import _COMMANDS, main
+from rayspace.lines import _norm
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINS = pathlib.Path(__file__).resolve().parent / "data" / "cli_outputs.json"
@@ -90,6 +92,27 @@ def test_failed_check_writes_its_files_and_exits_2(scene, command, files, verdic
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + ["report.txt"])
     report = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
     assert report[0] == f"command: {command}" and report[-1].startswith(verdict)
+
+
+FAMILY_SCENES = [s for s in SCENES if "[family]" in (ROOT / "scenes" / s).read_text(encoding="utf-8")]
+
+
+@pytest.mark.parametrize("scene", FAMILY_SCENES, ids=[s[:-6] for s in FAMILY_SCENES])
+def test_trace_names_the_node_of_its_largest_line_residual(scene, tmp_path):
+    # the residual max(| |u| - 1 |, |q . u|) of each line of trace.csv,
+    # read back bit for bit from its %.17g fields: past --tol, trace names
+    # the first node where it peaks; at the default tolerance it passes
+    code, err = call(scene, "trace", tmp_path / "tight", "--tol", "1e-300")
+    table = np.loadtxt(tmp_path / "tight" / "trace.csv", delimiter=",", skiprows=1)
+    k, u, q = table[:, :2], table[:, 2:5], table[:, 5:]
+    residuals = np.maximum(abs(_norm(u) - 1.0), abs(np.vecdot(q, u)))
+    worst = residuals.max()
+    assert code == 2 and worst > 1e-300
+    at = tuple(map(float, k[np.argmax(residuals)]))
+    assert err == f"error: line residual {worst:.3e} at k={at} exceeds 1e-300\n"
+    report = (tmp_path / "tight" / "report.txt").read_text(encoding="utf-8").splitlines()
+    assert report[-1] == "max_line_residual: %.17g" % worst
+    assert call(scene, "trace", tmp_path / "default") == (0, "")
 
 
 # one scene per command, each run exiting 0

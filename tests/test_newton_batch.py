@@ -302,6 +302,31 @@ class TestBatchedNewton:
             assert abs(v - expected) <= 1e-9
 
     @pytest.mark.parametrize(
+        "constant, keyword, value",
+        [("_GRAD_TOL", "grad_tol", 1e-4), ("_LAW_TOL", "law_tol", 0.0), ("_MAX_ITER", "max_iter", 2)],
+    )
+    def test_constants_are_read_at_the_call(self, constant, keyword, value, monkeypatch):
+        # the solve reads its stopping rule and law check from the module
+        # at each call: patched, it gives what the oracle gives with that
+        # value, and not what it gives at the default for every input
+        def key(result):
+            if isinstance(result, Exception):
+                return type(result), str(result)
+            return result[0], result[1].flat().tobytes()
+
+        defaults, changed = [], 0
+        inputs = design_library_inputs(count=12)
+        for m1, m2, system, initial, _ in inputs:
+            defaults.append(key(outcome(lambda: rs.characteristic_function(m1, m2, system, initial=initial))))
+        monkeypatch.setattr(variational, constant, value)
+        for (m1, m2, system, initial, _), default in zip(inputs, defaults):
+            got = key(outcome(lambda: rs.characteristic_function(m1, m2, system, initial=initial)))
+            want = outcome(lambda: characteristic_function_oracle(m1, m2, system, initial, **{keyword: value}))
+            assert got == key(want)
+            changed += got != default
+        assert changed
+
+    @pytest.mark.parametrize(
         "m1, m2, surface, action",
         [
             ([0, 0, 1], [1, 0, 1], rs.Plane([0, 0, 1], 0.0), rs.REFLECT),

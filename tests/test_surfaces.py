@@ -160,6 +160,24 @@ class TestIntersect:
         with pytest.raises(NoIntersectionError, match=r"^ray misses Sphere in \(0, 1e\+06\]$"):
             rs.intersect(line, rs.Sphere([0, 0, -2e6], 1.0))
 
+    @pytest.mark.parametrize("kind", ["plane", "quadric", "sinusoid"])
+    def test_every_kind_searches_to_the_same_horizon(self, kind):
+        # a surface met at t = d from the foot point: found at d = 9e5,
+        # past the horizon at d = 2e6; the sinusoid, whose roots scan a
+        # window cut at the horizon, is crossed by a ray at 45 degrees
+        def hit(d):
+            if kind == "plane":
+                return rs.intersect(rs.line_through([0, 0, 5], [0, 0, -1]), rs.Plane([0, 0, 1], -d))
+            if kind == "quadric":
+                ball = rs.Quadric(np.eye(3), [0, 0, 2.0 * (d + 1.0)], (d + 1.0) ** 2 - 1.0)
+                return rs.intersect(rs.line_through([0, 0, 5], [0, 0, -1]), ball)
+            z = d * np.sqrt(2.0)  # the ray meets z = 0 at x = z, t = d
+            return rs.intersect(rs.line_through([0, 0, z], [1, 0, -1]), rs.Sinusoid(0.1, [0.3, 0.0]))
+
+        assert abs(hit(9e5).t - 9e5) <= 0.2
+        with pytest.raises(NoIntersectionError, match=rf"^ray misses {kind.capitalize()} in \(0, 1e\+06\]$"):
+            hit(2e6)
+
     def test_normal_faces_incoming_ray(self, rng):
         for kind in KINDS:
             for _ in range(5):
