@@ -297,17 +297,18 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     """
 
     def _trace(k1, k2):
+        staged = False  # past eval and start_point, the first failing row's error is the batch's
         try:
             base = family.eval(k1, k2)
             start = family.start_point(k1, k2)
-        except RaySpaceError as exc:  # the parameters before it may fail in the system
+            staged = True
+            result = propagate_system(base, system, start=start)
+        except RaySpaceError as exc:
             ks = np.column_stack(np.broadcast_arrays(k1, k2))  # one pair is the batch of one
             err = FamilyTraceError(ks[exc.row], exc)
-            raise _lowest_failure(err, lambda m: _trace(ks[:m, 0], ks[:m, 1])) from exc
-        try:
-            result = propagate_system(base, system, start=start)
-        except RaySpaceError as exc:  # the last stage, which the parameters before it passed
-            raise FamilyTraceError(np.column_stack(np.broadcast_arrays(k1, k2))[exc.row], exc) from exc
+            if not staged:  # the parameters before it may fail in the system
+                err = _lowest_failure(err, lambda m: _trace(ks[:m, 0], ks[:m, 1]))
+            raise err from exc
         return base, start, result, result.hits[-1].point if result.hits else start
 
     def _eval(k1, k2):

@@ -1,37 +1,22 @@
-"""Values that no caller varies are module constants, not parameters: a call
-that names one fails at once, before any work, as any unknown keyword does.
-Their values are read at each call (see test_newton_batch and test_batch for
-tests that patch them)."""
+"""Values that no caller varies are module constants, not parameters (see
+test_newton_batch and test_batch for tests that patch them): the public
+functions that read them take only these parameters."""
 
-import numpy as np
+import inspect
+
 import pytest
 
 import rayspace as rs
 
-FAMILY = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
-PLANE_MIRROR = rs.OpticalSystem((rs.Interface(rs.Plane([0, 0, 1], 0.0), rs.REFLECT, 1.0),))
-SOLVE = ([0, 0, 1], [1, 0, 1], PLANE_MIRROR)
-RAY = rs.line_through([0, 0, 5], [0, 0, -1])
-
-CALLS = {
-    "reconstruct_wavefront-check_regular": (rs.reconstruct_wavefront, (FAMILY, (0.0, 0.0)), "check_regular", False),
-    "one_form_integral-max_points": (rs.one_form_integral, (FAMILY, (0.0, 0.0), (0.1, 0.1)), "max_points", 8),
-    "characteristic_function-grad_tol": (rs.characteristic_function, SOLVE, "grad_tol", 1e-3),
-    "characteristic_function-law_tol": (rs.characteristic_function, SOLVE, "law_tol", 1e-3),
-    "characteristic_function-max_iter": (rs.characteristic_function, SOLVE, "max_iter", 0),
-    "intersect-t_max": (rs.intersect, (RAY, rs.Sphere([0, 0, 0], 1.0)), "t_max", 3.0),
-    "stationarity_residual-h": (
-        rs.stationarity_residual,
-        (rs.path_through(*SOLVE, [np.array([0.5, 0.0, 0.0])]),),
-        "h",
-        1e-4,
-    ),
+PARAMETERS = {
+    rs.reconstruct_wavefront: ["family", "k0", "c", "grid", "h", "path_tol"],
+    rs.one_form_integral: ["family", "ka", "kb", "tol"],
+    rs.characteristic_function: ["m1", "m2", "system", "initial"],
+    rs.intersect: ["line", "surface", "t_min"],
+    rs.stationarity_residual: ["pc"],
 }
 
 
-@pytest.mark.parametrize("name", list(CALLS))
-def test_constant_is_not_a_keyword(name):
-    function, args, keyword, value = CALLS[name]
-    function(*args)  # the call itself is good
-    with pytest.raises(TypeError, match=rf"unexpected keyword argument '{keyword}'"):
-        function(*args, **{keyword: value})
+@pytest.mark.parametrize("function", list(PARAMETERS), ids=lambda f: f.__name__)
+def test_parameters(function):
+    assert list(inspect.signature(function).parameters) == PARAMETERS[function]

@@ -563,8 +563,7 @@ class TestOneFormFailure:
         assert err.value.row == 1
         # two segments of 513 nodes, held about twice, and the matrices G
         # of the levels up to m = 512, about 2.8 MB, built once; the matrix
-        # of m = 4096 alone would take 134 MB, which is why max_points may
-        # not exceed 512
+        # of m = 4096 alone would take 134 MB, hence the budget of 512
         assert peak < 16 * 2**20
 
 

@@ -303,7 +303,7 @@ class TestBatchedNewton:
 
     @pytest.mark.parametrize(
         "constant, keyword, value",
-        [("_GRAD_TOL", "grad_tol", 1e-4), ("_LAW_TOL", "law_tol", 0.0), ("_MAX_ITER", "max_iter", 2)],
+        [("_GRAD_TOL", "grad_tol", 1e-4), ("_LAW_TOL", "law_tol", 0.0)],
     )
     def test_constants_are_read_at_the_call(self, constant, keyword, value, monkeypatch):
         # the solve reads its stopping rule and law check from the module

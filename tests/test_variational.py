@@ -204,9 +204,13 @@ class TestCharacteristicFunction:
         assert v > 0.0
 
     def test_iteration_budget_enforced(self, monkeypatch):
+        # the budget is read at the call, as the oracle's max_iter
         monkeypatch.setattr(variational, "_MAX_ITER", 0)
-        with pytest.raises(NoConvergenceError, match=r"^Newton did not reach \|grad\| < 1e-10 in 0 iterations$"):
+        with pytest.raises(NoConvergenceError, match=r"^Newton did not reach \|grad\| < 1e-10 in 0 iterations$") as err:
             rs.characteristic_function([0, 0, 1], [1, 0, 1], plane_mirror_system())
+        with pytest.raises(NoConvergenceError) as want:
+            characteristic_function_oracle([0, 0, 1], [1, 0, 1], plane_mirror_system(), max_iter=0)
+        assert str(err.value) == str(want.value)
 
 
 class TestStationarityAndLaws:
