@@ -206,6 +206,109 @@ def plain(family):
     return row_by_row(family.eval, family.domain)
 
 
+# ---------------------------------------------------------------------------
+# the builders as each spelled out its own family, and normal_congruence as
+# one branch per surface kind: the oracles of the builders' lines and anchors
+
+
+def _col(k):
+    return np.asarray(k, dtype=float)[..., None]
+
+
+def point_source_oracle(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))):
+    apex = _as_vec3(apex)
+    a, e1, e2 = _frame(axis)
+
+    def _eval(k1, k2):
+        return rs.line_through(apex, a + _col(k1) * e1 + _col(k2) * e2)
+
+    return rs.RayFamily(
+        _eval,
+        tuple(map(tuple, domain)),
+        kind="point_source",
+        anchor=lambda k1, k2: np.broadcast_to(apex, np.shape(k1) + (3,)).copy(),
+    )
+
+
+def collimated_oracle(direction, origin=(0.0, 0.0, 0.0), domain=((-0.5, 0.5), (-0.5, 0.5))):
+    origin = _as_vec3(origin)
+    a, e1, e2 = _frame(direction)
+
+    def _anchor(k1, k2):
+        return origin + _col(k1) * e1 + _col(k2) * e2
+
+    return rs.RayFamily(
+        lambda k1, k2: rs.line_through(_anchor(k1, k2), a),
+        tuple(map(tuple, domain)),
+        kind="collimated",
+        anchor=_anchor,
+    )
+
+
+def two_skew_lines_oracle(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0.25, 0.25))):
+    p1, p2 = _as_vec3(point1), _as_vec3(point2)
+    d1, d2 = _as_vec3(dir1), _as_vec3(dir2)
+    d1 = d1 / np.linalg.norm(d1)
+    d2 = d2 / np.linalg.norm(d2)
+
+    def _eval(k1, k2):
+        a = p1 + _col(k1) * d1
+        b = p2 + _col(k2) * d2
+        return rs.line_through(a, b - a)
+
+    return rs.RayFamily(
+        _eval,
+        tuple(map(tuple, domain)),
+        kind="two_skew_lines",
+        anchor=lambda k1, k2: p1 + _col(k1) * d1,
+    )
+
+
+def normal_congruence_oracle(surface, domain, axis=(0.0, 0.0, 1.0), outward=True):
+    sgn = 1.0 if outward else -1.0
+    if isinstance(surface, rs.Sphere):
+        a, e1, e2 = _frame(axis)
+        center, radius = surface.center, surface.radius
+
+        def _radial(k1, k2):
+            s = a + _col(k1) * e1 + _col(k2) * e2
+            return s / _norm(s)[..., None]
+
+        def _eval(k1, k2):
+            s = _radial(k1, k2)
+            return rs.line_through(center + radius * s, sgn * s)
+
+        return rs.RayFamily(
+            _eval,
+            tuple(map(tuple, domain)),
+            kind="normal_congruence",
+            anchor=lambda k1, k2: center + radius * _radial(k1, k2),
+        )
+    if isinstance(surface, rs.Sinusoid):
+        amp, w = surface.amplitude, surface.wavevector
+
+        def _anchor(k1, k2):
+            k1, k2 = np.broadcast_arrays(k1, k2)
+            return np.stack([k1, k2, amp * np.sin(w[0] * k1 + w[1] * k2)], axis=-1)
+
+        def _eval(k1, k2):
+            k1, k2 = np.broadcast_arrays(k1, k2)
+            c = amp * np.cos(w[0] * k1 + w[1] * k2)
+            n = np.stack([-c * w[0], -c * w[1], np.ones_like(c)], axis=-1)
+            return rs.line_through(_anchor(k1, k2), sgn * n)
+
+        return rs.RayFamily(
+            _eval,
+            tuple(map(tuple, domain)),
+            kind="normal_congruence",
+            anchor=_anchor,
+        )
+    if isinstance(surface, rs.Plane):
+        n = surface.normal if outward else -surface.normal
+        return collimated_oracle(n, surface.offset * surface.normal, domain)
+    raise ValueError(f"normal congruence not supported for {type(surface).__name__}")
+
+
 def node_neighbors(family, k, h):
     """The lines at k +- h along each parameter, one evaluation each, in the
     order +k1, -k1, +k2, -k2."""

@@ -46,6 +46,7 @@ from helpers import (
     aimed_line,
     chart_jacobian_oracle,
     clenshaw_curtis_oracle,
+    collimated_oracle,
     device_source,
     l_paths_oracle,
     make_device,
@@ -56,7 +57,9 @@ from helpers import (
     nested_sphere_system,
     node_defect_grid,
     node_neighbors,
+    normal_congruence_oracle,
     plain,
+    point_source_oracle,
     random_surface,
     random_unit,
     row_by_row,
@@ -65,6 +68,7 @@ from helpers import (
     stencil_defect,
     svd_immersion_ratio,
     svd_immersed,
+    two_skew_lines_oracle,
     wavefront_segments,
 )
 
@@ -386,6 +390,72 @@ class TestFamilyBatch:
             assert np.array_equal(batch.u[i], single.u)
             assert np.array_equal(batch.q[i], single.q)
             assert np.array_equal(anchors[i], family.start_point(k1[i], k2[i]))
+
+
+BUILDER_ORACLES = ("point_source", "collimated", "two_skew_lines", "sphere", "sinusoid", "plane")
+
+
+def random_builder_pair(rng, which):
+    """A builder's family and its oracle's, from the same random arguments:
+    `which` names a builder, or the surface kind of a normal congruence."""
+    center = rng.uniform(-0.5, 0.5, 2)
+    half = rng.uniform(0.05, 0.4, 2)
+    domain = tuple((float(c - h), float(c + h)) for c, h in zip(center, half))
+    if which == "point_source":
+        args = (rng.uniform(-1, 1, 3), random_unit(rng), domain)
+        return rs.point_source(*args), point_source_oracle(*args)
+    if which == "collimated":
+        args = (random_unit(rng), rng.uniform(-1, 1, 3), domain)
+        return rs.collimated(*args), collimated_oracle(*args)
+    if which == "two_skew_lines":
+        args = (rng.uniform(-1, 1, 3), rng.normal(size=3), rng.uniform(-1, 1, 3), rng.normal(size=3), domain)
+        return rs.two_skew_lines(*args), two_skew_lines_oracle(*args)
+    args = (random_surface(rng, which), domain, random_unit(rng), bool(rng.random() < 0.5))
+    return rs.normal_congruence(*args), normal_congruence_oracle(*args)
+
+
+def assert_same_lines(line, oracle):
+    assert np.array_equal(line.u, oracle.u) and np.array_equal(line.q, oracle.q)
+    assert type(line) is type(oracle)
+    if isinstance(line, rs.TracedLine):
+        assert (line.length is None) == (oracle.length is None)
+        assert np.array_equal(line.length, oracle.length)
+
+
+class TestBuilderOracles:
+    """Every builder's lines and anchors, and what a system makes of them,
+    are bit for bit those of the builders as each spelled out its own family
+    and normal_congruence as one branch per surface kind."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(BUILDER_ORACLES),
+        st.integers(1, 257),
+        st.lists(st.sampled_from(KINDS), min_size=1, max_size=2),
+    )
+    def test_builders_match_their_oracles(self, seed, which, count, kinds):
+        rng = np.random.default_rng(seed)
+        fam, oracle = random_builder_pair(rng, which)
+        assert fam.domain == oracle.domain
+        ks = random_params(rng, fam, count)
+        system = random_system(rng, kinds)
+        traced, traced_oracle = rs.transform_family(fam, system), rs.transform_family(oracle, system)
+        for k1, k2 in ((ks[:, 0], ks[:, 1]), tuple(map(float, ks[0]))):  # the batch, then one pair
+            assert_same_lines(fam.eval(k1, k2), oracle.eval(k1, k2))
+            assert np.array_equal(fam.anchor(k1, k2), oracle.anchor(k1, k2))
+            lines = outcome(lambda: traced.eval(k1, k2))
+            expected = outcome(lambda: traced_oracle.eval(k1, k2))
+            if isinstance(expected, RaySpaceError):
+                assert_same_error(lines, expected)
+            else:
+                assert_same_lines(lines, expected)
+
+    @pytest.mark.parametrize("outward", [True, False])
+    def test_unsupported_surface_fails_alike(self, outward):
+        quadric = rs.Quadric(np.eye(3), [0, 0, 0], -1.0)
+        for build in (rs.normal_congruence, normal_congruence_oracle):
+            with pytest.raises(ValueError, match="^normal congruence not supported for Quadric$"):
+                build(quadric, ((-0.1, 0.1), (-0.1, 0.1)), outward=outward)
 
 
 def _blemished(family, bad, bad_line):
