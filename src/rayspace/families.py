@@ -14,6 +14,12 @@ identically; `is_rectangular` tests that numerically on a grid, and
 `reconstruct_wavefront` actually builds such a surface by integrating the
 one-form u . dP, checking path independence as it goes.
 
+Every builder is one constructor, `_pencil(rays, domain, kind)`: rays(k1,
+k2) gives (anchors, directions), and the family's lines pass through the
+anchors along the directions, anchored there.  A normal congruence takes
+its rays from its surface's `_normal_rays`, so no surface kind is named
+here.
+
 Finite differences are central throughout; the default step is
 1e-5 * (parameter domain diameter).  Grids are inset from the domain edges by
 the step so every stencil stays inside the domain.  One routine,
@@ -64,6 +70,8 @@ from .errors import (
 from .lines import (
     OrientedLine,
     _as_vec3,
+    _beam,
+    _col,
     _cross,
     _first,
     _frame,
@@ -73,7 +81,6 @@ from .lines import (
     line_through,
 )
 from .optics import OpticalSystem, propagate_system
-from .surfaces import Plane, Sinusoid, Sphere
 
 # Rays per eval call in batched routines, which bounds the memory of one call.
 _CHUNK = 2048
@@ -148,9 +155,15 @@ class RayFamily:
 # builders
 
 
-def _col(k) -> np.ndarray:
-    """Parameters as a column, so k * vector broadcasts one row per k."""
-    return np.asarray(k, dtype=float)[..., None]
+def _pencil(rays, domain, kind: str) -> RayFamily:
+    """The family of lines through the points along the directions of
+    rays(k1, k2) = (anchors, directions), anchored at the points."""
+    return RayFamily(
+        lambda k1, k2: line_through(*rays(k1, k2)),
+        tuple(map(tuple, domain)),
+        kind=kind,
+        anchor=lambda k1, k2: rays(k1, k2)[0],
+    )
 
 
 def point_source(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))) -> RayFamily:
@@ -158,31 +171,15 @@ def point_source(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))) -> RayFamily:
     apex = _as_vec3(apex)
     a, e1, e2 = _frame(axis)
 
-    def _eval(k1, k2):
-        return line_through(apex, a + _col(k1) * e1 + _col(k2) * e2)
+    def rays(k1, k2):
+        return np.broadcast_to(apex, np.shape(k1) + (3,)).copy(), a + _col(k1) * e1 + _col(k2) * e2
 
-    return RayFamily(
-        _eval,
-        tuple(map(tuple, domain)),
-        kind="point_source",
-        anchor=lambda k1, k2: np.broadcast_to(apex, np.shape(k1) + (3,)).copy(),
-    )
+    return _pencil(rays, domain, "point_source")
 
 
 def collimated(direction, origin=(0.0, 0.0, 0.0), domain=((-0.5, 0.5), (-0.5, 0.5))) -> RayFamily:
     """A parallel beam: fixed direction, foot points on an orthogonal lattice."""
-    origin = _as_vec3(origin)
-    a, e1, e2 = _frame(direction)
-
-    def _anchor(k1, k2):
-        return origin + _col(k1) * e1 + _col(k2) * e2
-
-    return RayFamily(
-        lambda k1, k2: line_through(_anchor(k1, k2), a),
-        tuple(map(tuple, domain)),
-        kind="collimated",
-        anchor=_anchor,
-    )
+    return _pencil(_beam(direction, _as_vec3(origin)), domain, "collimated")
 
 
 def two_skew_lines(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0.25, 0.25))) -> RayFamily:
@@ -195,78 +192,33 @@ def two_skew_lines(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0.25, 0.
     p2 = _as_vec3(point2)
     d1 = _as_vec3(dir1)
     d2 = _as_vec3(dir2)
-    if min(_norm(d1), _norm(d2)) < 1e-12:
+    n1, n2 = _norm(d1), _norm(d2)
+    if min(n1, n2) < 1e-12:
         raise ValueError("dir1 and dir2 must be nonzero")
-    d1 = d1 / np.linalg.norm(d1)
-    d2 = d2 / np.linalg.norm(d2)
+    d1, d2 = d1 / n1, d2 / n2
 
-    def _eval(k1, k2):
+    def rays(k1, k2):
         a = p1 + _col(k1) * d1
-        b = p2 + _col(k2) * d2
-        return line_through(a, b - a)
+        return a, p2 + _col(k2) * d2 - a
 
-    return RayFamily(
-        _eval,
-        tuple(map(tuple, domain)),
-        kind="two_skew_lines",
-        anchor=lambda k1, k2: p1 + _col(k1) * d1,
-    )
+    return _pencil(rays, domain, "two_skew_lines")
 
 
 def normal_congruence(surface, domain, axis=(0.0, 0.0, 1.0), outward: bool = True) -> RayFamily:
-    """Rays normal to a surface patch (spheres, planes, sinusoid graphs).
+    """Rays normal to a surface patch, anchored on it: the patch and its
+    parameters are the surface's `_normal_rays(axis, outward)`.
 
     For a Sphere the patch is parametrized by direction offsets around
     `axis`; `outward` picks the radial sense.  For a Sinusoid the parameters
     are the (x, y) graph coordinates and `outward` means the +z side.  For a
-    Plane the family is a collimated beam along the oriented normal.
+    Plane the family is a beam along the oriented normal, on a lattice of
+    the plane.  `axis` is read for a Sphere only.  A surface without
+    `_normal_rays` raises ValueError.
     """
-    if isinstance(surface, Sphere):
-        a, e1, e2 = _frame(axis)
-        center = surface.center
-        radius = surface.radius
-        sgn = 1.0 if outward else -1.0
-
-        def _radial(k1, k2):
-            s = a + _col(k1) * e1 + _col(k2) * e2
-            return s / _norm(s)[..., None]
-
-        def _eval(k1, k2):
-            s = _radial(k1, k2)
-            return line_through(center + radius * s, sgn * s)
-
-        return RayFamily(
-            _eval,
-            tuple(map(tuple, domain)),
-            kind="normal_congruence",
-            anchor=lambda k1, k2: center + radius * _radial(k1, k2),
-        )
-    if isinstance(surface, Sinusoid):
-        amp = surface.amplitude
-        w = surface.wavevector
-        sgn = 1.0 if outward else -1.0
-
-        def _anchor(k1, k2):
-            k1, k2 = np.broadcast_arrays(k1, k2)
-            return np.stack([k1, k2, amp * np.sin(w[0] * k1 + w[1] * k2)], axis=-1)
-
-        def _eval(k1, k2):
-            k1, k2 = np.broadcast_arrays(k1, k2)
-            c = amp * np.cos(w[0] * k1 + w[1] * k2)
-            n = np.stack([-c * w[0], -c * w[1], np.ones_like(c)], axis=-1)
-            return line_through(_anchor(k1, k2), sgn * n)
-
-        return RayFamily(
-            _eval,
-            tuple(map(tuple, domain)),
-            kind="normal_congruence",
-            anchor=_anchor,
-        )
-    if isinstance(surface, Plane):
-        n = surface.normal if outward else -surface.normal
-        origin = surface.offset * surface.normal
-        return collimated(n, origin, domain)
-    raise ValueError(f"normal congruence not supported for {type(surface).__name__}")
+    normal_rays = getattr(surface, "_normal_rays", None)
+    if normal_rays is None:
+        raise ValueError(f"normal congruence not supported for {type(surface).__name__}")
+    return _pencil(normal_rays(axis, outward), domain, "normal_congruence")
 
 
 @dataclass(frozen=True, eq=False)

@@ -62,6 +62,11 @@ def _as_vecs(x) -> np.ndarray:
     return v
 
 
+def _col(k) -> np.ndarray:
+    """Parameters as a column, so k * vector broadcasts one row per k."""
+    return np.asarray(k, dtype=float)[..., None]
+
+
 def _norm(v):
     """Euclidean norm over the last axis, equal bit for bit to np.linalg.norm
     of each 3-vector (and cheaper for a single one)."""
@@ -110,6 +115,14 @@ def _frame(axis):
     e1 /= _norm(e1)[..., None]
     e2 = _cross(a, e1)
     return a, e1, e2
+
+
+def _beam(direction, origin):
+    """The rays of a parallel beam, k1, k2 -> (anchors, direction): the
+    anchors origin + k1 e1 + k2 e2 on the plane through origin orthogonal
+    to `direction` (e1, e2 of its _frame), and its unit vector."""
+    a, e1, e2 = _frame(direction)
+    return lambda k1, k2: (origin + _col(k1) * e1 + _col(k2) * e2, a)
 
 
 @dataclass(frozen=True, eq=False)

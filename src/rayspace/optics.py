@@ -166,10 +166,7 @@ class OpticalSystem:
 
     @property
     def exit_index(self) -> float:
-        n = self.ambient_index
-        for itf in self.interfaces:
-            n = itf.n_after
-        return n
+        return self.media()[-1]
 
     def media(self):
         """Refractive index of each segment: before interface 0, 1, ..., after the last."""

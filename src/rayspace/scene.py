@@ -30,8 +30,9 @@ floats, row-major), `linear` (3 floats) and `constant`; sinusoid takes
 `amplitude` and `wavevector` (2 floats).  Family keys: point_source takes
 `apex` and `axis`; collimated takes `direction` and optional `origin`;
 two_skew_lines takes `point1`, `dir1`, `point2`, `dir2`; normal_congruence
-takes `surface` (a declared name), optional `axis` and `outward`, and a
-required `domain`.
+takes `surface` (a declared name), optional `axis` (read for a sphere only)
+and `outward`, and a required `domain`.  A scene's family carries its kind
+line as `family.kind`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class Scene:
     surfaces: dict
     system: OpticalSystem
     family: RayFamily | None
-    family_kind: str | None
     options: dict = field(default_factory=dict)
 
 
@@ -237,7 +237,7 @@ def _family_kinds(surfaces):
 
 
 def _build(section, kinds, common):
-    """(object, kind) of a [surface] or [family] section: `kinds` is its
+    """The object of a [surface] or [family] section: `kinds` is its
     table, and `common` maps the keys every kind takes to their parsers,
     which run before the unknown-key check.  A ValueError or overflow of the
     builder is reported at the section's line."""
@@ -261,7 +261,7 @@ def _build(section, kinds, common):
     values.update((key, parsers[key](*entry)) for key, entry in given.items())
     try:
         with np.errstate(all="raise", under="ignore"):
-            return builder(**values), kind_raw
+            return builder(**values)
     except (ValueError, FloatingPointError) as exc:
         raise SceneSyntaxError(section.line_no, 1, str(exc)) from None
 
@@ -342,7 +342,7 @@ def parse_scene(text: str) -> Scene:
                 raise SceneSyntaxError(
                     section.line_no, 1, f"duplicate surface {section.name!r}"
                 )
-            surfaces[section.name] = _build(section, _SURFACES, {"incoming_sign": _sign("incoming_sign")})[0]
+            surfaces[section.name] = _build(section, _SURFACES, {"incoming_sign": _sign("incoming_sign")})
         elif section.header == "system":
             if system_section is not None:
                 raise SceneSyntaxError(section.line_no, 1, "duplicate [system] section")
@@ -360,13 +360,11 @@ def parse_scene(text: str) -> Scene:
         system = _build_system(system_section, surfaces)
     else:
         system = OpticalSystem((), ambient_index=1.0)
-    family = family_kind = None
+    family = None
     if family_section is not None:
-        family, family_kind = _build(
-            family_section, _family_kinds(surfaces), {"domain": _parse_domain}
-        )
+        family = _build(family_section, _family_kinds(surfaces), {"domain": _parse_domain})
     options = _build_options(options_section) if options_section is not None else {}
-    return Scene(surfaces, system, family, family_kind, options)
+    return Scene(surfaces, system, family, options)
 
 
 def load_scene(path) -> Scene:

@@ -16,6 +16,15 @@ kind implements the same protocol:
                               NaN where there is none
     chart(reference_point)    a SurfaceChart valid around the point
 
+and Plane, Sphere and Sinusoid also the optional
+
+    _normal_rays(axis, outward)
+                              the rays of a patch of their normals: the
+                              function k1, k2 -> (anchors on the surface,
+                              directions) that normal_congruence builds
+                              its family from; a surface without it has
+                              no normal congruence
+
 Ray intersection is closed-form for Plane/Sphere/Quadric and uses dense
 bracketing plus a bisection-safeguarded Newton refinement for Sinusoid
 (tolerance 1e-12 in the ray parameter), then two guarded Newton steps that
@@ -68,7 +77,7 @@ from .errors import (
     TangentialError,
     _lowest_failure,
 )
-from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _cross, _first, _frame, _norm, _ray
+from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _beam, _col, _cross, _first, _frame, _norm, _ray
 
 TRANSVERSE_TOL = 1e-6
 DEFAULT_T_MAX = 1e6
@@ -373,6 +382,11 @@ class Plane(_LevelFunction):
         params = (self.offset * self.normal, e1, e2, np.stack([e1, e2], axis=1))
         return SurfaceChart(_PLANE_CHART, tuple(a[None] for a in params))
 
+    def _normal_rays(self, axis, outward: bool):
+        """A beam along the oriented normal (-normal unless outward) from a
+        lattice of the plane; `axis` is not read."""
+        return _beam(self.normal if outward else -self.normal, self.offset * self.normal)
+
 
 @dataclass(frozen=True)
 class Sphere(_LevelFunction):
@@ -419,6 +433,19 @@ class Sphere(_LevelFunction):
             e2 = np.array([0.0, 1.0, 0.0])
         params = (self.center, np.array([self.radius]), e1, e2, pole)
         return SurfaceChart(_SPHERE_CHART, tuple(a[None] for a in params))
+
+    def _normal_rays(self, axis, outward: bool):
+        """Radial rays from the points centre + radius s, s the unit of
+        axis + k1 e1 + k2 e2 (e1, e2 of _frame(axis)), outward or inward."""
+        a, e1, e2 = _frame(axis)
+        sign = 1.0 if outward else -1.0
+
+        def rays(k1, k2):
+            s = a + _col(k1) * e1 + _col(k2) * e2
+            s = s / _norm(s)[..., None]
+            return self.center + self.radius * s, sign * s
+
+        return rays
 
 
 @dataclass(frozen=True)
@@ -615,6 +642,21 @@ class Sinusoid(_LevelFunction):
 
     def chart(self, reference_point=None) -> SurfaceChart:
         return SurfaceChart(_SINUSOID_CHART, (np.array([self.amplitude]), self.wavevector[None]))
+
+    def _normal_rays(self, axis, outward: bool):
+        """The normals from the graph points over (k1, k2), on the +z side
+        unless not outward; `axis` is not read."""
+        amp, w = self.amplitude, self.wavevector
+        sign = 1.0 if outward else -1.0
+
+        def rays(k1, k2):
+            k1, k2 = np.broadcast_arrays(k1, k2)
+            phase = w[0] * k1 + w[1] * k2
+            c = amp * np.cos(phase)
+            normals = np.stack([-c * w[0], -c * w[1], np.ones_like(c)], axis=-1)
+            return np.stack([k1, k2, amp * np.sin(phase)], axis=-1), sign * normals
+
+        return rays
 
 
 SURFACE_KINDS = (Plane, Sphere, Quadric, Sinusoid)

@@ -37,8 +37,8 @@ from rayspace.errors import (
     TraceError,
 )
 import rayspace.families as families
-from rayspace.families import _CHUNK, _col, _eval_rows, _immersion_ratio, _require_inside, _spread, _tangents
-from rayspace.lines import _omega, _ray, _stencil
+from rayspace.families import _CHUNK, _eval_rows, _immersion_ratio, _require_inside, _spread, _tangents
+from rayspace.lines import _col, _omega, _ray, _stencil
 from rayspace.scene import load_scene
 from rayspace.surfaces import _SCAN_SAMPLES, _unit_gradient
 

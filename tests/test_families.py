@@ -151,10 +151,14 @@ class TestIsRectangular:
         assert ok
 
     def test_plane_normal_congruence_is_collimated(self):
-        fam = rs.normal_congruence(rs.Plane([0, 0, 1], 2.0), ((-0.3, 0.3), (-0.3, 0.3)))
-        assert fam.kind == "collimated"
-        ok, _ = rs.is_rectangular(fam)
-        assert ok
+        plane = rs.Plane([0, 0, 1], 2.0)
+        k1, k2 = (k.ravel() for k in np.meshgrid(np.linspace(-0.3, 0.3, 5), np.linspace(-0.3, 0.3, 5)))
+        for outward, sign in ((True, 1.0), (False, -1.0)):
+            fam = rs.normal_congruence(plane, ((-0.3, 0.3), (-0.3, 0.3)), outward=outward)
+            u = fam.eval(k1, k2).u
+            assert np.array_equal(u, np.broadcast_to(sign * plane.normal, u.shape))
+            ok, _ = rs.is_rectangular(fam)
+            assert ok
 
     def test_degenerate_family_fails_immersion(self):
         frozen = rs.line_through([0, 0, 0], [0, 0, 1])
@@ -431,6 +435,11 @@ class TestBuilders:
             rs.normal_congruence(
                 rs.Quadric(np.eye(3), [0, 0, 0], -1.0), ((-0.1, 0.1), (-0.1, 0.1))
             )
+
+    def test_object_without_normal_rays_fails_at_construction(self):
+        # the builder raises, before any eval
+        with pytest.raises(ValueError, match="^normal congruence not supported for object$"):
+            rs.normal_congruence(object(), ((-0.1, 0.1), (-0.1, 0.1)))
 
     def test_domain_containment(self):
         fam = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.1, 0.2), (-0.3, 0.4)))

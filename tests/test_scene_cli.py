@@ -71,7 +71,7 @@ class TestParseScene:
         assert len(scene.system.interfaces) == 1
         assert scene.system.interfaces[0].action == rs.REFLECT
         assert scene.system.ambient_index == 1.0
-        assert scene.family_kind == "point_source"
+        assert scene.family.kind == "point_source"
         assert isinstance(scene.system.interfaces[0].surface, rs.Plane)
 
     def test_refract_indices(self):
@@ -249,6 +249,21 @@ class TestParseScene:
         scene = parse_scene(text)
         assert scene.family.kind == "normal_congruence"
         assert abs(rs.defect(scene.family, (0.0, 0.0))) < 1e-8
+
+    @pytest.mark.parametrize(
+        "kind", ["point_source", "collimated", "two_skew_lines", "normal_congruence"]
+    )
+    def test_family_kind_is_the_kind_line(self, kind):
+        # a plane's normal congruence is a beam, and still reports the kind
+        # that the scene names
+        keys = {
+            "point_source": "apex = 0 0 5\naxis = 0 0 -1\n",
+            "collimated": "direction = 0 0 -1\n",
+            "two_skew_lines": "point1 = 1 0 0\ndir1 = 1 0 0\npoint2 = 0 1 1\ndir2 = 0 1 0\n",
+            "normal_congruence": "surface = m\ndomain = -0.3 0.3 -0.3 0.3\n",
+        }[kind]
+        text = f"[surface m]\nkind = plane\nnormal = 0 0 1\n[family]\nkind = {kind}\n{keys}"
+        assert parse_scene(text).family.kind == kind
 
     def test_load_scene_from_file(self, tmp_path):
         path = tmp_path / "scene.scene"
@@ -433,6 +448,18 @@ class TestCliCommands:
             r"ray misses Sphere in \(0, 1e\+06\]\n",
             err,
         ), err
+
+    def test_normal_congruence_of_a_quadric_exits_1(self, tmp_path, capsys):
+        text = (
+            "[surface bowl]\nkind = quadric\nmatrix = 1 0 0 0 1 0 0 0 1\n"
+            "linear = 0 0 0\nconstant = -1\n\n"
+            "[family]\nkind = normal_congruence\nsurface = bowl\ndomain = -0.1 0.1 -0.1 0.1\n"
+        )
+        code, out = self.run(tmp_path, text, "defect")
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: line 7, col 1: normal congruence not supported for Quadric\n"
+        )
 
     def test_missing_scene_file_exits_1(self, tmp_path):
         code = main(["defect", "--scene", str(tmp_path / "nope.scene"), "--out", str(tmp_path)])
