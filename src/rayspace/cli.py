@@ -30,6 +30,7 @@ from .families import (
     _grid_csv,
     _grid_lines,
     _largest_at,
+    _starts,
     is_rectangular,
     orthogonality_residual,
     reconstruct_wavefront,
@@ -148,8 +149,7 @@ def cmd_check_symplectic(scene, args):
     interfaces = scene.system.interfaces
     scales = [itf.n_in / itf.n_after for itf in interfaces]
     lines = family.eval(ks[:, 0], ks[:, 1])
-    starts = family.start_point(ks[:, 0], ks[:, 1])
-    jacobians = _interface_jacobians(ks, lines, starts, interfaces, step)
+    jacobians = _interface_jacobians(ks, lines, _starts(lines), interfaces, step)
     # Python's max over the samples in order passes over a NaN residual,
     # as the sample-by-sample check did
     worst = [

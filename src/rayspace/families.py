@@ -16,9 +16,11 @@ one-form u . dP, checking path independence as it goes.
 
 Every builder is one constructor, `_pencil(rays, domain, kind)`: rays(k1,
 k2) gives (anchors, directions), and the family's lines pass through the
-anchors along the directions, anchored there.  A normal congruence takes
+anchors along the directions and start there.  A normal congruence takes
 its rays from its surface's `_normal_rays`, so no surface kind is named
-here.
+here.  One `eval` gives a batch of lines together with where their rays
+start and their optical length l from the source wavefront, as a
+TracedLine; `transform_family` traces each batch once and carries both on.
 
 Finite differences are central throughout; the default step is
 1e-5 * (parameter domain diameter).  Grids are inset from the domain edges by
@@ -29,12 +31,13 @@ takes them from its batch); the defect is omega of the pair, the immersion
 test its rank and the regularity test its determinant across the ray.
 
 Shapes: internal routines take batches only, (N, 2) parameters and (N, 3)
-lines.  A family's `eval` and `anchor` take arrays k1, k2 of N parameters
-and return N lines, (N, 3) anchors; routines here call them only so, at most
-_CHUNK rows a call, and a custom `eval` names its lowest failing row with
-`.at(row)`.  The builders' families also take one parameter pair.  A single
-pair, segment or point exists only at the public entry points `defect`,
-`one_form_integral` and `is_regular_point`, as the batch of one.
+lines.  A family's `eval` takes arrays k1, k2 of N parameters and returns N
+lines, with (N, 3) starts and (N,) lengths if they are TracedLines;
+routines here call it only so, at most _CHUNK rows a call, and a custom
+`eval` names its lowest failing row with `.at(row)`.  The builders'
+families also take one parameter pair.  A single pair, segment or point
+exists only at the public entry points `defect`, `one_form_integral` and
+`is_regular_point`, as the batch of one.
 
 `one_form_integral` takes one segment or a batch of them and refines the
 batch level by level, by nested Clenshaw-Curtis quadrature on
@@ -110,31 +113,54 @@ def _grid_csv(header: str, k1, k2, nodes) -> str:
     return header + "\n" + "".join(p + row % tuple(v) for p, v in zip(prefixes, values))
 
 
+@dataclass(frozen=True, eq=False)
+class TracedLine(OrientedLine):
+    """A batch of lines (or one line) with where their rays start and how far
+    they have come: `length` is l, the optical length from the source
+    wavefront to the foot points over the index of the lines' medium (None
+    if the lines have no source wavefront), and `start` the points (N, 3)
+    where propagation physically begins (source apex, emitting surface
+    point, last hit, ...; None means the foot points): systems intersect
+    each ray strictly downstream of its start.
+    """
+
+    length: np.ndarray | float | None = None
+    start: np.ndarray | None = None
+
+    @classmethod
+    def _of(cls, line: OrientedLine, length, start) -> TracedLine:
+        traced = cls._exact(line.u, line.q)
+        object.__setattr__(traced, "length", length)
+        object.__setattr__(traced, "start", start)
+        return traced
+
+
+def _starts(line: OrientedLine):
+    """Where the rays of the lines start: a TracedLine's `start`, else the
+    foot points."""
+    start = getattr(line, "start", None)
+    return line.q if start is None else start
+
+
 @dataclass(frozen=True)
 class RayFamily:
     """A smooth two-parameter family of oriented lines on a rectangle.
 
-    `anchor`, when set, gives the point on each ray where propagation
-    physically begins (source apex, emitting surface point, ...); systems
-    intersect each ray strictly downstream of it.  None means the foot point.
-    A family whose anchors lie on its source wavefront (every builder here)
-    has l = (q - anchor) . u: the optical length from the source wavefront
-    to each foot point, over the index of the lines' medium.  The lines of
-    `transform_family` carry their l instead, as TracedLine.
-    `eval` and `anchor` take arrays k1, k2 of N parameters and return the
-    batch of their values, row by row; a failing batch fails as `errors`
-    sets out.
+    `eval` takes arrays k1, k2 of N parameters and returns the batch of
+    their lines, row by row; a failing batch fails as `errors` sets out.
+    Lines that carry where their rays start and their l are TracedLines
+    (every builder's and every `transform_family`'s); a family without a
+    source wavefront returns plain OrientedLines, whose rays start at their
+    foot points.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], OrientedLine]
     domain: tuple
     kind: str = "custom"
-    anchor: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def start_point(self, k1: float, k2: float) -> np.ndarray:
-        if self.anchor is None:
-            return self.eval(k1, k2).q
-        return self.anchor(k1, k2)
+        """Where the rays at (k1, k2) start, from one `eval`."""
+        return _starts(self.eval(k1, k2))
 
     @property
     def diameter(self) -> float:
@@ -157,13 +183,15 @@ class RayFamily:
 
 def _pencil(rays, domain, kind: str) -> RayFamily:
     """The family of lines through the points along the directions of
-    rays(k1, k2) = (anchors, directions), anchored at the points."""
-    return RayFamily(
-        lambda k1, k2: line_through(*rays(k1, k2)),
-        tuple(map(tuple, domain)),
-        kind=kind,
-        anchor=lambda k1, k2: rays(k1, k2)[0],
-    )
+    rays(k1, k2) = (anchors, directions), starting at the points, which lie
+    on the source wavefront: l = (q - anchor) . u."""
+
+    def _eval(k1, k2):
+        anchors, directions = rays(k1, k2)
+        line = line_through(anchors, directions)
+        return TracedLine._of(line, np.vecdot(line.q - anchors, line.u), anchors)
+
+    return RayFamily(_eval, tuple(map(tuple, domain)), kind=kind)
 
 
 def point_source(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))) -> RayFamily:
@@ -221,78 +249,43 @@ def normal_congruence(surface, domain, axis=(0.0, 0.0, 1.0), outward: bool = Tru
     return _pencil(normal_rays(axis, outward), domain, "normal_congruence")
 
 
-@dataclass(frozen=True, eq=False)
-class TracedLine(OrientedLine):
-    """A line of a `transform_family` family (or a batch) with `length`: l,
-    the optical length from the source wavefront to the foot point over the
-    index of the line's medium; None if the source family has no anchor."""
-
-    length: np.ndarray | float | None = None
-
-    @classmethod
-    def _of(cls, line: OrientedLine, length) -> TracedLine:
-        traced = cls._exact(line.u, line.q)
-        object.__setattr__(traced, "length", length)
-        return traced
-
-
 def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     """The family of output lines of `system` applied ray by ray.
 
-    Its anchor is each ray's last hit.  Its lines are TracedLines: l at the
-    start point (the source line's l carried there, or 0 on an anchor)
-    times the ambient index, plus the optical length of the trace, over the
-    exit index, carried on to the foot point.
+    Its lines are TracedLines that start at each ray's last hit.  Their l is
+    the source line's l carried to its start, times the ambient index, plus
+    the optical length of the trace, over the exit index, carried on to the
+    foot point; None if the source lines carry none.
     Evaluation is pure (nothing cached); per-interface failures re-raise as
     FamilyTraceError carrying the parameter value.  A batch of parameters
     is traced as one batch.
     """
 
     def _trace(k1, k2):
-        staged = False  # past eval and start_point, the first failing row's error is the batch's
+        staged = False  # past eval, the first failing row's error is the batch's
         try:
             base = family.eval(k1, k2)
-            start = family.start_point(k1, k2)
             staged = True
-            result = propagate_system(base, system, start=start)
+            return base, propagate_system(base, system, start=_starts(base))
         except RaySpaceError as exc:
             ks = np.column_stack(np.broadcast_arrays(k1, k2))  # one pair is the batch of one
             err = FamilyTraceError(ks[exc.row], exc)
             if not staged:  # the parameters before it may fail in the system
                 err = _lowest_failure(err, lambda m: _trace(ks[:m, 0], ks[:m, 1]))
             raise err from exc
-        return base, start, result, result.hits[-1].point if result.hits else start
 
     def _eval(k1, k2):
-        base, start, result, last = _trace(k1, k2)
-        out, length = result.line_out, None
-        if isinstance(base, TracedLine):
-            if base.length is not None:
-                carried = base.length + np.vecdot(start - base.q, base.u)
-                length = system.ambient_index * carried + result.optical_length
-        elif family.anchor is not None:  # the start point is on the source wavefront
-            length = result.optical_length
+        base, result = _trace(k1, k2)
+        out, start = result.line_out, _starts(base)
+        last = result.hits[-1].point if result.hits else start
+        length = getattr(base, "length", None)
         if length is not None:
+            carried = length + np.vecdot(start - base.q, base.u)
+            length = system.ambient_index * carried + result.optical_length
             length = length / system.exit_index + np.vecdot(out.q - last, out.u)
-        return TracedLine._of(out, length)
+        return TracedLine._of(out, length, last)
 
-    return RayFamily(
-        _eval,
-        family.domain,
-        kind=f"transformed({family.kind})",
-        anchor=lambda k1, k2: _trace(k1, k2)[3],
-    )
-
-
-def _line_and_length(family: RayFamily, k1, k2):
-    """The family's lines at (k1, k2) and l at their foot points: carried by
-    a TracedLine, or (q - anchor) . u; None if the family has neither."""
-    line = family.eval(k1, k2)
-    if isinstance(line, TracedLine):
-        return line, line.length
-    if family.anchor is None:
-        return line, None
-    return line, np.vecdot(line.q - family.anchor(k1, k2), line.u)
+    return RayFamily(_eval, family.domain, kind=f"transformed({family.kind})")
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +309,7 @@ def _tangents(family: RayFamily, ks, h: float):
     stencil lines +k1, -k1, +k2, -k2 of every node; an error's row is the
     node.  The stencils must lie inside the domain."""
     try:
-        u, q = _eval_rows(family, _stencil_rows(ks, h))
+        u, q, _ = _eval_rows(family, _stencil_rows(ks, h))
     except RaySpaceError as exc:
         raise exc.at(exc.row // 4)
     return _differences(u, q, h)
@@ -473,7 +466,7 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     t = np.asarray(t, dtype=float)
     try:
         _require_inside(family, ks, h)
-        u0, _ = _eval_rows(family, ks)
+        u0, _, _ = _eval_rows(family, ks)
     except RaySpaceError as exc:  # the points before it may fail on their stencil lines
         raise _lowest_failure(exc, lambda m: is_regular_point(family, ks[:m], t[:m], h))
     return _regular(family, ks, t, h, u0)
@@ -620,7 +613,7 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, ends=None, inner=Non
             if us is None and ends is None:
                 ks = np.concatenate([ka[live, None], ks, kb[live, None]], axis=1)
             try:
-                u, q = _eval_rows(family, ks.reshape(-1, 2))
+                u, q, _ = _eval_rows(family, ks.reshape(-1, 2))
             except RaySpaceError as exc:  # the segments before it may fail at a later level
                 raise _lowest_failure(exc.at(live[exc.row // ks.shape[1]]), before)
             u, q = u.reshape(ks.shape[:2] + (3,)), q.reshape(ks.shape[:2] + (3,))
@@ -650,24 +643,25 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, ends=None, inner=Non
     return values
 
 
-def _eval_rows(family: RayFamily, ks, lengths: bool = False):
+def _eval_rows(family: RayFamily, ks):
     """Directions and foot points (N, 3) of the lines at the rows of ks, and
-    with `lengths` their l (N,) or None, from calls of at most _CHUNK rows;
-    an error's row is its row in ks."""
+    their l (N,), None unless every call's lines carry it, from calls of at
+    most _CHUNK rows; an error's row is its row in ks."""
     u, q, length = np.empty((len(ks), 3)), np.empty((len(ks), 3)), np.empty(len(ks))
     for a in range(0, len(ks), _CHUNK):
         rows = slice(a, a + _CHUNK)
         try:
-            line, l = _line_and_length(family, *ks[rows].T) if lengths else (family.eval(*ks[rows].T), None)
+            line = family.eval(*ks[rows].T)
         except RaySpaceError as exc:
             exc.row += a
             raise
         u[rows], q[rows] = line.u, line.q
+        l = getattr(line, "length", None)
         if l is None:
             length = None
         elif length is not None:
             length[rows] = l
-    return (u, q, length) if lengths else (u, q)
+    return u, q, length
 
 
 def _nodes(k1, k2) -> np.ndarray:
@@ -686,7 +680,7 @@ def _grid_lines(family: RayFamily, k1, k2):
     and foot points (n1, n2, 3) and l (n1, n2), or None for lines with no
     source wavefront, from one batch in (i, j) order."""
     nodes = _nodes(k1, k2)
-    u, q, length = _eval_rows(family, nodes.reshape(-1, 2), lengths=True)
+    u, q, length = _eval_rows(family, nodes.reshape(-1, 2))
     shape = (len(k1), len(k2))
     length = None if length is None else length.reshape(shape)
     return nodes, u.reshape(shape + (3,)), q.reshape(shape + (3,)), length
@@ -791,13 +785,13 @@ def reconstruct_wavefront(
     rows = np.concatenate([ks, level8.reshape(-1, 2), _stencil_rows(ks, h)])
     n, m = len(ks), len(ks) + level8.size // 2  # the first rows of the nodes and of the stencils
     try:
-        u, q, length = _eval_rows(family, rows, lengths=True)
+        u, q, length = _eval_rows(family, rows)
         inner, stencil = [a[n:m].reshape(level8.shape[:2] + (3,)) for a in (u, q)], (u[m:], q[m:])
     except RaySpaceError as exc:
         if exc.row < n:  # a grid line's error, which is the grid stage's
             raise
         # the stages evaluate their own lines, and fail as they do
-        u, q, length = _eval_rows(family, ks, lengths=True)
+        u, q, length = _eval_rows(family, ks)
         inner = stencil = None
     us, qs = u[:n].reshape(n1, n2, 3), q[:n].reshape(n1, n2, 3)
     lengths = None if length is None else length[:n].reshape(n1, n2)
@@ -839,10 +833,9 @@ def orthogonality_residual(family: RayFamily, wavefront: Wavefront) -> float:
     edges whose points coincide: l, the optical length of the family's grid
     lines (kept on the wavefront; no ray is evaluated), changes as F does
     along a wavefront, and delta (l - F) is the integral of u . dQ along the
-    surface.  A wavefront whose lines carry no l, and had no anchor to read
-    it off, raises ValueError."""
+    surface.  A wavefront whose lines carry no l raises ValueError."""
     if wavefront.length is None:
-        raise ValueError(f"{family.kind} family has no source wavefront: anchor its source rays on one")
+        raise ValueError(f"{family.kind} family has no source wavefront: its lines carry no length")
     excess = wavefront.length - wavefront.values
     worst = 0.0
     for axis in (0, 1):

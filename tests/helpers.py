@@ -3,6 +3,9 @@ closed-form oracles used across the test modules."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 import rayspace as rs
@@ -21,6 +24,7 @@ from rayspace.errors import (
     TangentialError,
     TotalInternalReflectionError,
     TraceError,
+    _lowest_failure,
 )
 from rayspace.families import _grid_axes, _grid_lines, _l_paths, _largest_at
 from rayspace.lines import _as_vec3, _frame, _norm
@@ -169,14 +173,14 @@ def snell_sine(n1, n2, sin_in):
 # one node and one ray at a time: the oracles of the batched routines
 
 
-def row_by_row(line_at, domain, kind="custom", anchor=None):
+def row_by_row(line_at, domain, kind="custom"):
     """A family whose eval calls line_at(k1, k2) once per parameter pair, in
     order, with Python floats: the row-by-row reference of a batched family.
 
     eval(k1, k2) of one pair gives line_at's line; of arrays k1, k2 it gives
-    the batch of the rows' lines (a TracedLine batch, with their lengths, if
-    the rows are TracedLines).  An error of row r is raised with `.at(r)`,
-    and no row after it is evaluated.
+    the batch of the rows' lines (a TracedLine batch, with their lengths and
+    starts, if the rows are TracedLines).  An error of row r is raised with
+    `.at(r)`, and no row after it is evaluated.
     """
 
     def _eval(k1, k2):
@@ -194,19 +198,99 @@ def row_by_row(line_at, domain, kind="custom", anchor=None):
         )
         if lines and isinstance(lines[0], rs.TracedLine):
             lengths = None if lines[0].length is None else np.array([line.length for line in lines])
-            batch = rs.TracedLine._of(batch, lengths)
+            batch = rs.TracedLine._of(batch, lengths, np.array([line.start for line in lines]))
         return batch
 
-    return rs.RayFamily(_eval, domain, kind=kind, anchor=anchor)
+    return rs.RayFamily(_eval, domain, kind=kind)
 
 
 def plain(family):
-    """The family evaluated row by row (row_by_row on its own eval), without
-    an anchor."""
-    return row_by_row(family.eval, family.domain)
+    """The family evaluated row by row (row_by_row on its own eval), as plain
+    OrientedLines: its rays start at their foot points, and carry no l."""
+
+    def line_at(k1, k2):
+        line = family.eval(k1, k2)
+        return rs.OrientedLine._exact(line.u, line.q)
+
+    return row_by_row(line_at, family.domain)
 
 
 # ---------------------------------------------------------------------------
+# ray families as they were before each eval carried its starts and lengths:
+# two callables, the lines and their anchors
+
+
+@dataclass(frozen=True)
+class AnchoredFamily:
+    """A ray family given by separate callables: `eval` gives its lines,
+    plain or TracedLines, and `anchor`, when set, the points where their
+    rays start (None means the foot points).  A family anchored on its
+    source wavefront has l = (q - anchor) . u."""
+
+    eval: Callable
+    domain: tuple
+    kind: str = "custom"
+    anchor: Callable | None = None
+
+    def start_point(self, k1, k2):
+        if self.anchor is None:
+            return self.eval(k1, k2).q
+        return self.anchor(k1, k2)
+
+    def traced(self, k1, k2):
+        """The lines at (k1, k2) as one TracedLine: u and q of `eval`, the
+        start of `start_point`, and l carried by a TracedLine, else read off
+        the anchors, else None."""
+        line, start = self.eval(k1, k2), self.start_point(k1, k2)
+        if isinstance(line, rs.TracedLine):
+            length = line.length
+        elif self.anchor is None:
+            length = None
+        else:
+            length = np.vecdot(line.q - start, line.u)
+        return rs.TracedLine._of(line, length, start)
+
+
+def transform_family_oracle(family, system):
+    """transform_family of an AnchoredFamily: the anchor traces the system
+    again, and each kind of source line has its own length branch."""
+
+    def _trace(k1, k2):
+        staged = False  # past eval and start_point, the first failing row's error is the batch's
+        try:
+            base = family.eval(k1, k2)
+            start = family.start_point(k1, k2)
+            staged = True
+            result = rs.propagate_system(base, system, start=start)
+        except RaySpaceError as exc:
+            ks = np.column_stack(np.broadcast_arrays(k1, k2))  # one pair is the batch of one
+            err = FamilyTraceError(ks[exc.row], exc)
+            if not staged:  # the parameters before it may fail in the system
+                err = _lowest_failure(err, lambda m: _trace(ks[:m, 0], ks[:m, 1]))
+            raise err from exc
+        return base, start, result, result.hits[-1].point if result.hits else start
+
+    def _eval(k1, k2):
+        base, start, result, last = _trace(k1, k2)
+        out, length = result.line_out, None
+        if isinstance(base, rs.TracedLine):
+            if base.length is not None:
+                carried = base.length + np.vecdot(start - base.q, base.u)
+                length = system.ambient_index * carried + result.optical_length
+        elif family.anchor is not None:  # the start point is on the source wavefront
+            length = result.optical_length
+        if length is not None:
+            length = length / system.exit_index + np.vecdot(out.q - last, out.u)
+        return rs.TracedLine._of(out, length, None)
+
+    return AnchoredFamily(
+        _eval,
+        family.domain,
+        kind=f"transformed({family.kind})",
+        anchor=lambda k1, k2: _trace(k1, k2)[3],
+    )
+
+
 # the builders as each spelled out its own family, and normal_congruence as
 # one branch per surface kind: the oracles of the builders' lines and anchors
 
@@ -222,7 +306,7 @@ def point_source_oracle(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))):
     def _eval(k1, k2):
         return rs.line_through(apex, a + _col(k1) * e1 + _col(k2) * e2)
 
-    return rs.RayFamily(
+    return AnchoredFamily(
         _eval,
         tuple(map(tuple, domain)),
         kind="point_source",
@@ -237,7 +321,7 @@ def collimated_oracle(direction, origin=(0.0, 0.0, 0.0), domain=((-0.5, 0.5), (-
     def _anchor(k1, k2):
         return origin + _col(k1) * e1 + _col(k2) * e2
 
-    return rs.RayFamily(
+    return AnchoredFamily(
         lambda k1, k2: rs.line_through(_anchor(k1, k2), a),
         tuple(map(tuple, domain)),
         kind="collimated",
@@ -256,7 +340,7 @@ def two_skew_lines_oracle(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0
         b = p2 + _col(k2) * d2
         return rs.line_through(a, b - a)
 
-    return rs.RayFamily(
+    return AnchoredFamily(
         _eval,
         tuple(map(tuple, domain)),
         kind="two_skew_lines",
@@ -278,7 +362,7 @@ def normal_congruence_oracle(surface, domain, axis=(0.0, 0.0, 1.0), outward=True
             s = _radial(k1, k2)
             return rs.line_through(center + radius * s, sgn * s)
 
-        return rs.RayFamily(
+        return AnchoredFamily(
             _eval,
             tuple(map(tuple, domain)),
             kind="normal_congruence",
@@ -297,7 +381,7 @@ def normal_congruence_oracle(surface, domain, axis=(0.0, 0.0, 1.0), outward=True
             n = np.stack([-c * w[0], -c * w[1], np.ones_like(c)], axis=-1)
             return rs.line_through(_anchor(k1, k2), sgn * n)
 
-        return rs.RayFamily(
+        return AnchoredFamily(
             _eval,
             tuple(map(tuple, domain)),
             kind="normal_congruence",
@@ -479,12 +563,7 @@ def naive_orthogonality_residual(family, wavefront):
     excess = np.empty((n1, n2))
     for i, k1 in enumerate(wavefront.k1):
         for j, k2 in enumerate(wavefront.k2):
-            line = family.eval(k1, k2)
-            if isinstance(line, rs.TracedLine):
-                length = line.length
-            else:
-                length = np.vecdot(line.q - family.anchor(k1, k2), line.u)
-            excess[i, j] = length - wavefront.values[i, j]
+            excess[i, j] = family.eval(k1, k2).length - wavefront.values[i, j]
     worst = 0.0
     for i in range(n1):
         for j in range(n2):

@@ -68,6 +68,7 @@ from helpers import (
     stencil_defect,
     svd_immersion_ratio,
     svd_immersed,
+    transform_family_oracle,
     two_skew_lines_oracle,
     wavefront_segments,
 )
@@ -415,40 +416,48 @@ def random_builder_pair(rng, which):
 
 
 def assert_same_lines(line, oracle):
+    """A family's TracedLines equal the oracle's bit for bit: u, q, l
+    (or both None) and start."""
+    assert type(line) is type(oracle) is rs.TracedLine
     assert np.array_equal(line.u, oracle.u) and np.array_equal(line.q, oracle.q)
-    assert type(line) is type(oracle)
-    if isinstance(line, rs.TracedLine):
-        assert (line.length is None) == (oracle.length is None)
-        assert np.array_equal(line.length, oracle.length)
+    assert (line.length is None) == (oracle.length is None)
+    assert np.array_equal(line.length, oracle.length)
+    assert np.array_equal(line.start, oracle.start)
 
 
 class TestBuilderOracles:
-    """Every builder's lines and anchors, and what a system makes of them,
-    are bit for bit those of the builders as each spelled out its own family
-    and normal_congruence as one branch per surface kind."""
+    """Every builder's lines, their starts and lengths, and what one or two
+    systems in turn make of them, are bit for bit those of the builders as
+    each spelled out its own family with a separate anchor, and of
+    normal_congruence as one branch per surface kind, transformed by
+    transform_family as it was with a separate anchor that traced again."""
 
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from(BUILDER_ORACLES),
         st.integers(1, 257),
-        st.lists(st.sampled_from(KINDS), min_size=1, max_size=2),
+        st.lists(st.lists(st.sampled_from(KINDS), min_size=1, max_size=2), min_size=1, max_size=2),
     )
-    def test_builders_match_their_oracles(self, seed, which, count, kinds):
+    def test_builders_match_their_oracles(self, seed, which, count, systems):
         rng = np.random.default_rng(seed)
         fam, oracle = random_builder_pair(rng, which)
         assert fam.domain == oracle.domain
         ks = random_params(rng, fam, count)
-        system = random_system(rng, kinds)
-        traced, traced_oracle = rs.transform_family(fam, system), rs.transform_family(oracle, system)
+        pairs = [(fam, oracle)]
+        for kinds in systems:  # each system takes the lines of the one before
+            system = random_system(rng, kinds)
+            fam, oracle = rs.transform_family(fam, system), transform_family_oracle(oracle, system)
+            pairs.append((fam, oracle))
         for k1, k2 in ((ks[:, 0], ks[:, 1]), tuple(map(float, ks[0]))):  # the batch, then one pair
-            assert_same_lines(fam.eval(k1, k2), oracle.eval(k1, k2))
-            assert np.array_equal(fam.anchor(k1, k2), oracle.anchor(k1, k2))
-            lines = outcome(lambda: traced.eval(k1, k2))
-            expected = outcome(lambda: traced_oracle.eval(k1, k2))
-            if isinstance(expected, RaySpaceError):
-                assert_same_error(lines, expected)
-            else:
-                assert_same_lines(lines, expected)
+            for fam, oracle in pairs:
+                lines = outcome(lambda: fam.eval(k1, k2))
+                expected = outcome(lambda: oracle.traced(k1, k2))
+                if isinstance(expected, RaySpaceError):
+                    assert_same_error(lines, expected)
+                    assert lines.row == expected.row
+                else:
+                    assert_same_lines(lines, expected)
+                    assert np.array_equal(fam.start_point(k1, k2), expected.start)
 
     @pytest.mark.parametrize("outward", [True, False])
     def test_unsupported_surface_fails_alike(self, outward):
@@ -458,15 +467,58 @@ class TestBuilderOracles:
                 build(quadric, ((-0.1, 0.1), (-0.1, 0.1)), outward=outward)
 
 
+class _CountedPatch:
+    """The normal patch of the unit sphere, whose rays count their calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def _normal_rays(self, axis, outward):
+        rays = rs.Sphere([0, 0, 0], 1.0)._normal_rays(axis, outward)
+
+        def counted(k1, k2):
+            self.calls += 1
+            return rays(k1, k2)
+
+        return counted
+
+
+class TestOneCallPerBatch:
+    """A traced batch evaluates its source family once, and traces each
+    system once: the lines carry their starts and lengths."""
+
+    k1, k2 = np.linspace(-0.1, 0.1, 5), np.zeros(5)
+
+    def test_a_builder_runs_its_rays_once_per_traced_batch(self):
+        patch = _CountedPatch()
+        fam = rs.normal_congruence(patch, ((-0.2, 0.2), (-0.2, 0.2)))
+        mirror = rs.OpticalSystem((rs.Interface(rs.Plane([0, 0, 1], 3.0), rs.REFLECT, 1.0),))
+        traced = rs.transform_family(fam, mirror)
+        for batch in (traced.eval, traced.start_point, fam.start_point):
+            patch.calls = 0
+            batch(self.k1, self.k2)
+            assert patch.calls == 1
+
+    def test_a_twice_transformed_batch_traces_each_system_once(self, monkeypatch):
+        source = rs.point_source([0.1, 0, 0], [0, 0.2, 1], domain=((-0.2, 0.2), (-0.2, 0.2)))
+        lens = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, 4.0], 2.0), rs.REFRACT, 1.0, 1.5),))
+        mirror = rs.OpticalSystem((rs.Interface(rs.Plane([0, 0, 1], 8.0), rs.REFLECT, 1.5),), ambient_index=1.5)
+        once = rs.transform_family(source, lens)
+        twice = rs.transform_family(once, mirror)
+        rows = TestLateFailingBatch.traced_rows(monkeypatch)
+        for batch, traces in ((twice.eval, 2), (twice.start_point, 2), (once.start_point, 1)):
+            rows.clear()
+            batch(self.k1, self.k2)
+            assert rows == [5] * traces
+
+
 def _blemished(family, bad, bad_line):
-    """The family evaluated one parameter at a time, with the line at the
-    parameter bad replaced by bad_line(line)."""
+    """The family evaluated one parameter at a time, as plain lines, with
+    the line at the parameter bad replaced by bad_line(line)."""
 
     def line_at(k1, k2):
         line = family.eval(k1, k2)
-        if (k1, k2) == tuple(bad):
-            return rs.OrientedLine._exact(*bad_line(line))
-        return line
+        return rs.OrientedLine._exact(*(bad_line(line) if (k1, k2) == tuple(bad) else (line.u, line.q)))
 
     return row_by_row(line_at, family.domain)
 
@@ -803,25 +855,15 @@ class TestLateFailingBatch:
         # point by point re-runs made 32 calls, 31 of them with scalar k
         assert len(calls) <= 3 and 0 not in calls
 
-    @pytest.mark.parametrize("stage", ["eval", "start_point", "propagate_system"])
+    @pytest.mark.parametrize("stage", ["eval", "propagate_system"])
     def test_rows_before_a_failing_stage(self, stage, monkeypatch):
         # rays with k1 above about 0.17 miss the mirror; the source's eval
-        # or anchor fails past k1 = 0.22, at row 7, and the rows before it
-        # are traced again, for row 6 misses the mirror; a failure in the
-        # system, the last stage, is already that of the lowest failing row
+        # fails past k1 = 0.22, at row 7, and the rows before it are traced
+        # again, for row 6 misses the mirror; a failure in the system, the
+        # last stage, is already that of the lowest failing row
         source = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.1, 0.3), (-0.1, 0.1)))
         if stage == "eval":
             source = _past_edge(source, 0.22)
-        elif stage == "start_point":
-            anchor = source.anchor
-
-            def _anchor(k1, k2):
-                past = np.flatnonzero(np.ravel(k1) > 0.22)
-                if past.size:
-                    raise NoIntersectionError("past the edge").at(past[0])
-                return anchor(k1, k2)
-
-            source = dataclasses.replace(source, anchor=_anchor)
         small = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, -3.0], 0.5), rs.REFLECT, 1.0),))
         fam = rs.transform_family(source, small)
         k1, k2 = np.linspace(-0.1, 0.3, 9), np.zeros(9)
@@ -1032,7 +1074,7 @@ def tangent_spread(family, k, t, h):
     """is_regular_point's tangent determinant at (k, t) with step h, as the
     batch of one."""
     ks = np.asarray(k, dtype=float)[None]
-    u0, _ = _eval_rows(family, ks)
+    u0, _, _ = _eval_rows(family, ks)
     return _spread(u0, np.array([float(t)]), *_tangents(family, ks, h))[0]
 
 
@@ -1104,8 +1146,8 @@ class TestRegularBatch:
             h = fam.default_step()
             ks = families._nodes(*families._grid_axes(fam, 9, inset=h)).reshape(-1, 2)
             t = rng.uniform(-8.0, 8.0, len(ks))
-            u0, q0 = _eval_rows(fam, ks)
-            us, qs = _eval_rows(fam, (ks[:, None] + _stencil(2, h)).reshape(-1, 2))
+            u0, q0, _ = _eval_rows(fam, ks)
+            us, qs, _ = _eval_rows(fam, (ks[:, None] + _stencil(2, h)).reshape(-1, 2))
             oracle = nearest_point_spread(u0, q0 + t[:, None] * u0, us.reshape(-1, 4, 3), qs.reshape(-1, 4, 3), h)
             det = _spread(u0, t, *_tangents(fam, ks, h))
             assert np.all(abs(det - oracle) <= 1e-6 * abs(oracle))
@@ -1256,7 +1298,7 @@ class TestWavefrontCalls:
     def test_custom_family_gives_the_same_wavefront(self):
         fam = rs.point_source([0, 0, 5], [0.1, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
         wf = rs.reconstruct_wavefront(fam, (0.05, -0.03), c=2.0, grid=5)
-        custom = dataclasses.replace(plain(fam), anchor=fam.anchor)
+        custom = row_by_row(fam.eval, fam.domain)
         wf_custom = rs.reconstruct_wavefront(custom, (0.05, -0.03), c=2.0, grid=5)
         assert np.array_equal(wf_custom.values, wf.values)
         assert np.array_equal(wf_custom.points, wf.points)
@@ -1360,7 +1402,7 @@ class TestEvalRows:
         ks = np.random.default_rng(5).uniform(-0.3, 0.3, (64 * _CHUNK, 2))
         tracemalloc.start()
         try:
-            u, q = _eval_rows(fam, ks)
+            u, q, _ = _eval_rows(fam, ks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1374,13 +1416,15 @@ class TestEvalRows:
     def test_one_call_and_row_by_row(self):
         fam = rs.point_source([0, 0, 5], [0, 0, -1])
         ks = np.random.default_rng(6).uniform(-0.3, 0.3, (3, 2))
-        u, q = _eval_rows(fam, ks)
+        u, q, length = _eval_rows(fam, ks)
         line = fam.eval(*ks.T)
         assert u.shape == q.shape == (3, 3)
         assert u.tobytes() == line.u.tobytes() and q.tobytes() == line.q.tobytes()
-        u1, q1 = _eval_rows(plain(fam), ks)
+        assert length.tobytes() == line.length.tobytes()
+        u1, q1, length1 = _eval_rows(plain(fam), ks)
         assert u1.tobytes() == u.tobytes() and q1.tobytes() == q.tobytes()
-        u0, q0 = _eval_rows(plain(fam), ks[:1])
+        assert length1 is None
+        u0, q0, _ = _eval_rows(plain(fam), ks[:1])
         assert u0.shape == (1, 3) and u0.tobytes() == u[:1].tobytes()
 
 
@@ -1469,7 +1513,7 @@ class TestErrorOrderOfWavefrontBatches:
                 raise FamilyTraceError((k1, k2), TraceError(0, NoIntersectionError("ray misses Sphere")))
             return fam.eval(k1, k2)
 
-        failing = row_by_row(line_at, fam.domain, anchor=fam.anchor)
+        failing = row_by_row(line_at, fam.domain)
         reference = outcome(lambda: [failing.eval(a, b) for a in wf.k1 for b in wf.k2])
         assert isinstance(reference, FamilyTraceError)
         with pytest.raises(FamilyTraceError) as err:

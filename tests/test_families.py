@@ -15,7 +15,7 @@ from rayspace.errors import (
 from rayspace.lines import _omega
 from rayspace.scene import load_scene
 
-from helpers import line_tangent, make_device, row_by_row, unit
+from helpers import line_tangent, make_device, plain, row_by_row, unit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -302,7 +302,7 @@ class TestOrthogonalityWitness:
 
     def test_a_family_without_a_source_raises(self):
         source = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.2, 0.2), (-0.2, 0.2)))
-        custom = rs.RayFamily(source.eval, source.domain)
+        custom = plain(source)
         wf = rs.reconstruct_wavefront(custom, k0=(0, 0), c=2.0)
         with pytest.raises(ValueError, match="custom family has no source wavefront"):
             rs.orthogonality_residual(custom, wf)
@@ -330,12 +330,12 @@ class TestTransformFamily:
         inner = rs.transform_family(fam, rs.OpticalSystem((lens,)))
         in_turn = rs.transform_family(inner, rs.OpticalSystem((mirror,), ambient_index=1.5))
         assert np.allclose(in_turn.eval(k1, k2).length, whole.eval(k1, k2).length, rtol=0, atol=1e-12)
-        # an empty system keeps the anchor's length, (q - apex) . u
+        # an empty system keeps the source's length, (q - apex) . u
         line = fam.eval(k1, k2)
         empty = rs.transform_family(fam, rs.OpticalSystem(()))
-        assert np.array_equal(empty.eval(k1, k2).length, np.vecdot(line.q - fam.anchor(k1, k2), line.u))
-        # without an anchor, the source family's lines have no length
-        custom = rs.transform_family(rs.RayFamily(fam.eval, fam.domain), rs.OpticalSystem((lens,)))
+        assert np.array_equal(empty.eval(k1, k2).length, np.vecdot(line.q - fam.start_point(k1, k2), line.u))
+        # a source family whose lines carry no length gives none
+        custom = rs.transform_family(plain(fam), rs.OpticalSystem((lens,)))
         assert custom.eval(k1, k2).length is None
 
     def test_plane_mirror_keeps_rectangular(self):

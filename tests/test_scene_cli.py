@@ -913,9 +913,12 @@ class TestCheckSymplecticBatch:
         # sample 1, and only the re-check of sample 0 finds the error that
         # the sample-by-sample loop raises
         source = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-1, 1), (-1, 1)))
-        family = dataclasses.replace(
-            source, anchor=lambda k1, k2: source.eval(k1, k2).point_at(100.0 * (np.asarray(k1) > 0.5))
-        )
+
+        def _eval(k1, k2):
+            line = source.eval(k1, k2)
+            return rs.TracedLine._of(line, line.length, line.point_at(100.0 * (np.asarray(k1) > 0.5)))
+
+        family = dataclasses.replace(source, eval=_eval)
         ks, step = np.array([[-0.3, 0.0], [0.9, 0.0]]), 1.2
         system = rs.OpticalSystem((self.pole_mirror(family, ks[0], step),), ambient_index=1.0)
         lines, starts = family.eval(*ks.T), family.start_point(*ks.T)
