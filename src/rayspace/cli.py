@@ -25,13 +25,13 @@ from . import families, variational
 from .errors import FamilyTraceError, RaySpaceError, SceneSyntaxError, TraceError, _lowest_failure
 from .families import (
     _default_tol,
+    _defect_grids,
     _fmt,
     _grid_axes,
     _grid_csv,
     _grid_lines,
     _largest_at,
     _starts,
-    is_rectangular,
     orthogonality_residual,
     reconstruct_wavefront,
     transform_family,
@@ -109,10 +109,9 @@ def cmd_defect(scene, args):
     grid = _opt(scene, args, "grid", 9)
     tol = _opt(scene, args, "tol")
     step = _opt(scene, args, "step")
-    ok_before, grid_before = is_rectangular(family, grid=grid, tol=tol, h=step)
-    after = transform_family(family, scene.system)
-    ok_after, grid_after = is_rectangular(after, grid=grid, tol=tol, h=step)
+    grid_before, grid_after = _defect_grids(family, scene.system, grid=grid, h=step)
     tol_used = tol if tol is not None else _default_tol(family)
+    ok_before, ok_after = grid_before.max_abs < tol_used, grid_after.max_abs < tol_used
     files = {"defect_before.csv": grid_before.to_csv(), "defect_after.csv": grid_after.to_csv()}
     pairs = [
         ("grid", grid),

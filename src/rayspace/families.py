@@ -48,7 +48,9 @@ first two levels of all segments and the stencils of all nodes, for its
 stages to read, and keeps the grid lines with their optical lengths on the
 Wavefront, where `orthogonality_residual` reads them; `defect_grid`
 evaluates the stencil lines of all its nodes and their immersion tests in
-one batch.  Batches fail as `errors` sets out, the error's `row` naming the
+one batch, and the grids before and after a system (`_defect_grids`) read
+one evaluation of those lines, traced on through the system for the
+second.  Batches fail as `errors` sets out, the error's `row` naming the
 parameter, segment or node.
 """
 
@@ -89,6 +91,7 @@ from .optics import OpticalSystem, propagate_system
 _CHUNK = 2048
 _MAX_POINTS = 512  # the finest one-form level
 _INTEGRAL_TOL = 1e-9  # one-form refinements stop once successive sums agree within it
+_PATH_TOL = 1e-7  # the default largest L-path discrepancy of a wavefront
 _PAIRS = np.triu_indices(6, 1)  # the index pairs i < j of a row of [du | dq]
 
 
@@ -412,17 +415,59 @@ def defect_grid(family: RayFamily, grid=9, h: float | None = None) -> DefectGrid
 
 def _grid_defects(family: RayFamily, ks, h: float):
     """The defects (N,) at the rows of ks (N, 2), whose stencils lie inside
-    the domain.  The stages: the tangents, then the immersion tests; the
-    error's row is the node."""
+    the domain.  The stages: the stencil lines, then the immersion tests;
+    the error's row is the node."""
     try:
-        du, dq = _tangents(family, ks, h)
+        u, q, _ = _eval_rows(family, _stencil_rows(ks, h))
     except RaySpaceError as exc:  # the nodes before it may fail their immersion test
-        raise _lowest_failure(exc, lambda m: _grid_defects(family, ks[:m], h))
+        raise _lowest_failure(exc.at(exc.row // 4), lambda m: _grid_defects(family, ks[:m], h))
+    return _stencil_defects(ks, u, q, h)
+
+
+def _stencil_defects(ks, u, q, h: float):
+    """The defects (N,) at the rows of ks (N, 2) from the directions and foot
+    points (4N, 3) of their stencil lines (_stencil_rows): the tangents by
+    central differences, the immersion test of every node (ImmersionError
+    names the first that fails it), then omega."""
+    du, dq = _differences(u, q, h)
     bad = _first(_immersion_ratio(du, dq) <= 1e-8)
     if bad is not None:
         k = tuple(map(float, ks[bad]))
         raise ImmersionError(f"family is not an immersion at k={k}").at(bad)
     return _omega(du[:, 0], dq[:, 0], du[:, 1], dq[:, 1])
+
+
+def _defect_grids(family: RayFamily, system: OpticalSystem, grid=9, h: float | None = None):
+    """defect_grid of the family and of transform_family(family, system), in
+    turn, from one evaluation of the stencil lines, which are then traced
+    through the system from their starts (both at most _CHUNK rays a call).
+    Fails as the two defect_grid calls in turn do: a trace error is a
+    FamilyTraceError naming the stencil row's k."""
+    if h is None:
+        h = family.default_step()
+    k1s, k2s = _grid_axes(family, grid, inset=h)
+    ks = _nodes(k1s, k2s).reshape(-1, 2)
+    rows = _stencil_rows(ks, h)
+    try:
+        chunks = list(_eval_chunks(family, rows))
+    except RaySpaceError as exc:  # the nodes before it may fail their immersion test
+        raise _lowest_failure(exc.at(exc.row // 4), lambda m: _grid_defects(family, ks[:m], h))
+    u, q = np.empty((2, 2, len(rows), 3))  # the stencil lines before and after the system
+    for part, line in chunks:
+        u[0, part], q[0, part] = line.u, line.q
+    before = _stencil_defects(ks, u[0], q[0], h)
+    for part, line in chunks:
+        try:
+            out = propagate_system(line, system, start=_starts(line)).line_out
+        except RaySpaceError as exc:  # the nodes before it may fail theirs after the system
+            row = part.start + exc.row
+            traced = transform_family(family, system)
+            err = FamilyTraceError(rows[row], exc).at(row // 4)
+            raise _lowest_failure(err, lambda m: _grid_defects(traced, ks[:m], h)) from exc
+        u[1, part], q[1, part] = out.u, out.q
+    after = _stencil_defects(ks, u[1], q[1], h)
+    shape = (len(k1s), len(k2s))
+    return tuple(DefectGrid(k1=k1s, k2=k2s, values=v.reshape(shape), step=h) for v in (before, after))
 
 
 def _default_tol(family: RayFamily) -> float:
@@ -648,13 +693,7 @@ def _eval_rows(family: RayFamily, ks):
     their l (N,), None unless every call's lines carry it, from calls of at
     most _CHUNK rows; an error's row is its row in ks."""
     u, q, length = np.empty((len(ks), 3)), np.empty((len(ks), 3)), np.empty(len(ks))
-    for a in range(0, len(ks), _CHUNK):
-        rows = slice(a, a + _CHUNK)
-        try:
-            line = family.eval(*ks[rows].T)
-        except RaySpaceError as exc:
-            exc.row += a
-            raise
+    for rows, line in _eval_chunks(family, ks):
         u[rows], q[rows] = line.u, line.q
         l = getattr(line, "length", None)
         if l is None:
@@ -662,6 +701,19 @@ def _eval_rows(family: RayFamily, ks):
         elif length is not None:
             length[rows] = l
     return u, q, length
+
+
+def _eval_chunks(family: RayFamily, ks):
+    """(rows, lines) of the slices of ks that `eval` takes in turn, in calls
+    of at most _CHUNK rows; an error's row is its row in ks."""
+    for a in range(0, len(ks), _CHUNK):
+        rows = slice(a, a + _CHUNK)
+        try:
+            line = family.eval(*ks[rows].T)
+        except RaySpaceError as exc:
+            exc.row += a
+            raise
+        yield rows, line
 
 
 def _nodes(k1, k2) -> np.ndarray:
@@ -751,7 +803,7 @@ def reconstruct_wavefront(
     c: float = 0.0,
     grid=9,
     h: float | None = None,
-    path_tol: float = 1e-7,
+    path_tol: float = _PATH_TOL,
 ) -> Wavefront:
     """Integrate u . dP from k0 and drop the points P - (F + c) u.
 
@@ -768,15 +820,21 @@ def reconstruct_wavefront(
     """
     if h is None:
         h = family.default_step()
-    k1s, k2s = _grid_axes(family, grid, inset=h)
-    k0 = np.asarray(k0, dtype=float)
-    i0 = int(np.argmin(np.abs(k1s - k0[0])))
-    j0 = int(np.argmin(np.abs(k2s - k0[1])))
+    return _wavefront_stages(family, _wavefront_batch(family, grid, h), k0, c, h, path_tol)
 
+
+def _wavefront_batch(family: RayFamily, grid, h: float):
+    """The one batch of reconstruct_wavefront, for its stages: the grid axes
+    k1s, k2s, the nodes ks (N, 2), the nodes (S,) where the segments between
+    adjacent nodes start and stop, along k1 column by column, then along k2
+    row by row, the (u, q, l) of the nodes' lines, the (u, q) of level 8's
+    interior nodes of every segment, each (S, 7, 3), and the (u, q) of the
+    nodes' stencil lines (_stencil_rows), each (4N, 3).  If the batch fails
+    at a node's line, that error is raised; if it fails later, the nodes'
+    lines are evaluated alone, and the last two are None."""
+    k1s, k2s = _grid_axes(family, grid, inset=h)
     n1, n2 = len(k1s), len(k2s)
     ks = _nodes(k1s, k2s).reshape(-1, 2)
-    # the segments between adjacent nodes: along k1 column by column, then
-    # along k2 row by row
     index = np.arange(n1 * n2).reshape(n1, n2)
     starts = np.concatenate([index[:-1].T.ravel(), index[:, :-1].ravel()])
     stops = starts + np.repeat([n2, 1], [(n1 - 1) * n2, n1 * (n2 - 1)])
@@ -788,16 +846,28 @@ def reconstruct_wavefront(
         u, q, length = _eval_rows(family, rows)
         inner, stencil = [a[n:m].reshape(level8.shape[:2] + (3,)) for a in (u, q)], (u[m:], q[m:])
     except RaySpaceError as exc:
-        if exc.row < n:  # a grid line's error, which is the grid stage's
+        if exc.row < n:  # a node's error, which is the grid stage's
             raise
         # the stages evaluate their own lines, and fail as they do
         u, q, length = _eval_rows(family, ks)
         inner = stencil = None
-    us, qs = u[:n].reshape(n1, n2, 3), q[:n].reshape(n1, n2, 3)
-    lengths = None if length is None else length[:n].reshape(n1, n2)
-    lines = np.stack([us.reshape(-1, 3), qs.reshape(-1, 3)], axis=1)
+    lines = u[:n], q[:n], None if length is None else length[:n]
+    return k1s, k2s, ks, (starts, stops), lines, inner, stencil
+
+
+def _wavefront_stages(family: RayFamily, batch, k0, c: float, h: float, path_tol: float) -> Wavefront:
+    """reconstruct_wavefront from its batch (_wavefront_batch)."""
+    k1s, k2s, ks, (starts, stops), (u, q, length), inner, stencil = batch
+    k0 = np.asarray(k0, dtype=float)
+    i0 = int(np.argmin(np.abs(k1s - k0[0])))
+    j0 = int(np.argmin(np.abs(k2s - k0[1])))
+
+    n1, n2 = len(k1s), len(k2s)
+    us, qs = u.reshape(n1, n2, 3), q.reshape(n1, n2, 3)
+    lengths = None if length is None else length.reshape(n1, n2)
+    lines = np.stack([u, q], axis=1)
     ends = lines[np.stack([starts, stops], axis=1)]
-    seg = _one_form_levels(family, ka, kb, _INTEGRAL_TOL, ends, inner)
+    seg = _one_form_levels(family, ks[starts], ks[stops], _INTEGRAL_TOL, ends, inner)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 

@@ -53,6 +53,7 @@ from .errors import (
     _lowest_failure,
 )
 from .families import RayFamily, _grid_csv, _grid_lines, _largest_at, is_rectangular, reconstruct_wavefront
+from .families import _PATH_TOL, DefectGrid, _default_tol, _stencil_defects, _wavefront_batch, _wavefront_stages
 from .lines import _as_vec3, _cross, _first, _norm, _stencil, line_through
 from .optics import REFLECT, OpticalSystem, _bend, reflect_direction
 from .surfaces import _GRAD_MIN, _stack_charts, intersect
@@ -462,6 +463,9 @@ def design_focusing_mirror(
     F_eps(X) = (signed distance from the reference wavefront along the ray
     through X) + eps * |X - focus|.  The family must be rectangular; the
     reference wavefront is reconstructed with constant `wavefront_c`.  The
+    rectangularity test reads the stencil lines of the wavefront's one
+    batch; if that batch fails, is_rectangular and reconstruct_wavefront
+    run in turn, and the design fails as they do.  The
     level equation is solved along the ray of every grid node at once, in
     closed form (squared, it is linear in the ray parameter), exact to
     round-off.  NoRootError marks the first node in (i, j) order whose level
@@ -476,13 +480,28 @@ def design_focusing_mirror(
     if eps not in (-1.0, 1.0):
         raise ValueError("epsilon must be +1 or -1")
 
-    ok, defects = is_rectangular(family, grid=grid, h=h)
+    if h is None:
+        h = family.default_step()
+    try:
+        batch = _wavefront_batch(family, grid, h)
+    except RaySpaceError:  # is_rectangular and reconstruct_wavefront fail in turn as they do
+        batch = None
+    if batch is None or batch[-1] is None:  # the batch failed: the stages run in turn
+        ok, defects = is_rectangular(family, grid=grid, h=h)
+    else:  # the rectangularity test reads the stencil lines of the wavefront's batch
+        k1s, k2s, ks, *_, stencil = batch
+        values = _stencil_defects(ks, *stencil, h).reshape(len(k1s), len(k2s))
+        defects = DefectGrid(k1=k1s, k2=k2s, values=values, step=h)
+        ok = defects.max_abs < _default_tol(family)
     if not ok:
         k = _largest_at(defects.k1, defects.k2, defects.values)
         raise NotRectangularError(
             f"mirror design requires a rectangular family: |defect| {defects.max_abs:.3e} at k={k}"
         )
-    wf = reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
+    if batch is None:
+        wf = reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
+    else:
+        wf = _wavefront_stages(family, batch, k0, wavefront_c, h, _PATH_TOL)
 
     n1, n2 = len(wf.k1), len(wf.k2)
     u, q = wf.u.reshape(-1, 3), wf.q.reshape(-1, 3)

@@ -3,6 +3,7 @@ closed-form oracles used across the test modules."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -202,6 +203,15 @@ def row_by_row(line_at, domain, kind="custom"):
         return batch
 
     return rs.RayFamily(_eval, domain, kind=kind)
+
+
+def flat_for_negative_k1(family):
+    """The family with k2 frozen at 0 where k1 < 0: not an immersion there."""
+
+    def _eval(k1, k2):
+        return family.eval(k1, np.where(np.asarray(k1) < 0.0, 0.0, k2)[()])
+
+    return dataclasses.replace(family, eval=_eval)
 
 
 def plain(family):
@@ -1032,6 +1042,7 @@ __all__ = [
     "immersion_ok",
     "svd_immersion_ratio",
     "svd_immersed",
+    "flat_for_negative_k1",
     "nearest_point_spread",
     "node_defect_grid",
     "l_paths_oracle",

@@ -48,6 +48,7 @@ from helpers import (
     clenshaw_curtis_oracle,
     collimated_oracle,
     device_source,
+    flat_for_negative_k1,
     l_paths_oracle,
     make_device,
     naive_cc_one_form,
@@ -1531,15 +1532,6 @@ def _sphere_edge_family():
     return rs.transform_family(source, mirror)
 
 
-def _flat_for_negative_k1(family):
-    """The family with k2 frozen at 0 where k1 < 0: not an immersion there."""
-
-    def _eval(k1, k2):
-        return family.eval(k1, np.where(np.asarray(k1) < 0.0, 0.0, k2)[()])
-
-    return dataclasses.replace(family, eval=_eval)
-
-
 def check_defect_grid(family, grid):
     """defect_grid of the family and of its plain wrapper against the node
     by node loop: equal values under ==, or the same first error.  Returns
@@ -1612,7 +1604,7 @@ class TestDefectGridBatch:
         assert single.value.k == (8.485281374238571e-06, -0.29)
 
     def test_immersion_failure_before_a_later_trace_failure(self):
-        fam = _flat_for_negative_k1(_sphere_edge_family())
+        fam = flat_for_negative_k1(_sphere_edge_family())
         err = check_defect_grid(fam, 5)
         assert isinstance(err, ImmersionError)
         k = -0.29999151471862573

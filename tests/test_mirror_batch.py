@@ -28,7 +28,7 @@ from rayspace.lines import _first, _frame, _norm
 from rayspace.scene import load_scene
 from rayspace.surfaces import _newton_bisect
 
-from helpers import design_focusing_mirror_oracle, newton_bisect, verify_focus_oracle
+from helpers import design_focusing_mirror_oracle, flat_for_negative_k1, newton_bisect, verify_focus_oracle
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXPECTED = pathlib.Path(__file__).resolve().parent / "data" / "mirror_design"
@@ -181,6 +181,43 @@ class TestAgainstOracle:
             family, k0=(0, 0), focus=focus, epsilon=epsilon, level=level,
             grid=grid, wavefront_c=wavefront_c,
         )
+
+
+def _missing_between(family, lo, hi):
+    """The family whose rays with lo < k1 < hi fail to trace."""
+
+    def _eval(k1, k2):
+        bad = _first((lo < np.asarray(k1)) & (np.asarray(k1) < hi))
+        if bad is not None:
+            raise NoIntersectionError(f"ray misses at k1={float(np.asarray(k1)[bad])}").at(bad)
+        return family.eval(k1, k2)
+
+    return dataclasses.replace(family, eval=_eval)
+
+
+class TestFailingFamilies:
+    """The design tests rectangularity on the stencil lines of its
+    wavefront's batch, and falls back to the stages when the batch fails:
+    it fails as the oracle, which tests rectangularity first, does."""
+
+    SOURCE = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
+    MISSED = rs.OpticalSystem((rs.Interface(rs.Sphere([0.3, 0, 3.0], 0.5), rs.REFLECT, 1.0),))
+
+    @pytest.mark.parametrize(
+        "family, error",
+        [
+            # the stencil lines of the batch fail the immersion test
+            (flat_for_negative_k1(SOURCE), rs.ImmersionError),
+            (rs.two_skew_lines([1, 0, 0], [1, 0, 0], [0, 1, 1], [0, 1, 0]), rs.NotRectangularError),
+            # a grid line misses the mirror, and so does a stencil line
+            (rs.transform_family(SOURCE, MISSED), rs.FamilyTraceError),
+            # only one-form nodes between grid lines fail
+            (_missing_between(SOURCE, 0.05, 0.09), NoIntersectionError),
+        ],
+    )
+    def test_same_error(self, family, error):
+        err = assert_same_design(family, k0=(0, 0), focus=[0.3, 0.2, 1.2], epsilon=1, level=3.2, grid=3)
+        assert isinstance(err, error)
 
 
 class TestRootRules:

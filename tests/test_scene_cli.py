@@ -27,6 +27,7 @@ from rayspace.scene import load_scene, parse_scene
 from helpers import (
     characteristic_function_oracle,
     check_symplectic_oracle,
+    flat_for_negative_k1,
     grid_csv_oracle,
     nested_sphere_system,
     random_rotation,
@@ -601,18 +602,19 @@ class TestWavefrontRayBudget:
 
     @staticmethod
     def counted_rays(tmp_path, argv):
-        """The rays of each family evaluation that `argv` makes, and of each
-        trace through the system."""
-        rays = []
+        """The rays of each evaluation of the scene's family that `argv`
+        makes, and of each trace through the system."""
+        rays, real_load = [], cli.load_scene
 
-        def counted(family, system):
-            traced = rs.transform_family(family, system)
+        def load(path):
+            scene = real_load(path)
+            family = scene.family
 
             def counting(k1, k2):
                 rays.append(np.size(k1))
-                return traced.eval(k1, k2)
+                return family.eval(k1, k2)
 
-            return dataclasses.replace(traced, eval=counting)
+            return dataclasses.replace(scene, family=dataclasses.replace(family, eval=counting))
 
         traces, real = [], families.propagate_system
 
@@ -620,7 +622,7 @@ class TestWavefrontRayBudget:
             traces.append(np.size(line.u) // 3)
             return real(line, system, start=start)
 
-        with mock.patch.object(cli, "transform_family", counted):
+        with mock.patch.object(cli, "load_scene", load):
             with mock.patch.object(families, "propagate_system", propagate):
                 assert main([*argv, "--out", str(tmp_path)]) == 0
         # every ray is traced by an evaluation of the family, once
@@ -641,12 +643,25 @@ class TestWavefrontRayBudget:
 
     def test_mirror_job(self, tmp_path):
         rays = self.counted_rays(tmp_path, ["mirror", "--scene", str(SCENES / "mirror_design.scene")])
-        # on the 13x13 grid: the defect grid's 4 stencil lines per node, the
-        # wavefront's one batch of 169 + 7 * 312 + 4 * 169 = 3,029 rays in
-        # calls of at most _CHUNK, and verify_focus's 121 interior grid lines
-        assert rays == [676, families._CHUNK, 3029 - families._CHUNK, 121]
-        assert sum(rays) == 3826
+        # on the 13x13 grid: the wavefront's one batch of 169 + 7 * 312 +
+        # 4 * 169 = 3,029 rays in calls of at most _CHUNK, whose stencil lines
+        # the rectangularity test reads, and verify_focus's 121 interior grid
+        # lines
+        assert rays == [families._CHUNK, 3029 - families._CHUNK, 121]
+        assert sum(rays) == 3150
         assert read_report(tmp_path / "report.txt")["focused"] == "true"
+
+
+class TestDefectRayBudget:
+    """The rays a CLI `defect` job evaluates: the stencil lines of its grid,
+    once for both defect grids, traced through the system once."""
+
+    @pytest.mark.parametrize("name", ["sphere_refract", "mixed_device", "two_skew"])
+    def test_rays_per_job(self, tmp_path, name):
+        argv = ["defect", "--scene", str(SCENES / f"{name}.scene"), "--grid", "9"]
+        rays = TestWavefrontRayBudget.counted_rays(tmp_path, argv)
+        # 4 stencil lines per node of the 9x9 grid, in one call
+        assert rays == [4 * 81]
 
 
 class TestSceneFuzz:
@@ -1067,3 +1082,116 @@ class TestGridCsv:
                     main([command, "--scene", str(scene), "--out", str(tmp_path)])
         # trace.csv, DefectGrid, Wavefront and MirrorDesign
         assert headers == {"k1,k2,ux,uy,uz,qx,qy,qz", "k1,k2,value", "k1,k2,qx,qy,qz,F", "k1,k2,x,y,z"}
+
+
+# a point source over a small sphere mirror off its axis, which the rays of
+# the third node of the first grid row miss (as in CI's "CLI defect whose
+# traced stencil misses a sphere")
+OFF_AXIS_SPHERE = """\
+[surface ball]
+kind = sphere
+center = -0.45 0 -3
+radius = 0.5
+
+[system]
+ambient_index = 1
+interface = ball reflect
+
+[family]
+kind = point_source
+apex = 0 0 0
+axis = 0 0 -1
+domain = -0.16 0.16 -0.16 0.16
+"""
+
+
+def _family_and_system(text):
+    scene = parse_scene(text)
+    return scene.family, scene.system
+
+
+def _random_family_and_system(seed, kind, refract, shells):
+    return _family_and_system(random_scene(np.random.default_rng(seed), kind, refract, shells))
+
+
+_BUNDLED = {path.stem: _family_and_system(path.read_text()) for path in sorted(SCENES.glob("*.scene"))}
+_BUNDLED = {name: case for name, case in _BUNDLED.items() if case[0] is not None}  # the family scenes
+
+
+def _flat_off_axis_sphere():
+    family, system = _family_and_system(OFF_AXIS_SPHERE)
+    return flat_for_negative_k1(family), system
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except RaySpaceError as exc:
+        return exc
+
+
+class TestDefectGrids:
+    """The two grids of the `defect` command, from one evaluation of the
+    stencil lines (families._defect_grids), are is_rectangular's grids of the
+    family and of its transform, bit for bit, or the same first error."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        case=st.one_of(
+            st.sampled_from(list(_BUNDLED.values())),
+            st.builds(
+                _random_family_and_system,
+                st.integers(0, 2**32 - 1),
+                st.sampled_from(["plane", "quadric", "sinusoid"]),
+                st.booleans(),
+                st.integers(0, 3),
+            ),
+        ),
+        grid=st.integers(3, 9),
+        step=st.one_of(st.none(), st.floats(1e-6, 1e-3)),
+    )
+    # a stencil that leaves the domain
+    @example(case=_BUNDLED["sphere_refract"], grid=9, step=1.0)
+    # the traced stencil of a later node misses the sphere
+    @example(case=_family_and_system(OFF_AXIS_SPHERE), grid=9, step=None)
+    # not an immersion where k1 < 0: the grid before the system fails first,
+    # though the traced stencil lines miss the sphere
+    @example(case=_flat_off_axis_sphere(), grid=9, step=None)
+    def test_grids_are_is_rectangulars(self, case, grid, step):
+        family, system = case
+        got = _outcome(lambda: families._defect_grids(family, system, grid=grid, h=step))
+        want = _outcome(
+            lambda: (
+                rs.is_rectangular(family, grid=grid, h=step)[1],
+                rs.is_rectangular(rs.transform_family(family, system), grid=grid, h=step)[1],
+            )
+        )
+        if isinstance(want, RaySpaceError):
+            assert type(got) is type(want)
+            assert str(got) == str(want) and got.row == want.row
+            assert getattr(got, "k", None) == getattr(want, "k", None)
+            return
+        assert not isinstance(got, RaySpaceError), got
+        for mine, theirs in zip(got, want, strict=True):
+            assert np.array_equal(mine.k1, theirs.k1) and np.array_equal(mine.k2, theirs.k2)
+            assert mine.step == theirs.step
+            assert np.array_equal(mine.values, theirs.values)
+
+    @pytest.mark.parametrize(
+        "case, step, error, row",
+        [
+            (_BUNDLED["sphere_refract"], 1.0, rs.DomainBoundaryError, 0),
+            (_family_and_system(OFF_AXIS_SPHERE), None, FamilyTraceError, 2),
+            (_flat_off_axis_sphere(), None, rs.ImmersionError, 0),
+        ],
+    )
+    def test_the_examples_fail(self, case, step, error, row):
+        # the examples above, and which stage fails
+        with pytest.raises(error) as err:
+            families._defect_grids(*case, h=step)
+        assert err.value.row == row
+        if error is FamilyTraceError:  # the first grid row's third node, after two that trace
+            assert str(err.value) == (
+                "at k=(-0.1599909490332008, -0.0799977372583002): interface 0: "
+                "ray misses Sphere in (0, 1e+06]"
+            )
