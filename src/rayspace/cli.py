@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import families, variational
-from .errors import FamilyTraceError, RaySpaceError, SceneSyntaxError, TraceError, _lowest_failure
+from .errors import FamilyTraceError, RaySpaceError, SceneSyntaxError, TraceError, ZeroDirectionError, _lowest_failure
 from .families import (
     _default_tol,
     _defect_grids,
@@ -267,9 +267,13 @@ def cmd_mirror(scene, args):
 def cmd_characteristic(scene, args):
     m1 = _require_option(scene, "m1")
     m2 = _require_option(scene, "m2")
-    # the law residual and hits come from the solve's last path
-    value, pc, law, hits = variational._solve(m1, m2, scene.system)
-    station = stationarity_residual(pc)
+    try:
+        # the law residual and hits come from the solve's last path
+        value, pc, law, hits = variational._solve(m1, m2, scene.system)
+        station = stationarity_residual(pc)
+    except ValueError as exc:  # the path check's, naming the segment whose points coincide
+        ends = ["M1", *(f"interface {i}" for i in range(len(scene.system.interfaces))), "M2"]
+        raise ZeroDirectionError(f"{ends[exc.segment]} and {ends[exc.segment + 1]}: {exc}") from None
     pairs = [
         ("m1", _vec_str(m1)),
         ("m2", _vec_str(m2)),

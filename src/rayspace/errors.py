@@ -18,9 +18,11 @@ stage, and no item is run on its own.  A routine that evaluates the rows
 of several stages ahead of them, in one batch (`reconstruct_wavefront`),
 raises the batch's error if it falls in the first stage's rows, which is
 that stage's own error; a later failure falls back to the stages, each
-then evaluating its own rows, so the routine fails as its stages do
-(`design_focusing_mirror`, whose first stage is the rectangularity test,
-falls back on any failure of its wavefront's batch).
+then evaluating its own rows, so the routine fails as its stages do.
+`design_focusing_mirror`, whose first stage is the rectangularity test,
+runs that test on its own rows on any failure of its wavefront's batch,
+and then fails as the wavefront does: with the error the batch saved, if
+it failed at a grid line.
 """
 
 from __future__ import annotations

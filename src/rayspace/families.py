@@ -48,9 +48,11 @@ first two levels of all segments and the stencils of all nodes, for its
 stages to read, and keeps the grid lines with their optical lengths on the
 Wavefront, where `orthogonality_residual` reads them; `defect_grid`
 evaluates the stencil lines of all its nodes and their immersion tests in
-one batch, and the grids before and after a system (`_defect_grids`) read
-one evaluation of those lines, traced on through the system for the
-second.  Batches fail as `errors` sets out, the error's `row` naming the
+one batch.  `_defect_grids` runs that stage for the grid before a system
+and traces the lines it evaluated on through the system for the grid
+after; the mirror design's rectangularity test reads the stencil lines of
+its wavefront's batch, or runs `defect_grid` if that batch fails.
+Batches fail as `errors` sets out, the error's `row` naming the
 parameter, segment or node.
 """
 
@@ -409,19 +411,27 @@ def defect_grid(family: RayFamily, grid=9, h: float | None = None) -> DefectGrid
     if h is None:
         h = family.default_step()
     k1s, k2s = _grid_axes(family, grid, inset=h)
-    values = _grid_defects(family, _nodes(k1s, k2s).reshape(-1, 2), h)
+    values, _ = _grid_defects(family, _nodes(k1s, k2s).reshape(-1, 2), h)
     return DefectGrid(k1=k1s, k2=k2s, values=values.reshape(len(k1s), len(k2s)), step=h)
 
 
 def _grid_defects(family: RayFamily, ks, h: float):
     """The defects (N,) at the rows of ks (N, 2), whose stencils lie inside
-    the domain.  The stages: the stencil lines, then the immersion tests;
-    the error's row is the node."""
+    the domain, and the (rows, lines) chunks of the stencil lines
+    (_stencil_rows) they come from, as `_eval_chunks` gives them.  The
+    stages: the stencil lines, then the immersion tests; the error's row is
+    the node."""
     try:
-        u, q, _ = _eval_rows(family, _stencil_rows(ks, h))
+        chunks = list(_eval_chunks(family, _stencil_rows(ks, h)))
     except RaySpaceError as exc:  # the nodes before it may fail their immersion test
         raise _lowest_failure(exc.at(exc.row // 4), lambda m: _grid_defects(family, ks[:m], h))
-    return _stencil_defects(ks, u, q, h)
+    return _stencil_defects(ks, *_joined([line for _, line in chunks]), h), chunks
+
+
+def _joined(batches):
+    """The directions and foot points (N, 3) of a list of batches of lines,
+    one after another."""
+    return (np.concatenate([getattr(line, a) for line in batches]) for a in "uq")
 
 
 def _stencil_defects(ks, u, q, h: float):
@@ -439,33 +449,25 @@ def _stencil_defects(ks, u, q, h: float):
 
 def _defect_grids(family: RayFamily, system: OpticalSystem, grid=9, h: float | None = None):
     """defect_grid of the family and of transform_family(family, system), in
-    turn, from one evaluation of the stencil lines, which are then traced
-    through the system from their starts (both at most _CHUNK rays a call).
+    turn: the stencil lines of the first (_grid_defects) are traced on
+    through the system from their starts, at most _CHUNK rays a call.
     Fails as the two defect_grid calls in turn do: a trace error is a
     FamilyTraceError naming the stencil row's k."""
     if h is None:
         h = family.default_step()
     k1s, k2s = _grid_axes(family, grid, inset=h)
     ks = _nodes(k1s, k2s).reshape(-1, 2)
-    rows = _stencil_rows(ks, h)
-    try:
-        chunks = list(_eval_chunks(family, rows))
-    except RaySpaceError as exc:  # the nodes before it may fail their immersion test
-        raise _lowest_failure(exc.at(exc.row // 4), lambda m: _grid_defects(family, ks[:m], h))
-    u, q = np.empty((2, 2, len(rows), 3))  # the stencil lines before and after the system
-    for part, line in chunks:
-        u[0, part], q[0, part] = line.u, line.q
-    before = _stencil_defects(ks, u[0], q[0], h)
+    before, chunks = _grid_defects(family, ks, h)
+    out = []
     for part, line in chunks:
         try:
-            out = propagate_system(line, system, start=_starts(line)).line_out
+            out.append(propagate_system(line, system, start=_starts(line)).line_out)
         except RaySpaceError as exc:  # the nodes before it may fail theirs after the system
             row = part.start + exc.row
+            err = FamilyTraceError(_stencil_rows(ks, h)[row], exc).at(row // 4)
             traced = transform_family(family, system)
-            err = FamilyTraceError(rows[row], exc).at(row // 4)
             raise _lowest_failure(err, lambda m: _grid_defects(traced, ks[:m], h)) from exc
-        u[1, part], q[1, part] = out.u, out.q
-    after = _stencil_defects(ks, u[1], q[1], h)
+    after = _stencil_defects(ks, *_joined(out), h)
     shape = (len(k1s), len(k2s))
     return tuple(DefectGrid(k1=k1s, k2=k2s, values=v.reshape(shape), step=h) for v in (before, after))
 

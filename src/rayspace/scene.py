@@ -333,9 +333,7 @@ def parse_scene(text: str) -> Scene:
     """Parse scene text; strict about sections, keys and value shapes."""
     sections = _split_sections(text)
     surfaces = {}
-    system_section = None
-    family_section = None
-    options_section = None
+    single = {}  # header -> its one section, for [system], [family] and [options]
     for section in sections:
         if section.header == "surface":
             if section.name in surfaces:
@@ -343,27 +341,19 @@ def parse_scene(text: str) -> Scene:
                     section.line_no, 1, f"duplicate surface {section.name!r}"
                 )
             surfaces[section.name] = _build(section, _SURFACES, {"incoming_sign": _sign("incoming_sign")})
-        elif section.header == "system":
-            if system_section is not None:
-                raise SceneSyntaxError(section.line_no, 1, "duplicate [system] section")
-            system_section = section
-        elif section.header == "family":
-            if family_section is not None:
-                raise SceneSyntaxError(section.line_no, 1, "duplicate [family] section")
-            family_section = section
+        elif section.header in single:
+            raise SceneSyntaxError(section.line_no, 1, f"duplicate [{section.header}] section")
         else:
-            if options_section is not None:
-                raise SceneSyntaxError(section.line_no, 1, "duplicate [options] section")
-            options_section = section
+            single[section.header] = section
 
-    if system_section is not None:
-        system = _build_system(system_section, surfaces)
+    if "system" in single:
+        system = _build_system(single["system"], surfaces)
     else:
         system = OpticalSystem((), ambient_index=1.0)
     family = None
-    if family_section is not None:
-        family = _build(family_section, _family_kinds(surfaces), {"domain": _parse_domain})
-    options = _build_options(options_section) if options_section is not None else {}
+    if "family" in single:
+        family = _build(single["family"], _family_kinds(surfaces), {"domain": _parse_domain})
+    options = _build_options(single["options"]) if "options" in single else {}
     return Scene(surfaces, system, family, options)
 
 

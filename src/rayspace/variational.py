@@ -52,7 +52,7 @@ from .errors import (
     TangentialError,
     _lowest_failure,
 )
-from .families import RayFamily, _grid_csv, _grid_lines, _largest_at, is_rectangular, reconstruct_wavefront
+from .families import RayFamily, _grid_csv, _grid_lines, _largest_at, defect_grid
 from .families import _PATH_TOL, DefectGrid, _default_tol, _stencil_defects, _wavefront_batch, _wavefront_stages
 from .lines import _as_vec3, _cross, _first, _norm, _stencil, line_through
 from .optics import REFLECT, OpticalSystem, _bend, reflect_direction
@@ -194,9 +194,10 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
     (None without), from one evaluation of each of pc's chart stacks.
 
     Every row is checked for consecutive points closer than 1e-9, the
-    check of every PathConfiguration.  The stages: the chart stacks, then
-    that check; a row failing in several stacks raises the error of its
-    first failing chart, in system order.
+    check of every PathConfiguration; its ValueError names the row and the
+    row's first such segment, j from point j to point j + 1, as `segment`.
+    The stages: the chart stacks, then that check; a row failing in several
+    stacks raises the error of its first failing chart, in system order.
     """
     n, m = xs.shape[0], len(pc.charts)
     paths = np.empty((n, m + 2, 3))
@@ -225,7 +226,7 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
     row = _first(np.any(lengths < 1e-9, axis=1))
     if row is not None:
         err = ValueError("consecutive path points coincide")
-        err.row = row
+        err.row, err.segment = row, _first(lengths[row] < 1e-9)
         raise err
     return paths, segments, lengths, jacs
 
@@ -463,9 +464,10 @@ def design_focusing_mirror(
     F_eps(X) = (signed distance from the reference wavefront along the ray
     through X) + eps * |X - focus|.  The family must be rectangular; the
     reference wavefront is reconstructed with constant `wavefront_c`.  The
-    rectangularity test reads the stencil lines of the wavefront's one
-    batch; if that batch fails, is_rectangular and reconstruct_wavefront
-    run in turn, and the design fails as they do.  The
+    rectangularity test (is_rectangular's, at the default tolerance) reads
+    the stencil lines of the wavefront's one batch.  If that batch failed,
+    the test evaluates its own stencil lines, and a family that passes it
+    fails as reconstruct_wavefront does.  The
     level equation is solved along the ray of every grid node at once, in
     closed form (squared, it is linear in the ray parameter), exact to
     round-off.  NoRootError marks the first node in (i, j) order whose level
@@ -483,25 +485,23 @@ def design_focusing_mirror(
     if h is None:
         h = family.default_step()
     try:
-        batch = _wavefront_batch(family, grid, h)
-    except RaySpaceError:  # is_rectangular and reconstruct_wavefront fail in turn as they do
-        batch = None
-    if batch is None or batch[-1] is None:  # the batch failed: the stages run in turn
-        ok, defects = is_rectangular(family, grid=grid, h=h)
+        batch, failure = _wavefront_batch(family, grid, h), None
+    except RaySpaceError as exc:  # raised once the rectangularity test passes
+        batch, failure = None, exc
+    if batch is None or batch[-1] is None:  # the batch failed: the test evaluates its own lines
+        defects = defect_grid(family, grid=grid, h=h)
     else:  # the rectangularity test reads the stencil lines of the wavefront's batch
         k1s, k2s, ks, *_, stencil = batch
         values = _stencil_defects(ks, *stencil, h).reshape(len(k1s), len(k2s))
         defects = DefectGrid(k1=k1s, k2=k2s, values=values, step=h)
-        ok = defects.max_abs < _default_tol(family)
-    if not ok:
+    if not defects.max_abs < _default_tol(family):
         k = _largest_at(defects.k1, defects.k2, defects.values)
         raise NotRectangularError(
             f"mirror design requires a rectangular family: |defect| {defects.max_abs:.3e} at k={k}"
         )
-    if batch is None:
-        wf = reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
-    else:
-        wf = _wavefront_stages(family, batch, k0, wavefront_c, h, _PATH_TOL)
+    if failure is not None:  # the error reconstruct_wavefront raises
+        raise failure
+    wf = _wavefront_stages(family, batch, k0, wavefront_c, h, _PATH_TOL)
 
     n1, n2 = len(wf.k1), len(wf.k2)
     u, q = wf.u.reshape(-1, 3), wf.q.reshape(-1, 3)

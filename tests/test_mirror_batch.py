@@ -197,8 +197,8 @@ def _missing_between(family, lo, hi):
 
 class TestFailingFamilies:
     """The design tests rectangularity on the stencil lines of its
-    wavefront's batch, and falls back to the stages when the batch fails:
-    it fails as the oracle, which tests rectangularity first, does."""
+    wavefront's batch, or on its own if the batch fails, and then fails as
+    the wavefront does: as the oracle, which tests rectangularity first."""
 
     SOURCE = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
     MISSED = rs.OpticalSystem((rs.Interface(rs.Sphere([0.3, 0, 3.0], 0.5), rs.REFLECT, 1.0),))
@@ -218,6 +218,31 @@ class TestFailingFamilies:
     def test_same_error(self, family, error):
         err = assert_same_design(family, k0=(0, 0), focus=[0.3, 0.2, 1.2], epsilon=1, level=3.2, grid=3)
         assert isinstance(err, error)
+
+    def test_failing_grid_line_after_the_rectangularity_test(self):
+        # only the ray of the centre node of the 3x3 grid fails, not its
+        # stencil lines: the batch fails at that node, the rectangularity
+        # test evaluates its own stencil lines and passes, and the design
+        # raises the batch's error without evaluating the batch again
+        calls = []
+
+        def _eval(k1, k2):
+            calls.append(len(k1))
+            centre = _first((np.asarray(k1) == 0.0) & (np.asarray(k2) == 0.0))
+            if centre is not None:
+                raise NoIntersectionError("ray misses at the centre node").at(centre)
+            return self.SOURCE.eval(k1, k2)
+
+        family = dataclasses.replace(self.SOURCE, eval=_eval)
+        with pytest.raises(NoIntersectionError) as err:
+            rs.design_focusing_mirror(family, (0, 0), [0.3, 0.2, 1.2], 1, 3.2, grid=3)
+        # the wavefront's batch: 9 grid lines, 7 level-8 nodes on each of 12
+        # segments and 4 stencil lines per node; then the 36 stencil lines
+        assert calls == [9 + 7 * 12 + 4 * 9, 4 * 9]
+        assert rs.is_rectangular(family, grid=3)[0]
+        with pytest.raises(NoIntersectionError) as want:
+            rs.reconstruct_wavefront(family, (0, 0), grid=3)
+        assert str(err.value) == str(want.value) and err.value.row == want.value.row == 4
 
 
 class TestRootRules:

@@ -1,8 +1,11 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import pathlib
 import re
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -48,6 +51,27 @@ axis = 0 0 -1
 """
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+
+# a zero-thickness film: two refracting interfaces on the plane z = -1
+FILM = """\
+[surface a]
+kind = plane
+normal = 0 0 1
+offset = -1
+
+[surface b]
+kind = plane
+normal = 0 0 1
+offset = -1
+
+[system]
+interface = a refract 1 1.5
+interface = b refract 1.5 1
+
+[options]
+m1 = 0 0 0
+m2 = 0 0 -2
+"""
 
 POINT_SOURCE_ONLY = """\
 [family]
@@ -240,6 +264,15 @@ class TestParseScene:
         )
         with pytest.raises(SceneSyntaxError):
             parse_scene(text)
+
+    @pytest.mark.parametrize("header", ["system", "family", "options"])
+    def test_duplicate_single_section(self, header):
+        # the second header is reported, at its line and column 1
+        text = f"[surface m]\nkind = plane\nnormal = 0 0 1\n[{header}]\n\n  [{header}]\n"
+        with pytest.raises(SceneSyntaxError) as err:
+            parse_scene(text)
+        assert (err.value.line, err.value.col) == (6, 1)
+        assert str(err.value) == f"line 6, col 1: duplicate [{header}] section"
 
     def test_normal_congruence_family(self):
         text = (
@@ -517,6 +550,17 @@ class TestCliCommands:
             characteristic_function_oracle(m1, m2, scene.system)
         assert str(err.value) == message
 
+    def test_characteristic_on_a_zero_thickness_film(self, tmp_path, capsys):
+        # the chord meets a, misses b beyond that hit, and b's seed point,
+        # the chord midpoint, is the same point
+        code, out = self.run(tmp_path, FILM, "characteristic")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: interface 0 and interface 1: consecutive path points coincide\n"
+        scene = parse_scene(FILM)
+        with pytest.raises(ValueError) as err:  # the library's error is the path check's
+            rs.characteristic_function(scene.options["m1"], scene.options["m2"], scene.system)
+        assert type(err.value) is ValueError and str(err.value) == "consecutive path points coincide"
+
     def test_characteristic_reports_the_solver_constants(self, tmp_path, monkeypatch):
         # the command solves with, and reports, the module's values
         text = (SCENES / "characteristic.scene").read_text()
@@ -703,9 +747,10 @@ def extra_stage(rng, kind):
     )
 
 
-def random_scene(rng, kind, refract, shells):
+def random_scene(rng, kind, refract, shells, width=0.15):
     """A point source aimed down at the extra stage, then 0-3 sphere shells;
-    every refraction enters a denser medium."""
+    every refraction enters a denser medium.  The family's domain is
+    [-width, width] on both axes."""
     n_extra = 1.0 + rng.uniform(0.2, 0.8) if refract else 1.0
     text = f"[surface extra]\n{extra_stage(rng, kind)}"
     system = ["[system]", "ambient_index = 1"]
@@ -723,8 +768,69 @@ def random_scene(rng, kind, refract, shells):
         else:  # the shells' media, raised by the extra stage's index step
             n_in, n_out = n_extra - 1.0 + itf.n_in, n_extra - 1.0 + itf.n_out
             system.append(f"interface = shell{i} refract {_floats(n_in)} {_floats(n_out)}")
-    family = "kind = point_source\napex = 0 0 2\naxis = 0 0 -1\ndomain = -0.15 0.15 -0.15 0.15\n"
+    domain = _floats([-width, width, -width, width])
+    family = f"kind = point_source\napex = 0 0 2\naxis = 0 0 -1\ndomain = {domain}\n"
     return text + "\n".join(system) + "\n[family]\n" + family
+
+
+def scene_with_options(seed, kind, refract, shells, width, focus, epsilon, level, m1, m2):
+    """random_scene with the [options] that every command needs."""
+    text = random_scene(np.random.default_rng(seed), kind, refract, shells, width)
+    return text + (
+        f"[options]\nfocus = {_floats(focus)}\nepsilon = {epsilon}\nlevel = {_floats(level)}\n"
+        f"m1 = {_floats(m1)}\nm2 = {_floats(m2)}\n"
+    )
+
+
+def _points(lo, hi):
+    """Points of the box [lo, hi] (corners given as 3-vectors)."""
+    return st.tuples(*(st.floats(a, b) for a, b in zip(lo, hi)))
+
+
+class TestFailureContract:
+    """Every command, in-process, on random scenes: exit 0 with an empty
+    stderr, or exit 2 with a single `error:` line, which names k for the
+    five family commands.  An exception out of `main`, a traceback or a
+    RuntimeWarning fails the test."""
+
+    # the film under a point source, which every family command traces
+    FILM_SCENE = FILM + (
+        "focus = 0 0 1\nepsilon = 1\nlevel = 3\n"
+        "[family]\nkind = point_source\napex = 0 0 2\naxis = 0 0 -1\ndomain = -0.15 0.15 -0.15 0.15\n"
+    )
+
+    @settings(max_examples=120)
+    @given(
+        text=st.builds(
+            scene_with_options,
+            seed=st.integers(0, 2**32 - 1),
+            kind=st.sampled_from(["plane", "quadric", "sinusoid"]),
+            refract=st.booleans(),
+            shells=st.integers(0, 3),
+            width=st.sampled_from([0.15, 0.6, 1.5]),
+            focus=_points((-1, -1, -1), (1, 1, 3)),
+            epsilon=st.sampled_from([-1, 1]),
+            level=st.floats(-5, 5),
+            m1=_points((-1.5, -1.5, -1), (1.5, 1.5, 3)),
+            m2=_points((-1.5, -1.5, -1), (1.5, 1.5, 3)),
+        )
+    )
+    @example(text=FILM_SCENE)
+    def test_exit_codes_and_messages(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = pathlib.Path(tmp, "scene.scene")
+            scene.write_text(text)
+            for command in cli._COMMANDS:
+                stderr = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main([command, "--scene", str(scene), "--out", tmp])
+                lines = stderr.getvalue().splitlines()
+                if code == 0:
+                    assert lines == []
+                    continue
+                assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+                assert command == "characteristic" or "k=(" in lines[0], (command, lines)
 
 
 class TestSymplecticProperty:
