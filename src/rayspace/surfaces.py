@@ -217,9 +217,9 @@ _PLANE_CHART = _ChartKind(lambda params, xi: xi, _plane_points, _plane_jacobians
 
 
 def _sphere_trig(params, xi):
-    th, ph = xi[..., 0, None], xi[..., 1, None]
-    st, sp, cp = np.sin(th), np.sin(ph), np.cos(ph)
-    return st, np.cos(th), sp, cp, st * cp, st * sp
+    s, c = np.sin(xi), np.cos(xi)  # both angles at once
+    st, sp, ct, cp = s[..., 0, None], s[..., 1, None], c[..., 0, None], c[..., 1, None]
+    return st, ct, sp, cp, st * cp, st * sp
 
 
 def _sphere_points(params, work):
@@ -334,7 +334,9 @@ _SINUSOID_CHART = _ChartKind(
 
 class _LevelFunction:
     """Every surface kind's `value` and `gradient`, from its `_value` and
-    `_gradient` of (N, 3) points; one (3,) point is the batch of one."""
+    `_gradient` of (N, 3) points; one (3,) point is the batch of one.
+    `_gradient` also takes its `_stacked` parameters with a leading axis
+    over the points (`_stacked_gradients`)."""
 
     def value(self, p):
         p = _as_vecs(p)
@@ -350,6 +352,7 @@ class Plane(_LevelFunction):
     normal: np.ndarray
     offset: float = 0.0
     incoming_sign: int = 1
+    _stacked = ("normal",)  # the parameters `_gradient` reads
 
     def __post_init__(self):
         n = _as_vec3(self.normal)
@@ -393,6 +396,7 @@ class Sphere(_LevelFunction):
     center: np.ndarray
     radius: float
     incoming_sign: int = 1
+    _stacked = ("center",)  # the parameters `_gradient` reads
 
     def __post_init__(self):
         _freeze(self, "center", _as_vec3(self.center))
@@ -454,6 +458,7 @@ class Quadric(_LevelFunction):
     linear: np.ndarray
     constant: float
     incoming_sign: int = 1
+    _stacked = ("matrix", "linear")  # the parameters `_gradient` reads
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -514,6 +519,7 @@ class Sinusoid(_LevelFunction):
     amplitude: float
     wavevector: np.ndarray
     incoming_sign: int = 1
+    _stacked = ("amplitude", "wavevector")  # the parameters `_gradient` reads
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", float(self.amplitude))
@@ -527,7 +533,8 @@ class Sinusoid(_LevelFunction):
 
     def _gradient(self, p):
         c = self.amplitude * np.cos(np.vecdot(self.wavevector, p[:, :2]))
-        return np.stack([-c * self.wavevector[0], -c * self.wavevector[1], np.ones_like(c)], axis=-1)
+        w = self.wavevector
+        return np.stack([-c * w[..., 0], -c * w[..., 1], np.ones_like(c)], axis=-1)
 
     def roots(self, line: OrientedLine, t_min, t_max: float) -> np.ndarray:
         """The first root beyond t_min, or NaN, of every ray at once.
@@ -679,6 +686,25 @@ class Intersection:
     def _row(self, i) -> Intersection:
         """Hit i of a batch, as a single hit."""
         return Intersection(self.point[i], float(self.t[i]), self.normal[i], float(self.cos_incidence[i]))
+
+
+def _stacked_gradients(surfaces, points) -> np.ndarray:
+    """The gradients (m, 3) of m surfaces, each at its own point of points
+    (m, 3), bit for bit what each surface's `gradient` gives: one
+    `_gradient` per surface class, of its surfaces stacked into one, their
+    `_stacked` parameters along a leading axis."""
+    at = {}
+    for i, surface in enumerate(surfaces):
+        at.setdefault(type(surface), []).append(i)
+    out = np.empty(points.shape)
+    for kind, rows in at.items():
+        stack = object.__new__(kind)
+        for name in kind._stacked:
+            object.__setattr__(stack, name, np.array([getattr(surfaces[i], name) for i in rows]))
+        if len(rows) == len(surfaces):  # one class: its rows are all of them
+            return stack._gradient(points)
+        out[rows] = stack._gradient(points[rows])
+    return out
 
 
 def _unit_gradient(surface, p) -> np.ndarray:

@@ -16,9 +16,16 @@ gradient); V and the final law check reuse the unit segments and lengths
 of the last batch, so no path is embedded or checked a second time (`_solve`
 also hands the law residual and the hit points on, for the `characteristic`
 report), and the default seed is checked by the first batch alone.  A PathConfiguration
-stacks its charts by kind once, when it is built; a batch then evaluates
-one stack per kind, for the points and Jacobians of all its rows, and
-takes the gradient of all interfaces in one stacked product.
+stacks its charts by kind and builds the medium column of its system once,
+when it is built, and a solve seeded with a configuration keeps that
+configuration's stacks.  What a batch still computes depends on its rows:
+one evaluation per chart stack, for the points and Jacobians of all rows,
+the segments and their lengths, the coincidence check (one `any`, and the
+failing row only when a point coincides), the unit segments weighted by
+their media, and the gradient of all interfaces in one stacked product.
+The law check takes the gradients of its surfaces one surface class at a
+time.  With M1 = M2 there is no chord, and the default seed takes each
+surface's point nearest M1.
 
 Mirror design follows the classical focusing construction: given a
 rectangular family with a reconstructed reference wavefront, the mirror is
@@ -56,7 +63,7 @@ from .families import RayFamily, _grid_csv, _grid_lines, _largest_at, defect_gri
 from .families import _PATH_TOL, DefectGrid, _default_tol, _stencil_defects, _wavefront_batch, _wavefront_stages
 from .lines import _as_vec3, _cross, _first, _norm, _stencil, line_through
 from .optics import REFLECT, OpticalSystem, _bend, reflect_direction
-from .surfaces import _GRAD_MIN, _stack_charts, intersect
+from .surfaces import _GRAD_MIN, _stack_charts, _stacked_gradients, intersect
 
 _FD_H = 1e-6  # central-difference step of the Newton Hessian and of stationarity_residual
 _GRAD_TOL = 1e-10  # max |grad| at which the Newton iteration of V stops
@@ -82,7 +89,7 @@ class PathConfiguration:
         self._convert()
         _polylines(self, self.flat()[None])
 
-    def _convert(self):
+    def _convert(self, stacks=None):
         object.__setattr__(self, "m1", _as_vec3(self.m1))
         object.__setattr__(self, "m2", _as_vec3(self.m2))
         object.__setattr__(
@@ -90,16 +97,19 @@ class PathConfiguration:
         )
         if len(self.coords) != len(self.system.interfaces):
             raise ValueError("need exactly one chart point per interface")
-        object.__setattr__(self, "_stacks", _stack_charts(self.charts))
+        object.__setattr__(self, "_stacks", _stack_charts(self.charts) if stacks is None else stacks)
+        # the medium of each segment, an (m + 1, 1) column
+        object.__setattr__(self, "_media", np.array(self.system.media())[:, None])
 
     @classmethod
-    def _unchecked(cls, m1, m2, system, coords, charts) -> "PathConfiguration":
+    def _unchecked(cls, m1, m2, system, coords, charts, stacks=None) -> "PathConfiguration":
         """The configuration without the check of its broken path, for a
         caller whose gradient batch checks that path anyway; the interface
-        count is still checked."""
+        count is still checked.  `stacks` are the charts' stacks, when the
+        caller has them."""
         pc = object.__new__(cls)
         pc.__dict__.update(m1=m1, m2=m2, system=system, coords=coords, charts=charts)
-        pc._convert()
+        pc._convert(stacks)
         return pc
 
     def _moved(self, coords) -> "PathConfiguration":
@@ -164,7 +174,9 @@ def _drop_to_surface(x0, surface, index: int):
 def initial_path(m1, m2, system: OpticalSystem) -> PathConfiguration:
     """Default initial guess: chord intersections with each surface, falling
     back to the surface point nearest the chord midpoint when the straight
-    chord misses a surface (a heuristic; callers may supply their own)."""
+    chord misses a surface (a heuristic; callers may supply their own).
+    When M1 and M2 coincide (closer than 1e-12, line_through's rule), there
+    is no chord, and every surface gives its point nearest M1."""
     return PathConfiguration(m1, m2, system, *_seed(m1, m2, system))
 
 
@@ -172,6 +184,9 @@ def _seed(m1, m2, system: OpticalSystem):
     """The chart coordinates and charts of initial_path, its path unchecked."""
     m1 = _as_vec3(m1)
     m2 = _as_vec3(m2)
+    if _norm(m2 - m1) < 1e-12:  # no chord
+        itfs = system.interfaces
+        return _charted(system, [_drop_to_surface(m1, itf.surface, i) for i, itf in enumerate(itfs)])
     chord = line_through(m1, m2 - m1)
     t_cursor = float((m1 - chord.q) @ chord.u)
     midpoint = 0.5 * (m1 + m2)
@@ -197,7 +212,8 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
     check of every PathConfiguration; its ValueError names the row and the
     row's first such segment, j from point j to point j + 1, as `segment`.
     The stages: the chart stacks, then that check; a row failing in several
-    stacks raises the error of its first failing chart, in system order.
+    stacks raises the error of its first failing chart, in system order,
+    its message prefixed with that chart's interface, `interface <i>: `.
     """
     n, m = xs.shape[0], len(pc.charts)
     paths = np.empty((n, m + 2, 3))
@@ -219,14 +235,16 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
         if jacobians:
             jacs[:, stack.index] = jac
     if failures:  # the rows before it may have coincident points
-        row, _, exc = min(failures, key=lambda failure: failure[:2])
+        row, interface, exc = min(failures, key=lambda failure: failure[:2])
+        exc.args = (f"interface {interface}: {exc}",)
         raise _lowest_failure(exc.at(row), lambda m: _polylines(pc, xs[:m]))
     segments = paths[:, 1:] - paths[:, :-1]
     lengths = _norm(segments)
-    row = _first(np.any(lengths < 1e-9, axis=1))
-    if row is not None:
+    short = lengths < 1e-9
+    if short.any():  # the row is located only when a point coincides
+        row = _first(short.any(axis=1))
         err = ValueError("consecutive path points coincide")
-        err.row, err.segment = row, _first(lengths[row] < 1e-9)
+        err.row, err.segment = row, _first(short[row])
         raise err
     return paths, segments, lengths, jacs
 
@@ -252,8 +270,8 @@ def _gradients(pc: PathConfiguration, xs: np.ndarray):
     and failing as _polylines."""
     paths, units, lengths, jacs = _polylines(pc, xs, jacobians=True)
     units /= lengths[..., None]
-    media = np.array(pc.system.media())[:, None]
-    grad_points = media[:-1] * units[:, :-1] - media[1:] * units[:, 1:]
+    weighted = pc._media * units
+    grad_points = weighted[:, :-1] - weighted[:, 1:]
     # row @ J gives J.T @ row of each point bit for bit
     grads = (grad_points[..., None, :] @ jacs)[..., 0, :]
     return grads.reshape(xs.shape), (paths[0], units[0], lengths[0])
@@ -275,20 +293,19 @@ def stationarity_residual(pc: PathConfiguration) -> float:
 def law_residual(pc: PathConfiguration) -> float:
     """max deviation of the discrete directions from the local optics laws."""
     paths, segments, lengths, _ = _polylines(pc, pc.flat()[None])
-    return float(np.max(_law_residual(pc.system, paths[0], segments[0] / lengths[0, :, None]), initial=0.0))
+    return float(_law_residual(pc.system, paths[0], segments[0] / lengths[0, :, None]).max(initial=0.0))
 
 
 def _law_residual(system: OpticalSystem, points, units) -> np.ndarray:
     """The law residual (m,) at each of the m interfaces of a broken path
     through system, from its points, M1, one per interface and M2, and its
     unit segment vectors; law_residual is their maximum.  The interfaces
-    are bent as one batch; the check fails as they would one by one, at the
-    first interface whose gradient vanishes or whose bend fails, with the
-    row of this one path, 0."""
+    are bent as one batch, their gradients taken one surface class at a
+    time; the check fails as they would one by one, at the first interface
+    whose gradient vanishes or whose bend fails, with the row of this one
+    path, 0."""
     itfs = system.interfaces
-    g = np.empty((len(itfs), 3))
-    for i, itf in enumerate(itfs):
-        g[i] = itf.surface._gradient(points[i + 1 : i + 2])[0]
+    g = _stacked_gradients([itf.surface for itf in itfs], points[1:-1])
     reflect = np.array([itf.action == REFLECT for itf in itfs], dtype=bool)
     mu = np.array([0.0 if r else itf.n_in / itf.n_out for r, itf in zip(reflect, itfs)])
     gn = _norm(g)
@@ -301,7 +318,7 @@ def _law_residual(system: OpticalSystem, points, units) -> np.ndarray:
         raise exc.at(0)
     if stop is not None:
         raise DegenerateGradientError("level-function gradient vanishes at the point")
-    return np.max(np.abs(units[1:] - bent), axis=1)
+    return abs(units[1:] - bent).max(axis=1)
 
 
 @functools.cache
@@ -373,15 +390,17 @@ def _solve(m1, m2, system, initial=None):
     and the points (m, 3) of the solution on its m interfaces, both read
     off the broken path of the last gradient batch's row 0."""
     # the first gradient batch checks the seed's path
-    coords, charts = _seed(m1, m2, system) if initial is None else (initial.coords, initial.charts)
-    pc = PathConfiguration._unchecked(m1, m2, system, coords, charts)
+    if initial is None:
+        pc = PathConfiguration._unchecked(m1, m2, system, *_seed(m1, m2, system))
+    else:  # its charts are stacked already
+        pc = PathConfiguration._unchecked(m1, m2, system, initial.coords, initial.charts, initial._stacks)
     if not pc.charts:
         return optical_length(pc), pc, 0.0, np.empty((0, 3))
 
     x = pc.flat()
     g, hess, path = _gradient_and_hessian(pc, x)
     for _ in range(_MAX_ITER):
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(abs(g).max())
         if gnorm < _GRAD_TOL:
             break
         if isinstance(hess, Exception):
@@ -405,7 +424,7 @@ def _solve(m1, m2, system, initial=None):
             except (ValueError, NoRootError, IllConditionedFitError):
                 alpha *= 0.5
                 continue
-            n_try = float(np.max(np.abs(g_try)))
+            n_try = float(abs(g_try).max())
             if best is None or n_try < best[0]:
                 best = (n_try, x_try, g_try, hess_try, path_try)
             if n_try < (1.0 - 1e-4 * alpha) * gnorm or n_try < _GRAD_TOL:

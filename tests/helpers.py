@@ -882,7 +882,8 @@ def polylines_oracle(pc, xs, jacobians=False):
     """variational._polylines evaluating one chart at a time, in system
     order, with the Jacobians as a list of each chart's (N, 3, 2) ones: a
     chart failing at row r raises after the rows before r, checked alone,
-    have passed every chart and the coincidence check."""
+    have passed every chart and the coincidence check, its message
+    prefixed with the chart's interface."""
     paths = np.empty((len(xs), len(pc.charts) + 2, 3))
     paths[:, 0] = pc.m1
     paths[:, -1] = pc.m2
@@ -896,6 +897,7 @@ def polylines_oracle(pc, xs, jacobians=False):
             else:
                 paths[:, i + 1] = chart.embed(xi)
     except RaySpaceError as exc:
+        exc.args = (f"interface {i}: {exc}",)
         if exc.row:  # the rows before it may fail at a later chart
             polylines_oracle(pc, xs[: exc.row])
         raise

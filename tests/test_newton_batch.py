@@ -359,6 +359,53 @@ class TestBatchedNewton:
         if not isinstance(initial, Exception):
             assert_same_solve(m1, m2, system, initial)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.sampled_from(KINDS), st.booleans()), min_size=1, max_size=3),
+    )
+    def test_drawn_systems_match_the_oracle(self, seed, stages):
+        # 1-3 interfaces of every kind, each reflecting or refracting, seeded
+        # with a traced path perturbed as design_library_inputs perturbs
+        # it; where the ray misses a later interface, from the chord seed
+        rng = np.random.default_rng(seed)
+        interfaces, n = [], 1.0
+        for kind, reflect in stages:
+            surface = random_surface(rng, kind)
+            if reflect:
+                interfaces.append(rs.Interface(surface, rs.REFLECT, n))
+            else:
+                n_out = float(rng.choice([x for x in (1.0, 1.33, 1.5, 1.9) if x != n]))
+                interfaces.append(rs.Interface(surface, rs.REFRACT, n, n_out))
+                n = n_out
+        system = rs.OpticalSystem(tuple(interfaces))
+        line, _, t0 = aimed_line(rng, interfaces[0].surface)
+        start = line.q + t0 * line.u
+
+        def traced():
+            trace = rs.propagate_system(line, system, start=start)
+            m2 = trace.hits[-1].point + trace.line_out.u
+            pc = rs.path_through(start, m2, system, [h.point for h in trace.hits])
+            return m2, pc.with_coords(pc.flat() + rng.uniform(-0.01, 0.01, pc.flat().size))
+
+        seed_path = outcome(traced)
+        if isinstance(seed_path, Exception):
+            assert_same_solve(start, rng.uniform(-3, 3, 3), system)
+        else:
+            assert_same_solve(start, seed_path[0], system, seed_path[1])
+
+    @pytest.mark.parametrize(
+        "surface, v, hit",
+        [(rs.Plane([0, 0, 1], 0.0), 2.0, [0, 0, 0]), (rs.Sphere([0, 0, -2], 1.0), 4.0, [0, 0, -1])],
+        ids=["plane", "sphere"],
+    )
+    def test_coincident_endpoints(self, surface, v, hit):
+        # no chord: the interface is seeded with its point nearest M1
+        m1 = np.array([0.0, 0.0, 1.0])
+        system = rs.OpticalSystem((rs.Interface(surface, rs.REFLECT, 1.0),))
+        got, pc = assert_same_solve(m1, m1.copy(), system)
+        assert abs(got - v) <= 1e-12
+        assert np.allclose(pc.points()[0], hit, rtol=0.0, atol=1e-12)
+
     def test_failing_trial_halves_alpha_for_that_trial_only(self, monkeypatch):
         m1 = np.array([1.311805303129697, 1.8277685995083175, 1.7624938437210627])
         m2 = np.array([-1.3964545382238158, 1.738443086961067, 1.7049761244775616])
@@ -453,6 +500,28 @@ class TestBatchedNewton:
             sphere = system.interfaces[0].surface.chart().kind
             shape = (1 + 2 * dim, len(system.interfaces), 2)
             assert evaluations == [(sphere, shape)] * points
+
+
+class TestPerSolveWork:
+    """What does not depend on the trial point is built once per solve."""
+
+    def test_charts_and_media_are_not_rebuilt_per_batch(self, monkeypatch):
+        # a seeded solve keeps its seed's chart stacks, and reads the media
+        # of its system as often whatever its number of gradient batches
+        inputs = design_library_inputs(count=12)
+        stackings, media = [], []
+        real_stack, real_media = variational._stack_charts, rs.OpticalSystem.media
+        monkeypatch.setattr(variational, "_stack_charts", lambda charts: stackings.append(1) or real_stack(charts))
+        monkeypatch.setattr(rs.OpticalSystem, "media", lambda system: media.append(1) or real_media(system))
+        batches = counting_gradients(monkeypatch)
+        counts = []
+        for m1, m2, system, initial, _ in inputs:
+            del stackings[:], media[:], batches[:]
+            rs.characteristic_function(m1, m2, system, initial=initial)
+            assert stackings == []
+            counts.append((len(batches), len(media)))
+        batch_counts, media_counts = map(set, zip(*counts))
+        assert len(batch_counts) > 1 and len(media_counts) == 1
 
 
 class TestChartEvaluations:

@@ -20,6 +20,7 @@ from rayspace.errors import (
     BadMediaChainError,
     ChartDomainError,
     FamilyTraceError,
+    NoRootError,
     RaySpaceError,
     SceneSyntaxError,
     UnknownSurfaceError,
@@ -549,6 +550,38 @@ class TestCliCommands:
         with pytest.raises(RaySpaceError) as err:
             characteristic_function_oracle(m1, m2, scene.system)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "surface, report",
+        [
+            ("kind = plane\nnormal = 0 0 1\n", {"optical_length": "2", "hits": "1", "hit_0": "0 0 0"}),
+            ("kind = sphere\ncenter = 0 0 -2\nradius = 1\n", {"optical_length": "4", "hits": "1"}),
+        ],
+        ids=["plane", "sphere"],
+    )
+    def test_characteristic_with_m1_equal_to_m2(self, tmp_path, capsys, surface, report):
+        # no chord: the mirror is seeded with its point nearest M1
+        text = f"[surface m]\n{surface}[system]\ninterface = m reflect\n[options]\nm1 = 0 0 1\nm2 = 0 0 1\n"
+        code, out = self.run(tmp_path, text, "characteristic")
+        assert code == 0 and capsys.readouterr().err == ""
+        got = read_report(out / "report.txt")
+        assert {key: got[key] for key in report} == report
+
+    def test_characteristic_chart_failure_names_the_interface(self, tmp_path, capsys):
+        # a Hessian stencil row leaves the quadric's sheet at a Newton step
+        text = random_scene(np.random.default_rng(43), "quadric", True, 3) + (
+            "[options]\nm1 = -0.7616589513562826 -0.3171498279551235 2.009103498306295\n"
+            "m2 = -0.3920697788552232 -0.16432732969374375 1.8291220032922257\n"
+        )
+        message = "interface 0: quadric chart left the surface sheet"
+        code, out = self.run(tmp_path, text, "characteristic")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        scene = parse_scene(text)
+        for solve in (rs.characteristic_function, characteristic_function_oracle):
+            with pytest.raises(NoRootError) as err:
+                solve(scene.options["m1"], scene.options["m2"], scene.system)
+            assert str(err.value) == message and err.value.row == 0
 
     def test_characteristic_on_a_zero_thickness_film(self, tmp_path, capsys):
         # the chord meets a, misses b beyond that hit, and b's seed point,
