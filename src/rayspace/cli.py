@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import families, variational
-from .errors import FamilyTraceError, RaySpaceError, SceneSyntaxError, TraceError, ZeroDirectionError, _lowest_failure
+from .errors import FamilyTraceError, RaySpaceError, SceneSyntaxError, TraceError, ZeroDirectionError
 from .families import (
     _default_tol,
     _defect_grids,
@@ -172,40 +172,35 @@ def _interface_jacobians(ks, lines, starts, interfaces, step):
     interface, at the sampled lines (parameters ks) as they arrive there
     from their starts: one chart_jacobian batch per interface.
 
-    Fails as the samples taken one at a time, each through every interface
-    in turn, would (see `errors`); the stages are the interfaces.
+    Fails as `errors` sets out; the stages are the interfaces, each with
+    chart_jacobian's stages.
     """
     jacobians = []
     line, start = lines, starts
-    try:
-        for i, itf in enumerate(interfaces):
-            single = OpticalSystem((itf,), ambient_index=itf.n_in)
-            # row r of a batch belongs to sample r // 9, and is traced from
-            # that sample's start, moved onto the row's line
-            block_starts = np.repeat(start, 9, axis=0)
-            traced = []
+    for i, itf in enumerate(interfaces):
+        single = OpticalSystem((itf,), ambient_index=itf.n_in)
+        # row r of a batch belongs to sample r // 9, and is traced from
+        # that sample's start, moved onto the row's line
+        block_starts = np.repeat(start, 9, axis=0)
+        traced = []
 
-            def crossing(l):
-                on_l = l.q + np.vecdot(block_starts - l.q, l.u)[..., None] * l.u
-                traced.append(propagate_system(l, single, start=on_l))
-                return traced[-1].line_out
+        def crossing(l):
+            on_l = l.q + np.vecdot(block_starts - l.q, l.u)[..., None] * l.u
+            traced.append(propagate_system(l, single, start=on_l))
+            return traced[-1].line_out
 
-            try:
-                jacobians.append(chart_jacobian(crossing, line, h=step)[0])
-            except RaySpaceError as exc:
-                if traced:  # the output charts fail as they are
-                    raise
-                cause = exc.cause if isinstance(exc, TraceError) else exc  # the map's or a stencil line's
-                raise FamilyTraceError(ks[exc.row], TraceError(i, cause)).at(exc.row) from exc
-            if i + 1 < len(interfaces):
-                # each sample itself is row 0 of its block
-                result, samples = traced[-1], slice(0, None, 9)
-                line = _ray(result.line_out, samples)
-                start = line.point_at(_cursor_past(line, result.hits[0].point[samples]))
-    except RaySpaceError as exc:  # the samples before it may fail at a later interface
-        raise _lowest_failure(
-            exc, lambda m: _interface_jacobians(ks[:m], _ray(lines, slice(m)), starts[:m], interfaces, step)
-        )
+        try:
+            jacobians.append(chart_jacobian(crossing, line, h=step)[0])
+        except RaySpaceError as exc:
+            if traced:  # the output charts fail as they are
+                raise
+            cause = exc.cause if isinstance(exc, TraceError) else exc  # the map's or a stencil line's
+            raise FamilyTraceError(ks[exc.row], TraceError(i, cause)).at(exc.row) from exc
+        if i + 1 < len(interfaces):
+            # each sample itself is row 0 of its block
+            result, samples = traced[-1], slice(0, None, 9)
+            line = _ray(result.line_out, samples)
+            start = line.point_at(_cursor_past(line, result.hits[0].point[samples]))
     return jacobians
 
 

@@ -5,24 +5,14 @@ callers (and the command line driver) can distinguish numerical/geometric
 failures from programming errors.
 
 Batches.  A routine that takes a batch of items (rays, parameters, segments,
-nodes, samples) gives what its items give one at a time: a failing batch
-raises exactly what its lowest failing item raises alone, with that item's
-index in the batch as the error's `row`.  A batch runs in stages, each over
-all its items, and stops at the first stage where an item fails, with the
-error of the lowest item failing there.  The items before it passed that
-stage but may fail a later one, so they are run again as one batch
-(`_lowest_failure`), and an error of theirs wins; at the last stage there
-is no later one, and the error is raised as it is.  Each such run can only
-fail at a later stage, so a failing batch takes at most one more run per
-stage, and no item is run on its own.  A routine that evaluates the rows
-of several stages ahead of them, in one batch (`reconstruct_wavefront`),
-raises the batch's error if it falls in the first stage's rows, which is
-that stage's own error; a later failure falls back to the stages, each
-then evaluating its own rows, so the routine fails as its stages do.
-`design_focusing_mirror`, whose first stage is the rectangularity test,
-runs that test on its own rows on any failure of its wavefront's batch,
-and then fails as the wavefront does: with the error the batch saved, if
-it failed at a grid line.
+nodes, samples) runs it in stages, each over all its items, in the order its
+docstring states.  A failing batch raises, at its first failing stage, the
+error of the lowest item failing there, with that item's index in the batch
+as the error's `row`, and no item is evaluated again: an earlier item that
+would fail only at a later stage is not looked for.  A stage that takes
+its items in several calls (a family's `eval`, at most `_CHUNK` rows a
+call) runs the calls in turn, and the first failing call ends it.  Each
+error keeps the type and message it has for its item alone.
 """
 
 from __future__ import annotations
@@ -41,16 +31,6 @@ class RaySpaceError(Exception):
         """The error, naming item `row` of its batch."""
         self.row = int(row)
         return self
-
-
-def _lowest_failure(exc, rerun):
-    """The error a failing batch raises: that of its items before exc.row,
-    which rerun(exc.row) runs again as a batch of its own, or exc if they
-    pass.  exc is the error of the lowest item failing at the batch's first
-    failing stage, its `row` already the item's index."""
-    if exc.row:
-        rerun(exc.row)
-    return exc
 
 
 class ZeroDirectionError(RaySpaceError):

@@ -51,9 +51,8 @@ evaluates the stencil lines of all its nodes and their immersion tests in
 one batch.  `_defect_grids` runs that stage for the grid before a system
 and traces the lines it evaluated on through the system for the grid
 after; the mirror design's rectangularity test reads the stencil lines of
-its wavefront's batch, or runs `defect_grid` if that batch fails.
-Batches fail as `errors` sets out, the error's `row` naming the
-parameter, segment or node.
+its wavefront's batch.  Batches fail as `errors` sets out, the error's
+`row` naming the parameter, segment or node.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from .errors import (
     NonRegularError,
     NotRectangularError,
     RaySpaceError,
-    _lowest_failure,
 )
 from .lines import (
     OrientedLine,
@@ -267,17 +265,12 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     """
 
     def _trace(k1, k2):
-        staged = False  # past eval, the first failing row's error is the batch's
         try:
             base = family.eval(k1, k2)
-            staged = True
             return base, propagate_system(base, system, start=_starts(base))
         except RaySpaceError as exc:
             ks = np.column_stack(np.broadcast_arrays(k1, k2))  # one pair is the batch of one
-            err = FamilyTraceError(ks[exc.row], exc)
-            if not staged:  # the parameters before it may fail in the system
-                err = _lowest_failure(err, lambda m: _trace(ks[:m, 0], ks[:m, 1]))
-            raise err from exc
+            raise FamilyTraceError(ks[exc.row], exc) from exc
 
     def _eval(k1, k2):
         base, result = _trace(k1, k2)
@@ -423,8 +416,8 @@ def _grid_defects(family: RayFamily, ks, h: float):
     the node."""
     try:
         chunks = list(_eval_chunks(family, _stencil_rows(ks, h)))
-    except RaySpaceError as exc:  # the nodes before it may fail their immersion test
-        raise _lowest_failure(exc.at(exc.row // 4), lambda m: _grid_defects(family, ks[:m], h))
+    except RaySpaceError as exc:
+        raise exc.at(exc.row // 4)
     return _stencil_defects(ks, *_joined([line for _, line in chunks]), h), chunks
 
 
@@ -462,11 +455,9 @@ def _defect_grids(family: RayFamily, system: OpticalSystem, grid=9, h: float | N
     for part, line in chunks:
         try:
             out.append(propagate_system(line, system, start=_starts(line)).line_out)
-        except RaySpaceError as exc:  # the nodes before it may fail theirs after the system
+        except RaySpaceError as exc:
             row = part.start + exc.row
-            err = FamilyTraceError(_stencil_rows(ks, h)[row], exc).at(row // 4)
-            traced = transform_family(family, system)
-            raise _lowest_failure(err, lambda m: _grid_defects(traced, ks[:m], h)) from exc
+            raise FamilyTraceError(_stencil_rows(ks, h)[row], exc).at(row // 4) from exc
     after = _stencil_defects(ks, *_joined(out), h)
     shape = (len(k1s), len(k2s))
     return tuple(DefectGrid(k1=k1s, k2=k2s, values=v.reshape(shape), step=h) for v in (before, after))
@@ -511,11 +502,8 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
         return bool(is_regular_point(family, [k], [t], h)[0])
     ks = np.asarray(k, dtype=float)
     t = np.asarray(t, dtype=float)
-    try:
-        _require_inside(family, ks, h)
-        u0, _, _ = _eval_rows(family, ks)
-    except RaySpaceError as exc:  # the points before it may fail on their stencil lines
-        raise _lowest_failure(exc, lambda m: is_regular_point(family, ks[:m], t[:m], h))
+    _require_inside(family, ks, h)
+    u0, _, _ = _eval_rows(family, ks)
     return _regular(family, ks, t, h, u0)
 
 
@@ -525,10 +513,7 @@ def _regular(family: RayFamily, ks, t, h: float, u0, strict: bool = False, stenc
     domain, and stencil, if given, their stencil lines' (u, q), each (4N, 3).
     With strict, NonRegularError names the first point that is not regular,
     a stage after the stencil lines."""
-    try:
-        du, dq = _tangents(family, ks, h) if stencil is None else _differences(*stencil, h)
-    except RaySpaceError as exc:  # the points before it may not be regular
-        raise _lowest_failure(exc, lambda m: _regular(family, ks[:m], t[:m], h, u0[:m], strict))
+    du, dq = _tangents(family, ks, h) if stencil is None else _differences(*stencil, h)
     regular = abs(_spread(u0, t, du, dq)) > 1e-8
     bad = _first(~regular)
     if strict and bad is not None:
@@ -635,9 +620,6 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, ends=None, inner=Non
     interleaves them with the kept nodes and takes every segment's sum.  The
     nodes and previous sum of a segment are dropped when it converges.
     """
-    def before(count):  # the first count segments, from their first level
-        _one_form_levels(family, ka[:count], kb[:count], tol, None if ends is None else ends[:count])
-
     def failure(message, s):  # the error of live segment s, naming it
         seg = live[s]
         where = f"k={tuple(map(float, ka[seg]))} -> {tuple(map(float, kb[seg]))}"
@@ -661,8 +643,8 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, ends=None, inner=Non
                 ks = np.concatenate([ka[live, None], ks, kb[live, None]], axis=1)
             try:
                 u, q, _ = _eval_rows(family, ks.reshape(-1, 2))
-            except RaySpaceError as exc:  # the segments before it may fail at a later level
-                raise _lowest_failure(exc.at(live[exc.row // ks.shape[1]]), before)
+            except RaySpaceError as exc:
+                raise exc.at(live[exc.row // ks.shape[1]])
             u, q = u.reshape(ks.shape[:2] + (3,)), q.reshape(ks.shape[:2] + (3,))
         if us is None:
             us, qs = u, q
@@ -679,7 +661,7 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, ends=None, inner=Non
             val = _cc_sums(us, qs)
         bad = _first(~np.isfinite(val))
         if bad is not None:
-            raise _lowest_failure(failure(f"one-form sum over {m} pieces is not finite", bad), before)
+            raise failure(f"one-form sum over {m} pieces is not finite", bad)
         if prev is not None:
             done = abs(val - prev) <= tol
             values[live[done]] = val[done]
@@ -816,9 +798,8 @@ def reconstruct_wavefront(
     the member of the orthogonal-surface pencil).  Every node must be a
     regular point of the family at its wavefront point (NonRegularError).
     One batch per job evaluates the lines of the grid, of every segment's
-    first two levels and of every node's stencil.  If it fails at a grid
-    line, that error is the grid stage's and is raised; if it fails later,
-    the stages evaluate their own lines, and the job fails as they do.
+    first two levels and of every node's stencil.  The stages: that batch,
+    the one-form levels, the L-path test, then the regularity test.
     """
     if h is None:
         h = family.default_step()
@@ -831,9 +812,9 @@ def _wavefront_batch(family: RayFamily, grid, h: float):
     adjacent nodes start and stop, along k1 column by column, then along k2
     row by row, the (u, q, l) of the nodes' lines, the (u, q) of level 8's
     interior nodes of every segment, each (S, 7, 3), and the (u, q) of the
-    nodes' stencil lines (_stencil_rows), each (4N, 3).  If the batch fails
-    at a node's line, that error is raised; if it fails later, the nodes'
-    lines are evaluated alone, and the last two are None."""
+    nodes' stencil lines (_stencil_rows), each (4N, 3).  A failing batch
+    raises the error of its lowest failing row, with `row` naming the node
+    of a grid or stencil line, or the segment of a level 8 line."""
     k1s, k2s = _grid_axes(family, grid, inset=h)
     n1, n2 = len(k1s), len(k2s)
     ks = _nodes(k1s, k2s).reshape(-1, 2)
@@ -846,15 +827,15 @@ def _wavefront_batch(family: RayFamily, grid, h: float):
     n, m = len(ks), len(ks) + level8.size // 2  # the first rows of the nodes and of the stencils
     try:
         u, q, length = _eval_rows(family, rows)
-        inner, stencil = [a[n:m].reshape(level8.shape[:2] + (3,)) for a in (u, q)], (u[m:], q[m:])
-    except RaySpaceError as exc:
-        if exc.row < n:  # a node's error, which is the grid stage's
-            raise
-        # the stages evaluate their own lines, and fail as they do
-        u, q, length = _eval_rows(family, ks)
-        inner = stencil = None
+    except RaySpaceError as exc:  # past the nodes' lines, the row names a segment, then a node
+        if exc.row >= m:
+            exc.at((exc.row - m) // 4)
+        elif exc.row >= n:
+            exc.at((exc.row - n) // 7)
+        raise
     lines = u[:n], q[:n], None if length is None else length[:n]
-    return k1s, k2s, ks, (starts, stops), lines, inner, stencil
+    inner = [a[n:m].reshape(level8.shape[:2] + (3,)) for a in (u, q)]
+    return k1s, k2s, ks, (starts, stops), lines, inner, (u[m:], q[m:])
 
 
 def _wavefront_stages(family: RayFamily, batch, k0, c: float, h: float, path_tol: float) -> Wavefront:

@@ -363,8 +363,8 @@ def chart_jacobian(
     time.  Its stages: the input charts, the stencil lines, the map (an
     error of the transform names its row of the nine-row blocks), then the
     output charts.  A failing batch raises the error of the lowest line
-    failing at the first of them, with the line's index as `row`, and does
-    not run the lines before it again: its caller does (see `errors`).
+    failing at the first of them, with the line's index as `row` (see
+    `errors`).
     """
     single = line.u.ndim == 1
     if single:

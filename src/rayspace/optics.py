@@ -31,7 +31,6 @@ from .errors import (
     RaySpaceError,
     TotalInternalReflectionError,
     TraceError,
-    _lowest_failure,
 )
 from .lines import OrientedLine, _any, _as_vecs, _first, _norm, _ray, line_through
 from .surfaces import TRANSVERSE_TOL, Intersection, intersect
@@ -215,11 +214,8 @@ def propagate_system(line: OrientedLine, system: OpticalSystem, start=None) -> T
         try:
             hit = intersect(current, itf.surface, t_min=t_cursor)
             current = line_through(hit.point, itf.bend(current.u, hit.normal))
-        except RaySpaceError as exc:  # the rays before it may still fail at a later interface
-            starts = np.broadcast_to(start, line.u.shape)
-            raise _lowest_failure(
-                TraceError(i, exc), lambda m: propagate_system(_ray(line, slice(m)), system, starts[:m])
-            ) from exc
+        except RaySpaceError as exc:
+            raise TraceError(i, exc) from exc
         optical_length += itf.n_in * _norm(hit.point - prev_point)
         prev_point = hit.point
         hits.append(hit)

@@ -73,9 +73,7 @@ from .errors import (
     NoIntersectionError,
     NoRootError,
     OffSurfaceError,
-    RaySpaceError,
     TangentialError,
-    _lowest_failure,
 )
 from .lines import OrientedLine, _any, _as_vec3, _as_vecs, _beam, _col, _cross, _first, _frame, _norm, _ray
 
@@ -775,11 +773,7 @@ def intersect(line: OrientedLine, surface, t_min: float = 0.0) -> Intersection:
     single = line.u.ndim == 1
     if single:
         line = _ray(line, None)
-    try:
-        ts = surface.roots(line, t_min, DEFAULT_T_MAX)
-    except RaySpaceError as exc:  # the rays before it may still miss
-        lows = np.broadcast_to(t_min, line.u.shape[:1])
-        raise _lowest_failure(exc, lambda m: intersect(_ray(line, slice(m)), surface, lows[:m]))
+    ts = surface.roots(line, t_min, DEFAULT_T_MAX)
     t_min = np.asarray(t_min, dtype=float)
     ts[ts <= t_min[..., None]] = np.nan  # candidates at or behind the start
     t = np.fmin.reduce(ts, axis=-1)  # the nearest one ahead, NaN if none

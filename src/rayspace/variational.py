@@ -57,10 +57,9 @@ from .errors import (
     NotRectangularError,
     RaySpaceError,
     TangentialError,
-    _lowest_failure,
 )
-from .families import RayFamily, _grid_csv, _grid_lines, _largest_at, defect_grid
-from .families import _PATH_TOL, DefectGrid, _default_tol, _stencil_defects, _wavefront_batch, _wavefront_stages
+from .families import RayFamily, _grid_csv, _grid_lines, _largest_at
+from .families import _PATH_TOL, _default_tol, _stencil_defects, _wavefront_batch, _wavefront_stages
 from .lines import _as_vec3, _cross, _first, _norm, _stencil, line_through
 from .optics import REFLECT, OpticalSystem, _bend, reflect_direction
 from .surfaces import _GRAD_MIN, _stack_charts, _stacked_gradients, intersect
@@ -234,10 +233,10 @@ def _polylines(pc: PathConfiguration, xs: np.ndarray, jacobians: bool = False):
         inner[:, stack.index] = points
         if jacobians:
             jacs[:, stack.index] = jac
-    if failures:  # the rows before it may have coincident points
+    if failures:
         row, interface, exc = min(failures, key=lambda failure: failure[:2])
         exc.args = (f"interface {interface}: {exc}",)
-        raise _lowest_failure(exc.at(row), lambda m: _polylines(pc, xs[:m]))
+        raise exc.at(row)
     segments = paths[:, 1:] - paths[:, :-1]
     lengths = _norm(segments)
     short = lengths < 1e-9
@@ -483,10 +482,10 @@ def design_focusing_mirror(
     F_eps(X) = (signed distance from the reference wavefront along the ray
     through X) + eps * |X - focus|.  The family must be rectangular; the
     reference wavefront is reconstructed with constant `wavefront_c`.  The
-    rectangularity test (is_rectangular's, at the default tolerance) reads
-    the stencil lines of the wavefront's one batch.  If that batch failed,
-    the test evaluates its own stencil lines, and a family that passes it
-    fails as reconstruct_wavefront does.  The
+    stages: the wavefront's one batch, whose error is raised as it is; the
+    rectangularity test (is_rectangular's, at the default tolerance), which
+    reads the stencil lines of that batch; the rest of the wavefront
+    reconstruction; then the level equation.  The
     level equation is solved along the ray of every grid node at once, in
     closed form (squared, it is linear in the ray parameter), exact to
     round-off.  NoRootError marks the first node in (i, j) order whose level
@@ -503,23 +502,13 @@ def design_focusing_mirror(
 
     if h is None:
         h = family.default_step()
-    try:
-        batch, failure = _wavefront_batch(family, grid, h), None
-    except RaySpaceError as exc:  # raised once the rectangularity test passes
-        batch, failure = None, exc
-    if batch is None or batch[-1] is None:  # the batch failed: the test evaluates its own lines
-        defects = defect_grid(family, grid=grid, h=h)
-    else:  # the rectangularity test reads the stencil lines of the wavefront's batch
-        k1s, k2s, ks, *_, stencil = batch
-        values = _stencil_defects(ks, *stencil, h).reshape(len(k1s), len(k2s))
-        defects = DefectGrid(k1=k1s, k2=k2s, values=values, step=h)
-    if not defects.max_abs < _default_tol(family):
-        k = _largest_at(defects.k1, defects.k2, defects.values)
-        raise NotRectangularError(
-            f"mirror design requires a rectangular family: |defect| {defects.max_abs:.3e} at k={k}"
-        )
-    if failure is not None:  # the error reconstruct_wavefront raises
-        raise failure
+    batch = _wavefront_batch(family, grid, h)
+    k1s, k2s, ks, *_, stencil = batch
+    defects = _stencil_defects(ks, *stencil, h).reshape(len(k1s), len(k2s))
+    worst = float(np.max(np.abs(defects)))
+    if not worst < _default_tol(family):
+        k = _largest_at(k1s, k2s, defects)
+        raise NotRectangularError(f"mirror design requires a rectangular family: |defect| {worst:.3e} at k={k}")
     wf = _wavefront_stages(family, batch, k0, wavefront_c, h, _PATH_TOL)
 
     n1, n2 = len(wf.k1), len(wf.k2)
@@ -572,10 +561,10 @@ def verify_focus(design: MirrorDesign, family: RayFamily, tol: float = 1e-6):
 
     Mirror normals come from quadratic fits through the 3x3 point stencils
     of all interior nodes, one stacked SVD with lstsq's rank rule.  The
-    lines of the interior nodes are evaluated first, in one batch; after
-    that, the first interior node in (i, j) order whose fit or reflection
-    fails raises, with its index among the interior nodes as `row`.
-    Returns (worst < tol, worst).
+    stages: the lines of the interior nodes, in one batch, their fits, then
+    their reflections; a failing stage raises for its first failing
+    interior node in (i, j) order, with its index among the interior nodes
+    as `row`.  Returns (worst < tol, worst).
     """
     return _verify_focus(design, family, tol)[:2]
 
@@ -617,9 +606,6 @@ def _verify_focus(design: MirrorDesign, family: RayFamily, tol: float):
     slope = (proj[:, None] @ vt[:, :, 1:3])[:, 0] / scale[:, None]
 
     node = _first(degenerate | deficient)
-    fit = slice(node)  # the nodes before the first failing one
-    normal = w[fit] - slope[fit, :1] * e1[fit] - slope[fit, 1:] * e2[fit]
-    u_refl = reflect_direction(u[fit], normal / _norm(normal)[:, None])
     if node is not None:
         if degenerate[node]:
             message = "degenerate stencil around a mirror node"
@@ -627,6 +613,8 @@ def _verify_focus(design: MirrorDesign, family: RayFamily, tol: float):
             message = "rank-deficient quadratic fit"
         k = (float(k1[node // len(k2)]), float(k2[node % len(k2)]))
         raise IllConditionedFitError(f"{message} at k={k}").at(node)
+    normal = w - slope[:, :1] * e1 - slope[:, 1:] * e2
+    u_refl = reflect_direction(u, normal / _norm(normal)[:, None])
     rel = design.focus - x0
     misses = _norm(rel - np.vecdot(rel, u_refl)[:, None] * u_refl)
     worst = float(np.max(misses))

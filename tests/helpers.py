@@ -11,7 +11,9 @@ import numpy as np
 
 import rayspace as rs
 from rayspace.errors import (
+    ChartDomainError,
     DegenerateGradientError,
+    DomainBoundaryError,
     FamilyTraceError,
     GrazingError,
     IllConditionedFitError,
@@ -25,9 +27,8 @@ from rayspace.errors import (
     TangentialError,
     TotalInternalReflectionError,
     TraceError,
-    _lowest_failure,
 )
-from rayspace.families import _grid_axes, _grid_lines, _l_paths, _largest_at
+from rayspace.families import _CHUNK, _grid_axes, _grid_lines, _l_paths, _largest_at
 from rayspace.lines import _as_vec3, _frame, _norm
 from rayspace.optics import _cursor_past
 from rayspace.surfaces import _FLAT_SCAN_SPAN, _ROOT_TOL
@@ -174,6 +175,49 @@ def snell_sine(n1, n2, sin_in):
 # one node and one ray at a time: the oracles of the batched routines
 
 
+def staged_oracle(count, run, stage):
+    """A batch of `count` items by the failure rule of `errors`, from its
+    items run one at a time: run(i) gives item i's result or raises, and
+    stage(i, error) is the stage where item i fails alone, a key that sorts
+    as the batched routine orders its stages.  Returns the items' outcomes,
+    a result or an error each, and the index of the item whose error the
+    batch raises, the least by (stage, index), or None if none fails."""
+    singles = []
+    for i in range(count):
+        try:
+            singles.append(run(i))
+        except (RaySpaceError, ValueError) as exc:
+            singles.append(exc)
+    failed = [(stage(i, s), i) for i, s in enumerate(singles) if isinstance(s, Exception)]
+    return singles, min(failed)[1] if failed else None
+
+
+def trace_stage(error):
+    """The stage where one ray fails alone, as a key that sorts in the
+    order of the stages of a trace: a FamilyTraceError fails in the family
+    it transforms, then in its system; a TraceError at its interface, in
+    the root search, the hit checks, then the new direction.  () for any
+    other error."""
+    if isinstance(error, FamilyTraceError):
+        return (int(isinstance(error.cause, TraceError)), trace_stage(error.cause))
+    if not isinstance(error, TraceError):
+        return ()
+    cause = error.cause
+    if "root search budget" in str(cause):
+        step = 0
+    elif isinstance(cause, (NoIntersectionError, DegenerateGradientError, TangentialError)):
+        step = 1
+    else:
+        step = 2
+    return (error.interface_index, step)
+
+
+def row_stage(error):
+    """The stage of an error of a row_by_row family's eval: one stage,
+    whatever fails."""
+    return ()
+
+
 def row_by_row(line_at, domain, kind="custom"):
     """A family whose eval calls line_at(k1, k2) once per parameter pair, in
     order, with Python floats: the row-by-row reference of a batched family.
@@ -266,18 +310,13 @@ def transform_family_oracle(family, system):
     again, and each kind of source line has its own length branch."""
 
     def _trace(k1, k2):
-        staged = False  # past eval and start_point, the first failing row's error is the batch's
         try:
             base = family.eval(k1, k2)
             start = family.start_point(k1, k2)
-            staged = True
             result = rs.propagate_system(base, system, start=start)
         except RaySpaceError as exc:
             ks = np.column_stack(np.broadcast_arrays(k1, k2))  # one pair is the batch of one
-            err = FamilyTraceError(ks[exc.row], exc)
-            if not staged:  # the parameters before it may fail in the system
-                err = _lowest_failure(err, lambda m: _trace(ks[:m, 0], ks[:m, 1]))
-            raise err from exc
+            raise FamilyTraceError(ks[exc.row], exc) from exc
         return base, start, result, result.hits[-1].point if result.hits else start
 
     def _eval(k1, k2):
@@ -403,16 +442,16 @@ def normal_congruence_oracle(surface, domain, axis=(0.0, 0.0, 1.0), outward=True
     raise ValueError(f"normal congruence not supported for {type(surface).__name__}")
 
 
-def node_neighbors(family, k, h):
+def node_neighbors(family, k, h, eval_stage=trace_stage):
     """The lines at k +- h along each parameter, one evaluation each, in the
-    order +k1, -k1, +k2, -k2."""
+    order +k1, -k1, +k2, -k2; if some fail, the error of the first by
+    (eval_stage, order) (staged_oracle)."""
     k1, k2 = float(k[0]), float(k[1])
-    return (
-        family.eval(k1 + h, k2),
-        family.eval(k1 - h, k2),
-        family.eval(k1, k2 + h),
-        family.eval(k1, k2 - h),
-    )
+    ks = ((k1 + h, k2), (k1 - h, k2), (k1, k2 + h), (k1, k2 - h))
+    lines, first = staged_oracle(4, lambda i: family.eval(*ks[i]), lambda i, error: eval_stage(error))
+    if first is not None:
+        raise lines[first]
+    return tuple(lines)
 
 
 def stencil_defect(neighbors, h):
@@ -487,48 +526,68 @@ def chart_jacobian_oracle(transform, line, h=None, chart_in=None, chart_out=None
 
 
 def check_symplectic_oracle(family, system, ks, step):
-    """The chart Jacobians and worst residuals of `check-symplectic`, sample
-    by sample: each sampled line goes through the interfaces in turn.  A
-    nine-row chart_jacobian call per (sample, interface) decides what
-    fails; the Jacobian comes from chart_jacobian_oracle, whose first line
-    places the next start.  Returns (one (N, 4, 4) stack per interface,
-    the (chart_in, chart_out) of each sample per interface, each
-    interface's worst residual, Python's max in sample order), or raises
-    what the first failing (sample, interface) raises."""
+    """The chart Jacobians and worst residuals of `check-symplectic`,
+    sample by sample: the sampled lines, then interface by interface a
+    nine-row chart_jacobian call per sample, and the failure rule of
+    `errors` over the samples (staged_oracle, check_symplectic_stage); the
+    Jacobian comes from chart_jacobian_oracle, whose first line places the
+    next start.  Returns (one (N, 4, 4) stack per interface, the (chart_in,
+    chart_out) of each sample per interface, each interface's worst
+    residual, Python's max in sample order), or raises what the batch
+    raises."""
     interfaces = system.interfaces
     scales = [itf.n_in / itf.n_after for itf in interfaces]
+    samples = [(float(k1), float(k2)) for k1, k2 in ks]
+    lines = [family.eval(*k) for k in samples]
+    starts = [family.start_point(*k) for k in samples]
     jacobians = [[] for _ in interfaces]
     charts = [[] for _ in interfaces]
     worst = [0.0] * len(interfaces)
-    for k1, k2 in ks:
-        k = (float(k1), float(k2))
-        line = family.eval(*k)
-        start = family.start_point(*k)
-        for i, itf in enumerate(interfaces):
-            single = rs.OpticalSystem((itf,), ambient_index=itf.n_in)
-            traced = []
+    for i, itf in enumerate(interfaces):
+        single = rs.OpticalSystem((itf,), ambient_index=itf.n_in)
+        traced = []
 
-            def mapper(l):
-                on_l = l.q + np.vecdot(start - l.q, l.u)[..., None] * l.u
-                traced.append(rs.propagate_system(l, single, start=on_l))
-                return traced[-1].line_out
+        def mapper(l, s):
+            on_l = l.q + np.vecdot(starts[s] - l.q, l.u)[..., None] * l.u
+            traced.append(rs.propagate_system(l, single, start=on_l))
+            return traced[-1].line_out
 
+        def run(s):
+            traced.clear()
             try:
-                rs.chart_jacobian(mapper, line, h=step)
+                return rs.chart_jacobian(lambda l: mapper(l, s), lines[s], h=step)
             except RaySpaceError as exc:
                 if traced:  # the output charts fail as they are
                     raise
                 cause = exc.cause if isinstance(exc, TraceError) else exc  # the map's or a stencil line's
-                raise FamilyTraceError(k, TraceError(i, cause)) from exc
+                raise FamilyTraceError(samples[s], TraceError(i, cause)) from exc
+
+        outcomes, first = staged_oracle(len(samples), run, lambda s, error: check_symplectic_stage(error))
+        if first is not None:
+            raise outcomes[first].at(first)
+        for s in range(len(samples)):
             traced.clear()
-            jac, chart_in, chart_out = chart_jacobian_oracle(mapper, line, h=step)
+            jac, chart_in, chart_out = chart_jacobian_oracle(lambda l: mapper(l, s), lines[s], h=step)
             jacobians[i].append(jac)
             charts[i].append((chart_in, chart_out))
             worst[i] = max(worst[i], rs.symplectic_residual(jac, scale=scales[i]))
             result = traced[0]  # the sampled line alone
-            line = result.line_out
-            start = line.point_at(_cursor_past(line, result.hits[0].point))
+            lines[s] = result.line_out
+            starts[s] = lines[s].point_at(_cursor_past(lines[s], result.hits[0].point))
     return [np.array(stack).reshape(-1, 4, 4) for stack in jacobians], charts, worst
+
+
+def check_symplectic_stage(error):
+    """The stage of chart_jacobian where one sample fails an interface of
+    `check-symplectic` alone: its stencil lines, the map (trace_stage
+    orders its errors), then the output charts, whose errors are not
+    wrapped."""
+    if not isinstance(error, FamilyTraceError):
+        return (3, ())
+    cause = error.cause.cause
+    if isinstance(cause, ChartDomainError):
+        return (1, ())
+    return (2, trace_stage(error.cause))
 
 
 def grid_csv_oracle(header, k1, k2, nodes):
@@ -681,6 +740,47 @@ def naive_cc_one_form(family, ka, kb, tol, max_points=512):
     raise NoConvergenceError(f"one-form integral did not converge under refinement {where}")
 
 
+def segment_oracle(family, ka, kb, tol, eval_stage=trace_stage):
+    """one_form_integral of the segments ka[s] -> kb[s] by the failure rule
+    of `errors` (staged_oracle), each segment alone: the stages are its
+    levels m = 4, 8, ..., each evaluating the level's nodes, whose errors
+    eval_stage orders, then testing its sum; a segment past the budget
+    fails at the stage of the level after its last."""
+    calls = {}
+
+    def run(s):
+        def counting(k1, k2):
+            calls[s] += 1
+            return family.eval(k1, k2)
+
+        calls[s] = 0
+        return rs.one_form_integral(dataclasses.replace(family, eval=counting), ka[s], kb[s], tol=tol)
+
+    def stage(s, error):
+        if isinstance(error, NoConvergenceError):
+            if "did not converge" in str(error):
+                return (calls[s] + 1, -1, ())
+            return (calls[s], 1, ())
+        return (calls[s], 0, eval_stage(error))
+
+    return staged_oracle(len(ka), run, stage)
+
+
+def regular_oracle(family, k, t, h=None):
+    """is_regular_point of the points (k[i], t[i]) by the failure rule of
+    `errors` (staged_oracle), each point alone: the stages are the domain
+    test, the centre lines, then the stencil lines, whose errors name
+    another k than the point's; trace_stage orders the errors of each."""
+
+    def stage(i, error):
+        if isinstance(error, DomainBoundaryError):
+            return (0, ())
+        centre = getattr(error, "k", None) == tuple(map(float, k[i]))
+        return (1 if centre else 2, trace_stage(error))
+
+    return staged_oracle(len(k), lambda i: rs.is_regular_point(family, k[i], t[i], h), stage)
+
+
 def wavefront_segments(k1, k2):
     """The segments (start, end) of reconstruct_wavefront on the grid
     k1 x k2, in its order: along k1 column by column, then along k2 row by
@@ -690,22 +790,43 @@ def wavefront_segments(k1, k2):
     return across + along
 
 
+def wavefront_rows(family, grid, h):
+    """The one batch of lines reconstruct_wavefront evaluates first: the
+    grid nodes, level 8's interior nodes of every segment
+    (clenshaw_curtis_oracle) and the stencil lines of every node, in calls
+    of at most _CHUNK rows.  An error's `row` names the node, the segment
+    or the node.  Returns the grid axes and the segments' (starts, stops)."""
+    k1s, k2s = _grid_axes(family, grid, inset=h)
+    ks = np.stack(np.meshgrid(k1s, k2s, indexing="ij"), axis=-1).reshape(-1, 2)
+    starts, stops = np.array(wavefront_segments(k1s, k2s)).transpose(1, 0, 2)
+    t = clenshaw_curtis_oracle(8)[0][1:-1]
+    inner = (starts[:, None] + t[:, None] * (stops - starts)[:, None]).reshape(-1, 2)
+    stencil = (ks[:, None] + np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])).reshape(-1, 2)
+    rows = np.concatenate([ks, inner, stencil])
+    parts = ((0, 1), (len(ks), 7), (len(ks) + len(inner), 4))  # each part's first row, rows per item
+    for a in range(0, len(rows), _CHUNK):
+        try:
+            family.eval(*rows[a : a + _CHUNK].T)
+        except RaySpaceError as exc:
+            row = a + exc.row
+            first, per = [part for part in parts if part[0] <= row][-1]
+            raise exc.at((row - first) // per)
+    return k1s, k2s, (starts, stops)
+
+
 def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7):
-    """reconstruct_wavefront stage by stage, one call each: the grid lines
-    (_grid_lines), the integrals of all segments (one_form_integral, which
-    evaluates their ends again), the L-paths (_l_paths) and the regularity
-    of all nodes (is_regular_point).  The job fails at its first failing
-    stage.  A node whose stencil lines fail there loses to a node before it
-    that is not regular, which a second call of is_regular_point on the
-    nodes before it finds."""
+    """reconstruct_wavefront stage by stage, one call each: the batch of
+    wavefront_rows, the grid lines (_grid_lines), the integrals of all
+    segments (one_form_integral, which evaluates their ends and first
+    levels again), the L-paths (_l_paths) and the regularity of all nodes
+    (is_regular_point).  The job fails at its first failing stage."""
     if h is None:
         h = family.default_step()
-    k1s, k2s = _grid_axes(family, grid, inset=h)
+    k1s, k2s, (starts, stops) = wavefront_rows(family, grid, h)
     i0 = int(np.argmin(np.abs(k1s - k0[0])))
     j0 = int(np.argmin(np.abs(k2s - k0[1])))
     n1, n2 = len(k1s), len(k2s)
     nodes, us, qs, lengths = _grid_lines(family, k1s, k2s)
-    starts, stops = np.array(wavefront_segments(k1s, k2s)).transpose(1, 0, 2)
     seg = rs.one_form_integral(family, starts, stops)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
@@ -718,16 +839,10 @@ def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7):
         )
     points = qs - (f_rc + c)[..., None] * us
     ks, t = nodes.reshape(-1, 2), -(f_rc + c).ravel()
-    try:
-        regular, failure = rs.is_regular_point(family, ks, t, h), None
-    except RaySpaceError as exc:
-        failure = exc
-        regular = rs.is_regular_point(family, ks[: exc.row], t[: exc.row], h)
+    regular = rs.is_regular_point(family, ks, t, h)
     if not np.all(regular):
         bad = int(np.argmin(regular))
         raise NonRegularError(f"wavefront point at k={tuple(map(float, ks[bad]))} is not regular").at(bad)
-    if failure is not None:
-        raise failure
     return rs.Wavefront(
         k1=k1s,
         k2=k2s,
@@ -742,21 +857,31 @@ def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7):
     )
 
 
-def node_defect_grid(family, grid=9, h=None):
-    """defect_grid node by node in (i, j) order: the values, or the error
-    of the first failing node."""
+def node_defect_grid(family, grid=9, h=None, eval_stage=trace_stage):
+    """defect_grid node by node in (i, j) order, by the failure rule of
+    `errors` (staged_oracle): each node alone evaluates its stencil lines
+    (node_neighbors), then takes its immersion test and its defect.  The
+    stages: the stencil lines, whose errors eval_stage orders, then the
+    immersion tests.  Returns the values, or raises the batch's error with
+    its node as `row`."""
     if h is None:
         h = family.default_step()
     k1s, k2s = _grid_axes(family, grid, inset=h)
-    values = np.empty((len(k1s), len(k2s)))
-    for i, k1 in enumerate(k1s):
-        for j, k2 in enumerate(k2s):
-            neigh = node_neighbors(family, (k1, k2), h)
-            if not immersion_ok(neigh, h):
-                k = (float(k1), float(k2))
-                raise ImmersionError(f"family is not an immersion at k={k}")
-            values[i, j] = stencil_defect(neigh, h)
-    return values
+    nodes = [(float(k1), float(k2)) for k1 in k1s for k2 in k2s]
+
+    def run(i):
+        neigh = node_neighbors(family, nodes[i], h, eval_stage)
+        if not immersion_ok(neigh, h):
+            raise ImmersionError(f"family is not an immersion at k={nodes[i]}")
+        return stencil_defect(neigh, h)
+
+    def stage(i, error):
+        return (1, ()) if isinstance(error, ImmersionError) else (0, eval_stage(error))
+
+    values, first = staged_oracle(len(nodes), run, stage)
+    if first is not None:
+        raise values[first].at(first)
+    return np.array(values).reshape(len(k1s), len(k2s))
 
 
 def newton_bisect(g, dg, lo, hi, glo, ghi):
@@ -880,27 +1005,29 @@ def path_gradient(pc):
 
 def polylines_oracle(pc, xs, jacobians=False):
     """variational._polylines evaluating one chart at a time, in system
-    order, with the Jacobians as a list of each chart's (N, 3, 2) ones: a
-    chart failing at row r raises after the rows before r, checked alone,
-    have passed every chart and the coincidence check, its message
-    prefixed with the chart's interface."""
+    order, with the Jacobians as a list of each chart's (N, 3, 2) ones.
+    The stages: the charts, all of them one stage, then the coincidence
+    check; of the charts' errors, the lowest row's, and of its charts the
+    first's, is raised, its message prefixed with the chart's interface."""
     paths = np.empty((len(xs), len(pc.charts) + 2, 3))
     paths[:, 0] = pc.m1
     paths[:, -1] = pc.m2
     jacs = []
-    try:
-        for i, chart in enumerate(pc.charts):
-            xi = xs[:, 2 * i : 2 * i + 2]
+    failures = []
+    for i, chart in enumerate(pc.charts):
+        xi = xs[:, 2 * i : 2 * i + 2]
+        try:
             if jacobians:
                 paths[:, i + 1], jac = chart.evaluate(xi)
                 jacs.append(jac)
             else:
                 paths[:, i + 1] = chart.embed(xi)
-    except RaySpaceError as exc:
+        except RaySpaceError as exc:
+            failures.append((exc.row, i, exc))
+    if failures:
+        _, i, exc = min(failures, key=lambda failure: failure[:2])
         exc.args = (f"interface {i}: {exc}",)
-        if exc.row:  # the rows before it may fail at a later chart
-            polylines_oracle(pc, xs[: exc.row])
-        raise
+        raise exc
     segments = paths[:, 1:] - paths[:, :-1]
     lengths = _norm(segments)
     bad = np.flatnonzero(np.any(lengths < 1e-9, axis=1))
@@ -1075,12 +1202,15 @@ def design_focusing_mirror_oracle(
     so a bracket end where g changes sign is a root beyond round-off, also
     far out on g's asymptote.  The bracket grows to 1 + 2 + ... + 2**28 =
     2**29 - 1 on either side of the wavefront and no further, which is the
-    program's reach rule."""
+    program's reach rule.  The stages: the wavefront's first batch
+    (wavefront_rows), the rectangularity test (is_rectangular), the
+    wavefront (reconstruct_wavefront), then the level equation."""
     focus = _as_vec3(focus)
     eps = float(epsilon)
     if eps not in (-1.0, 1.0):
         raise ValueError("epsilon must be +1 or -1")
 
+    wavefront_rows(family, grid, family.default_step() if h is None else h)
     ok, defects = rs.is_rectangular(family, grid=grid, h=h)
     if not ok:
         worst, k = -1.0, None  # the first node of the largest |defect|, in (i, j) order
@@ -1166,26 +1296,37 @@ def design_focusing_mirror_oracle(
 
 
 def verify_focus_oracle(design, family, tol=1e-6):
-    """verify_focus node by node in (i, j) order: one family line, one frame
-    and one lstsq fit per interior node.  An error names its node as `row`,
-    the node's index among the interior nodes."""
+    """verify_focus node by node in (i, j) order, by the failure rule of
+    `errors` (staged_oracle): one family line, one frame and one lstsq fit
+    per interior node, and its reflection.  The stages: the lines, whose
+    errors trace_stage orders, the fits, then the reflections.  An error
+    names its node as `row`, the node's index among the interior nodes."""
     n1, n2 = design.points.shape[:2]
     if n1 < 3 or n2 < 3:
         raise ValueError("verify_focus needs at least a 3x3 design grid")
-    worst = 0.0
-    for i in range(1, n1 - 1):
-        for j in range(1, n2 - 1):
-            k = f" at k={(float(design.k1[i]), float(design.k2[j]))}"
-            try:
-                worst = max(worst, _node_miss(design, family, i, j, k))
-            except RaySpaceError as exc:
-                raise exc.at((i - 1) * (n2 - 2) + j - 1)
+    nodes = [(i, j) for i in range(1, n1 - 1) for j in range(1, n2 - 1)]
+
+    def run(node):
+        i, j = nodes[node]
+        return _node_miss(design, family, i, j, f" at k={(float(design.k1[i]), float(design.k2[j]))}")
+
+    def stage(node, error):
+        if isinstance(error, IllConditionedFitError):
+            return (1, ())
+        return (2, ()) if isinstance(error, GrazingError) else (0, trace_stage(error))
+
+    misses, first = staged_oracle(len(nodes), run, stage)
+    if first is not None:
+        raise misses[first].at(first)
+    worst = max([0.0, *misses])  # Python's max in node order passes over a NaN miss
     return worst < tol, worst
 
 
 def _node_miss(design, family, i, j, k):
     """The distance from the focus to the ray of node (i, j) reflected off
-    the quadric fitted through its 3x3 stencil; k ends each fit error."""
+    the quadric fitted through its 3x3 stencil: the node's line, the fit
+    (k ends each fit error), then the reflection."""
+    line = family.eval(design.k1[i], design.k2[j])
     x0 = design.points[i, j]
     t1 = design.points[i + 1, j] - design.points[i - 1, j]
     t2 = design.points[i, j + 1] - design.points[i, j - 1]
@@ -1194,7 +1335,6 @@ def _node_miss(design, family, i, j, k):
     if wn < 1e-14:
         raise IllConditionedFitError("degenerate stencil around a mirror node" + k)
     w /= wn
-    line = family.eval(design.k1[i], design.k2[j])
     if float(w @ line.u) > 0.0:
         w = -w
     e1 = t1 - (t1 @ w) * w

@@ -2,12 +2,13 @@
 
 Every function of the ray core that takes (N, 3) arrays must give, row by
 row, bit for bit what the rows give alone, and a failing batch must raise
-exactly what its lowest-index failing ray raises alone.  One-form
-integration evaluates each refinement level in one call, over the new nodes
-only; a batch of segments, of regularity
-points or of wavefront nodes gives what its items give one at a time, and
-raises what the first failing one raises.  So do a defect grid against the
-node by node loop and the sinusoid root search against one ray at a time.
+what the failure rule of `errors` picks from its rays alone
+(helpers.staged_oracle): of the rays failing at the first failing stage,
+the lowest-index one's error.  One-form integration evaluates each
+refinement level in one call, over the new nodes only; a batch of segments,
+of regularity points or of wavefront nodes gives what its items give one at
+a time, and fails by the same rule.  So do a defect grid against the node
+by node loop and the sinusoid root search against one ray at a time.
 """
 
 import dataclasses
@@ -49,6 +50,7 @@ from helpers import (
     collimated_oracle,
     device_source,
     flat_for_negative_k1,
+    immersion_ok,
     l_paths_oracle,
     make_device,
     naive_cc_one_form,
@@ -63,12 +65,17 @@ from helpers import (
     point_source_oracle,
     random_surface,
     random_unit,
+    regular_oracle,
     row_by_row,
+    row_stage,
+    segment_oracle,
     sinusoid_first_root,
     staged_wavefront,
+    staged_oracle,
     stencil_defect,
     svd_immersion_ratio,
     svd_immersed,
+    trace_stage,
     transform_family_oracle,
     two_skew_lines_oracle,
     wavefront_segments,
@@ -115,11 +122,6 @@ def assert_same_error(batch_exc, single_exc):
     assert type(getattr(batch_exc, "cause", None)) is type(getattr(single_exc, "cause", None))
 
 
-def first_failure(singles):
-    """The index of the first error among items' outcomes, None if none."""
-    return next((i for i, s in enumerate(singles) if isinstance(s, RaySpaceError)), None)
-
-
 def assert_row_equal(batch, i, single):
     """Trace results: row i of the batch equals the single trace, bit for bit."""
     assert np.array_equal(batch.line_out.u[i], single.line_out.u)
@@ -134,15 +136,17 @@ def assert_row_equal(batch, i, single):
 
 
 def check_batch_against_singles(system, starts, dirs):
-    """Trace the rays as one batch and one by one and compare the two."""
+    """Trace the rays as one batch and one by one and compare the two: the
+    batch's error is the one staged_oracle picks by trace_stage."""
     lines = rs.line_through(starts, dirs)
-    singles = []
-    for i in range(len(starts)):
+
+    def alone(i):
         line = rs.line_through(starts[i], dirs[i])
         assert np.array_equal(line.u, lines.u[i]) and np.array_equal(line.q, lines.q[i])
-        singles.append(outcome(lambda: rs.propagate_system(line, system, start=starts[i])))
+        return rs.propagate_system(line, system, start=starts[i])
+
+    singles, first = staged_oracle(len(starts), alone, lambda i, error: trace_stage(error))
     batch = outcome(lambda: rs.propagate_system(lines, system, start=starts))
-    first = first_failure(singles)
     if first is not None:
         assert isinstance(batch, RaySpaceError)
         assert_same_error(batch, singles[first])
@@ -188,7 +192,7 @@ class TestPropagateBatch:
         assert check_batch_against_singles(system, starts, dirs) == 16
 
 
-def _lowest_failure_system():
+def _glass_and_mirror():
     """Glass to air across z = 0 (total internal reflection beyond about 41.8
     degrees), then a unit sphere mirror about (0, 0, -3)."""
     return rs.OpticalSystem(
@@ -210,27 +214,51 @@ _RAYS = {
 
 
 class TestLowestIndexFailure:
+    """The lowest failing ray at the first failing stage: a ray that fails
+    at interface 0 wins over a lower one that fails only at interface 1,
+    and at one interface a failing hit wins over a lower failing bend."""
+
     @pytest.mark.parametrize(
         "names, expected",
         [
-            (("pass", "miss", "tir"), (1, NoIntersectionError)),
-            (("pass", "tir", "miss"), (0, TotalInternalReflectionError)),
-            (("pass", "graze", "tir", "miss"), (1, TangentialError)),
-            (("miss", "pass", "graze"), (1, NoIntersectionError)),
-            (("pass", "pass", "tir"), (0, TotalInternalReflectionError)),
+            # the miss at interface 1 loses to row 2's bend at interface 0
+            (("pass", "miss", "tir"), (0, TotalInternalReflectionError, 2)),
+            (("pass", "tir", "miss"), (0, TotalInternalReflectionError, 1)),
+            (("pass", "graze", "tir", "miss"), (0, TotalInternalReflectionError, 2)),
+            (("miss", "pass", "graze"), (1, NoIntersectionError, 0)),
+            (("pass", "pass", "tir"), (0, TotalInternalReflectionError, 2)),
             # row 1 fails at interface 0, row 0 only at interface 1
-            (("miss", "tir"), (1, NoIntersectionError)),
+            (("miss", "tir"), (0, TotalInternalReflectionError, 1)),
         ],
     )
     def test_trace_error_of_first_failing_ray(self, names, expected):
-        system = _lowest_failure_system()
+        system = _glass_and_mirror()
         starts = np.array([_RAYS[n][0] for n in names])
         dirs = np.array([_RAYS[n][1] for n in names])
         check_batch_against_singles(system, starts, dirs)
         with pytest.raises(TraceError) as err:
             rs.propagate_system(rs.line_through(starts, dirs), system, start=starts)
-        assert (err.value.interface_index, type(err.value.cause)) == expected
-        assert err.value.row == next(i for i, name in enumerate(names) if name != "pass")
+        assert (err.value.interface_index, type(err.value.cause), err.value.row) == expected
+
+    def test_each_interface_searches_its_roots_once(self, monkeypatch):
+        # row 1 grazes the mirror at interface 1: the batch raises its
+        # error, and each surface searches the roots of its rays once
+        calls = []
+        for kind in (rs.Plane, rs.Sphere):
+            real = kind.roots
+
+            def counted(surface, line, t_min, t_max, real=real):
+                calls.append(type(surface).__name__)
+                return real(surface, line, t_min, t_max)
+
+            monkeypatch.setattr(kind, "roots", counted)
+        names = ("pass", "graze", "miss")
+        starts = np.array([_RAYS[n][0] for n in names])
+        dirs = np.array([_RAYS[n][1] for n in names])
+        with pytest.raises(TraceError) as err:
+            rs.propagate_system(rs.line_through(starts, dirs), _glass_and_mirror(), start=starts)
+        assert (err.value.interface_index, type(err.value.cause), err.value.row) == (1, TangentialError, 1)
+        assert calls == ["Plane", "Sphere"]
 
     def test_intersect_names_the_failing_rays_t_min(self):
         sphere = rs.Sphere([0, 0, -3.0], 1.0)
@@ -642,12 +670,10 @@ class TestOneFormNodes:
         )
         _, m = naive_cc_one_form(fam, ka[0], kb[0], 1e-12)
         assert m > level
-        # both segments up to the failing level, then the first one again
-        # alone, since it might fail at a later level
-        assert sum(calls) == 2 * (level + 1) + (m + 1)
-        # one eval call per level, m = 4, 8, ...: each level of both
-        # segments up to the failing one, then each of the first one's
-        assert len(calls) == (level // 4).bit_length() + (m // 4).bit_length()
+        # both segments up to the failing level, and no segment again
+        assert sum(calls) == 2 * (level + 1)
+        # one eval call per level, m = 4, 8, ..., up to the failing one
+        assert len(calls) == (level // 4).bit_length()
 
 
 def _jump_family():
@@ -730,13 +756,14 @@ class TestFailureStaircase:
         assert [type(s) for s in singles] == [NoConvergenceError, NoIntersectionError, NoIntersectionError]
         # 5 + 4 + 8 + ... + 128 rays up to m = 256; 5 + 4; 5
         assert counts == [257, 9, 5]
+        # segment 2 fails at level 4, the first failing stage
+        singles, first = segment_oracle(fam, ka, kb, families._INTEGRAL_TOL)
+        assert first == 2
         rays.clear()
         batch = outcome(lambda: rs.one_form_integral(fam, ka, kb))
-        check_against_items(batch, singles)
-        # level 4 of all three (15 rays), level 4 and 8 of segments 0 and 1
-        # (18), then segment 0 to m = 256 (257); the segment by segment loop
-        # stops after segment 0's 257
-        assert sum(rays) <= 290
+        check_against_items(batch, singles, first)
+        # level 4 of all three segments, and no ray again
+        assert sum(rays) == 15
 
     def test_a_segment_failing_after_an_earlier_one_converged(self):
         # segment 0 converges at m = 8; segment 1 crosses the jump, and its
@@ -744,14 +771,14 @@ class TestFailureStaircase:
         fam, rays = _staircase_family()
         ka = np.array([[-0.1, -0.2], [-0.1, 0.1]])
         kb = np.array([[0.0, -0.2], [0.1, 0.1]])
-        singles = [outcome(lambda: rs.one_form_integral(fam, a, b)) for a, b in zip(ka, kb)]
+        singles, first = segment_oracle(fam, ka, kb, families._INTEGRAL_TOL)
         assert isinstance(singles[0], float) and isinstance(singles[1], NoIntersectionError)
         rays.clear()
         batch = outcome(lambda: rs.one_form_integral(fam, ka, kb))
-        check_against_items(batch, singles)
-        # levels 4 and 8 of both segments, level 16 of segment 1 alone, then
-        # segment 0 run again from level 4 to its convergence
-        assert rays == [10, 8, 8, 5, 4]
+        check_against_items(batch, singles, first)
+        # levels 4 and 8 of both segments, then level 16 of segment 1 alone,
+        # and no ray again
+        assert rays == [10, 8, 8]
 
 
 def _small_sphere_family():
@@ -829,10 +856,8 @@ class TestLateFailingBatch:
         assert err.value.k == (0.15000335410196627, -0.099995527864045)
         # node by node re-runs made 48 calls, one of them with scalar k
         assert len(calls) <= 3 and 0 not in calls
-        # the 324 stencil lines, then the 180 of the 45 nodes before the
-        # failing one, which may fail their immersion test; re-running the
-        # 180 lines before the failing line as well made 684
-        assert rows == [324, 180]
+        # the 324 stencil lines, traced once
+        assert rows == [324]
 
     def test_reconstruct_wavefront(self, monkeypatch):
         fam, _ = self.counted()
@@ -858,24 +883,27 @@ class TestLateFailingBatch:
 
     @pytest.mark.parametrize("stage", ["eval", "propagate_system"])
     def test_rows_before_a_failing_stage(self, stage, monkeypatch):
-        # rays with k1 above about 0.17 miss the mirror; the source's eval
-        # fails past k1 = 0.22, at row 7, and the rows before it are traced
-        # again, for row 6 misses the mirror; a failure in the system, the
-        # last stage, is already that of the lowest failing row
+        # rays with k1 above about 0.17 miss the mirror, from row 6 on; the
+        # source's eval fails past k1 = 0.22, at row 7: that is the first
+        # failing stage, so row 7 names it, and no row is traced; a failure
+        # in the system is that of its lowest failing row
         source = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.1, 0.3), (-0.1, 0.1)))
         if stage == "eval":
             source = _past_edge(source, 0.22)
         small = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, -3.0], 0.5), rs.REFLECT, 1.0),))
         fam = rs.transform_family(source, small)
         k1, k2 = np.linspace(-0.1, 0.3, 9), np.zeros(9)
-        singles = [outcome(lambda: fam.eval(a, b)) for a, b in zip(k1, k2)]
-        assert first_failure(singles) == 6
+        singles, first = staged_oracle(9, lambda i: fam.eval(k1[i], k2[i]), lambda i, error: trace_stage(error))
+        assert first == (7 if stage == "eval" else 6)
         rows = self.traced_rows(monkeypatch)
         with pytest.raises(FamilyTraceError) as err:
             fam.eval(k1, k2)
-        assert_same_error(err.value, singles[6])
-        assert err.value.row == 6 and str(err.value).endswith("interface 0: ray misses Sphere in (0, 1e+06]")
-        assert rows == ([9] if stage == "propagate_system" else [7])
+        assert_same_error(err.value, singles[first])
+        assert err.value.row == first
+        if stage == "eval":
+            assert str(err.value).endswith("k1=0.25 is past the edge") and rows == []
+        else:
+            assert str(err.value).endswith("interface 0: ray misses Sphere in (0, 1e+06]") and rows == [9]
 
 
 def _tir_band_family():
@@ -908,21 +936,23 @@ class TestErrorOrderInsideTheBatch:
 
     def test_reconstruct_wavefront(self):
         # the grid nodes pass; the first segment whose refinement fails alone
-        # is named
+        # is named, by the first failing of its level 8 nodes, which the
+        # job's one batch evaluates (its level 4 node at k1 = -0.0417 fails
+        # too, and the level by level oracle names that one)
         fam = _tir_band_family()
         k1, k2 = families._grid_axes(fam, 9, fam.default_step())
-        for ka, kb in wavefront_segments(k1, k2):
-            reference = outcome(lambda: naive_cc_one_form(fam, ka, kb, 1e-9))
-            if isinstance(reference, RaySpaceError):
-                break
+        failing = [isinstance(outcome(lambda: naive_cc_one_form(fam, ka, kb, 1e-9)), RaySpaceError)
+                   for ka, kb in wavefront_segments(k1, k2)]
+        want = outcome(lambda: staged_wavefront(fam, (-0.06, 0.0)))
         with pytest.raises(FamilyTraceError) as err:
             rs.reconstruct_wavefront(fam, (-0.06, 0.0))
-        assert_same_error(err.value, reference)
-        k = (-0.041694691591112186, -0.49998585786437627)
+        assert_same_error(err.value, want)
+        assert err.value.row == want.row == failing.index(True) == 4
+        k = (-0.05524260534520229, -0.49998585786437627)
         assert err.value.k == k
         assert str(err.value) == (
             f"at k={k}: interface 0: "
-            "total internal reflection: (n1/n2) sin(a1) = 1.00152 >= 1"
+            "total internal reflection: (n1/n2) sin(a1) = 1.00005 >= 1"
         )
 
 
@@ -962,9 +992,9 @@ def random_params(rng, family, count, spill=0.0):
     )
 
 
-def check_against_items(batch, singles):
-    """A batch outcome against its items' outcomes taken one at a time."""
-    first = first_failure(singles)
+def check_against_items(batch, singles, first):
+    """A batch outcome against its items' outcomes taken one at a time and
+    the index of the item whose error it raises (staged_oracle)."""
     if first is not None:
         assert isinstance(batch, RaySpaceError), batch
         assert_same_error(batch, singles[first])
@@ -988,15 +1018,14 @@ class TestSegmentBatch:
         ka = random_params(rng, fam, count)
         kb = random_params(rng, fam, count)
 
-        def integral(family, a, b):
-            return outcome(lambda: rs.one_form_integral(family, a, b, tol=1e-8))
-
         with pytest.MonkeyPatch.context() as patch:  # a budget of 128 nodes
             patch.setattr(families, "_MAX_POINTS", 128)
-            singles = [integral(fam, a, b) for a, b in zip(ka, kb)]
-            assert all(isinstance(s, (float, RaySpaceError)) for s in singles)
-            check_against_items(integral(fam, ka, kb), singles)
-            check_against_items(integral(plain(fam), ka, kb), singles)
+            # a plain family evaluates its rows one by one: its eval is one stage
+            for family, stage in ((fam, trace_stage), (plain(fam), row_stage)):
+                singles, first = segment_oracle(family, ka, kb, 1e-8, stage)
+                assert all(isinstance(s, (float, RaySpaceError)) for s in singles)
+                batch = outcome(lambda: rs.one_form_integral(family, ka, kb, tol=1e-8))
+                check_against_items(batch, singles, first)
 
     def test_batch_beyond_the_chunk_cap(self, rng):
         lens = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, 0], 2.0), rs.REFRACT, 1.0, 1.5),))
@@ -1015,7 +1044,7 @@ class TestSegmentBatch:
         assert calls[:2] == [_CHUNK, 5 * 450 - _CHUNK]
         assert max(calls) <= _CHUNK
         singles = [rs.one_form_integral(fam, a, b, tol=1e-7) for a, b in zip(ka, kb)]
-        check_against_items(batch, singles)
+        check_against_items(batch, singles, None)
 
     def test_single_segment_gives_a_float(self):
         fam = rs.point_source([0, 0, 5], [0, 0, -1])
@@ -1100,7 +1129,7 @@ class TestRegularBatch:
         fam = random_family(rng, kind, kinds)
         k = random_params(rng, fam, count, spill)
         t = rng.uniform(-8.0, 8.0, count)
-        singles = [outcome(lambda: rs.is_regular_point(fam, kk, tt)) for kk, tt in zip(k, t)]
+        singles, first = regular_oracle(fam, k, t)
         for kk, tt, single in zip(k, t, singles):
             node = outcome(lambda: node_is_regular(fam, kk, tt))
             if isinstance(node, RaySpaceError):
@@ -1108,7 +1137,7 @@ class TestRegularBatch:
             else:
                 assert single == node
         batch = outcome(lambda: rs.is_regular_point(fam, k, t))
-        check_against_items(batch, singles)
+        check_against_items(batch, singles, first)
         if not isinstance(batch, RaySpaceError):
             assert batch.dtype == bool
 
@@ -1378,11 +1407,13 @@ class TestWavefrontBatch:
         err = self.assert_staged(edge, (0.0, 0.0), c=2.0, grid=9)
         assert isinstance(err, NoIntersectionError)
         assert err.row == 8 * 9  # the first node of the last row
-        # the batch, then the stages on their own: grid lines, levels 4
-        # and 8, stencil lines; then the oracle's
-        assert calls[:5] == [1413, 81, 432, 576, 324]
-        # a node before the failing stencils that is not regular wins
+        # the job's batch, and no line again; then the oracle's batch
+        assert calls == [1413, 1413]
+        # a node that is not regular, at the regularity test, does not win
+        # over the failing stencils, at the batch
         err = self.assert_staged(edge, (0.0, 0.0), c=5.0, grid=9)
+        assert isinstance(err, NoIntersectionError) and err.row == 8 * 9
+        err = self.assert_staged(fam, (0.0, 0.0), c=5.0, grid=9)
         assert isinstance(err, NonRegularError) and err.row == 0
 
     def test_not_regular(self):
@@ -1391,10 +1422,13 @@ class TestWavefrontBatch:
         assert isinstance(err, NonRegularError)
 
     def test_not_rectangular_wins_over_failing_stencil_lines(self):
+        # the failing stencil lines, in the batch, win over the L-path
+        # test, a later stage; without them the family is not rectangular
         scene = load_scene(str(SCENES / "two_skew.scene"))
         k1 = families._grid_axes(scene.family, 9, scene.family.default_step())[0]
         err = self.assert_staged(_past_edge(scene.family, k1[-1]), (0.0, 0.0))
-        assert isinstance(err, NotRectangularError)
+        assert isinstance(err, NoIntersectionError) and err.row == 8 * 9
+        assert isinstance(self.assert_staged(scene.family, (0.0, 0.0)), NotRectangularError)
 
 
 class TestEvalRows:
@@ -1533,19 +1567,23 @@ def _sphere_edge_family():
 
 
 def check_defect_grid(family, grid):
-    """defect_grid of the family and of its plain wrapper against the node
-    by node loop: equal values under ==, or the same first error.  Returns
-    the loop's values or error."""
-    reference = outcome(lambda: node_defect_grid(family, grid))
-    for fam in (family, plain(family)):
+    """defect_grid of the family and of its plain wrapper, whose eval is
+    one stage, against the node by node loop: equal values under ==, or the
+    same error, naming the same node.  Returns the family's loop's values or
+    error."""
+    references = []
+    for fam, stage in ((family, trace_stage), (plain(family), row_stage)):
+        reference = outcome(lambda: node_defect_grid(fam, grid, eval_stage=stage))
         batch = outcome(lambda: rs.defect_grid(fam, grid))
         if isinstance(reference, RaySpaceError):
             assert isinstance(batch, RaySpaceError), batch
             assert_same_error(batch, reference)
+            assert batch.row == reference.row
         else:
             assert not isinstance(batch, RaySpaceError), batch
             assert np.array_equal(batch.values, reference)
-    return reference
+        references.append(reference)
+    return references[0]
 
 
 class TestDefectGridBatch:
@@ -1604,15 +1642,17 @@ class TestDefectGridBatch:
         assert single.value.k == (8.485281374238571e-06, -0.29)
 
     def test_immersion_failure_before_a_later_trace_failure(self):
+        # the first node is not an immersion, but the stencil lines, the
+        # first stage, fail at a later node: the trace failure is raised
         fam = flat_for_negative_k1(_sphere_edge_family())
+        k, h = -0.29999151471862573, fam.default_step()
+        assert not immersion_ok(node_neighbors(fam, (k, k), h), h)
         err = check_defect_grid(fam, 5)
-        assert isinstance(err, ImmersionError)
-        k = -0.29999151471862573
-        assert str(err) == f"family is not an immersion at k=({k}, {k})"
-        # the trace failure of the first node with k1 = 0, a later node
+        assert isinstance(err, FamilyTraceError)
+        # the +k1 stencil line of the first node with k1 = 0, node 10
+        assert err.k == (8.485281374238571e-06, k) and err.row == 10
         later = outcome(lambda: rs.defect(fam, (0.0, k)))
-        assert isinstance(later, FamilyTraceError)
-        assert later.k == (8.485281374238571e-06, k)
+        assert isinstance(later, FamilyTraceError) and later.k == err.k
 
     def test_chart_coordinates_of_a_batch(self, rng):
         u = np.array([random_unit(rng) for _ in range(40)])
@@ -1816,12 +1856,12 @@ def check_roots(surface, lines, t_min, t_max):
     """Sinusoid.roots of a batch against the per-ray search, bit for bit, and
     each ray's roots alone (the batch of one) against it too; returns the
     roots or the error."""
-    singles = [
-        outcome(lambda: sinusoid_first_root(surface, lines.u[i], lines.q[i], t_min[i], t_max))
-        for i in range(len(t_min))
-    ]
+    singles, first = staged_oracle(  # the search is one stage
+        len(t_min),
+        lambda i: sinusoid_first_root(surface, lines.u[i], lines.q[i], t_min[i], t_max),
+        lambda i, error: (),
+    )
     batch = outcome(lambda: surface.roots(lines, t_min, t_max))
-    first = first_failure(singles)
     if first is not None:
         assert_same_error(batch, singles[first])
         assert batch.row == first
@@ -1924,6 +1964,10 @@ class TestSinusoidRootsBatch:
         err = check_roots(surface, lines, t_min, 1e6)
         assert isinstance(err, NoIntersectionError)
         assert str(err) == "sinusoid root search budget exceeded"
-        # intersect names the ray that misses first, before the budget
+        # the root search is intersect's first stage: its budget error wins
+        # over the miss of the lower ray 2 in the hit checks
         with pytest.raises(NoIntersectionError, match=r"ray misses Sinusoid in \(9, 1e\+06\]"):
+            rs.intersect(_ray(lines, 2), surface, t_min[2])
+        with pytest.raises(NoIntersectionError, match="^sinusoid root search budget exceeded$") as budget:
             rs.intersect(rs.OrientedLine(lines.u[[0, 2, 3]], lines.q[[0, 2, 3]]), surface, t_min[[0, 2, 3]])
+        assert budget.value.row == 2

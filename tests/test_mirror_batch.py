@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.cli import main
-from rayspace.errors import IllConditionedFitError, NoIntersectionError, RaySpaceError
+from rayspace.errors import GrazingError, IllConditionedFitError, NoIntersectionError, RaySpaceError
 from rayspace.families import _grid_lines
 from rayspace.lines import _first, _frame, _norm
 from rayspace.scene import load_scene
@@ -196,9 +196,10 @@ def _missing_between(family, lo, hi):
 
 
 class TestFailingFamilies:
-    """The design tests rectangularity on the stencil lines of its
-    wavefront's batch, or on its own if the batch fails, and then fails as
-    the wavefront does: as the oracle, which tests rectangularity first."""
+    """The design raises the error of its wavefront's batch, then tests
+    rectangularity on the batch's stencil lines, and then fails as the
+    wavefront does: as the oracle, which evaluates the batch's lines, then
+    tests rectangularity."""
 
     SOURCE = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
     MISSED = rs.OpticalSystem((rs.Interface(rs.Sphere([0.3, 0, 3.0], 0.5), rs.REFLECT, 1.0),))
@@ -221,9 +222,8 @@ class TestFailingFamilies:
 
     def test_failing_grid_line_after_the_rectangularity_test(self):
         # only the ray of the centre node of the 3x3 grid fails, not its
-        # stencil lines: the batch fails at that node, the rectangularity
-        # test evaluates its own stencil lines and passes, and the design
-        # raises the batch's error without evaluating the batch again
+        # stencil lines, and the family is rectangular: the batch fails at
+        # that node, and the design raises the batch's error at once
         calls = []
 
         def _eval(k1, k2):
@@ -237,12 +237,41 @@ class TestFailingFamilies:
         with pytest.raises(NoIntersectionError) as err:
             rs.design_focusing_mirror(family, (0, 0), [0.3, 0.2, 1.2], 1, 3.2, grid=3)
         # the wavefront's batch: 9 grid lines, 7 level-8 nodes on each of 12
-        # segments and 4 stencil lines per node; then the 36 stencil lines
-        assert calls == [9 + 7 * 12 + 4 * 9, 4 * 9]
+        # segments and 4 stencil lines per node, and no line again
+        assert calls == [9 + 7 * 12 + 4 * 9]
         assert rs.is_rectangular(family, grid=3)[0]
         with pytest.raises(NoIntersectionError) as want:
             rs.reconstruct_wavefront(family, (0, 0), grid=3)
         assert str(err.value) == str(want.value) and err.value.row == want.value.row == 4
+
+
+class TestMissedSphere:
+    """The family of the CI step "CLI mirror whose rays miss a sphere": a
+    point source over a small reflecting sphere."""
+
+    SOURCE = rs.point_source([0, 0, 0], [0, 0, -1], domain=((-0.16, 0.16), (-0.16, 0.16)))
+    BALL = rs.OpticalSystem((rs.Interface(rs.Sphere([0, 0, -3.0], 0.5), rs.REFLECT, 1.0),))
+
+    def test_one_batch_and_no_line_again(self):
+        family = rs.transform_family(self.SOURCE, self.BALL)
+        calls = []
+
+        def counted(k1, k2):
+            calls.append(np.size(k1))
+            return family.eval(k1, k2)
+
+        with pytest.raises(rs.FamilyTraceError) as err:
+            rs.design_focusing_mirror(
+                dataclasses.replace(family, eval=counted), (0, 0), [0, 0, -1], 1, 3.0
+            )
+        # the wavefront's one batch of 81 + 7 * 144 + 4 * 81 rows, and no
+        # line again
+        assert calls == [1413]
+        k = -0.1599954745166004
+        assert str(err.value) == f"at k=({k}, {k}): interface 0: ray misses Sphere in (0, 1e+06]"
+        with pytest.raises(rs.FamilyTraceError) as wavefront:
+            rs.reconstruct_wavefront(family, (0, 0))
+        assert (str(wavefront.value), wavefront.value.row) == (str(err.value), err.value.row)
 
 
 class TestRootRules:
@@ -378,6 +407,23 @@ class TestStackedFit:
 
         rs.verify_focus(design, dataclasses.replace(self.BEAM, eval=counted))
         assert sizes == [49]  # the 7x7 interior nodes of the 9x9 grid
+
+    def test_fit_error_comes_before_a_grazing_reflection(self):
+        # the fits are a stage before the reflections: the degenerate
+        # stencil of interior node 5 wins over the grazing ray of node 0
+        def grazing_at_node_0(k1, k2):
+            line = self.BEAM.eval(k1, k2)
+            graze = (np.asarray(k1) == -0.05) & (np.asarray(k2) == -0.05)
+            return rs.line_through(line.q, np.where(graze[..., None], [1.0, 0.0, 1e-8], line.u))
+
+        family = dataclasses.replace(self.BEAM, eval=grazing_at_node_0)
+        design = self.plane_design()
+        err = assert_same_focus(design, family)
+        assert isinstance(err, GrazingError) and err.row == 0
+        design.points[3, 3] = design.points[1, 3]  # node 5, (2, 3): t1 = 0
+        err = assert_same_focus(design, family)
+        assert isinstance(err, IllConditionedFitError) and err.row == 5
+        assert str(err) == "degenerate stencil around a mirror node at k=(0.0, 0.05)"
 
     def test_family_error_comes_before_fit_errors(self):
         # the lines are evaluated first: a line failing at interior node 6

@@ -43,6 +43,7 @@ from helpers import (
     path_length,
     polylines_oracle,
     random_surface,
+    staged_oracle,
     stationarity_residual_oracle,
 )
 
@@ -455,14 +456,21 @@ class TestBatchedNewton:
         off_inner = [1.5, 0.0, 0.1, 0.2]  # fails at the first chart
         off_outer = [0.6, 0.0, 2.5, 0.0]  # passes it, fails at the second
         at_m1 = [0.0, 0.0, 0.1, 0.2]  # the inner point is m1 itself
+        # the stages: the charts, then the coincidence check, which a
+        # lower row failing it loses to a chart's failure
         for rows, error, row in (
             ([ok, off_outer, ok, off_inner], NoRootError, 1),
-            ([ok, ok, at_m1, off_inner, off_outer], ValueError, 2),
+            ([ok, ok, at_m1, off_inner, off_outer], NoRootError, 3),
+            ([ok, ok, at_m1, ok], ValueError, 2),
             ([ok, off_inner, off_outer], NoRootError, 1),
         ):
             xs = np.array(rows)
-            alone = [outcome(lambda x=x: variational._gradients(pc, x[None])) for x in xs]
-            assert type(alone[row]) is error and not isinstance(alone[row - 1], Exception)
+            alone, first = staged_oracle(
+                len(xs),
+                lambda i: variational._gradients(pc, xs[i : i + 1]),
+                lambda i, error: int(type(error) is ValueError),
+            )
+            assert first == row and type(alone[row]) is error
             with pytest.raises(error) as err:
                 variational._gradients(pc, xs)
             assert str(err.value) == str(alone[row]) and err.value.row == row

@@ -2,8 +2,11 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from unittest import mock
@@ -866,6 +869,78 @@ class TestFailureContract:
                 assert command == "characteristic" or "k=(" in lines[0], (command, lines)
 
 
+# Runs every command in-process on each scene of a directory and prints the
+# exit codes, then one digest of each run's exit code, stdout, stderr and
+# output files: argv is the scene directory and an output directory.
+_DIGEST_RUNS = """
+import contextlib, hashlib, io, pathlib, sys, warnings
+from rayspace import cli
+scenes, out = map(pathlib.Path, sys.argv[1:])
+digest, codes = hashlib.sha256(), []
+for scene in sorted(scenes.glob("*.scene")):
+    for command in cli._COMMANDS:
+        where = out / f"{scene.stem}-{command}"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([command, "--scene", str(scene), "--out", str(where)])
+        codes.append(code)
+        digest.update(f"{scene.name} {command} {code}\\0{stdout.getvalue()}\\0{stderr.getvalue()}\\0".encode())
+        for path in sorted(where.iterdir()) if where.is_dir() else []:
+            digest.update(path.name.encode() + b"\\0" + path.read_bytes() + b"\\0")
+print(*codes)
+print(digest.hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    """Criterion 9 on random scenes: every command on 20 fixed scenes of
+    TestFailureContract's generator, passing and failing ones, gives the
+    same exit codes, stdout, stderr and output bytes in two interpreters
+    with different hash seeds."""
+
+    @staticmethod
+    def scenes():
+        rng = np.random.default_rng(20261021)
+        for i in range(20):
+            yield scene_with_options(
+                seed=i,
+                kind=("plane", "quadric", "sinusoid")[i % 3],
+                refract=bool(i % 2),
+                shells=i % 4,
+                width=(0.15, 0.6, 1.5)[i % 3],
+                focus=rng.uniform([-1, -1, -1], [1, 1, 3]),
+                epsilon=(-1, 1)[i % 2],
+                level=rng.uniform(-5, 5),
+                m1=rng.uniform([-1.5, -1.5, -1], [1.5, 1.5, 3]),
+                m2=rng.uniform([-1.5, -1.5, -1], [1.5, 1.5, 3]),
+            )
+
+    def test_two_hash_seeds_give_the_same_bytes(self, tmp_path):
+        for i, text in enumerate(self.scenes()):
+            (tmp_path / f"{i:02d}.scene").write_text(text)
+        path = os.pathsep.join(filter(None, [str(SCENES.parent / "src"), os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _DIGEST_RUNS, str(tmp_path), str(tmp_path / f"out-{seed}")],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+            )
+            for seed in (1, 2)
+        ]
+        outputs = []
+        for run in runs:
+            stdout, stderr = run.communicate(timeout=120)
+            assert run.returncode == 0, stderr
+            outputs.append(stdout.splitlines())
+        assert outputs[0] == outputs[1]
+        codes = outputs[0][0].split()
+        assert len(codes) == 20 * len(cli._COMMANDS)
+        assert {"0", "2"} <= set(codes)  # both passing and failing runs
+
+
 class TestSymplecticProperty:
     """check-symplectic on random systems of 1-4 interfaces: a plane,
     quadric or sinusoid stage followed by sphere shells."""
@@ -931,7 +1006,7 @@ def symplectic_samples(family, seed):
 
 def assert_same_check(scene, seed, step):
     """cmd_check_symplectic against check_symplectic_oracle: the same
-    residual lines, or the same error type, message, k and interface.
+    residual lines, or the same error type, message, row, k and interface.
     Returns the oracle's outcome."""
     args = argparse.Namespace(tol=None, step=step, seed=seed)
     ks = symplectic_samples(scene.family, seed)
@@ -945,7 +1020,7 @@ def assert_same_check(scene, seed, step):
         _, pairs, _ = cli.cmd_check_symplectic(scene, args)
     except RaySpaceError as exc:
         assert isinstance(want, Exception), exc
-        assert type(exc) is type(want) and str(exc) == str(want)
+        assert type(exc) is type(want) and str(exc) == str(want) and exc.row == want.row
         if isinstance(want, FamilyTraceError):
             assert exc.k == want.k
             assert exc.cause.interface_index == want.cause.interface_index
@@ -960,7 +1035,8 @@ def assert_same_check(scene, seed, step):
 class TestCheckSymplecticBatch:
     """check-symplectic maps all five samples through an interface in one
     chart_jacobian batch, and reports or raises what the sample-by-sample
-    loop (check_symplectic_oracle) does."""
+    loop (check_symplectic_oracle) does: of the samples failing at the
+    first failing stage, interface by interface, the first's error."""
 
     @pytest.mark.parametrize("name", ["sphere_refract", "mixed_device", "point_plane"])
     def test_bundled_scenes(self, name):
@@ -987,7 +1063,7 @@ class TestCheckSymplecticBatch:
     def test_an_earlier_sample_failing_later_wins(self):
         # sample 0 enters the outer sphere and passes 1.0 from the centre,
         # missing the inner one (interface 1); sample 1 misses the outer
-        # sphere (interface 0)
+        # sphere (interface 0), the first failing stage, and its error wins
         scene = parse_scene(
             "[surface outer]\nkind = sphere\ncenter = 0 0 0\nradius = 2\n"
             "[surface inner]\nkind = sphere\ncenter = 0 0 0\nradius = 0.8\n"
@@ -1007,11 +1083,13 @@ class TestCheckSymplecticBatch:
             check_symplectic_oracle(family, scene.system, ks, 2.5e-6)
         with pytest.raises(FamilyTraceError) as got:
             jacobians(ks)
-        assert want.value.k == got.value.k == (1.5, 0.0)
-        assert want.value.cause.interface_index == got.value.cause.interface_index == 1
+        assert want.value.k == got.value.k == (2.5, 0.0)
+        assert want.value.cause.interface_index == got.value.cause.interface_index == 0
         assert str(got.value) == str(want.value)
-        # without sample 0, sample 1 fails at interface 0; `row` names the sample
-        assert got.value.row == 0
+        assert got.value.row == want.value.row == 1  # `row` names the sample
+        with pytest.raises(FamilyTraceError) as alone:
+            jacobians(ks[:1])
+        assert alone.value.k == (1.5, 0.0) and alone.value.cause.interface_index == 1
         with pytest.raises(FamilyTraceError) as later:
             jacobians(ks[[2, 1]])
         assert later.value.k == (2.5, 0.0) and later.value.cause.interface_index == 0
@@ -1034,7 +1112,7 @@ class TestCheckSymplecticBatch:
     def test_an_earlier_sample_failing_later_wins_over_an_output_chart(self):
         # sample 1 fails at the output charts of interface 0, the pole
         # mirror of sample 1; sample 0 passes interface 0 and misses
-        # interface 1
+        # interface 1, a later stage: the output chart's error wins
         family = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-1, 1), (-1, 1)))
         ks, step = np.array([[0.0, 0.0], [-0.3, 0.0], [0.3, 0.0]]), 1.2
         system = rs.OpticalSystem(
@@ -1052,20 +1130,21 @@ class TestCheckSymplecticBatch:
         with pytest.raises(ChartDomainError) as alone:
             jacobians(ks[1:2], system.interfaces[:1])
         assert "south pole" in str(alone.value)
-        with pytest.raises(FamilyTraceError) as want:
+        with pytest.raises(FamilyTraceError) as sample_0:
+            jacobians(ks[:1])
+        assert sample_0.value.k == (0.0, 0.0) and sample_0.value.cause.interface_index == 1
+        with pytest.raises(ChartDomainError) as want:
             check_symplectic_oracle(family, system, ks, step)
-        with pytest.raises(FamilyTraceError) as got:
+        with pytest.raises(ChartDomainError) as got:
             jacobians(ks)
-        assert want.value.k == got.value.k == (0.0, 0.0)
-        assert want.value.cause.interface_index == got.value.cause.interface_index == 1
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == str(want.value) == str(alone.value)
+        assert got.value.row == want.value.row == 1
 
     def test_an_earlier_sample_failing_at_a_later_stage_of_the_same_interface_wins(self):
         # sample 0 passes the map of its pole mirror and fails at the output
         # charts; sample 1 starts past the mirror, so its rays miss it and
         # it fails at the map, the earlier stage: the batch raises for
-        # sample 1, and only the re-check of sample 0 finds the error that
-        # the sample-by-sample loop raises
+        # sample 1
         source = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-1, 1), (-1, 1)))
 
         def _eval(k1, k2):
@@ -1079,13 +1158,16 @@ class TestCheckSymplecticBatch:
         with pytest.raises(FamilyTraceError) as alone:
             cli._interface_jacobians(ks[1:], _ray(lines, slice(1, None)), starts[1:], system.interfaces, step)
         assert "misses" in str(alone.value)
-        with pytest.raises(ChartDomainError) as want:
+        with pytest.raises(ChartDomainError) as first:
+            cli._interface_jacobians(ks[:1], _ray(lines, slice(1)), starts[:1], system.interfaces, step)
+        assert "south pole" in str(first.value)
+        with pytest.raises(FamilyTraceError) as want:
             check_symplectic_oracle(family, system, ks, step)
-        with pytest.raises(ChartDomainError) as got:
+        with pytest.raises(FamilyTraceError) as got:
             cli._interface_jacobians(ks, lines, starts, system.interfaces, step)
-        assert str(got.value) == str(want.value)
-        assert "south pole" in str(got.value)
-        assert got.value.row == 0
+        assert str(got.value) == str(want.value) == str(alone.value)
+        assert got.value.k == want.value.k == (0.9, 0.0)
+        assert got.value.row == want.value.row == 1
 
     def test_one_map_call_per_interface(self, tmp_path):
         calls = []
