@@ -1,4 +1,6 @@
-"""Every CLI command on every bundled scene, at default options, pinned.
+"""Every CLI command on every bundled scene, at default options, pinned,
+and `wavefront --grid 3` on three scenes, whose segments refine past
+level 8 of the one-form integral.
 
 Each run's exit code, stderr and `report.txt` are compared verbatim, and
 each CSV it writes by sha256, against `data/cli_outputs.json`.  The floats
@@ -36,9 +38,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINS = pathlib.Path(__file__).resolve().parent / "data" / "cli_outputs.json"
 SCENES = sorted(p.name for p in (ROOT / "scenes").glob("*.scene"))
 RUNS = [(scene, command) for scene in SCENES for command in _COMMANDS]
+COARSE = [f"{scene}.scene" for scene in ("point_plane", "sphere_refract", "mixed_device")]
 
 
-def run(scene, command, out):
+def run(scene, command, out, *extra):
     """(exit code, stderr, report.txt text or None, {csv name: sha256}) of
     one `main` call, with the scene given relative to the repository root."""
     stderr = io.StringIO()
@@ -46,7 +49,7 @@ def run(scene, command, out):
     os.chdir(ROOT)
     try:
         with contextlib.redirect_stderr(stderr):
-            code = main([command, "--scene", f"scenes/{scene}", "--out", str(out)])
+            code = main([command, "--scene", f"scenes/{scene}", "--out", str(out), *extra])
     finally:
         os.chdir(cwd)
     report = out / "report.txt"
@@ -71,6 +74,12 @@ def pins():
 @pytest.mark.parametrize("scene, command", RUNS, ids=[f"{s[:-6]}-{c}" for s, c in RUNS])
 def test_command_output(scene, command, pins, tmp_path):
     assert run(scene, command, tmp_path) == pins[f"{scene} {command}"]
+
+
+@pytest.mark.parametrize("scene", COARSE, ids=[s[:-6] for s in COARSE])
+def test_coarse_wavefront_output(scene, pins, tmp_path):
+    # on a 3x3 grid the segments are long enough to refine past level 8
+    assert run(scene, "wavefront", tmp_path, "--grid", "3") == pins[f"{scene} wavefront --grid 3"]
 
 
 @pytest.mark.parametrize(
@@ -220,4 +229,8 @@ if __name__ == "__main__":
             out = pathlib.Path(tmp) / f"{scene}-{command}"
             out.mkdir()
             data[f"{scene} {command}"] = run(scene, command, out)
+        for scene in COARSE:
+            out = pathlib.Path(tmp) / f"{scene}-wavefront-grid-3"
+            out.mkdir()
+            data[f"{scene} wavefront --grid 3"] = run(scene, "wavefront", out, "--grid", "3")
     PINS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -15,7 +15,7 @@ from rayspace.errors import (
 from rayspace.lines import _omega
 from rayspace.scene import load_scene
 
-from helpers import line_tangent, make_device, plain, row_by_row, unit
+from helpers import line_tangent, make_device, naive_cc_one_form, plain, row_by_row, unit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -227,6 +227,22 @@ class TestOneFormIntegral:
     def test_collimated_integral_vanishes(self):
         fam = rs.collimated([0, 0, 1])
         assert abs(rs.one_form_integral(fam, (-0.3, -0.1), (0.4, 0.2))) < 1e-12
+
+    @pytest.mark.parametrize("grid", [3, 5, 9])
+    @pytest.mark.parametrize("name", ["point_plane", "sphere_refract", "mixed_device"])
+    def test_agrees_with_the_wavefront(self, name, grid):
+        # F one edge away from the base node is that edge's integral alone,
+        # bit for bit, along k1 and along k2; on a 3x3 grid the edges refine
+        # past level 8, on the finer grids they stop there
+        scene = load_scene(str(ROOT / "scenes" / f"{name}.scene"))
+        fam = rs.transform_family(scene.family, scene.system)
+        wf = rs.reconstruct_wavefront(fam, (0.0, 0.0), grid=grid)
+        i0, j0 = wf.base_index
+        ka = (wf.k1[i0], wf.k2[j0])
+        for i, j in ((i0 + 1, j0), (i0, j0 + 1)):
+            kb = (wf.k1[i], wf.k2[j])
+            assert rs.one_form_integral(fam, ka, kb) == wf.values[i, j]
+            assert (naive_cc_one_form(fam, ka, kb, 1e-9)[1] > 8) == (grid == 3)
 
 
 class TestWavefront:
