@@ -39,7 +39,7 @@ from .families import (
 from .lines import _norm, _ray, chart_jacobian, symplectic_residual
 from .optics import REFLECT, OpticalSystem, _cursor_past, propagate_system
 from .scene import _OPTIONS, load_scene
-from .variational import design_focusing_mirror, stationarity_residual
+from .variational import characteristic_function, design_focusing_mirror, law_residual, stationarity_residual
 
 
 class _UsageError(Exception):
@@ -263,9 +263,9 @@ def cmd_characteristic(scene, args):
     m1 = _require_option(scene, "m1")
     m2 = _require_option(scene, "m2")
     try:
-        # the law residual and hits come from the solve's last path
-        value, pc, law, hits = variational._solve(m1, m2, scene.system)
+        value, pc = characteristic_function(m1, m2, scene.system)
         station = stationarity_residual(pc)
+        law = law_residual(pc)
     except ValueError as exc:  # the path check's, naming the segment whose points coincide
         ends = ["M1", *(f"interface {i}" for i in range(len(scene.system.interfaces))), "M2"]
         raise ZeroDirectionError(f"{ends[exc.segment]} and {ends[exc.segment + 1]}: {exc}") from None
@@ -278,9 +278,9 @@ def cmd_characteristic(scene, args):
         ("optical_length", _fmt(value)),
         ("stationarity_residual", _fmt(station)),
         ("law_residual", _fmt(law)),
-        ("hits", len(hits)),
+        ("hits", len(pc.charts)),
     ]
-    for i, point in enumerate(hits):
+    for i, point in enumerate(pc.points()):
         pairs.append((f"hit_{i}", _vec_str(point)))
     return {}, pairs, None
 

@@ -42,17 +42,19 @@ exists only at the public entry points `defect`, `one_form_integral` and
 `one_form_integral` takes one segment or a batch of them and refines the
 batch level by level, by nested Clenshaw-Curtis quadrature on
 Chebyshev-Lobatto nodes: the nodes of the segments not yet converged are
-one array, and each level evaluates all their new nodes as one batch.
-`reconstruct_wavefront` evaluates one batch per job, the grid lines, the
-first two levels of all segments and the stencils of all nodes, for its
-stages to read, and keeps the grid lines with their optical lengths on the
-Wavefront, where `orthogonality_residual` reads them; `defect_grid`
-evaluates the stencil lines of all its nodes and their immersion tests in
-one batch.  `_defect_grids` runs that stage for the grid before a system
-and traces the lines it evaluated on through the system for the grid
-after; the mirror design's rectangularity test reads the stencil lines of
-its wavefront's batch.  Batches fail as `errors` sets out, the error's
-`row` naming the parameter, segment or node.
+one array.  Every integral starts from one batch of the lines at level 8's
+nodes of its segments (no segment stops before level 8, and level 4's
+nodes are among them), and each later level evaluates all new nodes as
+one batch.  `reconstruct_wavefront` evaluates one batch per job, the grid
+lines, level 8's interior nodes of all segments and the stencils of all
+nodes, for its stages to read, and keeps the grid lines with their optical
+lengths on the Wavefront, where `orthogonality_residual` reads them.
+`defect_grid` evaluates the stencil lines of all its nodes and their
+immersion tests in one batch.  `_defect_grids` runs that stage for the grid
+before a system and traces the lines it evaluated on through the system
+for the grid after; the mirror design's rectangularity test reads the
+stencil lines of its wavefront's batch.  Batches fail as `errors` sets
+out, the error's `row` naming the parameter, segment or node.
 """
 
 from __future__ import annotations
@@ -264,17 +266,15 @@ def transform_family(family: RayFamily, system: OpticalSystem) -> RayFamily:
     is traced as one batch.
     """
 
-    def _trace(k1, k2):
+    def _eval(k1, k2):
         try:
             base = family.eval(k1, k2)
-            return base, propagate_system(base, system, start=_starts(base))
+            start = _starts(base)
+            result = propagate_system(base, system, start=start)
         except RaySpaceError as exc:
             ks = np.column_stack(np.broadcast_arrays(k1, k2))  # one pair is the batch of one
             raise FamilyTraceError(ks[exc.row], exc) from exc
-
-    def _eval(k1, k2):
-        base, result = _trace(k1, k2)
-        out, start = result.line_out, _starts(base)
+        out = result.line_out
         last = result.hits[-1].point if result.hits else start
         length = getattr(base, "length", None)
         if length is not None:
@@ -504,22 +504,7 @@ def is_regular_point(family: RayFamily, k, t, h: float | None = None):
     t = np.asarray(t, dtype=float)
     _require_inside(family, ks, h)
     u0, _, _ = _eval_rows(family, ks)
-    return _regular(family, ks, t, h, u0)
-
-
-def _regular(family: RayFamily, ks, t, h: float, u0, strict: bool = False, stencil=None):
-    """is_regular_point at the rows of ks (N, 2) and t (N,), whose centre
-    directions u0 (N, 3) are given and whose stencils lie inside the
-    domain, and stencil, if given, their stencil lines' (u, q), each (4N, 3).
-    With strict, NonRegularError names the first point that is not regular,
-    a stage after the stencil lines."""
-    du, dq = _tangents(family, ks, h) if stencil is None else _differences(*stencil, h)
-    regular = abs(_spread(u0, t, du, dq)) > 1e-8
-    bad = _first(~regular)
-    if strict and bad is not None:
-        k = tuple(map(float, ks[bad]))
-        raise NonRegularError(f"wavefront point at k={k} is not regular").at(bad)
-    return regular
+    return abs(_spread(u0, t, *_tangents(family, ks, h))) > 1e-8
 
 
 def _spread(u0, t, du, dq):
@@ -551,16 +536,32 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL):
     the budget of 512 nodes (_MAX_POINTS); both errors name the segment.
 
     ka and kb of shape (2,) give one segment and a float; shape (S, 2) gives
-    S segments and an (S,) array.  The segments refine together: each level
-    evaluates the new nodes of every segment not yet converged as one batch
-    (in calls of at most _CHUNK rays).  Each segment keeps its own nodes,
-    sums and stopping test, all computed segment by segment, so each value
-    equals the single segment's bit for bit; the stages are the levels.
+    S segments and an (S,) array.  The segments refine together: the first
+    batch holds the lines at level 8's nodes of every segment, and each
+    later level evaluates the new nodes of every segment not yet converged
+    as one batch (in calls of at most _CHUNK rays).  Each segment keeps its
+    own nodes, sums and stopping test, all computed segment by segment, so
+    each value equals the single segment's bit for bit.  The stages: the first batch,
+    its rows in t order segment by segment, which levels 4 and 8 read;
+    level 4's sums; level 8's sums and the first stopping test; then each
+    level from 16, its new nodes and then its sums.
     """
     ka, kb = np.broadcast_arrays(np.asarray(ka, dtype=float), np.asarray(kb, dtype=float))
-    if ka.ndim == 1:
-        return float(_one_form_levels(family, ka[None], kb[None], tol)[0])
-    return _one_form_levels(family, ka, kb, tol)
+    single = ka.ndim == 1
+    ka, kb = np.atleast_2d(ka, kb)
+    try:
+        u, q, _ = _eval_rows(family, _level8(ka, kb).reshape(-1, 2))
+    except RaySpaceError as exc:
+        raise exc.at(exc.row // 9)
+    values = _one_form_levels(family, ka, kb, u.reshape(-1, 9, 3), q.reshape(-1, 9, 3), tol)
+    return float(values[0]) if single else values
+
+
+def _level8(ka, kb):
+    """The nodes (S, 9, 2) of level 8 of the segments ka[s] -> kb[s], in t
+    order: ka, the 7 interior nodes, kb."""
+    inner = ka[:, None] + _cc_level(8)[0][1:-1, None] * (kb - ka)[:, None]
+    return np.concatenate([ka[:, None], inner, kb[:, None]], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -605,20 +606,17 @@ def _cc_sums(us, qs):
     return 0.0 + np.vecdot(us.reshape(len(us), -1), (g @ dq).reshape(len(us), -1))
 
 
-def _one_form_levels(family: RayFamily, ka, kb, tol: float, ends=None, inner=None):
-    """one_form_integral of the segments ka[s] -> kb[s], refined together.
-
-    ends, when given, holds the lines already evaluated at ka and kb as
-    (S, 2, 2, 3): ends[s, e] is (u, q) at segment s's start (e = 0) or end;
-    the first level then evaluates only its interior nodes.  inner, given
-    with ends, holds the lines at level 8's interior nodes as (u, q), each
-    (S, 7, 3), [:, 1::2] level 4's: no segment stops before level 8, and
-    neither level then evaluates a line.
+def _one_form_levels(family: RayFamily, ka, kb, us, qs, tol: float):
+    """one_form_integral of the segments ka[s] -> kb[s], refined together,
+    from the directions and foot points us, qs (S, 9, 3) of the lines at
+    level 8's nodes of every segment (_level8); level 4's are their even
+    nodes, so no segment stops before level 8.
 
     The nodes of the live segments are two arrays (live, m + 1, 3).  Each
-    level evaluates the new nodes of all live segments in one batch,
-    interleaves them with the kept nodes and takes every segment's sum.  The
-    nodes and previous sum of a segment are dropped when it converges.
+    level from 16 on evaluates the new nodes of all live segments in one
+    batch and interleaves them with the kept nodes; each level takes every
+    segment's sum.  The nodes and previous sum of a segment are dropped when
+    it converges.
     """
     def failure(message, s):  # the error of live segment s, naming it
         seg = live[s]
@@ -628,37 +626,24 @@ def _one_form_levels(family: RayFamily, ka, kb, tol: float, ends=None, inner=Non
     values = np.empty(len(ka))
     span = kb - ka
     live = np.arange(len(ka))  # the segments not yet converged
-    us = qs = None  # the live segments' nodes
     prev = None  # per live segment, its previous sum
     m = 4
     while len(live):
         if m > _MAX_POINTS:
             raise failure("one-form integral did not converge under refinement", 0)
-        if inner is not None and m <= 8:  # every segment's level 4 nodes, or level 8's new ones
-            u, q = (a[:, 2 - m // 4 :: 2] for a in inner)
-        else:
-            nodes = _cc_level(m)[0]
-            ks = ka[live, None] + (nodes[1:-1] if us is None else nodes[1::2])[:, None] * span[live, None]
-            if us is None and ends is None:
-                ks = np.concatenate([ka[live, None], ks, kb[live, None]], axis=1)
+        if m > 8:
+            ks = ka[live, None] + _cc_level(m)[0][1::2, None] * span[live, None]
             try:
                 u, q, _ = _eval_rows(family, ks.reshape(-1, 2))
             except RaySpaceError as exc:
                 raise exc.at(live[exc.row // ks.shape[1]])
-            u, q = u.reshape(ks.shape[:2] + (3,)), q.reshape(ks.shape[:2] + (3,))
-        if us is None:
-            us, qs = u, q
-            if ends is not None:
-                us, qs = np.empty((2, len(live), m + 1, 3))
-                us[:, 1:-1], qs[:, 1:-1] = u, q
-                us[:, ::m], qs[:, ::m] = ends[:, :, 0], ends[:, :, 1]
-        else:
             grown = np.empty((2, len(live), m + 1, 3))
             grown[0, :, 0::2], grown[1, :, 0::2] = us, qs
-            grown[0, :, 1::2], grown[1, :, 1::2] = u, q
+            grown[0, :, 1::2], grown[1, :, 1::2] = u.reshape(len(live), -1, 3), q.reshape(len(live), -1, 3)
             us, qs = grown
+        every = 2 if m == 4 else 1  # level 4's nodes are level 8's even ones
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sum raises below
-            val = _cc_sums(us, qs)
+            val = _cc_sums(us[:, ::every], qs[:, ::every])
         bad = _first(~np.isfinite(val))
         if bad is not None:
             raise failure(f"one-form sum over {m} pieces is not finite", bad)
@@ -808,13 +793,15 @@ def reconstruct_wavefront(
 
 def _wavefront_batch(family: RayFamily, grid, h: float):
     """The one batch of reconstruct_wavefront, for its stages: the grid axes
-    k1s, k2s, the nodes ks (N, 2), the nodes (S,) where the segments between
-    adjacent nodes start and stop, along k1 column by column, then along k2
-    row by row, the (u, q, l) of the nodes' lines, the (u, q) of level 8's
-    interior nodes of every segment, each (S, 7, 3), and the (u, q) of the
-    nodes' stencil lines (_stencil_rows), each (4N, 3).  A failing batch
-    raises the error of its lowest failing row, with `row` naming the node
-    of a grid or stencil line, or the segment of a level 8 line."""
+    k1s, k2s, the nodes ks (N, 2), the (u, q, l) of the nodes' lines, the
+    segments between adjacent nodes, along k1 column by column, then along
+    k2 row by row, as their ends ka, kb (S, 2) and the (u, q) of the lines
+    at their level 8 nodes (_level8), each (S, 9, 3), and the (u, q) of the
+    nodes' stencil lines (_stencil_rows), each (4N, 3).  A segment's end
+    lines are its nodes', so the batch evaluates its 7 interior nodes only.
+    A failing batch raises the error of its lowest failing row, with `row`
+    naming the node of a grid or stencil line, or the segment of a level 8
+    line."""
     k1s, k2s = _grid_axes(family, grid, inset=h)
     n1, n2 = len(k1s), len(k2s)
     ks = _nodes(k1s, k2s).reshape(-1, 2)
@@ -822,9 +809,9 @@ def _wavefront_batch(family: RayFamily, grid, h: float):
     starts = np.concatenate([index[:-1].T.ravel(), index[:, :-1].ravel()])
     stops = starts + np.repeat([n2, 1], [(n1 - 1) * n2, n1 * (n2 - 1)])
     ka, kb = ks[starts], ks[stops]
-    level8 = ka[:, None] + _cc_level(8)[0][1:-1, None] * (kb - ka)[:, None]  # interior nodes
-    rows = np.concatenate([ks, level8.reshape(-1, 2), _stencil_rows(ks, h)])
-    n, m = len(ks), len(ks) + level8.size // 2  # the first rows of the nodes and of the stencils
+    inner = _level8(ka, kb)[:, 1:-1].reshape(-1, 2)
+    rows = np.concatenate([ks, inner, _stencil_rows(ks, h)])
+    n, m = len(ks), len(ks) + len(inner)  # the first rows of the interior nodes and of the stencils
     try:
         u, q, length = _eval_rows(family, rows)
     except RaySpaceError as exc:  # past the nodes' lines, the row names a segment, then a node
@@ -834,13 +821,14 @@ def _wavefront_batch(family: RayFamily, grid, h: float):
             exc.at((exc.row - n) // 7)
         raise
     lines = u[:n], q[:n], None if length is None else length[:n]
-    inner = [a[n:m].reshape(level8.shape[:2] + (3,)) for a in (u, q)]
-    return k1s, k2s, ks, (starts, stops), lines, inner, (u[m:], q[m:])
+    # the rows of each segment's level 8 lines, in t order
+    level8 = np.column_stack([starts, np.arange(n, m).reshape(-1, 7), stops])
+    return k1s, k2s, ks, lines, (ka, kb, u[level8], q[level8]), (u[m:], q[m:])
 
 
 def _wavefront_stages(family: RayFamily, batch, k0, c: float, h: float, path_tol: float) -> Wavefront:
     """reconstruct_wavefront from its batch (_wavefront_batch)."""
-    k1s, k2s, ks, (starts, stops), (u, q, length), inner, stencil = batch
+    k1s, k2s, ks, (u, q, length), segments, stencil = batch
     k0 = np.asarray(k0, dtype=float)
     i0 = int(np.argmin(np.abs(k1s - k0[0])))
     j0 = int(np.argmin(np.abs(k2s - k0[1])))
@@ -848,9 +836,7 @@ def _wavefront_stages(family: RayFamily, batch, k0, c: float, h: float, path_tol
     n1, n2 = len(k1s), len(k2s)
     us, qs = u.reshape(n1, n2, 3), q.reshape(n1, n2, 3)
     lengths = None if length is None else length.reshape(n1, n2)
-    lines = np.stack([u, q], axis=1)
-    ends = lines[np.stack([starts, stops], axis=1)]
-    seg = _one_form_levels(family, ks[starts], ks[stops], _INTEGRAL_TOL, ends, inner)
+    seg = _one_form_levels(family, *segments, _INTEGRAL_TOL)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 
@@ -865,7 +851,11 @@ def _wavefront_stages(family: RayFamily, batch, k0, c: float, h: float, path_tol
     values = f_rc
     points = qs - (values + c)[..., None] * us
 
-    _regular(family, ks, -(values + c).ravel(), h, lines[:, 0], strict=True, stencil=stencil)
+    det = _spread(u, -(values + c).ravel(), *_differences(*stencil, h))
+    bad = _first(~(abs(det) > 1e-8))  # a NaN determinant is not regular
+    if bad is not None:
+        k = tuple(map(float, ks[bad]))
+        raise NonRegularError(f"wavefront point at k={k} is not regular").at(bad)
 
     return Wavefront(
         k1=k1s,

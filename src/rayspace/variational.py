@@ -13,16 +13,16 @@ ray is a stationary configuration.  Both directions are enforced and tested.
 Each Newton trial point of characteristic_function is one checked gradient
 batch (the point, its Hessian stencil, the path check and the analytic
 gradient); V and the final law check reuse the unit segments and lengths
-of the last batch, so no path is embedded or checked a second time (`_solve`
-also hands the law residual and the hit points on, for the `characteristic`
-report), and the default seed is checked by the first batch alone.  A PathConfiguration
-stacks its charts by kind and builds the medium column of its system once,
-when it is built, and a solve seeded with a configuration keeps that
-configuration's stacks.  What a batch still computes depends on its rows:
-one evaluation per chart stack, for the points and Jacobians of all rows,
-the segments and their lengths, the coincidence check (one `any`, and the
-failing row only when a point coincides), the unit segments weighted by
-their media, and the gradient of all interfaces in one stacked product.
+of the last batch, so the solve embeds and checks no path a second time,
+and the default seed is checked by the first batch alone.  A
+PathConfiguration stacks its charts by kind and builds the medium column of
+its system once, when it is built, and a solve seeded with a configuration
+keeps that configuration's stacks.  What a batch still computes depends on
+its rows: one evaluation per chart stack, for the points and Jacobians of
+all rows, the segments and their lengths, the coincidence check (one
+`any`, and the failing row only when a point coincides), the unit segments
+weighted by their media, and the gradient of all interfaces in one stacked
+product.
 The law check takes the gradients of its surfaces one surface class at a
 time.  With M1 = M2 there is no chord, and the default seed takes each
 surface's point nearest M1.
@@ -381,20 +381,13 @@ def characteristic_function(
     checked by the first gradient batch, which raises what a
     PathConfiguration of it would.
     """
-    return _solve(m1, m2, system, initial)[:2]
-
-
-def _solve(m1, m2, system, initial=None):
-    """characteristic_function's (V, configuration), then the law residual
-    and the points (m, 3) of the solution on its m interfaces, both read
-    off the broken path of the last gradient batch's row 0."""
     # the first gradient batch checks the seed's path
     if initial is None:
         pc = PathConfiguration._unchecked(m1, m2, system, *_seed(m1, m2, system))
     else:  # its charts are stacked already
         pc = PathConfiguration._unchecked(m1, m2, system, initial.coords, initial.charts, initial._stacks)
     if not pc.charts:
-        return optical_length(pc), pc, 0.0, np.empty((0, 3))
+        return optical_length(pc), pc
 
     x = pc.flat()
     g, hess, path = _gradient_and_hessian(pc, x)
@@ -444,7 +437,7 @@ def _solve(m1, m2, system, initial=None):
         message = f"stationary point violates the local laws: residual {laws[worst]:.3e}"
         raise NoConvergenceError(f"interface {worst}: {message}")
     coords = tuple(x[2 * i : 2 * i + 2] for i in range(len(pc.charts)))
-    return float(_optical_lengths(system, lengths)), pc._moved(coords), float(laws[worst]), points[1:-1]
+    return float(_optical_lengths(system, lengths)), pc._moved(coords)
 
 
 # ---------------------------------------------------------------------------

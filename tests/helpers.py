@@ -4,6 +4,7 @@ closed-form oracles used across the test modules."""
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -742,10 +743,12 @@ def naive_cc_one_form(family, ka, kb, tol, max_points=512):
 
 def segment_oracle(family, ka, kb, tol, eval_stage=trace_stage):
     """one_form_integral of the segments ka[s] -> kb[s] by the failure rule
-    of `errors` (staged_oracle), each segment alone: the stages are its
-    levels m = 4, 8, ..., each evaluating the level's nodes, whose errors
-    eval_stage orders, then testing its sum; a segment past the budget
-    fails at the stage of the level after its last."""
+    of `errors` (staged_oracle), each segment alone: the stages are one
+    evaluation of level 8's nodes, the sum of level 4, the sum of level 8,
+    then each level m = 16, 32, ..., evaluating its new nodes, then testing
+    its sum.  eval_stage orders the errors of one evaluation, and a sum's
+    stage follows the evaluation before it, level by level; a segment past
+    the budget fails at the stage of the level after its last."""
     calls = {}
 
     def run(s):
@@ -760,7 +763,8 @@ def segment_oracle(family, ka, kb, tol, eval_stage=trace_stage):
         if isinstance(error, NoConvergenceError):
             if "did not converge" in str(error):
                 return (calls[s] + 1, -1, ())
-            return (calls[s], 1, ())
+            # levels 4 and 8 both follow the first evaluation
+            return (calls[s], 1, int(re.search(r"over (\d+) pieces", str(error))[1]))
         return (calls[s], 0, eval_stage(error))
 
     return staged_oracle(len(ka), run, stage)

@@ -568,7 +568,7 @@ class TestOneFormNodes:
         reference, m = naive_cc_one_form(fam, ka, kb, tol)
         assert value == reference
         assert sum(calls) == m + 1  # every node of the final level, once
-        assert len(calls) == int(np.log2(m)) - 1  # one call per level
+        assert len(calls) == int(np.log2(m)) - 2  # one call for levels 4 and 8, then one per level
         assert rs.one_form_integral(plain(fam), ka, kb, tol=tol) == value
         return m
 
@@ -670,10 +670,28 @@ class TestOneFormNodes:
         )
         _, m = naive_cc_one_form(fam, ka[0], kb[0], 1e-12)
         assert m > level
-        # both segments up to the failing level, and no segment again
-        assert sum(calls) == 2 * (level + 1)
-        # one eval call per level, m = 4, 8, ..., up to the failing one
-        assert len(calls) == (level // 4).bit_length()
+        # one eval call, level 8's nodes of both segments, and no segment again
+        assert calls == [2 * 9]
+
+    def test_level_4_sums_come_before_level_8_sums(self):
+        # segment 0's sum is first NaN at level 8, segment 1's at level 4:
+        # both levels read the first batch, and the batch raises at level 4
+        fam = rs.point_source([0.3, -0.2, 1.0], [1.0, 0.1, 0.2])
+        ka, kb = np.array([[0.0, -0.1], [-0.1, 0.05]]), np.array([[0.05, 0.0], [0.1, 0.21]])
+        nodes = families._cc_level(8)[0]
+
+        def nan(line):
+            return line.u, line.q * np.nan
+
+        fam = _blemished(fam, ka[0] + nodes[1] * (kb[0] - ka[0]), nan)
+        fam = _blemished(fam, ka[1] + nodes[2] * (kb[1] - ka[1]), nan)
+        singles, first = segment_oracle(fam, ka, kb, families._INTEGRAL_TOL, row_stage)
+        assert [str(s).split(" on ")[0] for s in singles] == [
+            "one-form sum over 8 pieces is not finite",
+            "one-form sum over 4 pieces is not finite",
+        ]
+        assert first == 1
+        check_against_items(outcome(lambda: rs.one_form_integral(fam, ka, kb)), singles, first)
 
 
 def _jump_family():
@@ -743,7 +761,8 @@ class TestFailureStaircase:
         # segment 0 crosses the jump and never converges (within a budget
         # of 256 nodes); segment 1 has a node of level 8, and not of level
         # 4, in its window; segment 2's midpoint, a node of level 4, lies in
-        # its window
+        # its window.  Levels 4 and 8 are one batch, so segments 1 and 2
+        # fail at the same stage, before segment 0
         monkeypatch.setattr(families, "_MAX_POINTS", 256)
         fam, rays = _staircase_family()
         ka = np.array([[-0.1, 0.0], [-0.1, 0.05], [-0.1, -0.1]])
@@ -754,16 +773,17 @@ class TestFailureStaircase:
             singles.append(outcome(lambda: rs.one_form_integral(fam, a, b)))
             counts.append(sum(rays))
         assert [type(s) for s in singles] == [NoConvergenceError, NoIntersectionError, NoIntersectionError]
-        # 5 + 4 + 8 + ... + 128 rays up to m = 256; 5 + 4; 5
-        assert counts == [257, 9, 5]
-        # segment 2 fails at level 4, the first failing stage
+        # 9 + 8 + 16 + ... + 128 rays up to m = 256; 9; 9
+        assert counts == [257, 9, 9]
+        # segment 1 fails in the first batch, the first failing stage, and
+        # its rows come before segment 2's
         singles, first = segment_oracle(fam, ka, kb, families._INTEGRAL_TOL)
-        assert first == 2
+        assert first == 1
         rays.clear()
         batch = outcome(lambda: rs.one_form_integral(fam, ka, kb))
         check_against_items(batch, singles, first)
-        # level 4 of all three segments, and no ray again
-        assert sum(rays) == 15
+        # level 8's nodes of all three segments, and no ray again
+        assert rays == [27]
 
     def test_a_segment_failing_after_an_earlier_one_converged(self):
         # segment 0 converges at m = 8; segment 1 crosses the jump, and its
@@ -776,9 +796,9 @@ class TestFailureStaircase:
         rays.clear()
         batch = outcome(lambda: rs.one_form_integral(fam, ka, kb))
         check_against_items(batch, singles, first)
-        # levels 4 and 8 of both segments, then level 16 of segment 1 alone,
-        # and no ray again
-        assert rays == [10, 8, 8]
+        # level 8's nodes of both segments, then level 16's new nodes of
+        # segment 1 alone, and no ray again
+        assert rays == [18, 8]
 
 
 def _small_sphere_family():
@@ -1040,8 +1060,8 @@ class TestSegmentBatch:
             return fam.eval(k1, k2)
 
         batch = rs.one_form_integral(dataclasses.replace(fam, eval=counting), ka, kb, tol=1e-7)
-        # the first level is one batch of 5 nodes per segment, split at _CHUNK rays
-        assert calls[:2] == [_CHUNK, 5 * 450 - _CHUNK]
+        # the first batch holds level 8's 9 nodes per segment, split at _CHUNK rays
+        assert calls[:2] == [_CHUNK, 9 * 450 - _CHUNK]
         assert max(calls) <= _CHUNK
         singles = [rs.one_form_integral(fam, a, b, tol=1e-7) for a, b in zip(ka, kb)]
         check_against_items(batch, singles, None)

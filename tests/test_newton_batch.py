@@ -61,23 +61,20 @@ def outcome(fn):
 
 def assert_same_solve(m1, m2, system, initial=None):
     """The batched solve against the oracle: V and path bit for bit, or the
-    same error type and message.  The law residual and hit points that the
-    solve reads off its last path (variational._solve) are those of the
-    configuration it returns, bit for bit.  Returns the outcome of
-    characteristic_function."""
-    got = outcome(lambda: variational._solve(m1, m2, system, initial=initial))
+    same error type and message, and the configuration it returns within
+    the law tolerance.  Returns the outcome of characteristic_function."""
+    got = outcome(lambda: rs.characteristic_function(m1, m2, system, initial=initial))
     want = outcome(lambda: characteristic_function_oracle(m1, m2, system, initial=initial))
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
         return got
-    v, pc, law, hits = got
+    v, pc = got
     v_ref, pc_ref = want
     assert v == v_ref
     assert pc.flat().tobytes() == pc_ref.flat().tobytes()
     assert rs.optical_length(pc) == path_length(pc)
     assert rs.stationarity_residual(pc) == stationarity_residual_oracle(pc)
-    assert law == rs.law_residual(pc)
-    assert hits.tobytes() == np.array(pc.points()).reshape(-1, 3).tobytes()
+    assert rs.law_residual(pc) <= variational._LAW_TOL
     return v, pc
 
 
@@ -562,9 +559,9 @@ class TestChartEvaluations:
         calls = counting_polylines(monkeypatch)
         scene = str(SCENES / "characteristic.scene")
         assert main(["characteristic", "--scene", scene, "--out", str(tmp_path)]) == 0
-        # the gradient batch and stationarity_residual; the law residual
-        # and hit points come from the gradient batch's path
-        assert calls == [(5, True), (4, False)]
+        # the gradient batch, stationarity_residual, then law_residual of
+        # the configuration the solve returns
+        assert calls == [(5, True), (4, False), (1, False)]
 
 
 class TestBadSeeds:
