@@ -377,7 +377,7 @@ def _grid_axes(family: RayFamily, grid, inset: float):
     return k1, k2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectGrid:
     """Defect sampled on a parameter grid, k1 varying along rows."""
 
@@ -707,7 +707,7 @@ def _grid_lines(family: RayFamily, k1, k2):
     return nodes, u.reshape(shape + (3,)), q.reshape(shape + (3,)), length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wavefront:
     """An orthogonal surface of a rectangular family, sampled on a grid.
 

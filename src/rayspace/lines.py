@@ -100,21 +100,27 @@ def _cross(a, b):
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
-def _frame(axis):
-    """Unit axis plus an orthonormal pair spanning its orthogonal plane.
+def _cross3(a, b):
+    """The cross product of two 3-sequences of Python floats, as a tuple:
+    the same three differences of rounded products as _cross."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
-    An (N, 3) batch of axes gives the N frames row by row."""
-    a = _as_vecs(axis)
+
+def _frame(axis):
+    """Unit axis plus an orthonormal pair spanning its orthogonal plane, for
+    one axis (3,): e1 is the unit of e_i x a, e_i the basis vector of the
+    smallest |a_i| (the first on ties), and e2 = a x e1."""
+    a = _as_vec3(axis)
     n = _norm(a)
-    if _any(n < 1e-12):
+    if n < 1e-12:
         raise ValueError("axis must be nonzero")
-    a = a / n[..., None]
-    ref = np.zeros_like(a)
-    np.put_along_axis(ref, np.argmin(np.abs(a), axis=-1)[..., None], 1.0, axis=-1)
-    e1 = _cross(ref, a)
-    e1 /= _norm(e1)[..., None]
-    e2 = _cross(a, e1)
-    return a, e1, e2
+    a = a / n
+    u = a.tolist()
+    x, y, z = map(abs, u)
+    ref = (1.0, 0.0, 0.0) if x <= y and x <= z else (0.0, 1.0, 0.0) if y <= z else (0.0, 0.0, 1.0)
+    e1 = np.array(_cross3(ref, u))
+    e1 /= _norm(e1)
+    return a, e1, np.array(_cross3(u, e1.tolist()))
 
 
 def _beam(direction, origin):

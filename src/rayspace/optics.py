@@ -111,7 +111,7 @@ def refract_line(line: OrientedLine, surface, n_in: float, n_out: float, t_min: 
     return line_through(hit.point, u2), hit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interface:
     """One surface together with its action and the media on either side.
 
@@ -146,7 +146,7 @@ class Interface:
         return refract_direction(u, n, self.n_in, self.n_out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticalSystem:
     """An ordered chain of interfaces traversed strictly in sequence."""
 
@@ -175,7 +175,7 @@ class OpticalSystem:
         return ns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceResult:
     line_out: OrientedLine
     hits: tuple

@@ -37,12 +37,13 @@ line as `family.kind`.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMediaChainError, SceneSyntaxError, UnknownSurfaceError
+from .errors import SceneSyntaxError, UnknownSurfaceError
 from .families import (
     RayFamily,
     collimated,
@@ -55,10 +56,8 @@ from .surfaces import Plane, Quadric, Sinusoid, Sphere
 
 _SECTION_RE = re.compile(r"^\[(surface\s+([A-Za-z_][A-Za-z0-9_-]*)|system|family|options)\]$")
 
-_SYSTEM_KEYS = {"ambient_index", "interface"}
 
-
-@dataclass
+@dataclass(eq=False)
 class Scene:
     surfaces: dict
     system: OpticalSystem
@@ -74,14 +73,14 @@ def _floats(raw, count, line_no, col):
     if len(parts) != count:
         raise SceneSyntaxError(line_no, col, f"expected {count} numbers, got {len(parts)}")
     try:
-        values = np.array([float(p) for p in parts])
+        values = list(map(float, parts))
     except ValueError:
         raise SceneSyntaxError(line_no, col, f"bad number in {raw!r}") from None
-    if not np.isfinite(values).all():
-        raise SceneSyntaxError(line_no, col, f"non-finite number in {raw!r}")
-    if (np.abs(values) >= _HUGE).any():
+    if not all(abs(v) < _HUGE for v in values):  # a NaN fails it too
+        if not all(map(math.isfinite, values)):
+            raise SceneSyntaxError(line_no, col, f"non-finite number in {raw!r}")
         raise SceneSyntaxError(line_no, col, f"number of magnitude 1e150 or more in {raw!r}")
-    return values
+    return np.array(values)
 
 
 def _float(raw, line_no, col):
@@ -89,9 +88,9 @@ def _float(raw, line_no, col):
         value = float(raw)
     except ValueError:
         raise SceneSyntaxError(line_no, col, f"bad number {raw!r}") from None
-    if not np.isfinite(value):
-        raise SceneSyntaxError(line_no, col, f"non-finite number {raw!r}")
-    if abs(value) >= _HUGE:
+    if not abs(value) < _HUGE:  # a NaN fails it too
+        if not math.isfinite(value):
+            raise SceneSyntaxError(line_no, col, f"non-finite number {raw!r}")
         raise SceneSyntaxError(line_no, col, f"number of magnitude 1e150 or more: {raw!r}")
     return value
 
@@ -128,58 +127,64 @@ def _sign(key):
 
 
 class _Section:
-    """One parsed section: header info plus key -> (value, line, col) entries."""
+    """One section: its header, name and line, its entries key -> (value,
+    line, col of the value) in file order, and the `interface` entries of a
+    [system] section, which may repeat."""
+
+    __slots__ = ("header", "name", "line_no", "entries", "interfaces")
 
     def __init__(self, header, name, line_no):
         self.header = header
         self.name = name
         self.line_no = line_no
         self.entries = {}
-        self.interfaces = []  # (value, line, col), [system] only
+        self.interfaces = []
 
-    def take(self, key, default=None):
-        return self.entries.pop(key, (default, self.line_no, 1))
+    def what(self):
+        return f"{self.header} {self.name!r}" if self.name else self.header
 
     def finish(self, allowed):
+        """Raise for the first entry, in file order, whose key is not allowed."""
         for key, (_, line_no, col) in self.entries.items():
             if key not in allowed:
                 raise SceneSyntaxError(line_no, col, f"unknown key {key!r}")
 
 
 def _split_sections(text):
+    """The sections of `text`, in file order, from one pass over its lines:
+    the first malformed line raises, before any value is parsed."""
     sections = []
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        if stripped.startswith("["):
+        if stripped[0] == "[":
             m = _SECTION_RE.match(stripped)
             if not m:
                 raise SceneSyntaxError(line_no, raw.index("[") + 1, f"bad section header {stripped!r}")
-            header = "surface" if m.group(1).startswith("surface") else m.group(1)
-            current = _Section(header, m.group(2), line_no)
+            current = _Section("surface" if m[2] else m[1], m[2], line_no)
             sections.append(current)
             continue
         if current is None:
             raise SceneSyntaxError(line_no, 1, "key before any section header")
-        if "=" not in raw:
+        key_part, eq, value = raw.partition("=")
+        if not eq:
             raise SceneSyntaxError(line_no, 1, "expected key = value")
-        key_part, value_part = raw.split("=", 1)
         key = key_part.strip()
-        key_col = raw.index(key) + 1 if key else 1
         if not key:
             raise SceneSyntaxError(line_no, 1, "empty key")
-        value = value_part.split("#", 1)[0].strip()
-        value_col = raw.index("=") + 2
+        value_col = len(key_part) + 2
+        value = value.partition("#")[0].strip()
         if not value:
             raise SceneSyntaxError(line_no, value_col, f"empty value for {key!r}")
-        if current.header == "system" and key == "interface":
+        if key == "interface" and current.header == "system":
             current.interfaces.append((value, line_no, value_col))
-            continue
-        if key in current.entries:
+        elif key in current.entries:
+            key_col = len(key_part) - len(key_part.lstrip()) + 1
             raise SceneSyntaxError(line_no, key_col, f"duplicate key {key!r}")
-        current.entries[key] = (value, line_no, value_col)
+        else:
+            current.entries[key] = (value, line_no, value_col)
     return sections
 
 
@@ -192,7 +197,7 @@ def _matrix(raw, line_no, col):
 
 
 # kind -> (class, {key: value parser} in parse order, required keys); every
-# kind also takes `kind` and the optional `incoming_sign`
+# kind also takes `kind` and the optional `incoming_sign` (_SURFACE_COMMON)
 _SURFACES = {
     "plane": (Plane, {"offset": _float, "normal": _vector(3)}, ("normal",)),
     "sphere": (Sphere, {"center": _vector(3), "radius": _float}, ("center", "radius")),
@@ -207,6 +212,7 @@ _SURFACES = {
         ("amplitude", "wavevector"),
     ),
 }
+_SURFACE_COMMON = {"incoming_sign": _sign("incoming_sign")}
 
 
 def _family_kinds(surfaces):
@@ -239,37 +245,34 @@ def _family_kinds(surfaces):
 def _build(section, kinds, common):
     """The object of a [surface] or [family] section: `kinds` is its
     table, and `common` maps the keys every kind takes to their parsers,
-    which run before the unknown-key check.  A ValueError or overflow of the
-    builder is reported at the section's line."""
-    what = f"{section.header} {section.name!r}" if section.name else section.header
-    kind_raw, line_no, col = section.take("kind")
-    if kind_raw is None:
-        raise SceneSyntaxError(section.line_no, 1, f"{what} has no kind")
-    if kind_raw not in kinds:
-        raise SceneSyntaxError(line_no, col, f"unknown {section.header} kind {kind_raw!r}")
-    builder, parsers, required = kinds[kind_raw]
-    for req in required:
-        if req not in section.entries:
-            raise SceneSyntaxError(section.line_no, 1, f"{what} missing key {req!r}")
-    values = {
-        key: parse(*section.entries.pop(key))
-        for key, parse in common.items()
-        if key in section.entries
-    }
-    given = {key: section.entries.pop(key) for key in parsers if key in section.entries}
+    which run before the unknown-key check.  A ValueError of the builder is
+    reported at the section's line.  Every number a builder gets is finite
+    and below 1e150 in magnitude, so its squares and norms cannot overflow."""
+    entries = section.entries
+    kind, line_no, col = entries.pop("kind", (None, 0, 0))
+    if kind not in kinds:
+        if kind is None:
+            raise SceneSyntaxError(section.line_no, 1, f"{section.what()} has no kind")
+        raise SceneSyntaxError(line_no, col, f"unknown {section.header} kind {kind!r}")
+    builder, parsers, required = kinds[kind]
+    for key in required:
+        if key not in entries:
+            raise SceneSyntaxError(section.line_no, 1, f"{section.what()} missing key {key!r}")
+    values = {key: parse(*entries.pop(key)) for key, parse in common.items() if key in entries}
     section.finish(parsers)
-    values.update((key, parsers[key](*entry)) for key, entry in given.items())
+    for key, parse in parsers.items():
+        if key in entries:
+            values[key] = parse(*entries[key])
     try:
-        with np.errstate(all="raise", under="ignore"):
-            return builder(**values)
-    except (ValueError, FloatingPointError) as exc:
+        return builder(**values)
+    except ValueError as exc:
         raise SceneSyntaxError(section.line_no, 1, str(exc)) from None
 
 
 def _build_system(section, surfaces):
-    amb_raw, al, ac = section.take("ambient_index")
-    section.finish(_SYSTEM_KEYS)
-    ambient = 1.0 if amb_raw is None else _float(amb_raw, al, ac)
+    ambient = section.entries.pop("ambient_index", None)
+    section.finish(())
+    ambient = 1.0 if ambient is None else _float(*ambient)
     interfaces = []
     current_index = ambient
     for value, line_no, col in section.interfaces:
@@ -282,24 +285,23 @@ def _build_system(section, surfaces):
         if action == REFLECT:
             if len(parts) != 2:
                 raise SceneSyntaxError(line_no, col, "reflect takes no indices")
-            interfaces.append(Interface(surfaces[name], REFLECT, n_in=current_index))
+            interfaces.append(Interface(surfaces[name], REFLECT, current_index))
         elif action == REFRACT:
             if len(parts) != 4:
                 raise SceneSyntaxError(line_no, col, "refract takes n_in and n_out")
             n_in = _float(parts[2], line_no, col)
-            n_out = _float(parts[3], line_no, col)
-            interfaces.append(Interface(surfaces[name], REFRACT, n_in=n_in, n_out=n_out))
-            current_index = n_out
+            current_index = _float(parts[3], line_no, col)
+            interfaces.append(Interface(surfaces[name], REFRACT, n_in, current_index))
         else:
             raise SceneSyntaxError(line_no, col, f"unknown action {action!r}")
-    return OpticalSystem(tuple(interfaces), ambient_index=ambient)
+    return OpticalSystem(tuple(interfaces), ambient)
 
 
 def _parse_domain(raw, line_no, col):
-    vals = _floats(raw, 4, line_no, col)
+    vals = _floats(raw, 4, line_no, col).tolist()
     if not (vals[0] < vals[1] and vals[2] < vals[3]):
         raise SceneSyntaxError(line_no, col, "domain bounds must be increasing")
-    return ((float(vals[0]), float(vals[1])), (float(vals[2]), float(vals[3])))
+    return ((vals[0], vals[1]), (vals[2], vals[3]))
 
 
 # key -> value parser of an [options] section; the command line checks
@@ -340,7 +342,7 @@ def parse_scene(text: str) -> Scene:
                 raise SceneSyntaxError(
                     section.line_no, 1, f"duplicate surface {section.name!r}"
                 )
-            surfaces[section.name] = _build(section, _SURFACES, {"incoming_sign": _sign("incoming_sign")})
+            surfaces[section.name] = _build(section, _SURFACES, _SURFACE_COMMON)
         elif section.header in single:
             raise SceneSyntaxError(section.line_no, 1, f"duplicate [{section.header}] section")
         else:
@@ -358,5 +360,8 @@ def parse_scene(text: str) -> Scene:
 
 
 def load_scene(path) -> Scene:
-    with open(path, encoding="utf-8") as handle:
-        return parse_scene(handle.read())
+    """The scene of a UTF-8 file, its bytes decoded at once: the text and
+    any decoding error are a text-mode read's, but for line ends, which the
+    parser takes alike (\\n, \\r\\n or \\r)."""
+    with open(path, "rb") as handle:
+        return parse_scene(handle.read().decode("utf-8"))

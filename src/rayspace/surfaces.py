@@ -62,6 +62,7 @@ what each chart gives alone, in one evaluation of the kind's formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,7 +96,8 @@ def _nan_where_negative(x):
 
 
 def _freeze(obj, name, value):
-    value = np.asarray(value, dtype=float).copy()
+    """Set the field `name` of obj to `value`, a float array no one else
+    holds, made read-only."""
     value.flags.writeable = False
     object.__setattr__(obj, name, value)
 
@@ -167,7 +169,7 @@ class SurfaceChart:
         return self.kind.invert(self.params, p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ChartStack:
     """The charts of one kind at `positions` in a sequence of charts, their
     parameters stacked along a leading axis; `index` picks their entries
@@ -345,7 +347,7 @@ class _LevelFunction:
         return self._gradient(p) if p.ndim == 2 else self._gradient(p[None])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plane(_LevelFunction):
     normal: np.ndarray
     offset: float = 0.0
@@ -353,16 +355,16 @@ class Plane(_LevelFunction):
     _stacked = ("normal",)  # the parameters `_gradient` reads
 
     def __post_init__(self):
-        n = _as_vec3(self.normal)
-        big = float(np.max(np.abs(n)))
-        if not np.isfinite(big):
+        n = _as_vec3(self.normal).tolist()
+        if not all(map(math.isfinite, n)):
             raise ValueError("plane normal must be finite")
-        if big < 1e-12 and np.linalg.norm(n) < 1e-12:
+        big = max(map(abs, n))
+        if big < 1e-12 and _norm(np.array(n)) < 1e-12:
             raise ValueError("plane normal must be nonzero")
         # scaled by the power of two next to max |n|: exact, so n / |n| is as
         # it was, and |n| can no longer overflow
-        n = np.ldexp(n, -np.frexp(big)[1])
-        _freeze(self, "normal", n / np.linalg.norm(n))
+        n = np.array([math.ldexp(x, -math.frexp(big)[1]) for x in n])
+        _freeze(self, "normal", n / _norm(n))
         object.__setattr__(self, "offset", float(self.offset))
 
     def _value(self, p):
@@ -389,7 +391,7 @@ class Plane(_LevelFunction):
         return _beam(self.normal if outward else -self.normal, self.offset * self.normal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sphere(_LevelFunction):
     center: np.ndarray
     radius: float
@@ -397,7 +399,7 @@ class Sphere(_LevelFunction):
     _stacked = ("center",)  # the parameters `_gradient` reads
 
     def __post_init__(self):
-        _freeze(self, "center", _as_vec3(self.center))
+        _freeze(self, "center", _as_vec3(self.center).copy())
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
@@ -450,7 +452,7 @@ class Sphere(_LevelFunction):
         return rays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadric(_LevelFunction):
     matrix: np.ndarray
     linear: np.ndarray
@@ -463,7 +465,7 @@ class Quadric(_LevelFunction):
         if m.shape != (3, 3):
             raise ValueError("quadric matrix must be 3x3")
         _freeze(self, "matrix", 0.5 * (m + m.T))
-        _freeze(self, "linear", _as_vec3(self.linear))
+        _freeze(self, "linear", _as_vec3(self.linear).copy())
         object.__setattr__(self, "constant", float(self.constant))
 
     def _value(self, p):
@@ -512,7 +514,7 @@ class Quadric(_LevelFunction):
         return SurfaceChart(kind, params + (np.array([branch]),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sinusoid(_LevelFunction):
     amplitude: float
     wavevector: np.ndarray
@@ -524,7 +526,7 @@ class Sinusoid(_LevelFunction):
         w = np.asarray(self.wavevector, dtype=float)
         if w.shape != (2,):
             raise ValueError("wavevector must be a 2-vector")
-        _freeze(self, "wavevector", w)
+        _freeze(self, "wavevector", w.copy())
 
     def _value(self, p):
         return p[:, 2] - self.amplitude * np.sin(np.vecdot(self.wavevector, p[:, :2]))
@@ -667,7 +669,7 @@ class Sinusoid(_LevelFunction):
 SURFACE_KINDS = (Plane, Sphere, Quadric, Sinusoid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Intersection:
     """Ray/surface hit: point, ray parameter, oriented unit normal, u . n.
 

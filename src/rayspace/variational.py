@@ -71,7 +71,7 @@ _MAX_ITER = 100  # Newton steps of characteristic_function
 _MIRROR_REACH = 2.0**29 - 1.0  # farthest mirror root from the wavefront, 1 + 2 + ... + 2**28
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathConfiguration:
     """Endpoints, an optical system, and one chart point per interface.
 
@@ -444,7 +444,7 @@ def characteristic_function(
 # focusing-mirror design
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MirrorDesign:
     """Mirror points X(k) on the rays of a family, one per grid node."""
 

@@ -27,6 +27,7 @@ from rayspace.errors import (
     RaySpaceError,
     TangentialError,
     TotalInternalReflectionError,
+    SceneSyntaxError,
     TraceError,
 )
 from rayspace.families import _CHUNK, _grid_axes, _grid_lines, _l_paths, _largest_at
@@ -351,7 +352,7 @@ def _col(k):
 
 def point_source_oracle(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))):
     apex = _as_vec3(apex)
-    a, e1, e2 = _frame(axis)
+    a, e1, e2 = frame_oracle(axis)
 
     def _eval(k1, k2):
         return rs.line_through(apex, a + _col(k1) * e1 + _col(k2) * e2)
@@ -366,7 +367,7 @@ def point_source_oracle(apex, axis, domain=((-0.3, 0.3), (-0.3, 0.3))):
 
 def collimated_oracle(direction, origin=(0.0, 0.0, 0.0), domain=((-0.5, 0.5), (-0.5, 0.5))):
     origin = _as_vec3(origin)
-    a, e1, e2 = _frame(direction)
+    a, e1, e2 = frame_oracle(direction)
 
     def _anchor(k1, k2):
         return origin + _col(k1) * e1 + _col(k2) * e2
@@ -401,7 +402,7 @@ def two_skew_lines_oracle(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0
 def normal_congruence_oracle(surface, domain, axis=(0.0, 0.0, 1.0), outward=True):
     sgn = 1.0 if outward else -1.0
     if isinstance(surface, rs.Sphere):
-        a, e1, e2 = _frame(axis)
+        a, e1, e2 = frame_oracle(axis)
         center, radius = surface.center, surface.radius
 
         def _radial(k1, k2):
@@ -441,6 +442,312 @@ def normal_congruence_oracle(surface, domain, axis=(0.0, 0.0, 1.0), outward=True
         n = surface.normal if outward else -surface.normal
         return collimated_oracle(n, surface.offset * surface.normal, domain)
     raise ValueError(f"normal congruence not supported for {type(surface).__name__}")
+
+
+# the scene parser as it was when it checked and scaled values with numpy
+# arrays: the oracles of the splitter, the value parsers, _frame and the
+# plane normal, and parse_scene_oracle, the parser built from them and the
+# builder oracles above
+
+
+def frame_oracle(axis):
+    """_frame as it was, for a 3-vector or an (N, 3) batch of axes: the
+    basis vector of the smallest |a_i| picked by np.argmin, np.cross."""
+    a = np.asarray(axis, dtype=float)
+    n = _norm(a)
+    if np.any(n < 1e-12):
+        raise ValueError("axis must be nonzero")
+    a = a / n[..., None]
+    ref = np.zeros_like(a)
+    np.put_along_axis(ref, np.argmin(np.abs(a), axis=-1)[..., None], 1.0, axis=-1)
+    e1 = np.cross(ref, a)
+    e1 /= _norm(e1)[..., None]
+    return a, e1, np.cross(a, e1)
+
+
+def plane_normal_oracle(normal):
+    """The unit normal a Plane kept of `normal`, as it was computed."""
+    n = _as_vec3(normal)
+    big = float(np.max(np.abs(n)))
+    if not np.isfinite(big):
+        raise ValueError("plane normal must be finite")
+    if big < 1e-12 and np.linalg.norm(n) < 1e-12:
+        raise ValueError("plane normal must be nonzero")
+    n = np.ldexp(n, -np.frexp(big)[1])
+    return n / np.linalg.norm(n)
+
+
+def _plane_oracle(normal, offset=0.0, incoming_sign=1):
+    plane = object.__new__(rs.Plane)
+    for name, value in (("normal", plane_normal_oracle(normal)), ("offset", float(offset)), ("incoming_sign", incoming_sign)):
+        object.__setattr__(plane, name, value)
+    return plane
+
+
+def floats_oracle(raw, count, line_no, col):
+    parts = raw.split()
+    if len(parts) != count:
+        raise SceneSyntaxError(line_no, col, f"expected {count} numbers, got {len(parts)}")
+    try:
+        values = np.array([float(p) for p in parts])
+    except ValueError:
+        raise SceneSyntaxError(line_no, col, f"bad number in {raw!r}") from None
+    if not np.isfinite(values).all():
+        raise SceneSyntaxError(line_no, col, f"non-finite number in {raw!r}")
+    if (np.abs(values) >= 1e150).any():
+        raise SceneSyntaxError(line_no, col, f"number of magnitude 1e150 or more in {raw!r}")
+    return values
+
+
+def float_oracle(raw, line_no, col):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise SceneSyntaxError(line_no, col, f"bad number {raw!r}") from None
+    if not np.isfinite(value):
+        raise SceneSyntaxError(line_no, col, f"non-finite number {raw!r}")
+    if abs(value) >= 1e150:
+        raise SceneSyntaxError(line_no, col, f"number of magnitude 1e150 or more: {raw!r}")
+    return value
+
+
+def _int_oracle(raw, line_no, col):
+    try:
+        return int(raw)
+    except ValueError:
+        raise SceneSyntaxError(line_no, col, f"bad integer {raw!r}") from None
+
+
+def _bool_oracle(raw, line_no, col):
+    if raw in ("true", "false"):
+        return raw == "true"
+    raise SceneSyntaxError(line_no, col, f"expected true or false, got {raw!r}")
+
+
+def _checked_oracle(parse, ok, message):
+    def checked(raw, line_no, col):
+        value = parse(raw, line_no, col)
+        if not ok(value):
+            raise SceneSyntaxError(line_no, col, message)
+        return value
+
+    return checked
+
+
+def _sign_oracle(key):
+    return _checked_oracle(_int_oracle, lambda v: v in (1, -1), f"{key} must be 1 or -1")
+
+
+def _vector_oracle(count):
+    return lambda raw, line_no, col: floats_oracle(raw, count, line_no, col)
+
+
+_SECTION_ORACLE_RE = re.compile(r"^\[(surface\s+([A-Za-z_][A-Za-z0-9_-]*)|system|family|options)\]$")
+
+
+@dataclass
+class SectionOracle:
+    header: str
+    name: str | None
+    line_no: int
+    entries: dict = dataclasses.field(default_factory=dict)
+    interfaces: list = dataclasses.field(default_factory=list)
+
+    def take(self, key, default=None):
+        return self.entries.pop(key, (default, self.line_no, 1))
+
+    def finish(self, allowed):
+        for key, (_, line_no, col) in self.entries.items():
+            if key not in allowed:
+                raise SceneSyntaxError(line_no, col, f"unknown key {key!r}")
+
+
+def split_sections_oracle(text):
+    sections = []
+    current = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped.startswith("["):
+            m = _SECTION_ORACLE_RE.match(stripped)
+            if not m:
+                raise SceneSyntaxError(line_no, raw.index("[") + 1, f"bad section header {stripped!r}")
+            header = "surface" if m.group(1).startswith("surface") else m.group(1)
+            current = SectionOracle(header, m.group(2), line_no)
+            sections.append(current)
+            continue
+        if current is None:
+            raise SceneSyntaxError(line_no, 1, "key before any section header")
+        if "=" not in raw:
+            raise SceneSyntaxError(line_no, 1, "expected key = value")
+        key_part, value_part = raw.split("=", 1)
+        key = key_part.strip()
+        key_col = raw.index(key) + 1 if key else 1
+        if not key:
+            raise SceneSyntaxError(line_no, 1, "empty key")
+        value = value_part.split("#", 1)[0].strip()
+        value_col = raw.index("=") + 2
+        if not value:
+            raise SceneSyntaxError(line_no, value_col, f"empty value for {key!r}")
+        if current.header == "system" and key == "interface":
+            current.interfaces.append((value, line_no, value_col))
+            continue
+        if key in current.entries:
+            raise SceneSyntaxError(line_no, key_col, f"duplicate key {key!r}")
+        current.entries[key] = (value, line_no, value_col)
+    return sections
+
+
+_POINT_ORACLE = _vector_oracle(3)
+_SURFACES_ORACLE = {
+    "plane": (_plane_oracle, {"offset": float_oracle, "normal": _POINT_ORACLE}, ("normal",)),
+    "sphere": (rs.Sphere, {"center": _POINT_ORACLE, "radius": float_oracle}, ("center", "radius")),
+    "quadric": (
+        rs.Quadric,
+        {
+            "matrix": lambda raw, line_no, col: floats_oracle(raw, 9, line_no, col).reshape(3, 3),
+            "linear": _POINT_ORACLE,
+            "constant": float_oracle,
+        },
+        ("matrix", "linear", "constant"),
+    ),
+    "sinusoid": (rs.Sinusoid, {"amplitude": float_oracle, "wavevector": _vector_oracle(2)}, ("amplitude", "wavevector")),
+}
+
+
+def _two_skew_lines_oracle(point1, dir1, point2, dir2, domain=((-0.25, 0.25), (-0.25, 0.25))):
+    if min(np.linalg.norm(_as_vec3(dir1)), np.linalg.norm(_as_vec3(dir2))) < 1e-12:
+        raise ValueError("dir1 and dir2 must be nonzero")
+    return two_skew_lines_oracle(point1, dir1, point2, dir2, domain)
+
+
+def _normal_congruence_oracle(surface, domain, axis=(0.0, 0.0, 1.0), outward=True):
+    family = normal_congruence_oracle(surface, domain, axis, outward)
+    return dataclasses.replace(family, kind="normal_congruence")  # a plane's is a beam
+
+
+def _family_kinds_oracle(surfaces):
+    def declared(raw, line_no, col):
+        if raw not in surfaces:
+            raise rs.UnknownSurfaceError(raw)
+        return surfaces[raw]
+
+    point = _POINT_ORACLE
+    return {
+        "point_source": (point_source_oracle, {"apex": point, "axis": point}, ("apex", "axis")),
+        "collimated": (collimated_oracle, {"origin": point, "direction": point}, ("direction",)),
+        "two_skew_lines": (
+            _two_skew_lines_oracle,
+            {"point1": point, "dir1": point, "point2": point, "dir2": point},
+            ("point1", "dir1", "point2", "dir2"),
+        ),
+        "normal_congruence": (
+            _normal_congruence_oracle,
+            {"surface": declared, "axis": point, "outward": _bool_oracle},
+            ("surface", "domain"),
+        ),
+    }
+
+
+def _build_oracle(section, kinds, common):
+    what = f"{section.header} {section.name!r}" if section.name else section.header
+    kind_raw, line_no, col = section.take("kind")
+    if kind_raw is None:
+        raise SceneSyntaxError(section.line_no, 1, f"{what} has no kind")
+    if kind_raw not in kinds:
+        raise SceneSyntaxError(line_no, col, f"unknown {section.header} kind {kind_raw!r}")
+    builder, parsers, required = kinds[kind_raw]
+    for req in required:
+        if req not in section.entries:
+            raise SceneSyntaxError(section.line_no, 1, f"{what} missing key {req!r}")
+    values = {key: parse(*section.entries.pop(key)) for key, parse in common.items() if key in section.entries}
+    given = {key: section.entries.pop(key) for key in parsers if key in section.entries}
+    section.finish(parsers)
+    values.update((key, parsers[key](*entry)) for key, entry in given.items())
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            return builder(**values)
+    except (ValueError, FloatingPointError) as exc:
+        raise SceneSyntaxError(section.line_no, 1, str(exc)) from None
+
+
+def _build_system_oracle(section, surfaces):
+    amb_raw, al, ac = section.take("ambient_index")
+    section.finish({"ambient_index", "interface"})
+    ambient = 1.0 if amb_raw is None else float_oracle(amb_raw, al, ac)
+    interfaces = []
+    current_index = ambient
+    for value, line_no, col in section.interfaces:
+        parts = value.split()
+        if len(parts) < 2:
+            raise SceneSyntaxError(line_no, col, "expected '<surface> reflect' or '<surface> refract <n_in> <n_out>'")
+        name, action = parts[0], parts[1]
+        if name not in surfaces:
+            raise rs.UnknownSurfaceError(name)
+        if action == rs.REFLECT:
+            if len(parts) != 2:
+                raise SceneSyntaxError(line_no, col, "reflect takes no indices")
+            interfaces.append(rs.Interface(surfaces[name], rs.REFLECT, n_in=current_index))
+        elif action == rs.REFRACT:
+            if len(parts) != 4:
+                raise SceneSyntaxError(line_no, col, "refract takes n_in and n_out")
+            n_in = float_oracle(parts[2], line_no, col)
+            n_out = float_oracle(parts[3], line_no, col)
+            interfaces.append(rs.Interface(surfaces[name], rs.REFRACT, n_in=n_in, n_out=n_out))
+            current_index = n_out
+        else:
+            raise SceneSyntaxError(line_no, col, f"unknown action {action!r}")
+    return rs.OpticalSystem(tuple(interfaces), ambient_index=ambient)
+
+
+def _domain_oracle(raw, line_no, col):
+    vals = floats_oracle(raw, 4, line_no, col)
+    if not (vals[0] < vals[1] and vals[2] < vals[3]):
+        raise SceneSyntaxError(line_no, col, "domain bounds must be increasing")
+    return ((float(vals[0]), float(vals[1])), (float(vals[2]), float(vals[3])))
+
+
+_OPTIONS_ORACLE = {
+    "grid": _checked_oracle(_int_oracle, lambda v: v >= 3, "grid must be at least 3"),
+    "tol": _checked_oracle(float_oracle, lambda v: v > 0.0, "tol must be positive"),
+    "step": _checked_oracle(float_oracle, lambda v: v > 0.0, "step must be positive"),
+    "seed": _checked_oracle(_int_oracle, lambda v: v >= 0, "seed must be at least 0"),
+    "m1": _POINT_ORACLE,
+    "m2": _POINT_ORACLE,
+    "focus": _POINT_ORACLE,
+    "epsilon": _sign_oracle("epsilon"),
+    "level": float_oracle,
+    "wavefront_c": float_oracle,
+    "k0": lambda raw, line_no, col: tuple(floats_oracle(raw, 2, line_no, col)),
+}
+
+
+def parse_scene_oracle(text):
+    """parse_scene as it was, with the builder oracles' families."""
+    surfaces, single = {}, {}
+    for section in split_sections_oracle(text):
+        if section.header == "surface":
+            if section.name in surfaces:
+                raise SceneSyntaxError(section.line_no, 1, f"duplicate surface {section.name!r}")
+            surfaces[section.name] = _build_oracle(section, _SURFACES_ORACLE, {"incoming_sign": _sign_oracle("incoming_sign")})
+        elif section.header in single:
+            raise SceneSyntaxError(section.line_no, 1, f"duplicate [{section.header}] section")
+        else:
+            single[section.header] = section
+    if "system" in single:
+        system = _build_system_oracle(single["system"], surfaces)
+    else:
+        system = rs.OpticalSystem((), ambient_index=1.0)
+    family = None
+    if "family" in single:
+        family = _build_oracle(single["family"], _family_kinds_oracle(surfaces), {"domain": _domain_oracle})
+    options = {}
+    for key, (raw, line_no, col) in single["options"].entries.items() if "options" in single else ():
+        if key not in _OPTIONS_ORACLE:
+            raise SceneSyntaxError(line_no, col, f"unknown key {key!r}")
+        options[key] = _OPTIONS_ORACLE[key](raw, line_no, col)
+    return rs.Scene(surfaces, system, family, options)
 
 
 def node_neighbors(family, k, h, eval_stage=trace_stage):
@@ -496,7 +803,9 @@ def nearest_point_spread(u0, anchor, us, qs, h):
     by the plane through the anchors (..., 3) orthogonal to the centre
     directions u0 (..., 3), each at its point nearest the anchor, whose
     in-plane coordinates are differenced."""
-    _, w1, w2 = _frame(u0)
+    u0 = np.asarray(u0, dtype=float)
+    frames = [_frame(u)[1:] for u in u0.reshape(-1, 3)]  # _frame takes one axis
+    w1, w2 = np.array(frames).reshape(-1, 2, 3).transpose(1, 0, 2).reshape(2, *u0.shape)
     rel = anchor[..., None, :] - qs
     d = qs + np.vecdot(rel, us)[..., None] * us - anchor[..., None, :]
     coords = np.stack([np.vecdot(d, w1[..., None, :]), np.vecdot(d, w2[..., None, :])], axis=-1)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.errors import ChartDomainError, ZeroDirectionError
-from rayspace.lines import CHART_MARGIN, _cross, _omega, _unproject
+from rayspace.lines import CHART_MARGIN, _cross, _frame, _omega, _unproject
 
-from helpers import line_tangent, random_unit, unit
+from helpers import frame_oracle, line_tangent, random_unit, unit
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
@@ -269,3 +269,58 @@ class TestCross:
 
     def test_only_svd_is_the_mirror_fit(self):
         assert numpy_calls("linalg.svd") == [("variational", "_verify_focus")]
+
+
+# axis components: signed zeros and ties in |a_i| (where argmin takes the
+# first) among others, scaled to magnitudes 1e-11 to 1e149
+_COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), st.floats(-1.0, 1.0))
+
+
+class TestFrame:
+    """lines._frame of one axis is frame_oracle's frame, the frame as numpy
+    arrays built it, bit for bit."""
+
+    @staticmethod
+    def assert_same_frame(axis):
+        axis = np.array(axis, dtype=float)
+        try:
+            want = frame_oracle(axis)
+        except ValueError:
+            with pytest.raises(ValueError, match="axis must be nonzero"):
+                _frame(axis)
+            return
+        got = _frame(axis)
+        for mine, theirs in zip(got, want, strict=True):
+            assert mine.shape == (3,) and mine.tobytes() == theirs.tobytes(), (axis, got, want)
+
+    @given(st.lists(_COMPONENTS, min_size=3, max_size=3), st.floats(-11.0, 149.0))
+    def test_axes(self, components, exponent):
+        self.assert_same_frame(np.array(components) * 10.0**exponent)
+
+    def test_random_axes(self):
+        rng = np.random.default_rng(3)
+        axes = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-11, 149, size=(2000, 1))
+        axes[::3, rng.integers(0, 3)] = 0.0
+        axes[1::3, rng.integers(0, 3)] = -0.0
+        for axis in axes:
+            self.assert_same_frame(axis)
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            [1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [0.0, -0.0, 1.0], [-0.0, 0.0, -0.0 + 1e-11], [2.0, -2.0, 3.0],
+            [3.0, 2.0, -2.0], [-0.0, -0.0, -5.0], [0.0, 7.0, 0.0], [1e149, -1e149, 1e149], [0.0, 0.0, 1e-12],
+        ],
+    )
+    def test_ties_and_zeros(self, axis):
+        self.assert_same_frame(axis)
+
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1e-13, 0.0, 0.0], [5e-13, -5e-13, 5e-13]])
+    def test_short_axes_are_refused(self, axis):
+        with pytest.raises(ValueError, match="axis must be nonzero"):
+            _frame(axis)
+        self.assert_same_frame(axis)
+
+    def test_takes_one_axis(self):
+        with pytest.raises(ValueError, match="expected a 3-vector"):
+            _frame(np.eye(3))

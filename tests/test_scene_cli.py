@@ -33,6 +33,7 @@ from rayspace.scene import load_scene, parse_scene
 
 from helpers import (
     characteristic_function_oracle,
+    parse_scene_oracle,
     check_symplectic_oracle,
     flat_for_negative_k1,
     grid_csv_oracle,
@@ -755,6 +756,253 @@ class TestSceneFuzz:
             assert exc.line >= 1 and exc.col >= 1
         except RaySpaceError:
             pass
+
+
+# the edits of TestParserOracle: each takes the lines of a scene and a
+# Hypothesis `data`, and rewrites them; `numbers` are the replacements of
+# one number, `headers` of one section header
+_NUMBERS = ("nan", "-inf", "inf", "1e150", "-1e150", "9.9e149", "1e-320", "-0.0", "0", "1e", "1..2", "0x10", "1_0", "e3")
+_HEADERS = ("[surface]", "[lens m]", "[system", "[surface 9a]", " [family] x", "[Options]", "[surface a b]")
+_FAMILIES = (
+    "kind = collimated\ndirection = 0 -0.0 -1\norigin = 0.1 0 2",
+    "kind = two_skew_lines\npoint1 = 0 0 2\ndir1 = 1 0 0\npoint2 = 0 0 1\ndir2 = 0 1 -0.0",
+    "kind = normal_congruence\nsurface = extra\noutward = false\naxis = 0 0 -1\ndomain = -0.1 0.1 -0.1 0.1",
+    "kind = point_source\napex = 0 0 2\naxis = -0.0 0 -1e-11",
+)
+_OPTION_LINES = (
+    "grid = 5", "tol = 1e-6", "step = 1e-4", "seed = 3", "m1 = 0 0 1", "m2 = 0.5 0 1",
+    "focus = 0 0 -1", "epsilon = -1", "level = 3", "wavefront_c = -0.0", "k0 = 0 -0.0",
+)
+
+
+def _key_lines(lines):
+    return [i for i, line in enumerate(lines) if "=" in line and not line.lstrip().startswith(("#", "["))]
+
+
+def _pick(data, indices):
+    return data.draw(st.sampled_from(indices)) if indices else None
+
+
+def _edit_spacing(lines, data):
+    i = _pick(data, _key_lines(lines))
+    if i is not None:
+        key, _, value = lines[i].partition("=")
+        ws = st.sampled_from(("", " ", "\t", " \t ", "  "))
+        lines[i] = data.draw(ws) + key.strip() + data.draw(ws) + "=" + data.draw(ws) + value.strip() + data.draw(ws)
+
+
+def _edit_comment(lines, data):
+    i = data.draw(st.integers(0, len(lines)))
+    if data.draw(st.booleans()) and i < len(lines):
+        lines[i] += data.draw(st.sampled_from(("  # note", "# a = b", "\t#")))
+    else:
+        lines.insert(i, data.draw(st.sampled_from(("# comment", "   # kind = plane", "#[system]"))))
+
+
+def _edit_blank(lines, data):
+    lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(("", "   ", "\t"))))
+
+
+def _edit_no_equals(lines, data):
+    i = _pick(data, _key_lines(lines))
+    if i is not None:
+        lines[i] = lines[i].replace("=", " ", 1)
+
+
+def _edit_empty_key(lines, data):
+    i = _pick(data, _key_lines(lines))
+    if i is not None:
+        lines[i] = data.draw(st.sampled_from(("", " ", "\t"))) + "=" + lines[i].partition("=")[2]
+
+
+def _edit_empty_value(lines, data):
+    i = _pick(data, _key_lines(lines))
+    if i is not None:
+        lines[i] = lines[i].partition("=")[0] + "=" + data.draw(st.sampled_from(("", "  ", " # gone")))
+
+
+def _edit_duplicate(lines, data):
+    # a key line again in its section, or a header line again further down
+    i = _pick(data, [i for i, line in enumerate(lines) if line.strip()])
+    if i is not None:
+        at = i + 1 if "=" in lines[i] else data.draw(st.integers(i + 1, len(lines)))
+        lines.insert(at, "  " + lines[i] if data.draw(st.booleans()) else lines[i])
+
+
+def _edit_number(lines, data):
+    i = _pick(data, [i for i in _key_lines(lines) if re.search(r"=\s*-?[0-9]", lines[i])])
+    if i is not None:
+        key, _, value = lines[i].partition("=")
+        words = value.split()
+        j = data.draw(st.integers(0, max(len(words) - 1, 0)))
+        words[j : j + 1] = [data.draw(st.sampled_from(_NUMBERS))]
+        lines[i] = key + "= " + " ".join(words)
+
+
+def _edit_header(lines, data):
+    i = _pick(data, [i for i, line in enumerate(lines) if line.startswith("[")])
+    if i is not None:
+        lines[i] = data.draw(st.sampled_from(_HEADERS))
+
+
+def _edit_key_first(lines, data):
+    lines.insert(0, data.draw(st.sampled_from(("kind = plane", "  grid = 3", "[", "x"))))
+
+
+def _edit_unknown_key(lines, data):
+    lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from(("colour = red", "radius = 1", "offset = x"))))
+
+
+def _edit_family(lines, data):
+    if "[family]" in lines:
+        i = lines.index("[family]") + 1
+        end = next((j for j in range(i, len(lines)) if lines[j].startswith("[")), len(lines))
+        lines[i:end] = data.draw(st.sampled_from(_FAMILIES)).split("\n")
+
+
+def _edit_options(lines, data):
+    chosen = data.draw(st.lists(st.sampled_from(_OPTION_LINES), max_size=4, unique=True))
+    lines.extend(["[options]", *chosen])
+
+
+_EDITS = (
+    _edit_spacing, _edit_comment, _edit_blank, _edit_no_equals, _edit_empty_key, _edit_empty_value,
+    _edit_duplicate, _edit_number, _edit_header, _edit_key_first, _edit_unknown_key, _edit_family,
+    _edit_options,
+)
+
+
+def _result(parse, text):
+    try:
+        return parse(text)
+    except RaySpaceError as exc:
+        return exc
+
+
+def _assert_same_error(got, want):
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, SceneSyntaxError):
+        assert (got.line, got.col, got.message) == (want.line, want.col, want.message)
+    assert str(got) == str(want)
+
+
+def assert_same_value(got, want):
+    """got is want's type and value, bit for bit: arrays and floats by their
+    bytes (so signed zeros too), containers item by item."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), (got, want)
+    elif isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_value(g, w)
+    elif isinstance(want, float):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+    else:
+        assert got == want
+
+
+def assert_same_scene(got, want):
+    """The scenes of parse_scene and parse_scene_oracle hold the same
+    surfaces, system and options bit for bit, and the same family: its lines,
+    starts and lengths at the corners and centre of the domain and at two
+    inner points, or the same error there."""
+    assert list(got.surfaces) == list(want.surfaces)
+    for name, surface in got.surfaces.items():
+        assert type(surface) is type(want.surfaces[name])
+        for f in dataclasses.fields(surface):
+            assert_same_value(getattr(surface, f.name), getattr(want.surfaces[name], f.name))
+    names = {id(surface): name for name, surface in got.surfaces.items()}
+    oracle_names = {id(surface): name for name, surface in want.surfaces.items()}
+    assert_same_value(got.system.ambient_index, want.system.ambient_index)
+    assert len(got.system.interfaces) == len(want.system.interfaces)
+    for mine, theirs in zip(got.system.interfaces, want.system.interfaces):
+        assert names[id(mine.surface)] == oracle_names[id(theirs.surface)]
+        assert mine.action == theirs.action
+        assert_same_value((mine.n_in, mine.n_out), (theirs.n_in, theirs.n_out))
+    assert list(got.options) == list(want.options)
+    for key, value in got.options.items():
+        assert_same_value(value, want.options[key])
+    assert (got.family is None) == (want.family is None)
+    if got.family is None:
+        return
+    assert got.family.kind == want.family.kind
+    assert_same_value(got.family.domain, want.family.domain)
+    (a1, b1), (a2, b2) = got.family.domain
+    k1 = np.array([a1, b1, a1, b1, 0.5 * (a1 + b1), 0.3 * a1 + 0.7 * b1, 0.9 * a1 + 0.1 * b1])
+    k2 = np.array([a2, a2, b2, b2, 0.5 * (a2 + b2), 0.6 * a2 + 0.4 * b2, 0.2 * a2 + 0.8 * b2])
+    lines = _result(lambda ks: got.family.eval(*ks), (k1, k2))
+    oracle = _result(lambda ks: want.family.traced(*ks), (k1, k2))
+    if isinstance(oracle, RaySpaceError):
+        _assert_same_error(lines, oracle)
+        return
+    for field in ("u", "q", "start", "length"):
+        assert_same_value(getattr(lines, field), getattr(oracle, field))
+
+
+def assert_same_parse(text):
+    """parse_scene gives what the parser gave before its scalar rewrite: the
+    same scene, or the same error (type, line, column and message)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _result(parse_scene, text)
+        want = _result(parse_scene_oracle, text)
+    if isinstance(want, RaySpaceError):
+        _assert_same_error(got, want)
+    else:
+        assert not isinstance(got, RaySpaceError), got
+        assert_same_scene(got, want)
+    return want
+
+
+class TestParserOracle:
+    """parse_scene against parse_scene_oracle, the parser as it was before
+    values were checked and frames built on Python floats."""
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["plane", "quadric", "sinusoid"]),
+        st.booleans(),
+        st.integers(0, 2),
+        st.data(),
+    )
+    def test_edited_random_scenes(self, seed, kind, refract, shells, data):
+        lines = random_scene(np.random.default_rng(seed), kind, refract, shells).splitlines()
+        for edit in data.draw(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=3)):
+            edit(lines, data)
+        end = data.draw(st.sampled_from(("\n", "\r\n")))
+        assert_same_parse(end.join(lines) + end)
+
+    @pytest.mark.parametrize("text", _SCENE_TEXTS)
+    def test_bundled_scenes(self, text):
+        assert not isinstance(assert_same_parse(text), RaySpaceError)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[surface m]\nkind = plane\nnormal = 0 0 0\n",
+            "[surface m]\nkind = plane\nnormal = -0.0 1e-320 -1e-13\n",
+            "[surface m]\nkind = plane\nnormal = 6e-13 -6e-13 6e-13\noffset = -0.0\n",
+            "[surface m]\nkind = plane\nnormal = 9e149 -9e149 1\n",
+            "[family]\nkind = point_source\napex = 0 0 0\naxis = 1e-13 0 0\n",
+            "[family]\nkind = collimated\ndirection = -0.0 -0.0 -2\n",
+            "[family]\nkind = two_skew_lines\npoint1 = 0 0 0\ndir1 = 0 0 0\npoint2 = 0 0 1\ndir2 = 0 1 0\n",
+            "[surface q]\nkind = quadric\nmatrix = 1 2 3 4 5 6 7 8 9\nlinear = 0 0 0\nconstant = -1\n"
+            "[family]\nkind = normal_congruence\nsurface = q\ndomain = -1 1 -1 1\n",
+            "[family]\nkind = normal_congruence\nsurface = nowhere\naxis = 0 0 nan\ndomain = -1 1 -1 1\n",
+            "[surface s]\nkind = sphere\ncenter = 0 0 0\nradius = 1\nkind = plane\n",
+            "[system]\ninterface = s\n",
+            "[surface s]\nkind = sphere\ncenter = 0 0 0\nradius = 1\n[system]\ninterface = s refract 1 1\n",
+            "[options]\nbogus = 1\ngrid = 2\n",
+            # the keys every kind takes are parsed before the unknown-key check
+            "[family]\nkind = point_source\napex = 0 0 0\naxis = 0 0 1\ncolour = red\ndomain = 1 0 0 1\n",
+            "[surface m]\nkind = plane\ncolour = red\nnormal = 0 0 1\nincoming_sign = 2\n",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert_same_parse(text)
 
 
 def _floats(values):

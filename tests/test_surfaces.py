@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rayspace as rs
 from rayspace.errors import (
@@ -9,7 +11,7 @@ from rayspace.errors import (
     TangentialError,
 )
 
-from helpers import aimed_line, random_surface, unit
+from helpers import aimed_line, plane_normal_oracle, random_surface, unit
 
 KINDS = ("plane", "sphere", "quadric", "sinusoid")
 
@@ -84,6 +86,33 @@ class TestNormals:
         for bad in ([1e-13, 0, 0], [np.inf, 0, 1], [np.nan, 0, 1]):
             with pytest.raises(ValueError, match="plane normal must be"):
                 rs.Plane(bad)
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0)), min_size=3, max_size=3), st.floats(-12.0, 308.0))
+    def test_plane_normal_is_the_oracles(self, components, exponent):
+        # bit for bit the normal as numpy arrays scaled and divided it, or the
+        # same refusal
+        n = np.array(components) * 10.0**exponent
+        try:
+            want = plane_normal_oracle(n)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                rs.Plane(n)
+            return
+        assert rs.Plane(n).normal.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "normal",
+        [[1e-12, 0.0, -0.0], [6e-13, 6e-13, -6e-13], [1e308, -1e308, 1e308], [-0.0, 1e308, 5e-324], [1.7e308, 0.0, -1e-300]],
+    )
+    def test_plane_normal_at_the_extremes(self, normal):
+        assert rs.Plane(normal).normal.tobytes() == plane_normal_oracle(normal).tobytes()
+
+    @pytest.mark.parametrize("normal", [[np.nan, 0.0, 1.0], [0.0, np.nan, 1.0], [1.0, 0.0, np.nan], [0.0, 1.0, -np.inf]])
+    def test_non_finite_plane_normals_are_refused(self, normal):
+        with pytest.raises(ValueError, match="plane normal must be finite"):
+            rs.Plane(normal)
+        with pytest.raises(ValueError, match="plane normal must be finite"):
+            plane_normal_oracle(normal)
 
     def test_sphere_normal_outward(self):
         sphere = rs.Sphere([0, 0, 0], 2.0)
