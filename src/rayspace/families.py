@@ -26,9 +26,10 @@ Finite differences are central throughout; the default step is
 1e-5 * (parameter domain diameter).  Grids are inset from the domain edges by
 the step so every stencil stays inside the domain.  One routine,
 `_differences`, gives the tangents (du, dq) of a batch of nodes from their
-stencil lines +k1, -k1, +k2, -k2, which `_tangents` evaluates (a wavefront
-takes them from its batch); the defect is omega of the pair, the immersion
-test its rank and the regularity test its determinant across the ray.
+stencil lines +k1, -k1, +k2, -k2, which `_tangents` evaluates; a wavefront
+takes its nodes' tangents from its one-form levels instead, and evaluates no
+stencil line.  The defect is omega of the pair, the immersion test its rank
+and the regularity test its determinant across the ray.
 
 Shapes: internal routines take batches only, (N, 2) parameters and (N, 3)
 lines.  A family's `eval` takes arrays k1, k2 of N parameters and returns N
@@ -45,16 +46,19 @@ Chebyshev-Lobatto nodes: the nodes of the segments not yet converged are
 one array.  Every integral starts from one batch of the lines at level 8's
 nodes of its segments (no segment stops before level 8, and level 4's
 nodes are among them), and each later level evaluates all new nodes as
-one batch.  `reconstruct_wavefront` evaluates one batch per job, the grid
-lines, level 8's interior nodes of all segments and the stencils of all
-nodes, for its stages to read, and keeps the grid lines with their optical
-lengths on the Wavefront, where `orthogonality_residual` reads them.
-`defect_grid` evaluates the stencil lines of all its nodes and their
-immersion tests in one batch.  `_defect_grids` runs that stage for the grid
-before a system and traces the lines it evaluated on through the system
-for the grid after; the mirror design's rectangularity test reads the
-stencil lines of its wavefront's batch.  Batches fail as `errors` sets
-out, the error's `row` naming the parameter, segment or node.
+one batch; a converged segment's interpolant also gives the derivatives
+of u and q at its ends.  `reconstruct_wavefront` evaluates one batch per
+job, the grid lines and level 8's interior nodes of all segments, for its
+stages to read, takes each node's tangents from the ends of the segments
+next to it, and keeps the grid lines with their optical lengths on the
+Wavefront, where `orthogonality_residual` reads them.  `defect_grid`
+evaluates the stencil lines of all its nodes and their immersion tests in
+one batch.  `_defect_grids` runs that stage for the grid before a system
+and traces the lines it evaluated on through the system for the grid
+after; the mirror design's immersion and rectangularity tests read the
+node tangents of its wavefront's one-form levels.  Batches fail as
+`errors` sets out, the error's `row` naming the parameter, segment or
+node.
 """
 
 from __future__ import annotations
@@ -418,7 +422,7 @@ def _grid_defects(family: RayFamily, ks, h: float):
         chunks = list(_eval_chunks(family, _stencil_rows(ks, h)))
     except RaySpaceError as exc:
         raise exc.at(exc.row // 4)
-    return _stencil_defects(ks, *_joined([line for _, line in chunks]), h), chunks
+    return _node_defects(ks, *_differences(*_joined([line for _, line in chunks]), h)), chunks
 
 
 def _joined(batches):
@@ -427,12 +431,10 @@ def _joined(batches):
     return (np.concatenate([getattr(line, a) for line in batches]) for a in "uq")
 
 
-def _stencil_defects(ks, u, q, h: float):
-    """The defects (N,) at the rows of ks (N, 2) from the directions and foot
-    points (4N, 3) of their stencil lines (_stencil_rows): the tangents by
-    central differences, the immersion test of every node (ImmersionError
-    names the first that fails it), then omega."""
-    du, dq = _differences(u, q, h)
+def _node_defects(ks, du, dq):
+    """The defects (N,) at the rows of ks (N, 2) from their tangents du, dq
+    (N, 2, 3): the immersion test of every node (ImmersionError names the
+    first that fails it), then omega."""
     bad = _first(_immersion_ratio(du, dq) <= 1e-8)
     if bad is not None:
         k = tuple(map(float, ks[bad]))
@@ -458,7 +460,7 @@ def _defect_grids(family: RayFamily, system: OpticalSystem, grid=9, h: float | N
         except RaySpaceError as exc:
             row = part.start + exc.row
             raise FamilyTraceError(_stencil_rows(ks, h)[row], exc).at(row // 4) from exc
-    after = _stencil_defects(ks, *_joined(out), h)
+    after = _node_defects(ks, *_differences(*_joined(out), h))
     shape = (len(k1s), len(k2s))
     return tuple(DefectGrid(k1=k1s, k2=k2s, values=v.reshape(shape), step=h) for v in (before, after))
 
@@ -550,30 +552,30 @@ def one_form_integral(family: RayFamily, ka, kb, tol: float = _INTEGRAL_TOL):
     single = ka.ndim == 1
     ka, kb = np.atleast_2d(ka, kb)
     try:
-        u, q, _ = _eval_rows(family, _level8(ka, kb).reshape(-1, 2))
+        nodes = np.concatenate([ka[:, None], _level8(ka, kb), kb[:, None]], axis=1)
+        u, q, _ = _eval_rows(family, nodes.reshape(-1, 2))
     except RaySpaceError as exc:
         raise exc.at(exc.row // 9)
-    values = _one_form_levels(family, ka, kb, u.reshape(-1, 9, 3), q.reshape(-1, 9, 3), tol)
+    values = _one_form_levels(family, ka, kb, np.concatenate([u, q], axis=1).reshape(-1, 9, 6), tol)[0]
     return float(values[0]) if single else values
 
 
 def _level8(ka, kb):
-    """The nodes (S, 9, 2) of level 8 of the segments ka[s] -> kb[s], in t
-    order: ka, the 7 interior nodes, kb."""
-    inner = ka[:, None] + _cc_level(8)[0][1:-1, None] * (kb - ka)[:, None]
-    return np.concatenate([ka[:, None], inner, kb[:, None]], axis=1)
+    """The 7 interior nodes (S, 7, 2) of level 8 of the segments
+    ka[s] -> kb[s], in t order; ka and kb are the level's end nodes."""
+    return ka[:, None] + _cc_level(8)[0][1:-1, None] * (kb - ka)[:, None]
 
 
 @lru_cache(maxsize=None)
 def _cc_level(m: int):
     """Level m (even) of the nested rules on [0, 1], read-only: the nodes
     t_j = (1 - cos(pi j / m)) / 2, their Clenshaw-Curtis weights w
-    (Trefethen's clencurt, halved for [0, 1]), and G = diag(w) D with D the
+    (Trefethen's clencurt, halved for [0, 1]), G = diag(w) D with D the
     differentiation matrix of the nodes: D_ij = (b_j / b_i) / (t_i - t_j)
     off the diagonal, with the barycentric weights b_j = (-1)^j halved at
-    both ends, and minus the sum of its row on it.  pi * 2j / 2m rounds as
-    pi * j / m does, so level 2m's nodes of even index are level m's, bit
-    for bit."""
+    both ends, and minus the sum of its row on it; and D's end rows (2,
+    m + 1), at t = 0 and t = 1.  pi * 2j / 2m rounds as pi * j / m does, so
+    level 2m's nodes of even index are level m's, bit for bit."""
     j = np.arange(m + 1)
     nodes = (1.0 - np.cos(np.pi * j / m)) / 2.0
     inner = np.ones(m - 1)
@@ -588,7 +590,9 @@ def _cc_level(m: int):
     np.fill_diagonal(gap, np.inf)
     g = (weights / bary)[:, None] * bary / gap
     np.fill_diagonal(g, -g.sum(axis=1))
-    level = nodes, weights, g
+    ends = (bary / bary[[0, -1], None]) / gap[[0, -1]]
+    ends[[0, 1], [0, -1]] = -ends.sum(axis=1)
+    level = nodes, weights, g, ends
     for a in level:
         a.flags.writeable = False
     return level
@@ -606,13 +610,18 @@ def _cc_sums(us, qs):
     return 0.0 + np.vecdot(us.reshape(len(us), -1), (g @ dq).reshape(len(us), -1))
 
 
-def _one_form_levels(family: RayFamily, ka, kb, us, qs, tol: float):
+def _one_form_levels(family: RayFamily, ka, kb, lines, tol: float):
     """one_form_integral of the segments ka[s] -> kb[s], refined together,
-    from the directions and foot points us, qs (S, 9, 3) of the lines at
-    level 8's nodes of every segment (_level8); level 4's are their even
-    nodes, so no segment stops before level 8.
+    from the directions and foot points [u | q] (S, 9, 6) of the lines at
+    level 8's nodes of every segment in t order (its ends and _level8);
+    level 4's are their even nodes, so no segment stops before level 8.
+    Returns the values (S,) and the derivatives [du/dt | dq/dt] (S, 2, 6)
+    at t = 0 and t = 1 of the interpolants of u and q at the level where
+    each segment converged: D's end rows (_cc_level) applied to
+    [u - u_0 | q - q_0], each segment's its own matrix product, so each is
+    the single segment's bit for bit.
 
-    The nodes of the live segments are two arrays (live, m + 1, 3).  Each
+    The nodes of the live segments are one array (live, m + 1, 6).  Each
     level from 16 on evaluates the new nodes of all live segments in one
     batch and interleaves them with the kept nodes; each level takes every
     segment's sum.  The nodes and previous sum of a segment are dropped when
@@ -624,6 +633,7 @@ def _one_form_levels(family: RayFamily, ka, kb, us, qs, tol: float):
         return NoConvergenceError(f"{message} on {where}").at(seg)
 
     values = np.empty(len(ka))
+    tangents = np.empty((len(ka), 2, 6))
     span = kb - ka
     live = np.arange(len(ka))  # the segments not yet converged
     prev = None  # per live segment, its previous sum
@@ -637,24 +647,27 @@ def _one_form_levels(family: RayFamily, ka, kb, us, qs, tol: float):
                 u, q, _ = _eval_rows(family, ks.reshape(-1, 2))
             except RaySpaceError as exc:
                 raise exc.at(live[exc.row // ks.shape[1]])
-            grown = np.empty((2, len(live), m + 1, 3))
-            grown[0, :, 0::2], grown[1, :, 0::2] = us, qs
-            grown[0, :, 1::2], grown[1, :, 1::2] = u.reshape(len(live), -1, 3), q.reshape(len(live), -1, 3)
-            us, qs = grown
+            grown = np.empty((len(live), m + 1, 6))
+            grown[:, 0::2] = lines
+            grown[:, 1::2, :3], grown[:, 1::2, 3:] = u.reshape(len(live), -1, 3), q.reshape(len(live), -1, 3)
+            lines = grown
         every = 2 if m == 4 else 1  # level 4's nodes are level 8's even ones
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sum raises below
-            val = _cc_sums(us[:, ::every], qs[:, ::every])
+            val = _cc_sums(lines[:, ::every, :3], lines[:, ::every, 3:])
         bad = _first(~np.isfinite(val))
         if bad is not None:
             raise failure(f"one-form sum over {m} pieces is not finite", bad)
         if prev is not None:
             done = abs(val - prev) <= tol
             values[live[done]] = val[done]
+            ends, kept = _cc_level(m)[3], lines[done]
+            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite tangent fails its test
+                tangents[live[done]] = ends @ (kept - kept[:, :1])
             going = ~done
-            live, val, us, qs = live[going], val[going], us[going], qs[going]
+            live, val, lines = live[going], val[going], lines[going]
         prev = val
         m *= 2
-    return values
+    return values, tangents
 
 
 def _eval_rows(family: RayFamily, ks):
@@ -780,55 +793,80 @@ def reconstruct_wavefront(
     and column-first L-paths must agree within path_tol, otherwise the family
     is not rectangular and NotRectangularError is raised.  k0 snaps to the
     nearest grid node (F is only defined up to a constant anyway; c selects
-    the member of the orthogonal-surface pencil).  Every node must be a
-    regular point of the family at its wavefront point (NonRegularError).
-    One batch per job evaluates the lines of the grid, of every segment's
-    first two levels and of every node's stencil.  The stages: that batch,
-    the one-form levels, the L-path test, then the regularity test.
+    the member of the orthogonal-surface pencil).  The grid is inset from
+    the domain edges by h.  Every node must be a regular point of the family
+    at its wavefront point (NonRegularError), tested on the node's tangents
+    from the one-form levels (_wavefront_levels): no stencil line is
+    evaluated.  One batch per job evaluates the lines of the grid and of
+    every segment's first two levels.  The stages: that batch, the one-form
+    levels, the L-path test, then the regularity test.
     """
     if h is None:
         h = family.default_step()
-    return _wavefront_stages(family, _wavefront_batch(family, grid, h), k0, c, h, path_tol)
+    return _wavefront_stages(_wavefront_levels(family, grid, h), k0, c, path_tol)
 
 
-def _wavefront_batch(family: RayFamily, grid, h: float):
-    """The one batch of reconstruct_wavefront, for its stages: the grid axes
-    k1s, k2s, the nodes ks (N, 2), the (u, q, l) of the nodes' lines, the
-    segments between adjacent nodes, along k1 column by column, then along
-    k2 row by row, as their ends ka, kb (S, 2) and the (u, q) of the lines
-    at their level 8 nodes (_level8), each (S, 9, 3), and the (u, q) of the
-    nodes' stencil lines (_stencil_rows), each (4N, 3).  A segment's end
-    lines are its nodes', so the batch evaluates its 7 interior nodes only.
-    A failing batch raises the error of its lowest failing row, with `row`
-    naming the node of a grid or stencil line, or the segment of a level 8
-    line."""
-    k1s, k2s = _grid_axes(family, grid, inset=h)
-    n1, n2 = len(k1s), len(k2s)
-    ks = _nodes(k1s, k2s).reshape(-1, 2)
+@lru_cache(maxsize=16)
+def _grid_segments(n1: int, n2: int):
+    """The segments between adjacent nodes of an n1 x n2 grid, along k1
+    column by column, then along k2 row by row, read-only: their first and
+    last nodes (S,), as indices of the nodes in (i, j) order; the rows
+    (S, 9) of their level 8 lines in a batch of the N nodes' lines followed
+    by the 7 interior nodes of each segment in turn; and for each node, the
+    segment (N, 2) along k1 and along k2 whose derivative it takes and which
+    end (N, 2) of it: t = 0 of the segment that starts at the node, or, at
+    the last node on a grid line, t = 1 of the one that ends there."""
     index = np.arange(n1 * n2).reshape(n1, n2)
     starts = np.concatenate([index[:-1].T.ravel(), index[:, :-1].ravel()])
     stops = starts + np.repeat([n2, 1], [(n1 - 1) * n2, n1 * (n2 - 1)])
+    level8 = np.column_stack([starts, n1 * n2 + np.arange(7 * len(starts)).reshape(-1, 7), stops])
+    i, j = np.divmod(index.ravel(), n2)
+    cut = (n1 - 1) * n2  # the first segment along k2
+    along = np.column_stack([j * (n1 - 1) + np.minimum(i, n1 - 2), cut + i * (n2 - 1) + np.minimum(j, n2 - 2)])
+    end = np.column_stack([i == n1 - 1, j == n2 - 1]).astype(np.intp)
+    segments = starts, stops, level8, along, end
+    for a in segments:
+        a.flags.writeable = False
+    return segments
+
+
+def _wavefront_levels(family: RayFamily, grid, h: float):
+    """The first two stages of reconstruct_wavefront: its one batch, then
+    its one-form levels.  Returns the grid axes k1s, k2s, inset by h, the
+    nodes ks (N, 2), the (u, q, l) of the nodes' lines, the integrals (S,)
+    of the segments between adjacent nodes (_grid_segments), and the
+    tangents du, dq (N, 2, 3) of the nodes, [:, i] along k_(i+1).
+
+    The batch holds the nodes' lines and the 7 interior nodes of level 8 of
+    every segment (_level8; its end nodes are grid nodes), and fails with
+    `row` naming the node of a grid line or the segment of a level 8 line.
+    A node's tangent along an axis is the derivative at the end of a
+    segment next to it that _grid_segments names (_one_form_levels), over
+    the segment's step in k.  Where an inset of half the domain's span
+    makes the nodes of an axis coincide, that step is 0 and the tangents
+    are not finite, so no node passes the regularity or immersion test."""
+    k1s, k2s = _grid_axes(family, grid, inset=h)
+    ks = _nodes(k1s, k2s).reshape(-1, 2)
+    starts, stops, level8, along, end = _grid_segments(len(k1s), len(k2s))
     ka, kb = ks[starts], ks[stops]
-    inner = _level8(ka, kb)[:, 1:-1].reshape(-1, 2)
-    rows = np.concatenate([ks, inner, _stencil_rows(ks, h)])
-    n, m = len(ks), len(ks) + len(inner)  # the first rows of the interior nodes and of the stencils
+    n = len(ks)
     try:
-        u, q, length = _eval_rows(family, rows)
-    except RaySpaceError as exc:  # past the nodes' lines, the row names a segment, then a node
-        if exc.row >= m:
-            exc.at((exc.row - m) // 4)
-        elif exc.row >= n:
+        u, q, length = _eval_rows(family, np.concatenate([ks, _level8(ka, kb).reshape(-1, 2)]))
+    except RaySpaceError as exc:  # past the nodes' lines, the row names a segment
+        if exc.row >= n:
             exc.at((exc.row - n) // 7)
         raise
+    seg, ends = _one_form_levels(family, ka, kb, np.concatenate([u, q], axis=1)[level8], _INTEGRAL_TOL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tangents = ends[along, end] / (kb - ka)[along, [0, 1]][..., None]
     lines = u[:n], q[:n], None if length is None else length[:n]
-    # the rows of each segment's level 8 lines, in t order
-    level8 = np.column_stack([starts, np.arange(n, m).reshape(-1, 7), stops])
-    return k1s, k2s, ks, lines, (ka, kb, u[level8], q[level8]), (u[m:], q[m:])
+    return k1s, k2s, ks, lines, seg, tangents[..., :3], tangents[..., 3:]
 
 
-def _wavefront_stages(family: RayFamily, batch, k0, c: float, h: float, path_tol: float) -> Wavefront:
-    """reconstruct_wavefront from its batch (_wavefront_batch)."""
-    k1s, k2s, ks, (u, q, length), segments, stencil = batch
+def _wavefront_stages(levels, k0, c: float, path_tol: float) -> Wavefront:
+    """reconstruct_wavefront from its batch and one-form levels
+    (_wavefront_levels): the L-path test, then the regularity test."""
+    k1s, k2s, ks, (u, q, length), seg, du, dq = levels
     k0 = np.asarray(k0, dtype=float)
     i0 = int(np.argmin(np.abs(k1s - k0[0])))
     j0 = int(np.argmin(np.abs(k2s - k0[1])))
@@ -836,7 +874,6 @@ def _wavefront_stages(family: RayFamily, batch, k0, c: float, h: float, path_tol
     n1, n2 = len(k1s), len(k2s)
     us, qs = u.reshape(n1, n2, 3), q.reshape(n1, n2, 3)
     lengths = None if length is None else length.reshape(n1, n2)
-    seg = _one_form_levels(family, *segments, _INTEGRAL_TOL)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
 
@@ -851,7 +888,7 @@ def _wavefront_stages(family: RayFamily, batch, k0, c: float, h: float, path_tol
     values = f_rc
     points = qs - (values + c)[..., None] * us
 
-    det = _spread(u, -(values + c).ravel(), *_differences(*stencil, h))
+    det = _spread(u, -(values + c).ravel(), du, dq)
     bad = _first(~(abs(det) > 1e-8))  # a NaN determinant is not regular
     if bad is not None:
         k = tuple(map(float, ks[bad]))

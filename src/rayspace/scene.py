@@ -215,39 +215,40 @@ _SURFACES = {
 _SURFACE_COMMON = {"incoming_sign": _sign("incoming_sign")}
 
 
-def _family_kinds(surfaces):
-    """kind -> (builder, {key: value parser} in parse order, required keys)
-    of a [family] section, whose `surface` names one of `surfaces`; every
-    kind also takes `kind` and `domain`."""
-
-    def declared(raw, line_no, col):
-        if raw not in surfaces:
-            raise UnknownSurfaceError(raw)
-        return surfaces[raw]
-
-    point = _vector(3)
-    return {
-        "point_source": (point_source, {"apex": point, "axis": point}, ("apex", "axis")),
-        "collimated": (collimated, {"origin": point, "direction": point}, ("direction",)),
-        "two_skew_lines": (
-            two_skew_lines,
-            {"point1": point, "dir1": point, "point2": point, "dir2": point},
-            ("point1", "dir1", "point2", "dir2"),
-        ),
-        "normal_congruence": (
-            normal_congruence,
-            {"surface": declared, "axis": point, "outward": _bool},
-            ("surface", "domain"),
-        ),
-    }
+def _declared(name, surfaces):
+    """The surface of `surfaces` called `name`."""
+    if name not in surfaces:
+        raise UnknownSurfaceError(name)
+    return surfaces[name]
 
 
-def _build(section, kinds, common):
+_POINT = _vector(3)
+# kind -> (builder, {key: value parser} in parse order, required keys) of a
+# [family] section; every kind also takes `kind` and `domain`, and the value
+# parser _declared resolves a surface name against the scene's surfaces
+_FAMILIES = {
+    "point_source": (point_source, {"apex": _POINT, "axis": _POINT}, ("apex", "axis")),
+    "collimated": (collimated, {"origin": _POINT, "direction": _POINT}, ("direction",)),
+    "two_skew_lines": (
+        two_skew_lines,
+        {"point1": _POINT, "dir1": _POINT, "point2": _POINT, "dir2": _POINT},
+        ("point1", "dir1", "point2", "dir2"),
+    ),
+    "normal_congruence": (
+        normal_congruence,
+        {"surface": _declared, "axis": _POINT, "outward": _bool},
+        ("surface", "domain"),
+    ),
+}
+
+
+def _build(section, kinds, common, surfaces=None):
     """The object of a [surface] or [family] section: `kinds` is its
     table, and `common` maps the keys every kind takes to their parsers,
-    which run before the unknown-key check.  A ValueError of the builder is
-    reported at the section's line.  Every number a builder gets is finite
-    and below 1e150 in magnitude, so its squares and norms cannot overflow."""
+    which run before the unknown-key check; a key parsed by _declared names
+    one of `surfaces`.  A ValueError of the builder is reported at the
+    section's line.  Every number a builder gets is finite and below 1e150
+    in magnitude, so its squares and norms cannot overflow."""
     entries = section.entries
     kind, line_no, col = entries.pop("kind", (None, 0, 0))
     if kind not in kinds:
@@ -262,7 +263,8 @@ def _build(section, kinds, common):
     section.finish(parsers)
     for key, parse in parsers.items():
         if key in entries:
-            values[key] = parse(*entries[key])
+            raw = entries[key]
+            values[key] = _declared(raw[0], surfaces) if parse is _declared else parse(*raw)
     try:
         return builder(**values)
     except ValueError as exc:
@@ -279,19 +281,17 @@ def _build_system(section, surfaces):
         parts = value.split()
         if len(parts) < 2:
             raise SceneSyntaxError(line_no, col, "expected '<surface> reflect' or '<surface> refract <n_in> <n_out>'")
-        name, action = parts[0], parts[1]
-        if name not in surfaces:
-            raise UnknownSurfaceError(name)
+        surface, action = _declared(parts[0], surfaces), parts[1]
         if action == REFLECT:
             if len(parts) != 2:
                 raise SceneSyntaxError(line_no, col, "reflect takes no indices")
-            interfaces.append(Interface(surfaces[name], REFLECT, current_index))
+            interfaces.append(Interface(surface, REFLECT, current_index))
         elif action == REFRACT:
             if len(parts) != 4:
                 raise SceneSyntaxError(line_no, col, "refract takes n_in and n_out")
             n_in = _float(parts[2], line_no, col)
             current_index = _float(parts[3], line_no, col)
-            interfaces.append(Interface(surfaces[name], REFRACT, n_in, current_index))
+            interfaces.append(Interface(surface, REFRACT, n_in, current_index))
         else:
             raise SceneSyntaxError(line_no, col, f"unknown action {action!r}")
     return OpticalSystem(tuple(interfaces), ambient)
@@ -354,7 +354,7 @@ def parse_scene(text: str) -> Scene:
         system = OpticalSystem((), ambient_index=1.0)
     family = None
     if "family" in single:
-        family = _build(single["family"], _family_kinds(surfaces), {"domain": _parse_domain})
+        family = _build(single["family"], _FAMILIES, {"domain": _parse_domain}, surfaces)
     options = _build_options(single["options"]) if "options" in single else {}
     return Scene(surfaces, system, family, options)
 

@@ -59,7 +59,7 @@ from .errors import (
     TangentialError,
 )
 from .families import RayFamily, _grid_csv, _grid_lines, _largest_at
-from .families import _PATH_TOL, _default_tol, _stencil_defects, _wavefront_batch, _wavefront_stages
+from .families import _PATH_TOL, _default_tol, _node_defects, _wavefront_levels, _wavefront_stages
 from .lines import _as_vec3, _cross, _first, _norm, _stencil, line_through
 from .optics import REFLECT, OpticalSystem, _bend, reflect_direction
 from .surfaces import _GRAD_MIN, _stack_charts, _stacked_gradients, intersect
@@ -474,14 +474,15 @@ def design_focusing_mirror(
 
     F_eps(X) = (signed distance from the reference wavefront along the ray
     through X) + eps * |X - focus|.  The family must be rectangular; the
-    reference wavefront is reconstructed with constant `wavefront_c`.  The
-    stages: the wavefront's one batch, whose error is raised as it is; the
-    rectangularity test (is_rectangular's, at the default tolerance), which
-    reads the stencil lines of that batch; the rest of the wavefront
-    reconstruction; then the level equation.  The
-    level equation is solved along the ray of every grid node at once, in
-    closed form (squared, it is linear in the ray parameter), exact to
-    round-off.  NoRootError marks the first node in (i, j) order whose level
+    reference wavefront is reconstructed with constant `wavefront_c`, on a
+    grid inset by h.  The stages: the wavefront's one batch and its one-form
+    levels, whose errors are raised as they are; the immersion test and the
+    rectangularity test (|omega| below is_rectangular's default tolerance)
+    on the node tangents of those levels, no stencil line being evaluated;
+    the L-path and regularity tests of the wavefront; then the level
+    equation.  The level equation is solved along the ray of every grid
+    node at once, in closed form (squared, it is linear in the ray
+    parameter), exact to round-off.  NoRootError marks the first node in (i, j) order whose level
     set is empty, which is exactly what happens with eps = +1 when the focus
     lies beyond the sought mirror point on its ray; or whose root is out of
     reach of round-off (its finite limit within 4 eps of 0, relative to the
@@ -495,14 +496,14 @@ def design_focusing_mirror(
 
     if h is None:
         h = family.default_step()
-    batch = _wavefront_batch(family, grid, h)
-    k1s, k2s, ks, *_, stencil = batch
-    defects = _stencil_defects(ks, *stencil, h).reshape(len(k1s), len(k2s))
+    levels = _wavefront_levels(family, grid, h)
+    k1s, k2s, ks, *_, du, dq = levels
+    defects = _node_defects(ks, du, dq).reshape(len(k1s), len(k2s))
     worst = float(np.max(np.abs(defects)))
     if not worst < _default_tol(family):
         k = _largest_at(k1s, k2s, defects)
         raise NotRectangularError(f"mirror design requires a rectangular family: |defect| {worst:.3e} at k={k}")
-    wf = _wavefront_stages(family, batch, k0, wavefront_c, h, _PATH_TOL)
+    wf = _wavefront_stages(levels, k0, wavefront_c, _PATH_TOL)
 
     n1, n2 = len(wf.k1), len(wf.k2)
     u, q = wf.u.reshape(-1, 3), wf.q.reshape(-1, 3)

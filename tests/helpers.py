@@ -4,6 +4,7 @@ closed-form oracles used across the test modules."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -989,13 +990,15 @@ def naive_one_form(family, ka, kb, tol, max_points=4096):
     raise NoConvergenceError("reference did not converge")
 
 
+@functools.lru_cache(maxsize=None)
 def clenshaw_curtis_oracle(m):
     """Level m of the nested Chebyshev-Lobatto rule on [0, 1], entry by
     entry: the nodes t_j = (1 - cos(pi j / m)) / 2, the Clenshaw-Curtis
-    weights w_j (Trefethen's clencurt for even m, halved for [0, 1]), and
+    weights w_j (Trefethen's clencurt for even m, halved for [0, 1]),
     G = diag(w) D with D the differentiation matrix of the nodes:
     D_ij = (b_j / b_i) / (t_i - t_j) for i != j, b_j = (-1)^j halved at
-    both ends, and D_ii minus the sum of the rest of row i."""
+    both ends, and D_ii minus the sum of the rest of row i; and D's rows 0
+    and m, the derivatives at t = 0 and t = 1.  Cached, read-only."""
     j = np.arange(m + 1)
     t = (1.0 - np.cos(np.pi * j / m)) / 2.0
     w = np.empty(m + 1)
@@ -1013,7 +1016,15 @@ def clenshaw_curtis_oracle(m):
             if col != row:
                 g[row, col] = (w[row] / b[row]) * b[col] / (t[row] - t[col])
         g[row, row] = -np.sum(g[row])
-    return t, w, g
+    ends = np.zeros((2, m + 1))
+    for end, row in enumerate((0, m)):
+        for col in range(m + 1):
+            if col != row:
+                ends[end, col] = (b[col] / b[row]) / (t[row] - t[col])
+        ends[end, row] = -np.sum(ends[end])
+    for a in (t, w, g, ends):
+        a.flags.writeable = False
+    return t, w, g, ends
 
 
 def naive_cc_one_form(family, ka, kb, tol, max_points=512):
@@ -1034,7 +1045,7 @@ def naive_cc_one_form(family, ka, kb, tol, max_points=512):
     prev = None
     m = 4
     while m <= max_points:
-        t, _, g = clenshaw_curtis_oracle(m)
+        t, _, g, _ = clenshaw_curtis_oracle(m)
         ks = [ka] + [ka + tj * (kb - ka) for tj in t[1:-1]] + [kb]
         lines = [family.eval(*k) for k in ks]
         us = np.array([np.ravel(line.u) for line in lines])
@@ -1048,6 +1059,80 @@ def naive_cc_one_form(family, ka, kb, tol, max_points=512):
         prev = value
         m *= 2
     raise NoConvergenceError(f"one-form integral did not converge under refinement {where}")
+
+
+def segment_level_oracle(family, ka, kb, tol=1e-9, max_points=512):
+    """The segment ka -> kb alone, refined as naive_cc_one_form refines it
+    but with one eval call per level: its integral and the directions and
+    foot points (m + 1, 3) of the lines at the nodes of the level m where
+    it stopped."""
+    ka = np.asarray(ka, dtype=float)
+    kb = np.asarray(kb, dtype=float)
+    prev = None
+    m = 4
+    while m <= max_points:
+        t, _, g, _ = clenshaw_curtis_oracle(m)
+        ks = np.array([ka] + [ka + tj * (kb - ka) for tj in t[1:-1]] + [kb])
+        line = family.eval(*ks.T)
+        us, qs = line.u, line.q
+        value = float(np.dot(us.ravel(), (g @ (qs - qs[0])).ravel()))
+        if not np.isfinite(value):
+            raise NoConvergenceError(f"one-form sum over {m} pieces is not finite")
+        if prev is not None and abs(value - prev) <= tol:
+            return value, us, qs
+        prev = value
+        m *= 2
+    raise NoConvergenceError("one-form integral did not converge under refinement")
+
+
+def chebyshev_tail(values):
+    """An estimate of the error of the derivatives d/dt at t = 0 and t = 1
+    of the interpolant of values (m + 1, ...) at level m's nodes: the
+    derivative of T_n at either end of [-1, 1] is n^2 in size, and
+    t = (1 - x) / 2, so 2 m^2 (|c_(m-1)| + |c_m|) for the interpolant's
+    Chebyshev coefficients c, per component."""
+    m = len(values) - 1
+    j = np.arange(m + 1)
+    half = np.where((j == 0) | (j == m), 0.5, 1.0)
+    # c_n = (2 / m) sum'' f_j cos(pi n j / m), c_m halved; rows m - 1 and m
+    c = (2.0 / m) * (np.cos(np.pi * np.outer([m - 1, m], j) / m) * half) @ values
+    return 2.0 * m * m * (abs(c[0]) + 0.5 * abs(c[1]))
+
+
+def node_tangents_oracle(family, k1, k2, tol=1e-9):
+    """The tangents du, dq (N, 2, 3) of the nodes of the grid k1 x k2 in
+    (i, j) order, [:, a] along k_(a+1), node by node from the segments of
+    reconstruct_wavefront, each alone (segment_level_oracle): D's end rows
+    (clenshaw_curtis_oracle) at the level where the segment stopped,
+    applied to [u - u_0 | q - q_0], over the segment's step in k; the t = 0
+    end of the segment from the node to the next node along the axis, or,
+    at the last node of a grid line, the t = 1 end of the segment from the
+    node before.  Also the estimate (N, 2) of each tangent's truncation
+    error, the norm over u and q of chebyshev_tail over the step."""
+    axes = (np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
+    segments = {}  # (axis, first node's indices) -> the segment's ends and error estimate
+    du, dq = np.empty((2, len(axes[0]), len(axes[1]), 2, 3))
+    tail = np.empty((len(axes[0]), len(axes[1]), 2))
+    for i, j in np.ndindex(len(axes[0]), len(axes[1])):
+        for axis in (0, 1):
+            node = [i, j]
+            last = int(node[axis] == len(axes[axis]) - 1)  # takes the t = 1 end
+            node[axis] -= last
+            key = (axis, *node)
+            if key not in segments:
+                ka = np.array([axes[0][node[0]], axes[1][node[1]]])
+                kb = ka.copy()
+                kb[axis] = axes[axis][node[axis] + 1]
+                _, us, qs = segment_level_oracle(family, ka, kb, tol)
+                lines = np.concatenate([us, qs], axis=1)
+                step = kb[axis] - ka[axis]
+                ends = clenshaw_curtis_oracle(len(us) - 1)[3] @ (lines - lines[0])
+                segments[key] = ends, step, _norm(chebyshev_tail(lines)) / abs(step)
+            ends, step, error = segments[key]
+            du[i, j, axis] = ends[last, :3] / step
+            dq[i, j, axis] = ends[last, 3:] / step
+            tail[i, j, axis] = error
+    return du.reshape(-1, 2, 3), dq.reshape(-1, 2, 3), tail.reshape(-1, 2)
 
 
 def segment_oracle(family, ka, kb, tol, eval_stage=trace_stage):
@@ -1105,18 +1190,17 @@ def wavefront_segments(k1, k2):
 
 def wavefront_rows(family, grid, h):
     """The one batch of lines reconstruct_wavefront evaluates first: the
-    grid nodes, level 8's interior nodes of every segment
-    (clenshaw_curtis_oracle) and the stencil lines of every node, in calls
-    of at most _CHUNK rows.  An error's `row` names the node, the segment
-    or the node.  Returns the grid axes and the segments' (starts, stops)."""
+    grid nodes, inset by h, and level 8's interior nodes of every segment
+    (clenshaw_curtis_oracle), in calls of at most _CHUNK rows.  An error's
+    `row` names the node or the segment.  Returns the grid axes and the
+    segments' (starts, stops)."""
     k1s, k2s = _grid_axes(family, grid, inset=h)
     ks = np.stack(np.meshgrid(k1s, k2s, indexing="ij"), axis=-1).reshape(-1, 2)
     starts, stops = np.array(wavefront_segments(k1s, k2s)).transpose(1, 0, 2)
     t = clenshaw_curtis_oracle(8)[0][1:-1]
     inner = (starts[:, None] + t[:, None] * (stops - starts)[:, None]).reshape(-1, 2)
-    stencil = (ks[:, None] + np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])).reshape(-1, 2)
-    rows = np.concatenate([ks, inner, stencil])
-    parts = ((0, 1), (len(ks), 7), (len(ks) + len(inner), 4))  # each part's first row, rows per item
+    rows = np.concatenate([ks, inner])
+    parts = ((0, 1), (len(ks), 7))  # each part's first row, rows per item
     for a in range(0, len(rows), _CHUNK):
         try:
             family.eval(*rows[a : a + _CHUNK].T)
@@ -1131,8 +1215,10 @@ def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7):
     """reconstruct_wavefront stage by stage, one call each: the batch of
     wavefront_rows, the grid lines (_grid_lines), the integrals of all
     segments (one_form_integral, which evaluates their ends and first
-    levels again), the L-paths (_l_paths) and the regularity of all nodes
-    (is_regular_point).  The job fails at its first failing stage."""
+    levels again) with the node tangents (node_tangents_oracle), the
+    L-paths (_l_paths) and the regularity of all nodes on those tangents,
+    node by node: |u . (v1 x v2)| > 1e-8 with v_a = dq_a + t du_a at
+    t = -(F + c).  The job fails at its first failing stage."""
     if h is None:
         h = family.default_step()
     k1s, k2s, (starts, stops) = wavefront_rows(family, grid, h)
@@ -1141,6 +1227,7 @@ def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7):
     n1, n2 = len(k1s), len(k2s)
     nodes, us, qs, lengths = _grid_lines(family, k1s, k2s)
     seg = rs.one_form_integral(family, starts, stops)
+    du, dq, _ = node_tangents_oracle(family, k1s, k2s)
     horiz = seg[: (n1 - 1) * n2].reshape(n2, n1 - 1).T
     vert = seg[(n1 - 1) * n2 :].reshape(n1, n2 - 1)
     f_rc, f_cr = _l_paths(horiz, vert, i0, j0)
@@ -1151,11 +1238,11 @@ def staged_wavefront(family, k0, c=0.0, grid=9, h=None, path_tol=1e-7):
             f"path-dependent primitive at k={k}: L-path discrepancy {discrepancy:.3e} > {path_tol:g}"
         )
     points = qs - (f_rc + c)[..., None] * us
-    ks, t = nodes.reshape(-1, 2), -(f_rc + c).ravel()
-    regular = rs.is_regular_point(family, ks, t, h)
-    if not np.all(regular):
-        bad = int(np.argmin(regular))
-        raise NonRegularError(f"wavefront point at k={tuple(map(float, ks[bad]))} is not regular").at(bad)
+    ks, t, u0 = nodes.reshape(-1, 2), -(f_rc + c).ravel(), us.reshape(-1, 3)
+    for node in range(len(ks)):
+        v = dq[node] + t[node] * du[node]
+        if not abs(float(u0[node] @ np.cross(v[0], v[1]))) > 1e-8:
+            raise NonRegularError(f"wavefront point at k={tuple(map(float, ks[node]))} is not regular").at(node)
     return rs.Wavefront(
         k1=k1s,
         k2=k2s,
@@ -1516,21 +1603,29 @@ def design_focusing_mirror_oracle(
     far out on g's asymptote.  The bracket grows to 1 + 2 + ... + 2**28 =
     2**29 - 1 on either side of the wavefront and no further, which is the
     program's reach rule.  The stages: the wavefront's first batch
-    (wavefront_rows), the rectangularity test (is_rectangular), the
-    wavefront (reconstruct_wavefront), then the level equation."""
+    (wavefront_rows), its one-form integrals (one_form_integral), the
+    immersion and rectangularity tests node by node on the node tangents
+    (node_tangents_oracle; is_rectangular's tolerance), the wavefront
+    (reconstruct_wavefront), then the level equation."""
     focus = _as_vec3(focus)
     eps = float(epsilon)
     if eps not in (-1.0, 1.0):
         raise ValueError("epsilon must be +1 or -1")
 
-    wavefront_rows(family, grid, family.default_step() if h is None else h)
-    ok, defects = rs.is_rectangular(family, grid=grid, h=h)
-    if not ok:
-        worst, k = -1.0, None  # the first node of the largest |defect|, in (i, j) order
-        for i, k1 in enumerate(defects.k1):
-            for j, k2 in enumerate(defects.k2):
-                if abs(defects.values[i, j]) > worst:
-                    worst, k = abs(defects.values[i, j]), (float(k1), float(k2))
+    k1s, k2s, (starts, stops) = wavefront_rows(family, grid, family.default_step() if h is None else h)
+    rs.one_form_integral(family, starts, stops)
+    du, dq, _ = node_tangents_oracle(family, k1s, k2s)
+    nodes = [(float(k1), float(k2)) for k1 in k1s for k2 in k2s]
+    immersed = svd_immersed(du, dq)
+    worst, k = -1.0, None  # the first node of the largest |defect|, in (i, j) order
+    for node, at in enumerate(nodes):
+        if not immersed[node]:
+            raise ImmersionError(f"family is not an immersion at k={at}").at(node)
+        defect = abs(float(dq[node, 0] @ du[node, 1] - dq[node, 1] @ du[node, 0]))
+        if defect > worst:
+            worst, k = defect, at
+    (a1, b1), (a2, b2) = family.domain
+    if not worst < 1e-6 * max(b1 - a1, b2 - a2):
         raise NotRectangularError(f"mirror design requires a rectangular family: |defect| {worst:.3e} at k={k}")
     wf = rs.reconstruct_wavefront(family, k0, c=wavefront_c, grid=grid, h=h)
 

@@ -114,6 +114,15 @@ class TestDefect:
                 call()
             assert str(err.value) == str(alone.value) and err.value.row == 0
 
+    def test_wavefront_on_coincident_nodes_is_not_regular(self):
+        # an inset of half the span puts every node at the centre: the
+        # segments between nodes have length 0 and give no tangent, so the
+        # first node fails the regularity test, with no RuntimeWarning
+        fam = rs.point_source([0, 0, 5], [0, 0, -1], domain=((-0.15, 0.15), (-0.15, 0.15)))
+        with pytest.raises(NonRegularError) as err:
+            rs.reconstruct_wavefront(fam, (0, 0), grid=3, h=0.15)
+        assert str(err.value) == "wavefront point at k=(0.0, 0.0) is not regular" and err.value.row == 0
+
     def test_two_skew_lines_need_nonzero_directions(self):
         with pytest.raises(ValueError, match="dir1 and dir2 must be nonzero"):
             rs.two_skew_lines([1, 0, 0], [0, 0, 0], [0, 1, 1], [0, 1, 0])

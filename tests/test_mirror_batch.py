@@ -196,10 +196,11 @@ def _missing_between(family, lo, hi):
 
 
 class TestFailingFamilies:
-    """The design raises the error of its wavefront's batch, then tests
-    rectangularity on the batch's stencil lines, and then fails as the
-    wavefront does: as the oracle, which evaluates the batch's lines, then
-    tests rectangularity."""
+    """The design raises the error of its wavefront's batch, then of its
+    one-form levels, then tests immersion and rectangularity on the node
+    tangents of those levels, and then fails as the wavefront does: as the
+    oracle, which evaluates the batch's lines and integrals, then tests
+    the tangents of each segment alone."""
 
     SOURCE = rs.point_source([0, 0, 0], [0, 0, 1], domain=((-0.1, 0.1), (-0.1, 0.1)))
     MISSED = rs.OpticalSystem((rs.Interface(rs.Sphere([0.3, 0, 3.0], 0.5), rs.REFLECT, 1.0),))
@@ -207,10 +208,10 @@ class TestFailingFamilies:
     @pytest.mark.parametrize(
         "family, error",
         [
-            # the stencil lines of the batch fail the immersion test
+            # the node tangents fail the immersion test
             (flat_for_negative_k1(SOURCE), rs.ImmersionError),
             (rs.two_skew_lines([1, 0, 0], [1, 0, 0], [0, 1, 1], [0, 1, 0]), rs.NotRectangularError),
-            # a grid line misses the mirror, and so does a stencil line
+            # a grid line misses the mirror
             (rs.transform_family(SOURCE, MISSED), rs.FamilyTraceError),
             # only one-form nodes between grid lines fail
             (_missing_between(SOURCE, 0.05, 0.09), NoIntersectionError),
@@ -221,9 +222,9 @@ class TestFailingFamilies:
         assert isinstance(err, error)
 
     def test_failing_grid_line_after_the_rectangularity_test(self):
-        # only the ray of the centre node of the 3x3 grid fails, not its
-        # stencil lines, and the family is rectangular: the batch fails at
-        # that node, and the design raises the batch's error at once
+        # only the ray of the centre node of the 3x3 grid fails, and the
+        # family is rectangular: the batch fails at that node, and the
+        # design raises the batch's error at once
         calls = []
 
         def _eval(k1, k2):
@@ -236,9 +237,9 @@ class TestFailingFamilies:
         family = dataclasses.replace(self.SOURCE, eval=_eval)
         with pytest.raises(NoIntersectionError) as err:
             rs.design_focusing_mirror(family, (0, 0), [0.3, 0.2, 1.2], 1, 3.2, grid=3)
-        # the wavefront's batch: 9 grid lines, 7 level-8 nodes on each of 12
-        # segments and 4 stencil lines per node, and no line again
-        assert calls == [9 + 7 * 12 + 4 * 9]
+        # the wavefront's batch: 9 grid lines and 7 level-8 nodes on each of
+        # 12 segments, and no line again
+        assert calls == [9 + 7 * 12]
         assert rs.is_rectangular(family, grid=3)[0]
         with pytest.raises(NoIntersectionError) as want:
             rs.reconstruct_wavefront(family, (0, 0), grid=3)
@@ -264,9 +265,8 @@ class TestMissedSphere:
             rs.design_focusing_mirror(
                 dataclasses.replace(family, eval=counted), (0, 0), [0, 0, -1], 1, 3.0
             )
-        # the wavefront's one batch of 81 + 7 * 144 + 4 * 81 rows, and no
-        # line again
-        assert calls == [1413]
+        # the wavefront's one batch of 81 + 7 * 144 rows, and no line again
+        assert calls == [1089]
         k = -0.1599954745166004
         assert str(err.value) == f"at k=({k}, {k}): interface 0: ray misses Sphere in (0, 1e+06]"
         with pytest.raises(rs.FamilyTraceError) as wavefront:

@@ -28,7 +28,7 @@ from rayspace.errors import (
     SceneSyntaxError,
     UnknownSurfaceError,
 )
-from rayspace.lines import _ray
+from rayspace.lines import _norm, _ray
 from rayspace.scene import load_scene, parse_scene
 
 from helpers import (
@@ -288,6 +288,29 @@ class TestParseScene:
         scene = parse_scene(text)
         assert scene.family.kind == "normal_congruence"
         assert abs(rs.defect(scene.family, (0.0, 0.0))) < 1e-8
+
+    def test_normal_congruences_of_successive_scenes(self):
+        # the family table is built once, and each parse resolves the
+        # surface of a normal congruence against its own scene's surfaces
+        def scene(name, center, radius, surface=None):
+            return parse_scene(
+                f"[surface {name}]\nkind = sphere\ncenter = {center}\nradius = {radius}\n"
+                f"[family]\nkind = normal_congruence\nsurface = {surface or name}\n"
+                "domain = -0.3 0.3 -0.3 0.3\n"
+            )
+
+        def on_its_sphere(parsed, center, radius):
+            start = parsed.family.start_point(0.1, -0.2)
+            return abs(_norm(start - np.array(center)) - radius) < 1e-12
+
+        for _ in range(2):
+            ball = scene("ball", "0 0 0", 2)
+            dome = scene("dome", "1 0 -4", 3)
+            assert on_its_sphere(ball, [0, 0, 0], 2) and not on_its_sphere(ball, [1, 0, -4], 3)
+            assert on_its_sphere(dome, [1, 0, -4], 3) and not on_its_sphere(dome, [0, 0, 0], 2)
+            with pytest.raises(UnknownSurfaceError) as err:
+                scene("dome", "1 0 -4", 3, surface="ball")
+            assert err.value.name == "ball"
 
     @pytest.mark.parametrize(
         "kind", ["point_source", "collimated", "two_skew_lines", "normal_congruence"]
@@ -678,8 +701,8 @@ def edited_scene(data):
 
 class TestWavefrontRayBudget:
     """The rays CLI `wavefront` and `mirror` evaluate on bundled jobs: grid
-    lines, one-form refinement nodes and regularity stencils; the optical
-    lengths ride on the grid lines."""
+    lines and one-form refinement nodes; the optical lengths ride on the
+    grid lines, and the node tangents come from the one-form levels."""
 
     @staticmethod
     def counted_rays(tmp_path, argv):
@@ -714,22 +737,22 @@ class TestWavefrontRayBudget:
     def test_rays_per_job(self, tmp_path, name):
         argv = ["wavefront", "--scene", str(SCENES / f"{name}.scene"), "--grid", "9"]
         rays = self.counted_rays(tmp_path, argv)
-        # 81 grid lines, the 7 interior nodes of the 144 segments' second
+        # 81 grid lines and the 7 interior nodes of the 144 segments' second
         # Clenshaw-Curtis level (the first level's 3 among them), where all
-        # converge, and 4 stencil lines per node: 1,413 rays in one call
-        assert rays == [81 + 7 * 144 + 4 * 81]
+        # converge: 1,089 rays in one call, and no stencil line
+        assert rays == [81 + 7 * 144]
         report = read_report(tmp_path / "report.txt")
         assert float(report["path_discrepancy"]) <= 1e-7
         assert float(report["orthogonality_residual"]) <= 1e-6
 
     def test_mirror_job(self, tmp_path):
         rays = self.counted_rays(tmp_path, ["mirror", "--scene", str(SCENES / "mirror_design.scene")])
-        # on the 13x13 grid: the wavefront's one batch of 169 + 7 * 312 +
-        # 4 * 169 = 3,029 rays in calls of at most _CHUNK, whose stencil lines
-        # the rectangularity test reads, and verify_focus's 121 interior grid
-        # lines
-        assert rays == [families._CHUNK, 3029 - families._CHUNK, 121]
-        assert sum(rays) == 3150
+        # on the 13x13 grid: the wavefront's one batch of 169 + 7 * 312 =
+        # 2,353 rays in calls of at most _CHUNK, whose one-form levels give
+        # the tangents the rectangularity test reads, and verify_focus's 121
+        # interior grid lines
+        assert rays == [families._CHUNK, 2353 - families._CHUNK, 121]
+        assert sum(rays) == 2474
         assert read_report(tmp_path / "report.txt")["focused"] == "true"
 
 

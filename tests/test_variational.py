@@ -319,18 +319,26 @@ class TestPathLengths:
         assert np.ptp(lengths) < 1e-7
         assert rs.orthogonality_residual(family, wf) < 1e-7
 
-    def test_wavefront_is_a_level_set_of_v(self):
+    # c puts every wavefront point beyond its ray's last hit, where the
+    # traced path is the stationary one from the apex
+    @pytest.mark.parametrize("name, c", [("point_plane", -1.0), ("sphere_refract", 0.5), ("mixed_device", -2.0)])
+    def test_wavefront_is_a_level_set_of_v(self, name, c):
         """The one-form, the traced optical length and V agree: every node W
         of a reconstructed output wavefront lies at one optical length from
-        the apex along its ray, and V(apex, W) is that length."""
-        scene = load_scene(ROOT / "scenes" / "sphere_refract.scene")
+        the apex along its ray, and V(apex, W) is that length.  Each V solve
+        is seeded with the hits of the node's traced ray, through every
+        surface kind between the three scenes."""
+        scene = load_scene(ROOT / "scenes" / f"{name}.scene")
         source, system = scene.family, scene.system
-        wf = rs.reconstruct_wavefront(rs.transform_family(source, system), (0, 0), c=0.5, grid=5)
+        wf = rs.reconstruct_wavefront(rs.transform_family(source, system), (0, 0), c=c, grid=5)
         lengths, w = traced_lengths(source, system, wf)
         assert np.ptp(lengths) < 1e-7
+        k1, k2 = (k.reshape(-1) for k in np.meshgrid(wf.k1, wf.k2, indexing="ij"))
+        hits = rs.propagate_system(source.eval(k1, k2), system, start=source.start_point(k1, k2)).hits
         apex = source.start_point(0.0, 0.0)
-        for point, length in zip(w, lengths):
-            value, _ = rs.characteristic_function(apex, point, system)
+        for node, (point, length) in enumerate(zip(w, lengths)):
+            traced = rs.path_through(apex, point, system, [hit.point[node] for hit in hits])
+            value, _ = rs.characteristic_function(apex, point, system, initial=traced)
             assert abs(value - length) < 1e-7
 
 
